@@ -4,13 +4,26 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-json bench-check overhead-guard smoke smoke-race read-smoke read-smoke-race malice-race slo-smoke chaos chaos-ci migration-chaos cluster-smoke cluster-smoke-race ci
+.PHONY: build test layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard smoke smoke-race read-smoke read-smoke-race malice-race slo-smoke chaos chaos-ci migration-chaos cluster-smoke cluster-smoke-race ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# bench/ is a Go module of its own (the layered service benchmark), so
+# `go test ./...` above does not see it: its smoke test, manifest check and
+# the controller's pinned known-issue test run here.
+layerbench-test:
+	$(GO) test -C bench ./...
+
+# Ten seconds of native fuzzing per target over the untrusted decoders: the
+# payload frame codec, and the /v1/write handler fed arbitrary frames
+# (seeded from the malice campaign's malformed ones).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz '^FuzzSplitFrame$$' -fuzztime 10s ./internal/fsproto
+	$(GO) test -run '^$$' -fuzz '^FuzzFramedWrite$$' -fuzztime 10s ./internal/server
 
 race: smoke-race
 	$(GO) test -race ./...
@@ -151,4 +164,4 @@ overhead-guard:
 	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestTelemetryOverheadGuard|TestWriteLineGapGuard|TestPageGapGuard|TestAuditOverheadGuard|TestTraceOverheadGuard' -v ./internal/memctrl
 	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestReadScalingGuard' -v ./internal/server
 
-ci: build vet test smoke race read-smoke read-smoke-race malice-race slo-smoke chaos-ci cluster-smoke cluster-smoke-race migration-chaos overhead-guard bench-check
+ci: build vet test layerbench-test fuzz-smoke smoke race read-smoke read-smoke-race malice-race slo-smoke chaos-ci cluster-smoke cluster-smoke-race migration-chaos overhead-guard bench-check

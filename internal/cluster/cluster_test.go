@@ -3,8 +3,12 @@ package cluster
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -234,6 +238,90 @@ func TestMigrationUnderLoad(t *testing.T) {
 	// And the client keeps writing to the migrated shard with its old token.
 	if err := clients[0].Write(fsproto.WriteRequest{Name: "f.bin", Data: []byte("post-migration")}); err != nil {
 		t.Fatalf("post-migration write: %v", err)
+	}
+
+	// A framed write through the same hop, sent below the client with no
+	// trace header, so node A mints the trace ID: B must continue that
+	// trace, log the write with its payload, and a replica of B's log must
+	// reproduce B's memory byte for byte.
+	if err := clients[0].Create(fsproto.CreateRequest{Name: "shared.bin", Perm: 0666, Size: 8192, Encrypted: true}); err != nil {
+		t.Fatalf("create shared file: %v", err)
+	}
+	payload := bytes.Repeat([]byte("framed-over-the-hop:"), 100)
+	meta, _ := json.Marshal(fsproto.WriteRequest{
+		Name: "shared.bin", Tenant: tenants[0], Passphrase: "pw-" + tenants[0], Offset: 4096,
+	})
+	post := func(path, ctype, token string, body []byte) *http.Response {
+		t.Helper()
+		hr, err := http.NewRequest(http.MethodPost, a.srv.URL+path, bytes.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("Content-Type", ctype)
+		hr.Header.Set(fsproto.TokenHeader, token)
+		resp, err := http.DefaultClient.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { resp.Body.Close() })
+		return resp
+	}
+	var lr fsproto.LoginResponse
+	resp := post("/v1/login", fsproto.ContentTypeJSON, "", []byte(`{"tenant":"`+tenants[1]+`","uid":1,"passphrase":"pw-`+tenants[1]+`"}`))
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil || lr.Token == "" {
+		t.Fatalf("raw login on A: status %d, err %v", resp.StatusCode, err)
+	}
+	resp = post("/v1/write", fsproto.ContentTypeFrame, lr.Token, fsproto.AppendFrame(nil, meta, payload))
+	if resp.StatusCode != http.StatusOK {
+		msg, _ := io.ReadAll(resp.Body)
+		t.Fatalf("forwarded framed write: status %d: %s", resp.StatusCode, msg)
+	}
+	minted, err := strconv.ParseUint(resp.Header.Get(fsproto.RequestIDHeader), 16, 64)
+	if err != nil || minted == 0 {
+		t.Fatalf("entry node's X-Request-Id %q: %v", resp.Header.Get(fsproto.RequestIDHeader), err)
+	}
+	ctx := context.Background()
+	recs, err := b.node.Service().RecordsFrom(ctx, migShard, 0)
+	if err != nil {
+		t.Fatalf("owner log: %v", err)
+	}
+	last := recs[len(recs)-1]
+	var logged fsproto.WriteRequest
+	if err := json.Unmarshal(last.Req, &logged); err != nil || last.Kind != "write" {
+		t.Fatalf("owner's last record is %q (%v), want the forwarded write", last.Kind, err)
+	}
+	if last.TraceID != minted {
+		t.Errorf("owner logged trace %016x, entry node minted %016x", last.TraceID, minted)
+	}
+	if !bytes.Equal(logged.Data, payload) {
+		t.Errorf("owner's log record carries %d payload bytes, want the %d sent", len(logged.Data), len(payload))
+	}
+	if err := coord.Replicate(migShard, c.srv.URL); err != nil {
+		t.Fatalf("replicate: %v", err)
+	}
+	rep := c.node.Replica(migShard)
+	if err := rep.Sync(); err != nil {
+		t.Fatalf("replica sync: %v", err)
+	}
+	rep.Stop() // the detached shard is ours to read now
+	if rep.Pulled() != uint64(len(recs)) || rep.Err() != nil {
+		t.Fatalf("replica pulled %d of %d records, err %v", rep.Pulled(), len(recs), rep.Err())
+	}
+	var primary *memctrl.Image
+	for _, sh := range b.node.Service().Shards() {
+		if sh.ID() == migShard {
+			var ierr error
+			if err := sh.DoSide(ctx, func() { primary, ierr = sh.Sys.M.MC.ExportImage() }); err != nil || ierr != nil {
+				t.Fatalf("export owner image: %v / %v", err, ierr)
+			}
+		}
+	}
+	replayed, err := rep.sh.Sys.M.MC.ExportImage()
+	if err != nil {
+		t.Fatalf("export replica image: %v", err)
+	}
+	if !replayed.Equal(primary) {
+		t.Fatal("replica's replay of the forwarded framed write differs from the owner's memory")
 	}
 }
 

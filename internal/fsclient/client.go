@@ -1,5 +1,6 @@
 // Package fsclient is the Go client for fsencrd, the multi-tenant
-// encrypted file service: a thin typed layer over the /v1 JSON API plus a
+// encrypted file service: a thin typed layer over the /v1 API (JSON
+// messages; page payloads travel raw, see fsproto/frame.go) plus a
 // deterministic load generator (loadgen.go).
 //
 // A Client is one authenticated tenant session. Methods mirror the
@@ -15,7 +16,6 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"math/rand/v2"
 	"net/http"
 	"net/url"
@@ -127,14 +127,53 @@ func (c *Client) GID() uint32 { return c.gid }
 // Shard returns the tenant's shard index echoed by the server at login.
 func (c *Client) Shard() int { return c.shard }
 
-// post sends one JSON request, retrying per the client's policy, and
-// decodes the response into out (nil out discards the body). One logical
-// request keeps one trace ID across every attempt and reroute.
+// post sends one JSON request and decodes the JSON response into out (nil
+// out discards the body).
 func (c *Client) post(path string, req, out any) error {
 	body, err := json.Marshal(req)
 	if err != nil {
 		return err
 	}
+	data, _, err := c.roundTrip(path, fsproto.ContentTypeJSON, body)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
+}
+
+// postFrame sends a request whose payload follows its JSON (meta, the
+// request struct with the payload field nil) as raw bytes in one frame.
+func (c *Client) postFrame(path string, meta any, payload []byte) error {
+	m, err := json.Marshal(meta)
+	if err != nil {
+		return err
+	}
+	body := make([]byte, 0, fsproto.FrameHeaderLen+len(m)+len(payload))
+	_, _, err = c.roundTrip(path, fsproto.ContentTypeFrame, fsproto.AppendFrame(body, m, payload))
+	return err
+}
+
+// postForPayload sends one JSON request whose answer is a raw payload: the
+// returned slice is the buffer the response body was read into.
+func (c *Client) postForPayload(path string, req any) ([]byte, error) {
+	body, err := json.Marshal(req)
+	if err != nil {
+		return nil, err
+	}
+	data, ctype, err := c.roundTrip(path, fsproto.ContentTypeJSON, body)
+	if err != nil {
+		return nil, err
+	}
+	if ctype != fsproto.ContentTypeOctets {
+		return nil, fmt.Errorf("fsencrd: %s answered 200 with content type %q, want %q", path, ctype, fsproto.ContentTypeOctets)
+	}
+	return data, nil
+}
+
+// roundTrip sends one encoded request body, retrying per the client's
+// policy, and returns the 200 response's body and content type. One logical
+// request keeps one trace ID across every attempt and reroute.
+func (c *Client) roundTrip(path, ctype string, body []byte) ([]byte, string, error) {
 	c.reqSeq++
 	tc := fsproto.TraceContext{
 		TraceID: telemetry.MintTraceID(c.traceBase, c.reqSeq),
@@ -143,9 +182,9 @@ func (c *Client) post(path string, req, out any) error {
 	attempts, reroutes := 0, 0
 	for {
 		attempts++
-		err := c.send(path, body, tc, out)
+		data, rtype, err := c.send(path, ctype, body, tc)
 		if err == nil {
-			return nil
+			return data, rtype, nil
 		}
 		// A moved shard or a dead node is not a failure of the request, it
 		// is stale routing: refresh and re-send (bounded, in case the
@@ -162,7 +201,7 @@ func (c *Client) post(path string, req, out any) error {
 			if errors.As(err, &ae) {
 				ae.Attempts = attempts
 			}
-			return err
+			return nil, "", err
 		}
 		time.Sleep(c.backoffFor(attempts, err))
 	}
@@ -171,26 +210,27 @@ func (c *Client) post(path string, req, out any) error {
 // maxReroutes bounds routing-refresh loops within one logical request.
 const maxReroutes = 3
 
-// send is one attempt.
-func (c *Client) send(path string, body []byte, tc fsproto.TraceContext, out any) error {
+// send is one attempt. The response is read into one buffer sized from its
+// Content-Length and bounded by the protocol's body limit.
+func (c *Client) send(path, ctype string, body []byte, tc fsproto.TraceContext) ([]byte, string, error) {
 	hr, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set("Content-Type", ctype)
 	if c.token != "" {
 		hr.Header.Set(fsproto.TokenHeader, c.token)
 	}
 	hr.Header.Set(fsproto.TraceHeader, tc.String())
 	resp, err := c.hc.Do(hr)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	defer resp.Body.Close()
 	c.LastRequestID = resp.Header.Get(fsproto.RequestIDHeader)
-	data, err := io.ReadAll(resp.Body)
+	data, err := fsproto.ReadBody(resp.Body, resp.ContentLength, fsproto.MaxBodyBytes)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
 	if resp.StatusCode != http.StatusOK {
 		var pe fsproto.Error
@@ -204,12 +244,9 @@ func (c *Client) send(path string, body []byte, tc fsproto.TraceContext, out any
 				ae.QueueDepth = depth
 			}
 		}
-		return ae
+		return nil, "", ae
 	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
+	return data, resp.Header.Get("Content-Type"), nil
 }
 
 // retryable reports whether err is worth re-sending: admission backpressure
@@ -314,11 +351,7 @@ func (c *Client) Create(req fsproto.CreateRequest) error {
 
 // Read reads a byte range.
 func (c *Client) Read(req fsproto.ReadRequest) ([]byte, error) {
-	var resp fsproto.ReadResponse
-	if err := c.post("/v1/read", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Data, nil
+	return c.postForPayload("/v1/read", req)
 }
 
 // Stat fetches file metadata. Stat is side-effect free end to end and
@@ -331,7 +364,9 @@ func (c *Client) Stat(req fsproto.StatRequest) (fsproto.StatResponse, error) {
 
 // Write writes and persists a byte range.
 func (c *Client) Write(req fsproto.WriteRequest) error {
-	return c.post("/v1/write", req, nil)
+	data := req.Data
+	req.Data = nil
+	return c.postFrame("/v1/write", req, data)
 }
 
 // Chmod changes permission bits.
@@ -351,16 +386,14 @@ func (c *Client) KVCreate(req fsproto.KVCreateRequest) error {
 
 // KVPut stores a value.
 func (c *Client) KVPut(req fsproto.KVPutRequest) error {
-	return c.post("/v1/kv/put", req, nil)
+	value := req.Value
+	req.Value = nil
+	return c.postFrame("/v1/kv/put", req, value)
 }
 
 // KVGet fetches a value.
 func (c *Client) KVGet(req fsproto.KVGetRequest) ([]byte, error) {
-	var resp fsproto.KVGetResponse
-	if err := c.post("/v1/kv/get", req, &resp); err != nil {
-		return nil, err
-	}
-	return resp.Value, nil
+	return c.postForPayload("/v1/kv/get", req)
 }
 
 // KVDelete removes a key, reporting whether it existed.

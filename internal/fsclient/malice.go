@@ -4,15 +4,15 @@ package fsclient
 // internal/chaos attacks the machine from below (bit flips in NVM),
 // RunMalice attacks fsencrd from above — forged and replayed session
 // tokens, cross-tenant namespace overrides, wrong passphrases, oversized
-// and truncated request bodies, forged lengths — and asserts that every
-// attack is refused with the documented stable error code and that not one
-// plaintext byte of the victim's data leaks into any response.
+// and truncated request bodies, forged lengths, malformed payload frames —
+// and asserts that every attack is refused with the documented stable error
+// code and that not one plaintext byte of the victim's data leaks into any
+// response.
 
 import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 
@@ -68,18 +68,20 @@ const secretByte = byte('Z')
 // rawResult is one raw HTTP exchange.
 type rawResult struct {
 	status int
+	ctype  string
 	code   string
 	body   []byte
 }
 
-// rawDo sends method+body to base+path with the given token header and
-// returns the raw outcome — the attacker's view, below the typed Client.
-func rawDo(hc *http.Client, method, base, path, token string, body []byte) (rawResult, error) {
+// rawDo sends method+body to base+path with the given content type and
+// token header and returns the raw outcome — the attacker's view, below
+// the typed Client.
+func rawDo(hc *http.Client, method, base, path, ctype, token string, body []byte) (rawResult, error) {
 	hr, err := http.NewRequest(method, base+path, bytes.NewReader(body))
 	if err != nil {
 		return rawResult{}, err
 	}
-	hr.Header.Set("Content-Type", "application/json")
+	hr.Header.Set("Content-Type", ctype)
 	if token != "" {
 		hr.Header.Set(fsproto.TokenHeader, token)
 	}
@@ -88,32 +90,49 @@ func rawDo(hc *http.Client, method, base, path, token string, body []byte) (rawR
 		return rawResult{}, err
 	}
 	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
+	data, err := fsproto.ReadBody(resp.Body, resp.ContentLength, fsproto.MaxBodyBytes)
 	if err != nil {
 		return rawResult{}, err
 	}
 	var pe fsproto.Error
 	_ = json.Unmarshal(data, &pe) // non-error bodies leave the code empty
-	return rawResult{status: resp.StatusCode, code: pe.Code, body: data}, nil
+	return rawResult{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), code: pe.Code, body: data}, nil
 }
 
-// leaked reports whether an attack response carried victim plaintext: a
-// successful data payload, or the secret pattern (raw or in the base64
-// encoding the wire uses for byte slices).
+// leaked reports whether an attack response carried victim plaintext: any
+// successful payload at all (every attack must be refused, so a 200 with a
+// raw body is a leak whatever it holds), or the secret pattern anywhere —
+// raw, or in the base64 a JSON body would carry it in.
 func leaked(res rawResult) bool {
-	var rr fsproto.ReadResponse
-	if json.Unmarshal(res.body, &rr) == nil && len(rr.Data) > 0 {
-		for _, b := range rr.Data {
-			if b == secretByte {
-				return true
-			}
-		}
+	if res.status == http.StatusOK && res.ctype == fsproto.ContentTypeOctets {
+		return true
 	}
 	if bytes.Contains(res.body, bytes.Repeat([]byte{secretByte}, 8)) {
 		return true
 	}
 	// base64("ZZZZZZ...") == "Wlpa"... — the encoded form of a secret run.
 	return bytes.Contains(res.body, []byte("WlpaWlpaWlpa"))
+}
+
+// MaliceFrame is one malformed payload frame of the campaign.
+type MaliceFrame struct {
+	Name string
+	Body []byte
+}
+
+// MaliceFrames are the malformed frames the campaign sends to /v1/write:
+// every one must come back bad_request without the server allocating by a
+// claimed length or panicking. Exported as the seed corpus of the server's
+// framed-write fuzz target.
+func MaliceFrames() []MaliceFrame {
+	meta := mustJSON(fsproto.WriteRequest{Name: "x"})
+	return []MaliceFrame{
+		{"frame_short", []byte{0, 0}},
+		{"frame_meta_overrun", append([]byte{0, 0, 0, 100}, meta...)},
+		{"frame_meta_max", append([]byte{0xFF, 0xFF, 0xFF, 0xFF}, meta...)},
+		{"frame_oversized", fsproto.AppendFrame(nil, meta, bytes.Repeat([]byte{'A'}, fsproto.MaxBodyBytes))},
+		{"frame_bad_meta", fsproto.AppendFrame(nil, []byte(`{"name":`), []byte("payload"))},
+	}
 }
 
 // RunMalice drives the malicious-client campaign against a fair-mode
@@ -207,34 +226,55 @@ func RunMalice(base string) (*MaliceReport, error) {
 			mustJSON(fsproto.ReadRequest{Name: "secret.dat", Offset: 1 << 40, Length: 64}),
 			[]string{fsproto.CodeBadRequest}},
 	}
+	// Sent as payload frames. First a frame where none is taken: the
+	// victim's own token on a well-formed frame, so only the refusal of
+	// the frame stands between the request and the secret. Then malformed
+	// frames on the endpoint that does take them.
+	framed := []attack{
+		{"frame_to_read", http.MethodPost, "/v1/read", victim.token,
+			fsproto.AppendFrame(nil, readVictim(64), nil), []string{fsproto.CodeBadRequest}},
+	}
+	for _, f := range MaliceFrames() {
+		framed = append(framed, attack{f.Name, http.MethodPost, "/v1/write", attacker.token,
+			f.Body, []string{fsproto.CodeBadRequest}})
+	}
 
 	rep := &MaliceReport{}
-	for _, a := range attacks {
-		res, err := rawDo(hc, a.method, base, a.path, a.token, a.body)
-		if err != nil {
-			return nil, fmt.Errorf("malice attack %s: %w", a.name, err)
-		}
-		out := MaliceAttack{
-			Name: a.name, WantCodes: a.want,
-			GotStatus: res.status, GotCode: res.code,
-			Leaked: leaked(res),
-		}
-		for _, want := range a.want {
-			if res.code == want && res.status >= 400 {
-				out.Passed = true
-				break
+	run := func(ctype string, attacks []attack) error {
+		for _, a := range attacks {
+			res, err := rawDo(hc, a.method, base, a.path, ctype, a.token, a.body)
+			if err != nil {
+				return fmt.Errorf("malice attack %s: %w", a.name, err)
 			}
+			out := MaliceAttack{
+				Name: a.name, WantCodes: a.want,
+				GotStatus: res.status, GotCode: res.code,
+				Leaked: leaked(res),
+			}
+			for _, want := range a.want {
+				if res.code == want && res.status >= 400 {
+					out.Passed = true
+					break
+				}
+			}
+			if out.Leaked {
+				rep.Leaks++
+				out.Passed = false
+			}
+			if out.Passed {
+				rep.Passed++
+			} else {
+				rep.Failed++
+			}
+			rep.Attacks = append(rep.Attacks, out)
 		}
-		if out.Leaked {
-			rep.Leaks++
-			out.Passed = false
-		}
-		if out.Passed {
-			rep.Passed++
-		} else {
-			rep.Failed++
-		}
-		rep.Attacks = append(rep.Attacks, out)
+		return nil
+	}
+	if err := run(fsproto.ContentTypeJSON, attacks); err != nil {
+		return nil, err
+	}
+	if err := run(fsproto.ContentTypeFrame, framed); err != nil {
+		return nil, err
 	}
 
 	// Control: the victim still reads its own data back intact — the

@@ -117,6 +117,11 @@ type Controller struct {
 	// OTPInto fully overwrites its destination, so reuse is safe.
 	padScratch     aesctr.Line
 	filePadScratch aesctr.Line
+	// reencOldPad/reencNewPad are reencryptLines' own OTP buffers. They
+	// cannot borrow the two above: WriteLine's file-side overflow fires
+	// after padScratch already holds the line's memory pad.
+	reencOldPad aesctr.Line
+	reencNewPad aesctr.Line
 	// pagePadScratch/pageFilePadScratch are the batched page-datapath OTP
 	// buffers (WritePage/ReadPage), controller-owned for the same reason —
 	// 4 KB heap escapes per page op would undo the batching's host-cost

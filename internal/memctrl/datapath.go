@@ -242,10 +242,9 @@ func (c *Controller) reencryptPageFile(now config.Cycle, page uint64, bumpLine i
 func (c *Controller) reencryptLines(now config.Cycle, page uint64, pads func(li int, oldPad, newPad *aesctr.Line)) config.Cycle {
 	t := now
 	base := addr.Phys(page * config.PageSize)
-	// The OTP buffers reuse the controller's line-op scratch (free here:
-	// re-encryption happens before the caller touches padScratch), since
-	// locals escape through the cipher.Block interface call.
-	oldPad, newPad := &c.padScratch, &c.filePadScratch
+	// Controller-owned buffers, since locals escape through the
+	// cipher.Block interface call.
+	oldPad, newPad := &c.reencOldPad, &c.reencNewPad
 	for li := 0; li < config.LinesPerPage; li++ {
 		la := base + addr.Phys(li*config.LineSize)
 		pads(li, oldPad, newPad)

@@ -139,6 +139,47 @@ func TestFileMinorOverflow(t *testing.T) {
 	}
 }
 
+// TestFileMinorWrapKeepsWrappingWrite stops on the very write that wraps the
+// file-side minor counter (the 128th to one line or page): that write's
+// memory pad is already built when the file-side re-encryption runs, so the
+// re-encryption must not share its scratch. One more write would mask a
+// clobbered pad, which is why TestFileMinorOverflow never saw it.
+func TestFileMinorWrapKeepsWrappingWrite(t *testing.T) {
+	const writes = config.MinorCounterMax + 1
+	t.Run("WriteLine", func(t *testing.T) {
+		c := newMC(Mode{MemEncryption: true, FileEncryption: true})
+		pa := addr.Phys(0x60000).WithDF()
+		c.InstallKey(0, 1, 1, fileKey(2))
+		c.TagPage(0, pa, 1, 1)
+		for i := 1; i <= writes; i++ {
+			c.WriteLine(0, pa+64, lineOf(byte(i)))
+		}
+		if c.Stats().Get("mc.file_reencryptions") != 1 {
+			t.Fatalf("file re-encryptions = %d, want 1", c.Stats().Get("mc.file_reencryptions"))
+		}
+		if got, _ := c.ReadLine(1000, pa+64); got != lineOf(byte(writes)) {
+			t.Fatal("the write that wrapped the file minor counter reads back wrong")
+		}
+	})
+	t.Run("WritePage", func(t *testing.T) {
+		c := newMC(Mode{MemEncryption: true, FileEncryption: true})
+		pa := addr.Phys(0x100000).WithDF()
+		c.InstallKey(0, 1, 1, fileKey(2))
+		c.TagPage(0, pa, 1, 1)
+		var want, got aesctr.Page
+		for i := 1; i <= writes; i++ {
+			for j := range want {
+				want[j] = byte(i + j)
+			}
+			c.WritePage(0, pa, &want)
+		}
+		c.ReadPageInto(1000, pa, &got)
+		if got != want {
+			t.Fatal("the page write that wrapped the file minor counters reads back wrong")
+		}
+	})
+}
+
 func TestKeyUnavailableYieldsGarbage(t *testing.T) {
 	c := newMC(Mode{MemEncryption: true, FileEncryption: true})
 	pa := addr.Phys(0x70000).WithDF()

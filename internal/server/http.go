@@ -18,9 +18,8 @@ import (
 	"fsencr/internal/obsplane"
 )
 
-// maxBodyBytes bounds one request body (a page of payload plus JSON
-// overhead).
-const maxBodyBytes = 1 << 20
+// maxBodyBytes bounds one request body.
+const maxBodyBytes = fsproto.MaxBodyBytes
 
 // httpStatus maps service errors onto (status, stable code).
 func httpStatus(err error) (int, string) {
@@ -57,11 +56,24 @@ func httpStatus(err error) (int, string) {
 // (server.response_encode_errors_total) so a flood of broken responses is
 // visible on the metrics surface instead of vanishing.
 func (svc *Service) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
+	w.Header().Set("Content-Type", fsproto.ContentTypeJSON)
 	w.WriteHeader(status)
 	if err := json.NewEncoder(w).Encode(v); err != nil {
 		svc.cEncErrs.Inc()
 	}
+}
+
+// writePayload answers 200 with the payload as the whole body, straight
+// from its pooled buffer, and releases it. The explicit Content-Length
+// keeps a page-sized body from going out chunked.
+func (svc *Service) writePayload(w http.ResponseWriter, pl Payload) {
+	w.Header().Set("Content-Type", fsproto.ContentTypeOctets)
+	w.Header().Set("Content-Length", strconv.Itoa(len(pl.Data)))
+	w.WriteHeader(http.StatusOK)
+	if _, err := w.Write(pl.Data); err != nil {
+		svc.cEncErrs.Inc()
+	}
+	pl.Release()
 }
 
 // writeError answers with the error's JSON body and returns the HTTP
@@ -92,27 +104,50 @@ func (svc *Service) traceContext(r *http.Request) fsproto.TraceContext {
 	return fsproto.TraceContext{TraceID: svc.mintServerTraceID()}
 }
 
-// decode reads and unmarshals a bounded JSON body.
-func decode(r *http.Request, v any) error {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+// readBody reads a request body, once, into one buffer sized from its
+// Content-Length. The buffer is GC-owned and must stay so (no sync.Pool):
+// decode points a framed write's payload into it, and a queued write can
+// outlive its handler when RequestTimeout fires.
+func readBody(r *http.Request) ([]byte, error) {
+	body, err := fsproto.ReadBody(r.Body, r.ContentLength, maxBodyBytes)
 	if err != nil {
-		return fmt.Errorf("%w: %v", ErrBadRequest, err)
+		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	return body, nil
+}
+
+// decode unmarshals a request body into v: plain JSON, or — on the two
+// requests that carry a payload — a frame whose meta is that JSON and
+// whose tail becomes the payload field.
+func decode(r *http.Request, body []byte, v any) error {
+	framed := r.Header.Get("Content-Type") == fsproto.ContentTypeFrame
+	var payload []byte
+	if framed {
+		var err error
+		if body, payload, err = fsproto.SplitFrame(body); err != nil {
+			return fmt.Errorf("%w: %v", ErrBadRequest, err)
+		}
 	}
 	if err := json.Unmarshal(body, v); err != nil {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
+	if framed {
+		// The payload aliases the request body, not a copy of it; see
+		// readBody for the lifetime rule that makes this safe.
+		switch req := v.(type) {
+		case *fsproto.WriteRequest:
+			req.Data = payload
+		case *fsproto.KVPutRequest:
+			req.Value = payload
+		default:
+			return fmt.Errorf("%w: %s takes no framed payload", ErrBadRequest, r.URL.Path)
+		}
+	}
 	return nil
 }
 
-// handler is an authenticated API endpoint.
-type handler func(sess *Session, r *http.Request) (any, error)
-
-// pooledResponse carries a response body whose payload aliases a pooled
-// buffer; endpoint releases it once the JSON encoder has consumed it.
-type pooledResponse struct {
-	v  any
-	pl Payload
-}
+// handler is an authenticated API endpoint; body is the request body.
+type handler func(sess *Session, r *http.Request, body []byte) (any, error)
 
 // endpoint wraps a handler with method check, latency observation, trace
 // propagation, session resolution, and per-tenant SLO accounting.
@@ -136,12 +171,11 @@ func (svc *Service) endpoint(h handler) http.HandlerFunc {
 		}
 		// Buffer the body up front: a misrouted request may need proxying
 		// to the shard's current owner, body and all.
-		body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+		body, err := readBody(r)
 		if err != nil {
-			status = svc.writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+			status = svc.writeError(w, err)
 			return
 		}
-		r.Body = io.NopCloser(bytes.NewReader(body))
 		sess, err = svc.session(r.Header.Get(fsproto.TokenHeader))
 		if err != nil && errors.Is(err, errBadToken) {
 			sess, err = svc.peerSession(r)
@@ -154,7 +188,7 @@ func (svc *Service) endpoint(h handler) http.HandlerFunc {
 			status = svc.writeError(w, err)
 			return
 		}
-		v, err := h(sess, r)
+		v, err := h(sess, r, body)
 		if err != nil {
 			if st, ok := svc.tryForward(w, r, body, sess, err); ok {
 				status = st
@@ -163,9 +197,8 @@ func (svc *Service) endpoint(h handler) http.HandlerFunc {
 			status = svc.writeError(w, err)
 			return
 		}
-		if pr, ok := v.(pooledResponse); ok {
-			svc.writeJSON(w, http.StatusOK, pr.v)
-			pr.pl.Release()
+		if pl, ok := v.(Payload); ok {
+			svc.writePayload(w, pl)
 			return
 		}
 		if v == nil {
@@ -203,7 +236,7 @@ func (svc *Service) tryForward(w http.ResponseWriter, r *http.Request, body []by
 	if rerr != nil {
 		return 0, false
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
 	req.Header.Set(fsproto.ForwardedHeader, "1")
 	if tok := r.Header.Get(fsproto.TokenHeader); tok != "" {
 		req.Header.Set(fsproto.TokenHeader, tok)
@@ -213,9 +246,9 @@ func (svc *Service) tryForward(w http.ResponseWriter, r *http.Request, body []by
 		req.Header.Set(fsproto.PeerUIDHeader, strconv.FormatUint(uint64(sess.uid), 10))
 		req.Header.Set(fsproto.PeerPassHeader, sess.pass)
 	}
-	if tc := r.Header.Get(fsproto.TraceHeader); tc != "" {
-		req.Header.Set(fsproto.TraceHeader, tc)
-	}
+	// The context the entry handler resolved, so the owner continues the
+	// same trace even when this node minted the ID.
+	req.Header.Set(fsproto.TraceHeader, TraceFromContext(r.Context()).String())
 	resp, rerr := svc.fwdHC.Do(req)
 	if rerr != nil {
 		return 0, false
@@ -223,6 +256,9 @@ func (svc *Service) tryForward(w http.ResponseWriter, r *http.Request, body []by
 	defer resp.Body.Close()
 	if ct := resp.Header.Get("Content-Type"); ct != "" {
 		w.Header().Set("Content-Type", ct)
+	}
+	if resp.ContentLength >= 0 {
+		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
 	}
 	w.WriteHeader(resp.StatusCode)
 	if _, cerr := io.Copy(w, resp.Body); cerr != nil {
@@ -237,6 +273,7 @@ func (svc *Service) handleLogin(w http.ResponseWriter, r *http.Request) {
 	svc.cReqs.Inc()
 	tc := svc.traceContext(r)
 	w.Header().Set(fsproto.RequestIDHeader, fsproto.FormatRequestID(tc.TraceID))
+	r = r.WithContext(WithTrace(r.Context(), tc))
 	status := http.StatusOK
 	var sess *Session
 	defer func() {
@@ -244,9 +281,9 @@ func (svc *Service) handleLogin(w http.ResponseWriter, r *http.Request) {
 		svc.hReqNs.Observe(uint64(dur))
 		svc.noteRequest(sess, dur, status)
 	}()
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
+	body, err := readBody(r)
 	if err != nil {
-		status = svc.writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
+		status = svc.writeError(w, err)
 		return
 	}
 	var req fsproto.LoginRequest
@@ -254,7 +291,7 @@ func (svc *Service) handleLogin(w http.ResponseWriter, r *http.Request) {
 		status = svc.writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
 		return
 	}
-	ctx, cancel := context.WithTimeout(WithTrace(r.Context(), tc), svc.opts.RequestTimeout)
+	ctx, cancel := context.WithTimeout(r.Context(), svc.opts.RequestTimeout)
 	defer cancel()
 	var seq uint64
 	if req.Seq != nil {
@@ -312,31 +349,27 @@ func (svc *Service) handleShardsJSON(w http.ResponseWriter, _ *http.Request) {
 func (svc *Service) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/v1/login", svc.handleLogin)
-	mux.HandleFunc("/v1/logout", svc.endpoint(func(sess *Session, _ *http.Request) (any, error) {
+	mux.HandleFunc("/v1/logout", svc.endpoint(func(sess *Session, _ *http.Request, _ []byte) (any, error) {
 		svc.Logout(sess.token)
 		return nil, nil
 	}))
-	mux.HandleFunc("/v1/create", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/create", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.CreateRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
 		return nil, svc.Create(r.Context(), sess, req)
 	}))
-	mux.HandleFunc("/v1/read", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/read", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.ReadRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
-		pl, err := svc.Read(r.Context(), sess, req)
-		if err != nil {
-			return nil, err
-		}
-		return pooledResponse{v: fsproto.ReadResponse{Data: pl.Data}, pl: pl}, nil
+		return svc.Read(r.Context(), sess, req)
 	}))
-	mux.HandleFunc("/v1/stat", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/stat", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.StatRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
 		resp, err := svc.Stat(r.Context(), sess, req)
@@ -345,55 +378,51 @@ func (svc *Service) Mux() *http.ServeMux {
 		}
 		return resp, nil
 	}))
-	mux.HandleFunc("/v1/write", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/write", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.WriteRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
 		return nil, svc.Write(r.Context(), sess, req)
 	}))
-	mux.HandleFunc("/v1/chmod", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/chmod", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.ChmodRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
 		return nil, svc.Chmod(r.Context(), sess, req)
 	}))
-	mux.HandleFunc("/v1/delete", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/delete", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.DeleteRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
 		return nil, svc.Delete(r.Context(), sess, req)
 	}))
-	mux.HandleFunc("/v1/kv/create", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/kv/create", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.KVCreateRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
 		return nil, svc.KVCreate(r.Context(), sess, req)
 	}))
-	mux.HandleFunc("/v1/kv/put", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/kv/put", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.KVPutRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
 		return nil, svc.KVPut(r.Context(), sess, req)
 	}))
-	mux.HandleFunc("/v1/kv/get", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/kv/get", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.KVGetRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
-		pl, err := svc.KVGet(r.Context(), sess, req)
-		if err != nil {
-			return nil, err
-		}
-		return pooledResponse{v: fsproto.KVGetResponse{Value: pl.Data}, pl: pl}, nil
+		return svc.KVGet(r.Context(), sess, req)
 	}))
-	mux.HandleFunc("/v1/kv/delete", svc.endpoint(func(sess *Session, r *http.Request) (any, error) {
+	mux.HandleFunc("/v1/kv/delete", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.KVDeleteRequest
-		if err := decode(r, &req); err != nil {
+		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
 		existed, err := svc.KVDelete(r.Context(), sess, req)

@@ -257,8 +257,8 @@ func (svc *Service) workWrite(tgt target, sess *Session, req fsproto.WriteReques
 		svc.noteDenial(tgt.sh, sess, tgt, err)
 		return nil, err
 	}
-	if req.Offset+uint64(len(req.Data)) > f.Size {
-		return nil, fmt.Errorf("%w: write [%d,%d) beyond EOF %d", ErrBadRequest, req.Offset, req.Offset+uint64(len(req.Data)), f.Size)
+	if req.Offset > f.Size || uint64(len(req.Data)) > f.Size-req.Offset {
+		return nil, fmt.Errorf("%w: write of %d bytes at %d beyond EOF %d", ErrBadRequest, len(req.Data), req.Offset, f.Size)
 	}
 	va, err := tgt.sh.mapping(sess, f)
 	if err != nil {
@@ -362,8 +362,8 @@ func (sh *Shard) readInto(sess *Session, name, passphrase string, off uint64, ds
 	if err != nil {
 		return err
 	}
-	if off+uint64(len(dst)) > f.Size {
-		return fmt.Errorf("%w: read [%d,%d) beyond EOF %d", ErrBadRequest, off, off+uint64(len(dst)), f.Size)
+	if off > f.Size || uint64(len(dst)) > f.Size-off {
+		return fmt.Errorf("%w: read of %d bytes at %d beyond EOF %d", ErrBadRequest, len(dst), off, f.Size)
 	}
 	va, err := sh.mapping(sess, f)
 	if err != nil {

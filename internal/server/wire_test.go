@@ -1,0 +1,249 @@
+package server_test
+
+import (
+	"bytes"
+	"context"
+	"encoding/json"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"testing"
+	"time"
+
+	"fsencr/internal/core"
+	"fsencr/internal/fsclient"
+	"fsencr/internal/fsproto"
+	"fsencr/internal/server"
+)
+
+// wirePattern fills n bytes with a position-dependent pattern.
+func wirePattern(n int, salt byte) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*7) ^ byte(i>>8) ^ salt
+	}
+	return b
+}
+
+// rawPost is one request below the typed client.
+func rawPost(t *testing.T, url, ctype, token string, body []byte) *http.Response {
+	t.Helper()
+	hr, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	hr.Header.Set("Content-Type", ctype)
+	hr.Header.Set(fsproto.TokenHeader, token)
+	resp, err := http.DefaultClient.Do(hr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { resp.Body.Close() })
+	return resp
+}
+
+// loginToken opens a session below the typed client and returns its token.
+func loginToken(t *testing.T, base, tenant string) string {
+	t.Helper()
+	resp := rawPost(t, base+"/v1/login", fsproto.ContentTypeJSON, "",
+		[]byte(`{"tenant":"`+tenant+`","uid":1,"passphrase":"pw"}`))
+	var lr fsproto.LoginResponse
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil || lr.Token == "" {
+		t.Fatalf("raw login: status %d, err %v", resp.StatusCode, err)
+	}
+	return lr.Token
+}
+
+// TestWirePayloadRoundTrip drives the raw-payload wire path over real HTTP:
+// framed writes and raw read responses at payload sizes 0, 1, one page and
+// the largest frame the body bound admits, the same for KV values, the
+// response headers a raw payload goes out under, and the plain-JSON write
+// form the frame did not replace.
+func TestWirePayloadRoundTrip(t *testing.T) {
+	_, hs := traceService(t)
+	cl := fsclient.Dial(hs.URL)
+	if err := cl.Login("acme", 1, "pw"); err != nil {
+		t.Fatalf("login: %v", err)
+	}
+	if err := cl.Create(fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 2 << 20, Encrypted: true}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if err := cl.KVCreate(fsproto.KVCreateRequest{Store: "kv", Size: 1 << 20}); err != nil {
+		t.Fatalf("kv create: %v", err)
+	}
+
+	// The largest payload whose frame is exactly the body bound.
+	meta, err := json.Marshal(fsproto.WriteRequest{Name: "f.dat", Offset: 4096})
+	if err != nil {
+		t.Fatal(err)
+	}
+	largest := fsproto.MaxBodyBytes - fsproto.FrameHeaderLen - len(meta)
+	for i, n := range []int{0, 1, 4096, largest} {
+		want := wirePattern(n, byte(i))
+		if err := cl.Write(fsproto.WriteRequest{Name: "f.dat", Offset: 4096, Data: want}); err != nil {
+			t.Fatalf("write %d bytes: %v", n, err)
+		}
+		got, err := cl.Read(fsproto.ReadRequest{Name: "f.dat", Offset: 4096, Length: n})
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %d bytes back: err %v, equal %v", n, err, bytes.Equal(got, want))
+		}
+	}
+	if err := cl.Write(fsproto.WriteRequest{Name: "f.dat", Offset: 4096, Data: make([]byte, largest+1)}); !fsclient.IsCode(err, fsproto.CodeBadRequest) {
+		t.Fatalf("frame one byte over the body bound: %v, want bad_request", err)
+	}
+	// An offset that wraps past 2^64 when the length is added is beyond EOF.
+	if err := cl.Write(fsproto.WriteRequest{Name: "f.dat", Offset: ^uint64(0) - 2, Data: make([]byte, 7)}); !fsclient.IsCode(err, fsproto.CodeBadRequest) {
+		t.Fatalf("write at a wrapping offset: %v, want bad_request", err)
+	}
+	if _, err := cl.Read(fsproto.ReadRequest{Name: "f.dat", Offset: ^uint64(0) - 2, Length: 7}); !fsclient.IsCode(err, fsproto.CodeBadRequest) {
+		t.Fatalf("read at a wrapping offset: %v, want bad_request", err)
+	}
+	for i, n := range []int{0, 1, 4096} {
+		want := wirePattern(n, byte(0x40+i))
+		if err := cl.KVPut(fsproto.KVPutRequest{Store: "kv", Key: uint64(i), Value: want}); err != nil {
+			t.Fatalf("kv put %d bytes: %v", n, err)
+		}
+		got, err := cl.KVGet(fsproto.KVGetRequest{Store: "kv", Key: uint64(i)})
+		if err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("kv get %d bytes back: err %v, equal %v", n, err, bytes.Equal(got, want))
+		}
+	}
+
+	// Below the client: a plain-JSON write with the payload inline (base64)
+	// still lands, and the read answers raw bytes under an explicit length.
+	token := loginToken(t, hs.URL, "acme")
+	inline := wirePattern(4096, 0x99)
+	body, err := json.Marshal(fsproto.WriteRequest{Name: "f.dat", Offset: 8192, Data: inline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp := rawPost(t, hs.URL+"/v1/write", fsproto.ContentTypeJSON, token, body); resp.StatusCode != http.StatusOK {
+		t.Fatalf("plain-JSON write: status %d", resp.StatusCode)
+	}
+	resp := rawPost(t, hs.URL+"/v1/read", fsproto.ContentTypeJSON, token, []byte(`{"name":"f.dat","offset":8192,"length":4096}`))
+	got, err := io.ReadAll(resp.Body)
+	if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(got, inline) {
+		t.Fatalf("raw read: status %d, err %v, equal %v", resp.StatusCode, err, bytes.Equal(got, inline))
+	}
+	if ct := resp.Header.Get("Content-Type"); ct != fsproto.ContentTypeOctets {
+		t.Errorf("read Content-Type = %q, want %q", ct, fsproto.ContentTypeOctets)
+	}
+	if resp.ContentLength != 4096 || len(resp.TransferEncoding) != 0 {
+		t.Errorf("read went out with Content-Length %d, Transfer-Encoding %v; want 4096 and none", resp.ContentLength, resp.TransferEncoding)
+	}
+	// Errors stay JSON.
+	resp = rawPost(t, hs.URL+"/v1/read", fsproto.ContentTypeJSON, token, []byte(`{"name":"nope.dat","length":16}`))
+	var pe fsproto.Error
+	if err := json.NewDecoder(resp.Body).Decode(&pe); err != nil || pe.Code != fsproto.CodeNotFound {
+		t.Fatalf("read of a missing file: status %d, code %q, err %v", resp.StatusCode, pe.Code, err)
+	}
+}
+
+// TestTimedOutWriteKeepsItsBytes: a framed write's Data aliases the request
+// body, and the write outlives its handler when RequestTimeout fires while
+// it is queued. The body must still hold the intended bytes when the worker
+// gets to it — which is why request bodies are never pooled.
+func TestTimedOutWriteKeepsItsBytes(t *testing.T) {
+	svc := server.New(server.Options{
+		Shards:         1,
+		MCMode:         core.SchemeFsEncr.MCMode(),
+		Access:         core.SchemeFsEncr.AccessMode(),
+		RequestTimeout: 100 * time.Millisecond,
+	})
+	hs := httptest.NewServer(svc.Mux())
+	t.Cleanup(func() { svc.Close(); hs.Close() })
+
+	cl := fsclient.Dial(hs.URL)
+	if err := cl.Login("acme", 1, "pw"); err != nil {
+		t.Fatalf("login: %v", err)
+	}
+	if err := cl.Create(fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 1 << 16, Encrypted: true}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+
+	hold, err := svc.Shards()[0].Hold(context.Background())
+	if err != nil {
+		t.Fatalf("hold: %v", err)
+	}
+	want := wirePattern(4096, 0x5A)
+	err = cl.Write(fsproto.WriteRequest{Name: "f.dat", Offset: 0, Data: want})
+	if !fsclient.IsCode(err, fsproto.CodeTimeout) {
+		hold.Resume()
+		t.Fatalf("write behind a held shard: %v, want timeout", err)
+	}
+	// More same-sized requests on the same connection while the first is
+	// still queued: a recycled body buffer would be overwritten by these.
+	for i := 0; i < 8; i++ {
+		err := cl.Write(fsproto.WriteRequest{Name: "f.dat", Offset: 4096, Data: wirePattern(4096, byte(i))})
+		if !fsclient.IsCode(err, fsproto.CodeTimeout) {
+			hold.Resume()
+			t.Fatalf("write %d behind a held shard: %v, want timeout", i, err)
+		}
+	}
+	hold.Resume()
+
+	// A read can be answered from a snapshot before the queue has drained,
+	// so poll until the write has landed.
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		got, err := cl.Read(fsproto.ReadRequest{Name: "f.dat", Offset: 0, Length: 4096})
+		if err == nil && bytes.Equal(got, want) {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("timed-out write never landed intact: err %v, equal %v", err, bytes.Equal(got, want))
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// FuzzFramedWrite feeds arbitrary bodies to /v1/write as payload frames,
+// seeded from the malice campaign's malformed frames: the handler never
+// panics, never answers 5xx, and a body it accepts is a well-formed frame.
+func FuzzFramedWrite(f *testing.F) {
+	for _, frame := range fsclient.MaliceFrames() {
+		if len(frame.Body) <= 1<<16 { // the oversized frame would only slow mutation down
+			f.Add(frame.Body)
+		}
+	}
+	good, _ := json.Marshal(fsproto.WriteRequest{Name: "f.dat", Offset: 64})
+	f.Add(fsproto.AppendFrame(nil, good, []byte("payload")))
+	f.Add(fsproto.AppendFrame(nil, good, nil))
+	f.Add(fsproto.AppendFrame(nil, []byte(`{"name":"f.dat","data":"WlpaWg=="}`), []byte(`{"name":"g.dat"}`)))
+	f.Add(fsproto.AppendFrame(nil, []byte(`{"name":"f.dat","offset":18446744073709551613}`), []byte("wrapped")))
+
+	svc := server.New(server.Options{
+		Shards: 1,
+		MCMode: core.SchemeFsEncr.MCMode(),
+		Access: core.SchemeFsEncr.AccessMode(),
+	})
+	f.Cleanup(svc.Close)
+	mux := svc.Mux()
+	post := func(path, ctype, token string, body []byte) *httptest.ResponseRecorder {
+		r := httptest.NewRequest(http.MethodPost, path, bytes.NewReader(body))
+		r.Header.Set("Content-Type", ctype)
+		r.Header.Set(fsproto.TokenHeader, token)
+		rec := httptest.NewRecorder()
+		mux.ServeHTTP(rec, r)
+		return rec
+	}
+	var lr fsproto.LoginResponse
+	rec := post("/v1/login", fsproto.ContentTypeJSON, "", []byte(`{"tenant":"acme","uid":1,"passphrase":"pw"}`))
+	if err := json.Unmarshal(rec.Body.Bytes(), &lr); err != nil || lr.Token == "" {
+		f.Fatalf("login: status %d, err %v", rec.Code, err)
+	}
+	create, _ := json.Marshal(fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 1 << 16, Encrypted: true})
+	if rec := post("/v1/create", fsproto.ContentTypeJSON, lr.Token, create); rec.Code != http.StatusOK {
+		f.Fatalf("create: status %d", rec.Code)
+	}
+
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := post("/v1/write", fsproto.ContentTypeFrame, lr.Token, body)
+		if rec.Code >= 500 {
+			t.Fatalf("status %d for frame %x: %s", rec.Code, body, rec.Body)
+		}
+		if _, _, err := fsproto.SplitFrame(body); err != nil && rec.Code != http.StatusBadRequest {
+			t.Fatalf("malformed frame %x answered %d, want 400", body, rec.Code)
+		}
+	})
+}
