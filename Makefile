@@ -4,13 +4,21 @@
 
 GO ?= go
 
-.PHONY: build test layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard smoke smoke-race read-smoke read-smoke-race malice-race slo-smoke chaos chaos-ci migration-chaos cluster-smoke cluster-smoke-race ci
+.PHONY: build test loc layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard smoke smoke-race read-smoke read-smoke-race malice-race slo-smoke chaos chaos-ci migration-chaos cluster-smoke cluster-smoke-race ci
 
 build:
 	$(GO) build ./...
 
 test:
 	$(GO) test ./...
+
+# Non-test Go lines per package under internal/ and cmd/, plus the total:
+# ROADMAP counts net non-test LOC going down as a success metric, so a PR
+# can quote its before/after from here.
+loc:
+	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | awk ' \
+	  $$2 != "total" { pkg = $$2; sub(/\/[^\/]*$$/, "", pkg); n[pkg] += $$1; all += $$1 } \
+	  END { for (p in n) printf("%7d %s\n", n[p], p) | "sort -k2"; close("sort -k2"); printf("%7d total\n", all) }'
 
 # bench/ is a Go module of its own (the layered service benchmark), so
 # `go test ./...` above does not see it: its smoke test, manifest check and

@@ -107,6 +107,10 @@ func leaked(res rawResult) bool {
 	if res.status == http.StatusOK && res.ctype == fsproto.ContentTypeOctets {
 		return true
 	}
+	var lr fsproto.LoginResponse
+	if json.Unmarshal(res.body, &lr) == nil && lr.Token != "" {
+		return true // so is a session token: a refused login opened a session
+	}
 	if bytes.Contains(res.body, bytes.Repeat([]byte{secretByte}, 8)) {
 		return true
 	}
@@ -181,6 +185,8 @@ func RunMalice(base string) (*MaliceReport, error) {
 		return b
 	}
 
+	attackerLogin := mustJSON(fsproto.LoginRequest{Tenant: "malice-attacker", UID: 1, Passphrase: "attacker-pw"})
+
 	type attack struct {
 		name   string
 		method string
@@ -222,6 +228,8 @@ func RunMalice(base string) (*MaliceReport, error) {
 			readVictim(1 << 30), []string{fsproto.CodeBadRequest}},
 		{"get_method", http.MethodGet, "/v1/read", attacker.token,
 			nil, []string{fsproto.CodeBadRequest}},
+		{"get_method_login", http.MethodGet, "/v1/login", "",
+			attackerLogin, []string{fsproto.CodeBadRequest}},
 		{"read_beyond_eof", http.MethodPost, "/v1/read", victim.token,
 			mustJSON(fsproto.ReadRequest{Name: "secret.dat", Offset: 1 << 40, Length: 64}),
 			[]string{fsproto.CodeBadRequest}},
@@ -233,6 +241,8 @@ func RunMalice(base string) (*MaliceReport, error) {
 	framed := []attack{
 		{"frame_to_read", http.MethodPost, "/v1/read", victim.token,
 			fsproto.AppendFrame(nil, readVictim(64), nil), []string{fsproto.CodeBadRequest}},
+		{"frame_to_login", http.MethodPost, "/v1/login", "",
+			fsproto.AppendFrame(nil, attackerLogin, nil), []string{fsproto.CodeBadRequest}},
 	}
 	for _, f := range MaliceFrames() {
 		framed = append(framed, attack{f.Name, http.MethodPost, "/v1/write", attacker.token,

@@ -89,11 +89,6 @@ func (d *ReadDelta) Reset() {
 	d.ECC = d.ECC[:0]
 }
 
-// Empty reports whether the delta carries nothing to apply.
-func (d *ReadDelta) Empty() bool {
-	return d.Reads == 0 && len(d.Audits) == 0 && len(d.ECC) == 0
-}
-
 // Merge folds another delta into this one (a fanned read accumulates its
 // helper chunks' deltas in chunk order before handoff to the owner).
 func (d *ReadDelta) Merge(o *ReadDelta) {

@@ -4,11 +4,13 @@ package server
 // its sequence-ordered admission log, so replaying the log into a fresh
 // shard booted with the same chip sequence reconstructs the source shard
 // byte for byte — the state-transfer primitive behind live migration and
-// replication. runRecord mirrors serve() exactly (same clock samples, the
-// same histogram observations, the same trace-scope lifecycle), so the
-// per-shard deterministic registry is reproduced too, and checkpoint
-// records carry the source's Merkle root for divergence detection at
-// every cadence boundary.
+// replication. Replay runs the serving path: applyRecord looks the record's
+// kind up in the op table (ops.go), decodes and stages the request exactly
+// as exec does, and hands the same task to the same Shard.serve — the only
+// code that samples the shard clock, observes the per-tenant histograms and
+// drives the trace scope — so the per-shard deterministic registry is
+// reproduced too. Checkpoint records carry the source's Merkle root for
+// divergence detection at every cadence boundary.
 
 import (
 	"context"
@@ -26,17 +28,14 @@ func (sh *Shard) appendRecord(rec fsproto.LogRecord) {
 	sh.recs = append(sh.recs, rec)
 }
 
-// maybeCheckpoint folds a Merkle-root checkpoint into the log every
-// ckptEvery operation records.
+// maybeCheckpoint folds a Merkle-root checkpoint into the log once
+// ckptEvery operation records have landed since the last one. Live
+// admission only: a replayer verifies the checkpoints its log carries
+// instead of minting its own.
 func (sh *Shard) maybeCheckpoint() {
-	if sh.ckptEvery <= 0 {
-		return
+	if sh.ckptEvery > 0 && sh.sinceCkpt >= sh.ckptEvery {
+		sh.checkpoint()
 	}
-	sh.sinceCkpt++
-	if sh.sinceCkpt < sh.ckptEvery {
-		return
-	}
-	sh.checkpoint()
 }
 
 // checkpoint appends the current Merkle root as a log record. Root()
@@ -49,149 +48,39 @@ func (sh *Shard) checkpoint() {
 	sh.appendRecord(fsproto.LogRecord{Kind: fsproto.RecCheckpoint, Root: hex.EncodeToString(root[:])})
 }
 
-// execFlush is the flush log record's body: write back every dirty cache
+// flush executes and logs a flush record: write back every dirty cache
 // line (ascending address order — deterministic) and seal the OTT into
 // the encrypted region. Run identically at migration freeze and replay.
-func (sh *Shard) execFlush() {
+func (sh *Shard) flush() {
 	sh.Sys.M.WritebackAll()
 	sh.Sys.M.MC.FlushOTT()
+	sh.appendRecord(fsproto.LogRecord{Kind: fsproto.RecFlush})
 }
 
-// replaySession resolves the record's session against the shard's staged
-// replay sessions, reconstructing a shadow session from the record's
-// credentials when the token never logged in through this shard's log
-// (cross-tenant traffic). AdoptShard later folds the staged sessions into
-// the service session table.
-func (sh *Shard) replaySession(rec *fsproto.LogRecord, nShards int) *Session {
-	s, ok := sh.replaySessions[rec.Token]
+// replaySession returns the session staged on sh under token, staging one
+// from the given credentials when the token never logged in through this
+// shard's log (cross-tenant traffic, or a session record shipped beside the
+// log). AdoptShard later folds the staged sessions into the service session
+// table.
+func (svc *Service) replaySession(sh *Shard, token, tenant string, euid uint32, pass string) *Session {
+	s, ok := sh.replaySessions[token]
 	if !ok {
-		s = &Session{
-			token:  rec.Token,
-			tenant: rec.Tenant,
-			gid:    fsproto.TenantGID(rec.Tenant),
-			uid:    rec.EUID,
-			pass:   rec.Pass,
-			st:     make([]*sessState, nShards),
-		}
-		sh.replaySessions[rec.Token] = s
+		s = svc.newSession(token, tenant, euid, pass)
+		sh.replaySessions[token] = s
 	}
 	return s
 }
 
-// runRecord re-executes one op record exactly as serve() ran it live.
-func (sh *Shard) runRecord(rec *fsproto.LogRecord, fn func() (any, error)) {
-	start := uint64(sh.Sys.M.MaxCoreTime())
-	rootStart := start
-	tenantHist(sh.hQWait, sh.Reg, rec.GID, "queue_wait_cycles").Observe(0)
-	traced := rec.Sampled && rec.TraceID != 0
-	if traced {
-		sh.scope.Begin(rec.TraceID, rec.Parent)
-		sh.scope.Enter()
-		sh.Reg.Span("request", "queue_wait", rootStart, start, 0)
-	}
-	_, err := fn()
-	end := uint64(sh.Sys.M.MaxCoreTime())
-	tenantHist(sh.hSvc, sh.Reg, rec.GID, "service_cycles").Observe(end - start)
-	if traced {
-		sh.scope.Exit("request", rec.Kind, rootStart, end, 0)
-		sh.scope.End(sh.sampler.Keep(rec.TraceID, end-rootStart, err != nil))
-	}
-}
-
-// opBody dispatches a replayed op record onto the shared work* bodies. A
-// non-nil error from the body is a legitimate replayed outcome (the live
-// request failed the same way); decode failures are reported.
-func (svc *Service) opBody(sh *Shard, sess *Session, rec *fsproto.LogRecord) (func() (any, error), error) {
-	switch rec.Kind {
-	case "login":
-		var req fsproto.LoginRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		return func() (any, error) {
-			return svc.workLogin(sh, rec.GID, req.Tenant, req.UID, req.Passphrase)
-		}, nil
-	case "create":
-		var req fsproto.CreateRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		return func() (any, error) { return svc.workCreate(sh, sess, req) }, nil
-	case "read":
-		var req fsproto.ReadRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		if req.Length < 0 || req.Length > maxReadBytes {
-			return nil, fmt.Errorf("replayed read length %d out of range", req.Length)
-		}
-		dst := make([]byte, req.Length)
-		tgt := replayTarget(sh, sess, req.Tenant)
-		return func() (any, error) { return svc.workRead(tgt, sess, req, dst) }, nil
-	case "write":
-		var req fsproto.WriteRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		tgt := replayTarget(sh, sess, req.Tenant)
-		return func() (any, error) { return svc.workWrite(tgt, sess, req) }, nil
-	case "chmod":
-		var req fsproto.ChmodRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		tgt := replayTarget(sh, sess, req.Tenant)
-		return func() (any, error) { return svc.workChmod(tgt, sess, req) }, nil
-	case "delete":
-		var req fsproto.DeleteRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		tgt := replayTarget(sh, sess, req.Tenant)
-		return func() (any, error) { return svc.workDelete(tgt, sess, req) }, nil
-	case "kv_create":
-		var req fsproto.KVCreateRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		return func() (any, error) { return svc.workKVCreate(sh, sess, req) }, nil
-	case "kv_put":
-		var req fsproto.KVPutRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		tgt := replayTarget(sh, sess, req.Tenant)
-		return func() (any, error) { return svc.workKVPut(tgt, sess, req) }, nil
-	case "kv_get":
-		var req fsproto.KVGetRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		dst := make([]byte, maxKVValue)
-		tgt := replayTarget(sh, sess, req.Tenant)
-		return func() (any, error) { return svc.workKVGet(tgt, sess, req, dst) }, nil
-	case "kv_delete":
-		var req fsproto.KVDeleteRequest
-		if err := json.Unmarshal(rec.Req, &req); err != nil {
-			return nil, err
-		}
-		tgt := replayTarget(sh, sess, req.Tenant)
-		return func() (any, error) { return svc.workKVDelete(tgt, sess, req) }, nil
-	default:
-		return nil, fmt.Errorf("unknown admission-log record kind %q", rec.Kind)
-	}
-}
-
-// applyRecord executes one admission-log record against sh and appends it
-// to the shard's own log (so a rehydrated shard or promoted replica can
-// itself be replicated from). Returns an error only for structural
-// failures — checkpoint divergence, undecodable records; a replayed op's
-// application error is the faithfully reproduced live outcome.
+// applyRecord executes one admission-log record against sh, which appends
+// it to its own log (so a rehydrated shard or promoted replica can itself
+// be replicated from). Returns an error only for structural failures —
+// checkpoint divergence, unknown kinds, undecodable or invalid requests; a
+// replayed op's application error is the faithfully reproduced live
+// outcome.
 func (svc *Service) applyRecord(sh *Shard, rec fsproto.LogRecord) error {
 	switch rec.Kind {
 	case fsproto.RecFlush:
-		sh.execFlush()
-		sh.appendRecord(rec)
+		sh.flush()
 	case fsproto.RecCheckpoint:
 		root := sh.Sys.M.MC.MerkleRoot()
 		if got := hex.EncodeToString(root[:]); got != rec.Root {
@@ -200,13 +89,26 @@ func (svc *Service) applyRecord(sh *Shard, rec fsproto.LogRecord) error {
 		sh.appendRecord(rec)
 		sh.sinceCkpt = 0
 	default:
-		fn, err := svc.opBody(sh, sh.replaySession(&rec, svc.nShards), &rec)
+		o := ops[rec.Kind]
+		if o == nil {
+			return fmt.Errorf("record %d: unknown admission-log record kind %q", rec.Pos, rec.Kind)
+		}
+		req := o.newReq()
+		if err := json.Unmarshal(rec.Req, req); err != nil {
+			return fmt.Errorf("record %d (%s): %w", rec.Pos, rec.Kind, err)
+		}
+		sess := svc.replaySession(sh, rec.Token, rec.Tenant, rec.EUID, rec.Pass)
+		// Staging re-runs the live validation, so a forged length in a
+		// shipped log fails the replay instead of allocating.
+		_, tgt, pl, err := svc.stage(o, sh, sess, req)
 		if err != nil {
 			return fmt.Errorf("record %d (%s): %w", rec.Pos, rec.Kind, err)
 		}
-		sh.runRecord(&rec, fn)
-		sh.appendRecord(rec)
-		sh.sinceCkpt++
+		tc := fsproto.TraceContext{TraceID: rec.TraceID, Parent: rec.Parent, Sampled: rec.Sampled}
+		t := o.task(svc, tgt, sess, req, rec.Seq, tc, pl.Data)
+		t.rec = &rec
+		sh.serve(t)
+		pl.Release()
 		if rec.Seq+1 > sh.detNext {
 			// Continue the deterministic schedule where the source stopped.
 			sh.detNext = rec.Seq + 1
@@ -215,9 +117,9 @@ func (svc *Service) applyRecord(sh *Shard, rec fsproto.LogRecord) error {
 	return nil
 }
 
-// ReplayRecords replays a full admission log into a detached shard (the
-// caller is the only goroutine touching it — InstallShard runs this
-// before Start).
+// ReplayRecords replays an admission log (or its next batch) into a
+// detached shard. The caller is the only goroutine touching it: InstallShard
+// before Start, or a replica's pull loop.
 func (svc *Service) ReplayRecords(sh *Shard, recs []fsproto.LogRecord) error {
 	for i := range recs {
 		if err := svc.applyRecord(sh, recs[i]); err != nil {
@@ -227,35 +129,16 @@ func (svc *Service) ReplayRecords(sh *Shard, recs []fsproto.LogRecord) error {
 	return nil
 }
 
-// ApplyRecords applies a record batch on a running shard's worker (the
-// replica pull loop's incremental path).
-func (svc *Service) ApplyRecords(ctx context.Context, sh *Shard, recs []fsproto.LogRecord) error {
-	var err error
-	derr := svc.doSideOrClosed(ctx, sh, func() {
-		for i := range recs {
-			if err = svc.applyRecord(sh, recs[i]); err != nil {
-				return
-			}
-		}
-	})
-	if derr != nil {
-		return derr
-	}
-	return err
-}
-
 // RecordsFrom snapshots shard idx's admission log from position from
 // onward (serialized with tenant traffic on the worker). It is the
 // /fabric/pull surface replicas replicate from.
 func (svc *Service) RecordsFrom(ctx context.Context, idx int, from uint64) ([]fsproto.LogRecord, error) {
-	svc.mu.RLock()
-	sh := svc.byIdx[idx]
-	svc.mu.RUnlock()
-	if sh == nil {
-		return nil, &WrongShardError{Shard: idx, Epoch: svc.epoch.Load()}
+	sh, err := svc.shardAt(idx)
+	if err != nil {
+		return nil, err
 	}
 	var out []fsproto.LogRecord
-	err := svc.doSideOrClosed(ctx, sh, func() {
+	err = svc.doSideOrClosed(ctx, sh, func() {
 		if from >= uint64(len(sh.recs)) {
 			return
 		}
@@ -270,13 +153,11 @@ func (svc *Service) RecordsFrom(ctx context.Context, idx int, from uint64) ([]fs
 // LogLen reports shard idx's admission-log length (tests, replica sync
 // bookkeeping).
 func (svc *Service) LogLen(ctx context.Context, idx int) (uint64, error) {
-	svc.mu.RLock()
-	sh := svc.byIdx[idx]
-	svc.mu.RUnlock()
-	if sh == nil {
-		return 0, &WrongShardError{Shard: idx, Epoch: svc.epoch.Load()}
+	sh, err := svc.shardAt(idx)
+	if err != nil {
+		return 0, err
 	}
 	var n uint64
-	err := svc.doSideOrClosed(ctx, sh, func() { n = uint64(len(sh.recs)) })
+	err = svc.doSideOrClosed(ctx, sh, func() { n = uint64(len(sh.recs)) })
 	return n, err
 }

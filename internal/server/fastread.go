@@ -68,7 +68,6 @@ var cryptSlots = make(chan struct{}, runtime.GOMAXPROCS(0))
 type deltaNode struct {
 	d     *memctrl.ReadDelta
 	trace fsproto.TraceContext
-	name  string
 	next  *deltaNode
 }
 
@@ -108,7 +107,7 @@ func (sh *Shard) drainDeltas() {
 			// time — but it still gets exactly one sampler decision.
 			sh.scope.Begin(n.trace.TraceID, n.trace.Parent)
 			sh.scope.Enter()
-			sh.scope.Exit("request", n.name, uint64(now), uint64(now), 0)
+			sh.scope.Exit("request", opRead.kind, uint64(now), uint64(now), 0)
 			sh.scope.End(sh.sampler.Keep(n.trace.TraceID, 0, false))
 		}
 		n.d.Reset()
@@ -117,8 +116,8 @@ func (sh *Shard) drainDeltas() {
 }
 
 // pushDelta hands a completed read's side effects to the worker.
-func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext, name string) {
-	n := &deltaNode{d: d, trace: tc, name: name}
+func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext) {
+	n := &deltaNode{d: d, trace: tc}
 	for {
 		old := sh.deltas.Load()
 		n.next = old
@@ -205,7 +204,7 @@ func (sh *Shard) snapshotRead(sess *Session, tc fsproto.TraceContext, name, pass
 		sh.putDelta(d)
 		return false
 	}
-	sh.pushDelta(d, tc, "read")
+	sh.pushDelta(d, tc)
 	return true
 }
 

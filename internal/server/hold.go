@@ -36,7 +36,7 @@ func (sh *Shard) Hold(ctx context.Context) (*Hold, error) {
 	case <-ctx.Done():
 		// The park may still start later; release it as soon as it does so
 		// an abandoned hold cannot wedge the shard.
-		go func() { h.end <- nil }()
+		go h.release(nil)
 		return nil, ctx.Err()
 	}
 }

@@ -146,12 +146,31 @@ func decode(r *http.Request, body []byte, v any) error {
 	return nil
 }
 
-// handler is an authenticated API endpoint; body is the request body.
+// handler is an API endpoint; body is the request body.
 type handler func(sess *Session, r *http.Request, body []byte) (any, error)
 
+// opHandler is the endpoint of a table op: decode its request type, execute.
+func (svc *Service) opHandler(o *op) handler {
+	return func(sess *Session, r *http.Request, body []byte) (any, error) {
+		req := o.newReq()
+		if err := decode(r, body, req); err != nil {
+			return nil, err
+		}
+		if o == opLogin {
+			return svc.login(r.Context(), req.(*fsproto.LoginRequest))
+		}
+		pl, v, err := svc.exec(r.Context(), o, sess, req)
+		if err != nil || pl.Data == nil {
+			return v, err
+		}
+		return pl, nil
+	}
+}
+
 // endpoint wraps a handler with method check, latency observation, trace
-// propagation, session resolution, and per-tenant SLO accounting.
-func (svc *Service) endpoint(h handler) http.HandlerFunc {
+// propagation, session resolution (authed; login alone runs without, its
+// handler returning the session it opened), and per-tenant SLO accounting.
+func (svc *Service) endpoint(authed bool, h handler) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
 		svc.cReqs.Inc()
@@ -176,17 +195,19 @@ func (svc *Service) endpoint(h handler) http.HandlerFunc {
 			status = svc.writeError(w, err)
 			return
 		}
-		sess, err = svc.session(r.Header.Get(fsproto.TokenHeader))
-		if err != nil && errors.Is(err, errBadToken) {
-			sess, err = svc.peerSession(r)
-		}
-		if err != nil {
-			if st, ok := svc.tryForward(w, r, body, nil, err); ok {
-				status = st
+		if authed {
+			sess, err = svc.session(r.Header.Get(fsproto.TokenHeader))
+			if err != nil && errors.Is(err, errBadToken) {
+				sess, err = svc.peerSession(r)
+			}
+			if err != nil {
+				if st, ok := svc.tryForward(w, r, body, nil, err); ok {
+					status = st
+					return
+				}
+				status = svc.writeError(w, err)
 				return
 			}
-			status = svc.writeError(w, err)
-			return
 		}
 		v, err := h(sess, r, body)
 		if err != nil {
@@ -197,14 +218,22 @@ func (svc *Service) endpoint(h handler) http.HandlerFunc {
 			status = svc.writeError(w, err)
 			return
 		}
-		if pl, ok := v.(Payload); ok {
-			svc.writePayload(w, pl)
-			return
+		switch v := v.(type) {
+		case Payload:
+			svc.writePayload(w, v)
+		case *Session:
+			// A login: score the request to the tenant it opened a session for.
+			sess = v
+			svc.writeJSON(w, http.StatusOK, fsproto.LoginResponse{
+				Token: v.token,
+				GID:   v.gid,
+				Shard: fsproto.ShardIndex(v.gid, svc.nShards),
+			})
+		case nil:
+			svc.writeJSON(w, http.StatusOK, fsproto.OKResponse{OK: true})
+		default:
+			svc.writeJSON(w, http.StatusOK, v)
 		}
-		if v == nil {
-			v = fsproto.OKResponse{OK: true}
-		}
-		svc.writeJSON(w, http.StatusOK, v)
 	}
 }
 
@@ -268,57 +297,12 @@ func (svc *Service) tryForward(w http.ResponseWriter, r *http.Request, body []by
 	return resp.StatusCode, true
 }
 
-func (svc *Service) handleLogin(w http.ResponseWriter, r *http.Request) {
-	start := time.Now()
-	svc.cReqs.Inc()
-	tc := svc.traceContext(r)
-	w.Header().Set(fsproto.RequestIDHeader, fsproto.FormatRequestID(tc.TraceID))
-	r = r.WithContext(WithTrace(r.Context(), tc))
-	status := http.StatusOK
-	var sess *Session
-	defer func() {
-		dur := time.Since(start)
-		svc.hReqNs.Observe(uint64(dur))
-		svc.noteRequest(sess, dur, status)
-	}()
-	body, err := readBody(r)
-	if err != nil {
-		status = svc.writeError(w, err)
-		return
-	}
-	var req fsproto.LoginRequest
-	if err := json.Unmarshal(body, &req); err != nil {
-		status = svc.writeError(w, fmt.Errorf("%w: %v", ErrBadRequest, err))
-		return
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), svc.opts.RequestTimeout)
-	defer cancel()
-	var seq uint64
-	if req.Seq != nil {
-		seq = *req.Seq
-	}
-	sess, err = svc.Login(ctx, req.Tenant, req.UID, req.Passphrase, seq)
-	if err != nil {
-		if st, ok := svc.tryForward(w, r, body, nil, err); ok {
-			status = st
-			return
-		}
-		status = svc.writeError(w, err)
-		return
-	}
-	svc.writeJSON(w, http.StatusOK, fsproto.LoginResponse{
-		Token: sess.token,
-		GID:   sess.gid,
-		Shard: fsproto.ShardIndex(sess.gid, svc.nShards),
-	})
-}
-
 // handleShardsProm serves every shard's deterministic snapshot in
 // Prometheus text format, one "# shard N" section each — the surface the
 // determinism acceptance check byte-compares across reruns.
 func (svc *Service) handleShardsProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
-	for _, sh := range svc.shardList() {
+	for _, sh := range svc.Shards() {
 		fmt.Fprintf(w, "# shard %d\n", sh.ID())
 		if err := sh.Snapshot().WritePrometheus(w); err != nil {
 			svc.cEncErrs.Inc()
@@ -333,7 +317,7 @@ func (svc *Service) handleShardsJSON(w http.ResponseWriter, _ *http.Request) {
 		Shard    int `json:"shard"`
 		Snapshot any `json:"snapshot"`
 	}
-	shards := svc.shardList()
+	shards := svc.Shards()
 	docs := make([]shardDoc, 0, len(shards))
 	for _, sh := range shards {
 		docs = append(docs, shardDoc{Shard: sh.ID(), Snapshot: sh.Snapshot().WithoutSpans()})
@@ -348,88 +332,21 @@ func (svc *Service) handleShardsJSON(w http.ResponseWriter, _ *http.Request) {
 // audit logs.
 func (svc *Service) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/v1/login", svc.handleLogin)
-	mux.HandleFunc("/v1/logout", svc.endpoint(func(sess *Session, _ *http.Request, _ []byte) (any, error) {
+	for _, o := range ops {
+		mux.HandleFunc(o.route, svc.endpoint(o != opLogin, svc.opHandler(o)))
+	}
+	// Unlogged, so not in the op table: logout touches only the session
+	// table, stat is read-only and schedule-neutral (Service.Stat).
+	mux.HandleFunc("/v1/logout", svc.endpoint(true, func(sess *Session, _ *http.Request, _ []byte) (any, error) {
 		svc.Logout(sess.token)
 		return nil, nil
 	}))
-	mux.HandleFunc("/v1/create", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.CreateRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return nil, svc.Create(r.Context(), sess, req)
-	}))
-	mux.HandleFunc("/v1/read", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.ReadRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return svc.Read(r.Context(), sess, req)
-	}))
-	mux.HandleFunc("/v1/stat", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
+	mux.HandleFunc("/v1/stat", svc.endpoint(true, func(sess *Session, r *http.Request, body []byte) (any, error) {
 		var req fsproto.StatRequest
 		if err := decode(r, body, &req); err != nil {
 			return nil, err
 		}
-		resp, err := svc.Stat(r.Context(), sess, req)
-		if err != nil {
-			return nil, err
-		}
-		return resp, nil
-	}))
-	mux.HandleFunc("/v1/write", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.WriteRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return nil, svc.Write(r.Context(), sess, req)
-	}))
-	mux.HandleFunc("/v1/chmod", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.ChmodRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return nil, svc.Chmod(r.Context(), sess, req)
-	}))
-	mux.HandleFunc("/v1/delete", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.DeleteRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return nil, svc.Delete(r.Context(), sess, req)
-	}))
-	mux.HandleFunc("/v1/kv/create", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.KVCreateRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return nil, svc.KVCreate(r.Context(), sess, req)
-	}))
-	mux.HandleFunc("/v1/kv/put", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.KVPutRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return nil, svc.KVPut(r.Context(), sess, req)
-	}))
-	mux.HandleFunc("/v1/kv/get", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.KVGetRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return svc.KVGet(r.Context(), sess, req)
-	}))
-	mux.HandleFunc("/v1/kv/delete", svc.endpoint(func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.KVDeleteRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		existed, err := svc.KVDelete(r.Context(), sess, req)
-		if err != nil {
-			return nil, err
-		}
-		return fsproto.KVDeleteResponse{Existed: existed}, nil
+		return svc.Stat(r.Context(), sess, req)
 	}))
 	mux.HandleFunc("/shards.prom", svc.handleShardsProm)
 	mux.HandleFunc("/shards.json", svc.handleShardsJSON)

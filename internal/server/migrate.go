@@ -17,7 +17,6 @@ import (
 	"fmt"
 	"sort"
 
-	"fsencr/internal/config"
 	"fsencr/internal/fsproto"
 	"fsencr/internal/memctrl"
 	"fsencr/internal/obsplane/journal"
@@ -59,11 +58,9 @@ func (m *Migration) Shard() int { return m.sh.id }
 // admission log — so the frozen state is exactly the state a replayer
 // reproduces. Requests arriving during the freeze queue behind the hold.
 func (svc *Service) FreezeShard(ctx context.Context, idx int) (*Migration, error) {
-	svc.mu.RLock()
-	sh := svc.byIdx[idx]
-	svc.mu.RUnlock()
-	if sh == nil {
-		return nil, &WrongShardError{Shard: idx, Epoch: svc.epoch.Load()}
+	sh, err := svc.shardAt(idx)
+	if err != nil {
+		return nil, err
 	}
 	if !sh.logOn {
 		return nil, fmt.Errorf("server: shard %d has no admission log; migration needs AdmissionLog", idx)
@@ -73,8 +70,7 @@ func (svc *Service) FreezeShard(ctx context.Context, idx int) (*Migration, error
 		return nil, err
 	}
 	h.Run(func() {
-		sh.appendRecord(fsproto.LogRecord{Kind: fsproto.RecFlush})
-		sh.execFlush()
+		sh.flush()
 		sh.checkpoint()
 	})
 	return &Migration{svc: svc, sh: sh, h: h}, nil
@@ -125,25 +121,11 @@ func (m *Migration) Commit(epoch uint64) {
 // shard's worker drains and exits. No-op if idx is not owned.
 func (svc *Service) DropShard(idx int) {
 	svc.mu.Lock()
-	sh := svc.byIdx[idx]
-	if sh == nil {
-		svc.mu.Unlock()
-		return
-	}
-	delete(svc.byIdx, idx)
-	for i, s := range svc.shards {
-		if s == sh {
-			svc.shards = append(svc.shards[:i], svc.shards[i+1:]...)
-			break
-		}
-	}
-	for tok, s := range svc.sessions {
-		if fsproto.ShardIndex(s.gid, svc.nShards) == idx {
-			delete(svc.sessions, tok)
-		}
-	}
+	sh := svc.unregister(idx, false)
 	svc.mu.Unlock()
-	sh.Close()
+	if sh != nil {
+		sh.Close()
+	}
 }
 
 // ChipSeqFor derives the controller chip sequence global shard idx boots
@@ -156,11 +138,7 @@ func (svc *Service) ChipSeqFor(idx int) uint64 { return chipSeqFor(svc.opts, idx
 // has no running worker: exactly one goroutine — the replica pull loop —
 // may touch it, through ReplayRecords, until PromoteShard.
 func (svc *Service) NewReplicaShard(idx int, chipSeq uint64, det bool) *Shard {
-	cfg := config.Default()
-	if svc.opts.Cfg != nil {
-		cfg = *svc.opts.Cfg
-	}
-	return NewShardWith(idx, cfg, svc.opts.MCMode, svc.opts.Access, det, svc.opts.PerTenantQueue, svc.reg,
+	return NewShardWith(idx, svc.opts.config(), svc.opts.MCMode, svc.opts.Access, det, svc.opts.PerTenantQueue, svc.reg,
 		ShardOptions{ChipSeq: chipSeq, Log: true, CheckpointEvery: svc.opts.CheckpointEvery, Detached: true})
 }
 
@@ -204,12 +182,7 @@ func (svc *Service) InstallShard(st *ShardState) error {
 	if st == nil || st.Image == nil {
 		return fmt.Errorf("server: shard state carries no image")
 	}
-	cfg := config.Default()
-	if svc.opts.Cfg != nil {
-		cfg = *svc.opts.Cfg
-	}
-	sh := NewShardWith(st.Shard, cfg, svc.opts.MCMode, svc.opts.Access, st.Det, svc.opts.PerTenantQueue, svc.reg,
-		ShardOptions{ChipSeq: st.ChipSeq, Log: true, CheckpointEvery: svc.opts.CheckpointEvery, Detached: true})
+	sh := svc.NewReplicaShard(st.Shard, st.ChipSeq, st.Det)
 	if err := svc.ReplayRecords(sh, st.Records); err != nil {
 		return err
 	}
@@ -226,18 +199,13 @@ func (svc *Service) InstallShard(st *ShardState) error {
 	if !replayed.Equal(st.Image) {
 		return fmt.Errorf("%w: replayed module state differs from shipped image", ErrDiverged)
 	}
-	if err := memctrl.VerifyImage(cfg, svc.opts.MCMode, st.Image); err != nil {
+	if err := memctrl.VerifyImage(svc.opts.config(), svc.opts.MCMode, st.Image); err != nil {
 		return fmt.Errorf("server: migration recovery gate: %w", err)
 	}
 	// The log's login records rebuilt every session homed here; the
 	// explicit session records catch any that somehow never hit the log.
 	for _, sr := range st.Sessions {
-		if _, ok := sh.replaySessions[sr.Token]; !ok {
-			sh.replaySessions[sr.Token] = &Session{
-				token: sr.Token, tenant: sr.Tenant, gid: sr.GID, uid: sr.EUID, pass: sr.Pass,
-				st: make([]*sessState, svc.nShards),
-			}
-		}
+		svc.replaySession(sh, sr.Token, sr.Tenant, sr.EUID, sr.Pass)
 	}
 	if st.DetNext > sh.detNext {
 		sh.detNext = st.DetNext

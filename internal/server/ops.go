@@ -118,34 +118,27 @@ type target struct {
 	cross  bool
 }
 
-// resolve maps a request's optional tenant override to its shard,
-// reporting the routing error when that shard lives on another node.
-func (svc *Service) resolve(sess *Session, tenantOverride string) (target, error) {
-	t := target{tenant: sess.tenant, gid: sess.gid}
+// resolve maps an op's optional tenant override to its destination. via is
+// the shard whose admission log is being replayed — by construction the
+// op's target, so the routing table is not consulted — and nil on the live
+// path, which reports the routing error when the shard lives on another
+// node.
+func (svc *Service) resolve(via *Shard, sess *Session, tenantOverride string) (target, error) {
+	t := target{tenant: sess.tenant, gid: sess.gid, sh: via}
 	if tenantOverride != "" && tenantOverride != sess.tenant {
 		t.tenant = tenantOverride
 		t.gid = fsproto.TenantGID(tenantOverride)
 		t.cross = true
 	}
-	sh, err := svc.shardFor(t.gid)
-	if err != nil {
-		return target{}, err
+	if t.sh == nil {
+		// A tenant group lives on the shard its GID hashes to.
+		sh, err := svc.shardAt(fsproto.ShardIndex(t.gid, svc.nShards))
+		if err != nil {
+			return target{}, err
+		}
+		t.sh = sh
 	}
-	t.sh = sh
 	return t, nil
-}
-
-// replayTarget rebuilds an op's resolved destination without consulting
-// the routing table: in an admission-log replay the target shard is by
-// construction the shard whose log is being replayed.
-func replayTarget(sh *Shard, sess *Session, override string) target {
-	t := target{tenant: sess.tenant, gid: sess.gid, sh: sh}
-	if override != "" && override != sess.tenant {
-		t.tenant = override
-		t.gid = fsproto.TenantGID(override)
-		t.cross = true
-	}
-	return t
 }
 
 // fullName prefixes a file name with its tenant namespace.
@@ -169,12 +162,12 @@ func deniedKind(err error) bool {
 // noteDenial records a cross-tenant denial in the target shard's journal
 // (worker goroutine, so the event lands in deterministic admission order)
 // and on the host-side counter.
-func (svc *Service) noteDenial(sh *Shard, sess *Session, tgt target, err error) {
+func (svc *Service) noteDenial(sess *Session, tgt target, err error) {
 	if !tgt.cross || !deniedKind(err) {
 		return
 	}
-	sh.Jrn.Emit(journal.Event{
-		Cycle:  uint64(sh.proc(sess).Now()),
+	tgt.sh.Jrn.Emit(journal.Event{
+		Cycle:  uint64(tgt.sh.proc(sess).Now()),
 		Type:   journal.CrossTenantDenied,
 		Group:  tgt.gid,
 		Detail: fmt.Sprintf("from %s", sess.tenant),
@@ -192,69 +185,234 @@ func buildRecord(kind string, gid uint32, seq uint64, sess *Session, tc fsproto.
 	if err != nil {
 		return nil
 	}
-	rec := &fsproto.LogRecord{
+	return &fsproto.LogRecord{
 		Kind:    kind,
 		Seq:     seq,
 		GID:     gid,
+		Token:   sess.token,
+		Tenant:  sess.tenant,
+		EUID:    sess.uid,
+		Pass:    sess.pass,
 		TraceID: tc.TraceID,
 		Parent:  tc.Parent,
 		Sampled: tc.Sampled,
 		Req:     raw,
 	}
-	if sess != nil {
-		rec.Token = sess.token
-		rec.Tenant = sess.tenant
-		rec.EUID = sess.uid
-		rec.Pass = sess.pass
-	}
-	return rec
 }
 
-// do wraps shard submission with the service's request timeout, naming the
-// request's root span, forwarding the trace context the HTTP layer put
-// into ctx, and — on logging shards — attaching the admission-log record
-// the worker appends after execution. req is the wire request that record
-// serializes; the zero-allocation read path is preserved on non-logging
-// shards, where req is never marshaled.
-func (svc *Service) do(ctx context.Context, sh *Shard, sess *Session, gid uint32, seq fsproto.Seq, name string, req any, fn func() (any, error)) (any, error) {
+// op is one logged operation, defined once: its table row below is all
+// the HTTP mux, the live executor and the admission-log replayer know of
+// it. plan and work run identically live and on replay, so a replayed shard
+// validates what the source validated and touches its simulated machine in
+// exactly the live sequence.
+type op struct {
+	kind   string     // admission-log record kind and root-span name
+	route  string     // /v1 route
+	newReq func() any // a zero *Request of the op's fsproto request type
+	plan   func(req any) (plan, error)
+	// work is the worker-side body; dst is the reply buffer plan sized.
+	work func(svc *Service, tgt target, sess *Session, req any, dst []byte) (any, error)
+}
+
+// plan is the stateless half of an op: what validating its request yields
+// before any shard is touched.
+type plan struct {
+	tenant string // namespace override ("" or the session's own: none)
+	seq    fsproto.Seq
+	reply  int // bytes of reply buffer the body fills, or noReply
+}
+
+const noReply = -1
+
+// ops is the op table, by kind.
+var ops = map[string]*op{}
+
+// defOp adds a row to the op table, erasing the request type R behind the
+// untyped signatures the three table walkers share.
+func defOp[R any](kind, route string, planR func(*R) (plan, error), workR func(*Service, target, *Session, *R, []byte) (any, error)) *op {
+	o := &op{
+		kind:   kind,
+		route:  route,
+		newReq: func() any { return new(R) },
+		plan:   func(req any) (plan, error) { return planR(req.(*R)) },
+		work: func(svc *Service, tgt target, sess *Session, req any, dst []byte) (any, error) {
+			return workR(svc, tgt, sess, req.(*R), dst)
+		},
+	}
+	ops[kind] = o
+	return o
+}
+
+var (
+	opLogin    = defOp("login", "/v1/login", planLogin, workLogin)
+	opCreate   = defOp("create", "/v1/create", planCreate, workCreate)
+	opRead     = defOp("read", "/v1/read", planRead, workRead)
+	opWrite    = defOp("write", "/v1/write", planWrite, workWrite)
+	opChmod    = defOp("chmod", "/v1/chmod", planChmod, workChmod)
+	opDelete   = defOp("delete", "/v1/delete", planDelete, workDelete)
+	opKVCreate = defOp("kv_create", "/v1/kv/create", planKVCreate, workKVCreate)
+	opKVPut    = defOp("kv_put", "/v1/kv/put", planKVPut, workKVPut)
+	opKVGet    = defOp("kv_get", "/v1/kv/get", planKVGet, workKVGet)
+	opKVDelete = defOp("kv_delete", "/v1/kv/delete", planKVDelete, workKVDelete)
+)
+
+// stage runs the stateless half of an op — validation, target resolution
+// (via as for resolve), reply buffer — shared by exec and replay.
+func (svc *Service) stage(o *op, via *Shard, sess *Session, req any) (p plan, tgt target, pl Payload, err error) {
+	if p, err = o.plan(req); err != nil {
+		return
+	}
+	if tgt, err = svc.resolve(via, sess, p.tenant); err != nil {
+		return
+	}
+	if p.reply != noReply {
+		pl = newPayload(p.reply)
+	}
+	return
+}
+
+// task builds the unit of work the shard serves for a staged op; exec
+// submits it to the worker, replay hands it to serve directly.
+func (o *op) task(svc *Service, tgt target, sess *Session, req any, seq uint64, tc fsproto.TraceContext, dst []byte) task {
+	return task{
+		seq:    seq,
+		tenant: tgt.gid,
+		name:   o.kind,
+		trace:  tc,
+		fn: func() (any, error) {
+			v, err := o.work(svc, tgt, sess, req, dst)
+			if err != nil {
+				svc.noteDenial(sess, tgt, err)
+			}
+			return v, err
+		},
+	}
+}
+
+// exec is the live path of every logged op: stage it, try the snapshot
+// fast path (reads only), and submit the task under the service's request
+// timeout, with the trace context the HTTP layer put into ctx and — on
+// logging shards only, so the zero-allocation read path never marshals —
+// the admission-log record the worker appends after execution. The Payload
+// is the filled reply buffer of ops that have one, the any the body's value.
+func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any) (Payload, any, error) {
+	p, tgt, pl, err := svc.stage(o, nil, sess, req)
+	if err != nil {
+		return Payload{}, nil, err
+	}
 	tc := TraceFromContext(ctx)
+	if o == opRead && svc.fastReadable(tgt.sh) {
+		r := req.(*fsproto.ReadRequest)
+		if tgt.sh.tryFastRead(sess, tc, fullName(tgt.tenant, r.Name), pass(sess, r.Passphrase), r.Offset, pl.Data) {
+			svc.cFastReads.Inc()
+			return pl, nil, nil
+		}
+		// Anything the snapshot path couldn't serve — contention, an
+		// unfaulted page, a key not yet in the on-chip OTT, or a read that
+		// genuinely fails — re-runs below with exact live semantics.
+		svc.cFastFallbacks.Inc()
+	}
 	ctx, cancel := context.WithTimeout(ctx, svc.opts.RequestTimeout)
 	defer cancel()
-	var s uint64
-	if seq != nil {
-		s = *seq
+	var seq uint64
+	if p.seq != nil {
+		seq = *p.seq
 	}
-	var rec *fsproto.LogRecord
-	if sh.logOn {
-		rec = buildRecord(name, gid, s, sess, tc, req)
+	t := o.task(svc, tgt, sess, req, seq, tc, pl.Data)
+	if tgt.sh.logOn {
+		t.rec = buildRecord(o.kind, tgt.gid, seq, sess, tc, req)
 	}
-	return sh.submit(ctx, gid, s, name, tc, rec, fn)
+	v, err := tgt.sh.submit(ctx, t)
+	if err != nil {
+		// pl is not released: on a caller timeout the task may still be
+		// queued, and the buffer must not re-enter the pool while a worker
+		// could yet write into it. The GC reclaims it instead.
+		return Payload{}, nil, err
+	}
+	if n, short := v.(int); short {
+		// The body filled less than the buffer it was given (kv_get).
+		pl.Data = pl.Data[:n]
+	}
+	return pl, v, nil
 }
 
-// The work* methods below are the worker-goroutine op bodies, shared
-// verbatim between live admission and admission-log replay so a replayed
-// shard touches its simulated machine in exactly the live sequence.
-
-func (svc *Service) workCreate(sh *Shard, sess *Session, req fsproto.CreateRequest) (any, error) {
-	p := sh.proc(sess)
-	_, err := sh.Sys.CreateFile(p, fullName(sess.tenant, req.Name),
-		fs.Mode(req.Perm), req.Size, req.Encrypted, pass(sess, req.Passphrase))
-	return nil, err
+func nameRequired(name, tenant string, seq fsproto.Seq) (plan, error) {
+	if name == "" {
+		return plan{}, fmt.Errorf("%w: name required", ErrBadRequest)
+	}
+	return plan{tenant: tenant, seq: seq, reply: noReply}, nil
 }
 
-func (svc *Service) workRead(tgt target, sess *Session, req fsproto.ReadRequest, dst []byte) (any, error) {
-	if err := tgt.sh.readInto(sess, fullName(tgt.tenant, req.Name), pass(sess, req.Passphrase), req.Offset, dst); err != nil {
-		svc.noteDenial(tgt.sh, sess, tgt, err)
-		return nil, err
+func storeRequired(store, tenant string, seq fsproto.Seq, reply int) (plan, error) {
+	if store == "" {
+		return plan{}, fmt.Errorf("%w: store required", ErrBadRequest)
+	}
+	return plan{tenant: tenant, seq: seq, reply: reply}, nil
+}
+
+func planLogin(r *fsproto.LoginRequest) (plan, error) {
+	if r.Tenant == "" || r.Passphrase == "" {
+		return plan{}, fmt.Errorf("%w: tenant and passphrase required", ErrAuth)
+	}
+	return plan{seq: r.Seq, reply: noReply}, nil
+}
+
+// workLogin checks the credential against the keyring on the tenant's
+// shard: first login registers the passphrase-derived master key, later
+// logins must match it.
+func workLogin(svc *Service, tgt target, _ *Session, req *fsproto.LoginRequest, _ []byte) (any, error) {
+	sh := tgt.sh
+	euid := fsproto.UserUID(req.Tenant, req.UID)
+	registered, ok := sh.Sys.Keyring.Verify(euid, req.Passphrase)
+	if registered && !ok {
+		sh.Jrn.Emit(journal.Event{
+			Cycle:  uint64(sh.Sys.M.MaxCoreTime()),
+			Type:   journal.AuthFailure,
+			Group:  tgt.gid,
+			Detail: fmt.Sprintf("tenant %s uid %d", req.Tenant, req.UID),
+		})
+		svc.cAuthFail.Inc()
+		return nil, fmt.Errorf("%w: tenant %s uid %d", ErrAuth, req.Tenant, req.UID)
+	}
+	if !registered {
+		sh.Sys.Keyring.Login(euid, req.Passphrase)
 	}
 	return nil, nil
 }
 
-func (svc *Service) workWrite(tgt target, sess *Session, req fsproto.WriteRequest) (any, error) {
+// Creates take no tenant override: a file is born in its creator's
+// namespace.
+func planCreate(r *fsproto.CreateRequest) (plan, error) { return nameRequired(r.Name, "", r.Seq) }
+
+func workCreate(_ *Service, tgt target, sess *Session, req *fsproto.CreateRequest, _ []byte) (any, error) {
+	p := tgt.sh.proc(sess)
+	_, err := tgt.sh.Sys.CreateFile(p, fullName(sess.tenant, req.Name),
+		fs.Mode(req.Perm), req.Size, req.Encrypted, pass(sess, req.Passphrase))
+	return nil, err
+}
+
+func planRead(r *fsproto.ReadRequest) (plan, error) {
+	if r.Name == "" || r.Length < 0 {
+		return plan{}, fmt.Errorf("%w: name and non-negative length required", ErrBadRequest)
+	}
+	// Bound before allocating: a forged multi-gigabyte length — on the wire
+	// or in a shipped log — must fail here, not in newPayload's make.
+	if r.Length > maxReadBytes {
+		return plan{}, fmt.Errorf("%w: length %d exceeds limit %d", ErrBadRequest, r.Length, maxReadBytes)
+	}
+	return plan{tenant: r.Tenant, seq: r.Seq, reply: r.Length}, nil
+}
+
+func workRead(_ *Service, tgt target, sess *Session, req *fsproto.ReadRequest, dst []byte) (any, error) {
+	return nil, tgt.sh.readInto(sess, fullName(tgt.tenant, req.Name), pass(sess, req.Passphrase), req.Offset, dst)
+}
+
+func planWrite(r *fsproto.WriteRequest) (plan, error) { return nameRequired(r.Name, r.Tenant, r.Seq) }
+
+func workWrite(_ *Service, tgt target, sess *Session, req *fsproto.WriteRequest, _ []byte) (any, error) {
 	p := tgt.sh.proc(sess)
 	f, err := tgt.sh.Sys.OpenFile(p, fullName(tgt.tenant, req.Name), fs.WriteAccess, pass(sess, req.Passphrase))
 	if err != nil {
-		svc.noteDenial(tgt.sh, sess, tgt, err)
 		return nil, err
 	}
 	if req.Offset > f.Size || uint64(len(req.Data)) > f.Size-req.Offset {
@@ -270,23 +428,28 @@ func (svc *Service) workWrite(tgt target, sess *Session, req fsproto.WriteReques
 	return nil, p.Persist(va+addr.Virt(req.Offset), uint64(len(req.Data)))
 }
 
-func (svc *Service) workChmod(tgt target, sess *Session, req fsproto.ChmodRequest) (any, error) {
-	err := tgt.sh.Sys.Chmod(tgt.sh.proc(sess), fullName(tgt.tenant, req.Name), fs.Mode(req.Perm))
-	if err != nil {
-		svc.noteDenial(tgt.sh, sess, tgt, err)
-	}
-	return nil, err
+func planChmod(r *fsproto.ChmodRequest) (plan, error) { return nameRequired(r.Name, r.Tenant, r.Seq) }
+
+func workChmod(_ *Service, tgt target, sess *Session, req *fsproto.ChmodRequest, _ []byte) (any, error) {
+	return nil, tgt.sh.Sys.Chmod(tgt.sh.proc(sess), fullName(tgt.tenant, req.Name), fs.Mode(req.Perm))
 }
 
-func (svc *Service) workDelete(tgt target, sess *Session, req fsproto.DeleteRequest) (any, error) {
-	err := tgt.sh.Sys.Unlink(tgt.sh.proc(sess), fullName(tgt.tenant, req.Name))
-	if err != nil {
-		svc.noteDenial(tgt.sh, sess, tgt, err)
-	}
-	return nil, err
+func planDelete(r *fsproto.DeleteRequest) (plan, error) { return nameRequired(r.Name, r.Tenant, r.Seq) }
+
+func workDelete(_ *Service, tgt target, sess *Session, req *fsproto.DeleteRequest, _ []byte) (any, error) {
+	return nil, tgt.sh.Sys.Unlink(tgt.sh.proc(sess), fullName(tgt.tenant, req.Name))
 }
 
-func (svc *Service) workKVCreate(sh *Shard, sess *Session, req fsproto.KVCreateRequest) (any, error) {
+// Like files, stores are created in the session's own namespace.
+func planKVCreate(r *fsproto.KVCreateRequest) (plan, error) {
+	if r.Size == 0 {
+		return plan{}, fmt.Errorf("%w: size required", ErrBadRequest)
+	}
+	return storeRequired(r.Store, "", r.Seq, noReply)
+}
+
+func workKVCreate(_ *Service, tgt target, sess *Session, req *fsproto.KVCreateRequest, _ []byte) (any, error) {
+	sh := tgt.sh
 	p := sh.proc(sess)
 	full := kvName(sess.tenant, req.Store)
 	// 0660: group-shared within the tenant; the per-file key (from the
@@ -308,46 +471,109 @@ func (svc *Service) workKVCreate(sh *Shard, sess *Session, req fsproto.KVCreateR
 	return nil, nil
 }
 
-func (svc *Service) workKVPut(tgt target, sess *Session, req fsproto.KVPutRequest) (any, error) {
+func planKVPut(r *fsproto.KVPutRequest) (plan, error) {
+	if len(r.Value) > maxKVValue {
+		return plan{}, fmt.Errorf("%w: value exceeds %d bytes", ErrBadRequest, maxKVValue)
+	}
+	return storeRequired(r.Store, r.Tenant, r.Seq, noReply)
+}
+
+func workKVPut(_ *Service, tgt target, sess *Session, req *fsproto.KVPutRequest, _ []byte) (any, error) {
 	h, err := tgt.sh.kvHandleFor(sess, tgt.tenant, req.Store, pass(sess, req.Passphrase), fs.WriteAccess)
 	if err != nil {
-		svc.noteDenial(tgt.sh, sess, tgt, err)
 		return nil, err
 	}
 	return nil, h.tree.Put(req.Key, req.Value)
 }
 
-func (svc *Service) workKVGet(tgt target, sess *Session, req fsproto.KVGetRequest, dst []byte) (any, error) {
+func planKVGet(r *fsproto.KVGetRequest) (plan, error) {
+	return storeRequired(r.Store, r.Tenant, r.Seq, maxKVValue)
+}
+
+// workKVGet returns how much of dst the value filled.
+func workKVGet(_ *Service, tgt target, sess *Session, req *fsproto.KVGetRequest, dst []byte) (any, error) {
 	h, err := tgt.sh.kvHandleFor(sess, tgt.tenant, req.Store, pass(sess, req.Passphrase), fs.ReadAccess)
 	if err != nil {
-		svc.noteDenial(tgt.sh, sess, tgt, err)
 		return nil, err
 	}
 	return h.tree.Get(req.Key, dst)
 }
 
-func (svc *Service) workKVDelete(tgt target, sess *Session, req fsproto.KVDeleteRequest) (any, error) {
+func planKVDelete(r *fsproto.KVDeleteRequest) (plan, error) {
+	return storeRequired(r.Store, r.Tenant, r.Seq, noReply)
+}
+
+// workKVDelete returns the wire response: whether the key existed.
+func workKVDelete(_ *Service, tgt target, sess *Session, req *fsproto.KVDeleteRequest, _ []byte) (any, error) {
 	h, err := tgt.sh.kvHandleFor(sess, tgt.tenant, req.Store, pass(sess, req.Passphrase), fs.WriteAccess)
 	if err != nil {
-		svc.noteDenial(tgt.sh, sess, tgt, err)
 		return nil, err
 	}
-	return h.tree.Delete(req.Key)
+	existed, err := h.tree.Delete(req.Key)
+	return fsproto.KVDeleteResponse{Existed: existed}, err
 }
 
 // Create creates a file in the session tenant's own namespace.
 func (svc *Service) Create(ctx context.Context, sess *Session, req fsproto.CreateRequest) error {
-	if req.Name == "" {
-		return fmt.Errorf("%w: name required", ErrBadRequest)
-	}
-	sh, err := svc.shardFor(sess.gid)
-	if err != nil {
-		return err
-	}
-	_, err = svc.do(ctx, sh, sess, sess.gid, req.Seq, "create", &req, func() (any, error) {
-		return svc.workCreate(sh, sess, req)
-	})
+	_, _, err := svc.exec(ctx, opCreate, sess, &req)
 	return err
+}
+
+// Read reads a byte range; the kernel enforces permissions and verifies
+// the per-file key, so a cross-tenant or wrong-passphrase attempt fails
+// without a single plaintext byte leaving the shard. The bytes land in a
+// pooled buffer — Release the returned Payload after encoding it.
+func (svc *Service) Read(ctx context.Context, sess *Session, req fsproto.ReadRequest) (Payload, error) {
+	pl, _, err := svc.exec(ctx, opRead, sess, &req)
+	return pl, err
+}
+
+// Write stores bytes at an offset and persists them (CLWB+SFENCE under
+// DAX).
+func (svc *Service) Write(ctx context.Context, sess *Session, req fsproto.WriteRequest) error {
+	_, _, err := svc.exec(ctx, opWrite, sess, &req)
+	return err
+}
+
+// Chmod changes permission bits (owner or root only).
+func (svc *Service) Chmod(ctx context.Context, sess *Session, req fsproto.ChmodRequest) error {
+	_, _, err := svc.exec(ctx, opChmod, sess, &req)
+	return err
+}
+
+// Delete unlinks a file: the controller drops its key and shreds its
+// pages, so the bytes are gone even for holders of the old passphrase.
+func (svc *Service) Delete(ctx context.Context, sess *Session, req fsproto.DeleteRequest) error {
+	_, _, err := svc.exec(ctx, opDelete, sess, &req)
+	return err
+}
+
+// KVCreate creates an encrypted pool file holding a persistent B+Tree.
+func (svc *Service) KVCreate(ctx context.Context, sess *Session, req fsproto.KVCreateRequest) error {
+	_, _, err := svc.exec(ctx, opKVCreate, sess, &req)
+	return err
+}
+
+// KVPut stores a value.
+func (svc *Service) KVPut(ctx context.Context, sess *Session, req fsproto.KVPutRequest) error {
+	_, _, err := svc.exec(ctx, opKVPut, sess, &req)
+	return err
+}
+
+// KVGet fetches a value into a pooled buffer — Release the returned
+// Payload after encoding it.
+func (svc *Service) KVGet(ctx context.Context, sess *Session, req fsproto.KVGetRequest) (Payload, error) {
+	pl, _, err := svc.exec(ctx, opKVGet, sess, &req)
+	return pl, err
+}
+
+// KVDelete removes a key.
+func (svc *Service) KVDelete(ctx context.Context, sess *Session, req fsproto.KVDeleteRequest) (bool, error) {
+	_, v, err := svc.exec(ctx, opKVDelete, sess, &req)
+	if err != nil {
+		return false, err
+	}
+	return v.(fsproto.KVDeleteResponse).Existed, nil
 }
 
 // readInto is the worker-side read datapath: open (permission + per-file
@@ -370,46 +596,6 @@ func (sh *Shard) readInto(sess *Session, name, passphrase string, off uint64, ds
 		return err
 	}
 	return p.Read(va+addr.Virt(off), dst)
-}
-
-// Read reads a byte range; the kernel enforces permissions and verifies
-// the per-file key, so a cross-tenant or wrong-passphrase attempt fails
-// without a single plaintext byte leaving the shard. The bytes land in a
-// pooled buffer — Release the returned Payload after encoding it.
-func (svc *Service) Read(ctx context.Context, sess *Session, req fsproto.ReadRequest) (Payload, error) {
-	if req.Name == "" || req.Length < 0 {
-		return Payload{}, fmt.Errorf("%w: name and non-negative length required", ErrBadRequest)
-	}
-	// Bound before allocating: a forged multi-gigabyte length must fail
-	// here, not in newPayload's make.
-	if req.Length > maxReadBytes {
-		return Payload{}, fmt.Errorf("%w: length %d exceeds limit %d", ErrBadRequest, req.Length, maxReadBytes)
-	}
-	tgt, err := svc.resolve(sess, req.Tenant)
-	if err != nil {
-		return Payload{}, err
-	}
-	pl := newPayload(req.Length)
-	if svc.fastReadable(tgt.sh) {
-		if tgt.sh.tryFastRead(sess, TraceFromContext(ctx), fullName(tgt.tenant, req.Name), pass(sess, req.Passphrase), req.Offset, pl.Data) {
-			svc.cFastReads.Inc()
-			return pl, nil
-		}
-		// Anything the snapshot path couldn't serve — contention, an
-		// unfaulted page, a key not yet in the on-chip OTT, or a read that
-		// genuinely fails — re-runs below with exact live semantics.
-		svc.cFastFallbacks.Inc()
-	}
-	_, err = svc.do(ctx, tgt.sh, sess, tgt.gid, req.Seq, "read", &req, func() (any, error) {
-		return svc.workRead(tgt, sess, req, pl.Data)
-	})
-	if err != nil {
-		// Not released: on a caller timeout the task may still be queued,
-		// and the buffer must not re-enter the pool while a worker could
-		// yet write into it. The GC reclaims it instead.
-		return Payload{}, err
-	}
-	return pl, nil
 }
 
 // fastReadable gates the concurrent read fast-path: deterministic shards
@@ -448,15 +634,16 @@ func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, erro
 	return statResponse(f), nil
 }
 
-// Stat returns file metadata. Read-only end to end: the fast path answers
-// from a seqlock-guarded snapshot off the worker; the fallback runs as
-// out-of-band worker work (DoSide), so stat never consumes a deterministic
-// schedule slot, advances no simulated clock, and is never logged.
+// Stat returns file metadata. Read-only end to end, and deliberately not in
+// the op table: the fast path answers from a seqlock-guarded snapshot off
+// the worker; the fallback runs as out-of-band worker work (DoSide), so
+// stat never consumes a deterministic schedule slot, advances no simulated
+// clock, and is never logged.
 func (svc *Service) Stat(ctx context.Context, sess *Session, req fsproto.StatRequest) (fsproto.StatResponse, error) {
 	if req.Name == "" {
 		return fsproto.StatResponse{}, fmt.Errorf("%w: name required", ErrBadRequest)
 	}
-	tgt, err := svc.resolve(sess, req.Tenant)
+	tgt, err := svc.resolve(nil, sess, req.Tenant)
 	if err != nil {
 		return fsproto.StatResponse{}, err
 	}
@@ -476,53 +663,6 @@ func (svc *Service) Stat(ctx context.Context, sess *Session, req fsproto.StatReq
 		return fsproto.StatResponse{}, err
 	}
 	return resp, serr
-}
-
-// Write stores bytes at an offset and persists them (CLWB+SFENCE under
-// DAX).
-func (svc *Service) Write(ctx context.Context, sess *Session, req fsproto.WriteRequest) error {
-	if req.Name == "" {
-		return fmt.Errorf("%w: name required", ErrBadRequest)
-	}
-	tgt, err := svc.resolve(sess, req.Tenant)
-	if err != nil {
-		return err
-	}
-	_, err = svc.do(ctx, tgt.sh, sess, tgt.gid, req.Seq, "write", &req, func() (any, error) {
-		return svc.workWrite(tgt, sess, req)
-	})
-	return err
-}
-
-// Chmod changes permission bits (owner or root only).
-func (svc *Service) Chmod(ctx context.Context, sess *Session, req fsproto.ChmodRequest) error {
-	if req.Name == "" {
-		return fmt.Errorf("%w: name required", ErrBadRequest)
-	}
-	tgt, err := svc.resolve(sess, req.Tenant)
-	if err != nil {
-		return err
-	}
-	_, err = svc.do(ctx, tgt.sh, sess, tgt.gid, req.Seq, "chmod", &req, func() (any, error) {
-		return svc.workChmod(tgt, sess, req)
-	})
-	return err
-}
-
-// Delete unlinks a file: the controller drops its key and shreds its
-// pages, so the bytes are gone even for holders of the old passphrase.
-func (svc *Service) Delete(ctx context.Context, sess *Session, req fsproto.DeleteRequest) error {
-	if req.Name == "" {
-		return fmt.Errorf("%w: name required", ErrBadRequest)
-	}
-	tgt, err := svc.resolve(sess, req.Tenant)
-	if err != nil {
-		return err
-	}
-	_, err = svc.do(ctx, tgt.sh, sess, tgt.gid, req.Seq, "delete", &req, func() (any, error) {
-		return svc.workDelete(tgt, sess, req)
-	})
-	return err
 }
 
 // kvName namespaces a store under its tenant.
@@ -551,75 +691,4 @@ func (sh *Shard) kvHandleFor(sess *Session, tenant, store, passphrase string, wa
 	h := &kvHandle{pool: pool, tree: tree}
 	st.kv[full] = h
 	return h, nil
-}
-
-// KVCreate creates an encrypted pool file holding a persistent B+Tree.
-func (svc *Service) KVCreate(ctx context.Context, sess *Session, req fsproto.KVCreateRequest) error {
-	if req.Store == "" || req.Size == 0 {
-		return fmt.Errorf("%w: store and size required", ErrBadRequest)
-	}
-	sh, err := svc.shardFor(sess.gid)
-	if err != nil {
-		return err
-	}
-	_, err = svc.do(ctx, sh, sess, sess.gid, req.Seq, "kv_create", &req, func() (any, error) {
-		return svc.workKVCreate(sh, sess, req)
-	})
-	return err
-}
-
-// KVPut stores a value.
-func (svc *Service) KVPut(ctx context.Context, sess *Session, req fsproto.KVPutRequest) error {
-	if req.Store == "" || len(req.Value) > maxKVValue {
-		return fmt.Errorf("%w: store required, value <= %d bytes", ErrBadRequest, maxKVValue)
-	}
-	tgt, err := svc.resolve(sess, req.Tenant)
-	if err != nil {
-		return err
-	}
-	_, err = svc.do(ctx, tgt.sh, sess, tgt.gid, req.Seq, "kv_put", &req, func() (any, error) {
-		return svc.workKVPut(tgt, sess, req)
-	})
-	return err
-}
-
-// KVGet fetches a value into a pooled buffer — Release the returned
-// Payload after encoding it.
-func (svc *Service) KVGet(ctx context.Context, sess *Session, req fsproto.KVGetRequest) (Payload, error) {
-	if req.Store == "" {
-		return Payload{}, fmt.Errorf("%w: store required", ErrBadRequest)
-	}
-	tgt, err := svc.resolve(sess, req.Tenant)
-	if err != nil {
-		return Payload{}, err
-	}
-	pl := newPayload(maxKVValue)
-	v, err := svc.do(ctx, tgt.sh, sess, tgt.gid, req.Seq, "kv_get", &req, func() (any, error) {
-		return svc.workKVGet(tgt, sess, req, pl.Data)
-	})
-	if err != nil {
-		// Same rationale as Read: a possibly-still-queued task owns the
-		// buffer, so it is dropped rather than pooled.
-		return Payload{}, err
-	}
-	pl.Data = pl.Data[:v.(int)]
-	return pl, nil
-}
-
-// KVDelete removes a key.
-func (svc *Service) KVDelete(ctx context.Context, sess *Session, req fsproto.KVDeleteRequest) (bool, error) {
-	if req.Store == "" {
-		return false, fmt.Errorf("%w: store required", ErrBadRequest)
-	}
-	tgt, err := svc.resolve(sess, req.Tenant)
-	if err != nil {
-		return false, err
-	}
-	v, err := svc.do(ctx, tgt.sh, sess, tgt.gid, req.Seq, "kv_delete", &req, func() (any, error) {
-		return svc.workKVDelete(tgt, sess, req)
-	})
-	if err != nil {
-		return false, err
-	}
-	return v.(bool), nil
 }

@@ -3,6 +3,8 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
+	"errors"
 	"testing"
 
 	"fsencr/internal/fsproto"
@@ -56,62 +58,109 @@ func clusterTestOptions() Options {
 	}
 }
 
-// runReplayWorkload drives a mixed workload (logins, file ops, KV ops, a
-// cross-tenant denial) against svc and returns the sessions by tenant.
+// runReplayWorkload drives a workload covering every op kind of the table
+// against svc — each tenant on its own shard: every kind succeeding, every
+// kind failing on the worker (so the failure is itself a log record), a
+// third of the ops carrying a sampled trace context — and returns the
+// sessions by tenant.
 func runReplayWorkload(t *testing.T, svc *Service, seqs *seqFor, tA, tB string) map[string]*Session {
 	t.Helper()
-	ctx := context.Background()
+	steps := 0
+	// next returns the context of the next op: every third one is traced.
+	next := func() context.Context {
+		steps++
+		if steps%3 != 0 {
+			return context.Background()
+		}
+		return WithTrace(context.Background(), fsproto.TraceContext{TraceID: 0x7e57_0000 + uint64(steps), Parent: uint64(steps), Sampled: true})
+	}
+	ok := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+	}
+	fails := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Fatalf("%s must fail", what)
+		}
+	}
 	sess := make(map[string]*Session)
 	for _, tn := range []string{tA, tB} {
 		gid := fsproto.TenantGID(tn)
-		s, err := svc.Login(ctx, tn, 1, "pw-"+tn, *seqs.take(gid))
-		if err != nil {
-			t.Fatalf("login %s: %v", tn, err)
-		}
+		s, err := svc.Login(next(), tn, 1, "pw-"+tn, *seqs.take(gid))
+		ok("login "+tn, err)
 		sess[tn] = s
+		_, err = svc.Login(next(), tn, 1, "guessed", *seqs.take(gid))
+		fails("login "+tn+" with the wrong passphrase", err)
 	}
 	for _, tn := range []string{tA, tB} {
 		s := sess[tn]
-		if err := svc.Create(ctx, s, fsproto.CreateRequest{
-			Name: "data.bin", Perm: 0600, Size: 2 * 4096, Encrypted: true, Seq: seqs.take(s.gid),
-		}); err != nil {
-			t.Fatalf("create %s: %v", tn, err)
-		}
+		seq := func() fsproto.Seq { return seqs.take(s.gid) }
+		create := fsproto.CreateRequest{Name: "data.bin", Perm: 0600, Size: 2 * 4096, Encrypted: true}
+		create.Seq = seq()
+		ok("create "+tn, svc.Create(next(), s, create))
+		create.Seq = seq()
+		fails("create "+tn+" of an existing file", svc.Create(next(), s, create))
 		payload := bytes.Repeat([]byte{byte(len(tn))}, 4096)
-		if err := svc.Write(ctx, s, fsproto.WriteRequest{
-			Name: "data.bin", Data: payload, Seq: seqs.take(s.gid),
-		}); err != nil {
-			t.Fatalf("write %s: %v", tn, err)
-		}
-		if err := svc.KVCreate(ctx, s, fsproto.KVCreateRequest{
-			Store: "kv", Size: 16 * 4096, Seq: seqs.take(s.gid),
-		}); err != nil {
-			t.Fatalf("kv create %s: %v", tn, err)
-		}
+		ok("write "+tn, svc.Write(next(), s, fsproto.WriteRequest{Name: "data.bin", Data: payload, Seq: seq()}))
+		ok("chmod "+tn, svc.Chmod(next(), s, fsproto.ChmodRequest{Name: "data.bin", Perm: 0640, Seq: seq()}))
+		pl, err := svc.Read(next(), s, fsproto.ReadRequest{Name: "data.bin", Length: 4096, Seq: seq()})
+		ok("read "+tn, err)
+		pl.Release()
+		_, err = svc.Read(next(), s, fsproto.ReadRequest{Name: "data.bin", Offset: 1 << 40, Length: 64, Seq: seq()})
+		fails("read "+tn+" beyond EOF", err)
+		ok("create tmp "+tn, svc.Create(next(), s, fsproto.CreateRequest{Name: "tmp.bin", Perm: 0600, Size: 4096, Encrypted: true, Seq: seq()}))
+		ok("delete "+tn, svc.Delete(next(), s, fsproto.DeleteRequest{Name: "tmp.bin", Seq: seq()}))
+		fails("delete "+tn+" of a missing file", svc.Delete(next(), s, fsproto.DeleteRequest{Name: "tmp.bin", Seq: seq()}))
+
+		kvCreate := fsproto.KVCreateRequest{Store: "kv", Size: 16 * 4096}
+		kvCreate.Seq = seq()
+		ok("kv create "+tn, svc.KVCreate(next(), s, kvCreate))
+		kvCreate.Seq = seq()
+		fails("kv create "+tn+" of an existing store", svc.KVCreate(next(), s, kvCreate))
 		for i := 0; i < 6; i++ {
-			if err := svc.KVPut(ctx, s, fsproto.KVPutRequest{
-				Store: "kv", Key: uint64(i), Value: bytes.Repeat([]byte{byte(i)}, 64),
-				Seq: seqs.take(s.gid),
-			}); err != nil {
-				t.Fatalf("kv put %s/%d: %v", tn, i, err)
-			}
+			ok("kv put "+tn, svc.KVPut(next(), s, fsproto.KVPutRequest{
+				Store: "kv", Key: uint64(i), Value: bytes.Repeat([]byte{byte(i)}, 64), Seq: seq(),
+			}))
 		}
-		pl, err := svc.Read(ctx, s, fsproto.ReadRequest{Name: "data.bin", Length: 4096, Seq: seqs.take(s.gid)})
-		if err != nil {
-			t.Fatalf("read %s: %v", tn, err)
+		fails("kv put "+tn+" into a missing store", svc.KVPut(next(), s, fsproto.KVPutRequest{Store: "nope", Key: 1, Value: []byte{1}, Seq: seq()}))
+		pl, err = svc.KVGet(next(), s, fsproto.KVGetRequest{Store: "kv", Key: 3, Seq: seq()})
+		ok("kv get "+tn, err)
+		if !bytes.Equal(pl.Data, bytes.Repeat([]byte{3}, 64)) {
+			t.Fatalf("kv get %s returned %x", tn, pl.Data)
 		}
 		pl.Release()
+		_, err = svc.KVGet(next(), s, fsproto.KVGetRequest{Store: "kv", Key: 99, Seq: seq()})
+		fails("kv get "+tn+" of a missing key", err)
+		existed, err := svc.KVDelete(next(), s, fsproto.KVDeleteRequest{Store: "kv", Key: 3, Seq: seq()})
+		ok("kv delete "+tn, err)
+		if !existed {
+			t.Fatalf("kv delete %s: key 3 did not exist", tn)
+		}
+		_, err = svc.KVDelete(next(), s, fsproto.KVDeleteRequest{Store: "nope", Key: 3, Seq: seq()})
+		fails("kv delete "+tn+" in a missing store", err)
 	}
-	// Cross-tenant denial: tA probing tB's file with the wrong passphrase
-	// lands (and is journaled) on tB's shard, in schedule order.
-	err := svc.Write(ctx, sess[tA], fsproto.WriteRequest{
-		Name: "data.bin", Tenant: tB, Data: []byte{1}, Passphrase: "wrong",
-		Seq: seqs.take(fsproto.TenantGID(tB)),
-	})
-	if err == nil {
-		t.Fatal("cross-tenant write with wrong passphrase must fail")
-	}
+	// Cross-tenant denials: tA probing tB's file lands (and is journaled) on
+	// tB's shard, in schedule order, under a shadow session replay must
+	// rebuild from the records' credentials.
+	xseq := func() fsproto.Seq { return seqs.take(fsproto.TenantGID(tB)) }
+	fails("cross-tenant write with the wrong passphrase", svc.Write(next(), sess[tA], fsproto.WriteRequest{
+		Name: "data.bin", Tenant: tB, Data: []byte{1}, Passphrase: "wrong", Seq: xseq(),
+	}))
+	fails("cross-tenant chmod", svc.Chmod(next(), sess[tA], fsproto.ChmodRequest{Name: "data.bin", Tenant: tB, Perm: 0666, Seq: xseq()}))
 	return sess
+}
+
+// snapshotJSON is the shard's whole deterministic snapshot, spans included.
+func snapshotJSON(t *testing.T, sh *Shard) []byte {
+	t.Helper()
+	b, err := json.Marshal(sh.Snapshot())
+	if err != nil {
+		t.Fatalf("snapshot export: %v", err)
+	}
+	return b
 }
 
 func promBytes(t *testing.T, sh *Shard) []byte {
@@ -127,7 +176,9 @@ func promBytes(t *testing.T, sh *Shard) []byte {
 // its state, and installs it into a second (empty) node: the replayed
 // shard must reproduce the source's Merkle root, pass the recovery gate,
 // serve the migrated sessions, and emit a byte-identical /shards.prom
-// section.
+// section and — spans of the traced ops included — JSON snapshot. The
+// workload must put every kind of the op table into the log, so an op
+// added without replay coverage fails here.
 func TestReplayRebuildsShard(t *testing.T) {
 	optsA := clusterTestOptions()
 	svcA := New(optsA)
@@ -150,7 +201,20 @@ func TestReplayRebuildsShard(t *testing.T) {
 	if len(st.Records) == 0 || st.Image == nil {
 		t.Fatalf("export is empty: %d records, image=%v", len(st.Records), st.Image)
 	}
+	logged := map[string]bool{}
+	for _, rec := range st.Records {
+		logged[rec.Kind] = true
+	}
+	for kind := range ops {
+		if !logged[kind] {
+			t.Errorf("op %q never reached the replayed log: extend runReplayWorkload", kind)
+		}
+	}
 	srcProm := promBytes(t, svcA.Shards()[1])
+	srcSnap := snapshotJSON(t, svcA.Shards()[1])
+	if len(svcA.Shards()[1].Snapshot().Spans) == 0 {
+		t.Fatal("source snapshot holds no spans: the traced lifecycle went unexercised")
+	}
 
 	// Install on node B, which owns nothing yet.
 	optsB := clusterTestOptions()
@@ -159,6 +223,19 @@ func TestReplayRebuildsShard(t *testing.T) {
 	optsB.TokenPrefix = "b"
 	svcB := New(optsB)
 	defer svcB.Close()
+	// A forged length in a shipped read record meets the validation the live
+	// path runs: the replay is refused before anything is allocated.
+	forged := *st
+	forged.Records = append([]fsproto.LogRecord(nil), st.Records...)
+	for i := range forged.Records {
+		if forged.Records[i].Kind == "read" {
+			forged.Records[i].Req = json.RawMessage(`{"name":"data.bin","length":1099511627776}`)
+			break
+		}
+	}
+	if err := svcB.InstallShard(&forged); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("install of a log with a forged read length: got %v, want ErrBadRequest", err)
+	}
 	if err := svcB.InstallShard(st); err != nil {
 		t.Fatalf("install: %v", err)
 	}
@@ -168,6 +245,9 @@ func TestReplayRebuildsShard(t *testing.T) {
 	}
 	if got := promBytes(t, shB); !bytes.Equal(got, srcProm) {
 		t.Fatalf("replayed shard snapshot differs from source:\n--- source ---\n%s\n--- replayed ---\n%s", srcProm, got)
+	}
+	if got := snapshotJSON(t, shB); !bytes.Equal(got, srcSnap) {
+		t.Fatalf("replayed shard JSON snapshot (spans included) differs from source:\n--- source ---\n%s\n--- replayed ---\n%s", srcSnap, got)
 	}
 	mig.Commit(1)
 	svcA.SetClusterEpoch(1)
@@ -197,7 +277,7 @@ func TestReplayRebuildsShard(t *testing.T) {
 		t.Fatalf("want WrongShardError{Shard:1}, got %v", err)
 	}
 	// And routes the tenant's shard with the same error.
-	if _, err := svcA.shardFor(fsproto.TenantGID(tB)); err == nil {
+	if _, err := svcA.shardAt(fsproto.ShardIndex(fsproto.TenantGID(tB), 2)); err == nil {
 		t.Fatal("source still owns the migrated shard")
 	}
 }

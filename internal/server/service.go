@@ -194,10 +194,7 @@ func New(opts Options) *Service {
 	if opts.SLOObjective <= 0 || opts.SLOObjective >= 1 {
 		opts.SLOObjective = DefaultSLOObjective
 	}
-	cfg := config.Default()
-	if opts.Cfg != nil {
-		cfg = *opts.Cfg
-	}
+	cfg := opts.config()
 	reg := telemetry.New()
 	svc := &Service{
 		opts:           opts,
@@ -238,6 +235,14 @@ func New(opts Options) *Service {
 	return svc
 }
 
+// config is the machine configuration every shard boots with.
+func (opts Options) config() config.Config {
+	if opts.Cfg != nil {
+		return *opts.Cfg
+	}
+	return config.Default()
+}
+
 // chipSeqFor derives global shard i's controller chip sequence.
 func chipSeqFor(opts Options, i int) uint64 {
 	if opts.ChipSeqBase == 0 {
@@ -250,13 +255,9 @@ func sortShards(shards []*Shard) {
 	sort.Slice(shards, func(i, j int) bool { return shards[i].id < shards[j].id })
 }
 
-// Shards exposes the owned shard pool ordered by global index (tests,
-// in-process inspection).
-func (svc *Service) Shards() []*Shard { return svc.shardList() }
-
-// shardList snapshots the owned shards under the lock; membership changes
-// at migration.
-func (svc *Service) shardList() []*Shard {
+// Shards snapshots the owned shard pool, ordered by global index, under
+// the lock: membership changes at migration.
+func (svc *Service) Shards() []*Shard {
 	svc.mu.RLock()
 	defer svc.mu.RUnlock()
 	out := make([]*Shard, len(svc.shards))
@@ -270,10 +271,9 @@ func (svc *Service) NShards() int { return svc.nShards }
 // Registry exposes the host-side registry.
 func (svc *Service) Registry() *telemetry.Registry { return svc.reg }
 
-// shardFor places a tenant group on its shard, or reports the routing
-// error when the shard lives on another node.
-func (svc *Service) shardFor(gid uint32) (*Shard, error) {
-	idx := fsproto.ShardIndex(gid, svc.nShards)
+// shardAt returns the owned shard at global index idx, or the routing
+// error when it lives on another node.
+func (svc *Service) shardAt(idx int) (*Shard, error) {
 	svc.mu.RLock()
 	sh := svc.byIdx[idx]
 	svc.mu.RUnlock()
@@ -336,13 +336,10 @@ func (svc *Service) AdoptShard(sh *Shard) error {
 	return nil
 }
 
-// RemoveShard unregisters a shard after migration cutover. Sessions homed
-// on it are tombstoned (their tokens answer with the routing error) and
-// the shard is parked on the retired list so Close still drains its
-// worker. Returns nil if the shard is not owned here.
-func (svc *Service) RemoveShard(idx int) *Shard {
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
+// unregister takes shard idx out of the owned set and drops the sessions
+// homed on it, tombstoning their tokens when asked. Caller holds mu.
+// Returns nil if the shard is not owned here.
+func (svc *Service) unregister(idx int, tombstone bool) *Shard {
 	sh := svc.byIdx[idx]
 	if sh == nil {
 		return nil
@@ -354,90 +351,78 @@ func (svc *Service) RemoveShard(idx int) *Shard {
 			break
 		}
 	}
-	svc.retiredShards = append(svc.retiredShards, sh)
 	for tok, s := range svc.sessions {
 		if fsproto.ShardIndex(s.gid, svc.nShards) == idx {
 			delete(svc.sessions, tok)
-			svc.moved[tok] = idx
+			if tombstone {
+				svc.moved[tok] = idx
+			}
 		}
 	}
 	return sh
 }
 
-// Login authenticates (tenant, uid, passphrase) and opens a session. The
-// keyring on the tenant's shard is the credential store: first login
-// registers the passphrase-derived master key, later logins must match it.
-func (svc *Service) Login(ctx context.Context, tenant string, uid uint32, passphrase string, seq uint64) (*Session, error) {
-	if tenant == "" || passphrase == "" {
-		return nil, fmt.Errorf("%w: tenant and passphrase required", ErrAuth)
+// RemoveShard unregisters a shard after migration cutover. Sessions homed
+// on it are tombstoned (their tokens answer with the routing error) and
+// the shard is parked on the retired list so Close still drains its
+// worker. Returns nil if the shard is not owned here.
+func (svc *Service) RemoveShard(idx int) *Shard {
+	svc.mu.Lock()
+	defer svc.mu.Unlock()
+	sh := svc.unregister(idx, true)
+	if sh != nil {
+		svc.retiredShards = append(svc.retiredShards, sh)
 	}
-	gid := fsproto.TenantGID(tenant)
-	euid := fsproto.UserUID(tenant, uid)
-	sh, err := svc.shardFor(gid)
-	if err != nil {
-		return nil, err
-	}
-	// Mint the token before admission so the login's admission-log record
-	// carries it: replaying the record rebinds the same token to the same
-	// credentials on a migration target or replica.
-	token := fmt.Sprintf("%s%d", svc.opts.TokenPrefix, svc.tokSeq.Add(1))
-	tc := TraceFromContext(ctx)
-	var rec *fsproto.LogRecord
-	if sh.logOn {
-		rec = buildRecord("login", gid, seq, nil, tc,
-			fsproto.LoginRequest{Tenant: tenant, UID: uid, Passphrase: passphrase})
-		if rec != nil {
-			rec.Token = token
-			rec.Tenant = tenant
-			rec.EUID = euid
-			rec.Pass = passphrase
-		}
-	}
-	_, err = sh.submit(ctx, gid, seq, "login", tc, rec, func() (any, error) {
-		return svc.workLogin(sh, gid, tenant, uid, passphrase)
-	})
-	if err != nil {
-		return nil, err
-	}
-	sess := &Session{
+	return sh
+}
+
+// newSession builds a session; euid is the effective kernel uid.
+func (svc *Service) newSession(token, tenant string, euid uint32, pass string) *Session {
+	return &Session{
 		token:  token,
 		tenant: tenant,
-		gid:    gid,
+		gid:    fsproto.TenantGID(tenant),
 		uid:    euid,
-		pass:   passphrase,
+		pass:   pass,
 		st:     make([]*sessState, svc.nShards),
+	}
+}
+
+// Login authenticates (tenant, uid, passphrase) and opens a session. The
+// keyring on the tenant's shard is the credential store (workLogin).
+func (svc *Service) Login(ctx context.Context, tenant string, uid uint32, passphrase string, seq uint64) (*Session, error) {
+	return svc.login(ctx, &fsproto.LoginRequest{Tenant: tenant, UID: uid, Passphrase: passphrase, Seq: &seq})
+}
+
+func (svc *Service) login(ctx context.Context, req *fsproto.LoginRequest) (*Session, error) {
+	// The session — token included — exists before admission so the login's
+	// admission-log record carries it like any other op's: replaying the
+	// record rebinds the same token to the same credentials on a migration
+	// target or replica.
+	token := fmt.Sprintf("%s%d", svc.opts.TokenPrefix, svc.tokSeq.Add(1))
+	sess := svc.newSession(token, req.Tenant, fsproto.UserUID(req.Tenant, req.UID), req.Passphrase)
+	if _, _, err := svc.exec(ctx, opLogin, sess, req); err != nil {
+		return nil, err
 	}
 	// Register the tenant on the SLO plane at first login so its gauges
 	// exist (at zero) before any op traffic.
-	svc.slo.tenant(tenant)
+	svc.slo.tenant(req.Tenant)
+	return svc.register(sess)
+}
+
+// register enters sess in the session table, or returns the session its
+// token already names there (a peer's shadow session, forwarded again).
+func (svc *Service) register(sess *Session) (*Session, error) {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
 	if svc.closed {
 		return nil, ErrDraining
 	}
+	if s, ok := svc.sessions[sess.token]; ok {
+		return s, nil
+	}
 	svc.sessions[sess.token] = sess
 	return sess, nil
-}
-
-// workLogin is the worker-side login body, shared by live admission and
-// admission-log replay.
-func (svc *Service) workLogin(sh *Shard, gid uint32, tenant string, uid uint32, passphrase string) (any, error) {
-	euid := fsproto.UserUID(tenant, uid)
-	registered, ok := sh.Sys.Keyring.Verify(euid, passphrase)
-	if registered && !ok {
-		sh.Jrn.Emit(journal.Event{
-			Cycle:  uint64(sh.Sys.M.MaxCoreTime()),
-			Type:   journal.AuthFailure,
-			Group:  gid,
-			Detail: fmt.Sprintf("tenant %s uid %d", tenant, uid),
-		})
-		svc.cAuthFail.Inc()
-		return nil, fmt.Errorf("%w: tenant %s uid %d", ErrAuth, tenant, uid)
-	}
-	if !registered {
-		sh.Sys.Keyring.Login(euid, passphrase)
-	}
-	return nil, nil
 }
 
 // Logout closes a session. The keyring registration stays: it is the
@@ -482,24 +467,7 @@ func (svc *Service) peerSession(r *http.Request) (*Session, error) {
 	if err != nil {
 		return nil, errBadToken
 	}
-	sess := &Session{
-		token:  token,
-		tenant: tenant,
-		gid:    fsproto.TenantGID(tenant),
-		uid:    uint32(uid),
-		pass:   r.Header.Get(fsproto.PeerPassHeader),
-		st:     make([]*sessState, svc.nShards),
-	}
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	if svc.closed {
-		return nil, ErrDraining
-	}
-	if s, ok := svc.sessions[token]; ok {
-		return s, nil
-	}
-	svc.sessions[token] = sess
-	return sess, nil
+	return svc.register(svc.newSession(token, tenant, uint32(uid), r.Header.Get(fsproto.PeerPassHeader)))
 }
 
 // MetricsSnapshot merges the host-side registry with every shard's
@@ -509,7 +477,7 @@ func (svc *Service) peerSession(r *http.Request) (*Session, error) {
 // shard and the total number of journal events dropped to ring overflow.
 func (svc *Service) MetricsSnapshot() *telemetry.Snapshot {
 	drops := uint64(0)
-	shards := svc.shardList()
+	shards := svc.Shards()
 	for _, sh := range shards {
 		svc.reg.Gauge(fmt.Sprintf("server.shard%d.audit_head_seq", sh.ID())).Set(sh.Aud.HeadSeq())
 		drops += sh.Jrn.Drops()
@@ -531,7 +499,7 @@ func (svc *Service) AuditRecords() []audit.Record {
 	ctx, cancel := context.WithTimeout(context.Background(), svc.opts.RequestTimeout)
 	defer cancel()
 	var out []audit.Record
-	for _, sh := range svc.shardList() {
+	for _, sh := range svc.Shards() {
 		sh := sh
 		_ = svc.doSideOrClosed(ctx, sh, func() {
 			recs := sh.Aud.Records()
@@ -549,7 +517,7 @@ func (svc *Service) AuditRecords() []audit.Record {
 func (svc *Service) VerifyAudit() error {
 	ctx, cancel := context.WithTimeout(context.Background(), svc.opts.RequestTimeout)
 	defer cancel()
-	for _, sh := range svc.shardList() {
+	for _, sh := range svc.Shards() {
 		var verr error
 		if err := svc.doSideOrClosed(ctx, sh, func() { verr = sh.Aud.Verify() }); err != nil {
 			return err
@@ -577,7 +545,7 @@ func (svc *Service) doSideOrClosed(ctx context.Context, sh *Shard, fn func()) er
 // reassigning global sequence numbers.
 func (svc *Service) JournalEvents() []journal.Event {
 	var out []journal.Event
-	for _, sh := range svc.shardList() {
+	for _, sh := range svc.Shards() {
 		out = append(out, sh.Jrn.Events()...)
 	}
 	for i := range out {

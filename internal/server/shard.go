@@ -291,39 +291,32 @@ func (sh *Shard) sem(tenant uint32) chan struct{} {
 // runs to completion (a simulated syscall cannot be cancelled midway), but
 // Do stops waiting when ctx expires.
 func (sh *Shard) Do(ctx context.Context, tenant uint32, seq uint64, fn func() (any, error)) (any, error) {
-	return sh.DoTraced(ctx, tenant, seq, "task", fsproto.TraceContext{}, fn)
+	return sh.submit(ctx, task{seq: seq, tenant: tenant, name: "task", fn: fn})
 }
 
-// DoTraced is Do carrying a request-trace context and a root-span name:
-// while the task runs, spans recorded anywhere below the shard's system
-// (kernel, controller, PCM) are linked into the request's trace, and the
-// tail sampler decides at completion whether the trace is retained.
-func (sh *Shard) DoTraced(ctx context.Context, tenant uint32, seq uint64, name string, tc fsproto.TraceContext, fn func() (any, error)) (any, error) {
-	return sh.submit(ctx, tenant, seq, name, tc, nil, fn)
-}
-
-// submit is DoTraced plus the admission-log record the worker appends
-// after execution (nil: unlogged).
-func (sh *Shard) submit(ctx context.Context, tenant uint32, seq uint64, name string, tc fsproto.TraceContext, rec *fsproto.LogRecord, fn func() (any, error)) (any, error) {
-	var release func()
+// submit is Do for a task built by the caller, which may also carry a
+// trace context — spans recorded anywhere below the shard's system while it
+// runs are linked into that trace, kept or dropped by the tail sampler at
+// completion — and the admission-log record to append after execution.
+func (sh *Shard) submit(ctx context.Context, t task) (any, error) {
 	if !sh.det {
 		// Fair mode: per-tenant admission slots. Deterministic mode skips
 		// this — a slot limit could park the next-in-schedule request
 		// behind later ones and deadlock the reorder buffer; the schedule
 		// itself bounds in-flight work there (synchronous clients).
-		sem := sh.sem(tenant)
+		sem := sh.sem(t.tenant)
 		select {
 		case sem <- struct{}{}:
-			release = func() { <-sem }
+			t.release = func() { <-sem }
 		case <-ctx.Done():
-			return nil, &BusyError{Tenant: tenant, Depth: sh.depth.Load()}
+			return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 		}
 	}
 	sh.mu.Lock()
 	if sh.draining {
 		sh.mu.Unlock()
-		if release != nil {
-			release()
+		if t.release != nil {
+			t.release()
 		}
 		return nil, ErrDraining
 	}
@@ -331,12 +324,12 @@ func (sh *Shard) submit(ctx context.Context, tenant uint32, seq uint64, name str
 	sh.mu.Unlock()
 	sh.gDepth.Set(uint64(sh.depth.Add(1)))
 
-	t := task{seq: seq, tenant: tenant, fn: fn, resp: make(chan taskResult, 1), release: release, name: name, trace: tc, rec: rec}
+	t.resp = make(chan taskResult, 1)
 	select {
 	case sh.ingress <- t:
 	case <-ctx.Done():
 		sh.taskDone(t)
-		return nil, &BusyError{Tenant: tenant, Depth: sh.depth.Load()}
+		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 	}
 	select {
 	case r := <-t.resp:
@@ -400,6 +393,7 @@ func (sh *Shard) exec(t task) {
 		return
 	}
 	v, err := sh.serve(t)
+	sh.maybeCheckpoint()
 	t.resp <- taskResult{v: v, err: err}
 	sh.cServed.Inc()
 	sh.taskDone(t)
@@ -415,10 +409,13 @@ func tenantHist(cache map[uint32]*telemetry.Histogram, reg *telemetry.Registry, 
 	return h
 }
 
-// serve runs one admitted task on the worker, separating queue wait from
-// service time and recording the request's trace. Everything observed here
-// derives from the shard's simulated clock, so the per-shard registry stays
-// a pure function of the schedule.
+// serve runs one task — admitted live, or rebuilt from an admission-log
+// record by applyRecord — separating queue wait from service time, recording
+// the request's trace and logging the task's record. Everything observed
+// here derives from the shard's simulated clock, so the per-shard registry
+// stays a pure function of the schedule; nothing else samples that clock or
+// drives the trace scope on a request's behalf, which is what makes a
+// replayed registry equal the source's.
 func (sh *Shard) serve(t task) (any, error) {
 	start := uint64(sh.Sys.M.MaxCoreTime())
 	rootStart := start
@@ -445,7 +442,7 @@ func (sh *Shard) serve(t task) (any, error) {
 	}
 	if t.rec != nil && sh.logOn {
 		sh.appendRecord(*t.rec)
-		sh.maybeCheckpoint()
+		sh.sinceCkpt++
 	}
 	return v, err
 }
