@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test loc layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard smoke smoke-race read-smoke read-smoke-race malice-race slo-smoke chaos chaos-ci migration-chaos cluster-smoke cluster-smoke-race ci
+.PHONY: build test loc sim-digest layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard smoke smoke-race read-smoke read-smoke-race malice-race slo-smoke chaos chaos-ci migration-chaos cluster-smoke cluster-smoke-race ci
 
 build:
 	$(GO) build ./...
@@ -20,6 +20,22 @@ loc:
 	  $$2 != "total" { pkg = $$2; sub(/\/[^\/]*$$/, "", pkg); n[pkg] += $$1; all += $$1 } \
 	  END { for (p in n) printf("%7d %s\n", n[p], p) | "sort -k2"; close("sort -k2"); printf("%7d total\n", all) }'
 
+# One sha256 per simulation artefact — the figure JSON and stdout table,
+# each per-figure telemetry snapshot, the Chrome trace, the chaos JSON and
+# report — so a refactor that claims "simulation output byte-identical" can
+# print both sides and diff them. The tools run from inside the output
+# directory because they echo the paths they wrote. Under a minute on a
+# 2-core host. Not part of `make ci` and there is no committed golden: the
+# digests are quoted in the PR that needs them.
+sim-digest:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir $$d/out; \
+	$(GO) build -o $$d/fsencr-bench ./cmd/fsencr-bench; \
+	$(GO) build -o $$d/fsencr-chaos ./cmd/fsencr-chaos; \
+	cd $$d/out; \
+	../fsencr-bench -ops 2000 -json figures.json -metrics-dir metrics -trace-out trace.json > figures.txt; \
+	../fsencr-chaos -seed 1 -faults 300 -json chaos.json > chaos.txt; \
+	find . -type f | sort | xargs sha256sum
+
 # bench/ is a Go module of its own (the layered service benchmark), so
 # `go test ./...` above does not see it: its smoke test, manifest check and
 # the controller's pinned known-issue test run here.
@@ -27,11 +43,13 @@ layerbench-test:
 	$(GO) test -C bench ./...
 
 # Ten seconds of native fuzzing per target over the untrusted decoders: the
-# payload frame codec, and the /v1/write handler fed arbitrary frames
-# (seeded from the malice campaign's malformed ones).
+# payload frame codec, the /v1/write handler fed arbitrary frames (seeded
+# from the malice campaign's malformed ones), and the migration image import
+# fed exports corrupted one field at a time.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitFrame$$' -fuzztime 10s ./internal/fsproto
 	$(GO) test -run '^$$' -fuzz '^FuzzFramedWrite$$' -fuzztime 10s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzImportImage$$' -fuzztime 10s ./internal/memctrl
 
 race: smoke-race
 	$(GO) test -race ./...

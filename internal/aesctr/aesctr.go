@@ -14,6 +14,7 @@ package aesctr
 import (
 	"crypto/aes"
 	"crypto/cipher"
+	"crypto/subtle"
 	"encoding/binary"
 
 	"fsencr/internal/config"
@@ -118,21 +119,22 @@ func (e *Engine) OTPInto(dst *Line, iv IV) {
 // one call instead of 64.
 type Page [config.PageSize]byte
 
-// OTPPageInto fills dst with the one-time pads for all 64 lines of a page
-// in one pass: the counter-block template (page ID, major counter, domain)
-// is built once, and only the per-line lane (line index, minor counter) and
-// the per-block index are rewritten inside the loop. The output is
-// byte-identical to 64 OTPInto calls with the corresponding per-line IVs —
-// the batching amortizes host work, it never changes the keystream.
-func (e *Engine) OTPPageInto(dst *Page, pageID uint64, major uint64, minors *[config.LinesPerPage]uint8, domain uint8) {
+// OTPLinesInto fills dst with the one-time pads for the len(dst)/64
+// consecutive lines of a page starting at line li0, in one pass: the
+// counter-block template (page ID, major counter, domain) is built once, and
+// only the per-line lane (line index, minor counter) and the per-block index
+// are rewritten inside the loop. The output is byte-identical to one OTPInto
+// call per line with the corresponding IV — the batching amortizes host
+// work, it never changes the keystream.
+func (e *Engine) OTPLinesInto(dst []byte, pageID uint64, li0 int, major uint64, minors *[config.LinesPerPage]uint8, domain uint8) {
 	ctr := e.ctr[:]
 	binary.LittleEndian.PutUint64(ctr[0:8], pageID^(major>>32<<48))
 	ctr[10] = domain
 	binary.LittleEndian.PutUint32(ctr[11:15], uint32(major))
-	for li := 0; li < config.LinesPerPage; li++ {
+	for base := 0; base < len(dst); base += config.LineSize {
+		li := li0 + base/config.LineSize
 		ctr[8] = uint8(li)
 		ctr[9] = minors[li]
-		base := li * config.LineSize
 		for blk := 0; blk < config.LineSize/16; blk++ {
 			ctr[15] = byte(blk)
 			e.block.Encrypt(dst[base+blk*16:base+(blk+1)*16], ctr)
@@ -140,14 +142,18 @@ func (e *Engine) OTPPageInto(dst *Page, pageID uint64, major uint64, minors *[co
 	}
 }
 
-// XORPageInto sets dst ^= src across a whole page, eight bytes at a lane —
-// the page-granularity companion of XORInto.
-func XORPageInto(dst, src *Page) {
-	for i := 0; i < config.PageSize; i += 8 {
-		v := binary.LittleEndian.Uint64(dst[i:i+8]) ^ binary.LittleEndian.Uint64(src[i:i+8])
-		binary.LittleEndian.PutUint64(dst[i:i+8], v)
-	}
+// OTPPageInto is OTPLinesInto over all 64 lines of a page.
+func (e *Engine) OTPPageInto(dst *Page, pageID uint64, major uint64, minors *[config.LinesPerPage]uint8, domain uint8) {
+	e.OTPLinesInto(dst[:], pageID, 0, major, minors, domain)
 }
+
+// XORBytes sets dst ^= src over their common length (a whole number of
+// lines in the datapath).
+func XORBytes(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
+
+// XORPageInto sets dst ^= src across a whole page — the page-granularity
+// companion of XORInto.
+func XORPageInto(dst, src *Page) { XORBytes(dst[:], src[:]) }
 
 // OTP generates the 64-byte one-time pad for iv.
 func (e *Engine) OTP(iv IV) Line {

@@ -10,6 +10,12 @@
 // dedicated metadata cache, the Bonsai Merkle Tree over the metadata region,
 // the OTT and its encrypted memory region, the Osiris-style crash
 // consistency state, and the PCM device itself.
+//
+// File map: datapath.go is the live Figure-7 datapath (a request is a run
+// of n lines); readonly.go the crypt context every pad is built through and
+// snapshot reads; metadata.go counter fetch and persistence; keys.go OTT and
+// MMIO operations; crash.go Osiris recovery; lifecycle.go/image.go rotation,
+// transport and migration images; hooks.go the physical-attacker hooks.
 package memctrl
 
 import (
@@ -71,8 +77,11 @@ type Controller struct {
 
 	PCM *pcm.Memory
 
-	memEngine *aesctr.Engine
-	engines   map[aesctr.Key]*aesctr.Engine // file-key engine cache
+	// rd is the owner goroutine's crypt context — the engines and pad
+	// buffers behind every pad the live datapath, re-encryption, recovery
+	// and the attack hooks build. Snapshot readers fork their own
+	// (NewReader).
+	rd *Reader
 	// metaCache is the shared metadata cache; when partitioning is on,
 	// metaCaches[0..2] hold the MECB / FECB / tree-node partitions and
 	// metaCache aliases partition 0 for legacy accessors.
@@ -111,26 +120,10 @@ type Controller struct {
 	// mtPath is the reusable Merkle path-walk buffer of fetchMeta and
 	// touchDirtyCounter (same single-threaded-datapath argument).
 	mtPath []merkle.NodeID
-	// padScratch/filePadScratch are the ReadLine/WriteLine OTP buffers.
-	// Locals escape to the heap through the cipher.Block.Encrypt interface
-	// call inside OTPInto, costing two 64-byte allocations per line op;
-	// OTPInto fully overwrites its destination, so reuse is safe.
-	padScratch     aesctr.Line
-	filePadScratch aesctr.Line
-	// reencOldPad/reencNewPad are reencryptLines' own OTP buffers. They
-	// cannot borrow the two above: WriteLine's file-side overflow fires
-	// after padScratch already holds the line's memory pad.
-	reencOldPad aesctr.Line
-	reencNewPad aesctr.Line
-	// pagePadScratch/pageFilePadScratch are the batched page-datapath OTP
-	// buffers (WritePage/ReadPage), controller-owned for the same reason —
-	// 4 KB heap escapes per page op would undo the batching's host-cost
-	// win. pageStartScratch/pageDoneScratch carry per-line issue and
-	// completion times between the burst scheduler and AccessPage.
-	pagePadScratch     aesctr.Page
-	pageFilePadScratch aesctr.Page
-	pageStartScratch   [config.LinesPerPage]config.Cycle
-	pageDoneScratch    [config.LinesPerPage]config.Cycle
+	// lineStart/lineDone carry a request's per-line issue and completion
+	// times between the datapath and the PCM model (accessLines).
+	lineStart [config.LinesPerPage]config.Cycle
+	lineDone  [config.LinesPerPage]config.Cycle
 
 	// writeQueue holds the completion times of in-flight writes. Writes
 	// are posted: the core's CLWB/SFENCE completes when the store is
@@ -165,13 +158,6 @@ type Controller struct {
 // writeQueueDepth is the number of in-flight writes the controller buffers.
 const writeQueueDepth = 64
 
-// acceptWrite returns the time a write arriving at now is accepted into the
-// persistence domain, waiting for a queue slot if all are in flight.
-func (c *Controller) acceptWrite(now config.Cycle) config.Cycle {
-	c.retireWrites(now)
-	return c.acceptSlot(now)
-}
-
 // retireWrites drops completed writes from the in-flight queue.
 func (c *Controller) retireWrites(now config.Cycle) {
 	live := c.writeQueue[:0]
@@ -184,9 +170,8 @@ func (c *Controller) retireWrites(now config.Cycle) {
 }
 
 // acceptSlot grants one persistence-domain slot at now, popping the
-// earliest in-flight completion when the queue is full. The page burst path
-// retires once and then claims 64 slots back-to-back; the line path retires
-// before every claim (acceptWrite).
+// earliest in-flight completion when the queue is full. A request retires
+// once at its arrival time and then claims one slot per line back-to-back.
 func (c *Controller) acceptSlot(now config.Cycle) config.Cycle {
 	if len(c.writeQueue) < writeQueueDepth {
 		return now + 1
@@ -246,7 +231,6 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 		st:            st,
 		chipSeq:       seq,
 		PCM:           pcm.New(cfg.PCM, st),
-		engines:       make(map[aesctr.Key]*aesctr.Engine),
 		mecb:          make(map[uint64]*counters.MECB),
 		fecb:          make(map[uint64]*counters.FECB),
 		persistedMECB: make(map[uint64]counters.MECB),
@@ -254,8 +238,9 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 		unpersisted:   make(map[uint64]int),
 		ecc:           make(map[uint64]uint64),
 	}
+	var memEngine *aesctr.Engine
 	if mode.MemEncryption {
-		c.memEngine = aesctr.New(deriveKey("fsencr-memory-key", seq), cfg.Security.AESLatency)
+		memEngine = aesctr.New(deriveKey("fsencr-memory-key", seq), cfg.Security.AESLatency)
 		if cfg.Security.PartitionMetadataCache {
 			// Equitable split: half for the tree nodes (they are the
 			// deepest structure), a quarter each for MECB and FECB.
@@ -274,6 +259,7 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 		c.ottTable = ott.NewTable(cfg.Security.OTTBanks, cfg.Security.OTTEntriesPerBank)
 		c.ottRegion = ott.NewRegion(deriveKey("fsencr-ott-key", seq), 1024)
 	}
+	c.rd = &Reader{mem: memEngine, engines: make(map[aesctr.Key]*aesctr.Engine)}
 	return c
 }
 
@@ -379,15 +365,6 @@ func (c *Controller) Unlock() { c.locked = false }
 
 // Locked reports whether the file datapath is locked.
 func (c *Controller) Locked() bool { return c.locked }
-
-func (c *Controller) engineFor(key aesctr.Key) *aesctr.Engine {
-	e, ok := c.engines[key]
-	if !ok {
-		e = aesctr.New(key, c.cfg.Security.AESLatency)
-		c.engines[key] = e
-	}
-	return e
-}
 
 // Metadata addresses.
 

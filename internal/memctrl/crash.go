@@ -83,54 +83,47 @@ func (c *Controller) Recover() error {
 		fecb := c.fecb[page] // nil for never-tagged pages
 		cipher := c.PCM.ReadLine(la)
 
-		var fileEng *aesctr.Engine
+		var key aesctr.Key
 		isFile := false
 		if c.mode.FileEncryption && fecb != nil && (fecb.GroupID != 0 || fecb.FileID != 0) {
 			if e, _, found := c.ottRegion.Lookup(fecb.GroupID, fecb.FileID); found {
-				fileEng = c.engineFor(e.Key)
-				isFile = true
+				key, isFile = e.Key, true
 			} else if k, found := c.ottTable.Lookup(fecb.GroupID, fecb.FileID); found {
-				fileEng = c.engineFor(k)
-				isFile = true
+				key, isFile = k, true
 			}
 		}
+		if !isFile {
+			fecb = nil // the line carries the memory pad only
+		}
 
+		// Candidates are tried in place, through the datapath's own pad
+		// builder; the persisted minors come back if none matches.
+		// Overflows are persisted eagerly, so there is no wrap to search.
+		mBase, fBase, fileWindow := mecb.Minor[li], uint8(0), 0
+		if fecb != nil {
+			fBase, fileWindow = fecb.Minor[li], window
+		}
 		found := false
-		var memPad, filePad, plain aesctr.Line
 	search:
-		for dm := 0; dm <= window; dm++ {
-			mMinor := int(mecb.Minor[li]) + dm
-			if mMinor > config.MinorCounterMax {
-				break // overflows are persisted eagerly; no wrap to search
-			}
-			c.memEngine.OTPInto(&memPad, memIV(page, li, mecb.Major, uint8(mMinor)))
-			fileWindow := 0
-			if isFile {
-				fileWindow = window
-			}
-			for df := 0; df <= fileWindow; df++ {
-				var fMinor int
-				plain = cipher
-				aesctr.XORInto(&plain, &memPad)
-				if isFile {
-					fMinor = int(fecb.Minor[li]) + df
-					if fMinor > config.MinorCounterMax {
-						break
-					}
-					fileEng.OTPInto(&filePad, fileIV(page, li, fecb.Major, uint8(fMinor)))
-					aesctr.XORInto(&plain, &filePad)
+		for dm := 0; dm <= window && int(mBase)+dm <= config.MinorCounterMax; dm++ {
+			mecb.Minor[li] = mBase + uint8(dm)
+			for df := 0; df <= fileWindow && int(fBase)+df <= config.MinorCounterMax; df++ {
+				if fecb != nil {
+					fecb.Minor[li] = fBase + uint8(df)
 				}
+				plain := cipher
+				aesctr.XORBytes(plain[:], c.rd.pads(page, li, 1, mecb.Major, &mecb.Minor, fecb, key))
 				if eccTag(&plain) == tag {
-					mecb.Minor[li] = uint8(mMinor)
-					if isFile {
-						fecb.Minor[li] = uint8(fMinor)
-					}
 					found = true
 					break search
 				}
 			}
 		}
 		if !found {
+			mecb.Minor[li] = mBase
+			if fecb != nil {
+				fecb.Minor[li] = fBase
+			}
 			return fmt.Errorf("%w: line %#x", ErrUnrecoverable, uint64(la))
 		}
 		c.st.Inc("mc.recovered_lines")

@@ -2,99 +2,36 @@ package memctrl
 
 import (
 	"encoding/binary"
+	"math/bits"
 	"strconv"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
+	"fsencr/internal/audit"
 	"fsencr/internal/config"
 	"fsencr/internal/counters"
 	"fsencr/internal/obsplane/journal"
 )
 
+// This file is the live Figure-7 datapath. A request is a run of n whole
+// lines of one page — 1 for a cache miss or writeback, LinesPerPage for a
+// page op — and readLines/writeLines are its only implementation. A page op
+// therefore leaves byte-identical NVM contents and identical security state
+// (counters, Merkle tree, Osiris persistence, ECC tags, journal) to 64 line
+// ops, while paying the per-request costs — counter-block fetch, key lookup,
+// AES key schedule, Merkle-leaf MAC update — once. The line and page timing
+// models differ in four places, each marked "n:" with its reason: the PCM
+// side (accessLines), the pad-pipeline tail of a read (readLines), the
+// page-granular audit record (fileSide) and a burst's stop-loss
+// write-through time (bumpLines).
+
 // ReadLine services a last-level-cache miss for the line containing pa,
 // arriving at the controller at time now. It returns the plaintext line and
 // the completion time (Figure 7, read operation).
 func (c *Controller) ReadLine(now config.Cycle, pa addr.Phys) (aesctr.Line, config.Cycle) {
-	c.noteCycle(now)
-	la := pa.LineAlign()
-	raw := la.Raw()
-	cipher := c.PCM.ReadLine(raw)
-	c.st.Inc("mc.reads")
-
-	if !c.mode.MemEncryption {
-		return cipher, c.PCM.Access(now, raw, false)
-	}
-
-	// Data array access and counter fetch proceed in parallel (CTR mode
-	// hides OTP generation under the array access when counters hit).
-	dataDone := c.PCM.Access(now, raw, false)
-	page := la.PageNum()
-	li := la.LineInPage()
-
-	mecb, ctrReady := c.fetchMECB(now, page)
-	pad := &c.padScratch
-	c.memEngine.OTPInto(pad, memIV(page, li, mecb.Major, mecb.Minor[li]))
-	otpReady := ctrReady + c.memEngine.Latency()
-	xors := 1
-	// padComplete: the decrypt applied every pad component the data was
-	// written under, so the plaintext is checkable against its ECC tag. A
-	// DF line whose file pad could not be applied (missing key, locked
-	// datapath) deliberately decrypts to garbage and must not be flagged.
-	padComplete := true
-
-	if la.IsDF() && c.fileActive() {
-		fecb, fReady := c.fetchFECB(now, page)
-		key, kReady, ok := c.lookupKey(fReady, fecb.GroupID, fecb.FileID)
-		if ok {
-			filePad := &c.filePadScratch
-			c.engineFor(key).OTPInto(filePad, fileIV(page, li, fecb.Major, fecb.Minor[li]))
-			aesctr.XORInto(pad, filePad)
-			fileOTPReady := kReady + c.cfg.Security.AESLatency
-			if fileOTPReady > otpReady {
-				otpReady = fileOTPReady
-			}
-			xors++
-		} else {
-			// No key available (deleted file or locked datapath): the line
-			// decrypts with the memory pad only, yielding unintelligible
-			// bytes — exactly the §VI guarantee.
-			c.st.Inc("mc.key_unavailable")
-			c.journalDFMismatch(kReady, page, fecb.GroupID, fecb.FileID)
-			padComplete = false
-		}
-	} else if la.IsDF() && c.mode.FileEncryption {
-		padComplete = false // locked datapath: file pad skipped
-	}
-
-	done := maxCycle(dataDone, otpReady) + config.Cycle(xors)*c.cfg.Security.XORLatency
-	c.tReadCycles.Observe(uint64(done - now))
-	aesctr.XORInto(&cipher, pad)
-	if padComplete {
-		c.checkECC(done, la.LineNum(), page, li, &cipher)
-	}
-	return cipher, done
-}
-
-// checkECC verifies a decrypted line against the Osiris check tag stored in
-// its ECC bits. A mismatch means the ciphertext at rest was corrupted or
-// tampered with (bit rot, torn write, physical attacker) — the plaintext
-// the caller is about to receive is garbage, and silently returning it
-// would defeat the integrity story, so the event is counted and journalled
-// like a Merkle verification failure. Lines without a tag (never written,
-// or shredded) and the post-crash pre-recovery window (counters are rolled
-// back by design) are skipped.
-func (c *Controller) checkECC(now config.Cycle, lineNum, page uint64, li int, plain *aesctr.Line) {
-	if c.crashed {
-		return
-	}
-	tag, ok := c.ecc[lineNum]
-	if !ok || eccTag(plain) == tag {
-		return
-	}
-	c.violations++
-	c.st.Inc("mc.data_ecc_errors")
-	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DataECCError,
-		Page: page, Detail: "line " + strconv.Itoa(li)})
+	var line aesctr.Line
+	done := c.readLines(now, pa.LineAlign(), 1, line[:])
+	return line, done
 }
 
 // WriteLine services a dirty writeback (or flush) of the line containing
@@ -104,82 +41,64 @@ func (c *Controller) checkECC(now config.Cycle, lineNum, page uint64, li int, pl
 // array write continue in the background (Figure 7, write operation),
 // applying backpressure only when the write queue fills.
 func (c *Controller) WriteLine(now config.Cycle, pa addr.Phys, plain aesctr.Line) config.Cycle {
-	c.noteCycle(now)
-	la := pa.LineAlign()
-	raw := la.Raw()
-	c.st.Inc("mc.writes")
-	accepted := c.acceptWrite(now)
+	return c.writeLines(now, pa.LineAlign(), 1, plain[:])
+}
 
-	if !c.mode.MemEncryption {
-		c.PCM.WriteLine(raw, plain)
-		done := c.PCM.Access(accepted, raw, true)
-		c.writeQueue = append(c.writeQueue, done)
-		return accepted
+// ReadPageInto services a full-page fetch (page-cache fill, DAX page read)
+// into dst, returning the completion time. Equivalent plaintext to 64
+// ReadLine calls; the PCM side issues all 64 line reads as one burst.
+func (c *Controller) ReadPageInto(now config.Cycle, pa addr.Phys, dst *aesctr.Page) (done config.Cycle) {
+	if ts := c.trace; ts.Active() {
+		ts.Enter()
+		defer func() { ts.Exit("memctrl", "read_page", uint64(now), uint64(done), 0) }()
 	}
+	return c.readLines(now, pa.PageAlign(), config.LinesPerPage, dst[:])
+}
 
-	page := la.PageNum()
-	li := la.LineInPage()
-
-	mecb, ctrReady := c.fetchMECB(accepted, page)
-	// Minor-counter overflow forces a whole-page re-encryption under the
-	// incremented major counter before this write can proceed.
-	overflowed := mecb.Minor[li] == config.MinorCounterMax
-	if overflowed {
-		ctrReady = c.reencryptPageMem(ctrReady, page, li)
-	} else {
-		mecb.Bump(li)
+// WritePage services a full-page store (page-cache write-back, DAX page
+// copy) arriving at time now, carrying plaintext plain. It is functionally
+// and security-state equivalent to 64 chained WriteLine calls over the
+// page's lines. Returns the time the last line is accepted into the
+// persistence domain.
+func (c *Controller) WritePage(now config.Cycle, pa addr.Phys, plain *aesctr.Page) (done config.Cycle) {
+	if ts := c.trace; ts.Active() {
+		ts.Enter()
+		defer func() { ts.Exit("memctrl", "write_page", uint64(now), uint64(done), 0) }()
 	}
-	ctrReady = c.touchDirtyCounter(ctrReady, mecbAddr(page), mecbLeaf(page), c.encMECB(mecb))
-	if overflowed {
-		// Major bumps are persisted eagerly so the Osiris recovery window
-		// never has to search across a counter wrap (§III-H).
-		c.persistCounterNow(ctrReady, mecbAddr(page))
+	base := pa.PageAlign()
+	page := base.PageNum()
+	isFile := base.IsDF() && c.fileActive()
+	if !c.mode.MemEncryption || !c.wrapPending(page, isFile) {
+		return c.writeLines(now, base, config.LinesPerPage, plain[:])
 	}
-	pad := &c.padScratch
-	c.memEngine.OTPInto(pad, memIV(page, li, mecb.Major, mecb.Minor[li]))
-	otpReady := ctrReady + c.memEngine.Latency()
-	xors := 1
-
-	isFile := la.IsDF() && c.fileActive()
+	// Rare: a minor counter wraps mid-page. The whole-page re-encryption
+	// must happen at exactly the wrapping line's turn for the page write to
+	// stay state-identical to 64 line writes, so the page goes as 64 chained
+	// one-line runs; the page's audit record is appended here because only
+	// a whole-page run appends its own.
 	if isFile {
-		fecb, fReady := c.fetchFECB(accepted, page)
-		fileOverflowed := fecb.Minor[li] == config.MinorCounterMax
-		if fileOverflowed {
-			fReady = c.reencryptPageFile(fReady, page, li)
-		} else {
-			fecb.Bump(li)
-		}
-		fReady = c.touchDirtyCounter(fReady, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
-		if fileOverflowed {
-			c.persistCounterNow(fReady, fecbAddr(page))
-		}
-		key, kReady, ok := c.lookupKey(fReady, fecb.GroupID, fecb.FileID)
-		if ok {
-			filePad := &c.filePadScratch
-			c.engineFor(key).OTPInto(filePad, fileIV(page, li, fecb.Major, fecb.Minor[li]))
-			aesctr.XORInto(pad, filePad)
-			if r := kReady + c.cfg.Security.AESLatency; r > otpReady {
-				otpReady = r
-			}
-			xors++
-		} else {
-			c.st.Inc("mc.key_unavailable")
-			c.journalDFMismatch(kReady, page, fecb.GroupID, fecb.FileID)
-		}
+		f := c.getFECB(page)
+		c.aud.Append(uint64(now), audit.OpWritePage, page, f.GroupID, f.FileID)
 	}
+	done = now
+	for off := 0; off < config.PageSize; off += config.LineSize {
+		done = c.writeLines(done, base+addr.Phys(off), 1, plain[off:off+config.LineSize])
+	}
+	return done
+}
 
-	// Osiris: the line's ECC bits carry a check tag over the plaintext, so
-	// the counter used for this write is recoverable after a crash. Taken
-	// before the in-place encryption below consumes the plaintext.
-	tag := eccTag(&plain)
-	aesctr.XORInto(&plain, pad)
-	writeStart := otpReady + config.Cycle(xors)*c.cfg.Security.XORLatency
-	done := c.PCM.Access(writeStart, raw, true)
-	c.PCM.WriteLine(raw, plain)
-	c.writeQueue = append(c.writeQueue, done)
-	c.ecc[la.LineNum()] = tag
-	c.tWriteAccept.Observe(uint64(accepted - now))
-	return accepted
+// wrapPending reports whether any line's minor counter sits at the overflow
+// boundary in a counter domain a write to the page will bump.
+func (c *Controller) wrapPending(page uint64, isFile bool) bool {
+	atMax := func(minors *[config.LinesPerPage]uint8) bool {
+		for _, v := range minors {
+			if v == config.MinorCounterMax {
+				return true
+			}
+		}
+		return false
+	}
+	return atMax(&c.getMECB(page).Minor) || isFile && atMax(&c.getFECB(page).Minor)
 }
 
 // fileActive reports whether the file-encryption datapath should engage.
@@ -187,95 +106,320 @@ func (c *Controller) fileActive() bool {
 	return c.mode.FileEncryption && !c.locked
 }
 
-// journalDFMismatch records a DF-tagged access whose file key could not be
-// resolved: the DF bit promised a tunnel that is not open (deleted file,
-// locked datapath, or a stale tag).
-func (c *Controller) journalDFMismatch(now config.Cycle, page uint64, group uint32, file uint16) {
-	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DFMismatch,
-		Page: page, Group: group, File: file})
-}
+// readLines decrypts the n lines starting at line-aligned la into dst and
+// returns the completion time.
+func (c *Controller) readLines(now config.Cycle, la addr.Phys, n int, dst []byte) config.Cycle {
+	c.noteCycle(now)
+	raw := la.Raw()
+	c.PCM.ReadLinesInto(raw, dst)
+	c.st.Add("mc.reads", uint64(n))
 
-// reencryptPageMem handles a memory-side minor overflow on page: every line
-// is read, stripped of its old memory OTP, and rewritten under the new
-// major counter. Costs 64 reads + 64 writes of the page plus AES work.
-func (c *Controller) reencryptPageMem(now config.Cycle, page uint64, bumpLine int) config.Cycle {
-	c.st.Inc("mc.mem_reencryptions")
-	m := c.mecb[page]
-	old := *m
-	r := m.Bump(bumpLine) // wraps: major++, minors reset, minor[bumpLine]=1
-	counters.JournalBump(c.jrn, uint64(now), page, counters.DomainMem, r)
-	done := c.reencryptLines(now, page, func(li int, oldPad, newPad *aesctr.Line) {
-		c.memEngine.OTPInto(oldPad, memIV(page, li, old.Major, old.Minor[li]))
-		c.memEngine.OTPInto(newPad, memIV(page, li, m.Major, m.Minor[li]))
-	})
-	c.span("memctrl", "reencrypt_mem", uint64(now), uint64(done))
-	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.PageReencryptMem, Page: page})
+	// Data array access and counter fetch proceed in parallel (CTR mode
+	// hides OTP generation under the array access when counters hit).
+	for li := 0; li < n; li++ {
+		c.lineStart[li] = now
+	}
+	dataDone := c.accessLines(now, raw, n, false)
+	if !c.mode.MemEncryption {
+		return dataDone
+	}
+
+	page, li0 := la.PageNum(), la.LineInPage()
+	// n: the run's pads pipeline through the AES engine one issue slot per
+	// line, so the last line's pad trails the first by n-1 cycles.
+	tail := config.Cycle(n - 1)
+	mecb, ctrReady := c.fetchMECB(now, page)
+	otpReady := ctrReady + c.rd.mem.Latency() + tail
+	xors := config.Cycle(1)
+	// padComplete: the decrypt applied every pad component the data was
+	// written under, so the plaintext is checkable against its ECC tag. A
+	// DF line whose file pad could not be applied (missing key, locked
+	// datapath) deliberately decrypts to garbage and must not be flagged.
+	padComplete := true
+	var fecb *counters.FECB
+	var key aesctr.Key
+	if la.IsDF() && c.fileActive() {
+		var kReady config.Cycle
+		if fecb, key, kReady = c.fileSide(now, page, li0, n, audit.OpReadPage); fecb != nil {
+			otpReady = max(otpReady, kReady+c.cfg.Security.AESLatency+tail)
+			xors++
+		} else {
+			padComplete = false
+		}
+	} else if la.IsDF() && c.mode.FileEncryption {
+		padComplete = false // locked datapath: file pad skipped
+	}
+
+	done := max(dataDone, otpReady) + xors*c.cfg.Security.XORLatency
+	c.tReadCycles.Observe(uint64(done - now))
+	aesctr.XORBytes(dst, c.rd.pads(page, li0, n, mecb.Major, &mecb.Minor, fecb, key))
+	// The post-crash pre-recovery window is skipped: counters are rolled
+	// back by design.
+	if padComplete && !c.crashed {
+		for bad := c.eccBad(la.LineNum(), dst); bad != 0; bad &= bad - 1 {
+			c.eccViolation(done, page, li0+bits.TrailingZeros64(bad))
+		}
+	}
 	return done
 }
 
-// reencryptPageFile handles a file-side minor overflow, analogous to
-// reencryptPageMem but swapping only the file OTP component.
-func (c *Controller) reencryptPageFile(now config.Cycle, page uint64, bumpLine int) config.Cycle {
+// writeLines encrypts and stores the n lines starting at line-aligned la
+// and returns the time the last of them is accepted into the persistence
+// domain.
+func (c *Controller) writeLines(now config.Cycle, la addr.Phys, n int, plain []byte) config.Cycle {
+	c.noteCycle(now)
+	raw := la.Raw()
+	c.st.Add("mc.writes", uint64(n))
+	c.retireWrites(now)
+	accepted := c.acceptSlot(now)
+	if !c.mode.MemEncryption {
+		c.PCM.WriteLinesFrom(raw, plain)
+		return c.issueWrites(now, accepted, raw, n, accepted)
+	}
+
+	page, li0 := la.PageNum(), la.LineInPage()
+	mecb, ctrReady := c.fetchMECB(accepted, page)
+	ctrReady = c.bumpLines(ctrReady, page, li0, n, mecb, nil)
+	// The run's OTPs pipeline through the AES engine: line 0's pad after
+	// one traversal, each following line one cycle behind (issueWrites
+	// spaces the per-line data-ready times).
+	otpReady := ctrReady + c.rd.mem.Latency()
+	xors := config.Cycle(1)
+	var fecb *counters.FECB
+	var key aesctr.Key
+	if la.IsDF() && c.fileActive() {
+		var kReady config.Cycle
+		if fecb, key, kReady = c.fileSide(accepted, page, li0, n, audit.OpWritePage); fecb != nil {
+			otpReady = max(otpReady, kReady+c.cfg.Security.AESLatency)
+			xors++
+		}
+	}
+
+	// Built only now, after both sides' counter work: a re-encryption inside
+	// bumpLines borrows the same pad buffers.
+	pad := c.rd.pads(page, li0, n, mecb.Major, &mecb.Minor, fecb, key)
+	// Osiris: the lines' ECC bits carry a check tag over the plaintext, so
+	// the counter used for this write is recoverable after a crash.
+	c.eccSet(la.LineNum(), plain)
+	// Encrypt into the pad buffer (pad ^= plain), leaving the caller's
+	// plaintext untouched, and land the ciphertext in one store.
+	aesctr.XORBytes(pad, plain)
+	c.PCM.WriteLinesFrom(raw, pad)
+	return c.issueWrites(now, accepted, raw, n, otpReady+xors*c.cfg.Security.XORLatency)
+}
+
+// accessLines times the PCM side of an n-line request: line li issues at
+// c.lineStart[li], completes at c.lineDone[li], and the last completion is
+// returned.
+//
+// n: the device offers one bank access or the page burst, and the two keep
+// different books (the burst folds its event counters once per page and
+// carries the pcm trace span), so a lone line takes Access and a page takes
+// AccessPage, whose 64 accesses drain the bank stripe in parallel.
+func (c *Controller) accessLines(now config.Cycle, raw addr.Phys, n int, write bool) config.Cycle {
+	if n == 1 {
+		c.lineDone[0] = c.PCM.Access(c.lineStart[0], raw, write)
+		return c.lineDone[0]
+	}
+	return c.PCM.AccessPage(now, raw, write, &c.lineStart, &c.lineDone)
+}
+
+// issueWrites claims one persistence-domain slot per line (the run's accept
+// rate), schedules the bank writes with per-line data-ready times, and
+// posts their completions to the write queue. Line li's write may start
+// once its slot is claimed and its data (pad pipeline) is ready at
+// dataReady0+li. Returns the last accept time — the run's ADR point.
+func (c *Controller) issueWrites(now, firstAccept config.Cycle, raw addr.Phys, n int, dataReady0 config.Cycle) config.Cycle {
+	accept := firstAccept
+	for li := 0; li < n; li++ {
+		if li > 0 {
+			accept = c.acceptSlot(accept)
+		}
+		c.lineStart[li] = max(dataReady0+config.Cycle(li), accept)
+	}
+	c.accessLines(now, raw, n, true)
+	c.writeQueue = append(c.writeQueue, c.lineDone[:n]...)
+	// Long-standing quirk the figures' telemetry exports are pinned to: an
+	// unencrypted line write records no accept-latency sample.
+	if c.mode.MemEncryption || n > 1 {
+		c.tWriteAccept.Observe(uint64(accept - now))
+	}
+	return accept
+}
+
+// bumpLines advances one side's minor counters — the page's FECB f, or with
+// f nil its MECB m; already fetched — for lines li0..li0+n-1 under the
+// Osiris stop-loss discipline, and pushes the block through the metadata
+// cache and Merkle tree once. Returns the counter-ready time.
+func (c *Controller) bumpLines(now config.Cycle, page uint64, li0, n int, m *counters.MECB, f *counters.FECB) config.Cycle {
+	metaAddr, leaf := mecbAddr(page), mecbLeaf(page)
+	var minors *[config.LinesPerPage]uint8
+	if f != nil {
+		metaAddr, leaf, minors = fecbAddr(page), fecbLeaf(page), &f.Minor
+	} else {
+		minors = &m.Minor
+	}
+	// Minor-counter overflow forces a whole-page re-encryption under the
+	// incremented major counter before this write can proceed. Only a lone
+	// line wraps here: WritePage sends a page with a wrap pending line by
+	// line.
+	wrap := n == 1 && minors[li0] == config.MinorCounterMax
+	if wrap {
+		now = c.reencryptPage(now, page, li0, m, f) // its wrapping Bump is this run's bump
+	}
+	u, persists := c.unpersisted[metaAddr], 0
+	for li := li0; li < li0+n; li++ {
+		if !wrap {
+			minors[li]++
+		}
+		if u++; u >= c.cfg.Security.StopLoss {
+			// Stop-loss point: the block as bumped so far is what reaches
+			// NVM, so a mid-run Osiris snapshot is simply taken mid-loop.
+			c.persistCounterAt(metaAddr)
+			u, persists = 0, persists+1
+		}
+	}
+	if u > 0 {
+		c.unpersisted[metaAddr] = u
+	}
+	var content []byte
+	if f != nil {
+		content = c.encFECB(f)
+	} else {
+		content = c.encMECB(m)
+	}
+	// n: a lone bump's stop-loss write-through issues as the bump happens; a
+	// burst's are held until the one Merkle MAC update that covers the
+	// whole batch is done.
+	writeThroughAt := now
+	if n > 1 {
+		writeThroughAt += c.cfg.Security.MACLatency
+	}
+	ready := c.counterDirtied(now, writeThroughAt, metaAddr, leaf, content, persists, u == 0)
+	if wrap {
+		// Major bumps are persisted eagerly so the Osiris recovery window
+		// never has to search across a counter wrap (§III-H).
+		c.persistCounterNow(ready, metaAddr)
+	}
+	return ready
+}
+
+// reencryptPage handles a minor-counter overflow at line li on one side of
+// a page (f, or with f nil m): the bump wraps (major++, minors reset,
+// minor[li] = 1) and every line is read, stripped of that side's old OTP,
+// and rewritten under the new major counter. A file-side overflow whose key
+// is gone swaps nothing: the data is unreadable either way.
+func (c *Controller) reencryptPage(now config.Cycle, page uint64, li int, m *counters.MECB, f *counters.FECB) config.Cycle {
+	if f == nil {
+		c.st.Inc("mc.mem_reencryptions")
+		old := *m
+		counters.JournalBump(c.jrn, uint64(now), page, counters.DomainMem, m.Bump(li))
+		done := c.swapPads(now, page, aesctr.DomainMemory, c.rd.mem, old.Major, &old.Minor, c.rd.mem, m.Major, &m.Minor)
+		c.span("memctrl", "reencrypt_mem", uint64(now), uint64(done))
+		c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.PageReencryptMem, Page: page})
+		return done
+	}
 	c.st.Inc("mc.file_reencryptions")
-	f := c.fecb[page]
 	old := *f
-	r := f.Bump(bumpLine)
-	counters.JournalBump(c.jrn, uint64(now), page, counters.DomainFile, r)
+	counters.JournalBump(c.jrn, uint64(now), page, counters.DomainFile, f.Bump(li))
 	key, _, ok := c.lookupKey(now, f.GroupID, f.FileID)
 	if !ok {
 		return now
 	}
-	eng := c.engineFor(key)
-	done := c.reencryptLines(now, page, func(li int, oldPad, newPad *aesctr.Line) {
-		eng.OTPInto(oldPad, fileIV(page, li, old.Major, old.Minor[li]))
-		eng.OTPInto(newPad, fileIV(page, li, f.Major, f.Minor[li]))
-	})
+	eng := c.rd.engineFor(key)
+	done := c.swapPads(now, page, aesctr.DomainFile, eng, uint64(old.Major), &old.Minor, eng, uint64(f.Major), &f.Minor)
 	c.span("memctrl", "reencrypt_file", uint64(now), uint64(done))
 	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.PageReencryptFile,
 		Page: page, Group: f.GroupID, File: f.FileID})
 	return done
 }
 
-// reencryptLines rewrites every line of page, swapping oldPad for newPad.
-// The pads callback fills caller-owned buffers so the 64-line sweep works
-// without any per-line Line copies.
-func (c *Controller) reencryptLines(now config.Cycle, page uint64, pads func(li int, oldPad, newPad *aesctr.Line)) config.Cycle {
-	t := now
+// swapPads rewrites every line of page, stripping the pad of (oldEng,
+// oldMajor, oldMinors) and applying that of (newEng, newMajor, newMinors)
+// in one counter domain. Costs 64 reads + 64 writes of the page plus AES
+// work. It borrows the crypt context's two pad buffers, which is safe
+// because no request builds its own pad until its counter work is done.
+func (c *Controller) swapPads(now config.Cycle, page uint64, domain uint8,
+	oldEng *aesctr.Engine, oldMajor uint64, oldMinors *[config.LinesPerPage]uint8,
+	newEng *aesctr.Engine, newMajor uint64, newMinors *[config.LinesPerPage]uint8) config.Cycle {
+	swap, data := c.rd.pad[:], c.rd.filePad[:]
+	oldEng.OTPLinesInto(swap, page, 0, oldMajor, oldMinors, domain)
+	newEng.OTPLinesInto(data, page, 0, newMajor, newMinors, domain)
+	aesctr.XORBytes(swap, data)
 	base := addr.Phys(page * config.PageSize)
-	// Controller-owned buffers, since locals escape through the
-	// cipher.Block interface call.
-	oldPad, newPad := &c.reencOldPad, &c.reencNewPad
+	c.PCM.ReadLinesInto(base, data)
+	aesctr.XORBytes(data, swap)
+	c.PCM.WriteLinesFrom(base, data)
+	t := now
 	for li := 0; li < config.LinesPerPage; li++ {
 		la := base + addr.Phys(li*config.LineSize)
-		pads(li, oldPad, newPad)
-		cipher := c.PCM.ReadLine(la)
 		t = c.PCM.Access(t, la, false)
-		aesctr.XORInto(&cipher, oldPad)
-		aesctr.XORInto(&cipher, newPad)
-		c.PCM.WriteLine(la, cipher)
 		t = c.PCM.Access(t, la, true)
 	}
 	return t + 2*c.cfg.Security.AESLatency
 }
 
-func memIV(page uint64, li int, major uint64, minor uint8) aesctr.IV {
-	return aesctr.IV{
-		PageID:     page,
-		LineInPage: uint8(li),
-		Major:      major,
-		Minor:      minor,
-		Domain:     aesctr.DomainMemory,
+// fileSide is the file half of a request (op: OpReadPage or OpWritePage) on
+// a DF page: FECB fetch, audit record, a write's counter bumps, key lookup. It returns the FECB, the
+// key and when the key is available. With no key available (deleted file or
+// stale tag: the DF bit promised a tunnel that is not open) the FECB comes
+// back nil and each line is counted and journalled: the lines then take the
+// memory pad only, which on a read yields unintelligible bytes — exactly
+// the §VI guarantee.
+func (c *Controller) fileSide(now config.Cycle, page uint64, li0, n int, op audit.Op) (*counters.FECB, aesctr.Key, config.Cycle) {
+	f, fReady := c.fetchFECB(now, page)
+	// n: the audit plane records page-granularity accesses only.
+	if n == config.LinesPerPage {
+		c.aud.Append(uint64(fReady), op, page, f.GroupID, f.FileID)
+	}
+	if op == audit.OpWritePage {
+		fReady = c.bumpLines(fReady, page, li0, n, nil, f)
+	}
+	key, kReady, ok := c.lookupKey(fReady, f.GroupID, f.FileID)
+	if ok {
+		return f, key, kReady
+	}
+	c.st.Add("mc.key_unavailable", uint64(n))
+	for i := 0; i < n; i++ {
+		c.jrn.Emit(journal.Event{Cycle: uint64(kReady), Type: journal.DFMismatch,
+			Page: page, Group: f.GroupID, File: f.FileID})
+	}
+	return nil, key, kReady
+}
+
+// eccSet stores the Osiris check tag of each 64-byte line of plain, the
+// first being raw line number lineNum.
+func (c *Controller) eccSet(lineNum uint64, plain []byte) {
+	for off := 0; off < len(plain); off += config.LineSize {
+		c.ecc[lineNum+uint64(off/config.LineSize)] = eccTag((*aesctr.Line)(plain[off : off+config.LineSize]))
 	}
 }
 
-func fileIV(page uint64, li int, major uint32, minor uint8) aesctr.IV {
-	return aesctr.IV{
-		PageID:     page,
-		LineInPage: uint8(li),
-		Major:      uint64(major),
-		Minor:      minor,
-		Domain:     aesctr.DomainFile,
+// eccBad verifies decrypted lines against the check tags stored in their
+// ECC bits and returns a bitmask of the mismatching ones (bit i = the i-th
+// line of plain). Lines without a tag (never written, or shredded) pass.
+// Read-only, so snapshot readers may call it.
+func (c *Controller) eccBad(lineNum uint64, plain []byte) (bad uint64) {
+	for off := 0; off < len(plain); off += config.LineSize {
+		i := off / config.LineSize
+		tag, ok := c.ecc[lineNum+uint64(i)]
+		if ok && eccTag((*aesctr.Line)(plain[off:off+config.LineSize])) != tag {
+			bad |= 1 << i
+		}
 	}
+	return bad
+}
+
+// eccViolation accounts one check-tag mismatch. It means the ciphertext at
+// rest was corrupted or tampered with (bit rot, torn write, physical
+// attacker) — the plaintext the caller is about to receive is garbage, and
+// silently returning it would defeat the integrity story, so the event is
+// counted and journalled like a Merkle verification failure.
+func (c *Controller) eccViolation(now config.Cycle, page uint64, li int) {
+	c.violations++
+	c.st.Inc("mc.data_ecc_errors")
+	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DataECCError,
+		Page: page, Detail: "line " + strconv.Itoa(li)})
 }
 
 // eccTag computes the Osiris check tag stored in a line's ECC bits: a
@@ -309,11 +453,4 @@ func eccTag(plain *aesctr.Line) uint64 {
 	h *= 0x94d049bb133111eb
 	h ^= h >> 31
 	return h
-}
-
-func maxCycle(a, b config.Cycle) config.Cycle {
-	if a > b {
-		return a
-	}
-	return b
 }

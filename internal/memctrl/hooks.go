@@ -32,7 +32,8 @@ func (c *Controller) DecryptWithMemoryKeyOnly(pa addr.Phys) aesctr.Line {
 	page := la.PageNum()
 	li := la.LineInPage()
 	m := c.getMECB(page)
-	return aesctr.XOR(cipher, c.memEngine.OTP(memIV(page, li, m.Major, m.Minor[li])))
+	aesctr.XORBytes(cipher[:], c.rd.pads(page, li, 1, m.Major, &m.Minor, nil, aesctr.Key{}))
+	return cipher
 }
 
 // TamperFECB flips a bit in a page's file counter block behind the Merkle

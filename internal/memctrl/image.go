@@ -146,9 +146,44 @@ func (img *Image) Equal(o *Image) bool {
 }
 
 // ErrImageRejected reports an image that does not authenticate against
-// this controller: wrong chip sequence (keys), or a regenerated Merkle
-// root that disagrees with the transported one.
+// this controller: wrong chip sequence (keys), a field outside what the
+// device and the counter encodings can hold, or a regenerated Merkle root
+// that disagrees with the transported one.
 var ErrImageRejected = errors.New("memctrl: image rejected")
+
+// validate range-checks everything ImportImage would otherwise index or
+// encode with: the image is a peer's migration payload, and an out-of-range
+// page, identity or counter must be an error here, not a panic in the
+// Merkle tree or the counter codec later.
+func (img *Image) validate() error {
+	const pages, lines = MaxDataBytes / config.PageSize, MaxDataBytes / config.LineSize
+	for page, frame := range img.Frames {
+		// The device holds bytes in the data space and the audit-log region
+		// only; the metadata regions between them are timing-only.
+		inAudit := page >= AuditBase/config.PageSize && page < 2*AuditBase/config.PageSize
+		if (page >= pages && !inAudit) || len(frame) != config.PageSize {
+			return fmt.Errorf("frame %d (%d bytes) outside the device or not one page", page, len(frame))
+		}
+	}
+	// A counter block must be what its 64-byte line can hold: it round-trips
+	// through the codec (7-bit minors, 18-bit group, 14-bit file).
+	for page, m := range img.MECB {
+		if page >= pages || counters.DecodeMECB(m.Encode()) != m {
+			return fmt.Errorf("MECB %d outside the device or not encodable", page)
+		}
+	}
+	for page, f := range img.FECB {
+		if b, err := f.Encode(); page >= pages || err != nil || counters.DecodeFECB(b) != f {
+			return fmt.Errorf("FECB %d outside the device or not encodable", page)
+		}
+	}
+	for line := range img.ECC {
+		if line >= lines {
+			return fmt.Errorf("ECC tag for line %d outside the device", line)
+		}
+	}
+	return nil
+}
 
 // ImportImage adopts an image into a freshly built controller with the
 // same configuration and chip sequence: device contents, counters, ECC
@@ -161,6 +196,14 @@ func (c *Controller) ImportImage(img *Image) error {
 	}
 	if img.ChipSeq != c.chipSeq {
 		return fmt.Errorf("%w: chip seq %d != %d", ErrImageRejected, img.ChipSeq, c.chipSeq)
+	}
+	// Everything that can fail without the keys fails before anything is
+	// installed.
+	if err := img.validate(); err != nil {
+		return fmt.Errorf("%w: %v", ErrImageRejected, err)
+	}
+	if err := c.ottRegion.ImportTable(img.Buckets); err != nil {
+		return fmt.Errorf("%w: %v", ErrImageRejected, err)
 	}
 	c.PCM.ImportFrames(img.Frames)
 	c.mecb = make(map[uint64]*counters.MECB, len(img.MECB))
@@ -180,9 +223,6 @@ func (c *Controller) ImportImage(img *Image) error {
 	c.ecc = make(map[uint64]uint64, len(img.ECC))
 	for k, v := range img.ECC {
 		c.ecc[k] = v
-	}
-	if err := c.ottRegion.ImportTable(img.Buckets); err != nil {
-		return fmt.Errorf("%w: %v", ErrImageRejected, err)
 	}
 	c.ottTable.Clear()
 	for _, e := range img.Entries {

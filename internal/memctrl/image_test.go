@@ -3,11 +3,14 @@ package memctrl
 import (
 	"bytes"
 	"encoding/gob"
+	"errors"
 	"testing"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
 	"fsencr/internal/config"
+	"fsencr/internal/counters"
+	"fsencr/internal/ott"
 	"fsencr/internal/stats"
 )
 
@@ -106,4 +109,106 @@ func TestImageRejectsWrongChip(t *testing.T) {
 	if err := dst.ImportImage(img); err == nil {
 		t.Fatalf("import under a different chip seq must be rejected")
 	}
+}
+
+// imageEdit is one field-level corruption of an exported image, in the
+// flat form the fuzzer mutates.
+type imageEdit struct {
+	field uint8  // which part of the image, modulo the cases of apply
+	key   uint64 // page or line number the edit lands on
+	a     uint64 // major counter, frame length, ECC tag, bucket count...
+	id    uint32 // group ID; its low 16 bits double as the file ID
+	minor uint8  // value stored in minor counter key%64
+}
+
+func (e imageEdit) apply(img *Image) {
+	switch e.field % 7 {
+	case 0:
+		f := counters.FECB{GroupID: e.id, FileID: uint16(e.id), Major: uint32(e.a)}
+		f.Minor[e.key%config.LinesPerPage] = e.minor
+		img.FECB[e.key] = f
+	case 1:
+		m := counters.MECB{Major: e.a}
+		m.Minor[e.key%config.LinesPerPage] = e.minor
+		img.MECB[e.key] = m
+	case 2:
+		img.Frames[e.key] = make([]byte, e.a%(4*config.PageSize))
+	case 3:
+		img.ECC[e.key] = e.a
+	case 4:
+		img.Buckets = img.Buckets[:e.a%uint64(len(img.Buckets)+1)]
+	case 5:
+		img.Entries = append(img.Entries, ott.Entry{Group: e.id, File: uint16(e.id)})
+	case 6:
+		img.Root[e.key%uint64(len(img.Root))] ^= e.minor
+	}
+}
+
+// rejectedEdits each make an export of buildImageSource invalid in one
+// field. The first two used to panic inside ImportImage (the counter codec,
+// the Merkle tree); the three-page frame used to be silently truncated.
+var rejectedEdits = map[string]imageEdit{
+	"group over 18 bits":    {field: 0, key: 3, id: 1 << 20},
+	"MECB outside device":   {field: 1, key: 1 << 40},
+	"three-page frame":      {field: 2, key: 0, a: 3 * config.PageSize},
+	"file over 14 bits":     {field: 0, key: 2, id: 1 << 14},
+	"FECB outside device":   {field: 0, key: MaxDataBytes / config.PageSize},
+	"minor over 7 bits":     {field: 1, key: 9, minor: config.MinorCounterMax + 1},
+	"ECC tag outside":       {field: 3, key: MaxDataBytes / config.LineSize, a: 1},
+	"frame in metadata":     {field: 2, key: MetaBase / config.PageSize, a: config.PageSize},
+	"short OTT bucket list": {field: 4, a: 1},
+	"root flipped":          {field: 6, minor: 1},
+}
+
+// TestImportImageFailsClosed: an image a malicious or broken peer could
+// send is refused with ErrImageRejected before any of it is installed —
+// never a panic, never a half-imported controller.
+func TestImportImageFailsClosed(t *testing.T) {
+	const seq = 991
+	mode := Mode{MemEncryption: true, FileEncryption: true}
+	for name, edit := range rejectedEdits {
+		t.Run(name, func(t *testing.T) {
+			img, err := buildImageSource(t, seq).ExportImage()
+			if err != nil {
+				t.Fatalf("export: %v", err)
+			}
+			edit.apply(img)
+			dst := NewWithChipSeq(config.Default(), mode, stats.NewSet(), seq)
+			fresh := dst.MerkleRoot()
+			if err := dst.ImportImage(img); !errors.Is(err, ErrImageRejected) {
+				t.Fatalf("ImportImage = %v, want ErrImageRejected", err)
+			}
+			if edit.field != 6 && (dst.PCM.FramesTouched() != 0 || len(dst.mecb) != 0 || len(dst.ecc) != 0 || dst.ottRegion.Len() != 0 || dst.MerkleRoot() != fresh) {
+				t.Fatal("an image that fails validation was partly installed")
+			}
+		})
+	}
+}
+
+// FuzzImportImage corrupts a real export one field at a time (seeded with
+// the untouched export and the rejected edits above). Whatever arrives, the
+// outcome is an error or a controller whose Merkle root is the image's —
+// never a panic. The image is edited in memory rather than on the wire:
+// encoding/gob is documented as not hardened against adversarial input,
+// and fuzzing its byte stream finds gob's own memory blow-ups within
+// seconds, which a size-bounded wire format has to fix in internal/cluster.
+func FuzzImportImage(f *testing.F) {
+	const seq = 4242
+	f.Add(uint8(6), uint64(0), uint64(0), uint32(0), uint8(0)) // the export as it is
+	for _, e := range rejectedEdits {
+		f.Add(e.field, e.key, e.a, e.id, e.minor)
+	}
+	cfg := config.Default()
+	mode := Mode{MemEncryption: true, FileEncryption: true}
+	f.Fuzz(func(t *testing.T, field uint8, key, a uint64, id uint32, minor uint8) {
+		img, err := buildImageSource(t, seq).ExportImage()
+		if err != nil {
+			t.Fatalf("export: %v", err)
+		}
+		imageEdit{field, key, a, id, minor}.apply(img)
+		c := NewWithChipSeq(cfg, mode, stats.NewSet(), seq)
+		if err := c.ImportImage(img); err == nil && c.MerkleRoot() != img.Root {
+			t.Fatalf("image accepted with root %x, controller holds %x", img.Root, c.MerkleRoot())
+		}
+	})
 }

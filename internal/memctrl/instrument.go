@@ -79,11 +79,6 @@ func (c *Controller) EnableAudit(capacity int) *audit.Log {
 // Audit returns the audit log (nil when disabled).
 func (c *Controller) Audit() *audit.Log { return c.aud }
 
-// auditPage emits one access-audit record for a page-path operation.
-func (c *Controller) auditPage(now config.Cycle, op audit.Op, page uint64, group uint32, file uint16) {
-	c.aud.Append(uint64(now), op, page, group, file)
-}
-
 // noteCycle records the simulated cycle of the request entering the
 // datapath, so journal events emitted from clock-less owned structures
 // carry a meaningful timestamp. One plain store; the field is only read

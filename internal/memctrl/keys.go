@@ -149,9 +149,7 @@ func (c *Controller) TagPage(now config.Cycle, pa addr.Phys, group uint32, file 
 	ready = c.touchDirtyCounter(ready, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
 	// Identity tagging is rare (page faults only); persist it immediately
 	// so recovery never has to guess file identities.
-	c.PCM.Access(ready, addr.Phys(fecbAddr(page)), true)
-	c.mcacheFor(fecbAddr(page)).Clean(fecbAddr(page))
-	c.persistCounterAt(fecbAddr(page))
+	c.persistCounterNow(ready, fecbAddr(page))
 	return ready
 }
 
@@ -170,16 +168,12 @@ func (c *Controller) ShredPage(now config.Cycle, pa addr.Phys) config.Cycle {
 	c.aud.Append(uint64(now), audit.OpShred, page, fecb.GroupID, fecb.FileID)
 	fecb.Reset()
 	ready = c.touchDirtyCounter(ready, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
-	c.PCM.Access(ready, addr.Phys(fecbAddr(page)), true)
-	c.mcacheFor(fecbAddr(page)).Clean(fecbAddr(page))
-	c.persistCounterAt(fecbAddr(page))
+	c.persistCounterNow(ready, fecbAddr(page))
 	// The page's data is dead: its ECC tags no longer correspond to any
 	// recoverable plaintext, so they are dropped — which also means the
 	// page's memory counters can no longer be reconstructed from data.
 	// Persist the MECB now (shredding is rare) so recovery never needs to.
-	c.PCM.Access(ready, addr.Phys(mecbAddr(page)), true)
-	c.mcacheFor(mecbAddr(page)).Clean(mecbAddr(page))
-	c.persistCounterAt(mecbAddr(page))
+	c.persistCounterNow(ready, mecbAddr(page))
 	base := pa.PageAlign()
 	for li := 0; li < config.LinesPerPage; li++ {
 		delete(c.ecc, (base + addr.Phys(li*config.LineSize)).LineNum())

@@ -31,18 +31,10 @@ func (c *Controller) RotateFileKey(now config.Cycle, pa addr.Phys, group uint32,
 	page := pa.PageNum()
 	fecb, ready := c.fetchFECB(now, page)
 	old := *fecb
-	fecb.Major = 0
-	for i := range fecb.Minor {
-		fecb.Minor[i] = 0
-	}
-	fecb.GroupID = group
-	fecb.FileID = file
-	oldEng := c.engineFor(oldKey)
-	newEng := c.engineFor(newKey)
-	ready = c.reencryptLines(ready, page, func(li int, oldPad, newPad *aesctr.Line) {
-		oldEng.OTPInto(oldPad, fileIV(page, li, old.Major, old.Minor[li]))
-		newEng.OTPInto(newPad, fileIV(page, li, fecb.Major, fecb.Minor[li]))
-	})
+	*fecb = counters.FECB{GroupID: group, FileID: file}
+	ready = c.swapPads(ready, page, aesctr.DomainFile,
+		c.rd.engineFor(oldKey), uint64(old.Major), &old.Minor,
+		c.rd.engineFor(newKey), uint64(fecb.Major), &fecb.Minor)
 	ready = c.touchDirtyCounter(ready, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
 	c.persistCounterNow(ready, fecbAddr(page))
 	// Data ECC tags are unchanged: rotation preserves plaintext.
@@ -94,7 +86,7 @@ func (c *Controller) Export() (Transport, error) {
 		ecc[k] = v
 	}
 	return Transport{
-		memEngine: c.memEngine,
+		memEngine: c.rd.mem,
 		root:      c.mt.Root(),
 		device:    c.PCM,
 		mecb:      mecb,
@@ -121,7 +113,7 @@ func (c *Controller) Import(t Transport) error {
 		return ErrTransportRejected
 	}
 	c.PCM = t.device
-	c.memEngine = t.memEngine
+	c.rd.mem = t.memEngine
 	c.mecb = t.mecb
 	c.fecb = t.fecb
 	c.ecc = t.ecc

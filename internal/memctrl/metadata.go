@@ -136,11 +136,29 @@ func (c *Controller) fetchFECB(now config.Cycle, page uint64) (*counters.FECB, c
 	return f, ready
 }
 
-// touchDirtyCounter marks a counter block dirty in the metadata cache after
-// a bump, updates the Merkle tree, and enforces the Osiris stop-loss bound:
-// after StopLoss unpersisted bumps the block is written through to NVM so
-// crash recovery only ever needs to search a bounded counter window.
+// touchDirtyCounter accounts one update of a counter block outside the data
+// path (identity tagging, shredding, key rotation) and enforces the Osiris
+// stop-loss bound: after StopLoss unpersisted bumps the block is written
+// through to NVM so crash recovery only ever needs to search a bounded
+// counter window. bumpLines is the data path's n-bump form.
 func (c *Controller) touchDirtyCounter(now config.Cycle, metaAddr uint64, leaf int, content []byte) config.Cycle {
+	u, persists := c.unpersisted[metaAddr]+1, 0
+	if u >= c.cfg.Security.StopLoss {
+		c.persistCounterAt(metaAddr)
+		u, persists = 0, 1
+	} else {
+		c.unpersisted[metaAddr] = u
+	}
+	return c.counterDirtied(now, now, metaAddr, leaf, content, persists, u == 0)
+}
+
+// counterDirtied is the tail every counter-block update shares: the block
+// (whose encoding is now content) goes dirty in the metadata cache, its
+// Merkle leaf and path are updated, and the stop-loss write-throughs the
+// update triggered are issued at writeThroughAt (background writes; bank
+// time accounted). durable reports that the last bump was one of them, so
+// the cached copy matches NVM again. Returns when the MT MAC update is done.
+func (c *Controller) counterDirtied(now, writeThroughAt config.Cycle, metaAddr uint64, leaf int, content []byte, persists int, durable bool) config.Cycle {
 	c.mcacheFor(metaAddr).Lookup(metaAddr, true) // mark dirty (present: just fetched)
 	c.insertMeta(now, metaAddr, true)
 	c.mt.Update(leaf, content)
@@ -149,15 +167,16 @@ func (c *Controller) touchDirtyCounter(now config.Cycle, metaAddr uint64, leaf i
 	for _, n := range c.mtPath {
 		c.insertMeta(now, mtNodeAddr(n), true)
 	}
-	c.unpersisted[metaAddr]++
-	if c.unpersisted[metaAddr] >= c.cfg.Security.StopLoss {
-		// Stop-loss write-through (background write; bank time accounted).
-		c.PCM.Access(now, addr.Phys(metaAddr), true)
-		c.st.Inc("mc.stoploss_persists")
-		c.mcacheFor(metaAddr).Clean(metaAddr)
-		c.persistCounterAt(metaAddr)
+	for i := 0; i < persists; i++ {
+		c.PCM.Access(writeThroughAt, addr.Phys(metaAddr), true)
 	}
-	return now + c.cfg.Security.MACLatency // MT MAC update
+	if persists > 0 {
+		c.st.Add("mc.stoploss_persists", uint64(persists))
+	}
+	if durable {
+		c.mcacheFor(metaAddr).Clean(metaAddr)
+	}
+	return now + c.cfg.Security.MACLatency
 }
 
 // persistCounterNow writes a counter block through to NVM immediately

@@ -1,22 +1,23 @@
 package memctrl
 
 import (
-	"strconv"
+	"math/bits"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
 	"fsencr/internal/audit"
 	"fsencr/internal/config"
-	"fsencr/internal/obsplane/journal"
+	"fsencr/internal/counters"
 )
 
-// This file is the read-only snapshot entry point of the concurrent read
-// fast-path: SnapshotReadPage decrypts one page without mutating any
-// controller state, so reader goroutines can run it in parallel while the
-// shard's owner goroutine is parked behind the shard's reader lock. All
-// side effects the live datapath would have produced — stats, audit
-// records, ECC-violation accounting — are captured in a ReadDelta the
-// owner later applies under its own lock (ApplyReadDelta).
+// This file holds the crypt context every pad is built through, and the
+// read-only snapshot entry point of the concurrent read fast-path:
+// SnapshotReadPage decrypts one page without mutating any controller
+// state, so reader goroutines can run it in parallel while the shard's
+// owner goroutine is parked behind the shard's reader lock. All side
+// effects the live datapath would have produced — stats, audit records,
+// ECC-violation accounting — are captured in a ReadDelta the owner later
+// applies under its own lock (ApplyReadDelta).
 //
 // The snapshot path is success-only: anything the live path would handle
 // with a mutation (metadata-cache fill, OTT refill, first-touch counter
@@ -24,16 +25,19 @@ import (
 // makes SnapshotReadPage return false, and the caller re-runs the read on
 // the owner goroutine with full live semantics.
 
-// Reader is one goroutine's private decrypt context: a forked memory
-// engine (shared key schedule, private counter-block scratch), a local
-// file-engine cache, and the page-sized OTP scratch buffers the batched
-// datapath needs. Readers are pooled by the server; a Reader must never
-// be used by two goroutines at once.
+// Reader is one goroutine's private crypt context: a memory engine (shared
+// key schedule, private counter-block scratch), a local file-engine cache,
+// and the two page-sized OTP buffers. The controller owns one for the live
+// datapath; snapshot readers fork theirs with NewReader and are pooled by
+// the server. A Reader must never be used by two goroutines at once.
 type Reader struct {
-	mem     *aesctr.Engine
+	mem     *aesctr.Engine // nil without memory encryption
 	engines map[aesctr.Key]*aesctr.Engine
-	aesLat  config.Cycle
 
+	// Pad buffers live here, not in locals: a local would escape to the
+	// heap through the cipher.Block.Encrypt interface call inside the OTP
+	// generator, costing an allocation per request; the generator fully
+	// overwrites its destination, so reuse is safe.
 	pad     aesctr.Page
 	filePad aesctr.Page
 }
@@ -41,12 +45,9 @@ type Reader struct {
 // NewReader builds a read-only decrypt context for this controller. Safe
 // to call from any goroutine: it reads only construction-time state.
 func (c *Controller) NewReader() *Reader {
-	r := &Reader{
-		engines: make(map[aesctr.Key]*aesctr.Engine),
-		aesLat:  c.cfg.Security.AESLatency,
-	}
-	if c.memEngine != nil {
-		r.mem = c.memEngine.Fork()
+	r := &Reader{engines: make(map[aesctr.Key]*aesctr.Engine)}
+	if c.rd.mem != nil {
+		r.mem = c.rd.mem.Fork()
 	}
 	return r
 }
@@ -54,10 +55,27 @@ func (c *Controller) NewReader() *Reader {
 func (r *Reader) engineFor(key aesctr.Key) *aesctr.Engine {
 	e, ok := r.engines[key]
 	if !ok {
-		e = aesctr.New(key, r.aesLat)
+		e = aesctr.New(key, r.mem.Latency())
 		r.engines[key] = e
 	}
 	return e
+}
+
+// pads builds the one-time pads of lines li0..li0+n-1 of page — OTP_mem
+// from the memory counters (major, minors) and, when fecb is non-nil,
+// XORed with OTP_file from its counters under key (Figure 7) — and returns
+// them in the context's buffer, valid until its next use. Every pad the
+// controller applies to data is built here: the live datapath, snapshot
+// reads, recovery's candidate search and the memory-key-only attack hook.
+func (r *Reader) pads(page uint64, li0, n int, major uint64, minors *[config.LinesPerPage]uint8, fecb *counters.FECB, key aesctr.Key) []byte {
+	pad := r.pad[:n*config.LineSize]
+	r.mem.OTPLinesInto(pad, page, li0, major, minors, aesctr.DomainMemory)
+	if fecb != nil {
+		filePad := r.filePad[:n*config.LineSize]
+		r.engineFor(key).OTPLinesInto(filePad, page, li0, uint64(fecb.Major), &fecb.Minor, aesctr.DomainFile)
+		aesctr.XORBytes(pad, filePad)
+	}
+	return pad
 }
 
 // AuditEvent is one deferred page-access audit record.
@@ -97,14 +115,6 @@ func (d *ReadDelta) Merge(o *ReadDelta) {
 	d.ECC = append(d.ECC, o.ECC...)
 }
 
-// peekKey resolves a file key without side effects. Only the on-chip OTT
-// is consulted: a region-only hit would have triggered a table refill on
-// the live path, so the snapshot path treats it as a miss and lets the
-// owner's fallback perform the refill (after which snapshot reads hit).
-func (c *Controller) peekKey(group uint32, file uint16) (aesctr.Key, bool) {
-	return c.ottTable.Peek(group, file)
-}
-
 // PeekVerifyKey is VerifyKey without side effects (no OTT LRU refresh, no
 // probe counters): the snapshot stat/read path uses it to validate a
 // caller-supplied passphrase against the installed file key.
@@ -132,8 +142,7 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 		return false
 	}
 	base := pa.PageAlign()
-	raw := base.Raw()
-	c.PCM.PeekPageInto(raw, dst)
+	c.PCM.PeekPageInto(base.Raw(), dst)
 	d.Reads += config.LinesPerPage
 
 	if !c.mode.MemEncryption {
@@ -141,54 +150,43 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 	}
 
 	page := base.PageNum()
-	// Value-copy the counter blocks: an absent block decrypts exactly like
-	// the fresh zero block getMECB/getFECB would have created — the create
-	// side effects (persist snapshot, Merkle leaf) are what the owner's
-	// fallback exists for, and a never-written page needs neither.
-	var m MECBView
+	// An absent counter block decrypts exactly like the fresh zero block
+	// getMECB/getFECB would have created — the create side effects (persist
+	// snapshot, Merkle leaf) are what the owner's fallback exists for, and a
+	// never-written page needs neither.
+	var m counters.MECB
 	if mb, ok := c.mecb[page]; ok {
-		m.Major, m.Minor = mb.Major, mb.Minor
+		m = *mb
 	}
-	rd.mem.OTPPageInto(&rd.pad, page, m.Major, &m.Minor, aesctr.DomainMemory)
-
+	var fecb *counters.FECB
+	var key aesctr.Key
 	if base.IsDF() {
 		if !c.fileActive() {
 			return false // locked datapath: live path journals and decrypts to garbage
 		}
-		fb, ok := c.fecb[page]
-		if !ok || (fb.GroupID == 0 && fb.FileID == 0) {
+		fecb = c.fecb[page]
+		if fecb == nil || (fecb.GroupID == 0 && fecb.FileID == 0) {
 			// Untagged FECB: the live path would journal a DF mismatch.
 			return false
 		}
-		group, file, major, minors := fb.GroupID, fb.FileID, fb.Major, fb.Minor
-		key, ok := c.peekKey(group, file)
-		if !ok {
+		// Only the on-chip OTT is consulted: a region-only hit would have
+		// triggered a table refill on the live path, so it counts as a miss
+		// and the owner's fallback performs the refill (after which snapshot
+		// reads hit).
+		var ok bool
+		if key, ok = c.ottTable.Peek(fecb.GroupID, fecb.FileID); !ok {
 			return false
 		}
-		d.Audits = append(d.Audits, AuditEvent{Op: audit.OpReadPage, Page: page, Group: group, File: file})
-		rd.engineFor(key).OTPPageInto(&rd.filePad, page, uint64(major), &minors, aesctr.DomainFile)
-		aesctr.XORPageInto(&rd.pad, &rd.filePad)
+		d.Audits = append(d.Audits, AuditEvent{Op: audit.OpReadPage, Page: page, Group: fecb.GroupID, File: fecb.FileID})
 	}
-
-	aesctr.XORPageInto(dst, &rd.pad)
+	aesctr.XORBytes(dst[:], rd.pads(page, 0, config.LinesPerPage, m.Major, &m.Minor, fecb, key))
 
 	// Osiris check tags, deferred: mismatches are recorded, accounted by
 	// the owner at drain time.
-	lineNum := base.LineNum()
-	for li := 0; li < config.LinesPerPage; li++ {
-		tag, ok := c.ecc[lineNum+uint64(li)]
-		if ok && eccTag((*aesctr.Line)(dst[li*config.LineSize:(li+1)*config.LineSize])) != tag {
-			d.ECC = append(d.ECC, ECCEvent{Page: page, Line: li})
-		}
+	for bad := c.eccBad(base.LineNum(), dst[:]); bad != 0; bad &= bad - 1 {
+		d.ECC = append(d.ECC, ECCEvent{Page: page, Line: bits.TrailingZeros64(bad)})
 	}
 	return true
-}
-
-// MECBView is the value form of a memory counter block the snapshot path
-// copies under the reader lock.
-type MECBView struct {
-	Major uint64
-	Minor [config.LinesPerPage]uint8
 }
 
 // ApplyReadDelta folds the deferred side effects of snapshot reads into
@@ -204,9 +202,6 @@ func (c *Controller) ApplyReadDelta(now config.Cycle, d *ReadDelta) {
 		c.aud.Append(uint64(now), a.Op, a.Page, a.Group, a.File)
 	}
 	for _, e := range d.ECC {
-		c.violations++
-		c.st.Inc("mc.data_ecc_errors")
-		c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DataECCError,
-			Page: e.Page, Detail: "line " + strconv.Itoa(e.Line)})
+		c.eccViolation(now, e.Page, e.Line)
 	}
 }

@@ -93,6 +93,18 @@ func (m *Memory) WriteLine(pa addr.Phys, line aesctr.Line) {
 	copy(f[off:off+config.LineSize], line[:])
 }
 
+// ReadLinesInto copies the len(dst)/64 consecutive lines starting at the
+// line containing pa (all within one page) into dst. Functional only.
+func (m *Memory) ReadLinesInto(pa addr.Phys, dst []byte) {
+	copy(dst, m.frame(pa)[pa.PageOffset()&^(config.LineSize-1):])
+}
+
+// WriteLinesFrom stores src over the len(src)/64 consecutive lines starting
+// at the line containing pa (all within one page). Functional only.
+func (m *Memory) WriteLinesFrom(pa addr.Phys, src []byte) {
+	copy(m.frame(pa)[pa.PageOffset()&^(config.LineSize-1):], src)
+}
+
 // tally accumulates per-access event counts across a batch so a page-sized
 // burst costs a handful of counter updates instead of 64x per-event ones.
 type tally struct {
