@@ -43,11 +43,13 @@ layerbench-test:
 	$(GO) test -C bench ./...
 
 # Ten seconds of native fuzzing per target over the untrusted decoders: the
-# payload frame codec, the /v1/write handler fed arbitrary frames (seeded
-# from the malice campaign's malformed ones), and the migration image import
-# fed exports corrupted one field at a time.
+# payload frame codec, the client's response parse fed arbitrary server
+# bytes, the /v1/write handler fed arbitrary frames (seeded from the malice
+# campaign's malformed ones), and the migration image import fed exports
+# corrupted one field at a time.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitFrame$$' -fuzztime 10s ./internal/fsproto
+	$(GO) test -run '^$$' -fuzz '^FuzzExchangeResponse$$' -fuzztime 10s ./internal/fsclient
 	$(GO) test -run '^$$' -fuzz '^FuzzFramedWrite$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzImportImage$$' -fuzztime 10s ./internal/memctrl
 
@@ -127,14 +129,15 @@ vet:
 	$(GO) vet ./...
 
 # Hot-path microbenchmarks (datapath + Merkle write-back + crypto engine +
-# kvstore), one iteration batch each — enough for before/after comparisons
-# of the fast-path.
+# kvstore + the server read path and the product client over loopback), one
+# iteration batch each — enough for before/after comparisons of the
+# fast-path.
 bench:
 	$(GO) test -run '^$$' -bench 'ReadLine|WriteLine|ReadPage|WritePage' ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush' ./internal/merkle
 	$(GO) test -run '^$$' -bench . ./internal/aesctr
 	$(GO) test -run '^$$' -bench 'Put|Get' ./internal/kvstore
-	$(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead' ./internal/server
+	$(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientKVGet' ./internal/server
 
 # Machine-readable perf baseline: the same hot-path benchmarks, folded
 # into BENCH_baseline.json as {"pkg.Benchmark": {iterations, ns_per_op}}
@@ -145,7 +148,7 @@ bench-json:
 	  $(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush' ./internal/merkle ; \
 	  $(GO) test -run '^$$' -bench . ./internal/aesctr ; \
 	  $(GO) test -run '^$$' -bench 'Put|Get' ./internal/kvstore ; \
-	  $(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead' ./internal/server ; \
+	  $(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientKVGet' ./internal/server ; \
 	} | awk ' \
 	  /^pkg:/ { pkg = $$2 } \
 	  /^Benchmark/ { \
@@ -167,7 +170,7 @@ bench-check:
 	  $(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush' -count 3 ./internal/merkle ; \
 	  $(GO) test -run '^$$' -bench . -count 3 ./internal/aesctr ; \
 	  $(GO) test -run '^$$' -bench 'Put|Get' -count 3 ./internal/kvstore ; \
-	  $(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead' -count 3 ./internal/server ; \
+	  $(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientKVGet' -count 3 ./internal/server ; \
 	} | $(GO) run ./cmd/fsencr-bench -check BENCH_baseline.json -tolerance 0.15
 
 # Telemetry-overhead gate: with no registry attached (the no-op recorder)

@@ -112,6 +112,9 @@ func main() {
 		denials, snap.Counters["server.requests_total"])
 
 	// Graceful drain, then the listener closes.
+	for _, c := range []*fsclient.Client{alice, bob, carol} {
+		c.Close()
+	}
 	svc.Close()
 	must(hs.Close())
 	fmt.Println("drained cleanly")

@@ -11,15 +11,12 @@
 package fsclient
 
 import (
-	"bytes"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand/v2"
 	"net/http"
-	"net/url"
-	"strconv"
 	"time"
 
 	"fsencr/internal/fsproto"
@@ -56,10 +53,16 @@ func IsCode(err error, code string) bool {
 	return errors.As(err, &ae) && ae.Code == code
 }
 
-// Client is one session against an fsencrd server.
+// Client is one session against an fsencrd server. It is for one goroutine
+// at a time: the request counter, LastRequestID and the connection are
+// unsynchronised, and an exchange runs on the caller's goroutine.
 type Client struct {
-	base  string
-	hc    *http.Client
+	base string
+	// conn is the session's one connection (fsproto.Conn), dialled by the
+	// first request to base and dropped by Close, Logout and a reroute;
+	// frame is the scratch a write's frame prefix and meta are built in.
+	conn  *fsproto.Conn
+	frame []byte
 	token string
 	gid   uint32
 	shard int
@@ -104,9 +107,18 @@ func (c *Client) SetRetry(p RetryPolicy) { c.retry = p }
 func (c *Client) SetRerouter(fn func() (string, bool)) { c.onReroute = fn }
 
 // Dial points a client at a server base URL (e.g. "http://127.0.0.1:9144").
-// No connection is made until Login.
+// No connection is made until Login. Close the client when done with it.
 func Dial(base string) *Client {
-	return &Client{base: base, hc: &http.Client{}, traceBase: fnv64a(base), sampled: true}
+	return &Client{base: base, traceBase: fnv64a(base), sampled: true}
+}
+
+// Close drops the client's connection. The session and the client stay
+// valid: a later call redials.
+func (c *Client) Close() {
+	if c.conn != nil {
+		c.conn.Close()
+		c.conn = nil
+	}
 }
 
 // SetSampled sets the head-sampling bit sent with every request.
@@ -134,7 +146,7 @@ func (c *Client) post(path string, req, out any) error {
 	if err != nil {
 		return err
 	}
-	data, _, err := c.roundTrip(path, fsproto.ContentTypeJSON, body)
+	data, _, err := c.roundTrip(path, fsproto.ContentTypeJSON, body, nil)
 	if err != nil || out == nil {
 		return err
 	}
@@ -142,14 +154,15 @@ func (c *Client) post(path string, req, out any) error {
 }
 
 // postFrame sends a request whose payload follows its JSON (meta, the
-// request struct with the payload field nil) as raw bytes in one frame.
+// request struct with the payload field nil) as raw bytes in one frame. The
+// payload goes to the socket from the caller's slice.
 func (c *Client) postFrame(path string, meta any, payload []byte) error {
 	m, err := json.Marshal(meta)
 	if err != nil {
 		return err
 	}
-	body := make([]byte, 0, fsproto.FrameHeaderLen+len(m)+len(payload))
-	_, _, err = c.roundTrip(path, fsproto.ContentTypeFrame, fsproto.AppendFrame(body, m, payload))
+	c.frame = fsproto.AppendFrame(c.frame[:0], m, nil)
+	_, _, err = c.roundTrip(path, fsproto.ContentTypeFrame, c.frame, payload)
 	return err
 }
 
@@ -160,7 +173,7 @@ func (c *Client) postForPayload(path string, req any) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	data, ctype, err := c.roundTrip(path, fsproto.ContentTypeJSON, body)
+	data, ctype, err := c.roundTrip(path, fsproto.ContentTypeJSON, body, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -170,19 +183,20 @@ func (c *Client) postForPayload(path string, req any) ([]byte, error) {
 	return data, nil
 }
 
-// roundTrip sends one encoded request body, retrying per the client's
-// policy, and returns the 200 response's body and content type. One logical
-// request keeps one trace ID across every attempt and reroute.
-func (c *Client) roundTrip(path, ctype string, body []byte) ([]byte, string, error) {
+// roundTrip sends one encoded request (its body is body followed by tail),
+// retrying per the client's policy, and returns the 200 response's body and
+// content type. One logical request keeps one trace ID across every attempt
+// and reroute.
+func (c *Client) roundTrip(path, ctype string, body, tail []byte) ([]byte, string, error) {
 	c.reqSeq++
-	tc := fsproto.TraceContext{
-		TraceID: telemetry.MintTraceID(c.traceBase, c.reqSeq),
-		Sampled: c.sampled,
+	req := fsproto.Request{
+		Path: path, ContentType: ctype, Token: c.token, Body: body, Tail: tail,
+		Trace: fsproto.TraceContext{TraceID: telemetry.MintTraceID(c.traceBase, c.reqSeq), Sampled: c.sampled},
 	}
 	attempts, reroutes := 0, 0
 	for {
 		attempts++
-		data, rtype, err := c.send(path, ctype, body, tc)
+		data, rtype, err := c.send(&req)
 		if err == nil {
 			return data, rtype, nil
 		}
@@ -191,7 +205,10 @@ func (c *Client) roundTrip(path, ctype string, body []byte) ([]byte, string, err
 		// routing authority itself is confused).
 		if c.onReroute != nil && reroutes < maxReroutes && needsReroute(err) {
 			if base, ok := c.onReroute(); ok {
-				c.base = base
+				if base != c.base {
+					c.Close()
+					c.base = base
+				}
 				reroutes++
 				continue
 			}
@@ -210,54 +227,42 @@ func (c *Client) roundTrip(path, ctype string, body []byte) ([]byte, string, err
 // maxReroutes bounds routing-refresh loops within one logical request.
 const maxReroutes = 3
 
-// send is one attempt. The response is read into one buffer sized from its
-// Content-Length and bounded by the protocol's body limit.
-func (c *Client) send(path, ctype string, body []byte, tc fsproto.TraceContext) ([]byte, string, error) {
-	hr, err := http.NewRequest(http.MethodPost, c.base+path, bytes.NewReader(body))
+// send is one attempt, on the client's connection (dialled here when there
+// is none). The response body is one buffer, bounded by the protocol's body
+// limit.
+func (c *Client) send(req *fsproto.Request) ([]byte, string, error) {
+	if c.conn == nil {
+		conn, err := fsproto.Dial(c.base)
+		if err != nil {
+			return nil, "", err
+		}
+		c.conn = conn
+	}
+	resp, err := c.conn.Do(req)
 	if err != nil {
 		return nil, "", err
 	}
-	hr.Header.Set("Content-Type", ctype)
-	if c.token != "" {
-		hr.Header.Set(fsproto.TokenHeader, c.token)
-	}
-	hr.Header.Set(fsproto.TraceHeader, tc.String())
-	resp, err := c.hc.Do(hr)
-	if err != nil {
-		return nil, "", err
-	}
-	defer resp.Body.Close()
-	c.LastRequestID = resp.Header.Get(fsproto.RequestIDHeader)
-	data, err := fsproto.ReadBody(resp.Body, resp.ContentLength, fsproto.MaxBodyBytes)
-	if err != nil {
-		return nil, "", err
-	}
-	if resp.StatusCode != http.StatusOK {
+	c.LastRequestID = resp.RequestID
+	if resp.Status != http.StatusOK {
 		var pe fsproto.Error
-		if json.Unmarshal(data, &pe) != nil || pe.Code == "" {
-			pe = fsproto.Error{Code: fsproto.CodeInternal, Message: string(data)}
+		if json.Unmarshal(resp.Body, &pe) != nil || pe.Code == "" {
+			pe = fsproto.Error{Code: fsproto.CodeInternal, Message: string(resp.Body)}
 		}
-		ae := &APIError{Status: resp.StatusCode, Code: pe.Code, Message: pe.Message,
-			RequestID: c.LastRequestID, QueueDepth: -1}
-		if v := resp.Header.Get(fsproto.QueueDepthHeader); v != "" {
-			if depth, perr := strconv.ParseInt(v, 10, 64); perr == nil && depth >= 0 {
-				ae.QueueDepth = depth
-			}
-		}
-		return nil, "", ae
+		return nil, "", &APIError{Status: resp.Status, Code: pe.Code, Message: pe.Message,
+			RequestID: resp.RequestID, QueueDepth: resp.QueueDepth}
 	}
-	return data, resp.Header.Get("Content-Type"), nil
+	return resp.Body, resp.ContentType, nil
 }
 
 // retryable reports whether err is worth re-sending: admission backpressure
-// (429) or a transport-level failure that never reached a handler.
+// (429) or a failure below the protocol, before any response.
 func retryable(err error) bool {
 	var ae *APIError
 	if errors.As(err, &ae) {
 		return ae.Status == http.StatusTooManyRequests
 	}
-	var ue *url.Error
-	return errors.As(err, &ue)
+	var we *fsproto.WireError
+	return errors.As(err, &we)
 }
 
 // needsReroute reports whether err signals stale routing: the node
@@ -267,8 +272,8 @@ func needsReroute(err error) bool {
 	if errors.As(err, &ae) {
 		return ae.Code == fsproto.CodeEpochMismatch
 	}
-	var ue *url.Error
-	return errors.As(err, &ue)
+	var we *fsproto.WireError
+	return errors.As(err, &we)
 }
 
 // queueDepthScale converts a 429 queue-depth hint into backoff growth: the
@@ -337,10 +342,11 @@ func (c *Client) Login(tenant string, uid uint32, passphrase string, seq ...uint
 	return nil
 }
 
-// Logout closes the session server-side.
+// Logout closes the session server-side and drops the connection.
 func (c *Client) Logout() error {
 	err := c.post("/v1/logout", struct{}{}, nil)
 	c.token = ""
+	c.Close()
 	return err
 }
 

@@ -25,7 +25,9 @@ type ClusterClient struct {
 	*Client
 
 	coord string
-	hc    *http.Client
+	// hc fetches the placement table: a cold control-plane GET, left on
+	// net/http, one connection per fetch so nothing idles behind a session.
+	hc *http.Client
 
 	mu    sync.Mutex
 	table fsproto.ClusterTable
@@ -37,13 +39,21 @@ type ClusterClient struct {
 func DialCluster(coord string) (*ClusterClient, error) {
 	cc := &ClusterClient{
 		coord: coord,
-		hc:    &http.Client{Timeout: 10 * time.Second},
+		hc:    &http.Client{Timeout: 10 * time.Second, Transport: &http.Transport{DisableKeepAlives: true}},
 		home:  -1,
 	}
 	if err := cc.refresh(); err != nil {
 		return nil, err
 	}
 	return cc, nil
+}
+
+// Close drops the session's connection (there is none to the coordinator
+// between table fetches).
+func (cc *ClusterClient) Close() {
+	if cc.Client != nil {
+		cc.Client.Close()
+	}
 }
 
 // Table returns the most recently fetched placement table.
@@ -117,6 +127,7 @@ func (cc *ClusterClient) Login(tenant string, uid uint32, passphrase string) err
 			return fmt.Errorf("fsclient: shard %d has no owner in placement table (epoch %d)", cc.home, cc.Table().Epoch)
 		}
 	}
+	cc.Close()
 	cc.Client = Dial(base)
 	cc.Client.SetRerouter(cc.reroute)
 	cc.Client.SetRetry(RetryPolicy{Max: 8})

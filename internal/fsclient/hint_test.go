@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -13,10 +14,13 @@ import (
 // TestQueueDepthHintParsed: a 429 carrying X-Fsencr-Queue-Depth surfaces
 // the depth on the APIError; one without the header reads as -1 (no hint).
 func TestQueueDepthHintParsed(t *testing.T) {
-	var depth string
+	// Atomic: the client's gathered write (writev) carries no
+	// happens-before edge in the race detector's model of I/O.
+	var depth atomic.Value
+	depth.Store("")
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if depth != "" {
-			w.Header().Set(fsproto.QueueDepthHeader, depth)
+		if d := depth.Load().(string); d != "" {
+			w.Header().Set(fsproto.QueueDepthHeader, d)
 		}
 		w.WriteHeader(http.StatusTooManyRequests)
 		json.NewEncoder(w).Encode(fsproto.Error{Code: fsproto.CodeBusy, Message: "full"})
@@ -24,14 +28,14 @@ func TestQueueDepthHintParsed(t *testing.T) {
 	defer srv.Close()
 	c := Dial(srv.URL)
 
-	depth = "37"
+	depth.Store("37")
 	err := c.post("/v1/read", struct{}{}, nil)
 	var ae *APIError
 	if !asAPIError(err, &ae) || ae.QueueDepth != 37 {
 		t.Fatalf("want QueueDepth=37, got %v", err)
 	}
 
-	depth = ""
+	depth.Store("")
 	err = c.post("/v1/read", struct{}{}, nil)
 	if !asAPIError(err, &ae) || ae.QueueDepth != -1 {
 		t.Fatalf("want QueueDepth=-1 without hint, got %+v", ae)

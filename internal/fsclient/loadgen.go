@@ -363,6 +363,12 @@ func RunLoadgen(base string, o LoadgenOptions) (*LoadgenReport, error) {
 				}
 				cl = cc.Client
 			}
+			// A cluster login swaps cl (nil before it); close the last one.
+			defer func() {
+				if cl != nil {
+					cl.Close()
+				}
+			}()
 			tenant := lgTenant(c, o.Tenants)
 			pat := Pattern(c)
 			// One pattern buffer per client; writes slice it instead of

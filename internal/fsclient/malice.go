@@ -148,6 +148,7 @@ func RunMalice(base string) (*MaliceReport, error) {
 
 	// Victim: private tenant, 0600 encrypted file full of the secret byte.
 	victim := Dial(base)
+	defer victim.Close()
 	if err := victim.Login("malice-victim", 7, "victim-pw"); err != nil {
 		return nil, fmt.Errorf("malice setup: %w", err)
 	}
@@ -164,12 +165,14 @@ func RunMalice(base string) (*MaliceReport, error) {
 
 	// Attacker: a legitimate session in a different tenant.
 	attacker := Dial(base)
+	defer attacker.Close()
 	if err := attacker.Login("malice-attacker", 1, "attacker-pw"); err != nil {
 		return nil, fmt.Errorf("malice setup: %w", err)
 	}
 
 	// A second session whose token is then replayed after logout.
 	replay := Dial(base)
+	defer replay.Close()
 	if err := replay.Login("malice-attacker", 2, "replay-pw"); err != nil {
 		return nil, fmt.Errorf("malice setup: %w", err)
 	}

@@ -1,0 +1,374 @@
+package fsproto
+
+import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
+	"net"
+	"net/http/httputil"
+	"net/url"
+	"os"
+	"strconv"
+	"time"
+)
+
+// Conn is the client end of the /v1 data plane: one keep-alive TCP
+// connection to a base URL, carrying one HTTP/1.1 POST at a time. An
+// exchange is one gathered write of the request and one parse of the
+// response, both on the caller's goroutine — no background reader, no
+// handoff. A Conn is not safe for concurrent use; whoever holds it owns it
+// for the length of a Do.
+//
+// The connection is made by the first Do and remade by the next Do after
+// anything closed it (an error, the server's "Connection: close", Close).
+type Conn struct {
+	addr   string // host:port to dial
+	host   string // Host header
+	prefix string // the base URL's path, sent before every request path
+
+	deadline time.Time
+	nc       net.Conn
+	br       *bufio.Reader
+	head     []byte      // request head scratch
+	bufv     [3][]byte   // backing array of wv
+	wv       net.Buffers // the gathered write, rebuilt per exchange
+}
+
+// Request is one POST. The body sent is Body followed by Tail, so a payload
+// frame goes out as its prefix and meta (AppendFrame with no payload) and
+// then the payload, without the two being joined first.
+type Request struct {
+	Path        string
+	ContentType string
+	Token       string // TokenHeader; "" sends none
+	Trace       TraceContext
+	// Forwarded marks the one hop inside the fabric (ForwardedHeader); Peer,
+	// when set, carries the entry node's session identity with it.
+	Forwarded bool
+	Peer      *Peer
+	Body      []byte
+	Tail      []byte
+}
+
+// Peer is the session identity the peer headers carry.
+type Peer struct {
+	Tenant string
+	UID    uint32
+	Pass   string
+}
+
+// Response is what the protocol defines of an answer; every other header is
+// skipped unparsed.
+type Response struct {
+	Status      int
+	ContentType string
+	RequestID   string // RequestIDHeader
+	QueueDepth  int64  // QueueDepthHeader; -1 when absent or malformed
+	Body        []byte
+}
+
+// WireError reports an exchange that failed before any response body: the
+// dial, the write, or the read and parse of the response head. The server
+// may or may not have executed the request.
+type WireError struct {
+	Op  string // "dial", "write" or "read"
+	Err error
+}
+
+func (e *WireError) Error() string { return "fsproto: " + e.Op + ": " + e.Err.Error() }
+func (e *WireError) Unwrap() error { return e.Err }
+
+// maxHeaderLines bounds a response head; each line is bounded by the read
+// buffer (4 KiB).
+const maxHeaderLines = 64
+
+// Dial returns a Conn for a base URL such as "http://127.0.0.1:9144"; a
+// path in it prefixes every request path. No connection is made until the
+// first Do. Only plain http is spoken.
+func Dial(base string) (*Conn, error) {
+	u, err := url.Parse(base)
+	if err != nil {
+		return nil, fmt.Errorf("fsproto: base URL: %w", err)
+	}
+	if u.Scheme != "http" || u.Host == "" || u.RawQuery != "" || u.Fragment != "" {
+		return nil, fmt.Errorf("fsproto: base URL %q: want http://host[:port][/prefix]", base)
+	}
+	c := &Conn{addr: u.Host, host: u.Host, prefix: u.EscapedPath()}
+	if u.Port() == "" {
+		c.addr = net.JoinHostPort(u.Hostname(), "80")
+	}
+	if !cleanToken(c.host) || !cleanToken(c.prefix) {
+		return nil, fmt.Errorf("fsproto: base URL %q: control or space character", base)
+	}
+	return c, nil
+}
+
+// SetDeadline bounds every later exchange, dial included, by the absolute
+// time t, as on a net.Conn; the zero time removes the bound.
+func (c *Conn) SetDeadline(t time.Time) {
+	c.deadline = t
+	if c.nc != nil {
+		// Fails only on a connection already closed; the next write says so.
+		_ = c.nc.SetDeadline(t)
+	}
+}
+
+// Close closes the connection. The Conn stays usable: the next Do redials.
+func (c *Conn) Close() {
+	if c.nc != nil {
+		c.nc.Close()
+		c.nc = nil
+	}
+}
+
+// Do sends req and reads its response.
+//
+// One case is resent, once, transparently: the exchange ran on a connection
+// kept from an earlier Do and ended — other than by the deadline — before a
+// single byte of response arrived. That is what a server closing an idle
+// keep-alive connection looks like from here, and a server closes only
+// connections on which it has not begun to read a request. Any failure
+// after the first response byte, or on a connection this Do dialled, is
+// returned: the request may have run, and a write is not idempotent.
+func (c *Conn) Do(req *Request) (Response, error) {
+	if err := c.buildHead(req); err != nil {
+		return Response{}, err
+	}
+	reused := c.nc != nil
+	resp, started, err := c.exchange(req)
+	if err != nil && reused && !started && !errors.Is(err, os.ErrDeadlineExceeded) {
+		resp, _, err = c.exchange(req)
+	}
+	return resp, err
+}
+
+// buildHead renders the request line and headers into c.head.
+func (c *Conn) buildHead(req *Request) error {
+	if !cleanToken(req.Path) || !cleanValue(req.ContentType) || !cleanValue(req.Token) ||
+		req.Peer != nil && !(cleanValue(req.Peer.Tenant) && cleanValue(req.Peer.Pass)) {
+		return errors.New("fsproto: control character in a request path or header value")
+	}
+	b := append(c.head[:0], "POST "...)
+	b = append(append(b, c.prefix...), req.Path...)
+	b = append(b, " HTTP/1.1\r\nHost: "...)
+	b = append(b, c.host...)
+	b = append(b, "\r\nContent-Type: "...)
+	b = append(b, req.ContentType...)
+	b = append(b, "\r\nContent-Length: "...)
+	b = strconv.AppendInt(b, int64(len(req.Body)+len(req.Tail)), 10)
+	if req.Token != "" {
+		b = append(b, "\r\n"+TokenHeader+": "...)
+		b = append(b, req.Token...)
+	}
+	b = append(b, "\r\n"+TraceHeader+": "...)
+	b = req.Trace.appendTo(b)
+	if req.Forwarded {
+		b = append(b, "\r\n"+ForwardedHeader+": 1"...)
+	}
+	if p := req.Peer; p != nil {
+		b = append(b, "\r\n"+PeerTenantHeader+": "...)
+		b = append(b, p.Tenant...)
+		b = append(b, "\r\n"+PeerUIDHeader+": "...)
+		b = strconv.AppendUint(b, uint64(p.UID), 10)
+		b = append(b, "\r\n"+PeerPassHeader+": "...)
+		b = append(b, p.Pass...)
+	}
+	c.head = append(b, "\r\n\r\n"...)
+	return nil
+}
+
+// cleanValue reports whether s can stand as a header value: no control
+// character that could end the line early. cleanToken also refuses spaces,
+// for the parts of the request line.
+func cleanValue(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < ' ' && c != '\t' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+func cleanToken(s string) bool {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c <= ' ' || c == 0x7f {
+			return false
+		}
+	}
+	return true
+}
+
+// exchange is one attempt: dial if there is no connection, write, parse.
+// started reports whether any response byte was read. On any error the
+// connection is closed.
+func (c *Conn) exchange(req *Request) (resp Response, started bool, err error) {
+	if c.nc == nil {
+		d := net.Dialer{Deadline: c.deadline}
+		nc, err := d.Dial("tcp", c.addr)
+		if err != nil {
+			return resp, false, &WireError{Op: "dial", Err: err}
+		}
+		c.nc = nc
+		if c.br == nil {
+			c.br = bufio.NewReader(nc)
+		} else {
+			c.br.Reset(nc)
+		}
+		c.SetDeadline(c.deadline)
+	}
+	c.wv = append(c.bufv[:0], c.head)
+	for _, b := range [...][]byte{req.Body, req.Tail} {
+		if len(b) > 0 {
+			c.wv = append(c.wv, b)
+		}
+	}
+	if _, err := c.wv.WriteTo(c.nc); err != nil {
+		c.Close()
+		return resp, false, &WireError{Op: "write", Err: err}
+	}
+	if _, err := c.br.Peek(1); err != nil {
+		c.Close()
+		return resp, false, &WireError{Op: "read", Err: err}
+	}
+	length, chunked, closing, err := c.readHead(&resp)
+	if err != nil {
+		c.Close()
+		return resp, true, &WireError{Op: "read", Err: err}
+	}
+	if chunked {
+		if resp.Body, err = ReadBody(httputil.NewChunkedReader(c.br), -1, MaxBodyBytes); err == nil {
+			err = c.skipTrailer()
+		}
+	} else {
+		// Neither length nor chunking: the body runs to the close.
+		closing = closing || length < 0
+		resp.Body, err = ReadBody(c.br, length, MaxBodyBytes)
+	}
+	// Bytes beyond the response would be read as the head of the next one.
+	if err != nil || closing || c.br.Buffered() > 0 {
+		c.Close()
+	}
+	return resp, true, err
+}
+
+// readHead parses the status line and the headers the protocol defines.
+// length is the declared Content-Length, -1 without one.
+func (c *Conn) readHead(resp *Response) (length int64, chunked, closing bool, err error) {
+	line, err := c.readLine()
+	if err != nil {
+		return 0, false, false, err
+	}
+	// "HTTP/1.x NNN[ reason]"
+	if len(line) < 12 || string(line[:7]) != "HTTP/1." || line[7] != '0' && line[7] != '1' ||
+		line[8] != ' ' || len(line) > 12 && line[12] != ' ' {
+		return 0, false, false, fmt.Errorf("malformed status line %q", line)
+	}
+	status, ok := parseDigits(line[9:12])
+	if !ok || status < 200 {
+		return 0, false, false, fmt.Errorf("malformed status line %q", line)
+	}
+	resp.Status, resp.QueueDepth = int(status), -1
+	closing = line[7] == '0' // HTTP/1.0 closes after every response
+	length = -1
+	for n := 0; ; n++ {
+		if line, err = c.readLine(); err != nil {
+			return 0, false, false, err
+		}
+		if len(line) == 0 {
+			break
+		}
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 || n == maxHeaderLines {
+			return 0, false, false, fmt.Errorf("malformed or over-long response head at %q", line)
+		}
+		name, value := line[:colon], bytes.Trim(line[colon+1:], " \t")
+		switch {
+		case bytes.EqualFold(name, []byte("Content-Length")):
+			v, ok := parseDigits(value)
+			if !ok || length >= 0 {
+				return 0, false, false, fmt.Errorf("bad or repeated Content-Length %q", value)
+			}
+			length = v
+		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
+			if !bytes.EqualFold(value, []byte("chunked")) {
+				return 0, false, false, fmt.Errorf("unsupported Transfer-Encoding %q", value)
+			}
+			chunked = true
+		case bytes.EqualFold(name, []byte("Connection")):
+			closing = closing || bytes.EqualFold(value, []byte("close"))
+		case bytes.EqualFold(name, []byte("Content-Type")):
+			resp.ContentType = contentType(value)
+		case bytes.EqualFold(name, []byte(RequestIDHeader)):
+			resp.RequestID = string(value)
+		case bytes.EqualFold(name, []byte(QueueDepthHeader)):
+			if v, ok := parseDigits(value); ok {
+				resp.QueueDepth = v
+			}
+		}
+	}
+	if chunked && length >= 0 {
+		return 0, false, false, errors.New("both Content-Length and Transfer-Encoding: chunked")
+	}
+	if status == 204 || status == 304 {
+		length, chunked = 0, false // defined to have no body, whatever the headers say
+	}
+	return length, chunked, closing, nil
+}
+
+// readLine reads one head line without its line ending. The slice is valid
+// until the next read.
+func (c *Conn) readLine() ([]byte, error) {
+	line, err := c.br.ReadSlice('\n')
+	if err != nil {
+		if errors.Is(err, bufio.ErrBufferFull) {
+			err = errors.New("response head line over 4 KiB")
+		}
+		return nil, err
+	}
+	return bytes.TrimRight(line, "\r\n"), nil
+}
+
+// skipTrailer consumes what follows the last chunk, up to the blank line.
+func (c *Conn) skipTrailer() error {
+	for n := 0; n <= maxHeaderLines; n++ {
+		line, err := c.readLine()
+		if err != nil {
+			return fmt.Errorf("fsproto: read chunked trailer: %w", err)
+		}
+		if len(line) == 0 {
+			return nil
+		}
+	}
+	return errors.New("fsproto: chunked trailer too long")
+}
+
+// parseDigits parses a non-negative decimal of at most 18 digits — no sign,
+// no space, nothing that could overflow.
+func parseDigits(b []byte) (int64, bool) {
+	if len(b) == 0 || len(b) > 18 {
+		return 0, false
+	}
+	var v int64
+	for _, d := range b {
+		if d < '0' || d > '9' {
+			return 0, false
+		}
+		v = v*10 + int64(d-'0')
+	}
+	return v, true
+}
+
+// contentType returns v as a string, without allocating for the protocol's
+// own three types.
+func contentType(v []byte) string {
+	switch string(v) {
+	case ContentTypeOctets:
+		return ContentTypeOctets
+	case ContentTypeJSON:
+		return ContentTypeJSON
+	case ContentTypeFrame:
+		return ContentTypeFrame
+	}
+	return string(v)
+}

@@ -102,12 +102,20 @@ type TraceContext struct {
 
 // String renders the context for the wire header: "traceID-parent-flag"
 // with hex IDs, e.g. "00c3a4d2b1e90f77-0-1".
-func (tc TraceContext) String() string {
-	flag := 0
-	if tc.Sampled {
-		flag = 1
+func (tc TraceContext) String() string { return string(tc.appendTo(nil)) }
+
+// appendTo appends the wire form to b.
+func (tc TraceContext) appendTo(b []byte) []byte {
+	const digits = "0123456789abcdef"
+	for shift := 60; shift >= 0; shift -= 4 {
+		b = append(b, digits[tc.TraceID>>shift&0xf])
 	}
-	return fmt.Sprintf("%016x-%x-%d", tc.TraceID, tc.Parent, flag)
+	b = append(b, '-')
+	b = strconv.AppendUint(b, tc.Parent, 16)
+	if tc.Sampled {
+		return append(b, "-1"...)
+	}
+	return append(b, "-0"...)
 }
 
 // ParseTraceContext parses the wire form. A malformed or empty value

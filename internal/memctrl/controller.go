@@ -98,8 +98,8 @@ type Controller struct {
 	// Osiris crash-consistency state.
 	persistedMECB map[uint64]counters.MECB
 	persistedFECB map[uint64]counters.FECB
-	unpersisted   map[uint64]int    // counter-block addr -> bumps since persist
-	ecc           map[uint64]uint64 // raw line number -> ECC-embedded check tag
+	unpersisted   map[uint64]int      // counter-block addr -> bumps since persist
+	ecc           map[uint64]*eccPage // page number -> the ECC-embedded check tags of its lines
 	crashed       bool
 
 	// Pre-crash snapshots, used only by VerifyRecovery in tests.
@@ -236,7 +236,7 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 		persistedMECB: make(map[uint64]counters.MECB),
 		persistedFECB: make(map[uint64]counters.FECB),
 		unpersisted:   make(map[uint64]int),
-		ecc:           make(map[uint64]uint64),
+		ecc:           make(map[uint64]*eccPage),
 	}
 	var memEngine *aesctr.Engine
 	if mode.MemEncryption {

@@ -3,6 +3,8 @@ package memctrl
 import (
 	"errors"
 	"fmt"
+	"math/bits"
+	"slices"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
@@ -71,62 +73,21 @@ func (c *Controller) Recover() error {
 	if !c.crashed {
 		return errors.New("memctrl: Recover without Crash")
 	}
-	window := c.cfg.Security.StopLoss
-	for lineNum, tag := range c.ecc {
-		la := addr.Phys(lineNum * config.LineSize)
-		page := la.PageNum()
-		li := la.LineInPage()
-		mecb, ok := c.mecb[page]
-		if !ok {
-			return fmt.Errorf("%w: no persisted MECB for page %d", ErrUnrecoverable, page)
-		}
-		fecb := c.fecb[page] // nil for never-tagged pages
-		cipher := c.PCM.ReadLine(la)
-
-		var key aesctr.Key
-		isFile := false
-		if c.mode.FileEncryption && fecb != nil && (fecb.GroupID != 0 || fecb.FileID != 0) {
-			if e, _, found := c.ottRegion.Lookup(fecb.GroupID, fecb.FileID); found {
-				key, isFile = e.Key, true
-			} else if k, found := c.ottTable.Lookup(fecb.GroupID, fecb.FileID); found {
-				key, isFile = k, true
+	// Pages in ascending order, so a failing recovery names the same line
+	// on every run.
+	pages := make([]uint64, 0, len(c.ecc))
+	for page := range c.ecc {
+		pages = append(pages, page)
+	}
+	slices.Sort(pages)
+	for _, page := range pages {
+		tags := c.ecc[page]
+		for have := tags.have; have != 0; have &= have - 1 {
+			li := bits.TrailingZeros64(have)
+			if err := c.recoverLine(page, li, tags.tag[li]); err != nil {
+				return err
 			}
 		}
-		if !isFile {
-			fecb = nil // the line carries the memory pad only
-		}
-
-		// Candidates are tried in place, through the datapath's own pad
-		// builder; the persisted minors come back if none matches.
-		// Overflows are persisted eagerly, so there is no wrap to search.
-		mBase, fBase, fileWindow := mecb.Minor[li], uint8(0), 0
-		if fecb != nil {
-			fBase, fileWindow = fecb.Minor[li], window
-		}
-		found := false
-	search:
-		for dm := 0; dm <= window && int(mBase)+dm <= config.MinorCounterMax; dm++ {
-			mecb.Minor[li] = mBase + uint8(dm)
-			for df := 0; df <= fileWindow && int(fBase)+df <= config.MinorCounterMax; df++ {
-				if fecb != nil {
-					fecb.Minor[li] = fBase + uint8(df)
-				}
-				plain := cipher
-				aesctr.XORBytes(plain[:], c.rd.pads(page, li, 1, mecb.Major, &mecb.Minor, fecb, key))
-				if eccTag(&plain) == tag {
-					found = true
-					break search
-				}
-			}
-		}
-		if !found {
-			mecb.Minor[li] = mBase
-			if fecb != nil {
-				fecb.Minor[li] = fBase
-			}
-			return fmt.Errorf("%w: line %#x", ErrUnrecoverable, uint64(la))
-		}
-		c.st.Inc("mc.recovered_lines")
 	}
 
 	// Regenerate the tree and verify against the processor-held root.
@@ -143,6 +104,58 @@ func (c *Controller) Recover() error {
 	}
 	c.crashed = false
 	return nil
+}
+
+// recoverLine recovers the counters of line li of page from its check tag.
+func (c *Controller) recoverLine(page uint64, li int, tag uint64) error {
+	window := c.cfg.Security.StopLoss
+	la := addr.Phys(page*config.PageSize + uint64(li)*config.LineSize)
+	mecb, ok := c.mecb[page]
+	if !ok {
+		return fmt.Errorf("%w: no persisted MECB for page %d", ErrUnrecoverable, page)
+	}
+	fecb := c.fecb[page] // nil for never-tagged pages
+	cipher := c.PCM.ReadLine(la)
+
+	var key aesctr.Key
+	isFile := false
+	if c.mode.FileEncryption && fecb != nil && (fecb.GroupID != 0 || fecb.FileID != 0) {
+		if e, _, found := c.ottRegion.Lookup(fecb.GroupID, fecb.FileID); found {
+			key, isFile = e.Key, true
+		} else if k, found := c.ottTable.Lookup(fecb.GroupID, fecb.FileID); found {
+			key, isFile = k, true
+		}
+	}
+	if !isFile {
+		fecb = nil // the line carries the memory pad only
+	}
+
+	// Candidates are tried in place, through the datapath's own pad
+	// builder; the persisted minors come back if none matches.
+	// Overflows are persisted eagerly, so there is no wrap to search.
+	mBase, fBase, fileWindow := mecb.Minor[li], uint8(0), 0
+	if fecb != nil {
+		fBase, fileWindow = fecb.Minor[li], window
+	}
+	for dm := 0; dm <= window && int(mBase)+dm <= config.MinorCounterMax; dm++ {
+		mecb.Minor[li] = mBase + uint8(dm)
+		for df := 0; df <= fileWindow && int(fBase)+df <= config.MinorCounterMax; df++ {
+			if fecb != nil {
+				fecb.Minor[li] = fBase + uint8(df)
+			}
+			plain := cipher
+			aesctr.XORBytes(plain[:], c.rd.pads(page, li, 1, mecb.Major, &mecb.Minor, fecb, key))
+			if eccTag(&plain) == tag {
+				c.st.Inc("mc.recovered_lines")
+				return nil
+			}
+		}
+	}
+	mecb.Minor[li] = mBase
+	if fecb != nil {
+		fecb.Minor[li] = fBase
+	}
+	return fmt.Errorf("%w: line %#x", ErrUnrecoverable, uint64(la))
 }
 
 // VerifyRecovery checks (for tests) that recovery reproduced the exact

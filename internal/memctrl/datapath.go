@@ -156,7 +156,7 @@ func (c *Controller) readLines(now config.Cycle, la addr.Phys, n int, dst []byte
 	// The post-crash pre-recovery window is skipped: counters are rolled
 	// back by design.
 	if padComplete && !c.crashed {
-		for bad := c.eccBad(la.LineNum(), dst); bad != 0; bad &= bad - 1 {
+		for bad := c.eccBad(page, li0, dst); bad != 0; bad &= bad - 1 {
 			c.eccViolation(done, page, li0+bits.TrailingZeros64(bad))
 		}
 	}
@@ -200,7 +200,7 @@ func (c *Controller) writeLines(now config.Cycle, la addr.Phys, n int, plain []b
 	pad := c.rd.pads(page, li0, n, mecb.Major, &mecb.Minor, fecb, key)
 	// Osiris: the lines' ECC bits carry a check tag over the plaintext, so
 	// the counter used for this write is recoverable after a crash.
-	c.eccSet(la.LineNum(), plain)
+	c.eccSet(page, li0, plain)
 	// Encrypt into the pad buffer (pad ^= plain), leaving the caller's
 	// plaintext untouched, and land the ciphertext in one store.
 	aesctr.XORBytes(pad, plain)
@@ -387,23 +387,42 @@ func (c *Controller) fileSide(now config.Cycle, page uint64, li0, n int, op audi
 	return nil, key, kReady
 }
 
+// eccPage is one page's Osiris check tags — the ECC lanes beside the frame,
+// one entry per page so a run of lines costs one lookup: tag[li] is line
+// li's tag when bit li of have is set.
+type eccPage struct {
+	have uint64
+	tag  [config.LinesPerPage]uint64
+}
+
 // eccSet stores the Osiris check tag of each 64-byte line of plain, the
-// first being raw line number lineNum.
-func (c *Controller) eccSet(lineNum uint64, plain []byte) {
+// first being line li0 of page.
+func (c *Controller) eccSet(page uint64, li0 int, plain []byte) {
+	p := c.ecc[page]
+	if p == nil {
+		p = new(eccPage)
+		c.ecc[page] = p
+	}
 	for off := 0; off < len(plain); off += config.LineSize {
-		c.ecc[lineNum+uint64(off/config.LineSize)] = eccTag((*aesctr.Line)(plain[off : off+config.LineSize]))
+		li := li0 + off/config.LineSize
+		p.tag[li] = eccTag((*aesctr.Line)(plain[off : off+config.LineSize]))
+		p.have |= 1 << li
 	}
 }
 
-// eccBad verifies decrypted lines against the check tags stored in their
-// ECC bits and returns a bitmask of the mismatching ones (bit i = the i-th
-// line of plain). Lines without a tag (never written, or shredded) pass.
-// Read-only, so snapshot readers may call it.
-func (c *Controller) eccBad(lineNum uint64, plain []byte) (bad uint64) {
+// eccBad verifies decrypted lines, the first being line li0 of page,
+// against the check tags stored in their ECC bits and returns a bitmask of
+// the mismatching ones (bit i = the i-th line of plain). Lines without a
+// tag (never written, or shredded) pass. Read-only, so snapshot readers may
+// call it.
+func (c *Controller) eccBad(page uint64, li0 int, plain []byte) (bad uint64) {
+	p := c.ecc[page]
+	if p == nil {
+		return 0
+	}
 	for off := 0; off < len(plain); off += config.LineSize {
 		i := off / config.LineSize
-		tag, ok := c.ecc[lineNum+uint64(i)]
-		if ok && eccTag((*aesctr.Line)(plain[off:off+config.LineSize])) != tag {
+		if li := li0 + i; p.have>>li&1 != 0 && eccTag((*aesctr.Line)(plain[off:off+config.LineSize])) != p.tag[li] {
 			bad |= 1 << i
 		}
 	}

@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"fsencr/internal/config"
 	"fsencr/internal/counters"
@@ -76,7 +77,7 @@ func (c *Controller) ExportImage() (*Image, error) {
 		Frames:  c.PCM.ExportFrames(),
 		MECB:    make(map[uint64]counters.MECB, len(c.mecb)),
 		FECB:    make(map[uint64]counters.FECB, len(c.fecb)),
-		ECC:     make(map[uint64]uint64, len(c.ecc)),
+		ECC:     eccLines(c.ecc),
 		Entries: c.ottTable.Entries(),
 		Buckets: c.ottRegion.ExportTable(),
 	}
@@ -86,10 +87,39 @@ func (c *Controller) ExportImage() (*Image, error) {
 	for k, v := range c.fecb {
 		img.FECB[k] = *v
 	}
-	for k, v := range c.ecc {
-		img.ECC[k] = v
-	}
 	return img, nil
+}
+
+// eccLines flattens the controller's per-page tag store into the image's
+// form, raw line number -> tag; eccPages is its inverse.
+func eccLines(pages map[uint64]*eccPage) map[uint64]uint64 {
+	n := 0
+	for _, p := range pages {
+		n += bits.OnesCount64(p.have)
+	}
+	lines := make(map[uint64]uint64, n)
+	for page, p := range pages {
+		for have := p.have; have != 0; have &= have - 1 {
+			li := bits.TrailingZeros64(have)
+			lines[page*config.LinesPerPage+uint64(li)] = p.tag[li]
+		}
+	}
+	return lines
+}
+
+func eccPages(lines map[uint64]uint64) map[uint64]*eccPage {
+	pages := make(map[uint64]*eccPage, len(lines)/config.LinesPerPage)
+	for line, tag := range lines {
+		page, li := line/config.LinesPerPage, line%config.LinesPerPage
+		p := pages[page]
+		if p == nil {
+			p = new(eccPage)
+			pages[page] = p
+		}
+		p.tag[li] = tag
+		p.have |= 1 << li
+	}
+	return pages
 }
 
 // Equal reports whether two images describe byte-identical module state:
@@ -220,10 +250,7 @@ func (c *Controller) ImportImage(img *Image) error {
 		c.fecb[k] = &vv
 		c.persistedFECB[k] = v
 	}
-	c.ecc = make(map[uint64]uint64, len(img.ECC))
-	for k, v := range img.ECC {
-		c.ecc[k] = v
-	}
+	c.ecc = eccPages(img.ECC)
 	c.ottTable.Clear()
 	for _, e := range img.Entries {
 		c.ottTable.Insert(e)

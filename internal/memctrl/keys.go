@@ -174,9 +174,6 @@ func (c *Controller) ShredPage(now config.Cycle, pa addr.Phys) config.Cycle {
 	// page's memory counters can no longer be reconstructed from data.
 	// Persist the MECB now (shredding is rare) so recovery never needs to.
 	c.persistCounterNow(ready, mecbAddr(page))
-	base := pa.PageAlign()
-	for li := 0; li < config.LinesPerPage; li++ {
-		delete(c.ecc, (base + addr.Phys(li*config.LineSize)).LineNum())
-	}
+	delete(c.ecc, page)
 	return ready
 }

@@ -81,17 +81,13 @@ func (c *Controller) Export() (Transport, error) {
 		vv := *v
 		fecb[k] = &vv
 	}
-	ecc := make(map[uint64]uint64, len(c.ecc))
-	for k, v := range c.ecc {
-		ecc[k] = v
-	}
 	return Transport{
 		memEngine: c.rd.mem,
 		root:      c.mt.Root(),
 		device:    c.PCM,
 		mecb:      mecb,
 		fecb:      fecb,
-		ecc:       ecc,
+		ecc:       eccLines(c.ecc),
 		entries:   c.ottTable.Entries(),
 		region:    c.ottRegion,
 	}, nil
@@ -116,7 +112,7 @@ func (c *Controller) Import(t Transport) error {
 	c.rd.mem = t.memEngine
 	c.mecb = t.mecb
 	c.fecb = t.fecb
-	c.ecc = t.ecc
+	c.ecc = eccPages(t.ecc)
 	c.ottRegion = t.region
 	c.ottTable.Clear()
 	for _, e := range t.entries {

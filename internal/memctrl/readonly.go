@@ -183,7 +183,7 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 
 	// Osiris check tags, deferred: mismatches are recorded, accounted by
 	// the owner at drain time.
-	for bad := c.eccBad(base.LineNum(), dst[:]); bad != 0; bad &= bad - 1 {
+	for bad := c.eccBad(page, 0, dst[:]); bad != 0; bad &= bad - 1 {
 		d.ECC = append(d.ECC, ECCEvent{Page: page, Line: bits.TrailingZeros64(bad)})
 	}
 	return true

@@ -1,14 +1,13 @@
 package server
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	"fsencr/internal/fs"
@@ -261,40 +260,99 @@ func (svc *Service) tryForward(w http.ResponseWriter, r *http.Request, body []by
 	if !ok || base == "" {
 		return 0, false
 	}
-	req, rerr := http.NewRequestWithContext(r.Context(), http.MethodPost, base+r.URL.Path, bytes.NewReader(body))
-	if rerr != nil {
-		return 0, false
-	}
-	req.Header.Set("Content-Type", r.Header.Get("Content-Type"))
-	req.Header.Set(fsproto.ForwardedHeader, "1")
-	if tok := r.Header.Get(fsproto.TokenHeader); tok != "" {
-		req.Header.Set(fsproto.TokenHeader, tok)
+	freq := fsproto.Request{
+		Path:        r.URL.Path,
+		ContentType: r.Header.Get("Content-Type"),
+		Token:       r.Header.Get(fsproto.TokenHeader),
+		// The context the entry handler resolved, so the owner continues the
+		// same trace even when this node minted the ID.
+		Trace:     TraceFromContext(r.Context()),
+		Forwarded: true,
+		Body:      body,
 	}
 	if sess != nil {
-		req.Header.Set(fsproto.PeerTenantHeader, sess.tenant)
-		req.Header.Set(fsproto.PeerUIDHeader, strconv.FormatUint(uint64(sess.uid), 10))
-		req.Header.Set(fsproto.PeerPassHeader, sess.pass)
+		freq.Peer = &fsproto.Peer{Tenant: sess.tenant, UID: sess.uid, Pass: sess.pass}
 	}
-	// The context the entry handler resolved, so the owner continues the
-	// same trace even when this node minted the ID.
-	req.Header.Set(fsproto.TraceHeader, TraceFromContext(r.Context()).String())
-	resp, rerr := svc.fwdHC.Do(req)
+	conn, rerr := svc.hop.get(base)
 	if rerr != nil {
 		return 0, false
 	}
-	defer resp.Body.Close()
-	if ct := resp.Header.Get("Content-Type"); ct != "" {
-		w.Header().Set("Content-Type", ct)
+	conn.SetDeadline(time.Now().Add(svc.opts.RequestTimeout))
+	resp, rerr := conn.Do(&freq)
+	svc.hop.put(base, conn)
+	if rerr != nil {
+		return 0, false
 	}
-	if resp.ContentLength >= 0 {
-		w.Header().Set("Content-Length", strconv.FormatInt(resp.ContentLength, 10))
+	h := w.Header()
+	if resp.ContentType != "" {
+		h.Set("Content-Type", resp.ContentType)
 	}
-	w.WriteHeader(resp.StatusCode)
-	if _, cerr := io.Copy(w, resp.Body); cerr != nil {
+	h.Set("Content-Length", strconv.Itoa(len(resp.Body)))
+	if resp.QueueDepth >= 0 {
+		// The owner's 429 hint: the client's backoff scales by it.
+		h.Set(fsproto.QueueDepthHeader, strconv.FormatInt(resp.QueueDepth, 10))
+	}
+	w.WriteHeader(resp.Status)
+	if _, werr := w.Write(resp.Body); werr != nil {
 		svc.cEncErrs.Inc()
 	}
 	svc.cFwd.Inc()
-	return resp.StatusCode, true
+	return resp.Status, true
+}
+
+// hopConns holds the forward hop's connections: per owner base URL, a short
+// list of idle ones. A forward takes one (a new one when the list is empty),
+// owns it for its exchange, and puts it back.
+type hopConns struct {
+	mu     sync.Mutex
+	idle   map[string][]*fsproto.Conn
+	closed bool
+}
+
+// maxIdleHopConns bounds the idle list of one owner; a forward that finds
+// it full on return closes its connection.
+const maxIdleHopConns = 8
+
+func (h *hopConns) get(base string) (*fsproto.Conn, error) {
+	h.mu.Lock()
+	if l := h.idle[base]; len(l) > 0 {
+		// The most recently used: the least likely to have been closed.
+		conn := l[len(l)-1]
+		h.idle[base] = l[:len(l)-1]
+		h.mu.Unlock()
+		return conn, nil
+	}
+	h.mu.Unlock()
+	return fsproto.Dial(base)
+}
+
+func (h *hopConns) put(base string, conn *fsproto.Conn) {
+	h.mu.Lock()
+	keep := !h.closed && len(h.idle[base]) < maxIdleHopConns
+	if keep {
+		if h.idle == nil {
+			h.idle = make(map[string][]*fsproto.Conn)
+		}
+		h.idle[base] = append(h.idle[base], conn)
+	}
+	h.mu.Unlock()
+	if !keep {
+		conn.Close()
+	}
+}
+
+// close closes the idle connections; one out on a forward is closed when
+// it comes back.
+func (h *hopConns) close() {
+	h.mu.Lock()
+	idle := h.idle
+	h.idle, h.closed = nil, true
+	h.mu.Unlock()
+	for _, l := range idle {
+		for _, conn := range l {
+			conn.Close()
+		}
+	}
 }
 
 // handleShardsProm serves every shard's deterministic snapshot in

@@ -133,12 +133,13 @@ type Service struct {
 	retiredShards []*Shard
 
 	// epoch is the routing-table epoch this node serves at; fwd holds the
-	// Forwarder used to proxy misrouted requests to their owner.
+	// Forwarder used to proxy misrouted requests to their owner, over hop's
+	// connections.
 	epoch  atomic.Uint64
 	gEpoch *telemetry.Gauge
 	cFwd   *telemetry.Counter
 	fwd    atomic.Value
-	fwdHC  *http.Client
+	hop    hopConns
 
 	// reg is the host-side registry: request latencies in wall-clock
 	// nanoseconds, queue depths, denial counters. Deliberately separate
@@ -217,7 +218,6 @@ func New(opts Options) *Service {
 		byIdx:          make(map[int]*Shard),
 		gEpoch:         reg.Gauge("cluster.epoch"),
 		cFwd:           reg.Counter("server.forwarded_total"),
-		fwdHC:          &http.Client{Timeout: opts.RequestTimeout},
 	}
 	owned := opts.OwnedShards
 	if owned == nil {
@@ -564,6 +564,7 @@ func (svc *Service) Close() {
 	shards = append(shards, svc.retiredShards...)
 	svc.retiredShards = nil
 	svc.mu.Unlock()
+	svc.hop.close()
 	for _, sh := range shards {
 		sh.Close()
 	}

@@ -247,3 +247,60 @@ func FuzzFramedWrite(f *testing.F) {
 		}
 	})
 }
+
+// benchClient boots the service behind a loopback listener and returns one
+// logged-in product client with a written 64 KiB file and one KV pair.
+func benchClient(b *testing.B) *fsclient.Client {
+	b.Helper()
+	svc := server.New(server.Options{
+		Shards: 1,
+		MCMode: core.SchemeFsEncr.MCMode(),
+		Access: core.SchemeFsEncr.AccessMode(),
+	})
+	hs := httptest.NewServer(svc.Mux())
+	cl := fsclient.Dial(hs.URL)
+	b.Cleanup(func() { cl.Close(); svc.Close(); hs.Close() })
+	if err := cl.Login("acme", 1, "pw"); err != nil {
+		b.Fatalf("login: %v", err)
+	}
+	if err := cl.Create(fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 1 << 16, Encrypted: true}); err != nil {
+		b.Fatalf("create: %v", err)
+	}
+	if err := cl.Write(fsproto.WriteRequest{Name: "f.dat", Data: wirePattern(1<<16, 1)}); err != nil {
+		b.Fatalf("write: %v", err)
+	}
+	if err := cl.KVCreate(fsproto.KVCreateRequest{Store: "kv", Size: 1 << 20}); err != nil {
+		b.Fatalf("kv create: %v", err)
+	}
+	if err := cl.KVPut(fsproto.KVPutRequest{Store: "kv", Key: 7, Value: wirePattern(64, 2)}); err != nil {
+		b.Fatalf("kv put: %v", err)
+	}
+	return cl
+}
+
+// BenchmarkClientRead4K is one 4 KiB read end to end over loopback: the
+// product client, the wire exchange, net/http's server and the fast read
+// path. Allocations are the whole process's, client and server.
+func BenchmarkClientRead4K(b *testing.B) {
+	cl := benchClient(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.Read(fsproto.ReadRequest{Name: "f.dat", Offset: uint64(i%16) * 4096, Length: 4096}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkClientKVGet is the small-body counterpart: a 64-byte value, so
+// the fixed per-request cost is what it measures.
+func BenchmarkClientKVGet(b *testing.B) {
+	cl := benchClient(b)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := cl.KVGet(fsproto.KVGetRequest{Store: "kv", Key: 7}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
