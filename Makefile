@@ -53,7 +53,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzFramedWrite$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzImportImage$$' -fuzztime 10s ./internal/memctrl
 
-race: smoke-race
+race:
 	$(GO) test -race ./...
 
 # fsencrd end-to-end smoke: boot the multi-tenant file service, drive it
@@ -193,4 +193,9 @@ overhead-guard:
 	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestTelemetryOverheadGuard|TestWriteLineGapGuard|TestPageGapGuard|TestAuditOverheadGuard|TestTraceOverheadGuard' -v ./internal/memctrl
 	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestReadScalingGuard' -v ./internal/server
 
-ci: build vet test layerbench-test fuzz-smoke smoke race read-smoke read-smoke-race malice-race slo-smoke chaos-ci cluster-smoke cluster-smoke-race migration-chaos overhead-guard bench-check
+# `test` and `race` already run every test of every package, so the smoke
+# targets above (smoke, read-smoke, malice-race, slo-smoke, cluster-smoke and
+# their -race forms) — `-run` subsets of internal/server, internal/cluster
+# and internal/chaos — are developer shortcuts, not CI steps: chaining them
+# ran most server and cluster tests three or four times.
+ci: build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos overhead-guard bench-check

@@ -20,7 +20,7 @@ import (
 	"fsencr/internal/kernel"
 	"fsencr/internal/machine"
 	"fsencr/internal/memctrl"
-	"fsencr/internal/trace"
+	"fsencr/internal/memtrace"
 	"fsencr/internal/workloads"
 )
 
@@ -67,7 +67,7 @@ func record(args []string) {
 	if err := w.Setup(env); err != nil {
 		fatal(err)
 	}
-	rec := &trace.Recorder{}
+	rec := &memtrace.Recorder{}
 	sys.M.SetTracer(rec) // measured phase only
 	if err := w.Run(env); err != nil {
 		fatal(err)
@@ -77,21 +77,21 @@ func record(args []string) {
 		fatal(err)
 	}
 	defer f.Close()
-	if err := trace.Write(f, rec.Events); err != nil {
+	if err := memtrace.Write(f, rec.Events); err != nil {
 		fatal(err)
 	}
-	s := trace.Summarize(rec.Events)
+	s := memtrace.Summarize(rec.Events)
 	fmt.Printf("recorded %d events (%d reads, %d writes, %d flushes) from %s to %s\n",
 		s.Events, s.Reads, s.Writes, s.Flushes, *workload, *out)
 }
 
-func load(path string) []trace.Event {
+func load(path string) []memtrace.Event {
 	f, err := os.Open(path)
 	if err != nil {
 		fatal(err)
 	}
 	defer f.Close()
-	events, err := trace.Read(f)
+	events, err := memtrace.Read(f)
 	if err != nil {
 		fatal(err)
 	}
@@ -102,7 +102,7 @@ func info(args []string) {
 	fs := flag.NewFlagSet("info", flag.ExitOnError)
 	in := fs.String("i", "out.trace", "input trace file")
 	fs.Parse(args)
-	s := trace.Summarize(load(*in))
+	s := memtrace.Summarize(load(*in))
 	fmt.Printf("events        %d\n", s.Events)
 	fmt.Printf("reads         %d (%d bytes)\n", s.Reads, s.BytesRead)
 	fmt.Printf("writes        %d (%d bytes)\n", s.Writes, s.BytesWrite)
@@ -132,8 +132,8 @@ func replay(args []string) {
 
 	events := load(*in)
 	m := machine.New(config.Default(), mode)
-	trace.Prepare(m, events)
-	cycles, err := trace.Replay(m, events)
+	memtrace.Prepare(m, events)
+	cycles, err := memtrace.Replay(m, events)
 	if err != nil {
 		fatal(err)
 	}

@@ -56,30 +56,16 @@ func postJSON(hc *http.Client, url string, req, out any) error {
 	if err != nil {
 		return err
 	}
-	resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
+	data, err := postRaw(hc, url, body)
+	if err != nil || out == nil {
 		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var fe fabricErr
-		if json.Unmarshal(data, &fe) == nil && fe.Error != "" {
-			return fmt.Errorf("cluster: %s: %s", url, fe.Error)
-		}
-		return fmt.Errorf("cluster: %s: %s: %s", url, resp.Status, data)
-	}
-	if out == nil {
-		return nil
 	}
 	return json.Unmarshal(data, out)
 }
 
 // postRaw posts an opaque body (gob payloads relay through the
-// coordinator undecoded) and returns the raw 200 response.
+// coordinator undecoded; the fabric's handlers do not look at the content
+// type, so JSON requests go the same way) and returns the raw 200 response.
 func postRaw(hc *http.Client, url string, body []byte) ([]byte, error) {
 	resp, err := hc.Post(url, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"sync"
@@ -70,23 +71,19 @@ func (n *Node) Close() {
 // observability surfaces plus the cluster fabric.
 func (n *Node) Mux() *http.ServeMux {
 	mux := n.svc.Mux()
-	mux.HandleFunc("/fabric/freeze", n.handleFreeze)
-	mux.HandleFunc("/fabric/export", n.handleExport)
-	mux.HandleFunc("/fabric/resume", n.handleResume)
-	mux.HandleFunc("/fabric/commit", n.handleCommit)
+	mux.HandleFunc("/fabric/freeze", shardVerb(n.freeze))
+	mux.HandleFunc("/fabric/export", shardVerb(n.export))
+	mux.HandleFunc("/fabric/resume", shardVerb(n.resume))
+	mux.HandleFunc("/fabric/commit", shardVerb(n.commit))
 	mux.HandleFunc("/fabric/install", n.handleInstall)
-	mux.HandleFunc("/fabric/discard", n.handleDiscard)
-	mux.HandleFunc("/fabric/pull", n.handlePull)
-	mux.HandleFunc("/fabric/loglen", n.handleLogLen)
-	mux.HandleFunc("/fabric/replica/start", n.handleReplicaStart)
-	mux.HandleFunc("/fabric/replica/promote", n.handleReplicaPromote)
-	mux.HandleFunc("/fabric/replica/status", n.handleReplicaStatus)
+	mux.HandleFunc("/fabric/discard", shardVerb(n.discard))
+	mux.HandleFunc("/fabric/pull", shardVerb(n.pull))
+	mux.HandleFunc("/fabric/loglen", shardVerb(n.logLen))
+	mux.HandleFunc("/fabric/replica/start", shardVerb(n.replicaStart))
+	mux.HandleFunc("/fabric/replica/promote", shardVerb(n.replicaPromote))
+	mux.HandleFunc("/fabric/replica/status", shardVerb(n.replicaStatus))
 	mux.HandleFunc("/fabric/table", n.handleTable)
 	return mux
-}
-
-func decodeReq(r *http.Request, req *shardReq) error {
-	return jsonDecode(r, req)
 }
 
 func jsonDecode(r *http.Request, v any) error {
@@ -94,29 +91,67 @@ func jsonDecode(r *http.Request, v any) error {
 	return json.NewDecoder(r.Body).Decode(v)
 }
 
-// handleFreeze quiesces a shard for migration and parks the hold.
-func (n *Node) handleFreeze(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
+// statusError is a fabric verb's error that names its HTTP status; any
+// other error answers 500.
+type statusError struct {
+	status int
+	error
+}
+
+// shardVerb adapts a fabric verb on one shard to its handler: an
+// undecodable shardReq answers 400, an error its status with the JSON error
+// body, and a result 200 — a []byte as is (a gob payload), anything else as
+// JSON, nil as the empty object.
+func shardVerb(verb func(*http.Request, shardReq) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req shardReq
+		if err := jsonDecode(r, &req); err != nil {
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		out, err := verb(r, req)
+		if err != nil {
+			status := http.StatusInternalServerError
+			if se := (statusError{}); errors.As(err, &se) {
+				status = se.status
+			}
+			writeErr(w, status, err)
+			return
+		}
+		switch out := out.(type) {
+		case nil:
+			writeJSON(w, struct{}{})
+		case []byte:
+			w.Header().Set("Content-Type", "application/octet-stream")
+			w.Write(out)
+		default:
+			writeJSON(w, out)
+		}
 	}
-	n.mu.Lock()
-	if _, held := n.migs[req.Shard]; held {
-		n.mu.Unlock()
-		writeErr(w, http.StatusConflict, fmt.Errorf("shard %d already frozen", req.Shard))
-		return
+}
+
+// gobBytes encodes a fabric payload.
+func gobBytes(v any) ([]byte, error) {
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
+		return nil, err
 	}
-	n.mu.Unlock()
+	return buf.Bytes(), nil
+}
+
+// freeze quiesces a shard for migration and parks the hold.
+func (n *Node) freeze(r *http.Request, req shardReq) (any, error) {
+	if n.peekMig(req.Shard) != nil {
+		return nil, statusError{http.StatusConflict, fmt.Errorf("shard %d already frozen", req.Shard)}
+	}
 	mig, err := n.svc.FreezeShard(r.Context(), req.Shard)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
 	n.mu.Lock()
 	n.migs[req.Shard] = mig
 	n.mu.Unlock()
-	writeJSON(w, struct{}{})
+	return nil, nil
 }
 
 func (n *Node) takeMig(shard int) *server.Migration {
@@ -133,61 +168,41 @@ func (n *Node) peekMig(shard int) *server.Migration {
 	return n.migs[shard]
 }
 
-// handleExport ships the frozen shard's state as gob.
-func (n *Node) handleExport(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func errNotFrozen(shard int) error {
+	return statusError{http.StatusConflict, fmt.Errorf("shard %d is not frozen", shard)}
+}
+
+// export ships the frozen shard's state as gob.
+func (n *Node) export(_ *http.Request, req shardReq) (any, error) {
 	mig := n.peekMig(req.Shard)
 	if mig == nil {
-		writeErr(w, http.StatusConflict, fmt.Errorf("shard %d is not frozen", req.Shard))
-		return
+		return nil, errNotFrozen(req.Shard)
 	}
 	st, err := mig.Export()
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(st); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(buf.Bytes())
+	return gobBytes(st)
 }
 
-// handleResume rolls a migration back: the hold releases, the worker
-// serves the queued backlog as if nothing happened.
-func (n *Node) handleResume(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+// resume rolls a migration back: the hold releases, the worker serves the
+// queued backlog as if nothing happened.
+func (n *Node) resume(_ *http.Request, req shardReq) (any, error) {
 	if mig := n.takeMig(req.Shard); mig != nil {
 		mig.Resume()
 	}
-	writeJSON(w, struct{}{})
+	return nil, nil
 }
 
-// handleCommit finishes a migration on the source: the shard retires at
-// the new epoch and queued requests answer with the routing error.
-func (n *Node) handleCommit(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+// commit finishes a migration on the source: the shard retires at the new
+// epoch and queued requests answer with the routing error.
+func (n *Node) commit(_ *http.Request, req shardReq) (any, error) {
 	mig := n.takeMig(req.Shard)
 	if mig == nil {
-		writeErr(w, http.StatusConflict, fmt.Errorf("shard %d is not frozen", req.Shard))
-		return
+		return nil, errNotFrozen(req.Shard)
 	}
 	mig.Commit(req.Epoch)
-	writeJSON(w, struct{}{})
+	return nil, nil
 }
 
 // handleInstall rehydrates a migrated shard from its gob state.
@@ -205,81 +220,38 @@ func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, struct{}{})
 }
 
-// handleDiscard drops an installed-but-uncommitted shard (rollback on the
+// discard drops an installed-but-uncommitted shard (rollback on the
 // target).
-func (n *Node) handleDiscard(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+func (n *Node) discard(_ *http.Request, req shardReq) (any, error) {
 	n.svc.DropShard(req.Shard)
-	writeJSON(w, struct{}{})
+	return nil, nil
 }
 
-// handlePull ships admission-log records from a position onward (gob) —
-// the replication stream.
-func (n *Node) handlePull(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+// pull ships admission-log records from a position onward (gob) — the
+// replication stream.
+func (n *Node) pull(r *http.Request, req shardReq) (any, error) {
 	recs, err := n.svc.RecordsFrom(r.Context(), req.Shard, req.From)
 	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
+		return nil, err
 	}
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(recs); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(buf.Bytes())
+	return gobBytes(recs)
 }
 
-// handleLogLen reports a shard's admission-log length.
-func (n *Node) handleLogLen(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
+// logLen reports a shard's admission-log length.
+func (n *Node) logLen(r *http.Request, req shardReq) (any, error) {
 	ln, err := n.svc.LogLen(r.Context(), req.Shard)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, map[string]uint64{"len": ln})
+	return map[string]uint64{"len": ln}, err
 }
 
-// handleReplicaStart begins replicating a shard from its primary.
-func (n *Node) handleReplicaStart(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if _, err := n.StartReplica(req.Shard, req.Source); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, struct{}{})
+// replicaStart begins replicating a shard from its primary.
+func (n *Node) replicaStart(_ *http.Request, req shardReq) (any, error) {
+	_, err := n.StartReplica(req.Shard, req.Source)
+	return nil, err
 }
 
-// handleReplicaPromote turns a clean replica into the serving owner.
-func (n *Node) handleReplicaPromote(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := n.PromoteReplica(req.Shard, req.Epoch); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, struct{}{})
+// replicaPromote turns a clean replica into the serving owner.
+func (n *Node) replicaPromote(_ *http.Request, req shardReq) (any, error) {
+	return nil, n.PromoteReplica(req.Shard, req.Epoch)
 }
 
 // ReplicaStatus is the replica sync report.
@@ -289,21 +261,13 @@ type ReplicaStatus struct {
 	Err    string `json:"err,omitempty"`
 }
 
-// handleReplicaStatus reports a replica's sync position and health.
-func (n *Node) handleReplicaStatus(w http.ResponseWriter, r *http.Request) {
-	var req shardReq
-	if err := decodeReq(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	n.mu.Lock()
-	rep := n.reps[req.Shard]
-	n.mu.Unlock()
+// replicaStatus reports a replica's sync position and health.
+func (n *Node) replicaStatus(_ *http.Request, req shardReq) (any, error) {
+	rep := n.Replica(req.Shard)
 	if rep == nil {
-		writeErr(w, http.StatusNotFound, fmt.Errorf("no replica of shard %d here", req.Shard))
-		return
+		return nil, statusError{http.StatusNotFound, fmt.Errorf("no replica of shard %d here", req.Shard)}
 	}
-	writeJSON(w, rep.Status())
+	return rep.Status(), nil
 }
 
 // handleTable applies a coordinator table push: the node publishes the

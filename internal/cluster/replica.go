@@ -24,7 +24,8 @@ import (
 // promoted later.
 //
 // Exactly one goroutine — the pull loop, or after Stop the caller —
-// touches the detached shard.
+// touches the detached shard; Root, the one reader from outside, takes the
+// replay lock the loop holds while it replays.
 type Replica struct {
 	svc    *server.Service
 	sh     *server.Shard
@@ -39,6 +40,8 @@ type Replica struct {
 	mu     sync.Mutex
 	pulled uint64
 	err    error
+
+	replay sync.Mutex // held across a replay batch, and by Root
 }
 
 // NewReplica boots the detached replica shard. The primary's discipline
@@ -118,7 +121,10 @@ func (r *Replica) pullOnce() error {
 	if len(recs) == 0 {
 		return nil
 	}
-	if err := r.svc.ReplayRecords(r.sh, recs); err != nil {
+	r.replay.Lock()
+	err = r.svc.ReplayRecords(r.sh, recs)
+	r.replay.Unlock()
+	if err != nil {
 		if errors.Is(err, server.ErrDiverged) {
 			r.sh.Jrn.Emit(journal.Event{
 				Cycle:  uint64(r.sh.Sys.M.MaxCoreTime()),
@@ -185,6 +191,8 @@ func (r *Replica) Pulled() uint64 {
 // Root returns the replica shard's current Merkle root (divergence
 // comparisons in tests).
 func (r *Replica) Root() [32]byte {
+	r.replay.Lock()
+	defer r.replay.Unlock()
 	return r.sh.Sys.M.MC.MerkleRoot()
 }
 

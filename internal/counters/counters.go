@@ -1,11 +1,11 @@
 // Package counters implements the split-counter security metadata of the
-// paper (§III-D and Figure 6):
+// paper (§III-D and Figure 6). A counter block covers one 4 KB page and is
+// exactly one 64-byte line — a major counter and 64 seven-bit minor counters
+// — in one of two kinds:
 //
-//   - MECB (Memory Encryption Counter Block): one 64-bit major counter and
-//     64 seven-bit minor counters, covering one 4 KB page; one 64-byte line.
-//   - FECB (File Encryption Counter Block): an 18-bit Group ID, a 14-bit
-//     File ID, a 32-bit major counter, and 64 seven-bit minor counters;
-//     also exactly one 64-byte line.
+//   - Mem (the paper's MECB, Memory Encryption Counter Block): a 64-bit major.
+//   - File (the FECB, File Encryption Counter Block): an 18-bit Group ID, a
+//     14-bit File ID and a 32-bit major.
 //
 // A data line's encryption counter is (major, minor[lineInPage]). Every
 // write increments the line's minor counter; a minor overflow increments the
@@ -16,23 +16,38 @@ package counters
 import (
 	"encoding/binary"
 	"fmt"
+	"math"
 
 	"fsencr/internal/config"
 )
 
-// MECB is a memory-encryption counter block covering one 4 KB page.
-type MECB struct {
-	Major uint64
-	Minor [config.LinesPerPage]uint8 // 7-bit values
+// Kind says which of a page's two counter blocks a block is: its position
+// in the pair ("a file encryption counter block follows each memory
+// encryption counter block"). It is a property of where the block lives,
+// never stored in the block, so everything that depends on it — the line
+// layout, the width of the major — takes it as an argument.
+type Kind uint8
+
+const (
+	Mem  Kind = 0
+	File Kind = 1
+)
+
+// String names the kind as journal events do.
+func (k Kind) String() string {
+	if k == File {
+		return "file"
+	}
+	return "mem"
 }
 
-// FECB is a file-encryption counter block covering one 4 KB page of a DAX
-// file, tagged with the owning file's identity so the memory controller can
-// locate the file key in the Open Tunnel Table.
-type FECB struct {
-	GroupID uint32 // 18 bits
-	FileID  uint16 // 14 bits
-	Major   uint32
+// CB is a counter block. A file block is tagged with the owning file's
+// identity so the memory controller can locate the file key in the Open
+// Tunnel Table; a memory block's identity is always zero.
+type CB struct {
+	GroupID uint32                     // 18 bits
+	FileID  uint16                     // 14 bits
+	Major   uint64                     // a file block uses the low 32 bits
 	Minor   [config.LinesPerPage]uint8 // 7-bit values
 }
 
@@ -83,84 +98,71 @@ func unpackMinors(b []byte, minors *[config.LinesPerPage]uint8) {
 	}
 }
 
-// Encode serializes the MECB into its 64-byte line: 8 bytes of major counter
-// followed by 56 bytes of packed minors.
-func (m *MECB) Encode() Block {
-	var b Block
-	m.EncodeInto(&b)
-	return b
+// Encode serializes the block into its 64-byte line. A memory block is 8
+// bytes of major counter followed by 56 bytes of packed minors; a file
+// block is 4 bytes packing the 18-bit Group ID and 14-bit File ID, 4 bytes
+// of major counter, then the minors. A block its kind's line cannot hold —
+// an oversize ID or file major, an identity on a memory block — is an
+// error.
+func (c *CB) Encode(k Kind) (b Block, err error) {
+	err = c.EncodeInto(k, &b) // nothing is written on error
+	return b, err
 }
 
-// EncodeInto serializes the MECB into a caller-owned block, so hot paths
+// EncodeInto serializes the block into a caller-owned line, so hot paths
 // that re-encode a counter block on every NVM access (fetch, bump, tree
 // update) can reuse one scratch buffer instead of escaping a fresh 64-byte
 // copy to the heap each time.
-func (m *MECB) EncodeInto(b *Block) {
-	binary.LittleEndian.PutUint64(b[0:8], m.Major)
-	packMinors(b[8:], &m.Minor)
-}
-
-// DecodeMECB parses a serialized MECB.
-func DecodeMECB(b Block) MECB {
-	var m MECB
-	m.Major = binary.LittleEndian.Uint64(b[0:8])
-	unpackMinors(b[8:], &m.Minor)
-	return m
-}
-
-// Encode serializes the FECB into its 64-byte line: 4 bytes packing the
-// 18-bit Group ID and 14-bit File ID, 4 bytes of major counter, then 56
-// bytes of packed minors.
-func (f *FECB) Encode() (Block, error) {
-	var b Block
-	if err := f.EncodeInto(&b); err != nil {
-		return Block{}, err
+func (c *CB) EncodeInto(k Kind, b *Block) error {
+	if c.GroupID > MaxGroupID {
+		return fmt.Errorf("counters: group ID %d exceeds 18 bits", c.GroupID)
 	}
-	return b, nil
-}
-
-// EncodeInto serializes the FECB into a caller-owned block (see
-// MECB.EncodeInto for why hot paths want this form).
-func (f *FECB) EncodeInto(b *Block) error {
-	if f.GroupID > MaxGroupID {
-		return fmt.Errorf("counters: group ID %d exceeds 18 bits", f.GroupID)
+	if c.FileID > MaxFileID {
+		return fmt.Errorf("counters: file ID %d exceeds 14 bits", c.FileID)
 	}
-	if f.FileID > MaxFileID {
-		return fmt.Errorf("counters: file ID %d exceeds 14 bits", f.FileID)
+	if k == Mem {
+		if c.GroupID != 0 || c.FileID != 0 {
+			return fmt.Errorf("counters: memory block tagged (%d, %d)", c.GroupID, c.FileID)
+		}
+		binary.LittleEndian.PutUint64(b[0:8], c.Major)
+	} else {
+		if c.Major > math.MaxUint32 {
+			return fmt.Errorf("counters: file major %d exceeds 32 bits", c.Major)
+		}
+		binary.LittleEndian.PutUint32(b[0:4], c.GroupID|uint32(c.FileID)<<18)
+		binary.LittleEndian.PutUint32(b[4:8], uint32(c.Major))
 	}
-	tag := uint32(f.GroupID) | uint32(f.FileID)<<18
-	binary.LittleEndian.PutUint32(b[0:4], tag)
-	binary.LittleEndian.PutUint32(b[4:8], f.Major)
-	packMinors(b[8:], &f.Minor)
+	packMinors(b[8:], &c.Minor)
 	return nil
 }
 
-// MustEncode is Encode for callers that have already validated the IDs.
-func (f *FECB) MustEncode() Block {
-	b, err := f.Encode()
-	if err != nil {
+// MustEncodeInto is EncodeInto for callers that have already validated the
+// block.
+func (c *CB) MustEncodeInto(k Kind, b *Block) {
+	if err := c.EncodeInto(k, b); err != nil {
 		panic(err)
 	}
+}
+
+// MustEncode is Encode for callers that have already validated the block.
+func (c *CB) MustEncode(k Kind) (b Block) {
+	c.MustEncodeInto(k, &b)
 	return b
 }
 
-// MustEncodeInto is EncodeInto for callers that have already validated the
-// IDs.
-func (f *FECB) MustEncodeInto(b *Block) {
-	if err := f.EncodeInto(b); err != nil {
-		panic(err)
+// Decode parses a serialized block of kind k.
+func Decode(k Kind, b Block) CB {
+	var c CB
+	if k == Mem {
+		c.Major = binary.LittleEndian.Uint64(b[0:8])
+	} else {
+		tag := binary.LittleEndian.Uint32(b[0:4])
+		c.GroupID = tag & MaxGroupID
+		c.FileID = uint16(tag >> 18 & MaxFileID)
+		c.Major = uint64(binary.LittleEndian.Uint32(b[4:8]))
 	}
-}
-
-// DecodeFECB parses a serialized FECB.
-func DecodeFECB(b Block) FECB {
-	var f FECB
-	tag := binary.LittleEndian.Uint32(b[0:4])
-	f.GroupID = tag & MaxGroupID
-	f.FileID = uint16(tag >> 18 & MaxFileID)
-	f.Major = binary.LittleEndian.Uint32(b[4:8])
-	unpackMinors(b[8:], &f.Minor)
-	return f
+	unpackMinors(b[8:], &c.Minor)
+	return c
 }
 
 // BumpResult describes the effect of incrementing a minor counter.
@@ -174,42 +176,26 @@ type BumpResult struct {
 	MajorWrapped bool
 }
 
-// Bump increments the minor counter for line (0..63), handling overflow.
-func (m *MECB) Bump(line int) BumpResult {
-	if m.Minor[line] < config.MinorCounterMax {
-		m.Minor[line]++
+// Bump increments the minor counter for line (0..63), handling overflow. A
+// file block's major wraps at 32 bits — the width its line stores.
+func (c *CB) Bump(k Kind, line int) BumpResult {
+	if c.Minor[line] < config.MinorCounterMax {
+		c.Minor[line]++
 		return BumpResult{}
 	}
-	m.Major++
-	for i := range m.Minor {
-		m.Minor[i] = 0
+	c.Major++
+	if k == File {
+		c.Major &= math.MaxUint32
 	}
-	m.Minor[line] = 1
-	return BumpResult{Overflowed: true, MajorWrapped: m.Major == 0}
+	c.Minor = [config.LinesPerPage]uint8{}
+	c.Minor[line] = 1
+	return BumpResult{Overflowed: true, MajorWrapped: c.Major == 0}
 }
 
-// Bump increments the minor counter for line (0..63), handling overflow.
-func (f *FECB) Bump(line int) BumpResult {
-	if f.Minor[line] < config.MinorCounterMax {
-		f.Minor[line]++
-		return BumpResult{}
-	}
-	f.Major++
-	for i := range f.Minor {
-		f.Minor[i] = 0
-	}
-	f.Minor[line] = 1
-	return BumpResult{Overflowed: true, MajorWrapped: f.Major == 0}
-}
-
-// Reset zeroes the counters (Silent-Shredder-style secure deletion: with the
-// counters gone, previous ciphertext can no longer be decrypted even with
-// the correct key, because the OTPs cannot be regenerated).
-func (f *FECB) Reset() {
-	f.Major = 0
-	for i := range f.Minor {
-		f.Minor[i] = 0
-	}
-	f.GroupID = 0
-	f.FileID = 0
+// Reset zeroes the counters and the identity (Silent-Shredder-style secure
+// deletion: with the counters gone, previous ciphertext can no longer be
+// decrypted even with the correct key, because the OTPs cannot be
+// regenerated).
+func (c *CB) Reset() {
+	*c = CB{}
 }

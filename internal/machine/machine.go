@@ -32,7 +32,7 @@ type lineBuf struct {
 	dirty bool
 }
 
-// Tracer observes the machine's memory operations (see internal/trace for
+// Tracer observes the machine's memory operations (see internal/memtrace for
 // a recorder and replayer). Kind values: 'R' read, 'W' write, 'F' flush,
 // 'S' fence.
 type Tracer interface {

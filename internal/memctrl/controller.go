@@ -13,8 +13,9 @@
 //
 // File map: datapath.go is the live Figure-7 datapath (a request is a run
 // of n lines); readonly.go the crypt context every pad is built through and
-// snapshot reads; metadata.go counter fetch and persistence; keys.go OTT and
-// MMIO operations; crash.go Osiris recovery; lifecycle.go/image.go rotation,
+// snapshot reads; metadata.go the counter-block store (one map of blocks by
+// slot, see memSlot) with its fetch and persistence; keys.go OTT and MMIO
+// operations; crash.go Osiris recovery; lifecycle.go/image.go rotation,
 // transport and migration images; hooks.go the physical-attacker hooks.
 package memctrl
 
@@ -38,9 +39,10 @@ import (
 // the regions above are reserved for the controller (not addressable by
 // software, which is what protects the OTT region from kernel/user access).
 const (
-	// MetaBase is the start of the counter-block region: page p's MECB at
-	// MetaBase + 128p, its FECB at MetaBase + 128p + 64 ("a file encryption
-	// counter block follows each memory encryption counter block").
+	// MetaBase is the start of the counter-block region, one 64-byte line
+	// per slot: page p's MECB at MetaBase + 128p, its FECB at MetaBase +
+	// 128p + 64 ("a file encryption counter block follows each memory
+	// encryption counter block").
 	MetaBase = 1 << 40
 	// MTBase is the start of the Merkle-tree node storage.
 	MTBase = 1 << 41
@@ -89,30 +91,27 @@ type Controller struct {
 	metaCaches [3]*cache.Cache
 	mt         *merkle.Tree
 
-	mecb map[uint64]*counters.MECB // by physical page number
-	fecb map[uint64]*counters.FECB
+	ctr map[uint64]*counters.CB // current counter blocks, by slot
 
 	ottTable  *ott.Table
 	ottRegion *ott.Region
 
 	// Osiris crash-consistency state.
-	persistedMECB map[uint64]counters.MECB
-	persistedFECB map[uint64]counters.FECB
-	unpersisted   map[uint64]int      // counter-block addr -> bumps since persist
-	ecc           map[uint64]*eccPage // page number -> the ECC-embedded check tags of its lines
-	crashed       bool
+	persisted   map[uint64]counters.CB // slot -> the block as last written to NVM
+	unpersisted map[uint64]int         // slot -> bumps since persist
+	ecc         map[uint64]*eccPage    // page number -> the ECC-embedded check tags of its lines
+	crashed     bool
 
 	// Pre-crash snapshots, used only by VerifyRecovery in tests.
-	preCrashMECB map[uint64]*counters.MECB
-	preCrashFECB map[uint64]*counters.FECB
+	preCrash     map[uint64]*counters.CB
 	preCrashRoot merkle.Hash
 
 	// locked disables the file-decryption datapath, as after a failed
 	// admin authentication at boot (§VI): only memory encryption functions.
 	locked bool
 
-	// encScratch is the shared serialization buffer of encMECB/encFECB:
-	// counter blocks re-encode on every fetch and bump, and the datapath is
+	// encScratch is the serialization buffer of enc: counter blocks
+	// re-encode on every fetch and bump, and the datapath is
 	// single-threaded per controller, so one caller-owned line avoids a
 	// 64-byte heap escape per metadata access. Consumers (tree hash, MAC
 	// check) read the bytes synchronously and never retain the slice.
@@ -226,17 +225,15 @@ func (c *Controller) ChipSeq() uint64 { return c.chipSeq }
 // through New.
 func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Controller {
 	c := &Controller{
-		cfg:           cfg,
-		mode:          mode,
-		st:            st,
-		chipSeq:       seq,
-		PCM:           pcm.New(cfg.PCM, st),
-		mecb:          make(map[uint64]*counters.MECB),
-		fecb:          make(map[uint64]*counters.FECB),
-		persistedMECB: make(map[uint64]counters.MECB),
-		persistedFECB: make(map[uint64]counters.FECB),
-		unpersisted:   make(map[uint64]int),
-		ecc:           make(map[uint64]*eccPage),
+		cfg:         cfg,
+		mode:        mode,
+		st:          st,
+		chipSeq:     seq,
+		PCM:         pcm.New(cfg.PCM, st),
+		ctr:         make(map[uint64]*counters.CB),
+		persisted:   make(map[uint64]counters.CB),
+		unpersisted: make(map[uint64]int),
+		ecc:         make(map[uint64]*eccPage),
 	}
 	var memEngine *aesctr.Engine
 	if mode.MemEncryption {
@@ -293,16 +290,13 @@ func (c *Controller) Stats() *stats.Set { return c.st }
 // sensitivity studies and tests.
 func (c *Controller) MetadataCache() *cache.Cache { return c.metaCache }
 
-// mcacheFor routes a metadata address to its cache partition: MECBs (even
-// counter slots), FECBs (odd slots), and everything else (Merkle nodes and
-// OTT buckets) to the tree partition. With partitioning off, all three
+// mcacheFor routes a metadata address to its cache partition: a counter
+// block to its kind's (MECBs 0, FECBs 1), and everything else (Merkle nodes
+// and OTT buckets) to the tree partition. With partitioning off, all three
 // entries alias the shared cache.
 func (c *Controller) mcacheFor(metaAddr uint64) *cache.Cache {
-	if metaAddr >= MetaBase && metaAddr < MTBase {
-		if (metaAddr-MetaBase)/config.LineSize%2 == 0 {
-			return c.metaCaches[0]
-		}
-		return c.metaCaches[1]
+	if slot, ok := addrSlot(metaAddr); ok {
+		return c.metaCaches[slotKind(slot)]
 	}
 	return c.metaCaches[2]
 }
@@ -366,19 +360,29 @@ func (c *Controller) Unlock() { c.locked = false }
 // Locked reports whether the file datapath is locked.
 func (c *Controller) Locked() bool { return c.locked }
 
-// Metadata addresses.
+// Counter-block slots. The counter region is an array of 64-byte lines and
+// a slot is an index into it: page p's MECB is slot 2p, its FECB slot 2p+1.
+// A slot is at once the key of the controller's counter maps, the block's
+// Merkle leaf, its metadata address over the line size, and — by parity —
+// its kind, so nothing else about a block says which of the two it is.
+const counterSlots = 2 * (MaxDataBytes / config.PageSize)
 
-func mecbAddr(page uint64) uint64 { return MetaBase + page*2*config.LineSize }
-func fecbAddr(page uint64) uint64 { return MetaBase + (page*2+1)*config.LineSize }
+func memSlot(page uint64) uint64         { return 2 * page }
+func fileSlot(page uint64) uint64        { return 2*page + 1 }
+func slotKind(slot uint64) counters.Kind { return counters.Kind(slot % 2) }
+func slotAddr(slot uint64) uint64        { return MetaBase + slot*config.LineSize }
+
+// addrSlot is slotAddr's inverse; ok is false outside the counter region
+// (a tree node, an OTT bucket).
+func addrSlot(metaAddr uint64) (slot uint64, ok bool) {
+	return (metaAddr - MetaBase) / config.LineSize, metaAddr >= MetaBase && metaAddr < MTBase
+}
+
+// Other metadata addresses, and the Merkle leaves past the counter slots:
+// OTT region bucket b is leaf counterSlots+b.
+
 func mtNodeAddr(n merkle.NodeID) uint64 {
 	return MTBase + uint64(n.Level)<<36 + uint64(n.Index)*config.LineSize
 }
 func ottBucketAddr(bucket int) uint64 { return OTTBase + uint64(bucket)*config.LineSize }
-
-// Merkle leaf numbering: page p's MECB is leaf 2p, FECB leaf 2p+1; OTT
-// region bucket b is leaf ottLeafBase+b.
-const ottLeafBase = 2 * (MaxDataBytes / config.PageSize)
-
-func mecbLeaf(page uint64) int { return int(2 * page) }
-func fecbLeaf(page uint64) int { return int(2*page + 1) }
-func ottLeaf(bucket int) int   { return ottLeafBase + bucket }
+func ottLeaf(bucket int) int          { return counterSlots + bucket }

@@ -30,29 +30,20 @@ func (c *Controller) Crash(backupPower bool) {
 	c.clearMetaCaches()
 	if c.ottTable != nil {
 		if backupPower {
-			for _, e := range c.ottTable.Entries() {
-				bucket := c.ottRegion.Store(e)
-				c.updateOTTLeaf(bucket)
-			}
+			c.FlushOTT()
 		}
 		c.ottTable.Clear()
 	}
-	// The in-Go "current" counter maps model state whose most recent
+	// The in-Go "current" counter map models state whose most recent
 	// increments lived only in the (now dead) metadata cache. Roll every
 	// counter block back to its last persisted value; Recover must
 	// reconstruct the rest from the ECC tags.
-	c.preCrashMECB = c.mecb
-	c.preCrashFECB = c.fecb
+	c.preCrash = c.ctr
 	c.preCrashRoot = c.mt.Root()
-	c.mecb = make(map[uint64]*counters.MECB, len(c.persistedMECB))
-	for page, m := range c.persistedMECB {
-		mm := m
-		c.mecb[page] = &mm
-	}
-	c.fecb = make(map[uint64]*counters.FECB, len(c.persistedFECB))
-	for page, f := range c.persistedFECB {
-		ff := f
-		c.fecb[page] = &ff
+	c.ctr = make(map[uint64]*counters.CB, len(c.persisted))
+	for slot, b := range c.persisted {
+		bb := b
+		c.ctr[slot] = &bb
 	}
 	c.unpersisted = make(map[uint64]int)
 }
@@ -96,11 +87,8 @@ func (c *Controller) Recover() error {
 		return fmt.Errorf("memctrl: recovered Merkle root mismatch (tampering or unrecoverable counters)")
 	}
 	// Recovered counters are now, by construction, durable.
-	for page, m := range c.mecb {
-		c.persistedMECB[page] = *m
-	}
-	for page, f := range c.fecb {
-		c.persistedFECB[page] = *f
+	for slot, b := range c.ctr {
+		c.persisted[slot] = *b
 	}
 	c.crashed = false
 	return nil
@@ -110,11 +98,11 @@ func (c *Controller) Recover() error {
 func (c *Controller) recoverLine(page uint64, li int, tag uint64) error {
 	window := c.cfg.Security.StopLoss
 	la := addr.Phys(page*config.PageSize + uint64(li)*config.LineSize)
-	mecb, ok := c.mecb[page]
+	mecb, ok := c.ctr[memSlot(page)]
 	if !ok {
 		return fmt.Errorf("%w: no persisted MECB for page %d", ErrUnrecoverable, page)
 	}
-	fecb := c.fecb[page] // nil for never-tagged pages
+	fecb := c.ctr[fileSlot(page)] // nil for never-tagged pages
 	cipher := c.PCM.ReadLine(la)
 
 	var key aesctr.Key
@@ -144,7 +132,7 @@ func (c *Controller) recoverLine(page uint64, li int, tag uint64) error {
 				fecb.Minor[li] = fBase + uint8(df)
 			}
 			plain := cipher
-			aesctr.XORBytes(plain[:], c.rd.pads(page, li, 1, mecb.Major, &mecb.Minor, fecb, key))
+			aesctr.XORBytes(plain[:], c.rd.pads(page, li, 1, mecb, fecb, key))
 			if eccTag(&plain) == tag {
 				c.st.Inc("mc.recovered_lines")
 				return nil
@@ -161,22 +149,13 @@ func (c *Controller) recoverLine(page uint64, li int, tag uint64) error {
 // VerifyRecovery checks (for tests) that recovery reproduced the exact
 // pre-crash counter state. It returns a descriptive error on mismatch.
 func (c *Controller) VerifyRecovery() error {
-	for page, want := range c.preCrashMECB {
-		got, ok := c.mecb[page]
+	for slot, want := range c.preCrash {
+		got, ok := c.ctr[slot]
 		if !ok {
-			return fmt.Errorf("memctrl: page %d MECB missing after recovery", page)
+			return fmt.Errorf("memctrl: page %d %s counter block missing after recovery", slot/2, slotKind(slot))
 		}
 		if *got != *want {
-			return fmt.Errorf("memctrl: page %d MECB mismatch after recovery", page)
-		}
-	}
-	for page, want := range c.preCrashFECB {
-		got, ok := c.fecb[page]
-		if !ok {
-			return fmt.Errorf("memctrl: page %d FECB missing after recovery", page)
-		}
-		if *got != *want {
-			return fmt.Errorf("memctrl: page %d FECB mismatch after recovery", page)
+			return fmt.Errorf("memctrl: page %d %s counter block mismatch after recovery", slot/2, slotKind(slot))
 		}
 	}
 	return nil

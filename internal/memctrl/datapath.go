@@ -77,7 +77,7 @@ func (c *Controller) WritePage(now config.Cycle, pa addr.Phys, plain *aesctr.Pag
 	// one-line runs; the page's audit record is appended here because only
 	// a whole-page run appends its own.
 	if isFile {
-		f := c.getFECB(page)
+		f := c.getCtr(fileSlot(page))
 		c.aud.Append(uint64(now), audit.OpWritePage, page, f.GroupID, f.FileID)
 	}
 	done = now
@@ -98,7 +98,7 @@ func (c *Controller) wrapPending(page uint64, isFile bool) bool {
 		}
 		return false
 	}
-	return atMax(&c.getMECB(page).Minor) || isFile && atMax(&c.getFECB(page).Minor)
+	return atMax(&c.getCtr(memSlot(page)).Minor) || isFile && atMax(&c.getCtr(fileSlot(page)).Minor)
 }
 
 // fileActive reports whether the file-encryption datapath should engage.
@@ -128,7 +128,7 @@ func (c *Controller) readLines(now config.Cycle, la addr.Phys, n int, dst []byte
 	// n: the run's pads pipeline through the AES engine one issue slot per
 	// line, so the last line's pad trails the first by n-1 cycles.
 	tail := config.Cycle(n - 1)
-	mecb, ctrReady := c.fetchMECB(now, page)
+	mecb, ctrReady := c.fetchCtr(now, memSlot(page))
 	otpReady := ctrReady + c.rd.mem.Latency() + tail
 	xors := config.Cycle(1)
 	// padComplete: the decrypt applied every pad component the data was
@@ -136,7 +136,7 @@ func (c *Controller) readLines(now config.Cycle, la addr.Phys, n int, dst []byte
 	// DF line whose file pad could not be applied (missing key, locked
 	// datapath) deliberately decrypts to garbage and must not be flagged.
 	padComplete := true
-	var fecb *counters.FECB
+	var fecb *counters.CB
 	var key aesctr.Key
 	if la.IsDF() && c.fileActive() {
 		var kReady config.Cycle
@@ -152,7 +152,7 @@ func (c *Controller) readLines(now config.Cycle, la addr.Phys, n int, dst []byte
 
 	done := max(dataDone, otpReady) + xors*c.cfg.Security.XORLatency
 	c.tReadCycles.Observe(uint64(done - now))
-	aesctr.XORBytes(dst, c.rd.pads(page, li0, n, mecb.Major, &mecb.Minor, fecb, key))
+	aesctr.XORBytes(dst, c.rd.pads(page, li0, n, mecb, fecb, key))
 	// The post-crash pre-recovery window is skipped: counters are rolled
 	// back by design.
 	if padComplete && !c.crashed {
@@ -178,14 +178,14 @@ func (c *Controller) writeLines(now config.Cycle, la addr.Phys, n int, plain []b
 	}
 
 	page, li0 := la.PageNum(), la.LineInPage()
-	mecb, ctrReady := c.fetchMECB(accepted, page)
-	ctrReady = c.bumpLines(ctrReady, page, li0, n, mecb, nil)
+	mecb, ctrReady := c.fetchCtr(accepted, memSlot(page))
+	ctrReady = c.bumpLines(ctrReady, memSlot(page), li0, n, mecb)
 	// The run's OTPs pipeline through the AES engine: line 0's pad after
 	// one traversal, each following line one cycle behind (issueWrites
 	// spaces the per-line data-ready times).
 	otpReady := ctrReady + c.rd.mem.Latency()
 	xors := config.Cycle(1)
-	var fecb *counters.FECB
+	var fecb *counters.CB
 	var key aesctr.Key
 	if la.IsDF() && c.fileActive() {
 		var kReady config.Cycle
@@ -197,7 +197,7 @@ func (c *Controller) writeLines(now config.Cycle, la addr.Phys, n int, plain []b
 
 	// Built only now, after both sides' counter work: a re-encryption inside
 	// bumpLines borrows the same pad buffers.
-	pad := c.rd.pads(page, li0, n, mecb.Major, &mecb.Minor, fecb, key)
+	pad := c.rd.pads(page, li0, n, mecb, fecb, key)
 	// Osiris: the lines' ECC bits carry a check tag over the plaintext, so
 	// the counter used for this write is recoverable after a crash.
 	c.eccSet(page, li0, plain)
@@ -247,46 +247,33 @@ func (c *Controller) issueWrites(now, firstAccept config.Cycle, raw addr.Phys, n
 	return accept
 }
 
-// bumpLines advances one side's minor counters — the page's FECB f, or with
-// f nil its MECB m; already fetched — for lines li0..li0+n-1 under the
-// Osiris stop-loss discipline, and pushes the block through the metadata
-// cache and Merkle tree once. Returns the counter-ready time.
-func (c *Controller) bumpLines(now config.Cycle, page uint64, li0, n int, m *counters.MECB, f *counters.FECB) config.Cycle {
-	metaAddr, leaf := mecbAddr(page), mecbLeaf(page)
-	var minors *[config.LinesPerPage]uint8
-	if f != nil {
-		metaAddr, leaf, minors = fecbAddr(page), fecbLeaf(page), &f.Minor
-	} else {
-		minors = &m.Minor
-	}
+// bumpLines advances the minor counters of slot's block b — already fetched
+// — for lines li0..li0+n-1 under the Osiris stop-loss discipline, and
+// pushes the block through the metadata cache and Merkle tree once. Returns
+// the counter-ready time.
+func (c *Controller) bumpLines(now config.Cycle, slot uint64, li0, n int, b *counters.CB) config.Cycle {
 	// Minor-counter overflow forces a whole-page re-encryption under the
 	// incremented major counter before this write can proceed. Only a lone
 	// line wraps here: WritePage sends a page with a wrap pending line by
 	// line.
-	wrap := n == 1 && minors[li0] == config.MinorCounterMax
+	wrap := n == 1 && b.Minor[li0] == config.MinorCounterMax
 	if wrap {
-		now = c.reencryptPage(now, page, li0, m, f) // its wrapping Bump is this run's bump
+		now = c.reencryptPage(now, slot, li0, b) // its wrapping Bump is this run's bump
 	}
-	u, persists := c.unpersisted[metaAddr], 0
+	u, persists := c.unpersisted[slot], 0
 	for li := li0; li < li0+n; li++ {
 		if !wrap {
-			minors[li]++
+			b.Minor[li]++
 		}
 		if u++; u >= c.cfg.Security.StopLoss {
 			// Stop-loss point: the block as bumped so far is what reaches
 			// NVM, so a mid-run Osiris snapshot is simply taken mid-loop.
-			c.persistCounterAt(metaAddr)
+			c.persistCounter(slot)
 			u, persists = 0, persists+1
 		}
 	}
 	if u > 0 {
-		c.unpersisted[metaAddr] = u
-	}
-	var content []byte
-	if f != nil {
-		content = c.encFECB(f)
-	} else {
-		content = c.encMECB(m)
+		c.unpersisted[slot] = u
 	}
 	// n: a lone bump's stop-loss write-through issues as the bump happens; a
 	// burst's are held until the one Merkle MAC update that covers the
@@ -295,56 +282,53 @@ func (c *Controller) bumpLines(now config.Cycle, page uint64, li0, n int, m *cou
 	if n > 1 {
 		writeThroughAt += c.cfg.Security.MACLatency
 	}
-	ready := c.counterDirtied(now, writeThroughAt, metaAddr, leaf, content, persists, u == 0)
+	ready := c.counterDirtied(now, writeThroughAt, slot, b, persists, u == 0)
 	if wrap {
 		// Major bumps are persisted eagerly so the Osiris recovery window
 		// never has to search across a counter wrap (§III-H).
-		c.persistCounterNow(ready, metaAddr)
+		c.persistCounterNow(ready, slot)
 	}
 	return ready
 }
 
-// reencryptPage handles a minor-counter overflow at line li on one side of
-// a page (f, or with f nil m): the bump wraps (major++, minors reset,
-// minor[li] = 1) and every line is read, stripped of that side's old OTP,
-// and rewritten under the new major counter. A file-side overflow whose key
-// is gone swaps nothing: the data is unreadable either way.
-func (c *Controller) reencryptPage(now config.Cycle, page uint64, li int, m *counters.MECB, f *counters.FECB) config.Cycle {
-	if f == nil {
-		c.st.Inc("mc.mem_reencryptions")
-		old := *m
-		counters.JournalBump(c.jrn, uint64(now), page, counters.DomainMem, m.Bump(li))
-		done := c.swapPads(now, page, aesctr.DomainMemory, c.rd.mem, old.Major, &old.Minor, c.rd.mem, m.Major, &m.Minor)
-		c.span("memctrl", "reencrypt_mem", uint64(now), uint64(done))
-		c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.PageReencryptMem, Page: page})
-		return done
+// reencryptPage handles a minor-counter overflow at line li of slot's block
+// b: the bump wraps (major++, minors reset, minor[li] = 1) and every line of
+// the page is read, stripped of that kind's old OTP, and rewritten under the
+// new major counter. A file-side overflow whose key is gone swaps nothing:
+// the data is unreadable either way.
+func (c *Controller) reencryptPage(now config.Cycle, slot uint64, li int, b *counters.CB) config.Cycle {
+	page, kind := slot/2, slotKind(slot)
+	stat, spanName, ev, domain := "mc.mem_reencryptions", "reencrypt_mem", journal.PageReencryptMem, uint8(aesctr.DomainMemory)
+	if kind == counters.File {
+		stat, spanName, ev, domain = "mc.file_reencryptions", "reencrypt_file", journal.PageReencryptFile, aesctr.DomainFile
 	}
-	c.st.Inc("mc.file_reencryptions")
-	old := *f
-	counters.JournalBump(c.jrn, uint64(now), page, counters.DomainFile, f.Bump(li))
-	key, _, ok := c.lookupKey(now, f.GroupID, f.FileID)
-	if !ok {
-		return now
+	c.st.Inc(stat)
+	old := *b
+	counters.JournalBump(c.jrn, uint64(now), page, kind, b.Bump(kind, li))
+	eng := c.rd.mem
+	if kind == counters.File {
+		key, _, ok := c.lookupKey(now, b.GroupID, b.FileID)
+		if !ok {
+			return now
+		}
+		eng = c.rd.engineFor(key)
 	}
-	eng := c.rd.engineFor(key)
-	done := c.swapPads(now, page, aesctr.DomainFile, eng, uint64(old.Major), &old.Minor, eng, uint64(f.Major), &f.Minor)
-	c.span("memctrl", "reencrypt_file", uint64(now), uint64(done))
-	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.PageReencryptFile,
-		Page: page, Group: f.GroupID, File: f.FileID})
+	done := c.swapPads(now, page, domain, eng, &old, eng, b)
+	c.span("memctrl", spanName, uint64(now), uint64(done))
+	// A memory block's identity is zero, as the event's is for one.
+	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: ev, Page: page, Group: b.GroupID, File: b.FileID})
 	return done
 }
 
-// swapPads rewrites every line of page, stripping the pad of (oldEng,
-// oldMajor, oldMinors) and applying that of (newEng, newMajor, newMinors)
-// in one counter domain. Costs 64 reads + 64 writes of the page plus AES
+// swapPads rewrites every line of page, stripping the pad of (oldEng, old)
+// and applying that of (newEng, cur) in one counter domain. Costs 64 reads + 64 writes of the page plus AES
 // work. It borrows the crypt context's two pad buffers, which is safe
 // because no request builds its own pad until its counter work is done.
 func (c *Controller) swapPads(now config.Cycle, page uint64, domain uint8,
-	oldEng *aesctr.Engine, oldMajor uint64, oldMinors *[config.LinesPerPage]uint8,
-	newEng *aesctr.Engine, newMajor uint64, newMinors *[config.LinesPerPage]uint8) config.Cycle {
+	oldEng *aesctr.Engine, old *counters.CB, newEng *aesctr.Engine, cur *counters.CB) config.Cycle {
 	swap, data := c.rd.pad[:], c.rd.filePad[:]
-	oldEng.OTPLinesInto(swap, page, 0, oldMajor, oldMinors, domain)
-	newEng.OTPLinesInto(data, page, 0, newMajor, newMinors, domain)
+	oldEng.OTPLinesInto(swap, page, 0, old.Major, &old.Minor, domain)
+	newEng.OTPLinesInto(data, page, 0, cur.Major, &cur.Minor, domain)
 	aesctr.XORBytes(swap, data)
 	base := addr.Phys(page * config.PageSize)
 	c.PCM.ReadLinesInto(base, data)
@@ -366,14 +350,14 @@ func (c *Controller) swapPads(now config.Cycle, page uint64, domain uint8,
 // back nil and each line is counted and journalled: the lines then take the
 // memory pad only, which on a read yields unintelligible bytes — exactly
 // the §VI guarantee.
-func (c *Controller) fileSide(now config.Cycle, page uint64, li0, n int, op audit.Op) (*counters.FECB, aesctr.Key, config.Cycle) {
-	f, fReady := c.fetchFECB(now, page)
+func (c *Controller) fileSide(now config.Cycle, page uint64, li0, n int, op audit.Op) (*counters.CB, aesctr.Key, config.Cycle) {
+	f, fReady := c.fetchCtr(now, fileSlot(page))
 	// n: the audit plane records page-granularity accesses only.
 	if n == config.LinesPerPage {
 		c.aud.Append(uint64(fReady), op, page, f.GroupID, f.FileID)
 	}
 	if op == audit.OpWritePage {
-		fReady = c.bumpLines(fReady, page, li0, n, nil, f)
+		fReady = c.bumpLines(fReady, fileSlot(page), li0, n, f)
 	}
 	key, kReady, ok := c.lookupKey(fReady, f.GroupID, f.FileID)
 	if ok {

@@ -100,9 +100,9 @@ func TestNoPadReuse(t *testing.T) {
 	}
 	// useFile notes the file pads lines lo..hi-1 of DF page i are now under.
 	useFile := func(i, lo, hi int) {
-		f := c.fecb[pages[i].PageNum()]
+		f := c.ctr[fileSlot(pages[i].PageNum())]
 		for li := lo; li < hi; li++ {
-			use(padID{domain: aesctr.DomainFile, page: uint8(i), line: uint8(li), minor: f.Minor[li], key: keyOf[i], major: uint64(f.Major)})
+			use(padID{domain: aesctr.DomainFile, page: uint8(i), line: uint8(li), minor: f.Minor[li], key: keyOf[i], major: f.Major})
 		}
 	}
 	// store runs one store to lines li0..li0+n-1 of page i and notes the pads
@@ -110,9 +110,9 @@ func TestNoPadReuse(t *testing.T) {
 	// re-encrypted the whole page.
 	store := func(i, li0, n int, write func()) {
 		pn := pages[i].PageNum()
-		memMajor, fileMajor := c.getMECB(pn).Major, c.getFECB(pn).Major
+		memMajor, fileMajor := c.getCtr(memSlot(pn)).Major, c.getCtr(fileSlot(pn)).Major
 		write()
-		m := c.mecb[pn]
+		m := c.ctr[memSlot(pn)]
 		lo, hi := li0, li0+n
 		if m.Major != memMajor {
 			lo, hi = 0, config.LinesPerPage
@@ -121,7 +121,7 @@ func TestNoPadReuse(t *testing.T) {
 			use(padID{domain: aesctr.DomainMemory, page: uint8(i), line: uint8(li), minor: m.Minor[li], major: m.Major})
 		}
 		if pages[i].IsDF() {
-			if c.fecb[pn].Major != fileMajor {
+			if c.ctr[fileSlot(pn)].Major != fileMajor {
 				li0, n = 0, config.LinesPerPage
 			}
 			useFile(i, li0, li0+n)
@@ -163,13 +163,13 @@ func TestNoPadReuse(t *testing.T) {
 			store(i, 0, config.LinesPerPage, func() { now = c.WritePage(now, pages[i], &page) + 1000 })
 		}
 		for i := range fileWraps {
-			if maj := int(c.getFECB(pages[i].PageNum()).Major); maj > fileWraps[i] {
+			if maj := int(c.getCtr(fileSlot(pages[i].PageNum())).Major); maj > fileWraps[i] {
 				fileWraps[i] = maj
 			}
 		}
 	}
 	for i, pa := range pages {
-		if maj := c.mecb[pa.PageNum()].Major; maj < 2 {
+		if maj := c.ctr[memSlot(pa.PageNum())].Major; maj < 2 {
 			t.Errorf("page %d: memory major %d, the run did not wrap it twice", i, maj)
 		}
 	}

@@ -31,27 +31,21 @@ func (c *Controller) DecryptWithMemoryKeyOnly(pa addr.Phys) aesctr.Line {
 	}
 	page := la.PageNum()
 	li := la.LineInPage()
-	m := c.getMECB(page)
-	aesctr.XORBytes(cipher[:], c.rd.pads(page, li, 1, m.Major, &m.Minor, nil, aesctr.Key{}))
+	aesctr.XORBytes(cipher[:], c.rd.pads(page, li, 1, c.getCtr(memSlot(page)), nil, aesctr.Key{}))
 	return cipher
 }
 
 // TamperFECB flips a bit in a page's file counter block behind the Merkle
 // tree's back, as a physical attacker rewriting the metadata region would.
 // The next fetch of that block must raise an integrity violation.
-func (c *Controller) TamperFECB(pa addr.Phys) {
-	f := c.getFECB(pa.PageNum())
-	f.Minor[0] ^= 1
-	// Deliberately no mt.Update: that is the attack.
-	c.evictMeta(fecbAddr(pa.PageNum()))
-}
+func (c *Controller) TamperFECB(pa addr.Phys) { c.flipCtrBit(fileSlot(pa.PageNum()), minor0LSB) }
 
 // TamperMECB is TamperFECB for the memory counter block.
-func (c *Controller) TamperMECB(pa addr.Phys) {
-	m := c.getMECB(pa.PageNum())
-	m.Minor[0] ^= 1
-	c.evictMeta(mecbAddr(pa.PageNum()))
-}
+func (c *Controller) TamperMECB(pa addr.Phys) { c.flipCtrBit(memSlot(pa.PageNum()), minor0LSB) }
+
+// minor0LSB is the stored bit the Tamper hooks flip: the low bit of minor
+// counter 0, which follows the 8-byte major/identity word in either kind.
+const minor0LSB = 8 * 8
 
 // evictMeta drops a metadata line from the metadata cache so the next
 // access re-fetches (and re-verifies) it from memory.
@@ -67,25 +61,20 @@ func (c *Controller) evictMeta(metaAddr uint64) {
 // The encoding is bijective, so re-encoding on the next fetch reproduces
 // the tampered bytes and Verify must fail. Self-inverse: flipping the same
 // bit again restores the block.
-func (c *Controller) FlipMECBBit(page uint64, bit int) {
-	m := c.getMECB(page)
-	var b counters.Block
-	m.EncodeInto(&b)
-	bit %= len(b) * 8
-	b[bit/8] ^= 1 << (bit % 8)
-	*m = counters.DecodeMECB(b)
-	c.evictMeta(mecbAddr(page))
-}
+func (c *Controller) FlipMECBBit(page uint64, bit int) { c.flipCtrBit(memSlot(page), bit) }
 
 // FlipFECBBit is FlipMECBBit for the file counter block.
-func (c *Controller) FlipFECBBit(page uint64, bit int) {
-	f := c.getFECB(page)
-	var b counters.Block
-	f.MustEncodeInto(&b)
-	bit %= len(b) * 8
-	b[bit/8] ^= 1 << (bit % 8)
-	*f = counters.DecodeFECB(b)
-	c.evictMeta(fecbAddr(page))
+func (c *Controller) FlipFECBBit(page uint64, bit int) { c.flipCtrBit(fileSlot(page), bit) }
+
+func (c *Controller) flipCtrBit(slot uint64, bit int) {
+	b, kind := c.getCtr(slot), slotKind(slot)
+	var line counters.Block
+	b.MustEncodeInto(kind, &line)
+	bit %= len(line) * 8
+	line[bit/8] ^= 1 << (bit % 8)
+	*b = counters.Decode(kind, line)
+	// Deliberately no mt.Update: that is the attack.
+	c.evictMeta(slotAddr(slot))
 }
 
 // FlipDataBit flips one bit of the stored ciphertext of the line
@@ -134,13 +123,6 @@ func (c *Controller) TamperOTTRecord(group uint32, file uint16, bit int) bool {
 // CountersForPage returns copies of the page's current counter blocks (for
 // white-box tests).
 func (c *Controller) CountersForPage(page uint64) (mecbMajor uint64, mecbMinor [config.LinesPerPage]uint8, fecbGroup uint32, fecbFile uint16) {
-	if m, ok := c.mecb[page]; ok {
-		mecbMajor = m.Major
-		mecbMinor = m.Minor
-	}
-	if f, ok := c.fecb[page]; ok {
-		fecbGroup = f.GroupID
-		fecbFile = f.FileID
-	}
-	return
+	m, f := c.peekCtr(memSlot(page)), c.peekCtr(fileSlot(page))
+	return m.Major, m.Minor, f.GroupID, f.FileID
 }

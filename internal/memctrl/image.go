@@ -17,6 +17,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"math/bits"
 
 	"fsencr/internal/config"
@@ -37,9 +38,9 @@ type Image struct {
 	Root merkle.Hash
 	// Frames holds the device contents (ciphertext), keyed by page number.
 	Frames map[uint64][]byte
-	// MECB/FECB are the current counter blocks by physical page number.
-	MECB map[uint64]counters.MECB
-	FECB map[uint64]counters.FECB
+	// Counters are the current counter blocks by slot (page p's MECB is
+	// slot 2p, its FECB slot 2p+1).
+	Counters map[uint64]counters.CB
 	// ECC maps raw line numbers to their ECC-embedded check tags.
 	ECC map[uint64]uint64
 	// Entries are the on-chip OTT entries; Buckets is the sealed region.
@@ -72,20 +73,16 @@ func (c *Controller) ExportImage() (*Image, error) {
 		return nil, errors.New("memctrl: image export requires the FsEncr datapath")
 	}
 	img := &Image{
-		ChipSeq: c.chipSeq,
-		Root:    c.mt.Root(),
-		Frames:  c.PCM.ExportFrames(),
-		MECB:    make(map[uint64]counters.MECB, len(c.mecb)),
-		FECB:    make(map[uint64]counters.FECB, len(c.fecb)),
-		ECC:     eccLines(c.ecc),
-		Entries: c.ottTable.Entries(),
-		Buckets: c.ottRegion.ExportTable(),
+		ChipSeq:  c.chipSeq,
+		Root:     c.mt.Root(),
+		Frames:   c.PCM.ExportFrames(),
+		Counters: make(map[uint64]counters.CB, len(c.ctr)),
+		ECC:      eccLines(c.ecc),
+		Entries:  c.ottTable.Entries(),
+		Buckets:  c.ottRegion.ExportTable(),
 	}
-	for k, v := range c.mecb {
-		img.MECB[k] = *v
-	}
-	for k, v := range c.fecb {
-		img.FECB[k] = *v
+	for slot, b := range c.ctr {
+		img.Counters[slot] = *b
 	}
 	return img, nil
 }
@@ -132,23 +129,13 @@ func (img *Image) Equal(o *Image) bool {
 	if o == nil || img.ChipSeq != o.ChipSeq || img.Root != o.Root {
 		return false
 	}
-	if len(img.Frames) != len(o.Frames) || len(img.MECB) != len(o.MECB) ||
-		len(img.FECB) != len(o.FECB) || len(img.ECC) != len(o.ECC) ||
-		len(img.Entries) != len(o.Entries) || len(img.Buckets) != len(o.Buckets) {
+	if len(img.Frames) != len(o.Frames) || len(img.ECC) != len(o.ECC) ||
+		len(img.Entries) != len(o.Entries) || len(img.Buckets) != len(o.Buckets) ||
+		!maps.Equal(img.Counters, o.Counters) {
 		return false
 	}
 	for k, v := range img.Frames {
 		if !bytes.Equal(v, o.Frames[k]) {
-			return false
-		}
-	}
-	for k, v := range img.MECB {
-		if o.MECB[k] != v {
-			return false
-		}
-	}
-	for k, v := range img.FECB {
-		if o.FECB[k] != v {
 			return false
 		}
 	}
@@ -195,16 +182,15 @@ func (img *Image) validate() error {
 			return fmt.Errorf("frame %d (%d bytes) outside the device or not one page", page, len(frame))
 		}
 	}
-	// A counter block must be what its 64-byte line can hold: it round-trips
-	// through the codec (7-bit minors, 18-bit group, 14-bit file).
-	for page, m := range img.MECB {
-		if page >= pages || counters.DecodeMECB(m.Encode()) != m {
-			return fmt.Errorf("MECB %d outside the device or not encodable", page)
-		}
-	}
-	for page, f := range img.FECB {
-		if b, err := f.Encode(); page >= pages || err != nil || counters.DecodeFECB(b) != f {
-			return fmt.Errorf("FECB %d outside the device or not encodable", page)
+	// A counter block must be what the 64-byte line of its slot's kind can
+	// hold: it round-trips through the codec under that kind (7-bit minors;
+	// an 18-bit group, 14-bit file and 32-bit major in a file block; no
+	// identity in a memory block). The one struct can say more than either
+	// line, and such a block would panic the codec at its first fetch.
+	for slot, b := range img.Counters {
+		kind := slotKind(slot)
+		if line, err := b.Encode(kind); slot >= counterSlots || err != nil || counters.Decode(kind, line) != b {
+			return fmt.Errorf("%v counter block of page %d outside the device or not encodable", kind, slot/2)
 		}
 	}
 	for line := range img.ECC {
@@ -236,32 +222,14 @@ func (c *Controller) ImportImage(img *Image) error {
 		return fmt.Errorf("%w: %v", ErrImageRejected, err)
 	}
 	c.PCM.ImportFrames(img.Frames)
-	c.mecb = make(map[uint64]*counters.MECB, len(img.MECB))
-	c.persistedMECB = make(map[uint64]counters.MECB, len(img.MECB))
-	for k, v := range img.MECB {
-		vv := v
-		c.mecb[k] = &vv
-		c.persistedMECB[k] = v
+	ctr := make(map[uint64]*counters.CB, len(img.Counters))
+	for slot, b := range img.Counters {
+		bb := b
+		ctr[slot] = &bb
 	}
-	c.fecb = make(map[uint64]*counters.FECB, len(img.FECB))
-	c.persistedFECB = make(map[uint64]counters.FECB, len(img.FECB))
-	for k, v := range img.FECB {
-		vv := v
-		c.fecb[k] = &vv
-		c.persistedFECB[k] = v
-	}
-	c.ecc = eccPages(img.ECC)
-	c.ottTable.Clear()
-	for _, e := range img.Entries {
-		c.ottTable.Insert(e)
-	}
-	c.unpersisted = make(map[uint64]int)
-	c.clearMetaCaches()
-	c.rebuildTreeFromCounters()
-	if c.mt.Root() != img.Root {
+	if !c.install(ctr, img.ECC, img.Entries, img.Root) {
 		return fmt.Errorf("%w: regenerated Merkle root mismatch", ErrImageRejected)
 	}
-	c.st.Inc("mc.imports")
 	return nil
 }
 

@@ -140,16 +140,17 @@ func (c *Controller) TagPage(now config.Cycle, pa addr.Phys, group uint32, file 
 	c.st.Inc("mc.page_tags")
 	page := pa.PageNum()
 	c.aud.Append(uint64(now), audit.OpMap, page, group, file)
-	fecb, ready := c.fetchFECB(now, page)
+	slot := fileSlot(page)
+	fecb, ready := c.fetchCtr(now, slot)
 	if fecb.GroupID == group && fecb.FileID == file {
 		return ready
 	}
 	fecb.GroupID = group
 	fecb.FileID = file
-	ready = c.touchDirtyCounter(ready, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
+	ready = c.touchDirtyCounter(ready, slot, fecb)
 	// Identity tagging is rare (page faults only); persist it immediately
 	// so recovery never has to guess file identities.
-	c.persistCounterNow(ready, fecbAddr(page))
+	c.persistCounterNow(ready, slot)
 	return ready
 }
 
@@ -164,16 +165,17 @@ func (c *Controller) ShredPage(now config.Cycle, pa addr.Phys) config.Cycle {
 	c.noteCycle(now)
 	c.st.Inc("mc.page_shreds")
 	page := pa.PageNum()
-	fecb, ready := c.fetchFECB(now, page)
+	slot := fileSlot(page)
+	fecb, ready := c.fetchCtr(now, slot)
 	c.aud.Append(uint64(now), audit.OpShred, page, fecb.GroupID, fecb.FileID)
 	fecb.Reset()
-	ready = c.touchDirtyCounter(ready, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
-	c.persistCounterNow(ready, fecbAddr(page))
+	ready = c.touchDirtyCounter(ready, slot, fecb)
+	c.persistCounterNow(ready, slot)
 	// The page's data is dead: its ECC tags no longer correspond to any
 	// recoverable plaintext, so they are dropped — which also means the
 	// page's memory counters can no longer be reconstructed from data.
 	// Persist the MECB now (shredding is rare) so recovery never needs to.
-	c.persistCounterNow(ready, mecbAddr(page))
+	c.persistCounterNow(ready, memSlot(page))
 	delete(c.ecc, page)
 	return ready
 }

@@ -29,14 +29,13 @@ func (c *Controller) RotateFileKey(now config.Cycle, pa addr.Phys, group uint32,
 	c.noteCycle(now)
 	c.st.Inc("mc.key_rotations")
 	page := pa.PageNum()
-	fecb, ready := c.fetchFECB(now, page)
+	slot := fileSlot(page)
+	fecb, ready := c.fetchCtr(now, slot)
 	old := *fecb
-	*fecb = counters.FECB{GroupID: group, FileID: file}
-	ready = c.swapPads(ready, page, aesctr.DomainFile,
-		c.rd.engineFor(oldKey), uint64(old.Major), &old.Minor,
-		c.rd.engineFor(newKey), uint64(fecb.Major), &fecb.Minor)
-	ready = c.touchDirtyCounter(ready, fecbAddr(page), fecbLeaf(page), c.encFECB(fecb))
-	c.persistCounterNow(ready, fecbAddr(page))
+	*fecb = counters.CB{GroupID: group, FileID: file}
+	ready = c.swapPads(ready, page, aesctr.DomainFile, c.rd.engineFor(oldKey), &old, c.rd.engineFor(newKey), fecb)
+	ready = c.touchDirtyCounter(ready, slot, fecb)
+	c.persistCounterNow(ready, slot)
 	// Data ECC tags are unchanged: rotation preserves plaintext.
 	return ready
 }
@@ -51,8 +50,7 @@ type Transport struct {
 	memEngine *aesctr.Engine
 	root      merkle.Hash
 	device    *pcm.Memory
-	mecb      map[uint64]*counters.MECB
-	fecb      map[uint64]*counters.FECB
+	ctr       map[uint64]*counters.CB
 	ecc       map[uint64]uint64
 	entries   []ott.Entry
 	region    *ott.Region
@@ -66,27 +64,17 @@ func (c *Controller) Export() (Transport, error) {
 	if !c.mode.FileEncryption {
 		return Transport{}, errors.New("memctrl: export requires the FsEncr datapath")
 	}
-	// Flush all OTT entries into the sealed region, as at shutdown.
-	for _, e := range c.ottTable.Entries() {
-		bucket := c.ottRegion.Store(e)
-		c.updateOTTLeaf(bucket)
-	}
-	mecb := make(map[uint64]*counters.MECB, len(c.mecb))
-	for k, v := range c.mecb {
-		vv := *v
-		mecb[k] = &vv
-	}
-	fecb := make(map[uint64]*counters.FECB, len(c.fecb))
-	for k, v := range c.fecb {
-		vv := *v
-		fecb[k] = &vv
+	c.FlushOTT() // as at shutdown
+	ctr := make(map[uint64]*counters.CB, len(c.ctr))
+	for slot, b := range c.ctr {
+		bb := *b
+		ctr[slot] = &bb
 	}
 	return Transport{
 		memEngine: c.rd.mem,
 		root:      c.mt.Root(),
 		device:    c.PCM,
-		mecb:      mecb,
-		fecb:      fecb,
+		ctr:       ctr,
 		ecc:       eccLines(c.ecc),
 		entries:   c.ottTable.Entries(),
 		region:    c.ottRegion,
@@ -110,28 +98,36 @@ func (c *Controller) Import(t Transport) error {
 	}
 	c.PCM = t.device
 	c.rd.mem = t.memEngine
-	c.mecb = t.mecb
-	c.fecb = t.fecb
-	c.ecc = eccPages(t.ecc)
 	c.ottRegion = t.region
+	if !c.install(t.ctr, t.ecc, t.entries, t.root) {
+		return ErrTransportRejected
+	}
+	return nil
+}
+
+// install is the tail Import and ImportImage share, run once the device and
+// the sealed OTT region are in place: the counter blocks are adopted (the
+// controller takes ownership of ctr) with every one treated as durable, the
+// ECC tags and on-chip OTT entries installed, and the Merkle tree
+// regenerated. It reports whether the tree's root is the transported one;
+// the controller must not serve anything otherwise.
+func (c *Controller) install(ctr map[uint64]*counters.CB, ecc map[uint64]uint64, entries []ott.Entry, root merkle.Hash) bool {
+	c.ctr = ctr
+	c.persisted = make(map[uint64]counters.CB, len(ctr))
+	for slot, b := range ctr {
+		c.persisted[slot] = *b
+	}
+	c.ecc = eccPages(ecc)
 	c.ottTable.Clear()
-	for _, e := range t.entries {
+	for _, e := range entries {
 		c.ottTable.Insert(e)
-	}
-	c.persistedMECB = make(map[uint64]counters.MECB, len(t.mecb))
-	for k, v := range t.mecb {
-		c.persistedMECB[k] = *v
-	}
-	c.persistedFECB = make(map[uint64]counters.FECB, len(t.fecb))
-	for k, v := range t.fecb {
-		c.persistedFECB[k] = *v
 	}
 	c.unpersisted = make(map[uint64]int)
 	c.clearMetaCaches()
 	c.rebuildTreeFromCounters()
-	if c.mt.Root() != t.root {
-		return ErrTransportRejected
+	if c.mt.Root() != root {
+		return false
 	}
 	c.st.Inc("mc.imports")
-	return nil
+	return true
 }

@@ -107,7 +107,7 @@ func TestImportRejectsTamperedModule(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Attacker swaps counter state in transit.
-	for _, m := range transport.mecb {
+	for _, m := range transport.ctr {
 		m.Minor[0] ^= 1
 	}
 	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})

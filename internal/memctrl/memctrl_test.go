@@ -369,15 +369,15 @@ func TestPartitionedMetadataCache(t *testing.T) {
 		t.Fatal("roundtrip broken under partitioned metadata cache")
 	}
 	// MECB and FECB land in different partitions.
-	mecbCache := c.mcacheFor(mecbAddr(pa.PageNum()))
-	fecbCache := c.mcacheFor(fecbAddr(pa.PageNum()))
+	mecbCache := c.mcacheFor(slotAddr(memSlot(pa.PageNum())))
+	fecbCache := c.mcacheFor(slotAddr(fileSlot(pa.PageNum())))
 	if mecbCache == fecbCache {
 		t.Fatal("MECB and FECB share a partition")
 	}
-	if !mecbCache.Contains(mecbAddr(pa.PageNum())) {
+	if !mecbCache.Contains(slotAddr(memSlot(pa.PageNum()))) {
 		t.Fatal("MECB missing from its partition")
 	}
-	if !fecbCache.Contains(fecbAddr(pa.PageNum())) {
+	if !fecbCache.Contains(slotAddr(fileSlot(pa.PageNum()))) {
 		t.Fatal("FECB missing from its partition")
 	}
 	// Crash/recover still works with partitions.
@@ -396,7 +396,7 @@ func TestPartitionedMetadataCache(t *testing.T) {
 
 func TestUnpartitionedCacheAliases(t *testing.T) {
 	c := newMC(Mode{MemEncryption: true})
-	if c.mcacheFor(mecbAddr(1)) != c.mcacheFor(fecbAddr(1)) {
+	if c.mcacheFor(slotAddr(memSlot(1))) != c.mcacheFor(slotAddr(fileSlot(1))) {
 		t.Fatal("shared mode did not alias partitions")
 	}
 	if c.mcacheFor(mtNodeAddr(c.mt.PathNodes(0)[0])) != c.MetadataCache() {

@@ -60,80 +60,56 @@ func (c *Controller) insertMeta(now config.Cycle, metaAddr uint64, dirty bool) {
 	// happens in the background (it occupies a bank but nobody waits on it).
 	c.PCM.Access(now, addr.Phys(victim.LineAddr), true)
 	c.st.Inc("mc.meta_writebacks")
-	c.persistCounterAt(victim.LineAddr)
+	if slot, ok := addrSlot(victim.LineAddr); ok { // MT nodes and OTT buckets are reconstructible
+		c.persistCounter(slot)
+	}
 }
 
-// persistCounterAt records that the counter block at metaAddr now has its
+// persistCounter records that the counter block in slot now has its
 // current value durable in NVM (used by crash recovery).
-func (c *Controller) persistCounterAt(metaAddr uint64) {
-	if metaAddr < MetaBase || metaAddr >= MTBase {
-		return // MT nodes and OTT buckets are reconstructible
+func (c *Controller) persistCounter(slot uint64) {
+	if b, ok := c.ctr[slot]; ok {
+		c.persisted[slot] = *b
 	}
-	idx := (metaAddr - MetaBase) / config.LineSize
-	page := idx / 2
-	if idx%2 == 0 {
-		if m, ok := c.mecb[page]; ok {
-			c.persistedMECB[page] = *m
-		}
-	} else {
-		if f, ok := c.fecb[page]; ok {
-			c.persistedFECB[page] = *f
-		}
-	}
-	delete(c.unpersisted, metaAddr)
+	delete(c.unpersisted, slot)
 }
 
-// getMECB returns the current MECB for page, creating it on first touch.
-func (c *Controller) getMECB(page uint64) *counters.MECB {
-	m, ok := c.mecb[page]
+// getCtr returns the current counter block in slot, creating it on first
+// touch.
+func (c *Controller) getCtr(slot uint64) *counters.CB {
+	b, ok := c.ctr[slot]
 	if !ok {
-		m = &counters.MECB{}
-		c.mecb[page] = m
+		b = &counters.CB{}
+		c.ctr[slot] = b
 		// A fresh block's zero value is implicitly durable.
-		c.persistedMECB[page] = *m
-		c.mt.Update(mecbLeaf(page), c.encMECB(m))
+		c.persisted[slot] = *b
+		c.mt.Update(int(slot), c.enc(slot, b))
 	}
-	return m
+	return b
 }
 
-// getFECB returns the current FECB for page, creating it on first touch.
-func (c *Controller) getFECB(page uint64) *counters.FECB {
-	f, ok := c.fecb[page]
-	if !ok {
-		f = &counters.FECB{}
-		c.fecb[page] = f
-		c.persistedFECB[page] = *f
-		c.mt.Update(fecbLeaf(page), c.encFECB(f))
+// peekCtr returns a copy of slot's block without creating it: an absent
+// block reads as the fresh zero block getCtr would create.
+func (c *Controller) peekCtr(slot uint64) counters.CB {
+	if b, ok := c.ctr[slot]; ok {
+		return *b
 	}
-	return f
+	return counters.CB{}
 }
 
-// encMECB serializes a MECB into the controller's scratch line. The
-// returned slice is valid until the next enc call; every consumer (leaf
-// hash, MAC verify) reads it synchronously.
-func (c *Controller) encMECB(m *counters.MECB) []byte {
-	m.EncodeInto(&c.encScratch)
+// enc serializes slot's block b, under the slot's kind, into the
+// controller's scratch line. The returned slice is valid until the next enc
+// call; every consumer (leaf hash, MAC verify) reads it synchronously.
+func (c *Controller) enc(slot uint64, b *counters.CB) []byte {
+	b.MustEncodeInto(slotKind(slot), &c.encScratch)
 	return c.encScratch[:]
 }
 
-// encFECB is encMECB for file counter blocks.
-func (c *Controller) encFECB(f *counters.FECB) []byte {
-	f.MustEncodeInto(&c.encScratch)
-	return c.encScratch[:]
-}
-
-// fetchMECB makes page's MECB available to the datapath and returns when.
-func (c *Controller) fetchMECB(now config.Cycle, page uint64) (*counters.MECB, config.Cycle) {
-	m := c.getMECB(page)
-	ready := c.fetchMeta(now, mecbAddr(page), mecbLeaf(page), c.encMECB(m))
-	return m, ready
-}
-
-// fetchFECB makes page's FECB available to the datapath and returns when.
-func (c *Controller) fetchFECB(now config.Cycle, page uint64) (*counters.FECB, config.Cycle) {
-	f := c.getFECB(page)
-	ready := c.fetchMeta(now, fecbAddr(page), fecbLeaf(page), c.encFECB(f))
-	return f, ready
+// fetchCtr makes slot's counter block available to the datapath and returns
+// when.
+func (c *Controller) fetchCtr(now config.Cycle, slot uint64) (*counters.CB, config.Cycle) {
+	b := c.getCtr(slot)
+	return b, c.fetchMeta(now, slotAddr(slot), int(slot), c.enc(slot, b))
 }
 
 // touchDirtyCounter accounts one update of a counter block outside the data
@@ -141,27 +117,28 @@ func (c *Controller) fetchFECB(now config.Cycle, page uint64) (*counters.FECB, c
 // stop-loss bound: after StopLoss unpersisted bumps the block is written
 // through to NVM so crash recovery only ever needs to search a bounded
 // counter window. bumpLines is the data path's n-bump form.
-func (c *Controller) touchDirtyCounter(now config.Cycle, metaAddr uint64, leaf int, content []byte) config.Cycle {
-	u, persists := c.unpersisted[metaAddr]+1, 0
+func (c *Controller) touchDirtyCounter(now config.Cycle, slot uint64, b *counters.CB) config.Cycle {
+	u, persists := c.unpersisted[slot]+1, 0
 	if u >= c.cfg.Security.StopLoss {
-		c.persistCounterAt(metaAddr)
+		c.persistCounter(slot)
 		u, persists = 0, 1
 	} else {
-		c.unpersisted[metaAddr] = u
+		c.unpersisted[slot] = u
 	}
-	return c.counterDirtied(now, now, metaAddr, leaf, content, persists, u == 0)
+	return c.counterDirtied(now, now, slot, b, persists, u == 0)
 }
 
-// counterDirtied is the tail every counter-block update shares: the block
-// (whose encoding is now content) goes dirty in the metadata cache, its
-// Merkle leaf and path are updated, and the stop-loss write-throughs the
+// counterDirtied is the tail every counter-block update shares: slot's
+// block b goes dirty in the metadata cache, its Merkle leaf and path are
+// updated to its new encoding, and the stop-loss write-throughs the
 // update triggered are issued at writeThroughAt (background writes; bank
 // time accounted). durable reports that the last bump was one of them, so
 // the cached copy matches NVM again. Returns when the MT MAC update is done.
-func (c *Controller) counterDirtied(now, writeThroughAt config.Cycle, metaAddr uint64, leaf int, content []byte, persists int, durable bool) config.Cycle {
+func (c *Controller) counterDirtied(now, writeThroughAt config.Cycle, slot uint64, b *counters.CB, persists int, durable bool) config.Cycle {
+	metaAddr, leaf := slotAddr(slot), int(slot)
 	c.mcacheFor(metaAddr).Lookup(metaAddr, true) // mark dirty (present: just fetched)
 	c.insertMeta(now, metaAddr, true)
-	c.mt.Update(leaf, content)
+	c.mt.Update(leaf, c.enc(slot, b))
 	// Merkle path nodes become dirty in the metadata cache as well.
 	c.mtPath = c.mt.AppendPathNodes(c.mtPath[:0], leaf)
 	for _, n := range c.mtPath {
@@ -179,26 +156,23 @@ func (c *Controller) counterDirtied(now, writeThroughAt config.Cycle, metaAddr u
 	return now + c.cfg.Security.MACLatency
 }
 
-// persistCounterNow writes a counter block through to NVM immediately
+// persistCounterNow writes slot's counter block through to NVM immediately
 // (background bank occupancy, no caller stall) and records it durable.
-func (c *Controller) persistCounterNow(now config.Cycle, metaAddr uint64) {
+func (c *Controller) persistCounterNow(now config.Cycle, slot uint64) {
+	metaAddr := slotAddr(slot)
 	c.PCM.Access(now, addr.Phys(metaAddr), true)
 	c.mcacheFor(metaAddr).Clean(metaAddr)
-	c.persistCounterAt(metaAddr)
+	c.persistCounter(slot)
 }
 
 // merkle helpers used by recovery. Unlike the datapath's scratch encoders,
 // the leaves map retains every slice until Rebuild consumes it, so each
 // block gets its own freshly allocated encoding here.
 func (c *Controller) rebuildTreeFromCounters() {
-	leaves := make(map[int][]byte, 2*len(c.mecb)+c.ottRegionLeafCount())
-	for page, m := range c.mecb {
-		b := m.Encode()
-		leaves[mecbLeaf(page)] = b[:]
-	}
-	for page, f := range c.fecb {
-		b := f.MustEncode()
-		leaves[fecbLeaf(page)] = b[:]
+	leaves := make(map[int][]byte, len(c.ctr)+c.ottRegionLeafCount())
+	for slot, b := range c.ctr {
+		line := b.MustEncode(slotKind(slot))
+		leaves[int(slot)] = line[:]
 	}
 	c.addOTTLeaves(leaves)
 	c.mt.Rebuild(leaves)

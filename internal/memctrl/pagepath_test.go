@@ -79,18 +79,15 @@ func comparePageState(t *testing.T, lineC, pageC *Controller, addrs []addr.Phys)
 				t.Fatalf("page %#x line %d: ciphertext differs between line and page datapaths", page, li)
 			}
 		}
-		if m1, m2 := lineC.mecb[page], pageC.mecb[page]; (m1 == nil) != (m2 == nil) || (m1 != nil && *m1 != *m2) {
+		if m1, m2 := lineC.ctr[memSlot(page)], pageC.ctr[memSlot(page)]; (m1 == nil) != (m2 == nil) || (m1 != nil && *m1 != *m2) {
 			t.Fatalf("page %#x: MECB differs: %+v vs %+v", page, m1, m2)
 		}
-		if f1, f2 := lineC.fecb[page], pageC.fecb[page]; (f1 == nil) != (f2 == nil) || (f1 != nil && *f1 != *f2) {
+		if f1, f2 := lineC.ctr[fileSlot(page)], pageC.ctr[fileSlot(page)]; (f1 == nil) != (f2 == nil) || (f1 != nil && *f1 != *f2) {
 			t.Fatalf("page %#x: FECB differs: %+v vs %+v", page, f1, f2)
 		}
 	}
-	if !reflect.DeepEqual(lineC.persistedMECB, pageC.persistedMECB) {
-		t.Fatal("persisted MECB snapshots differ (Osiris stop-loss schedule diverged)")
-	}
-	if !reflect.DeepEqual(lineC.persistedFECB, pageC.persistedFECB) {
-		t.Fatal("persisted FECB snapshots differ (Osiris stop-loss schedule diverged)")
+	if !reflect.DeepEqual(lineC.persisted, pageC.persisted) {
+		t.Fatal("persisted counter-block snapshots differ (Osiris stop-loss schedule diverged)")
 	}
 	if !reflect.DeepEqual(lineC.unpersisted, pageC.unpersisted) {
 		t.Fatalf("unpersisted bump counts differ: %v vs %v", lineC.unpersisted, pageC.unpersisted)
@@ -210,7 +207,7 @@ func TestWritePageOverflowFallback(t *testing.T) {
 		pageC.WritePage(now, base, &buf)
 		now += 1000
 	}
-	m := pageC.mecb[base.PageNum()]
+	m := pageC.ctr[memSlot(base.PageNum())]
 	if m == nil || m.Major == 0 {
 		t.Fatal("sweep did not cross a minor-counter overflow")
 	}

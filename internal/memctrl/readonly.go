@@ -62,17 +62,17 @@ func (r *Reader) engineFor(key aesctr.Key) *aesctr.Engine {
 }
 
 // pads builds the one-time pads of lines li0..li0+n-1 of page — OTP_mem
-// from the memory counters (major, minors) and, when fecb is non-nil,
-// XORed with OTP_file from its counters under key (Figure 7) — and returns
+// from the memory counters mecb and, when fecb is non-nil, XORed with
+// OTP_file from its counters under key (Figure 7) — and returns
 // them in the context's buffer, valid until its next use. Every pad the
 // controller applies to data is built here: the live datapath, snapshot
 // reads, recovery's candidate search and the memory-key-only attack hook.
-func (r *Reader) pads(page uint64, li0, n int, major uint64, minors *[config.LinesPerPage]uint8, fecb *counters.FECB, key aesctr.Key) []byte {
+func (r *Reader) pads(page uint64, li0, n int, mecb, fecb *counters.CB, key aesctr.Key) []byte {
 	pad := r.pad[:n*config.LineSize]
-	r.mem.OTPLinesInto(pad, page, li0, major, minors, aesctr.DomainMemory)
+	r.mem.OTPLinesInto(pad, page, li0, mecb.Major, &mecb.Minor, aesctr.DomainMemory)
 	if fecb != nil {
 		filePad := r.filePad[:n*config.LineSize]
-		r.engineFor(key).OTPLinesInto(filePad, page, li0, uint64(fecb.Major), &fecb.Minor, aesctr.DomainFile)
+		r.engineFor(key).OTPLinesInto(filePad, page, li0, fecb.Major, &fecb.Minor, aesctr.DomainFile)
 		aesctr.XORBytes(pad, filePad)
 	}
 	return pad
@@ -151,20 +151,17 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 
 	page := base.PageNum()
 	// An absent counter block decrypts exactly like the fresh zero block
-	// getMECB/getFECB would have created — the create side effects (persist
+	// getCtr would have created — the create side effects (persist
 	// snapshot, Merkle leaf) are what the owner's fallback exists for, and a
 	// never-written page needs neither.
-	var m counters.MECB
-	if mb, ok := c.mecb[page]; ok {
-		m = *mb
-	}
-	var fecb *counters.FECB
+	m := c.peekCtr(memSlot(page))
+	var fecb *counters.CB
 	var key aesctr.Key
 	if base.IsDF() {
 		if !c.fileActive() {
 			return false // locked datapath: live path journals and decrypts to garbage
 		}
-		fecb = c.fecb[page]
+		fecb = c.ctr[fileSlot(page)]
 		if fecb == nil || (fecb.GroupID == 0 && fecb.FileID == 0) {
 			// Untagged FECB: the live path would journal a DF mismatch.
 			return false
@@ -179,7 +176,7 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 		}
 		d.Audits = append(d.Audits, AuditEvent{Op: audit.OpReadPage, Page: page, Group: fecb.GroupID, File: fecb.FileID})
 	}
-	aesctr.XORBytes(dst[:], rd.pads(page, 0, config.LinesPerPage, m.Major, &m.Minor, fecb, key))
+	aesctr.XORBytes(dst[:], rd.pads(page, 0, config.LinesPerPage, &m, fecb, key))
 
 	// Osiris check tags, deferred: mismatches are recorded, accounted by
 	// the owner at drain time.

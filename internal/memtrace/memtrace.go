@@ -1,11 +1,11 @@
-// Package trace records and replays memory-access traces of the simulated
+// Package memtrace records and replays memory-access traces of the simulated
 // machine — the classic trace-driven interface of memory-system simulators.
 // A Recorder attached to a machine captures every load, store, CLWB and
 // SFENCE with its physical address (including the DF-bit); the trace can be
 // serialized to a compact binary stream and later replayed against a
 // machine in any protection mode, reproducing the access pattern without
 // re-running the workload's software stack.
-package trace
+package memtrace
 
 import (
 	"bufio"
@@ -67,7 +67,7 @@ func Write(w io.Writer, events []Event) error {
 	var rec [12]byte
 	for _, e := range events {
 		if e.Len > 0xFFFF {
-			return fmt.Errorf("trace: event length %d exceeds format limit", e.Len)
+			return fmt.Errorf("memtrace: event length %d exceeds format limit", e.Len)
 		}
 		rec[0] = byte(e.Core)
 		rec[1] = e.Kind
@@ -81,7 +81,7 @@ func Write(w io.Writer, events []Event) error {
 }
 
 // ErrBadTrace reports a malformed or incompatible trace stream.
-var ErrBadTrace = errors.New("trace: bad or incompatible trace stream")
+var ErrBadTrace = errors.New("memtrace: bad or incompatible trace stream")
 
 // Read deserializes a trace written by Write.
 func Read(r io.Reader) ([]Event, error) {
@@ -200,7 +200,7 @@ func Replay(m *machine.Machine, events []Event) (config.Cycle, error) {
 	}
 	for _, e := range events {
 		if e.Core >= m.Cores() {
-			return 0, fmt.Errorf("trace: event core %d beyond machine's %d cores", e.Core, m.Cores())
+			return 0, fmt.Errorf("memtrace: event core %d beyond machine's %d cores", e.Core, m.Cores())
 		}
 		co := m.Core(e.Core)
 		switch e.Kind {
@@ -213,7 +213,7 @@ func Replay(m *machine.Machine, events []Event) (config.Cycle, error) {
 		case KindFence:
 			co.Fence()
 		default:
-			return 0, fmt.Errorf("trace: unknown event kind %q", e.Kind)
+			return 0, fmt.Errorf("memtrace: unknown event kind %q", e.Kind)
 		}
 	}
 	return m.MaxCoreTime() - start, nil

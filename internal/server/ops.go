@@ -70,6 +70,11 @@ type sessState struct {
 type kvHandle struct {
 	pool *pmem.Pool
 	tree *kvstore.BTree
+	// checked[a]: the session passed the store's permission check for
+	// access a (it opened the store for a, or created it). A handle opened
+	// by a get has not been checked for writing, nor one opened by a put
+	// for reading, and owes that check before its first such op.
+	checked [2]bool
 }
 
 // state returns (creating lazily) the session's state on this shard.
@@ -467,7 +472,7 @@ func workKVCreate(_ *Service, tgt target, sess *Session, req *fsproto.KVCreateRe
 		return nil, err
 	}
 	tree.Instrument(sh.Reg)
-	sh.state(sess).kv[full] = &kvHandle{pool: pool, tree: tree}
+	sh.state(sess).kv[full] = &kvHandle{pool: pool, tree: tree, checked: [2]bool{fs.ReadAccess: true, fs.WriteAccess: true}}
 	return nil, nil
 }
 
@@ -670,11 +675,14 @@ func kvName(tenant, store string) string { return tenant + "/kv/" + store }
 
 // kvHandleFor opens (or returns the cached) per-session view of a store:
 // permission check through OpenFile, then a pmem pool mapping in the
-// session's own process. Worker-goroutine only.
+// session's own process. A cached handle repeats the check, once, for the
+// first op of an access kind it was not opened for. Worker-goroutine only,
+// so replay opens exactly when the live run did.
 func (sh *Shard) kvHandleFor(sess *Session, tenant, store, passphrase string, want fs.Access) (*kvHandle, error) {
 	st := sh.state(sess)
 	full := kvName(tenant, store)
-	if h, ok := st.kv[full]; ok {
+	h, cached := st.kv[full]
+	if cached && h.checked[want] {
 		return h, nil
 	}
 	p := sh.proc(sess)
@@ -682,13 +690,16 @@ func (sh *Shard) kvHandleFor(sess *Session, tenant, store, passphrase string, wa
 	if err != nil {
 		return nil, err
 	}
-	pool, err := pmem.Open(p, f, f.Size)
-	if err != nil {
-		return nil, err
+	if !cached {
+		pool, err := pmem.Open(p, f, f.Size)
+		if err != nil {
+			return nil, err
+		}
+		tree := kvstore.Open(pool, 0)
+		tree.Instrument(sh.Reg)
+		h = &kvHandle{pool: pool, tree: tree}
+		st.kv[full] = h
 	}
-	tree := kvstore.Open(pool, 0)
-	tree.Instrument(sh.Reg)
-	h := &kvHandle{pool: pool, tree: tree}
-	st.kv[full] = h
+	h.checked[want] = true
 	return h, nil
 }
