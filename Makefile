@@ -180,7 +180,9 @@ bench-check:
 # cannot silently return. TestPageGapGuard pins the batched page path at
 # no worse than half the host cost of 64 WriteLine calls, so the
 # one-fetch/one-key-schedule batching cannot silently degenerate back to
-# per-line work. TestAuditOverheadGuard pins the audit plane's disabled
+# per-line work. TestWritePageGapGuard pins WritePage at no more than 1.7x
+# ReadPage (median of 5 each), so write-path bookkeeping cannot grow back
+# past the cost of the pads. TestAuditOverheadGuard pins the audit plane's disabled
 # cost: with auditing off, the page datapath's detached Append hooks must
 # stay under 3% of ReadPage/WritePage. TestTraceOverheadGuard pins the
 # request-trace plane the same way: with no trace active (scope nil or
@@ -190,7 +192,7 @@ bench-check:
 # 8 readers on one shard must sustain >= 2x single-reader throughput
 # through the snapshot fast-path (skipped on smaller hosts).
 overhead-guard:
-	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestTelemetryOverheadGuard|TestWriteLineGapGuard|TestPageGapGuard|TestAuditOverheadGuard|TestTraceOverheadGuard' -v ./internal/memctrl
+	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestTelemetryOverheadGuard|TestWriteLineGapGuard|TestPageGapGuard|TestWritePageGapGuard|TestAuditOverheadGuard|TestTraceOverheadGuard' -v ./internal/memctrl
 	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestReadScalingGuard' -v ./internal/server
 
 # `test` and `race` already run every test of every package, so the smoke

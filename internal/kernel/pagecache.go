@@ -43,7 +43,7 @@ func (s *System) loadPageCache(p *Process, f *fs.File, pageIdx uint64) (*pagecac
 			c.CryptPage(pageIdx, buf[:])
 		}
 		p.core.Compute(s.cfg.Kernel.SWCryptoPer16B * (config.PageSize / 16))
-		s.M.Stats().Inc("kernel.sw_decrypts")
+		s.nSWDecrypts.Add(1)
 	}
 	p.core.WritePageNT(frame, &buf)
 	p.core.Compute(s.cfg.Kernel.CopyPer64B * config.LinesPerPage)
@@ -53,7 +53,7 @@ func (s *System) loadPageCache(p *Process, f *fs.File, pageIdx uint64) (*pagecac
 	if victim := s.pageCache.Insert(pg); victim != nil {
 		s.evictPage(p, victim)
 	}
-	s.M.Stats().Inc("kernel.pagecache_loads")
+	s.nPageCacheLoads.Add(1)
 	return pg, nil
 }
 
@@ -105,12 +105,12 @@ func (s *System) writebackPage(p *Process, pg *pagecache.Page) {
 			c.CryptPage(pg.Key.PageIdx, buf[:])
 		}
 		p.core.Compute(s.cfg.Kernel.SWCryptoPer16B * (config.PageSize / 16))
-		s.M.Stats().Inc("kernel.sw_encrypts")
+		s.nSWEncrypts.Add(1)
 	}
 	// Non-temporal copy back to the device; the fence makes it durable.
 	p.core.WritePageNT(devPA, &buf)
 	p.core.Fence()
 	pg.Dirty = false
 	pg.PersistCount = 0
-	s.M.Stats().Inc("kernel.pagecache_writebacks")
+	s.nPageCacheWritebacks.Add(1)
 }

@@ -13,6 +13,7 @@ import (
 	"fsencr/internal/memctrl"
 	"fsencr/internal/obsplane/journal"
 	"fsencr/internal/pagecache"
+	"fsencr/internal/stats"
 	"fsencr/internal/swencrypt"
 	"fsencr/internal/telemetry"
 )
@@ -73,6 +74,9 @@ type System struct {
 	freeFrames []addr.Phys                  // recycled page-cache frames
 	anonNext   uint64
 	procs      []*Process
+
+	// Handles on the machine's "kernel." counters, resolved once in BootSeq.
+	nSWDecrypts, nSWEncrypts, nPageCacheLoads, nPageCacheWritebacks stats.Counter
 
 	tel          *telemetry.Registry
 	trace        *telemetry.TraceScope
@@ -145,6 +149,11 @@ func BootSeq(cfg config.Config, mcMode memctrl.Mode, accessMode AccessMode, chip
 		frameRefs: make(map[addr.Phys]pagecache.Key),
 		anonNext:  anonBase / config.PageSize,
 	}
+	st := s.M.Stats()
+	s.nSWDecrypts = st.Counter("kernel.sw_decrypts")
+	s.nSWEncrypts = st.Counter("kernel.sw_encrypts")
+	s.nPageCacheLoads = st.Counter("kernel.pagecache_loads")
+	s.nPageCacheWritebacks = st.Counter("kernel.pagecache_writebacks")
 	return s
 }
 

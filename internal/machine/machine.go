@@ -41,8 +41,11 @@ type Tracer interface {
 
 // Machine is the simulated system.
 type Machine struct {
-	cfg   config.Config
-	st    *stats.Set
+	cfg config.Config
+	st  *stats.Set
+	// Handles on st's "machine." counters, resolved once in NewWithChipSeq.
+	nL3DirtyEvictions, nFlushes, nNTWrites, nNCPageReads, nNTPageWrites stats.Counter
+
 	MC    *memctrl.Controller
 	l3    *cache.Cache
 	cores []*Core
@@ -114,6 +117,12 @@ func NewWithChipSeq(cfg config.Config, mode memctrl.Mode, chipSeq uint64) *Machi
 		lines:       make(map[addr.Phys]*lineBuf),
 		ReadLatency: stats.NewHistogram(100, 150, 200, 300, 400, 600, 1000, 2000),
 		flushIssue:  5,
+
+		nL3DirtyEvictions: st.Counter("machine.l3_dirty_evictions"),
+		nFlushes:          st.Counter("machine.flushes"),
+		nNTWrites:         st.Counter("machine.nt_writes"),
+		nNCPageReads:      st.Counter("machine.nc_page_reads"),
+		nNTPageWrites:     st.Counter("machine.nt_page_writes"),
 	}
 	for i := 0; i < cfg.Processor.Cores; i++ {
 		m.cores = append(m.cores, &Core{
@@ -207,7 +216,7 @@ func (m *Machine) l3Insert(co *Core, la addr.Phys) {
 			// Background writeback; nobody stalls on it, but it occupies
 			// the controller and a PCM bank.
 			m.MC.WriteLine(co.Now, va, lb.data)
-			m.st.Inc("machine.l3_dirty_evictions")
+			m.nL3DirtyEvictions.Add(1)
 		}
 		delete(m.lines, va)
 	}
@@ -272,7 +281,7 @@ func (co *Core) Flush(pa addr.Phys) {
 	}
 	done := m.MC.WriteLine(co.Now, la, lb.data)
 	lb.dirty = false
-	m.st.Inc("machine.flushes")
+	m.nFlushes.Add(1)
 	if done > co.pendingPersist {
 		co.pendingPersist = done
 	}
@@ -339,7 +348,7 @@ func (co *Core) WriteNT(pa addr.Phys, data []byte) {
 			co.pendingPersist = accepted
 		}
 	}
-	m.st.Inc("machine.nt_writes")
+	m.nNTWrites.Add(1)
 }
 
 // ReadPageNC performs a non-caching read of one full 4 KB page into dst
@@ -366,7 +375,7 @@ func (co *Core) ReadPageNC(pa addr.Phys, dst *aesctr.Page) {
 	if done > co.Now {
 		co.Now = done
 	}
-	m.st.Inc("machine.nc_page_reads")
+	m.nNCPageReads.Add(1)
 }
 
 // SnapshotReadPage is the concurrent read fast-path's coherent page read:
@@ -419,8 +428,8 @@ func (co *Core) WritePageNT(pa addr.Phys, src *aesctr.Page) {
 	if accepted > co.pendingPersist {
 		co.pendingPersist = accepted
 	}
-	m.st.Inc("machine.nt_writes")
-	m.st.Inc("machine.nt_page_writes")
+	m.nNTWrites.Add(1)
+	m.nNTPageWrites.Add(1)
 }
 
 // Compute advances the core's clock by n cycles of non-memory work.

@@ -71,6 +71,7 @@ type Controller struct {
 	cfg  config.Config
 	mode Mode
 	st   *stats.Set
+	n    events // handles on st's "mc." counters
 	// chipSeq is the per-chip key-derivation sequence the controller was
 	// built with. Controllers sharing a chipSeq derive identical memory
 	// and OTT keys — the property shard migration and replication rely on
@@ -129,7 +130,7 @@ type Controller struct {
 	// *accepted* into the controller's persistence domain (ADR), not when
 	// the PCM array write finishes. Backpressure appears only when the
 	// queue fills.
-	writeQueue []config.Cycle
+	writeQueue writeQueue
 
 	violations uint64
 
@@ -155,17 +156,65 @@ type Controller struct {
 }
 
 // writeQueueDepth is the number of in-flight writes the controller buffers.
+// A run claims its slots before it posts its completions, so right after a
+// page burst the queue may hold up to 2*writeQueueDepth-1 entries.
 const writeQueueDepth = 64
+
+// writeQueue is a binary min-heap of in-flight write completion times. The
+// datapath only ever asks it for the earliest completion — to retire
+// everything at or before now, or to wait for a slot when full — so the root
+// answers in O(1) and a removal costs O(log n); a flat slice would cost a
+// scan of the queue per line written.
+type writeQueue []config.Cycle
+
+func (q *writeQueue) push(done config.Cycle) {
+	h := append(*q, done)
+	i := len(h) - 1
+	for i > 0 {
+		parent := (i - 1) / 2
+		if h[parent] <= done {
+			break
+		}
+		h[i] = h[parent]
+		i = parent
+	}
+	h[i] = done
+	*q = h
+}
+
+// pop removes and returns the earliest completion of a non-empty queue.
+func (q *writeQueue) pop() config.Cycle {
+	h := *q
+	earliest, last := h[0], h[len(h)-1]
+	h = h[:len(h)-1]
+	*q = h
+	// Sift the former last element down from the root.
+	i := 0
+	for {
+		child := 2*i + 1
+		if child >= len(h) {
+			break
+		}
+		if r := child + 1; r < len(h) && h[r] < h[child] {
+			child = r
+		}
+		if last <= h[child] {
+			break
+		}
+		h[i] = h[child]
+		i = child
+	}
+	if len(h) > 0 {
+		h[i] = last
+	}
+	return earliest
+}
 
 // retireWrites drops completed writes from the in-flight queue.
 func (c *Controller) retireWrites(now config.Cycle) {
-	live := c.writeQueue[:0]
-	for _, done := range c.writeQueue {
-		if done > now {
-			live = append(live, done)
-		}
+	for len(c.writeQueue) > 0 && c.writeQueue[0] <= now {
+		c.writeQueue.pop()
 	}
-	c.writeQueue = live
 }
 
 // acceptSlot grants one persistence-domain slot at now, popping the
@@ -176,17 +225,8 @@ func (c *Controller) acceptSlot(now config.Cycle) config.Cycle {
 		return now + 1
 	}
 	// Queue full: wait for the earliest in-flight write to retire.
-	minIdx := 0
-	for i, done := range c.writeQueue {
-		if done < c.writeQueue[minIdx] {
-			minIdx = i
-		}
-	}
-	accepted := c.writeQueue[minIdx]
-	c.writeQueue[minIdx] = c.writeQueue[len(c.writeQueue)-1]
-	c.writeQueue = c.writeQueue[:len(c.writeQueue)-1]
-	c.st.Inc("mc.write_queue_stalls")
-	return accepted + 1
+	c.n.writeQueueStalls.Add(1)
+	return c.writeQueue.pop() + 1
 }
 
 // instanceSeq gives every controller distinct processor keys (fuses differ
@@ -228,6 +268,7 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 		cfg:         cfg,
 		mode:        mode,
 		st:          st,
+		n:           resolveEvents(st),
 		chipSeq:     seq,
 		PCM:         pcm.New(cfg.PCM, st),
 		ctr:         make(map[uint64]*counters.CB),
@@ -278,6 +319,55 @@ func deriveKey(label string, seq uint64) aesctr.Key {
 		k[i] = byte(h)
 	}
 	return k
+}
+
+// events is the controller's event counters as handles resolved once, when
+// the controller is built: an increment on the datapath is an add through a
+// pointer, not a string-hashed map access per event. A handle registers its
+// name at its first increment, so a counter whose event never happened stays
+// absent from the set exactly as it did when incremented by name.
+type events struct {
+	reads, writes, writeQueueStalls                 stats.Counter
+	metaHits, metaMisses, metaReads, metaWritebacks stats.Counter
+	mtHits, mtMisses, integrityViolations           stats.Counter
+	stoplossPersists, recoveredLines                stats.Counter
+	reencryptions                                   [2]stats.Counter // by counters.Kind
+	ottHits, ottMisses, ottEvictions                stats.Counter
+	keyInstalls, keyRemovals, keyRotations          stats.Counter
+	keyUnavailable, dataECCErrors                   stats.Counter
+	pageTags, pageShreds, imports                   stats.Counter
+}
+
+func resolveEvents(st *stats.Set) events {
+	return events{
+		reads:               st.Counter("mc.reads"),
+		writes:              st.Counter("mc.writes"),
+		writeQueueStalls:    st.Counter("mc.write_queue_stalls"),
+		metaHits:            st.Counter("mc.meta_hits"),
+		metaMisses:          st.Counter("mc.meta_misses"),
+		metaReads:           st.Counter("mc.meta_reads"),
+		metaWritebacks:      st.Counter("mc.meta_writebacks"),
+		mtHits:              st.Counter("mc.mt_hits"),
+		mtMisses:            st.Counter("mc.mt_misses"),
+		integrityViolations: st.Counter("mc.integrity_violations"),
+		stoplossPersists:    st.Counter("mc.stoploss_persists"),
+		recoveredLines:      st.Counter("mc.recovered_lines"),
+		reencryptions: [2]stats.Counter{
+			counters.Mem:  st.Counter("mc.mem_reencryptions"),
+			counters.File: st.Counter("mc.file_reencryptions"),
+		},
+		ottHits:        st.Counter("mc.ott_hits"),
+		ottMisses:      st.Counter("mc.ott_misses"),
+		ottEvictions:   st.Counter("mc.ott_evictions"),
+		keyInstalls:    st.Counter("mc.key_installs"),
+		keyRemovals:    st.Counter("mc.key_removals"),
+		keyRotations:   st.Counter("mc.key_rotations"),
+		keyUnavailable: st.Counter("mc.key_unavailable"),
+		dataECCErrors:  st.Counter("mc.data_ecc_errors"),
+		pageTags:       st.Counter("mc.page_tags"),
+		pageShreds:     st.Counter("mc.page_shreds"),
+		imports:        st.Counter("mc.imports"),
+	}
 }
 
 // Mode returns the active protection mode.

@@ -134,7 +134,7 @@ func (c *Controller) recoverLine(page uint64, li int, tag uint64) error {
 			plain := cipher
 			aesctr.XORBytes(plain[:], c.rd.pads(page, li, 1, mecb, fecb, key))
 			if eccTag(&plain) == tag {
-				c.st.Inc("mc.recovered_lines")
+				c.n.recoveredLines.Add(1)
 				return nil
 			}
 		}

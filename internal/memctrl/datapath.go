@@ -112,7 +112,7 @@ func (c *Controller) readLines(now config.Cycle, la addr.Phys, n int, dst []byte
 	c.noteCycle(now)
 	raw := la.Raw()
 	c.PCM.ReadLinesInto(raw, dst)
-	c.st.Add("mc.reads", uint64(n))
+	c.n.reads.Add(uint64(n))
 
 	// Data array access and counter fetch proceed in parallel (CTR mode
 	// hides OTP generation under the array access when counters hit).
@@ -169,7 +169,7 @@ func (c *Controller) readLines(now config.Cycle, la addr.Phys, n int, dst []byte
 func (c *Controller) writeLines(now config.Cycle, la addr.Phys, n int, plain []byte) config.Cycle {
 	c.noteCycle(now)
 	raw := la.Raw()
-	c.st.Add("mc.writes", uint64(n))
+	c.n.writes.Add(uint64(n))
 	c.retireWrites(now)
 	accepted := c.acceptSlot(now)
 	if !c.mode.MemEncryption {
@@ -238,7 +238,9 @@ func (c *Controller) issueWrites(now, firstAccept config.Cycle, raw addr.Phys, n
 		c.lineStart[li] = max(dataReady0+config.Cycle(li), accept)
 	}
 	c.accessLines(now, raw, n, true)
-	c.writeQueue = append(c.writeQueue, c.lineDone[:n]...)
+	for _, done := range c.lineDone[:n] {
+		c.writeQueue.push(done)
+	}
 	// Long-standing quirk the figures' telemetry exports are pinned to: an
 	// unencrypted line write records no accept-latency sample.
 	if c.mode.MemEncryption || n > 1 {
@@ -261,14 +263,19 @@ func (c *Controller) bumpLines(now config.Cycle, slot uint64, li0, n int, b *cou
 		now = c.reencryptPage(now, slot, li0, b) // its wrapping Bump is this run's bump
 	}
 	u, persists := c.unpersisted[slot], 0
-	for li := li0; li < li0+n; li++ {
+	for li, last := li0, li0+n-1; li <= last; li++ {
 		if !wrap {
 			b.Minor[li]++
 		}
 		if u++; u >= c.cfg.Security.StopLoss {
 			// Stop-loss point: the block as bumped so far is what reaches
-			// NVM, so a mid-run Osiris snapshot is simply taken mid-loop.
-			c.persistCounter(slot)
+			// NVM. Each write-through supersedes the one before it and
+			// nothing runs between them, so only the run's last point —
+			// the one no further point can follow — takes the durable
+			// snapshot, mid-loop, with the later lines not yet bumped.
+			if last-li < c.cfg.Security.StopLoss {
+				c.persistCounter(slot)
+			}
 			u, persists = 0, persists+1
 		}
 	}
@@ -298,11 +305,11 @@ func (c *Controller) bumpLines(now config.Cycle, slot uint64, li0, n int, b *cou
 // the data is unreadable either way.
 func (c *Controller) reencryptPage(now config.Cycle, slot uint64, li int, b *counters.CB) config.Cycle {
 	page, kind := slot/2, slotKind(slot)
-	stat, spanName, ev, domain := "mc.mem_reencryptions", "reencrypt_mem", journal.PageReencryptMem, uint8(aesctr.DomainMemory)
+	spanName, ev, domain := "reencrypt_mem", journal.PageReencryptMem, uint8(aesctr.DomainMemory)
 	if kind == counters.File {
-		stat, spanName, ev, domain = "mc.file_reencryptions", "reencrypt_file", journal.PageReencryptFile, aesctr.DomainFile
+		spanName, ev, domain = "reencrypt_file", journal.PageReencryptFile, aesctr.DomainFile
 	}
-	c.st.Inc(stat)
+	c.n.reencryptions[kind].Add(1)
 	old := *b
 	counters.JournalBump(c.jrn, uint64(now), page, kind, b.Bump(kind, li))
 	eng := c.rd.mem
@@ -363,7 +370,7 @@ func (c *Controller) fileSide(now config.Cycle, page uint64, li0, n int, op audi
 	if ok {
 		return f, key, kReady
 	}
-	c.st.Add("mc.key_unavailable", uint64(n))
+	c.n.keyUnavailable.Add(uint64(n))
 	for i := 0; i < n; i++ {
 		c.jrn.Emit(journal.Event{Cycle: uint64(kReady), Type: journal.DFMismatch,
 			Page: page, Group: f.GroupID, File: f.FileID})
@@ -420,7 +427,7 @@ func (c *Controller) eccBad(page uint64, li0 int, plain []byte) (bad uint64) {
 // counted and journalled like a Merkle verification failure.
 func (c *Controller) eccViolation(now config.Cycle, page uint64, li int) {
 	c.violations++
-	c.st.Inc("mc.data_ecc_errors")
+	c.n.dataECCErrors.Add(1)
 	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: journal.DataECCError,
 		Page: page, Detail: "line " + strconv.Itoa(li)})
 }

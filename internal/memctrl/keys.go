@@ -16,11 +16,11 @@ import (
 func (c *Controller) lookupKey(now config.Cycle, group uint32, file uint16) (aesctr.Key, config.Cycle, bool) {
 	ready := now + c.cfg.Security.OTTLookupLatency
 	if key, ok := c.ottTable.Lookup(group, file); ok {
-		c.st.Inc("mc.ott_hits")
+		c.n.ottHits.Add(1)
 		c.tKeyLookup.Observe(uint64(ready - now))
 		return key, ready, true
 	}
-	c.st.Inc("mc.ott_misses")
+	c.n.ottMisses.Add(1)
 	entry, bucket, found := c.ottRegion.Lookup(group, file)
 	// The bucket fetch goes through the metadata cache like other
 	// controller-owned metadata.
@@ -52,12 +52,12 @@ func (c *Controller) installOTT(now config.Cycle, e ott.Entry, refill bool) {
 	if !evicted {
 		return
 	}
-	c.st.Inc("mc.ott_evictions")
+	c.n.ottEvictions.Add(1)
 	bucket := c.ottRegion.Store(victim)
 	// Background write of the sealed record + Merkle update over the
 	// region (§VI: the Merkle tree also covers the encrypted OTT region).
 	c.PCM.Access(now, addr.Phys(ottBucketAddr(bucket)), true)
-	c.st.Inc("mc.meta_writebacks")
+	c.n.metaWritebacks.Add(1)
 	c.updateOTTLeaf(bucket)
 }
 
@@ -84,7 +84,7 @@ func (c *Controller) InstallKey(now config.Cycle, group uint32, file uint16, key
 		return now
 	}
 	c.noteCycle(now)
-	c.st.Inc("mc.key_installs")
+	c.n.keyInstalls.Add(1)
 	c.aud.Append(uint64(now), audit.OpKeyInstall, 0, group, file)
 	e := ott.Entry{Group: group, File: file, Key: key}
 	c.installOTT(now, e, false)
@@ -101,7 +101,7 @@ func (c *Controller) RemoveKey(now config.Cycle, group uint32, file uint16) conf
 		return now
 	}
 	c.noteCycle(now)
-	c.st.Inc("mc.key_removals")
+	c.n.keyRemovals.Add(1)
 	c.aud.Append(uint64(now), audit.OpKeyRemove, 0, group, file)
 	c.ottTable.Remove(group, file)
 	if bucket, removed := c.ottRegion.Remove(group, file); removed {
@@ -137,7 +137,7 @@ func (c *Controller) TagPage(now config.Cycle, pa addr.Phys, group uint32, file 
 		return now
 	}
 	c.noteCycle(now)
-	c.st.Inc("mc.page_tags")
+	c.n.pageTags.Add(1)
 	page := pa.PageNum()
 	c.aud.Append(uint64(now), audit.OpMap, page, group, file)
 	slot := fileSlot(page)
@@ -163,7 +163,7 @@ func (c *Controller) ShredPage(now config.Cycle, pa addr.Phys) config.Cycle {
 		return now
 	}
 	c.noteCycle(now)
-	c.st.Inc("mc.page_shreds")
+	c.n.pageShreds.Add(1)
 	page := pa.PageNum()
 	slot := fileSlot(page)
 	fecb, ready := c.fetchCtr(now, slot)

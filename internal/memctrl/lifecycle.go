@@ -27,7 +27,7 @@ func (c *Controller) RotateFileKey(now config.Cycle, pa addr.Phys, group uint32,
 		return now
 	}
 	c.noteCycle(now)
-	c.st.Inc("mc.key_rotations")
+	c.n.keyRotations.Add(1)
 	page := pa.PageNum()
 	slot := fileSlot(page)
 	fecb, ready := c.fetchCtr(now, slot)
@@ -128,6 +128,6 @@ func (c *Controller) install(ctr map[uint64]*counters.CB, ecc map[uint64]uint64,
 	if c.mt.Root() != root {
 		return false
 	}
-	c.st.Inc("mc.imports")
+	c.n.imports.Add(1)
 	return true
 }

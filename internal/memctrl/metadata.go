@@ -12,20 +12,34 @@ import (
 // integrity verified through the Bonsai Merkle tree, walking up until a
 // cached (trusted) node is found. Returns the time the block is usable.
 func (c *Controller) fetchMeta(now config.Cycle, metaAddr uint64, leaf int, content []byte) config.Cycle {
-	if c.mcacheFor(metaAddr).Lookup(metaAddr, false) {
-		c.st.Inc("mc.meta_hits")
+	if c.metaHit(metaAddr) {
 		return now + c.cfg.Security.MetadataCacheLatency
 	}
-	c.st.Inc("mc.meta_misses")
+	return c.fetchMetaMiss(now, metaAddr, leaf, content)
+}
+
+// metaHit is the one metadata-cache lookup of a fetch, counted either way.
+func (c *Controller) metaHit(metaAddr uint64) bool {
+	if c.mcacheFor(metaAddr).Lookup(metaAddr, false) {
+		c.n.metaHits.Add(1)
+		return true
+	}
+	c.n.metaMisses.Add(1)
+	return false
+}
+
+// fetchMetaMiss is fetchMeta past a missed lookup: the PCM fetch, the
+// Merkle verification of content (skipped when nil) and the cache fill.
+func (c *Controller) fetchMetaMiss(now config.Cycle, metaAddr uint64, leaf int, content []byte) config.Cycle {
 	ready := c.PCM.Access(now, addr.Phys(metaAddr), false)
-	c.st.Inc("mc.meta_reads")
+	c.n.metaReads.Add(1)
 
 	// Integrity verification: recompute the leaf MAC and walk up the tree
 	// until a node already cached on-chip (trusted) terminates the walk.
 	if content != nil {
 		if !c.mt.Verify(leaf, content) {
 			c.violations++
-			c.st.Inc("mc.integrity_violations")
+			c.n.integrityViolations.Add(1)
 		}
 		ready += c.cfg.Security.MACLatency
 		walked := uint64(0)
@@ -33,13 +47,13 @@ func (c *Controller) fetchMeta(now config.Cycle, metaAddr uint64, leaf int, cont
 		for _, n := range c.mtPath {
 			na := mtNodeAddr(n)
 			if c.mcacheFor(na).Lookup(na, false) {
-				c.st.Inc("mc.mt_hits")
+				c.n.mtHits.Add(1)
 				break
 			}
-			c.st.Inc("mc.mt_misses")
+			c.n.mtMisses.Add(1)
 			walked++
 			ready = c.PCM.Access(ready, addr.Phys(na), false) + c.cfg.Security.MACLatency
-			c.st.Inc("mc.meta_reads")
+			c.n.metaReads.Add(1)
 			c.insertMeta(ready, na, false)
 		}
 		c.tBMTWalk.Observe(walked)
@@ -59,7 +73,7 @@ func (c *Controller) insertMeta(now config.Cycle, metaAddr uint64, dirty bool) {
 	// Dirty metadata eviction: the block is written back to NVM. The write
 	// happens in the background (it occupies a bank but nobody waits on it).
 	c.PCM.Access(now, addr.Phys(victim.LineAddr), true)
-	c.st.Inc("mc.meta_writebacks")
+	c.n.metaWritebacks.Add(1)
 	if slot, ok := addrSlot(victim.LineAddr); ok { // MT nodes and OTT buckets are reconstructible
 		c.persistCounter(slot)
 	}
@@ -106,10 +120,15 @@ func (c *Controller) enc(slot uint64, b *counters.CB) []byte {
 }
 
 // fetchCtr makes slot's counter block available to the datapath and returns
-// when.
+// when. It is fetchMeta with the content encoded only once the lookup has
+// missed: a hit never reads it, and packing 64 minors costs more host time
+// than everything else a hit does.
 func (c *Controller) fetchCtr(now config.Cycle, slot uint64) (*counters.CB, config.Cycle) {
-	b := c.getCtr(slot)
-	return b, c.fetchMeta(now, slotAddr(slot), int(slot), c.enc(slot, b))
+	b, metaAddr := c.getCtr(slot), slotAddr(slot)
+	if c.metaHit(metaAddr) {
+		return b, now + c.cfg.Security.MetadataCacheLatency
+	}
+	return b, c.fetchMetaMiss(now, metaAddr, int(slot), c.enc(slot, b))
 }
 
 // touchDirtyCounter accounts one update of a counter block outside the data
@@ -144,11 +163,9 @@ func (c *Controller) counterDirtied(now, writeThroughAt config.Cycle, slot uint6
 	for _, n := range c.mtPath {
 		c.insertMeta(now, mtNodeAddr(n), true)
 	}
-	for i := 0; i < persists; i++ {
-		c.PCM.Access(writeThroughAt, addr.Phys(metaAddr), true)
-	}
 	if persists > 0 {
-		c.st.Add("mc.stoploss_persists", uint64(persists))
+		c.PCM.AccessRepeat(writeThroughAt, addr.Phys(metaAddr), true, persists)
+		c.n.stoplossPersists.Add(uint64(persists))
 	}
 	if durable {
 		c.mcacheFor(metaAddr).Clean(metaAddr)

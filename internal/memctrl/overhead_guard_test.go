@@ -3,6 +3,7 @@ package memctrl
 import (
 	"math"
 	"os"
+	"sort"
 	"testing"
 
 	"fsencr/internal/audit"
@@ -73,6 +74,47 @@ func TestPageGapGuard(t *testing.T) {
 	if pageNs > serial/2 {
 		t.Errorf("WritePage %.0f ns/op exceeds half of 64x WriteLine (%.0f ns): page batching regressed",
 			pageNs, serial)
+	}
+}
+
+// medianNsPerOp runs a benchmark five times and keeps the median run: a
+// ratio of two medians does not tighten the way a ratio of two minima does
+// when one side happens to catch a quiet moment.
+func medianNsPerOp(bench func(b *testing.B)) float64 {
+	var ns [5]float64
+	for i := range ns {
+		r := testing.Benchmark(bench)
+		ns[i] = float64(r.T.Nanoseconds()) / float64(r.N)
+	}
+	sort.Float64s(ns[:])
+	return ns[len(ns)/2]
+}
+
+// writePageGapTolerance pins the WritePage/ReadPage host-time ratio in
+// FsEncr mode. A page write builds the same two pads as a page read; what it
+// adds is counter bumps, ECC tags, 64 persistence-domain slots and the
+// stop-loss write-throughs. While those cost more than the AES work the
+// ratio sat at 2.0-2.1x; with the write queue a heap, the write-throughs one
+// burst and the counters on handles it measures ~1.35-1.5x.
+const writePageGapTolerance = 1.7
+
+// TestWritePageGapGuard fails when a page write's bookkeeping grows back to
+// the size of its cryptography: a per-line scan of the write queue, a
+// per-event map access or a per-stop-loss-point device call in the page loop
+// each push the ratio past the tolerance. A ratio, so host speed cancels.
+// Skipped unless FSENCR_OVERHEAD_GUARD=1.
+func TestWritePageGapGuard(t *testing.T) {
+	if os.Getenv("FSENCR_OVERHEAD_GUARD") == "" {
+		t.Skip("set FSENCR_OVERHEAD_GUARD=1 (or run `make overhead-guard`) to enable")
+	}
+	readNs := medianNsPerOp(BenchmarkReadPage)
+	writeNs := medianNsPerOp(BenchmarkWritePage)
+	ratio := writeNs / readNs
+	t.Logf("WritePage %.0f ns/op / ReadPage %.0f ns/op = %.2fx (tolerance %.1fx)",
+		writeNs, readNs, ratio, writePageGapTolerance)
+	if ratio > writePageGapTolerance {
+		t.Errorf("WritePage/ReadPage gap %.2fx exceeds %.1fx: write-path bookkeeping outweighs the pads again",
+			ratio, writePageGapTolerance)
 	}
 }
 

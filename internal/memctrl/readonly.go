@@ -193,7 +193,7 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 // owner's current time is the only meaningful timestamp.
 func (c *Controller) ApplyReadDelta(now config.Cycle, d *ReadDelta) {
 	if d.Reads > 0 {
-		c.st.Add("mc.reads", d.Reads)
+		c.n.reads.Add(d.Reads)
 	}
 	for _, a := range d.Audits {
 		c.aud.Append(uint64(now), a.Op, a.Page, a.Group, a.File)

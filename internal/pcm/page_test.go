@@ -84,6 +84,40 @@ func TestAccessPageStatsMatchPerLine(t *testing.T) {
 	}
 }
 
+// TestAccessRepeatMatchesAccess: n accesses to one line as one call leave
+// the bank, the completion time and the counters exactly where n Access
+// calls leave them, on a bank that is idle, busy, and busy in another row.
+func TestAccessRepeatMatchesAccess(t *testing.T) {
+	line := addr.Phys(0x300000)
+	for _, n := range []int{1, 2, 32} {
+		stRep, stOne := stats.NewSet(), stats.NewSet()
+		mRep, mOne := New(config.Default().PCM, stRep), New(config.Default().PCM, stOne)
+		// Leave the line's bank busy in a different row first.
+		other := line + addr.Phys(64*config.PageSize)
+		mRep.Access(0, other, false)
+		mOne.Access(0, other, false)
+
+		for round, now := range []config.Cycle{10, 10, 100000} {
+			got := mRep.AccessRepeat(now, line, true, n)
+			var want config.Cycle
+			for i := 0; i < n; i++ {
+				want = mOne.Access(now, line, true)
+			}
+			if got != want {
+				t.Fatalf("n=%d round %d: AccessRepeat done %d, %d Access calls done %d", n, round, got, n, want)
+			}
+		}
+		if after, want := mRep.Access(200000, line, false), mOne.Access(200000, line, false); after != want {
+			t.Fatalf("n=%d: bank state diverged: next access done %d vs %d", n, after, want)
+		}
+		for _, name := range []string{"pcm.reads", "pcm.writes", "pcm.row_hits", "pcm.row_misses", "pcm.bank_conflicts", "pcm.adaptive_closes"} {
+			if stRep.Get(name) != stOne.Get(name) {
+				t.Errorf("n=%d %s: repeat %d != per-call %d", n, name, stRep.Get(name), stOne.Get(name))
+			}
+		}
+	}
+}
+
 func BenchmarkAccessPage(b *testing.B) {
 	m := newMem()
 	b.ReportAllocs()

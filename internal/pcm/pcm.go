@@ -37,6 +37,10 @@ type Memory struct {
 	frames  map[uint64]*[config.PageSize]byte
 	st      *stats.Set
 
+	// Event counts, on handles resolved once in New; flushTally adds to
+	// them once per call, not per event.
+	nConflicts, nRowHits, nRowMisses, nAdaptiveCloses, nReads, nWrites stats.Counter
+
 	// Telemetry-native distributions; the event counts themselves stay in
 	// the stats.Set ("pcm.row_hits", ...) and are folded into the exported
 	// snapshot by the harness, so these carry only what stats cannot:
@@ -60,6 +64,13 @@ func New(cfg config.PCM, st *stats.Set) *Memory {
 		mapping: addr.NewMapping(cfg),
 		frames:  make(map[uint64]*[config.PageSize]byte),
 		st:      st,
+
+		nConflicts:      st.Counter("pcm.bank_conflicts"),
+		nRowHits:        st.Counter("pcm.row_hits"),
+		nRowMisses:      st.Counter("pcm.row_misses"),
+		nAdaptiveCloses: st.Counter("pcm.adaptive_closes"),
+		nReads:          st.Counter("pcm.reads"),
+		nWrites:         st.Counter("pcm.writes"),
 	}
 	m.banks = make([]bank, m.mapping.TotalBanks())
 	return m
@@ -113,22 +124,22 @@ type tally struct {
 
 func (m *Memory) flushTally(t *tally) {
 	if t.conflicts > 0 {
-		m.st.Add("pcm.bank_conflicts", t.conflicts)
+		m.nConflicts.Add(t.conflicts)
 	}
 	if t.rowHits > 0 {
-		m.st.Add("pcm.row_hits", t.rowHits)
+		m.nRowHits.Add(t.rowHits)
 	}
 	if t.rowMisses > 0 {
-		m.st.Add("pcm.row_misses", t.rowMisses)
+		m.nRowMisses.Add(t.rowMisses)
 	}
 	if t.adaptiveCloses > 0 {
-		m.st.Add("pcm.adaptive_closes", t.adaptiveCloses)
+		m.nAdaptiveCloses.Add(t.adaptiveCloses)
 	}
 	if t.reads > 0 {
-		m.st.Add("pcm.reads", t.reads)
+		m.nReads.Add(t.reads)
 	}
 	if t.writes > 0 {
-		m.st.Add("pcm.writes", t.writes)
+		m.nWrites.Add(t.writes)
 	}
 }
 
@@ -141,8 +152,22 @@ func (m *Memory) Access(now config.Cycle, pa addr.Phys, write bool) config.Cycle
 	return done
 }
 
-// access is the bank state machine shared by Access and AccessPage; event
-// counts land in t, not the stats set.
+// AccessRepeat schedules n accesses of the one line containing pa, all
+// arriving at now, and returns the completion time of the last: n Access
+// calls on the bank state machine, with the event counts folded into the
+// stats set once. The controller issues a page write's stop-loss counter
+// write-throughs this way.
+func (m *Memory) AccessRepeat(now config.Cycle, pa addr.Phys, write bool, n int) (last config.Cycle) {
+	var t tally
+	for i := 0; i < n; i++ {
+		last = m.access(now, pa, write, &t)
+	}
+	m.flushTally(&t)
+	return last
+}
+
+// access is the bank state machine shared by Access, AccessRepeat and
+// AccessPage; event counts land in t, not the stats set.
 func (m *Memory) access(now config.Cycle, pa addr.Phys, write bool, tl *tally) config.Cycle {
 	d := m.mapping.Decompose(pa)
 	b := &m.banks[m.mapping.BankID(d)]

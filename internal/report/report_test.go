@@ -8,8 +8,9 @@ import (
 func TestBarChartRendering(t *testing.T) {
 	c := NewBarChart("demo", "x")
 	c.Baseline = 1
-	c.Add("alpha", 1.0)
-	c.Add("beta", 2.0)
+	for i, label := range []string{"alpha", "beta"} {
+		c.Add(label, float64(i+1))
+	}
 	out := c.String()
 	if !strings.Contains(out, "demo") {
 		t.Fatalf("missing title:\n%s", out)
@@ -41,7 +42,8 @@ func TestBarChartEmpty(t *testing.T) {
 
 func TestBarChartZeroValues(t *testing.T) {
 	c := NewBarChart("t", "")
-	c.Add("z", 0)
+	const label = "z"
+	c.Add(label, 0)
 	out := c.String()
 	if strings.Contains(out, "█") {
 		t.Fatalf("zero value drew a bar:\n%s", out)
@@ -51,7 +53,8 @@ func TestBarChartZeroValues(t *testing.T) {
 func TestBarChartClampsOverflow(t *testing.T) {
 	c := NewBarChart("t", "")
 	c.Width = 10
-	c.Add("big", 1e9)
+	const label = "big"
+	c.Add(label, 1e9)
 	out := c.String()
 	if strings.Count(out, "█") != 10 {
 		t.Fatalf("overflow not clamped:\n%s", out)

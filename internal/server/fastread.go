@@ -51,6 +51,9 @@ const (
 	// groupCommitBatch bounds how many admitted tasks the fair worker
 	// serves under one writer-lock acquisition (shard.go runFair).
 	groupCommitBatch = 8
+	// deltaDrainThreshold is the number of undrained read deltas at which a
+	// reader asks the worker for a drain (askDrain).
+	deltaDrainThreshold = 256
 )
 
 // cryptSlots bounds process-wide concurrent page-crypt helpers to the core
@@ -93,12 +96,17 @@ func (sh *Shard) exitMut() {
 // worker's current simulated clock (snapshot reads advance no clock of
 // their own).
 func (sh *Shard) drainDeltas() {
+	// Cleared before the swap: a push that lands after it finds the flag
+	// down and asks again (at worst one drain that finds little to do).
+	sh.drainAsked.Store(false)
 	head := sh.deltas.Swap(nil)
 	if head == nil {
 		return
 	}
 	now := sh.Sys.M.MaxCoreTime()
+	drained := int64(0)
 	for n := head; n != nil; n = n.next {
+		drained++
 		sh.Sys.M.MC.ApplyReadDelta(now, n.d)
 		if n.trace.Sampled && n.trace.TraceID != 0 {
 			// A fast read advances no simulated clock and records no
@@ -113,17 +121,41 @@ func (sh *Shard) drainDeltas() {
 		n.d.Reset()
 		sh.deltaPool.Put(n.d)
 	}
+	sh.pendingDeltas.Add(-drained)
 }
 
-// pushDelta hands a completed read's side effects to the worker.
+// pushDelta hands a completed read's side effects to the worker, which
+// folds them in at its next mutation.
 func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext) {
 	n := &deltaNode{d: d, trace: tc}
 	for {
 		old := sh.deltas.Load()
 		n.next = old
 		if sh.deltas.CompareAndSwap(old, n) {
-			return
+			break
 		}
+	}
+	sh.pendingDeltas.Add(1)
+}
+
+// askDrain keeps a tenant that only reads from growing the delta stack
+// until somebody writes: with deltaDrainThreshold deltas pending and no
+// request outstanding, the reader posts a no-op on the side lane, which the
+// fair worker runs inside enterMut/exitMut like any side task. Called with
+// the read lock released, so the worker can start at once. The send never
+// blocks a reader — a full lane holds side tasks that each drain on entry —
+// and after one the reader yields: the send left the worker runnable behind
+// this goroutine, and a handler in a tight loop of fast reads could
+// otherwise run out its time slice, hundreds more pushes, before the drain
+// starts.
+func (sh *Shard) askDrain() {
+	if sh.pendingDeltas.Load() < deltaDrainThreshold || !sh.drainAsked.CompareAndSwap(false, true) {
+		return
+	}
+	select {
+	case sh.side <- sideTask{fn: func() {}, done: make(chan struct{})}:
+		runtime.Gosched()
+	default:
 	}
 }
 
@@ -164,6 +196,9 @@ func (sh *Shard) tryFastRead(sess *Session, tc fsproto.TraceContext, name, passp
 		}
 		ok := sh.snapshotRead(sess, tc, name, passphrase, off, dst)
 		sh.rmu.RUnlock()
+		if ok {
+			sh.askDrain()
+		}
 		return ok
 	}
 	return false

@@ -145,6 +145,62 @@ func TestFastReadFanned(t *testing.T) {
 	}
 }
 
+// TestReadDeltasBounded: a tenant that only reads must not grow the deferred
+// side-effect stack until somebody writes. 10 000 fast reads with no write
+// in between keep the stack within twice the drain threshold at every
+// sample (the reader that reaches the threshold asks the worker for a
+// drain, and reads keep arriving until it runs); one side task afterwards
+// leaves it empty, and every page read — fast or fallen back to the worker
+// while it drained — left exactly one record on a chain that verifies.
+func TestReadDeltasBounded(t *testing.T) {
+	svc, sess := testReadService(t)
+	ctx := context.Background()
+	sh := svc.shards[0]
+	// The stack is walked, not the shard's own count trusted: nodes are
+	// immutable once pushed.
+	stacked := func() (n int) {
+		for d := sh.deltas.Load(); d != nil; d = d.next {
+			n++
+		}
+		return n
+	}
+	drain := func() {
+		if err := sh.DoSide(ctx, func() {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	drain()
+	head0, fast0 := sh.Aud.HeadSeq(), svc.cFastReads.Value()
+	const wantFast = 10_000
+	reads, worst := uint64(0), 0
+	for svc.cFastReads.Value()-fast0 < wantFast {
+		pl, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "hot.dat", Offset: 4096, Length: 4096})
+		if err != nil {
+			t.Fatalf("read %d: %v", reads, err)
+		}
+		pl.Release()
+		worst = max(worst, stacked())
+		if reads++; reads > 4*wantFast {
+			t.Fatalf("only %d of %d reads took the fast path", svc.cFastReads.Value()-fast0, reads)
+		}
+	}
+	if worst > 2*deltaDrainThreshold {
+		t.Errorf("%d read deltas pending at the worst sample, want <= %d", worst, 2*deltaDrainThreshold)
+	}
+	drain()
+	if n, counted := stacked(), sh.pendingDeltas.Load(); n != 0 || counted != 0 {
+		t.Errorf("after a side task: %d deltas stacked, %d counted, want 0", n, counted)
+	}
+	if head := sh.Aud.HeadSeq(); head != head0+reads {
+		t.Errorf("audit head advanced by %d records over %d page reads", head-head0, reads)
+	}
+	if err := svc.VerifyAudit(); err != nil {
+		t.Errorf("audit chain after %d deferred reads: %v", reads, err)
+	}
+	t.Logf("%d reads (%d fast), worst pending %d", reads, svc.cFastReads.Value()-fast0, worst)
+}
+
 // TestFastReadGating: deterministic shards and -serial-reads services must
 // never enter the fast path — not even its fallback branch.
 func TestFastReadGating(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"time"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/fs"
@@ -317,8 +318,6 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any) (Pa
 		// genuinely fails — re-runs below with exact live semantics.
 		svc.cFastFallbacks.Inc()
 	}
-	ctx, cancel := context.WithTimeout(ctx, svc.opts.RequestTimeout)
-	defer cancel()
 	var seq uint64
 	if p.seq != nil {
 		seq = *p.seq
@@ -327,7 +326,7 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any) (Pa
 	if tgt.sh.logOn {
 		t.rec = buildRecord(o.kind, tgt.gid, seq, sess, tc, req)
 	}
-	v, err := tgt.sh.submit(ctx, t)
+	v, err := tgt.sh.submit(ctx, time.Now().Add(svc.opts.RequestTimeout), t)
 	if err != nil {
 		// pl is not released: on a caller timeout the task may still be
 		// queued, and the buffer must not re-enter the pool while a worker

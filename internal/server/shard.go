@@ -27,6 +27,7 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"fsencr/internal/audit"
 	"fsencr/internal/config"
@@ -141,13 +142,17 @@ type Shard struct {
 	// readers from worker mutations; ver is the seqlock epoch the readers
 	// validate (odd while a mutation batch is in progress); deltas is the
 	// lock-free stack of deferred read side effects the worker folds into
-	// the controller at its next mutation; the pools recycle per-goroutine
-	// reader contexts and delta buffers.
-	rmu       sync.RWMutex
-	ver       atomic.Uint64
-	deltas    atomic.Pointer[deltaNode]
-	readPool  sync.Pool
-	deltaPool sync.Pool
+	// the controller at its next mutation — pendingDeltas counts them and
+	// drainAsked is up while a reader's request for a drain is outstanding
+	// (pushDelta) — and the pools recycle per-goroutine reader contexts and
+	// delta buffers.
+	rmu           sync.RWMutex
+	ver           atomic.Uint64
+	deltas        atomic.Pointer[deltaNode]
+	pendingDeltas atomic.Int64
+	drainAsked    atomic.Bool
+	readPool      sync.Pool
+	deltaPool     sync.Pool
 
 	// Request-trace plane (worker-only, deterministic): scope buffers one
 	// request's spans until the tail sampler's keep/drop decision; the
@@ -291,26 +296,31 @@ func (sh *Shard) sem(tenant uint32) chan struct{} {
 // runs to completion (a simulated syscall cannot be cancelled midway), but
 // Do stops waiting when ctx expires.
 func (sh *Shard) Do(ctx context.Context, tenant uint32, seq uint64, fn func() (any, error)) (any, error) {
-	return sh.submit(ctx, task{seq: seq, tenant: tenant, name: "task", fn: fn})
+	return sh.submit(ctx, time.Time{}, task{seq: seq, tenant: tenant, name: "task", fn: fn})
 }
 
 // submit is Do for a task built by the caller, which may also carry a
 // trace context — spans recorded anywhere below the shard's system while it
 // runs are linked into that trace, kept or dropped by the tail sampler at
 // completion — and the admission-log record to append after execution.
-func (sh *Shard) submit(ctx context.Context, t task) (any, error) {
+//
+// deadline (zero: none) bounds the call like an expiring ctx does, without
+// a derived context per request: one pooled timer, armed only once a step
+// actually has to wait. ctx stays the caller's own (a disconnected client).
+func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, error) {
+	dl := deadlineTimer{at: deadline}
+	defer dl.stop()
+
 	if !sh.det {
 		// Fair mode: per-tenant admission slots. Deterministic mode skips
 		// this — a slot limit could park the next-in-schedule request
 		// behind later ones and deadlock the reorder buffer; the schedule
 		// itself bounds in-flight work there (synchronous clients).
 		sem := sh.sem(t.tenant)
-		select {
-		case sem <- struct{}{}:
-			t.release = func() { <-sem }
-		case <-ctx.Done():
+		if !sendBy(ctx, &dl, sem, struct{}{}) {
 			return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 		}
+		t.release = func() { <-sem }
 	}
 	sh.mu.Lock()
 	if sh.draining {
@@ -325,20 +335,79 @@ func (sh *Shard) submit(ctx context.Context, t task) (any, error) {
 	sh.gDepth.Set(uint64(sh.depth.Add(1)))
 
 	t.resp = make(chan taskResult, 1)
-	select {
-	case sh.ingress <- t:
-	case <-ctx.Done():
+	if !sendBy(ctx, &dl, sh.ingress, t) {
 		sh.taskDone(t)
 		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 	}
+	// Admitted: the task runs at its turn whatever happens here, and the
+	// worker releases its resources. A caller that gives up just stops
+	// waiting.
 	select {
 	case r := <-t.resp:
 		return r.v, r.err
 	case <-ctx.Done():
-		// The task still runs at its turn; the worker releases its
-		// resources. The caller just stops waiting.
 		return nil, ctx.Err()
+	case <-dl.expired():
+		return nil, context.DeadlineExceeded
 	}
+}
+
+// sendBy sends v on ch, giving up (false) when ctx is done or dl expires. A
+// send that does not have to wait arms no timer.
+func sendBy[T any](ctx context.Context, dl *deadlineTimer, ch chan<- T, v T) bool {
+	select {
+	case ch <- v:
+		return true
+	default:
+	}
+	select {
+	case ch <- v:
+		return true
+	case <-ctx.Done():
+	case <-dl.expired():
+	}
+	return false
+}
+
+// deadlineTimer is submit's deadline as a channel: the timer behind it
+// comes from a pool and is armed by the first select that has to wait, so a
+// request whose admission never blocks touches no runtime timer before its
+// wait for the worker.
+type deadlineTimer struct {
+	at time.Time // zero: no deadline, expired() never fires
+	tm *time.Timer
+}
+
+// timerPool holds stopped timers with drained channels (go.mod is go 1.22:
+// Reset on anything else may leave a stale tick behind).
+var timerPool sync.Pool
+
+func (d *deadlineTimer) expired() <-chan time.Time {
+	if d.tm == nil {
+		if d.at.IsZero() {
+			return nil
+		}
+		if tm, ok := timerPool.Get().(*time.Timer); ok {
+			tm.Reset(time.Until(d.at))
+			d.tm = tm
+		} else {
+			d.tm = time.NewTimer(time.Until(d.at))
+		}
+	}
+	return d.tm.C
+}
+
+func (d *deadlineTimer) stop() {
+	if d.tm == nil {
+		return
+	}
+	if !d.tm.Stop() {
+		select {
+		case <-d.tm.C:
+		default:
+		}
+	}
+	timerPool.Put(d.tm)
 }
 
 // DoSide runs fn on the shard's worker goroutine between admitted tasks

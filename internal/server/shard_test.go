@@ -156,6 +156,82 @@ func TestShardBackpressure(t *testing.T) {
 	}
 }
 
+// TestSubmitDeadline pins the three ways submit's deadline ends a call, with
+// the caller's context never expiring: *BusyError carrying the queue depth
+// while waiting for a tenant slot, the same while waiting for room in a full
+// ingress, and context.DeadlineExceeded once admitted — where the task still
+// runs at its turn and returns its own slot.
+func TestSubmitDeadline(t *testing.T) {
+	sh := testShard(t, false, 1) // one slot per tenant, ingress holds 4
+	ctx := context.Background()
+	soon := func() time.Time { return time.Now().Add(30 * time.Millisecond) }
+	noop := func() (any, error) { return nil, nil }
+
+	// Park the worker inside tenant 99's task.
+	gate, parked := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sh.Do(ctx, 99, 0, func() (any, error) { close(parked); <-gate; return nil, nil })
+	}()
+	<-parked
+
+	// Admitted, then the deadline: the caller stops waiting, the task stays.
+	ran := make(chan struct{})
+	_, err := sh.submit(ctx, soon(), task{tenant: 1, name: "task", fn: func() (any, error) { close(ran); return nil, nil }})
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("admitted task past its deadline: %v, want context.DeadlineExceeded", err)
+	}
+
+	// Tenant 1's only slot is still held by that task: backpressure.
+	var busy *BusyError
+	if _, err := sh.submit(ctx, soon(), task{tenant: 1, name: "task", fn: noop}); !errors.As(err, &busy) || busy.Depth != 2 {
+		t.Fatalf("behind a full tenant queue: %v, want *BusyError with depth 2", err)
+	}
+
+	// Tenants 2-4 fill the ingress buffer (tenant 1's task holds the fourth
+	// place; the parked worker absorbs nothing); tenant 5 gets a slot but no
+	// room.
+	for tenant := uint32(2); tenant <= 4; tenant++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sh.Do(ctx, tenant, 0, noop); err != nil {
+				t.Errorf("tenant %d: %v", tenant, err)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(2 * time.Second); len(sh.ingress) < cap(sh.ingress); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("ingress holds %d of %d", len(sh.ingress), cap(sh.ingress))
+		}
+	}
+	busy = nil
+	if _, err := sh.submit(ctx, soon(), task{tenant: 5, name: "task", fn: noop}); !errors.As(err, &busy) || busy.Depth != 5 {
+		t.Fatalf("behind a full ingress: %v, want *BusyError with depth 5", err)
+	}
+
+	close(gate)
+	wg.Wait()
+	select {
+	case <-ran:
+	case <-time.After(2 * time.Second):
+		t.Fatal("the task whose caller timed out never ran")
+	}
+	// Its slot came back with it: tenant 1 is admitted again, and nothing is
+	// left counted as queued.
+	if _, err := sh.submit(ctx, time.Now().Add(2*time.Second), task{tenant: 1, name: "task", fn: noop}); err != nil {
+		t.Fatalf("tenant 1 after its timed-out task ran: %v", err)
+	}
+	// (The worker answers a task before it returns the task's resources.)
+	for deadline := time.Now().Add(2 * time.Second); sh.depth.Load() != 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("queue depth %d after everything was served", sh.depth.Load())
+		}
+	}
+}
+
 // TestShardDrain checks Close answers every admitted task and subsequent
 // submissions get ErrDraining.
 func TestShardDrain(t *testing.T) {
