@@ -2,7 +2,7 @@
 // evaluation. Each benchmark regenerates its figure at full scale (the
 // per-workload BenchOps of Table II) and reports the headline number the
 // paper quotes as a custom metric, printing the full table via b.Logf
-// (visible with `go test -bench=. -v` or in bench_output.txt).
+// (visible with `go test -bench=. -v`).
 //
 // Expected shapes (paper -> this reproduction): see EXPERIMENTS.md.
 package fsencr_test

@@ -71,9 +71,6 @@ func (c *Cache) Name() string { return c.name }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.numSets }
 
-// Ways returns the associativity.
-func (c *Cache) Ways() int { return c.ways }
-
 func (c *Cache) locate(lineAddr uint64) (setIdx int, tag uint64) {
 	idx := lineAddr >> c.lineBits
 	return int(idx % uint64(c.numSets)), idx / uint64(c.numSets)

@@ -8,6 +8,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -530,5 +531,45 @@ func TestReplicaTenKOps(t *testing.T) {
 	}
 	if repB.Root() != repC.Root() {
 		t.Fatalf("replica Merkle roots diverged after %d records", ln)
+	}
+}
+
+// TestConcurrentFreeze: two coordinators racing to freeze one shard must not
+// both get it — the shard itself arbitrates (server.ErrHeld), so exactly one
+// freeze answers 200 and the other 409 "already frozen", and after a resume
+// the shard can be frozen again.
+func TestConcurrentFreeze(t *testing.T) {
+	a := startNode(t, nil, "a")
+	hc := &http.Client{Timeout: 10 * time.Second}
+	freeze := func() (int, error) {
+		resp, err := hc.Post(a.srv.URL+"/fabric/freeze", "application/json", bytes.NewReader([]byte(`{"shard":1}`)))
+		if err != nil {
+			return 0, err
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode, nil
+	}
+	for round := 0; round < 4; round++ {
+		var wg sync.WaitGroup
+		codes := make([]int, 2)
+		for i := range codes {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				code, err := freeze()
+				if err != nil {
+					t.Errorf("round %d freeze %d: %v", round, i, err)
+				}
+				codes[i] = code
+			}()
+		}
+		wg.Wait()
+		if slices.Sort(codes); !slices.Equal(codes, []int{http.StatusOK, http.StatusConflict}) {
+			t.Fatalf("round %d: concurrent freezes answered %v, want one 200 and one 409", round, codes)
+		}
+		if err := postJSON(hc, a.srv.URL+"/fabric/resume", shardReq{Shard: 1}, nil); err != nil {
+			t.Fatalf("round %d resume: %v", round, err)
+		}
 	}
 }

@@ -139,12 +139,13 @@ func gobBytes(v any) ([]byte, error) {
 	return buf.Bytes(), nil
 }
 
-// freeze quiesces a shard for migration and parks the hold.
+// freeze quiesces a shard for migration and parks the hold. The shard itself
+// arbitrates concurrent freezes: exactly one takes it.
 func (n *Node) freeze(r *http.Request, req shardReq) (any, error) {
-	if n.peekMig(req.Shard) != nil {
+	mig, err := n.svc.FreezeShard(r.Context(), req.Shard)
+	if errors.Is(err, server.ErrHeld) {
 		return nil, statusError{http.StatusConflict, fmt.Errorf("shard %d already frozen", req.Shard)}
 	}
-	mig, err := n.svc.FreezeShard(r.Context(), req.Shard)
 	if err != nil {
 		return nil, err
 	}

@@ -276,37 +276,23 @@ func RunBatch(reqs []Request) ([]Result, error) {
 		// Feed the live observability view as runs complete; the canonical
 		// merges below happen once the whole batch is in, in input order.
 		if res.Telemetry != nil {
-			noteLiveTelemetry(res.Telemetry)
+			telemetrySink.note(res.Telemetry)
 		}
 		if res.Journal != nil {
-			noteLiveJournal(res.Journal)
+			journalSink.note(res.Journal.Events)
 		}
 		return res, err
 	})
-	// Drop the in-flight view before the canonical merges land so a live
-	// reader never sees a run twice (it may briefly miss the batch between
-	// the drop and the merge, which is the benign direction).
-	dropLiveTelemetry()
-	dropLiveJournal()
-	if TelemetryEnabled() {
-		// Merge per-run snapshots into the sink in *input* order — never
-		// completion order — so the aggregate is identical at any
-		// Parallelism. Failed runs carry a nil snapshot; Merge skips them.
-		snaps := make([]*telemetry.Snapshot, len(rs))
-		for i := range rs {
-			snaps[i] = rs[i].Telemetry
+	// Fold the per-run parts into the sinks in *input* order — never
+	// completion order — so the aggregates are identical at any Parallelism.
+	// Failed runs carry no snapshot and no journal.
+	telemetrySink.merge(len(rs), func(i int) *telemetry.Snapshot { return rs[i].Telemetry })
+	journalSink.merge(len(rs), func(i int) []journal.Event {
+		if rs[i].Journal == nil {
+			return nil
 		}
-		mergeTelemetry(snaps)
-	}
-	if JournalEnabled() {
-		// Per-run journals fold into the sink in input order too, so the
-		// merged event sequence is identical at any Parallelism.
-		parts := make([]*journal.Log, len(rs))
-		for i := range rs {
-			parts[i] = rs[i].Journal
-		}
-		mergeJournal(parts)
-	}
+		return rs[i].Journal.Events
+	})
 	return rs, err
 }
 

@@ -121,9 +121,6 @@ func (c *Client) Close() {
 	}
 }
 
-// SetSampled sets the head-sampling bit sent with every request.
-func (c *Client) SetSampled(on bool) { c.sampled = on }
-
 func fnv64a(parts ...string) uint64 {
 	h := fnv.New64a()
 	for _, p := range parts {

@@ -74,12 +74,6 @@ func (k *Keyring) Verify(uid uint32, passphrase string) (registered, ok bool) {
 	return true, stored == sha256.Sum256([]byte("fekek:"+passphrase))
 }
 
-// HasSession reports whether uid is logged in.
-func (k *Keyring) HasSession(uid uint32) bool {
-	_, ok := k.sessions[uid]
-	return ok
-}
-
 // DeriveFileKey computes the File Encryption Key for a file from a
 // passphrase and the file's salt. A wrong passphrase yields a key that the
 // memory controller's VerifyKey will reject.

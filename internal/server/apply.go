@@ -138,7 +138,7 @@ func (svc *Service) RecordsFrom(ctx context.Context, idx int, from uint64) ([]fs
 		return nil, err
 	}
 	var out []fsproto.LogRecord
-	err = svc.doSideOrClosed(ctx, sh, func() {
+	err = sh.DoSide(ctx, func() {
 		if from >= uint64(len(sh.recs)) {
 			return
 		}
@@ -158,6 +158,6 @@ func (svc *Service) LogLen(ctx context.Context, idx int) (uint64, error) {
 		return 0, err
 	}
 	var n uint64
-	err = svc.doSideOrClosed(ctx, sh, func() { n = uint64(len(sh.recs)) })
+	err = sh.DoSide(ctx, func() { n = uint64(len(sh.recs)) })
 	return n, err
 }

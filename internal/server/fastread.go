@@ -6,7 +6,7 @@ package server
 //
 // The consistency scheme is a seqlock/epoch counter hybridized with an
 // RWMutex (a naked seqlock over the simulator's pointer-rich state would
-// be a Go data race): the worker wraps every mutation batch in
+// be a Go data race): the worker (Shard.run) wraps every mutation batch in
 // enterMut/exitMut — writer lock plus version bump to odd and back — and a
 // reader (a) checks the version is even, (b) TryRLocks, (c) re-checks the
 // version, (d) runs the decrypt-read through the kernel/controller
@@ -48,8 +48,8 @@ const (
 	// fanMinSpans is the page-span count from which a snapshot read fans
 	// its decrypts across the crypt pool instead of running serially.
 	fanMinSpans = 4
-	// groupCommitBatch bounds how many admitted tasks the fair worker
-	// serves under one writer-lock acquisition (shard.go runFair).
+	// groupCommitBatch bounds how many admitted tasks the worker serves
+	// under one writer-lock acquisition (Shard.run).
 	groupCommitBatch = 8
 	// deltaDrainThreshold is the number of undrained read deltas at which a
 	// reader asks the worker for a drain (askDrain).
@@ -141,7 +141,7 @@ func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext) {
 // askDrain keeps a tenant that only reads from growing the delta stack
 // until somebody writes: with deltaDrainThreshold deltas pending and no
 // request outstanding, the reader posts a no-op on the side lane, which the
-// fair worker runs inside enterMut/exitMut like any side task. Called with
+// worker runs inside enterMut/exitMut like any side task. Called with
 // the read lock released, so the worker can start at once. The send never
 // blocks a reader — a full lane holds side tasks that each drain on entry —
 // and after one the reader yields: the send left the worker runnable behind

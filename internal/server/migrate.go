@@ -53,10 +53,11 @@ type Migration struct {
 // Shard returns the global index of the migrating shard.
 func (m *Migration) Shard() int { return m.sh.id }
 
-// FreezeShard quiesces shard idx for migration: the worker parks, dirty
-// cache lines flush, the OTT seals, and a checkpoint lands in the
-// admission log — so the frozen state is exactly the state a replayer
-// reproduces. Requests arriving during the freeze queue behind the hold.
+// FreezeShard quiesces shard idx for migration: the shard is held (ErrHeld
+// if it already is), dirty cache lines flush, the OTT seals, and a checkpoint
+// lands in the admission log — so the frozen state is exactly the state a
+// replayer reproduces. Requests arriving during the freeze queue behind the
+// hold.
 func (svc *Service) FreezeShard(ctx context.Context, idx int) (*Migration, error) {
 	sh, err := svc.shardAt(idx)
 	if err != nil {

@@ -500,8 +500,8 @@ func (svc *Service) AuditRecords() []audit.Record {
 	defer cancel()
 	var out []audit.Record
 	for _, sh := range svc.Shards() {
-		sh := sh
-		_ = svc.doSideOrClosed(ctx, sh, func() {
+		// A stopped shard has no worker to read its window: skipped.
+		_ = sh.DoSide(ctx, func() {
 			recs := sh.Aud.Records()
 			for i := range recs {
 				recs[i].Shard = sh.ID()
@@ -519,7 +519,7 @@ func (svc *Service) VerifyAudit() error {
 	defer cancel()
 	for _, sh := range svc.Shards() {
 		var verr error
-		if err := svc.doSideOrClosed(ctx, sh, func() { verr = sh.Aud.Verify() }); err != nil {
+		if err := sh.DoSide(ctx, func() { verr = sh.Aud.Verify() }); err != nil {
 			return err
 		}
 		if verr != nil {
@@ -527,18 +527,6 @@ func (svc *Service) VerifyAudit() error {
 		}
 	}
 	return nil
-}
-
-// doSideOrClosed is DoSide with the service-closed fast path (a drained
-// shard's worker is gone; exports just skip it).
-func (svc *Service) doSideOrClosed(ctx context.Context, sh *Shard, fn func()) error {
-	svc.mu.RLock()
-	closed := svc.closed
-	svc.mu.RUnlock()
-	if closed {
-		return ErrDraining
-	}
-	return sh.DoSide(ctx, fn)
 }
 
 // JournalEvents concatenates the shard journals in shard order,

@@ -8,7 +8,7 @@
 // deterministic as it is in-process while independent tenants run in
 // parallel on different shards (tenant -> shard by GroupID hash).
 //
-// Two admission disciplines are supported:
+// One worker loop (Shard.run) serves one admission queue, in one of two orders:
 //
 //   - Fair (default): per-tenant FIFO queues drained round-robin, so one
 //     tenant flooding the shard cannot starve its neighbours, with bounded
@@ -46,6 +46,8 @@ var (
 	// ErrDraining reports a shard that has stopped admitting (graceful
 	// shutdown in progress).
 	ErrDraining = errors.New("server: shard draining")
+	// ErrHeld reports a Hold refused because the shard is already held.
+	ErrHeld = errors.New("server: shard already held")
 )
 
 // BusyError is the concrete backpressure rejection: it unwraps to ErrBusy
@@ -77,17 +79,17 @@ type taskResult struct {
 // task is one unit of admitted work: a closure executed on the shard's
 // worker goroutine.
 type task struct {
-	seq     uint64
-	tenant  uint32
-	fn      func() (any, error)
-	resp    chan taskResult // buffered(1): the worker never blocks on it
-	release func()          // returns the per-tenant queue slot
+	seq    uint64
+	tenant uint32
+	ts     *tenantState // resolved by submit (by serve for a replayed task)
+	fn     func() (any, error)
+	resp   chan taskResult // buffered(1): the worker never blocks on it
 	// name labels the request's root span ("write", "kv_get", ...).
 	name string
 	// trace is the request's wire trace context (zero: untraced).
 	trace fsproto.TraceContext
-	// enq is the shard clock when the worker absorbed the task (fair mode
-	// only): the start of the measurable queue wait. Deterministic mode
+	// enq is the shard clock when the worker absorbed the task (fair queue
+	// only): the start of the measurable queue wait. The deterministic queue
 	// leaves it 0 — arrival interleaving is not schedule state there.
 	enq uint64
 	// rec, when non-nil, is the admission-log record the worker appends
@@ -99,6 +101,19 @@ type task struct {
 type sideTask struct {
 	fn   func()
 	done chan struct{}
+}
+
+// tenantState is everything a shard keeps per tenant, one record created on
+// first sight (Shard.tenant) and kept for the shard's life. Worker-only but
+// for slots, which bounds the tenant's admitted-but-unserved tasks in fair
+// mode: submit sends before admission, taskDone receives.
+type tenantState struct {
+	slots chan struct{}
+	q     []task // q[head:]: absorbed tasks in arrival order
+	head  int
+	next  *tenantState // fairQueue's ring of tenants with pending work
+	// Resolved at first service: an unserved tenant leaves no metric behind.
+	hQWait, hSvc *telemetry.Histogram
 }
 
 // Shard is one simulated machine plus its serializing worker.
@@ -123,14 +138,14 @@ type Shard struct {
 	Aud *audit.Log
 
 	ingress chan task
-	// side carries observability work (audit export/verify) that must run
-	// on the worker but outside both admission disciplines, so a scrape
-	// never consumes a deterministic-schedule slot or a fairness turn.
+	// side carries work that must run on the worker but outside both
+	// admission disciplines: observability reads (a scrape never consumes a
+	// deterministic-schedule slot or a fairness turn) and the steps of a Hold.
 	side chan sideTask
 
 	mu        sync.Mutex
 	draining  bool
-	sems      map[uint32]chan struct{}
+	tenants   map[uint32]*tenantState
 	perTenant int
 
 	inflight sync.WaitGroup
@@ -155,16 +170,14 @@ type Shard struct {
 	deltaPool     sync.Pool
 
 	// Request-trace plane (worker-only, deterministic): scope buffers one
-	// request's spans until the tail sampler's keep/drop decision; the
-	// per-tenant histogram caches avoid registry map lookups per request.
+	// request's spans until the tail sampler's keep/drop decision.
 	scope   *telemetry.TraceScope
 	sampler *telemetry.TailSampler
-	hQWait  map[uint32]*telemetry.Histogram
-	hSvc    map[uint32]*telemetry.Histogram
 
 	stop    chan struct{}
 	stopped chan struct{}
 	started atomic.Bool
+	held    *Hold // the owner while the shard is held (hold.go); worker-only
 
 	// Cluster plane. chipSeq is the controller key-derivation sequence the
 	// shard booted with (0: per-process auto). logOn enables the admission
@@ -239,15 +252,13 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 		Aud:       aud,
 		ingress:   make(chan task, 4*perTenant),
 		side:      make(chan sideTask, 8),
-		sems:      make(map[uint32]chan struct{}),
+		tenants:   make(map[uint32]*tenantState),
 		perTenant: perTenant,
 		gDepth:    serverReg.Gauge(fmt.Sprintf("server.shard%d.queue_depth", id)),
 		cServed:   serverReg.Counter(fmt.Sprintf("server.shard%d.served_total", id)),
 		scope:     scope,
 		sampler: telemetry.NewTailSampler(traceKeepEvery,
 			reg.Counter("trace.kept_total"), reg.Counter("trace.dropped_total")),
-		hQWait:         make(map[uint32]*telemetry.Histogram),
-		hSvc:           make(map[uint32]*telemetry.Histogram),
 		stop:           make(chan struct{}),
 		stopped:        make(chan struct{}),
 		chipSeq:        so.ChipSeq,
@@ -278,15 +289,16 @@ func (sh *Shard) ID() int { return sh.id }
 // schedule).
 func (sh *Shard) Snapshot() *telemetry.Snapshot { return sh.Reg.Snapshot() }
 
-func (sh *Shard) sem(tenant uint32) chan struct{} {
+// tenant returns (creating on first sight) the shard's record of a tenant.
+func (sh *Shard) tenant(id uint32) *tenantState {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	s, ok := sh.sems[tenant]
+	ts, ok := sh.tenants[id]
 	if !ok {
-		s = make(chan struct{}, sh.perTenant)
-		sh.sems[tenant] = s
+		ts = &tenantState{slots: make(chan struct{}, sh.perTenant)}
+		sh.tenants[id] = ts
 	}
-	return s
+	return ts
 }
 
 // Do submits fn for execution on the shard's worker and waits for its
@@ -311,22 +323,19 @@ func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, e
 	dl := deadlineTimer{at: deadline}
 	defer dl.stop()
 
-	if !sh.det {
-		// Fair mode: per-tenant admission slots. Deterministic mode skips
-		// this — a slot limit could park the next-in-schedule request
-		// behind later ones and deadlock the reorder buffer; the schedule
-		// itself bounds in-flight work there (synchronous clients).
-		sem := sh.sem(t.tenant)
-		if !sendBy(ctx, &dl, sem, struct{}{}) {
-			return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
-		}
-		t.release = func() { <-sem }
+	t.ts = sh.tenant(t.tenant)
+	// Fair mode: per-tenant admission slots. Deterministic mode skips this —
+	// a slot limit could park the next-in-schedule request behind later ones
+	// and deadlock the reorder buffer; the schedule itself bounds in-flight
+	// work there (synchronous clients).
+	if !sh.det && !sendBy(ctx, &dl, t.ts.slots, struct{}{}) {
+		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 	}
 	sh.mu.Lock()
 	if sh.draining {
 		sh.mu.Unlock()
-		if t.release != nil {
-			t.release()
+		if !sh.det {
+			<-t.ts.slots
 		}
 		return nil, ErrDraining
 	}
@@ -414,7 +423,8 @@ func (d *deadlineTimer) stop() {
 // and waits for it. It serializes observability reads (the audit log's
 // device window, recovery checks) with simulated work without consuming a
 // deterministic-schedule slot or a fairness turn. Under sustained load the
-// worker services side tasks between servings; ctx bounds the wait.
+// worker services side tasks between servings (a held shard services nothing
+// else); ctx bounds the wait.
 func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
 	t := sideTask{fn: fn, done: make(chan struct{})}
 	select {
@@ -434,15 +444,24 @@ func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
 	}
 }
 
+// execSide runs one side task as a mutation batch of its own. A Hold
+// stretches the bracket: the task that takes the shard leaves it open, side
+// work under the hold runs inside it, the task that releases closes it.
 func (sh *Shard) execSide(t sideTask) {
+	if sh.held == nil {
+		sh.enterMut()
+	}
 	t.fn()
+	if sh.held == nil {
+		sh.exitMut()
+	}
 	close(t.done)
 }
 
 // taskDone returns the resources of an admitted task.
 func (sh *Shard) taskDone(t task) {
-	if t.release != nil {
-		t.release()
+	if !sh.det {
+		<-t.ts.slots
 	}
 	d := sh.depth.Add(-1)
 	if d < 0 {
@@ -468,16 +487,6 @@ func (sh *Shard) exec(t task) {
 	sh.taskDone(t)
 }
 
-// tenantHist returns (caching) a per-tenant histogram handle. Worker-only.
-func tenantHist(cache map[uint32]*telemetry.Histogram, reg *telemetry.Registry, tenant uint32, metric string) *telemetry.Histogram {
-	h, ok := cache[tenant]
-	if !ok {
-		h = reg.Histogram(fmt.Sprintf("server.tenant.g%d.%s", tenant, metric))
-		cache[tenant] = h
-	}
-	return h
-}
-
 // serve runs one task — admitted live, or rebuilt from an admission-log
 // record by applyRecord — separating queue wait from service time, recording
 // the request's trace and logging the task's record. Everything observed
@@ -486,6 +495,14 @@ func tenantHist(cache map[uint32]*telemetry.Histogram, reg *telemetry.Registry, 
 // drives the trace scope on a request's behalf, which is what makes a
 // replayed registry equal the source's.
 func (sh *Shard) serve(t task) (any, error) {
+	ts := t.ts
+	if ts == nil {
+		ts = sh.tenant(t.tenant)
+	}
+	if ts.hQWait == nil {
+		ts.hQWait = sh.Reg.Histogram(fmt.Sprintf("server.tenant.g%d.queue_wait_cycles", t.tenant))
+		ts.hSvc = sh.Reg.Histogram(fmt.Sprintf("server.tenant.g%d.service_cycles", t.tenant))
+	}
 	start := uint64(sh.Sys.M.MaxCoreTime())
 	rootStart := start
 	var wait uint64
@@ -493,7 +510,7 @@ func (sh *Shard) serve(t task) (any, error) {
 		wait = start - t.enq
 		rootStart = t.enq
 	}
-	tenantHist(sh.hQWait, sh.Reg, t.tenant, "queue_wait_cycles").Observe(wait)
+	ts.hQWait.Observe(wait)
 	traced := t.trace.Sampled && t.trace.TraceID != 0
 	if traced {
 		sh.scope.Begin(t.trace.TraceID, t.trace.Parent)
@@ -504,7 +521,7 @@ func (sh *Shard) serve(t task) (any, error) {
 	}
 	v, err := t.fn()
 	end := uint64(sh.Sys.M.MaxCoreTime())
-	tenantHist(sh.hSvc, sh.Reg, t.tenant, "service_cycles").Observe(end - start)
+	ts.hSvc.Observe(end - start)
 	if traced {
 		sh.scope.Exit("request", t.name, rootStart, end, 0)
 		sh.scope.End(sh.sampler.Keep(t.trace.TraceID, end-rootStart, err != nil))
@@ -516,118 +533,134 @@ func (sh *Shard) serve(t task) (any, error) {
 	return v, err
 }
 
-func (sh *Shard) run() {
-	defer close(sh.stopped)
-	if sh.det {
-		sh.runDeterministic()
-		return
-	}
-	sh.runFair()
+// queue is an admission discipline: the order in which run serves what it
+// absorbed (now is the shard clock at absorption).
+type queue interface {
+	push(t task, now uint64)
+	pop() (task, bool)
 }
 
-// runDeterministic admits strictly in per-shard sequence order: arrivals
-// park in a reorder buffer until their turn. The buffer is unbounded, but
-// synchronous clients keep it at most one entry per client.
-func (sh *Shard) runDeterministic() {
-	pending := make(map[uint64]task)
+// fairQueue serves the tenants with pending work round-robin, each tenant's
+// own tasks in arrival order, so a burst from one tenant queues behind its
+// own earlier requests, not everyone else's. The ring links exactly the
+// tenants whose FIFO is non-empty: a pop costs the same however many tenants
+// the shard has seen.
+type fairQueue struct {
+	tail *tenantState // tail.next is the tenant served next
+}
+
+func (q *fairQueue) push(t task, now uint64) {
+	t.enq = now
+	ts := t.ts
+	ts.q = append(ts.q, t)
+	if len(ts.q)-ts.head > 1 {
+		return // already on the ring
+	}
+	if ts.next = ts; q.tail != nil { // a ring of one, unless there is one to join
+		ts.next, q.tail.next = q.tail.next, ts
+	}
+	q.tail = ts
+}
+
+func (q *fairQueue) pop() (task, bool) {
+	if q.tail == nil {
+		return task{}, false
+	}
+	ts := q.tail.next
+	t := ts.q[ts.head]
+	ts.q[ts.head] = task{} // the served task's closure holds its request body
+	if ts.head++; 2*ts.head >= len(ts.q) {
+		// Reclaim the served prefix (amortised, at most one move per pop), so
+		// a tenant that is never idle does not grow its FIFO.
+		n := copy(ts.q, ts.q[ts.head:])
+		clear(ts.q[n:])
+		ts.q, ts.head = ts.q[:n], 0
+	}
+	if len(ts.q) > 0 {
+		q.tail = ts // more pending: the tenant goes to the back
+	} else if ts == q.tail {
+		q.tail = nil
+	} else {
+		q.tail.next = ts.next
+	}
+	return t, true
+}
+
+// seqQueue admits strictly in per-shard sequence order: arrivals park in a
+// reorder buffer until their turn (unbounded, but synchronous clients keep it
+// at most one entry per client). A retired shard executes nothing, so gaps
+// stop mattering and pop hands out whatever is parked.
+type seqQueue struct {
+	sh      *Shard // for detNext and retired
+	pending map[uint64]task
+}
+
+func (q *seqQueue) push(t task, _ uint64) { q.pending[t.seq] = t }
+
+func (q *seqQueue) pop() (task, bool) {
+	seq := q.sh.detNext
+	if _, ok := q.pending[seq]; ok {
+		q.sh.detNext++
+	} else if q.sh.retired != nil {
+		for seq = range q.pending {
+			break
+		}
+	}
+	t, ok := q.pending[seq]
+	delete(q.pending, seq)
+	return t, ok
+}
+
+// run is the shard's worker, the only loop onto the simulated machine. It
+// absorbs what has arrived without blocking — side tasks run at once, admitted
+// tasks join the queue — then serves from the queue, or with nothing to serve
+// waits for the next arrival or stop. A held shard keeps absorbing and keeps
+// running side tasks (how the holder reaches the machine) but pops nothing.
+//
+// Mutations run inside enterMut/exitMut (fastread.go), so concurrent snapshot
+// readers either see a quiescent machine or fall back to admission here.
+// Admitted tasks are group-committed: up to groupCommitBatch servings share
+// one bracket, amortizing writer-side synchronization under load while
+// keeping reader stalls bounded to a batch.
+func (sh *Shard) run() {
+	defer close(sh.stopped)
+	var q queue = &fairQueue{}
+	if sh.det {
+		q = &seqQueue{sh: sh, pending: make(map[uint64]task)}
+	}
 	for {
-		if sh.retired != nil {
-			// A retired shard answers everything immediately: sequence gaps
-			// no longer matter because nothing executes.
-			for s, t := range pending {
-				delete(pending, s)
-				sh.exec(t)
+		for more := true; more; {
+			select {
+			case st := <-sh.side:
+				sh.execSide(st)
+			case t := <-sh.ingress:
+				q.push(t, uint64(sh.Sys.M.MaxCoreTime()))
+			default:
+				more = false
 			}
 		}
-		if t, ok := pending[sh.detNext]; ok {
-			delete(pending, sh.detNext)
-			sh.detNext++
-			sh.exec(t)
-			continue
+		if sh.held == nil {
+			if t, ok := q.pop(); ok {
+				sh.enterMut()
+				sh.exec(t)
+				for n := 1; n < groupCommitBatch; n++ {
+					if t, ok = q.pop(); !ok {
+						break
+					}
+					sh.exec(t)
+				}
+				sh.exitMut()
+				continue
+			}
 		}
 		select {
-		case t := <-sh.ingress:
-			pending[t.seq] = t
 		case st := <-sh.side:
 			sh.execSide(st)
+		case t := <-sh.ingress:
+			q.push(t, uint64(sh.Sys.M.MaxCoreTime()))
 		case <-sh.stop:
 			return
 		}
-	}
-}
-
-// runFair serves tasks per tenant in round-robin over the tenants with
-// pending work, absorbing the ingress channel between servings so a burst
-// from one tenant queues behind its own earlier requests, not everyone
-// else's.
-//
-// Mutations run under the shard's writer lock with the seqlock version odd,
-// so concurrent snapshot readers either see a fully quiescent machine or
-// fall back to admission here. Admitted tasks are group-committed: up to
-// groupCommitBatch servings share one lock acquisition and one version
-// bump, amortizing writer-side synchronization under load while keeping
-// reader stalls bounded to a batch.
-func (sh *Shard) runFair() {
-	queues := make(map[uint32][]task)
-	var order []uint32 // tenants in first-seen order
-	pending := 0
-	rr := 0
-	absorb := func(t task) {
-		// Stamp the queue-wait start on the worker, from the shard clock:
-		// wait is measured from absorption to service, in simulated cycles.
-		t.enq = uint64(sh.Sys.M.MaxCoreTime())
-		if _, ok := queues[t.tenant]; !ok {
-			order = append(order, t.tenant)
-		}
-		queues[t.tenant] = append(queues[t.tenant], t)
-		pending++
-	}
-	for {
-		// Serve any parked observability work, then absorb everything
-		// already waiting, without blocking.
-		for {
-			select {
-			case st := <-sh.side:
-				sh.enterMut()
-				sh.execSide(st)
-				sh.exitMut()
-				continue
-			case t := <-sh.ingress:
-				absorb(t)
-				continue
-			default:
-			}
-			break
-		}
-		if pending == 0 {
-			select {
-			case t := <-sh.ingress:
-				absorb(t)
-			case st := <-sh.side:
-				sh.enterMut()
-				sh.execSide(st)
-				sh.exitMut()
-			case <-sh.stop:
-				return
-			}
-			continue
-		}
-		sh.enterMut()
-		for served := 0; served < groupCommitBatch && pending > 0; served++ {
-			for i := 0; i < len(order); i++ {
-				ten := order[(rr+i)%len(order)]
-				q := queues[ten]
-				if len(q) == 0 {
-					continue
-				}
-				queues[ten] = q[1:]
-				pending--
-				rr = (rr + i + 1) % len(order)
-				sh.exec(q[0])
-				break
-			}
-		}
-		sh.exitMut()
 	}
 }
 

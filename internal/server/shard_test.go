@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -260,4 +261,132 @@ func TestShardDrain(t *testing.T) {
 		t.Fatalf("served %d of 16 before drain", served)
 	}
 	sh.Close() // idempotent
+}
+
+// TestFairQueue drives the fair admission order directly: round-robin over
+// the tenants with pending work, a ring that holds exactly those tenants
+// however many the shard has seen, and no reference to a task once served.
+func TestFairQueue(t *testing.T) {
+	var q fairQueue
+	noop := func() (any, error) { return nil, nil }
+	push := func(ts *tenantState, tenant uint32, seq uint64) {
+		q.push(task{tenant: tenant, seq: seq, ts: ts, fn: noop}, 7)
+	}
+	pop := func() task {
+		t.Helper()
+		tk, ok := q.pop()
+		if !ok {
+			t.Fatal("pop: queue empty")
+		}
+		if tk.enq != 7 {
+			t.Fatalf("popped task has enq %d, want the push clock 7", tk.enq)
+		}
+		return tk
+	}
+	ring := func() (n int) {
+		if q.tail != nil {
+			for ts := q.tail.next; ; ts = ts.next {
+				if n++; ts == q.tail {
+					break
+				}
+			}
+		}
+		return n
+	}
+
+	ab := map[uint32]*tenantState{1: {}, 2: {}}
+	for i, tenant := range []uint32{1, 1, 1, 2, 2} {
+		push(ab[tenant], tenant, uint64(i))
+	}
+	if ring() != 2 {
+		t.Fatalf("ring holds %d tenants, want 2", ring())
+	}
+	var got []uint32
+	for range 5 {
+		got = append(got, pop().tenant)
+	}
+	if want := []uint32{1, 2, 1, 2, 1}; !slices.Equal(got, want) {
+		t.Fatalf("served %v, want %v", got, want)
+	}
+	if _, ok := q.pop(); ok || ring() != 0 {
+		t.Fatalf("drained queue: pop ok=%v, ring %d", ok, ring())
+	}
+
+	// 10 000 tenants seen once each, then idle: the ring tracks tenants with
+	// pending work, not tenants seen.
+	const seen = 10_000
+	tenants := make([]*tenantState, seen)
+	for i := range tenants {
+		tenants[i] = &tenantState{}
+		push(tenants[i], uint32(i), 0)
+	}
+	for i := range tenants {
+		if n := ring(); n != seen-i {
+			t.Fatalf("with %d tenants waiting the ring holds %d", seen-i, n)
+		}
+		if tk := pop(); tk.tenant != uint32(i) {
+			t.Fatalf("pop %d served tenant %d", i, tk.tenant)
+		}
+	}
+	hot := tenants[42]
+	for s := range uint64(3) {
+		push(hot, 42, s)
+		if ring() != 1 {
+			t.Fatalf("one busy tenant among %d idle: ring %d", seen, ring())
+		}
+	}
+	for s := range uint64(3) {
+		if tk := pop(); tk.tenant != 42 || tk.seq != s {
+			t.Fatalf("burst pop %d: tenant %d seq %d", s, tk.tenant, tk.seq)
+		}
+		for i, slot := range hot.q[:cap(hot.q)] {
+			if live := i >= hot.head && i < len(hot.q); !live && (slot.fn != nil || slot.ts != nil) {
+				t.Fatalf("after pop %d, slot %d still references a served task", s, i)
+			}
+		}
+	}
+	if ring() != 0 {
+		t.Fatalf("everything served, ring still holds %d", ring())
+	}
+
+	// A tenant that never goes idle reuses its served slots instead of
+	// growing its FIFO, and stays in order.
+	push(hot, 42, 0)
+	for s := range uint64(1000) {
+		push(hot, 42, s+1)
+		if tk := pop(); tk.seq != s {
+			t.Fatalf("sustained load: popped seq %d, want %d", tk.seq, s)
+		}
+	}
+	if cap(hot.q) > 8 {
+		t.Fatalf("FIFO of a tenant with <= 2 pending grew to cap %d", cap(hot.q))
+	}
+}
+
+// TestSeqQueue drives the deterministic admission order directly.
+func TestSeqQueue(t *testing.T) {
+	sh := &Shard{}
+	q := &seqQueue{sh: sh, pending: make(map[uint64]task)}
+	for _, s := range []uint64{2, 0, 1, 5} {
+		q.push(task{seq: s}, 7)
+	}
+	for want := range uint64(3) {
+		tk, ok := q.pop()
+		if !ok || tk.seq != want || tk.enq != 0 {
+			t.Fatalf("pop: ok=%v seq=%d enq=%d, want seq %d with enq 0", ok, tk.seq, tk.enq, want)
+		}
+	}
+	if tk, ok := q.pop(); ok || sh.detNext != 3 {
+		t.Fatalf("gap at 3: popped seq %d (ok=%v), detNext %d", tk.seq, ok, sh.detNext)
+	}
+	q.push(task{seq: 9}, 7)
+	sh.retired = errors.New("moved")
+	var flushed []uint64
+	for tk, ok := q.pop(); ok; tk, ok = q.pop() {
+		flushed = append(flushed, tk.seq)
+	}
+	slices.Sort(flushed)
+	if !slices.Equal(flushed, []uint64{5, 9}) || len(q.pending) != 0 {
+		t.Fatalf("retired: flushed %v, %d left parked", flushed, len(q.pending))
+	}
 }

@@ -2,6 +2,8 @@ package server_test
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -90,6 +92,30 @@ func runSmoke(t *testing.T) (*fsclient.LoadgenReport, []byte) {
 	cl := fsclient.Dial(hs.URL)
 	if err := cl.Login("tenant00", 99, "pw", 0); !fsclient.IsCode(err, fsproto.CodeDraining) {
 		t.Fatalf("post-drain login: want draining, got %v", err)
+	}
+	// The side lane of a stopped shard answers at once too: the exports come
+	// back empty or draining, none of them waits for a worker that is gone.
+	drained := make(chan struct{})
+	go func() {
+		defer close(drained)
+		ctx := context.Background()
+		if recs := svc.AuditRecords(); len(recs) != 0 {
+			t.Errorf("post-drain AuditRecords: %d records", len(recs))
+		}
+		if err := svc.VerifyAudit(); !errors.Is(err, server.ErrDraining) {
+			t.Errorf("post-drain VerifyAudit: %v, want draining", err)
+		}
+		if recs, err := svc.RecordsFrom(ctx, 0, 0); !errors.Is(err, server.ErrDraining) || len(recs) != 0 {
+			t.Errorf("post-drain RecordsFrom: %d records, %v, want draining", len(recs), err)
+		}
+		if n, err := svc.LogLen(ctx, 0); !errors.Is(err, server.ErrDraining) || n != 0 {
+			t.Errorf("post-drain LogLen: %d, %v, want draining", n, err)
+		}
+	}()
+	select {
+	case <-drained:
+	case <-time.After(5 * time.Second):
+		t.Fatal("side-lane exports hung on a drained service")
 	}
 	return rep, prom
 }

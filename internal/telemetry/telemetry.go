@@ -27,7 +27,6 @@ package telemetry
 
 import (
 	"math/bits"
-	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -298,26 +297,4 @@ func snapshotHistogram(h *Histogram) *HistogramSnapshot {
 		hs.Count += hs.Buckets[i]
 	}
 	return hs
-}
-
-// MetricNames returns the sorted names of all registered metrics (for
-// tests and debugging).
-func (r *Registry) MetricNames() []string {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	names := make([]string, 0, len(r.counters)+len(r.gauges)+len(r.hists))
-	for n := range r.counters {
-		names = append(names, n)
-	}
-	for n := range r.gauges {
-		names = append(names, n)
-	}
-	for n := range r.hists {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
 }

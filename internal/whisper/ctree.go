@@ -34,11 +34,6 @@ func CreateCTree(pool *pmem.Pool, rootSlot int, valueSize int) (*CTree, error) {
 	return &CTree{pool: pool, rootSlot: rootSlot, valueSize: valueSize}, nil
 }
 
-// OpenCTree attaches to an existing tree.
-func OpenCTree(pool *pmem.Pool, rootSlot int, valueSize int) *CTree {
-	return &CTree{pool: pool, rootSlot: rootSlot, valueSize: valueSize}
-}
-
 // View binds the tree to another thread's pool view.
 func (t *CTree) View(pool *pmem.Pool) *CTree {
 	v := *t
