@@ -4,10 +4,18 @@
 
 GO ?= go
 
-.PHONY: build test loc sim-digest layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke ci
+.PHONY: build cross-build test loc sim-digest layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke ci
 
 build:
 	$(GO) build ./...
+
+# internal/aesctr's kernel is assembly on amd64 and a crypto/aes loop
+# everywhere else; CI hosts are amd64, so build every package and vet aesctr
+# (tests included) for a target that takes the other path. Needs no network:
+# the module has no dependencies.
+cross-build:
+	GOARCH=arm64 $(GO) build ./...
+	GOARCH=arm64 $(GO) vet ./internal/aesctr
 
 test:
 	$(GO) test ./...
@@ -46,12 +54,15 @@ layerbench-test:
 # payload frame codec, the client's response parse fed arbitrary server
 # bytes, the /v1/write handler fed arbitrary frames (seeded from the malice
 # campaign's malformed ones), and the migration image import fed exports
-# corrupted one field at a time.
+# corrupted one field at a time — plus one differential target: aesctr's pad
+# entry points (so the assembly kernel on amd64) against a
+# one-block-at-a-time crypto/aes generator.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitFrame$$' -fuzztime 10s ./internal/fsproto
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeResponse$$' -fuzztime 10s ./internal/fsclient
 	$(GO) test -run '^$$' -fuzz '^FuzzFramedWrite$$' -fuzztime 10s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzImportImage$$' -fuzztime 10s ./internal/memctrl
+	$(GO) test -run '^$$' -fuzz '^FuzzOTPLines$$' -fuzztime 10s ./internal/aesctr
 
 race:
 	$(GO) test -race ./...
@@ -134,16 +145,18 @@ bench-check:
 	} | $(GO) run ./cmd/fsencr-bench -check BENCH_baseline.json -tolerance 0.15
 
 # Telemetry-overhead gate: with no registry attached (the no-op recorder)
-# the telemetry hooks on ReadLine/WriteLine must stay under 3% of the
-# op's ns/op. TestWriteLineGapGuard rides along: it pins the
-# WriteLine/ReadLine ns/op ratio so eager per-write Merkle propagation
-# cannot silently return. TestPageGapGuard pins the batched page path at
-# no worse than half the host cost of 64 WriteLine calls, so the
+# a telemetry hook must stay one predictable branch (<= 0.5 ns) and a
+# ReadLine/WriteLine must reach no more hooks than pinned — the two factors
+# of what a line op pays for detached telemetry, neither of which moves
+# when the datapath itself gets faster. TestWriteLineGapGuard rides along:
+# it pins the WriteLine/ReadLine ns/op ratio so eager per-write Merkle
+# propagation cannot silently return. TestPageGapGuard pins the batched page
+# path at no worse than half the host cost of 64 WriteLine calls, so the
 # one-fetch/one-key-schedule batching cannot silently degenerate back to
-# per-line work. TestWritePageGapGuard pins WritePage at no more than 1.7x
+# per-line work. TestWritePageGapGuard pins WritePage at no more than 2.8x
 # ReadPage (median of 5 each), so write-path bookkeeping cannot grow back
-# past the cost of the pads. TestAuditOverheadGuard pins the audit plane's disabled
-# cost: with auditing off, the page datapath's detached Append hooks must
+# past a page read's worth. TestAuditOverheadGuard pins the audit plane's
+# disabled cost: with auditing off, the page datapath's detached Append hooks must
 # stay under 3% of ReadPage/WritePage. TestTraceOverheadGuard pins the
 # request-trace plane the same way: with no trace active (scope nil or
 # idle), a page op's worth of Active() gates must stay under 3% of
@@ -159,4 +172,4 @@ overhead-guard:
 # per-plane `-run` shortcuts to chain here: to check one plane, name its test
 # (`go test -run TestFsencrdSmoke ./internal/server`). cluster-smoke stays as
 # the one named subset because it spans two packages.
-ci: build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos overhead-guard bench-check
+ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos overhead-guard bench-check

@@ -53,17 +53,15 @@ const (
 // Encryption Engine and a File Encryption Engine; the OTT region sealing
 // uses a third with the processor-resident OTT key).
 //
-// An Engine is not safe for concurrent use: OTP generation reuses an
-// internal counter-block buffer. That matches the simulator's isolation
-// invariant — every engine belongs to exactly one memory controller, and
-// each simulated system runs on a single goroutine even when the parallel
-// experiment runner executes many systems at once.
+// An Engine is immutable after New, so any number of goroutines may share
+// one: every pad is built in the caller's buffer.
 type Engine struct {
+	// block is the stdlib cipher: single-block OTT sealing, and the
+	// reference loop that is the kernel wherever no assembly one exists.
 	block   cipher.Block
 	latency config.Cycle
-	// ctr is the reusable counter-block buffer for OTPInto; every byte is
-	// rewritten per call, so it never needs clearing.
-	ctr [16]byte
+	// rk is the expanded key schedule the assembly kernel reads.
+	rk [176]byte
 }
 
 // New returns an engine keyed with key. latency is the hardware AES latency
@@ -75,76 +73,78 @@ func New(key Key, latency config.Cycle) *Engine {
 		// array type rules out.
 		panic("aesctr: " + err.Error())
 	}
-	return &Engine{block: b, latency: latency}
+	e := &Engine{block: b, latency: latency}
+	e.expandKey(&key)
+	return e
 }
 
 // Latency returns the engine's AES latency in cycles.
 func (e *Engine) Latency() config.Cycle { return e.latency }
 
-// Fork returns an engine sharing this one's key schedule but with its own
-// counter-block buffer, so a reader goroutine can generate OTPs
-// concurrently with the owner. cipher.Block is stateless after key
-// expansion; only the ctr scratch makes Engine single-goroutine.
-func (e *Engine) Fork() *Engine {
-	return &Engine{block: e.block, latency: e.latency}
+// encryptBlocksRef is encryptBlocks as one crypto/aes call per block: the
+// kernel on every target and CPU without an assembly one, and the reference
+// the tests hold the assembly to.
+func (e *Engine) encryptBlocksRef(buf []byte) {
+	for ; len(buf) >= aes.BlockSize; buf = buf[aes.BlockSize:] {
+		e.block.Encrypt(buf[:aes.BlockSize], buf[:aes.BlockSize])
+	}
 }
 
 // Line is one 64-byte cache line.
 type Line [config.LineSize]byte
-
-// OTPInto fills dst with the 64-byte one-time pad for iv. Four AES blocks
-// are generated (64 B / 16 B); hardware runs them in parallel so the
-// latency is a single AES traversal. This is the datapath's hot entry
-// point: it writes straight into the caller's buffer, sparing the 64-byte
-// return copy that OTP pays per access.
-func (e *Engine) OTPInto(dst *Line, iv IV) {
-	ctr := e.ctr[:]
-	// Major occupies bytes 11..14 (32 bits); byte 15 is the AES-block
-	// index. Memory-encryption majors are 64-bit but never overflow 32 bits
-	// within a device lifetime; the high bits are folded into the page-ID
-	// lane for functional completeness.
-	binary.LittleEndian.PutUint64(ctr[0:8], iv.PageID^(iv.Major>>32<<48))
-	ctr[8] = iv.LineInPage
-	ctr[9] = iv.Minor
-	ctr[10] = iv.Domain
-	binary.LittleEndian.PutUint32(ctr[11:15], uint32(iv.Major))
-	for blk := 0; blk < config.LineSize/16; blk++ {
-		ctr[15] = byte(blk)
-		e.block.Encrypt(dst[blk*16:(blk+1)*16], ctr)
-	}
-}
 
 // Page is one 4 KB page of data — 64 consecutive lines. The batched
 // page-granularity datapath moves whole pages through the controller with
 // one call instead of 64.
 type Page [config.PageSize]byte
 
-// OTPLinesInto fills dst with the one-time pads for the len(dst)/64
-// consecutive lines of a page starting at line li0, in one pass: the
-// counter-block template (page ID, major counter, domain) is built once, and
-// only the per-line lane (line index, minor counter) and the per-block index
-// are rewritten inside the loop. The output is byte-identical to one OTPInto
-// call per line with the corresponding IV — the batching amortizes host
-// work, it never changes the keystream.
-func (e *Engine) OTPLinesInto(dst []byte, pageID uint64, li0 int, major uint64, minors *[config.LinesPerPage]uint8, domain uint8) {
-	ctr := e.ctr[:]
-	binary.LittleEndian.PutUint64(ctr[0:8], pageID^(major>>32<<48))
-	ctr[10] = domain
-	binary.LittleEndian.PutUint32(ctr[11:15], uint32(major))
-	for base := 0; base < len(dst); base += config.LineSize {
-		li := li0 + base/config.LineSize
-		ctr[8] = uint8(li)
-		ctr[9] = minors[li]
-		for blk := 0; blk < config.LineSize/16; blk++ {
-			ctr[15] = byte(blk)
-			e.block.Encrypt(dst[base+blk*16:base+(blk+1)*16], ctr)
-		}
+// otpLines fills dst with the one-time pads of the len(minors) consecutive
+// lines of page pageID starting at line li0, minors[i] being line li0+i's
+// minor counter. It is the only place the Figure-2 IV layout is written: a
+// line's four counter blocks (64 B / 16 B) go straight into its 64 bytes of
+// dst, then one kernel call encrypts them all in place — hardware runs a
+// line's four blocks in parallel too, so its latency is one AES traversal.
+//
+// A counter block is two little-endian words. Word 0 is the page ID; word 1
+// is line index (byte 8), minor (9), domain (10), the major's low 32 bits
+// (11..14) and the AES-block index (15). Memory-encryption majors are 64-bit
+// but never overflow 32 bits within a device lifetime; the high bits are
+// folded into the page-ID lane for functional completeness.
+func (e *Engine) otpLines(dst []byte, pageID uint64, li0 int, major uint64, minors []uint8, domain uint8) {
+	dst = dst[:len(minors)*config.LineSize]
+	w0 := pageID ^ (major >> 32 << 48)
+	w1 := uint64(domain)<<16 | uint64(uint32(major))<<24
+	for i, minor := range minors {
+		line := (*Line)(dst[i*config.LineSize:])
+		w := w1 | uint64(uint8(li0+i)) | uint64(minor)<<8
+		binary.LittleEndian.PutUint64(line[0:], w0)
+		binary.LittleEndian.PutUint64(line[8:], w)
+		binary.LittleEndian.PutUint64(line[16:], w0)
+		binary.LittleEndian.PutUint64(line[24:], w|1<<56)
+		binary.LittleEndian.PutUint64(line[32:], w0)
+		binary.LittleEndian.PutUint64(line[40:], w|2<<56)
+		binary.LittleEndian.PutUint64(line[48:], w0)
+		binary.LittleEndian.PutUint64(line[56:], w|3<<56)
 	}
+	e.encryptBlocks(dst)
+}
+
+// OTPInto fills dst with the 64-byte one-time pad for iv.
+func (e *Engine) OTPInto(dst *Line, iv IV) {
+	e.otpLines(dst[:], iv.PageID, int(iv.LineInPage), iv.Major, []uint8{iv.Minor}, iv.Domain)
+}
+
+// OTPLinesInto fills dst with the one-time pads for the len(dst)/64
+// consecutive lines of a page starting at line li0, byte-identical to one
+// OTPInto call per line with the corresponding IV — the batching amortizes
+// host work, it never changes the keystream.
+func (e *Engine) OTPLinesInto(dst []byte, pageID uint64, li0 int, major uint64, minors *[config.LinesPerPage]uint8, domain uint8) {
+	e.otpLines(dst, pageID, li0, major, minors[li0:li0+len(dst)/config.LineSize], domain)
 }
 
 // OTPPageInto is OTPLinesInto over all 64 lines of a page.
 func (e *Engine) OTPPageInto(dst *Page, pageID uint64, major uint64, minors *[config.LinesPerPage]uint8, domain uint8) {
-	e.OTPLinesInto(dst[:], pageID, 0, major, minors, domain)
+	e.otpLines(dst[:], pageID, 0, major, minors[:], domain)
 }
 
 // XORBytes sets dst ^= src over their common length (a whole number of
@@ -155,36 +155,12 @@ func XORBytes(dst, src []byte) { subtle.XORBytes(dst, dst, src) }
 // companion of XORInto.
 func XORPageInto(dst, src *Page) { XORBytes(dst[:], src[:]) }
 
-// OTP generates the 64-byte one-time pad for iv.
-func (e *Engine) OTP(iv IV) Line {
-	var pad Line
-	e.OTPInto(&pad, iv)
-	return pad
-}
-
-// XORInto sets dst ^= src in place, eight bytes at a lane. The memory
-// controller's per-line datapath uses it to combine and strip OTPs without
-// the three 64-byte copies per access that XOR's by-value signature forces.
+// XORInto sets dst ^= src in place, eight bytes at a lane.
 func XORInto(dst, src *Line) {
 	for i := 0; i < config.LineSize; i += 8 {
 		v := binary.LittleEndian.Uint64(dst[i:i+8]) ^ binary.LittleEndian.Uint64(src[i:i+8])
 		binary.LittleEndian.PutUint64(dst[i:i+8], v)
 	}
-}
-
-// XOR returns a ^ b.
-func XOR(a, b Line) Line {
-	XORInto(&a, &b)
-	return a
-}
-
-// Apply encrypts or decrypts data with the pad (the operation is its own
-// inverse in CTR mode).
-func (e *Engine) Apply(data Line, iv IV) Line {
-	var pad Line
-	e.OTPInto(&pad, iv)
-	XORInto(&data, &pad)
-	return data
 }
 
 // EncryptBlock16 encrypts a single 16-byte block in ECB fashion; used only

@@ -15,10 +15,22 @@ func testKey(b byte) Key {
 	return k
 }
 
+// otp and xor give the tests value semantics over the datapath's in-place
+// entry points.
+func otp(e *Engine, iv IV) (pad Line) {
+	e.OTPInto(&pad, iv)
+	return pad
+}
+
+func xor(a, b Line) Line {
+	XORInto(&a, &b)
+	return a
+}
+
 func TestOTPDeterministic(t *testing.T) {
 	e := New(testKey(1), 40)
 	iv := IV{PageID: 7, LineInPage: 3, Major: 9, Minor: 2, Domain: DomainMemory}
-	if e.OTP(iv) != e.OTP(iv) {
+	if otp(e, iv) != otp(e, iv) {
 		t.Fatal("OTP not deterministic")
 	}
 }
@@ -33,9 +45,9 @@ func TestOTPSensitivity(t *testing.T) {
 		{PageID: 7, LineInPage: 3, Major: 9, Minor: 3, Domain: DomainMemory},
 		{PageID: 7, LineInPage: 3, Major: 9, Minor: 2, Domain: DomainFile},
 	}
-	b := e.OTP(base)
+	b := otp(e, base)
 	for i, iv := range variants {
-		if e.OTP(iv) == b {
+		if otp(e, iv) == b {
 			t.Fatalf("variant %d produced identical OTP (spatial/temporal uniqueness broken)", i)
 		}
 	}
@@ -43,7 +55,7 @@ func TestOTPSensitivity(t *testing.T) {
 
 func TestOTPKeySeparation(t *testing.T) {
 	iv := IV{PageID: 1, Domain: DomainMemory}
-	if New(testKey(1), 0).OTP(iv) == New(testKey(2), 0).OTP(iv) {
+	if otp(New(testKey(1), 0), iv) == otp(New(testKey(2), 0), iv) {
 		t.Fatal("different keys produced identical OTPs")
 	}
 }
@@ -52,8 +64,8 @@ func TestApplyRoundtrip(t *testing.T) {
 	e := New(testKey(9), 40)
 	f := func(data Line, page uint64, li uint8, major uint64, minor uint8) bool {
 		iv := IV{PageID: page, LineInPage: li % config.LinesPerPage, Major: major, Minor: minor & config.MinorCounterMax, Domain: DomainFile}
-		ct := e.Apply(data, iv)
-		return e.Apply(ct, iv) == data && (ct != data || data == Line{})
+		ct := xor(data, otp(e, iv))
+		return xor(ct, otp(e, iv)) == data && (ct != data || data == Line{})
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -66,13 +78,13 @@ func TestXOR(t *testing.T) {
 		a[i] = byte(i)
 		b[i] = byte(255 - i)
 	}
-	c := XOR(a, b)
+	c := xor(a, b)
 	for i := range c {
 		if c[i] != a[i]^b[i] {
 			t.Fatalf("XOR wrong at %d", i)
 		}
 	}
-	if XOR(c, b) != a {
+	if xor(c, b) != a {
 		t.Fatal("XOR not involutive")
 	}
 }
@@ -88,13 +100,13 @@ func TestDualOTPComposition(t *testing.T) {
 	}
 	ivM := IV{PageID: 5, LineInPage: 1, Major: 2, Minor: 3, Domain: DomainMemory}
 	ivF := IV{PageID: 5, LineInPage: 1, Major: 1, Minor: 1, Domain: DomainFile}
-	ct := XOR(plain, XOR(mem.OTP(ivM), file.OTP(ivF)))
-	back := XOR(XOR(ct, file.OTP(ivF)), mem.OTP(ivM))
+	ct := xor(plain, xor(otp(mem, ivM), otp(file, ivF)))
+	back := xor(xor(ct, otp(file, ivF)), otp(mem, ivM))
 	if back != plain {
 		t.Fatal("dual OTP composition failed")
 	}
 	// Memory key alone must NOT recover the plaintext.
-	if XOR(ct, mem.OTP(ivM)) == plain {
+	if xor(ct, otp(mem, ivM)) == plain {
 		t.Fatal("memory OTP alone decrypted a file line")
 	}
 }
@@ -123,7 +135,7 @@ func TestLatencyAccessor(t *testing.T) {
 func TestOTPBlocksDiffer(t *testing.T) {
 	// The four 16-byte AES blocks within one OTP must differ.
 	e := New(testKey(8), 0)
-	pad := e.OTP(IV{PageID: 1, Domain: DomainMemory})
+	pad := otp(e, IV{PageID: 1, Domain: DomainMemory})
 	for i := 0; i < 3; i++ {
 		a := pad[i*16 : (i+1)*16]
 		b := pad[(i+1)*16 : (i+2)*16]

@@ -2,15 +2,10 @@ package aesctr
 
 import "testing"
 
-// Hot-path benchmarks for the crypto engine. BenchmarkOTP/BenchmarkApply
-// exercise the by-value API; the *Into variants are what the memory
-// controller's datapath actually calls, so the pair gives before/after
-// numbers for the copy-elimination fast-path.
+// Hot-path benchmarks for the crypto engine's per-line entry points, the ones
+// the memory controller's datapath and the software-encryption baseline call.
 
-var (
-	sinkLine Line
-	sinkPad  Line
-)
+var sinkPad Line
 
 func benchIV(i int) IV {
 	return IV{
@@ -22,31 +17,11 @@ func benchIV(i int) IV {
 	}
 }
 
-func BenchmarkOTP(b *testing.B) {
-	e := New(testKey(1), 40)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkPad = e.OTP(benchIV(i))
-	}
-}
-
 func BenchmarkOTPInto(b *testing.B) {
 	e := New(testKey(1), 40)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		e.OTPInto(&sinkPad, benchIV(i))
-	}
-}
-
-func BenchmarkXOR(b *testing.B) {
-	var x, y Line
-	for i := range x {
-		x[i] = byte(i)
-		y[i] = byte(255 - i)
-	}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		sinkLine = XOR(x, y)
 	}
 }
 

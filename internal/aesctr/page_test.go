@@ -62,8 +62,8 @@ func TestXORPageInto(t *testing.T) {
 
 var sinkPage Page
 
-// BenchmarkOTPPageInto vs 64x BenchmarkOTPInto quantifies the template-ctr
-// amortization (one counter-block setup per page instead of 64).
+// BenchmarkOTPPageInto vs 64x BenchmarkOTPInto quantifies what one kernel
+// call over a page's 256 blocks saves over 64 calls of four.
 func BenchmarkOTPPageInto(b *testing.B) {
 	e := New(testKey(1), 40)
 	var minors [config.LinesPerPage]uint8

@@ -82,7 +82,7 @@ type Controller struct {
 
 	// rd is the owner goroutine's crypt context — the engines and pad
 	// buffers behind every pad the live datapath, re-encryption, recovery
-	// and the attack hooks build. Snapshot readers fork their own
+	// and the attack hooks build. Snapshot readers get their own
 	// (NewReader).
 	rd *Reader
 	// metaCache is the shared metadata cache; when partitioning is on,

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"fsencr/internal/audit"
+	"fsencr/internal/config"
 	"fsencr/internal/telemetry"
 )
 
@@ -30,12 +31,15 @@ func bestNsPerOp(bench func(b *testing.B)) float64 {
 }
 
 // writeLineGapTolerance pins the WriteLine/ReadLine ns/op host-time ratio.
-// Before the write-back Bonsai tree the gap was ~13x (every write eagerly
-// recomputed the full 9-level path); with lazy propagation and the
-// zero-alloc hash/encode path it sits around 3x. The tolerance leaves
-// headroom for machine variance while still failing CI if eager per-write
-// propagation (or a comparably expensive regression) ever sneaks back in.
-const writeLineGapTolerance = 6.0
+// A steady-state ReadLine is a PCM access, two cached counter fetches and
+// two single-line pads; a WriteLine adds, per counter block it bumps (two in
+// FsEncr mode), one 64-byte encode and one SHA-256 leaf hash for the lazy
+// Bonsai tree — 78% of its host time, where the pads are 3% — so the ratio
+// measures 7.1-8.6x (ten runs, median 7.9x). Eager per-write propagation,
+// which this guard exists to catch, rehashes the full 9-level path of both
+// blocks — sixteen more SHA-256 calls, ~4 us — and lands past 30x; the
+// tolerance leaves headroom for machine variance below that.
+const writeLineGapTolerance = 12.0
 
 // TestWriteLineGapGuard is the companion CI gate to the bench-regression
 // check: it pins the *relative* cost of the WriteLine hot path against
@@ -91,15 +95,21 @@ func medianNsPerOp(bench func(b *testing.B)) float64 {
 }
 
 // writePageGapTolerance pins the WritePage/ReadPage host-time ratio in
-// FsEncr mode. A page write builds the same two pads as a page read; what it
-// adds is counter bumps, ECC tags, 64 persistence-domain slots and the
-// stop-loss write-throughs. While those cost more than the AES work the
-// ratio sat at 2.0-2.1x; with the write queue a heap, the write-throughs one
-// burst and the counters on handles it measures ~1.35-1.5x.
-const writePageGapTolerance = 1.7
+// FsEncr mode. Both build the same two pads, but since the pads became one
+// multi-block kernel call each they are a third of a page read and a sixth
+// of a page write, no longer the common bulk: what the two share now is the
+// PCM timing model (pcm.access with addr.Decompose, ~40% of a read, ~25% of
+// a write) and one ECC tag per line (~18% / ~9%). What a write adds on top
+// — the stop-loss write-throughs' own trips through pcm.access, counter
+// bumps with their Merkle leaf hashes, 64 persistence-domain heap slots —
+// is about one more page read's worth, so the ratio measures 1.8-2.4x
+// (median 2.05x over ten runs of this guard on a busy 2-core host; 1.93x
+// quiet). The write-path regressions this guard exists for cost a page
+// write 6-10 us each — a page read or two — and would put it past 3x.
+const writePageGapTolerance = 2.8
 
-// TestWritePageGapGuard fails when a page write's bookkeeping grows back to
-// the size of its cryptography: a per-line scan of the write queue, a
+// TestWritePageGapGuard fails when a page write's bookkeeping outgrows the
+// work it shares with a page read: a per-line scan of the write queue, a
 // per-event map access or a per-stop-loss-point device call in the page loop
 // each push the ratio past the tolerance. A ratio, so host speed cancels.
 // Skipped unless FSENCR_OVERHEAD_GUARD=1.
@@ -113,7 +123,7 @@ func TestWritePageGapGuard(t *testing.T) {
 	t.Logf("WritePage %.0f ns/op / ReadPage %.0f ns/op = %.2fx (tolerance %.1fx)",
 		writeNs, readNs, ratio, writePageGapTolerance)
 	if ratio > writePageGapTolerance {
-		t.Errorf("WritePage/ReadPage gap %.2fx exceeds %.1fx: write-path bookkeeping outweighs the pads again",
+		t.Errorf("WritePage/ReadPage gap %.2fx exceeds %.1fx: write-path bookkeeping has grown past a page read's worth",
 			ratio, writePageGapTolerance)
 	}
 }
@@ -225,19 +235,49 @@ func TestTraceOverheadGuard(t *testing.T) {
 	}
 }
 
-// maxHooksPerLineOp bounds how many telemetry recordings a single
-// ReadLine/WriteLine can reach (latency histogram, metadata fetch, BMT
-// walk depth, key lookup, PCM service + queue, spans), with slack for
-// future hooks.
-const maxHooksPerLineOp = 16
+// noopHookLimitNs bounds one detached telemetry hook. With no registry
+// attached every handle is nil and a recording is one predictable branch:
+// 0.35-0.40 ns measured. A hook that grows an interface call costs 1.5 ns or
+// more, an atomic 5, a lock 10 — all past the limit on any host.
+const noopHookLimitNs = 0.5
 
-// TestTelemetryOverheadGuard is the CI overhead gate (make overhead-guard):
-// with no registry attached every telemetry handle is nil and each hook
-// must cost one predictable branch, so maxHooksPerLineOp no-op recordings
-// may not amount to more than 3% of an uninstrumented ReadLine/WriteLine.
-// If the no-op path ever grows a lock, an allocation, or an interface
-// call, the measured per-hook cost jumps and this fails. Skipped unless
-// FSENCR_OVERHEAD_GUARD=1: it runs real benchmarks and takes seconds.
+// hooksPerLineOp runs the line benchmarks' workload with a registry attached
+// and returns the recordings made per op.
+func hooksPerLineOp(write bool) float64 {
+	c, las := benchFsEncrController()
+	reg := telemetry.New()
+	c.Instrument(reg)
+	before := reg.Snapshot()
+	const ops = 4096
+	now := config.Cycle(0)
+	for i := 0; i < ops; i++ {
+		if write {
+			c.WriteLine(now, las[i%len(las)], lineOf(3))
+		} else {
+			benchSink, _ = c.ReadLine(now, las[i%len(las)])
+		}
+		now += 200
+	}
+	d := telemetry.Diff(before, reg.Snapshot())
+	n := uint64(len(d.Spans)) + d.SpanDrops
+	for _, v := range d.Counters {
+		n += v
+	}
+	for _, h := range d.Histograms {
+		n += h.Count
+	}
+	return float64(n) / ops
+}
+
+// TestTelemetryOverheadGuard is the CI overhead gate (make overhead-guard)
+// for detached telemetry on the line datapath. What a line op pays for it is
+// hooks reached x cost of a no-op hook, so the guard pins those two factors:
+// it fails when the no-op path grows a lock, an allocation or an interface
+// call (the per-hook cost jumps), or when a line op starts reaching more
+// hooks — and not when the op itself gets cheaper: a budget stated as a share
+// of ReadLine's ns/op fails on untouched telemetry whenever the datapath
+// speeds up. Skipped unless FSENCR_OVERHEAD_GUARD=1: it runs a real
+// benchmark and takes seconds.
 func TestTelemetryOverheadGuard(t *testing.T) {
 	if os.Getenv("FSENCR_OVERHEAD_GUARD") == "" {
 		t.Skip("set FSENCR_OVERHEAD_GUARD=1 (or run `make overhead-guard`) to enable")
@@ -248,22 +288,31 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 			benchNilHist.Observe(uint64(i))
 		}
 	})
-	budget := nilObserve * maxHooksPerLineOp
+	t.Logf("no-op hook %.2f ns (limit %.2f ns)", nilObserve, noopHookLimitNs)
+	if nilObserve > noopHookLimitNs {
+		t.Errorf("no-op telemetry hook costs %.2f ns, over %.2f ns: the detached path is no longer one predictable branch",
+			nilObserve, noopHookLimitNs)
+	}
 
+	// maxHooks pins the recordings one steady-state line op makes: a
+	// ReadLine makes 5 (mc.read_cycles, mc.key_lookup_cycles, ott.table_hits,
+	// the PCM queue and service histograms), a WriteLine 10 (the Merkle leaf
+	// updates and the stop-loss write-through add theirs). Two spare for the
+	// Active() gates and nil-journal checks the count cannot see.
 	for _, op := range []struct {
-		name  string
-		bench func(b *testing.B)
+		name     string
+		write    bool
+		maxHooks float64
 	}{
-		{"ReadLine", BenchmarkReadLine},
-		{"WriteLine", BenchmarkWriteLine},
+		{"ReadLine", false, 7},
+		{"WriteLine", true, 12},
 	} {
-		opNs := bestNsPerOp(op.bench)
-		limit := 0.03 * opNs
-		t.Logf("%s: %.1f ns/op; %d no-op hooks cost %.2f ns (limit %.2f ns)",
-			op.name, opNs, maxHooksPerLineOp, budget, limit)
-		if budget > limit {
-			t.Errorf("%s: no-op telemetry budget %.2f ns exceeds 3%% of %.1f ns/op",
-				op.name, budget, opNs)
+		hooks := hooksPerLineOp(op.write)
+		t.Logf("%s: %.1f hooks/op (limit %.0f) x %.2f ns = %.2f ns detached",
+			op.name, hooks, op.maxHooks, nilObserve, hooks*nilObserve)
+		if hooks > op.maxHooks {
+			t.Errorf("%s reaches %.1f telemetry hooks per op, over %.0f: count the new ones and re-pin maxHooks",
+				op.name, hooks, op.maxHooks)
 		}
 	}
 }

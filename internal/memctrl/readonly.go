@@ -25,19 +25,20 @@ import (
 // makes SnapshotReadPage return false, and the caller re-runs the read on
 // the owner goroutine with full live semantics.
 
-// Reader is one goroutine's private crypt context: a memory engine (shared
-// key schedule, private counter-block scratch), a local file-engine cache,
-// and the two page-sized OTP buffers. The controller owns one for the live
-// datapath; snapshot readers fork theirs with NewReader and are pooled by
-// the server. A Reader must never be used by two goroutines at once.
+// Reader is one goroutine's private crypt context: the controller's memory
+// engine (engines are immutable, so every Reader shares it), a local
+// file-engine cache, and the two page-sized OTP buffers. The controller owns
+// one for the live datapath; snapshot readers get theirs from NewReader and
+// are pooled by the server. A Reader must never be used by two goroutines at
+// once.
 type Reader struct {
 	mem     *aesctr.Engine // nil without memory encryption
 	engines map[aesctr.Key]*aesctr.Engine
 
 	// Pad buffers live here, not in locals: a local would escape to the
-	// heap through the cipher.Block.Encrypt interface call inside the OTP
-	// generator, costing an allocation per request; the generator fully
-	// overwrites its destination, so reuse is safe.
+	// heap through the cipher.Block.Encrypt interface call in the OTP
+	// generator's reference loop, costing an allocation per request; the
+	// generator fully overwrites its destination, so reuse is safe.
 	pad     aesctr.Page
 	filePad aesctr.Page
 }
@@ -45,11 +46,7 @@ type Reader struct {
 // NewReader builds a read-only decrypt context for this controller. Safe
 // to call from any goroutine: it reads only construction-time state.
 func (c *Controller) NewReader() *Reader {
-	r := &Reader{engines: make(map[aesctr.Key]*aesctr.Engine)}
-	if c.rd.mem != nil {
-		r.mem = c.rd.mem.Fork()
-	}
-	return r
+	return &Reader{mem: c.rd.mem, engines: make(map[aesctr.Key]*aesctr.Engine)}
 }
 
 func (r *Reader) engineFor(key aesctr.Key) *aesctr.Engine {

@@ -24,9 +24,9 @@ package server
 // own clock.
 //
 // Large reads additionally fan their page decrypts across a bounded
-// process-wide crypt pool: each worker chunk decrypts with its own forked
-// AES engines into disjoint ranges of the caller's buffer, so the output
-// is deterministic regardless of scheduling.
+// process-wide crypt pool: each worker chunk decrypts with its own Reader
+// into disjoint ranges of the caller's buffer, so the output is deterministic
+// regardless of scheduling.
 //
 // Gating: deterministic shards (state must stay a pure function of the
 // schedule), logged shards (every op must be an admission-log record), and
