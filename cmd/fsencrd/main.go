@@ -161,6 +161,8 @@ func serveMain(args []string) {
 	if err := hs.Shutdown(sctx); err != nil {
 		fmt.Fprintln(os.Stderr, "fsencrd: shutdown:", err)
 	}
+	// Shutdown does not see the /v1 connections the request loop took over.
+	svc.Drain(sctx)
 	if node != nil {
 		node.Close()
 	} else {

@@ -4,17 +4,26 @@ package fsclient
 // internal/chaos attacks the machine from below (bit flips in NVM),
 // RunMalice attacks fsencrd from above — forged and replayed session
 // tokens, cross-tenant namespace overrides, wrong passphrases, oversized
-// and truncated request bodies, forged lengths, malformed payload frames —
-// and asserts that every attack is refused with the documented stable error
-// code and that not one plaintext byte of the victim's data leaks into any
-// response.
+// and truncated request bodies, forged lengths, malformed payload frames,
+// and request framing no HTTP client would produce, sent from a raw socket
+// to a connection the server's request loop already holds — and asserts that
+// every attack is refused with the documented stable error code and that not
+// one plaintext byte of the victim's data leaks into any response.
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"os"
+	"slices"
 	"strings"
+	"time"
 
 	"fsencr/internal/fsproto"
 )
@@ -38,6 +47,20 @@ type MaliceReport struct {
 	// Leaks counts attack responses carrying any of the victim's plaintext.
 	// Zero is the acceptance criterion.
 	Leaks int `json:"leaks"`
+}
+
+// add files one attack's outcome; a leak fails the attack whatever it answered.
+func (r *MaliceReport) add(a MaliceAttack) {
+	if a.Leaked {
+		r.Leaks++
+		a.Passed = false
+	}
+	if a.Passed {
+		r.Passed++
+	} else {
+		r.Failed++
+	}
+	r.Attacks = append(r.Attacks, a)
 }
 
 // Clean reports a fully-refused campaign: every attack got its expected
@@ -89,6 +112,11 @@ func rawDo(hc *http.Client, method, base, path, ctype, token string, body []byte
 	if err != nil {
 		return rawResult{}, err
 	}
+	return readRaw(resp)
+}
+
+// readRaw reads one response's body and error code, and closes it.
+func readRaw(resp *http.Response) (rawResult, error) {
 	defer resp.Body.Close()
 	data, err := fsproto.ReadBody(resp.Body, resp.ContentLength, fsproto.MaxBodyBytes)
 	if err != nil {
@@ -97,6 +125,71 @@ func rawDo(hc *http.Client, method, base, path, ctype, token string, body []byte
 	var pe fsproto.Error
 	_ = json.Unmarshal(data, &pe) // non-error bodies leave the code empty
 	return rawResult{status: resp.StatusCode, ctype: resp.Header.Get("Content-Type"), code: pe.Code, body: data}, nil
+}
+
+// socketAttack is one framing attack: bytes of the attacker's choosing,
+// written to a connection whose first request — warm, well-formed — the
+// server has already answered, so they reach the request loop that took the
+// connection over, not net/http's parser.
+type socketAttack struct {
+	name string
+	raw  string
+	fin  bool       // half-close after raw: the body declared is never finished
+	want [][]string // per expected answer, the acceptable codes, in order
+	// closes: the server must end the connection after the last answer.
+	closes bool
+}
+
+// run sends the attack and returns the answers that came back and whether
+// the server then closed the connection.
+func (a socketAttack) run(base, warm string) (answers []rawResult, closed bool, err error) {
+	u, err := url.Parse(base)
+	if err != nil {
+		return nil, false, err
+	}
+	nc, err := net.DialTimeout("tcp", u.Host, 10*time.Second)
+	if err != nil {
+		return nil, false, err
+	}
+	defer nc.Close()
+	_ = nc.SetDeadline(time.Now().Add(10 * time.Second)) // a TCP connection takes deadlines
+	br := bufio.NewReader(nc)
+	answer := func() (rawResult, error) {
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			return rawResult{}, err
+		}
+		return readRaw(resp)
+	}
+	if _, err := io.WriteString(nc, warm); err != nil {
+		return nil, false, err
+	}
+	if _, err := answer(); err != nil {
+		return nil, false, fmt.Errorf("warm-up request: %w", err)
+	}
+	if _, err := io.WriteString(nc, a.raw); err != nil {
+		return nil, false, err
+	}
+	if a.fin {
+		_ = nc.(*net.TCPConn).CloseWrite() // the read below reports a dead connection
+	}
+	for range a.want {
+		res, err := answer()
+		if err != nil {
+			return answers, false, err
+		}
+		answers = append(answers, res)
+	}
+	// Closed means EOF now; a server keeping the connection sends nothing.
+	_ = nc.SetReadDeadline(time.Now().Add(time.Second))
+	switch _, err := br.ReadByte(); {
+	case err == io.EOF:
+		return answers, true, nil
+	case errors.Is(err, os.ErrDeadlineExceeded):
+		return answers, false, nil
+	default:
+		return answers, false, fmt.Errorf("after the last answer: byte or error %v, want EOF or silence", err)
+	}
 }
 
 // leaked reports whether an attack response carried victim plaintext: any
@@ -264,22 +357,8 @@ func RunMalice(base string) (*MaliceReport, error) {
 				GotStatus: res.status, GotCode: res.code,
 				Leaked: leaked(res),
 			}
-			for _, want := range a.want {
-				if res.code == want && res.status >= 400 {
-					out.Passed = true
-					break
-				}
-			}
-			if out.Leaked {
-				rep.Leaks++
-				out.Passed = false
-			}
-			if out.Passed {
-				rep.Passed++
-			} else {
-				rep.Failed++
-			}
-			rep.Attacks = append(rep.Attacks, out)
+			out.Passed = res.status >= 400 && slices.Contains(a.want, res.code)
+			rep.add(out)
 		}
 		return nil
 	}
@@ -288,6 +367,53 @@ func RunMalice(base string) (*MaliceReport, error) {
 	}
 	if err := run(fsproto.ContentTypeFrame, framed); err != nil {
 		return nil, err
+	}
+
+	// From a raw socket, as the second request of a kept connection: framing
+	// the request loop must refuse (400, then close) instead of guessing at,
+	// each wrapped around the cross-tenant read; two pipelined requests,
+	// answered in order; and a path outside /v1, which a connection the loop
+	// holds cannot serve.
+	post := func(path, headers, body string) string {
+		return "POST " + path + " HTTP/1.1\r\nHost: malice\r\nContent-Type: application/json\r\n" +
+			fsproto.TokenHeader + ": " + attacker.token + "\r\n" + headers + "\r\n" + body
+	}
+	length := func(n int) string { return fmt.Sprintf("Content-Length: %d\r\n", n) }
+	rv := string(readVictim(64))
+	var lines strings.Builder
+	for i := 0; i < 65; i++ {
+		fmt.Fprintf(&lines, "X-Pad-%d: x\r\n", i)
+	}
+	refused, denied := []string{fsproto.CodeBadRequest}, []string{fsproto.CodePermission, fsproto.CodeWrongPassphrase}
+	sockets := []socketAttack{
+		{name: "sock_length_and_chunked", raw: post("/v1/read", length(len(rv))+"Transfer-Encoding: chunked\r\n", rv), want: [][]string{refused}, closes: true},
+		{name: "sock_duplicate_length", raw: post("/v1/read", length(len(rv))+length(len(rv)), rv), want: [][]string{refused}, closes: true},
+		{name: "sock_negative_length", raw: post("/v1/read", "Content-Length: -1\r\n", rv), want: [][]string{refused}, closes: true},
+		{name: "sock_obs_fold", raw: post("/v1/read", "X-Pad: a\r\n\tb\r\n"+length(len(rv)), rv), want: [][]string{refused}, closes: true},
+		{name: "sock_long_header_line", raw: post("/v1/read", "X-Pad: "+strings.Repeat("a", 5<<10)+"\r\n"+length(len(rv)), rv), want: [][]string{refused}, closes: true},
+		{name: "sock_many_header_lines", raw: post("/v1/read", lines.String()+length(len(rv)), rv), want: [][]string{refused}, closes: true},
+		{name: "sock_short_body_fin", raw: post("/v1/read", length(len(rv)+10), rv), fin: true, want: [][]string{refused}, closes: true},
+		{name: "sock_pipelined", raw: post("/v1/read", length(len(rv)), rv) + "GET /v1/read HTTP/1.1\r\nHost: malice\r\n\r\n",
+			want: [][]string{denied, refused}},
+		{name: "sock_metrics_on_data_conn", raw: "GET /metrics HTTP/1.1\r\nHost: malice\r\n\r\n", want: [][]string{{fsproto.CodeNotFound}}, closes: true},
+	}
+	warm := post("/v1/stat", length(len(`{"name":"none"}`)), `{"name":"none"}`)
+	for _, a := range sockets {
+		answers, closed, err := a.run(base, warm)
+		if err != nil {
+			return nil, fmt.Errorf("malice attack %s: %w", a.name, err)
+		}
+		// The row reports the first answer that was wrong, else the last.
+		out := MaliceAttack{Name: a.name, Passed: closed == a.closes}
+		for i, res := range answers {
+			out.Leaked = out.Leaked || leaked(res)
+			if !out.Passed && out.GotStatus != 0 {
+				continue
+			}
+			out.WantCodes, out.GotStatus, out.GotCode = a.want[i], res.status, res.code
+			out.Passed = out.Passed && res.status >= 400 && res.status < 500 && slices.Contains(a.want[i], res.code)
+		}
+		rep.add(out)
 	}
 
 	// Control: the victim still reads its own data back intact — the

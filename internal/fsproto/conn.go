@@ -30,15 +30,17 @@ type Conn struct {
 	deadline time.Time
 	nc       net.Conn
 	br       *bufio.Reader
-	head     []byte      // request head scratch
-	bufv     [3][]byte   // backing array of wv
-	wv       net.Buffers // the gathered write, rebuilt per exchange
+	head     []byte // request head scratch
+	out      sender
 }
 
 // Request is one POST. The body sent is Body followed by Tail, so a payload
 // frame goes out as its prefix and meta (AppendFrame with no payload) and
 // then the payload, without the two being joined first.
 type Request struct {
+	// Method is what a server read off the request line; a Conn sends POST
+	// whatever it holds.
+	Method      string
 	Path        string
 	ContentType string
 	Token       string // TokenHeader; "" sends none
@@ -65,7 +67,10 @@ type Response struct {
 	ContentType string
 	RequestID   string // RequestIDHeader
 	QueueDepth  int64  // QueueDepthHeader; -1 when absent or malformed
-	Body        []byte
+	// Close is "Connection: close": the sender ends the connection after
+	// this response.
+	Close bool
+	Body  []byte
 }
 
 // WireError reports an exchange that failed before any response body: the
@@ -79,9 +84,14 @@ type WireError struct {
 func (e *WireError) Error() string { return "fsproto: " + e.Op + ": " + e.Err.Error() }
 func (e *WireError) Unwrap() error { return e.Err }
 
-// maxHeaderLines bounds a response head; each line is bounded by the read
-// buffer (4 KiB).
-const maxHeaderLines = 64
+// A head is at most maxHeaderLines lines of at most maxLineBytes each, on
+// both ends. connBufSize is either end's read buffer and write scratch: a
+// page exchange — head plus 4 KiB — fits, so it is one read and one write.
+const (
+	maxHeaderLines = 64
+	maxLineBytes   = 4096
+	connBufSize    = 4096 + 1024
+)
 
 // Dial returns a Conn for a base URL such as "http://127.0.0.1:9144"; a
 // path in it prefixes every request path. No connection is made until the
@@ -94,7 +104,7 @@ func Dial(base string) (*Conn, error) {
 	if u.Scheme != "http" || u.Host == "" || u.RawQuery != "" || u.Fragment != "" {
 		return nil, fmt.Errorf("fsproto: base URL %q: want http://host[:port][/prefix]", base)
 	}
-	c := &Conn{addr: u.Host, host: u.Host, prefix: u.EscapedPath()}
+	c := &Conn{addr: u.Host, host: u.Host, prefix: u.EscapedPath(), head: make([]byte, 0, connBufSize)}
 	if u.Port() == "" {
 		c.addr = net.JoinHostPort(u.Hostname(), "80")
 	}
@@ -181,7 +191,7 @@ func (c *Conn) buildHead(req *Request) error {
 // cleanValue reports whether s can stand as a header value: no control
 // character that could end the line early. cleanToken also refuses spaces,
 // for the parts of the request line.
-func cleanValue(s string) bool {
+func cleanValue[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c < ' ' && c != '\t' || c == 0x7f {
 			return false
@@ -190,7 +200,7 @@ func cleanValue(s string) bool {
 	return true
 }
 
-func cleanToken(s string) bool {
+func cleanToken[T string | []byte](s T) bool {
 	for i := 0; i < len(s); i++ {
 		if c := s[i]; c <= ' ' || c == 0x7f {
 			return false
@@ -211,19 +221,13 @@ func (c *Conn) exchange(req *Request) (resp Response, started bool, err error) {
 		}
 		c.nc = nc
 		if c.br == nil {
-			c.br = bufio.NewReader(nc)
+			c.br = bufio.NewReaderSize(nc, connBufSize)
 		} else {
 			c.br.Reset(nc)
 		}
 		c.SetDeadline(c.deadline)
 	}
-	c.wv = append(c.bufv[:0], c.head)
-	for _, b := range [...][]byte{req.Body, req.Tail} {
-		if len(b) > 0 {
-			c.wv = append(c.wv, b)
-		}
-	}
-	if _, err := c.wv.WriteTo(c.nc); err != nil {
+	if err := c.out.send(c.nc, c.head, req.Body, req.Tail); err != nil {
 		c.Close()
 		return resp, false, &WireError{Op: "write", Err: err}
 	}
@@ -231,7 +235,7 @@ func (c *Conn) exchange(req *Request) (resp Response, started bool, err error) {
 		c.Close()
 		return resp, false, &WireError{Op: "read", Err: err}
 	}
-	length, chunked, closing, err := c.readHead(&resp)
+	length, chunked, err := c.readHead(&resp)
 	if err != nil {
 		c.Close()
 		return resp, true, &WireError{Op: "read", Err: err}
@@ -242,61 +246,84 @@ func (c *Conn) exchange(req *Request) (resp Response, started bool, err error) {
 		}
 	} else {
 		// Neither length nor chunking: the body runs to the close.
-		closing = closing || length < 0
+		resp.Close = resp.Close || length < 0
 		resp.Body, err = ReadBody(c.br, length, MaxBodyBytes)
 	}
 	// Bytes beyond the response would be read as the head of the next one.
-	if err != nil || closing || c.br.Buffered() > 0 {
+	if err != nil || resp.Close || c.br.Buffered() > 0 {
 		c.Close()
 	}
 	return resp, true, err
 }
 
+// sender writes one message: a head followed by up to two body parts.
+type sender struct {
+	bufv [3][]byte   // backing array of wv
+	wv   net.Buffers // the gathered write, rebuilt per message
+}
+
+// send writes head ‖ body ‖ tail to nc as one write: of one buffer when the
+// body fits the head scratch's spare capacity (a page exchange does), else
+// gathered, the body going to the socket from the caller's slices.
+func (s *sender) send(nc net.Conn, head, body, tail []byte) error {
+	if len(body)+len(tail) <= cap(head)-len(head) {
+		_, err := nc.Write(append(append(head, body...), tail...))
+		return err
+	}
+	s.wv = append(s.bufv[:0], head)
+	for _, b := range [...][]byte{body, tail} {
+		if len(b) > 0 {
+			s.wv = append(s.wv, b)
+		}
+	}
+	_, err := s.wv.WriteTo(nc)
+	return err
+}
+
 // readHead parses the status line and the headers the protocol defines.
 // length is the declared Content-Length, -1 without one.
-func (c *Conn) readHead(resp *Response) (length int64, chunked, closing bool, err error) {
-	line, err := c.readLine()
+func (c *Conn) readHead(resp *Response) (length int64, chunked bool, err error) {
+	line, err := readLine(c.br, false)
 	if err != nil {
-		return 0, false, false, err
+		return 0, false, err
 	}
 	// "HTTP/1.x NNN[ reason]"
 	if len(line) < 12 || string(line[:7]) != "HTTP/1." || line[7] != '0' && line[7] != '1' ||
 		line[8] != ' ' || len(line) > 12 && line[12] != ' ' {
-		return 0, false, false, fmt.Errorf("malformed status line %q", line)
+		return 0, false, fmt.Errorf("malformed status line %q", line)
 	}
 	status, ok := parseDigits(line[9:12])
 	if !ok || status < 200 {
-		return 0, false, false, fmt.Errorf("malformed status line %q", line)
+		return 0, false, fmt.Errorf("malformed status line %q", line)
 	}
 	resp.Status, resp.QueueDepth = int(status), -1
-	closing = line[7] == '0' // HTTP/1.0 closes after every response
+	resp.Close = line[7] == '0' // HTTP/1.0 closes after every response
 	length = -1
 	for n := 0; ; n++ {
-		if line, err = c.readLine(); err != nil {
-			return 0, false, false, err
+		if line, err = readLine(c.br, false); err != nil {
+			return 0, false, err
 		}
 		if len(line) == 0 {
 			break
 		}
-		colon := bytes.IndexByte(line, ':')
-		if colon <= 0 || n == maxHeaderLines {
-			return 0, false, false, fmt.Errorf("malformed or over-long response head at %q", line)
+		name, value, ok := splitHeader(line)
+		if !ok || n == maxHeaderLines {
+			return 0, false, fmt.Errorf("malformed or over-long response head at %q", line)
 		}
-		name, value := line[:colon], bytes.Trim(line[colon+1:], " \t")
 		switch {
 		case bytes.EqualFold(name, []byte("Content-Length")):
 			v, ok := parseDigits(value)
 			if !ok || length >= 0 {
-				return 0, false, false, fmt.Errorf("bad or repeated Content-Length %q", value)
+				return 0, false, fmt.Errorf("bad or repeated Content-Length %q", value)
 			}
 			length = v
 		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
 			if !bytes.EqualFold(value, []byte("chunked")) {
-				return 0, false, false, fmt.Errorf("unsupported Transfer-Encoding %q", value)
+				return 0, false, fmt.Errorf("unsupported Transfer-Encoding %q", value)
 			}
 			chunked = true
 		case bytes.EqualFold(name, []byte("Connection")):
-			closing = closing || bytes.EqualFold(value, []byte("close"))
+			resp.Close = resp.Close || hasClose(value)
 		case bytes.EqualFold(name, []byte("Content-Type")):
 			resp.ContentType = contentType(value)
 		case bytes.EqualFold(name, []byte(RequestIDHeader)):
@@ -308,31 +335,47 @@ func (c *Conn) readHead(resp *Response) (length int64, chunked, closing bool, er
 		}
 	}
 	if chunked && length >= 0 {
-		return 0, false, false, errors.New("both Content-Length and Transfer-Encoding: chunked")
+		return 0, false, errors.New("both Content-Length and Transfer-Encoding: chunked")
 	}
 	if status == 204 || status == 304 {
 		length, chunked = 0, false // defined to have no body, whatever the headers say
 	}
-	return length, chunked, closing, nil
+	return length, chunked, nil
 }
 
-// readLine reads one head line without its line ending. The slice is valid
-// until the next read.
-func (c *Conn) readLine() ([]byte, error) {
-	line, err := c.br.ReadSlice('\n')
+// readLine reads one head line, of at most maxLineBytes, without its line
+// ending — which must be CRLF when crlf is set (the server's end), and may
+// be a bare LF otherwise. The slice is valid until the next read.
+func readLine(br *bufio.Reader, crlf bool) ([]byte, error) {
+	line, err := br.ReadSlice('\n')
+	if errors.Is(err, bufio.ErrBufferFull) || len(line) > maxLineBytes {
+		return nil, grammarError("head line over 4 KiB")
+	}
 	if err != nil {
-		if errors.Is(err, bufio.ErrBufferFull) {
-			err = errors.New("response head line over 4 KiB")
-		}
 		return nil, err
 	}
-	return bytes.TrimRight(line, "\r\n"), nil
+	if !crlf {
+		return bytes.TrimRight(line, "\r\n"), nil
+	}
+	if !bytes.HasSuffix(line, []byte("\r\n")) {
+		return nil, grammarError("head line ended by a bare LF")
+	}
+	return line[:len(line)-2], nil
+}
+
+// splitHeader splits a header line at its colon and trims the value.
+func splitHeader(line []byte) (name, value []byte, ok bool) {
+	colon := bytes.IndexByte(line, ':')
+	if colon <= 0 {
+		return nil, nil, false
+	}
+	return line[:colon], bytes.Trim(line[colon+1:], " \t"), true
 }
 
 // skipTrailer consumes what follows the last chunk, up to the blank line.
 func (c *Conn) skipTrailer() error {
 	for n := 0; n <= maxHeaderLines; n++ {
-		line, err := c.readLine()
+		line, err := readLine(c.br, false)
 		if err != nil {
 			return fmt.Errorf("fsproto: read chunked trailer: %w", err)
 		}

@@ -9,7 +9,6 @@
 package fsproto
 
 import (
-	"fmt"
 	"hash/fnv"
 	"strconv"
 	"strings"
@@ -104,13 +103,18 @@ type TraceContext struct {
 // with hex IDs, e.g. "00c3a4d2b1e90f77-0-1".
 func (tc TraceContext) String() string { return string(tc.appendTo(nil)) }
 
-// appendTo appends the wire form to b.
-func (tc TraceContext) appendTo(b []byte) []byte {
+// appendHex16 appends v as 16 hex digits.
+func appendHex16(b []byte, v uint64) []byte {
 	const digits = "0123456789abcdef"
 	for shift := 60; shift >= 0; shift -= 4 {
-		b = append(b, digits[tc.TraceID>>shift&0xf])
+		b = append(b, digits[v>>shift&0xf])
 	}
-	b = append(b, '-')
+	return b
+}
+
+// appendTo appends the wire form to b.
+func (tc TraceContext) appendTo(b []byte) []byte {
+	b = append(appendHex16(b, tc.TraceID), '-')
 	b = strconv.AppendUint(b, tc.Parent, 16)
 	if tc.Sampled {
 		return append(b, "-1"...)
@@ -121,23 +125,24 @@ func (tc TraceContext) appendTo(b []byte) []byte {
 // ParseTraceContext parses the wire form. A malformed or empty value
 // yields (zero, false): the request simply goes untraced.
 func ParseTraceContext(s string) (TraceContext, bool) {
-	parts := strings.Split(s, "-")
-	if len(parts) != 3 {
+	idHex, rest, _ := strings.Cut(s, "-")
+	parentHex, flag, ok := strings.Cut(rest, "-")
+	if !ok || strings.Contains(flag, "-") {
 		return TraceContext{}, false
 	}
-	id, err := strconv.ParseUint(parts[0], 16, 64)
+	id, err := strconv.ParseUint(idHex, 16, 64)
 	if err != nil || id == 0 {
 		return TraceContext{}, false
 	}
-	parent, err := strconv.ParseUint(parts[1], 16, 64)
+	parent, err := strconv.ParseUint(parentHex, 16, 64)
 	if err != nil {
 		return TraceContext{}, false
 	}
-	return TraceContext{TraceID: id, Parent: parent, Sampled: parts[2] == "1"}, true
+	return TraceContext{TraceID: id, Parent: parent, Sampled: flag == "1"}, true
 }
 
 // FormatRequestID renders a trace ID for the X-Request-Id response header.
-func FormatRequestID(id uint64) string { return fmt.Sprintf("%016x", id) }
+func FormatRequestID(id uint64) string { return string(appendHex16(nil, id)) }
 
 // Error is the JSON body of every non-2xx response. Code is stable and
 // machine-checkable; Message is for humans.

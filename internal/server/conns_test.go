@@ -229,3 +229,85 @@ func TestLoadgenConnections(t *testing.T) {
 		}
 	}
 }
+
+// countingConn counts the Read calls that returned — one per read(2) the
+// server made on the connection, an aborted background read included, the
+// one an idle connection is parked in not — and the Write calls made (the
+// peer can act on a write before the writer gets to count it).
+type countingConn struct {
+	net.Conn
+	reads, writes *atomic.Int64
+}
+
+func (c countingConn) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	c.reads.Add(1)
+	return n, err
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+type countingListener struct {
+	net.Listener
+	reads, writes atomic.Int64
+}
+
+func (l *countingListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	return countingConn{c, &l.reads, &l.writes}, nil
+}
+
+// TestExchangeSyscalls: once the request loop has a connection, the server's
+// half of a 4 KiB read is one read and one write (internal/fsproto's test of
+// the same name counts both ends of the bare loop). Under net/http it was
+// two and two: a background read aborted per request, and head + 4096 bytes
+// not fitting a 4 KiB bufio.Writer. The taken-over connection is visible on
+// the two signals, and Close ends it.
+func TestExchangeSyscalls(t *testing.T) {
+	const rounds = 50
+	svc := New(Options{
+		Shards: 1,
+		MCMode: memctrl.Mode{MemEncryption: true, FileEncryption: true}, Access: kernel.ModeDAX,
+	})
+	hs := httptest.NewUnstartedServer(svc.Mux())
+	ln := &countingListener{Listener: hs.Listener}
+	hs.Listener = ln
+	hs.Start()
+	defer hs.Close()
+	defer svc.Close()
+
+	cl := fsclient.Dial(hs.URL)
+	defer cl.Close()
+	if err := cl.Login("acme", 1, "pw"); err != nil {
+		t.Fatalf("login: %v", err)
+	}
+	if err := cl.Create(fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 1 << 16, Encrypted: true}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	want := bytes.Repeat([]byte{0x5a}, 4096)
+	if err := cl.Write(fsproto.WriteRequest{Name: "f.dat", Data: want}); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	r0, w0 := ln.reads.Load(), ln.writes.Load()
+	for i := 0; i < rounds; i++ {
+		if got, err := cl.Read(fsproto.ReadRequest{Name: "f.dat", Length: 4096}); err != nil || !bytes.Equal(got, want) {
+			t.Fatalf("read %d: err %v, equal %v", i, err, bytes.Equal(got, want))
+		}
+	}
+	if r, w := ln.reads.Load()-r0, ln.writes.Load()-w0; r != rounds || w != rounds {
+		t.Errorf("server made %d reads and %d writes for %d page reads, want one of each per request", r, w, rounds)
+	}
+	if open, taken := svc.conns.gOpen.Value(), svc.conns.cTaken.Value(); open != 1 || taken != 1 {
+		t.Errorf("server.data_conns = %d, server.conn_takeovers_total = %d, want 1 and 1", open, taken)
+	}
+	svc.Close()
+	if open := svc.conns.gOpen.Value(); open != 0 {
+		t.Errorf("server.data_conns = %d after Close, want 0", open)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
-	"net/http/httptest"
 	"os"
 	"runtime"
 	"sync"
@@ -374,8 +373,8 @@ func TestBusyErrorShape(t *testing.T) {
 	}
 }
 
-// TestBusyQueueDepthHeader: the HTTP error writer exports a BusyError's
-// queue depth on the 429 response, and omits the header for plain ErrBusy.
+// TestBusyQueueDepthHeader: the error answer exports a BusyError's queue
+// depth on the 429 response, and carries no hint for plain ErrBusy.
 func TestBusyQueueDepthHeader(t *testing.T) {
 	svc := New(Options{
 		Shards: 1,
@@ -384,18 +383,12 @@ func TestBusyQueueDepthHeader(t *testing.T) {
 	})
 	t.Cleanup(svc.Close)
 
-	rec := httptest.NewRecorder()
-	if status := svc.writeError(rec, &BusyError{Tenant: 3, Depth: 42}); status != http.StatusTooManyRequests {
-		t.Fatalf("status %d, want 429", status)
+	resp := svc.errorResponse(&BusyError{Tenant: 3, Depth: 42})
+	if resp.Status != http.StatusTooManyRequests || resp.QueueDepth != 42 {
+		t.Fatalf("status %d queue depth %d, want 429 and 42", resp.Status, resp.QueueDepth)
 	}
-	if got := rec.Header().Get(fsproto.QueueDepthHeader); got != "42" {
-		t.Fatalf("queue-depth header %q, want \"42\"", got)
-	}
-
-	rec = httptest.NewRecorder()
-	svc.writeError(rec, ErrBusy)
-	if got := rec.Header().Get(fsproto.QueueDepthHeader); got != "" {
-		t.Fatalf("bare ErrBusy must carry no hint, got %q", got)
+	if resp = svc.errorResponse(ErrBusy); resp.QueueDepth != -1 {
+		t.Fatalf("bare ErrBusy must carry no hint, got %d", resp.QueueDepth)
 	}
 }
 

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"strconv"
-	"sync"
 	"time"
 
 	"fsencr/internal/fs"
@@ -45,81 +44,56 @@ func httpStatus(err error) (int, string) {
 		return http.StatusGatewayTimeout, fsproto.CodeTimeout
 	case errors.Is(err, ErrBadRequest):
 		return http.StatusBadRequest, fsproto.CodeBadRequest
+	case errors.Is(err, errNoRoute):
+		return http.StatusNotFound, fsproto.CodeNotFound
 	default:
 		return http.StatusInternalServerError, fsproto.CodeInternal
 	}
 }
 
-// writeJSON encodes the response body. An encode/write failure after the
-// status line went out cannot be reported to the client; it is counted
-// (server.response_encode_errors_total) so a flood of broken responses is
-// visible on the metrics surface instead of vanishing.
-func (svc *Service) writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", fsproto.ContentTypeJSON)
-	w.WriteHeader(status)
-	if err := json.NewEncoder(w).Encode(v); err != nil {
+// errNoRoute reports a path outside the /v1 API. The mux never routes one
+// here; a connection the request loop has taken over can carry one, and
+// cannot be handed back to the mux: it is answered 404 and closed.
+var errNoRoute = errors.New("server: no such route")
+
+// okBody is the body of an op that answers nothing else.
+var okBody = []byte(`{"ok":true}` + "\n")
+
+// jsonBody encodes a 200 response body. A value that will not encode is
+// answered 500 and counted (server.response_encode_errors_total), so a flood
+// of broken responses is visible on the metrics surface.
+func (svc *Service) jsonBody(resp *fsproto.Response, v any) {
+	body, err := json.Marshal(v)
+	if err != nil {
 		svc.cEncErrs.Inc()
+		*resp = svc.errorResponse(fmt.Errorf("encode response: %w", err))
+		return
 	}
+	resp.Body = append(body, '\n')
 }
 
-// writePayload answers 200 with the payload as the whole body, straight
-// from its pooled buffer, and releases it. The explicit Content-Length
-// keeps a page-sized body from going out chunked.
-func (svc *Service) writePayload(w http.ResponseWriter, pl Payload) {
-	w.Header().Set("Content-Type", fsproto.ContentTypeOctets)
-	w.Header().Set("Content-Length", strconv.Itoa(len(pl.Data)))
-	w.WriteHeader(http.StatusOK)
-	if _, err := w.Write(pl.Data); err != nil {
-		svc.cEncErrs.Inc()
-	}
-	pl.Release()
-}
-
-// writeError answers with the error's JSON body and returns the HTTP
-// status it used (the SLO plane scores requests by it).
-func (svc *Service) writeError(w http.ResponseWriter, err error) int {
+// errorResponse is the error's JSON answer. A 429 carries the rejecting
+// shard's queue depth, so the client's retry policy can back off
+// proportionally to actual congestion.
+func (svc *Service) errorResponse(err error) fsproto.Response {
 	status, code := httpStatus(err)
 	svc.cErrs.Inc()
+	resp := fsproto.ErrorResponse(status, code, err.Error())
 	if code == fsproto.CodeBusy {
 		svc.cBusy.Inc()
-		// Export the rejecting shard's queue depth so the client's retry
-		// policy can back off proportionally to actual congestion. Must be
-		// set before writeJSON commits the status line.
 		var be *BusyError
 		if errors.As(err, &be) {
-			w.Header().Set(fsproto.QueueDepthHeader, strconv.FormatInt(be.Depth, 10))
+			resp.QueueDepth = be.Depth
 		}
 	}
-	svc.writeJSON(w, status, fsproto.Error{Code: code, Message: err.Error()})
-	return status
-}
-
-// traceContext parses the client's trace header, minting a server-side
-// (unsampled) ID when absent so every response carries an X-Request-Id.
-func (svc *Service) traceContext(r *http.Request) fsproto.TraceContext {
-	if tc, ok := fsproto.ParseTraceContext(r.Header.Get(fsproto.TraceHeader)); ok {
-		return tc
-	}
-	return fsproto.TraceContext{TraceID: svc.mintServerTraceID()}
-}
-
-// readBody reads a request body, once, into one buffer sized from its
-// Content-Length. The buffer is GC-owned and must stay so (no sync.Pool):
-// decode points a framed write's payload into it, and a queued write can
-// outlive its handler when RequestTimeout fires.
-func readBody(r *http.Request) ([]byte, error) {
-	body, err := fsproto.ReadBody(r.Body, r.ContentLength, maxBodyBytes)
-	if err != nil {
-		return nil, fmt.Errorf("%w: %v", ErrBadRequest, err)
-	}
-	return body, nil
+	return resp
 }
 
 // decode unmarshals a request body into v: plain JSON, or — on the two
 // requests that carry a payload — a frame whose meta is that JSON and
 // whose tail becomes the payload field.
-func decode(r *http.Request, body []byte, v any) error {
-	framed := r.Header.Get("Content-Type") == fsproto.ContentTypeFrame
+func decode(req *fsproto.Request, v any) error {
+	body, framed := req.Body, req.ContentType == fsproto.ContentTypeFrame
 	var payload []byte
 	if framed {
 		var err error
@@ -131,227 +105,239 @@ func decode(r *http.Request, body []byte, v any) error {
 		return fmt.Errorf("%w: %v", ErrBadRequest, err)
 	}
 	if framed {
-		// The payload aliases the request body, not a copy of it; see
-		// readBody for the lifetime rule that makes this safe.
-		switch req := v.(type) {
+		// The payload aliases the request body, not a copy of it. That is
+		// safe because a body is one GC-owned buffer per request, never
+		// pooled, on both transports: a queued write can outlive its request
+		// when RequestTimeout fires.
+		switch r := v.(type) {
 		case *fsproto.WriteRequest:
-			req.Data = payload
+			r.Data = payload
 		case *fsproto.KVPutRequest:
-			req.Value = payload
+			r.Value = payload
 		default:
-			return fmt.Errorf("%w: %s takes no framed payload", ErrBadRequest, r.URL.Path)
+			return fmt.Errorf("%w: %s takes no framed payload", ErrBadRequest, req.Path)
 		}
 	}
 	return nil
 }
 
-// handler is an API endpoint; body is the request body.
-type handler func(sess *Session, r *http.Request, body []byte) (any, error)
-
-// opHandler is the endpoint of a table op: decode its request type, execute.
-func (svc *Service) opHandler(o *op) handler {
-	return func(sess *Session, r *http.Request, body []byte) (any, error) {
-		req := o.newReq()
-		if err := decode(r, body, req); err != nil {
-			return nil, err
-		}
-		if o == opLogin {
-			return svc.login(r.Context(), req.(*fsproto.LoginRequest))
-		}
-		pl, v, err := svc.exec(r.Context(), o, sess, req)
-		if err != nil || pl.Data == nil {
-			return v, err
-		}
-		return pl, nil
-	}
+// route is one /v1 endpoint: authed ones run under the request's session,
+// login alone runs without, its handler returning the session it opened.
+type route struct {
+	authed bool
+	h      func(ctx context.Context, sess *Session, req *fsproto.Request) (any, error)
 }
 
-// endpoint wraps a handler with method check, latency observation, trace
-// propagation, session resolution (authed; login alone runs without, its
-// handler returning the session it opened), and per-tenant SLO accounting.
-func (svc *Service) endpoint(authed bool, h handler) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		start := time.Now()
-		svc.cReqs.Inc()
-		tc := svc.traceContext(r)
-		w.Header().Set(fsproto.RequestIDHeader, fsproto.FormatRequestID(tc.TraceID))
-		r = r.WithContext(WithTrace(r.Context(), tc))
-		status := http.StatusOK
-		var sess *Session
-		defer func() {
-			dur := time.Since(start)
-			svc.hReqNs.Observe(uint64(dur))
-			svc.noteRequest(sess, dur, status)
-		}()
-		if r.Method != http.MethodPost {
-			status = svc.writeError(w, fmt.Errorf("%w: POST required", ErrBadRequest))
-			return
+// routes builds the /v1 route table: a row per table op, plus the two
+// unlogged endpoints — logout touches only the session table, stat is
+// read-only and schedule-neutral (Service.Stat).
+func (svc *Service) routes() map[string]route {
+	rt := make(map[string]route, len(ops)+2)
+	for _, o := range ops {
+		rt[o.route] = route{o != opLogin, func(ctx context.Context, sess *Session, r *fsproto.Request) (any, error) {
+			req := o.newReq()
+			if err := decode(r, req); err != nil {
+				return nil, err
+			}
+			if o == opLogin {
+				return svc.login(ctx, req.(*fsproto.LoginRequest))
+			}
+			pl, v, err := svc.exec(ctx, o, sess, req)
+			if err != nil || pl.Data == nil {
+				return v, err
+			}
+			return pl, nil
+		}}
+	}
+	rt["/v1/logout"] = route{true, func(_ context.Context, sess *Session, _ *fsproto.Request) (any, error) {
+		svc.Logout(sess.token)
+		return nil, nil
+	}}
+	rt["/v1/stat"] = route{true, func(ctx context.Context, sess *Session, r *fsproto.Request) (any, error) {
+		var req fsproto.StatRequest
+		if err := decode(r, &req); err != nil {
+			return nil, err
 		}
-		// Buffer the body up front: a misrouted request may need proxying
-		// to the shard's current owner, body and all.
-		body, err := readBody(r)
+		return svc.Stat(ctx, sess, req)
+	}}
+	return rt
+}
+
+// dispatch runs req's endpoint: route, method check, session resolution.
+// The session is returned whenever it was resolved, whatever the endpoint
+// then answered.
+func (svc *Service) dispatch(ctx context.Context, req *fsproto.Request) (sess *Session, v any, err error) {
+	rt, ok := svc.rt[req.Path]
+	if !ok {
+		return nil, nil, fmt.Errorf("%w: %s", errNoRoute, req.Path)
+	}
+	if req.Method != "" {
+		return nil, nil, fmt.Errorf("%w: POST required", ErrBadRequest)
+	}
+	if rt.authed {
+		sess, err = svc.session(req.Token)
+		if err != nil && errors.Is(err, errBadToken) {
+			sess, err = svc.peerSession(req)
+		}
 		if err != nil {
-			status = svc.writeError(w, err)
-			return
+			return nil, nil, err
 		}
-		if authed {
-			sess, err = svc.session(r.Header.Get(fsproto.TokenHeader))
-			if err != nil && errors.Is(err, errBadToken) {
-				sess, err = svc.peerSession(r)
-			}
-			if err != nil {
-				if st, ok := svc.tryForward(w, r, body, nil, err); ok {
-					status = st
-					return
-				}
-				status = svc.writeError(w, err)
-				return
-			}
+	}
+	v, err = rt.h(ctx, sess, req)
+	return sess, v, err
+}
+
+// handle answers one /v1 request, whichever transport parsed it: trace
+// propagation (a server-side, unsampled ID is minted when the client sent
+// none, so every response carries an X-Request-Id), dispatch, the forward hop
+// for a misrouted request, error -> status/code/queue depth, latency
+// observation and per-tenant SLO accounting. The context an op runs under
+// carries the trace and nothing of the wire: a client that hangs up is
+// noticed when its answer is written. The Payload backs the body of a read's
+// answer: release it once the response is sent.
+func (svc *Service) handle(req *fsproto.Request) (resp fsproto.Response, pl Payload) {
+	start := time.Now()
+	svc.cReqs.Inc()
+	tc := req.Trace
+	if tc.TraceID == 0 {
+		tc = fsproto.TraceContext{TraceID: svc.mintServerTraceID()}
+	}
+	resp = fsproto.Response{Status: http.StatusOK, ContentType: fsproto.ContentTypeJSON, QueueDepth: -1}
+	sess, v, err := svc.dispatch(WithTrace(context.Background(), tc), req)
+	if err != nil {
+		var ok bool
+		if resp, ok = svc.tryForward(req, tc, sess, err); !ok {
+			resp = svc.errorResponse(err)
+			resp.Close = errors.Is(err, errNoRoute)
 		}
-		v, err := h(sess, r, body)
-		if err != nil {
-			if st, ok := svc.tryForward(w, r, body, sess, err); ok {
-				status = st
-				return
-			}
-			status = svc.writeError(w, err)
-			return
-		}
+	} else {
 		switch v := v.(type) {
 		case Payload:
-			svc.writePayload(w, v)
+			resp.ContentType, resp.Body, pl = fsproto.ContentTypeOctets, v.Data, v
 		case *Session:
 			// A login: score the request to the tenant it opened a session for.
 			sess = v
-			svc.writeJSON(w, http.StatusOK, fsproto.LoginResponse{
+			svc.jsonBody(&resp, fsproto.LoginResponse{
 				Token: v.token,
 				GID:   v.gid,
 				Shard: fsproto.ShardIndex(v.gid, svc.nShards),
 			})
 		case nil:
-			svc.writeJSON(w, http.StatusOK, fsproto.OKResponse{OK: true})
+			resp.Body = okBody
 		default:
-			svc.writeJSON(w, http.StatusOK, v)
+			svc.jsonBody(&resp, v)
 		}
 	}
+	resp.RequestID = fsproto.FormatRequestID(tc.TraceID)
+	// Draining: this answer is the connection's last.
+	resp.Close = resp.Close || svc.conns.draining.Load()
+	dur := time.Since(start)
+	svc.hReqNs.Observe(uint64(dur))
+	svc.noteRequest(sess, dur, resp.Status)
+	return resp, pl
 }
 
 // tryForward proxies a misrouted request (WrongShardError) to the
-// shard's current owner, one hop at most — the ForwardedHeader loop
-// guard keeps two stale nodes from bouncing a request between them.
-// When the request's session is homed here (a cross-tenant op targeting
-// a remote shard) the session identity rides along as peer headers so
-// the owner can admit it under a shadow session. Returns ok=false to
-// fall through to the ordinary 421, which a cluster-aware client
-// answers by refreshing its routing table.
-func (svc *Service) tryForward(w http.ResponseWriter, r *http.Request, body []byte, sess *Session, err error) (int, bool) {
+// shard's current owner, one hop at most — the Forwarded loop guard keeps
+// two stale nodes from bouncing a request between them. The hop is the
+// parsed request sent on: the resolved trace context, so the owner continues
+// the same trace even when this node minted the ID, and — when the session is
+// homed here (a cross-tenant op targeting a remote shard) — its identity as
+// the peer, so the owner can admit it under a shadow session. The owner's
+// answer, queue-depth hint included, is returned as is. ok=false falls
+// through to the ordinary 421, which a cluster-aware client answers by
+// refreshing its routing table.
+func (svc *Service) tryForward(req *fsproto.Request, tc fsproto.TraceContext, sess *Session, err error) (resp fsproto.Response, ok bool) {
 	var wse *WrongShardError
-	if !errors.As(err, &wse) {
-		return 0, false
-	}
-	if r.Header.Get(fsproto.ForwardedHeader) != "" {
-		return 0, false
-	}
 	f := svc.forwarder()
-	if f == nil {
-		return 0, false
+	if !errors.As(err, &wse) || req.Forwarded || f == nil {
+		return resp, false
 	}
 	base, ok := f(wse.Shard)
 	if !ok || base == "" {
-		return 0, false
+		return resp, false
 	}
-	freq := fsproto.Request{
-		Path:        r.URL.Path,
-		ContentType: r.Header.Get("Content-Type"),
-		Token:       r.Header.Get(fsproto.TokenHeader),
-		// The context the entry handler resolved, so the owner continues the
-		// same trace even when this node minted the ID.
-		Trace:     TraceFromContext(r.Context()),
-		Forwarded: true,
-		Body:      body,
-	}
+	freq := *req
+	freq.Trace, freq.Forwarded, freq.Peer = tc, true, nil
 	if sess != nil {
 		freq.Peer = &fsproto.Peer{Tenant: sess.tenant, UID: sess.uid, Pass: sess.pass}
 	}
 	conn, rerr := svc.hop.get(base)
 	if rerr != nil {
-		return 0, false
+		return resp, false
 	}
 	conn.SetDeadline(time.Now().Add(svc.opts.RequestTimeout))
-	resp, rerr := conn.Do(&freq)
+	resp, rerr = conn.Do(&freq)
 	svc.hop.put(base, conn)
 	if rerr != nil {
-		return 0, false
-	}
-	h := w.Header()
-	if resp.ContentType != "" {
-		h.Set("Content-Type", resp.ContentType)
-	}
-	h.Set("Content-Length", strconv.Itoa(len(resp.Body)))
-	if resp.QueueDepth >= 0 {
-		// The owner's 429 hint: the client's backoff scales by it.
-		h.Set(fsproto.QueueDepthHeader, strconv.FormatInt(resp.QueueDepth, 10))
-	}
-	w.WriteHeader(resp.Status)
-	if _, werr := w.Write(resp.Body); werr != nil {
-		svc.cEncErrs.Inc()
+		return resp, false
 	}
 	svc.cFwd.Inc()
-	return resp.Status, true
+	resp.Close = false // the hop's connection, not the client's
+	return resp, true
 }
 
-// hopConns holds the forward hop's connections: per owner base URL, a short
-// list of idle ones. A forward takes one (a new one when the list is empty),
-// owns it for its exchange, and puts it back.
-type hopConns struct {
-	mu     sync.Mutex
-	idle   map[string][]*fsproto.Conn
-	closed bool
-}
-
-// maxIdleHopConns bounds the idle list of one owner; a forward that finds
-// it full on return closes its connection.
-const maxIdleHopConns = 8
-
-func (h *hopConns) get(base string) (*fsproto.Conn, error) {
-	h.mu.Lock()
-	if l := h.idle[base]; len(l) > 0 {
-		// The most recently used: the least likely to have been closed.
-		conn := l[len(l)-1]
-		h.idle[base] = l[:len(l)-1]
-		h.mu.Unlock()
-		return conn, nil
+// serveHTTP is the net/http transport of handle, mounted on every /v1
+// route. It answers the request it was given through w and then, when the
+// connection can be taken over (HTTP/1.1 on a ResponseWriter that hijacks),
+// keeps it and runs the request loop on it; a wrapped writer, a recorder or
+// HTTP/2 stays with net/http, request by request.
+func (svc *Service) serveHTTP(w http.ResponseWriter, r *http.Request) {
+	req := fsproto.Request{
+		Path:        r.URL.Path,
+		ContentType: r.Header.Get("Content-Type"),
+		Token:       r.Header.Get(fsproto.TokenHeader),
+		Forwarded:   r.Header.Get(fsproto.ForwardedHeader) != "",
 	}
-	h.mu.Unlock()
-	return fsproto.Dial(base)
-}
-
-func (h *hopConns) put(base string, conn *fsproto.Conn) {
-	h.mu.Lock()
-	keep := !h.closed && len(h.idle[base]) < maxIdleHopConns
-	if keep {
-		if h.idle == nil {
-			h.idle = make(map[string][]*fsproto.Conn)
+	if r.Method != http.MethodPost {
+		req.Method = r.Method
+	}
+	req.Trace, _ = fsproto.ParseTraceContext(r.Header.Get(fsproto.TraceHeader))
+	if tenant := r.Header.Get(fsproto.PeerTenantHeader); tenant != "" {
+		if uid, err := strconv.ParseUint(r.Header.Get(fsproto.PeerUIDHeader), 10, 32); err == nil {
+			req.Peer = &fsproto.Peer{Tenant: tenant, UID: uint32(uid), Pass: r.Header.Get(fsproto.PeerPassHeader)}
 		}
-		h.idle[base] = append(h.idle[base], conn)
 	}
-	h.mu.Unlock()
-	if !keep {
-		conn.Close()
+	var resp fsproto.Response
+	var pl Payload
+	var err error
+	// Buffered up front: a misrouted request may need proxying to the
+	// shard's current owner, body and all.
+	if req.Body, err = fsproto.ReadBody(r.Body, r.ContentLength, maxBodyBytes); err != nil {
+		resp = fsproto.ErrorResponse(http.StatusBadRequest, fsproto.CodeBadRequest, err.Error())
+		resp.Close = true
+	} else {
+		resp, pl = svc.handle(&req)
 	}
-}
-
-// close closes the idle connections; one out on a forward is closed when
-// it comes back.
-func (h *hopConns) close() {
-	h.mu.Lock()
-	idle := h.idle
-	h.idle, h.closed = nil, true
-	h.mu.Unlock()
-	for _, l := range idle {
-		for _, conn := range l {
-			conn.Close()
-		}
+	h := w.Header()
+	h.Set("Content-Type", resp.ContentType)
+	// The explicit length keeps a page-sized body from going out chunked.
+	h.Set("Content-Length", strconv.Itoa(len(resp.Body)))
+	if resp.RequestID != "" {
+		h.Set(fsproto.RequestIDHeader, resp.RequestID)
+	}
+	if resp.QueueDepth >= 0 {
+		h.Set(fsproto.QueueDepthHeader, strconv.FormatInt(resp.QueueDepth, 10))
+	}
+	if resp.Close {
+		h.Set("Connection", "close")
+	}
+	w.WriteHeader(resp.Status)
+	_, err = w.Write(resp.Body)
+	pl.Release()
+	if err != nil {
+		svc.cEncErrs.Inc()
+		return
+	}
+	if resp.Close || r.Close || r.ProtoMajor != 1 || r.ProtoMinor < 1 {
+		return
+	}
+	rc := http.NewResponseController(w)
+	if rc.Flush() != nil {
+		return
+	}
+	if nc, brw, err := rc.Hijack(); err == nil {
+		svc.serveConn(nc, brw.Reader)
 	}
 }
 
@@ -380,7 +366,10 @@ func (svc *Service) handleShardsJSON(w http.ResponseWriter, _ *http.Request) {
 	for _, sh := range shards {
 		docs = append(docs, shardDoc{Shard: sh.ID(), Snapshot: sh.Snapshot().WithoutSpans()})
 	}
-	svc.writeJSON(w, http.StatusOK, docs)
+	w.Header().Set("Content-Type", fsproto.ContentTypeJSON)
+	if err := json.NewEncoder(w).Encode(docs); err != nil {
+		svc.cEncErrs.Inc()
+	}
 }
 
 // Mux returns the full fsencrd route set: the /v1 API, the per-shard
@@ -390,22 +379,9 @@ func (svc *Service) handleShardsJSON(w http.ResponseWriter, _ *http.Request) {
 // audit logs.
 func (svc *Service) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	for _, o := range ops {
-		mux.HandleFunc(o.route, svc.endpoint(o != opLogin, svc.opHandler(o)))
+	for path := range svc.rt {
+		mux.HandleFunc(path, svc.serveHTTP)
 	}
-	// Unlogged, so not in the op table: logout touches only the session
-	// table, stat is read-only and schedule-neutral (Service.Stat).
-	mux.HandleFunc("/v1/logout", svc.endpoint(true, func(sess *Session, _ *http.Request, _ []byte) (any, error) {
-		svc.Logout(sess.token)
-		return nil, nil
-	}))
-	mux.HandleFunc("/v1/stat", svc.endpoint(true, func(sess *Session, r *http.Request, body []byte) (any, error) {
-		var req fsproto.StatRequest
-		if err := decode(r, body, &req); err != nil {
-			return nil, err
-		}
-		return svc.Stat(r.Context(), sess, req)
-	}))
 	mux.HandleFunc("/shards.prom", svc.handleShardsProm)
 	mux.HandleFunc("/shards.json", svc.handleShardsJSON)
 

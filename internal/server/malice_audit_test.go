@@ -37,8 +37,15 @@ func TestMaliciousClientSmoke(t *testing.T) {
 	if !rep.Clean() {
 		t.Fatalf("attacks got through:\n%s", rep)
 	}
-	if len(rep.Attacks) < 10 {
-		t.Fatalf("campaign too small: %d attacks", len(rep.Attacks))
+	// 19 through the HTTP client (from the second on, over a connection the
+	// request loop holds) and 9 from a raw socket.
+	if len(rep.Attacks) != 28 {
+		t.Fatalf("campaign ran %d attacks, want 28:\n%s", len(rep.Attacks), rep)
+	}
+	// Refusing them left the audit plane exact: every chain verifies, and
+	// the chain heads account for exactly the records retained.
+	if err := svc.VerifyAudit(); err != nil {
+		t.Fatalf("audit chain after the campaign: %v", err)
 	}
 
 	// The hostile traffic must be visible on the security surfaces.
@@ -51,6 +58,15 @@ func TestMaliciousClientSmoke(t *testing.T) {
 	}
 	if _, ok := snap.Gauges["journal.drops_total"]; !ok {
 		t.Fatal("journal.drops_total missing from the metrics surface")
+	}
+	heads := uint64(0)
+	for name, v := range snap.Gauges {
+		if strings.HasSuffix(name, ".audit_head_seq") {
+			heads += v
+		}
+	}
+	if n := uint64(len(svc.AuditRecords())); n == 0 || heads != n {
+		t.Fatalf("audit chain heads sum to %d, the service holds %d records", heads, n)
 	}
 }
 

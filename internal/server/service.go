@@ -4,9 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"net/http"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -141,6 +139,11 @@ type Service struct {
 	fwd    atomic.Value
 	hop    hopConns
 
+	// rt is the /v1 route table, one for both transports (http.go); conns
+	// tracks the connections the request loop holds.
+	rt    map[string]route
+	conns dataConns
+
 	// reg is the host-side registry: request latencies in wall-clock
 	// nanoseconds, queue depths, denial counters. Deliberately separate
 	// from the per-shard deterministic registries.
@@ -219,6 +222,8 @@ func New(opts Options) *Service {
 		gEpoch:         reg.Gauge("cluster.epoch"),
 		cFwd:           reg.Counter("server.forwarded_total"),
 	}
+	svc.rt = svc.routes()
+	svc.conns.gOpen, svc.conns.cTaken = reg.Gauge("server.data_conns"), reg.Counter("server.conn_takeovers_total")
 	owned := opts.OwnedShards
 	if owned == nil {
 		for i := 0; i < opts.Shards; i++ {
@@ -457,17 +462,11 @@ func (s *Session) Token() string { return s.token }
 // credentials), and the session registers here as a shadow so repeated
 // forwards reuse its per-shard state. Tenant-level authorization is
 // unaffected — it comes from the request body's passphrase.
-func (svc *Service) peerSession(r *http.Request) (*Session, error) {
-	tenant := r.Header.Get(fsproto.PeerTenantHeader)
-	token := r.Header.Get(fsproto.TokenHeader)
-	if r.Header.Get(fsproto.ForwardedHeader) == "" || tenant == "" || token == "" {
+func (svc *Service) peerSession(req *fsproto.Request) (*Session, error) {
+	if !req.Forwarded || req.Peer == nil || req.Token == "" {
 		return nil, errBadToken
 	}
-	uid, err := strconv.ParseUint(r.Header.Get(fsproto.PeerUIDHeader), 10, 32)
-	if err != nil {
-		return nil, errBadToken
-	}
-	return svc.register(svc.newSession(token, tenant, uint32(uid), r.Header.Get(fsproto.PeerPassHeader)))
+	return svc.register(svc.newSession(req.Token, req.Peer.Tenant, req.Peer.UID, req.Peer.Pass))
 }
 
 // MetricsSnapshot merges the host-side registry with every shard's
@@ -542,9 +541,20 @@ func (svc *Service) JournalEvents() []journal.Event {
 	return out
 }
 
-// Close drains every shard in order and drops the session table. After
-// Close, admission returns ErrDraining.
+// Drain ends the data-plane connections the request loop has taken over
+// from net/http, whose Shutdown no longer sees them: a request in flight is
+// answered (with "Connection: close"), an idle connection is closed, and
+// whatever is still open when ctx ends is cut. From then on no connection
+// is taken over. Close drains too, bounded by the request timeout; a server
+// with a drain bound of its own calls Drain first.
+func (svc *Service) Drain(ctx context.Context) { svc.conns.drain(ctx) }
+
+// Close drains the data-plane connections, then every shard in order, and
+// drops the session table. After Close, admission returns ErrDraining.
 func (svc *Service) Close() {
+	ctx, cancel := context.WithTimeout(context.Background(), svc.opts.RequestTimeout)
+	svc.Drain(ctx)
+	cancel()
 	svc.mu.Lock()
 	svc.closed = true
 	svc.sessions = make(map[string]*Session)

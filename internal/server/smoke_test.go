@@ -3,6 +3,7 @@ package server_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"io"
 	"net/http"
@@ -120,12 +121,133 @@ func runSmoke(t *testing.T) (*fsclient.LoadgenReport, []byte) {
 	return rep, prom
 }
 
+// drainTakenOver checks the drain of connections the request loop holds,
+// which http.Server.Shutdown no longer sees. Two are open: one idle, one with
+// a write in flight behind a held shard. Close kicks the idle one at once,
+// waits for the write, whose answer arrives marked "Connection: close", and
+// returns; the idle client's next request finds its connection gone and
+// redials. Then the other order of teardown: the listener closed first,
+// Close still finds and ends the loop of a connection that is merely idle.
+// The caller's goroutine count is the leak check for both.
+func drainTakenOver(t *testing.T) {
+	t.Helper()
+	boot := func() (*server.Service, *httptest.Server) {
+		svc := server.New(server.Options{
+			Shards: 1,
+			MCMode: core.SchemeFsEncr.MCMode(),
+			Access: core.SchemeFsEncr.AccessMode(),
+		})
+		return svc, httptest.NewServer(svc.Mux())
+	}
+	gauge := func(svc *server.Service) uint64 { return svc.Registry().Gauge("server.data_conns").Value() }
+	await := func(what string, cond func() bool) {
+		t.Helper()
+		for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("drain: timed out waiting for %s", what)
+			}
+		}
+	}
+
+	svc, hs := boot()
+	defer hs.Close()
+	idle := fsclient.Dial(hs.URL)
+	defer idle.Close()
+	if err := idle.Login("acme", 1, "pw"); err != nil {
+		t.Fatalf("drain: login: %v", err)
+	}
+	if err := idle.Create(fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 8192, Encrypted: true}); err != nil {
+		t.Fatalf("drain: create: %v", err)
+	}
+	// The writer is a bare fsproto.Conn, so its answer's Close flag is
+	// visible; its login gets it taken over.
+	busy, err := fsproto.Dial(hs.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer busy.Close()
+	var lr fsproto.LoginResponse
+	resp, err := busy.Do(&fsproto.Request{Path: "/v1/login", ContentType: fsproto.ContentTypeJSON,
+		Body: []byte(`{"tenant":"acme","uid":1,"passphrase":"pw"}`)})
+	if err != nil || json.Unmarshal(resp.Body, &lr) != nil || lr.Token == "" || resp.Close {
+		t.Fatalf("drain: writer's login: %+v, %v", resp, err)
+	}
+	write := fsproto.Request{Path: "/v1/write", ContentType: fsproto.ContentTypeJSON, Token: lr.Token,
+		Body: []byte(`{"name":"f.dat","offset":0,"data":"WlpaWg=="}`)}
+	await("two taken-over connections", func() bool { return gauge(svc) == 2 })
+
+	hold, err := svc.Shards()[0].Hold(context.Background())
+	if err != nil {
+		t.Fatalf("drain: hold: %v", err)
+	}
+	served := svc.Registry().Counter("server.requests_total").Value()
+	type answer struct {
+		resp fsproto.Response
+		err  error
+	}
+	answered := make(chan answer, 1)
+	go func() {
+		resp, err := busy.Do(&write)
+		answered <- answer{resp, err}
+	}()
+	await("the write to be in its handler", func() bool {
+		return svc.Registry().Counter("server.requests_total").Value() == served+1
+	})
+	closed := make(chan struct{})
+	start := time.Now()
+	go func() {
+		defer close(closed)
+		svc.Close()
+	}()
+	// The idle connection goes first; the busy one is waited for.
+	await("the idle connection to be kicked", func() bool { return gauge(svc) == 1 })
+	select {
+	case <-closed:
+		t.Fatal("drain: Close returned with a request in flight")
+	default:
+	}
+	hold.Resume()
+	if a := <-answered; a.err != nil || a.resp.Status != http.StatusOK || !a.resp.Close {
+		t.Fatalf("drain: the in-flight write was answered %+v, %v; want 200 with Connection: close", a.resp, a.err)
+	}
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("drain: Close did not return once the in-flight request was answered")
+	}
+	if d := time.Since(start); d > 2*time.Second {
+		t.Errorf("drain: Close took %v", d)
+	}
+	// Its connection is gone, so this redials — and reaches a closed service.
+	if _, err := idle.Stat(fsproto.StatRequest{Name: "f.dat"}); !fsclient.IsCode(err, fsproto.CodeAuth) && !fsclient.IsCode(err, fsproto.CodeDraining) {
+		t.Fatalf("drain: idle client's next request: %v, want an answer from the closed service over a new connection", err)
+	}
+	if n := gauge(svc); n != 0 {
+		t.Fatalf("drain: server.data_conns = %d after Close, want 0", n)
+	}
+
+	svc, hs = boot()
+	cl := fsclient.Dial(hs.URL)
+	defer cl.Close()
+	if err := cl.Login("acme", 1, "pw"); err != nil {
+		t.Fatalf("drain: login: %v", err)
+	}
+	await("the connection to be taken over", func() bool { return gauge(svc) == 1 })
+	hs.Close()
+	svc.Close()
+	if n := gauge(svc); n != 0 {
+		t.Fatalf("drain: server.data_conns = %d after the listener, then the service, closed; want 0", n)
+	}
+}
+
 // TestFsencrdSmoke is the CI gate for the file service: real HTTP clients,
 // zero cross-tenant leaks, ciphertext-only on insider dump, graceful
-// drain, no goroutine leaks, and byte-identical per-shard telemetry across
-// two identically-scheduled runs.
+// drain — of the shards and of the connections the request loop holds —
+// no goroutine leaks, and byte-identical per-shard telemetry across two
+// identically-scheduled runs.
 func TestFsencrdSmoke(t *testing.T) {
 	before := runtime.NumGoroutine()
+	drainTakenOver(t)
 
 	rep, prom1 := runSmoke(t)
 	if rep.Leaks != 0 {

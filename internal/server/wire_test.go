@@ -1,12 +1,16 @@
 package server_test
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -197,9 +201,73 @@ func TestTimedOutWriteKeepsItsBytes(t *testing.T) {
 	}
 }
 
+// TestTakenOverConnection pins what a connection answers once the request
+// loop holds it (from its second request on): the API's own answers — POST
+// required, X-Request-Id on errors too — and the one rule net/http did not
+// have: a path outside /v1 cannot be handed back to the mux, so it is
+// answered 404 not_found with "Connection: close" and the connection ends.
+// Pipelined requests are answered in order.
+func TestTakenOverConnection(t *testing.T) {
+	_, hs := traceService(t)
+	nc, err := net.Dial("tcp", strings.TrimPrefix(hs.URL, "http://"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer nc.Close()
+	nc.SetDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(nc)
+	exchange := func(raw string) (*http.Response, fsproto.Error) {
+		t.Helper()
+		if raw != "" {
+			if _, err := io.WriteString(nc, raw); err != nil {
+				t.Fatalf("write %q: %v", raw, err)
+			}
+		}
+		resp, err := http.ReadResponse(br, nil)
+		if err != nil {
+			t.Fatalf("read the answer to %q: %v", raw, err)
+		}
+		var pe fsproto.Error
+		body, _ := io.ReadAll(resp.Body)
+		_ = json.Unmarshal(body, &pe) // a 200 leaves it empty
+		return resp, pe
+	}
+	login := `{"tenant":"acme","uid":1,"passphrase":"pw"}`
+	if resp, _ := exchange(fmt.Sprintf("POST /v1/login HTTP/1.1\r\nHost: x\r\nContent-Length: %d\r\n\r\n%s", len(login), login)); resp.StatusCode != http.StatusOK {
+		t.Fatalf("login: %d", resp.StatusCode)
+	}
+	// Two requests in one segment: wrong method, then no token.
+	resp, pe := exchange("GET /v1/read HTTP/1.1\r\nHost: x\r\n\r\n" +
+		"POST /v1/read HTTP/1.1\r\nHost: x\r\nContent-Length: 2\r\n\r\n{}")
+	if resp.StatusCode != http.StatusBadRequest || pe.Code != fsproto.CodeBadRequest || !strings.Contains(pe.Message, "POST required") || resp.Close {
+		t.Fatalf("GET on a taken-over connection: %d %+v close=%v, want 400 bad_request (POST required), connection kept", resp.StatusCode, pe, resp.Close)
+	}
+	resp, pe = exchange("")
+	if resp.StatusCode != http.StatusUnauthorized || pe.Code != fsproto.CodeAuth || len(resp.Header.Get(fsproto.RequestIDHeader)) != 16 || resp.Close {
+		t.Fatalf("pipelined tokenless read: %d %+v id %q close=%v, want 401 auth with a request id, connection kept",
+			resp.StatusCode, pe, resp.Header.Get(fsproto.RequestIDHeader), resp.Close)
+	}
+	resp, pe = exchange("GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n")
+	if resp.StatusCode != http.StatusNotFound || pe.Code != fsproto.CodeNotFound || !resp.Close {
+		t.Fatalf("/metrics on a taken-over connection: %d %+v close=%v, want 404 not_found and Connection: close", resp.StatusCode, pe, resp.Close)
+	}
+	if _, err := br.ReadByte(); err != io.EOF {
+		t.Fatalf("after the 404 the connection is still open (read: %v)", err)
+	}
+	// The same path on a connection of its own is net/http's as before.
+	if resp, err := http.Get(hs.URL + "/metrics"); err != nil || resp.StatusCode != http.StatusOK {
+		t.Fatalf("GET /metrics on a fresh connection: %v", err)
+	} else {
+		resp.Body.Close()
+	}
+}
+
 // FuzzFramedWrite feeds arbitrary bodies to /v1/write as payload frames,
 // seeded from the malice campaign's malformed frames: the handler never
 // panics, never answers 5xx, and a body it accepts is a well-formed frame.
+// Every body goes through both transports — a recorder behind the net/http
+// adapter, and a kept connection the request loop has taken over — and the
+// two must answer with the same status.
 func FuzzFramedWrite(f *testing.F) {
 	for _, frame := range fsclient.MaliceFrames() {
 		if len(frame.Body) <= 1<<16 { // the oversized frame would only slow mutation down
@@ -237,10 +305,28 @@ func FuzzFramedWrite(f *testing.F) {
 		f.Fatalf("create: status %d", rec.Code)
 	}
 
+	hs := httptest.NewServer(mux)
+	f.Cleanup(hs.Close)
+	live, err := fsproto.Dial(hs.URL)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Cleanup(live.Close)
+	// The first request of the connection: from the second on it is the loop's.
+	if resp, err := live.Do(&fsproto.Request{Path: "/v1/stat", ContentType: fsproto.ContentTypeJSON, Token: lr.Token, Body: []byte(`{"name":"f.dat"}`)}); err != nil || resp.Status != http.StatusOK {
+		f.Fatalf("stat over the live connection: %+v, %v", resp, err)
+	}
+
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := post("/v1/write", fsproto.ContentTypeFrame, lr.Token, body)
 		if rec.Code >= 500 {
 			t.Fatalf("status %d for frame %x: %s", rec.Code, body, rec.Body)
+		}
+		if len(body) <= fsproto.MaxBodyBytes { // over it the loop refuses by the length alone, the recorder has none
+			resp, err := live.Do(&fsproto.Request{Path: "/v1/write", ContentType: fsproto.ContentTypeFrame, Token: lr.Token, Body: body})
+			if err != nil || resp.Status != rec.Code {
+				t.Fatalf("frame %x: the request loop answered %d (%v), the adapter %d", body, resp.Status, err, rec.Code)
+			}
 		}
 		if _, _, err := fsproto.SplitFrame(body); err != nil && rec.Code != http.StatusBadRequest {
 			t.Fatalf("malformed frame %x answered %d, want 400", body, rec.Code)
