@@ -55,14 +55,17 @@ layerbench-test:
 # bytes, the client's response parse fed arbitrary server bytes, the
 # /v1/write handler fed arbitrary frames (seeded from the malice campaign's
 # malformed ones) through both transports, and the migration image import
-# fed exports corrupted one field at a time — plus one differential target:
-# aesctr's pad entry points (so the assembly kernel on amd64) against a
-# one-block-at-a-time crypto/aes generator. FuzzFramedWrite drives a live
-# server whose goroutines make coverage vary between runs of one input, so
+# fed exports corrupted one field at a time, the admission-log reader fed
+# arbitrary bytes (seeded with a log of every record kind) — plus one
+# differential target: aesctr's pad entry points (so the assembly kernel on
+# amd64) against a one-block-at-a-time crypto/aes generator. FuzzFramedWrite
+# drives a live server whose goroutines make coverage vary between runs of one
+# input, and FuzzLogRecords' corpus holds a near-megabyte write, so for both
 # the engine's minimiser (a minute per new input by default) is cut short.
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitFrame$$' -fuzztime 10s ./internal/fsproto
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestHead$$' -fuzztime 10s ./internal/fsproto
+	$(GO) test -run '^$$' -fuzz '^FuzzLogRecords$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fsproto
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeResponse$$' -fuzztime 10s ./internal/fsclient
 	$(GO) test -run '^$$' -fuzz '^FuzzFramedWrite$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzImportImage$$' -fuzztime 10s ./internal/memctrl

@@ -283,26 +283,35 @@ func TestMigrationUnderLoad(t *testing.T) {
 		t.Fatalf("entry node's X-Request-Id %q: %v", resp.Header.Get(fsproto.RequestIDHeader), err)
 	}
 	ctx := context.Background()
-	recs, err := b.node.Service().RecordsFrom(ctx, migShard, 0)
+	segs, err := b.node.Service().RecordsFrom(ctx, migShard, 0)
 	if err != nil {
 		t.Fatalf("owner log: %v", err)
+	}
+	var rd fsproto.LogReader
+	var recs []fsproto.LogRecord
+	for log := bytes.Join(segs, nil); len(log) > 0; {
+		var rec fsproto.LogRecord
+		if log, err = rd.Next(log, &rec); err != nil {
+			t.Fatalf("owner log: %v", err)
+		}
+		recs = append(recs, rec)
 	}
 	// The last write on record: an op-count-triggered checkpoint record may
 	// follow it.
 	li := len(recs) - 1
-	for li > 0 && recs[li].Kind != "write" {
+	for li > 0 && recs[li].Kind != fsproto.KindWrite {
 		li--
 	}
 	last := recs[li]
-	var logged fsproto.WriteRequest
-	if err := json.Unmarshal(last.Req, &logged); err != nil || last.Kind != "write" {
-		t.Fatalf("owner's last write record is %q (%v), want the forwarded write", last.Kind, err)
+	_, logged, err := fsproto.SplitFrame(last.Req)
+	if err != nil || last.Kind != fsproto.KindWrite || !last.Framed {
+		t.Fatalf("owner's last write record is %v (framed %v, %v), want the forwarded framed write", last.Kind, last.Framed, err)
 	}
 	if last.TraceID != minted {
 		t.Errorf("owner logged trace %016x, entry node minted %016x", last.TraceID, minted)
 	}
-	if !bytes.Equal(logged.Data, payload) {
-		t.Errorf("owner's log record carries %d payload bytes, want the %d sent", len(logged.Data), len(payload))
+	if !bytes.Equal(logged, payload) {
+		t.Errorf("owner's log record carries %d payload bytes, want the %d sent", len(logged), len(payload))
 	}
 	if err := coord.Replicate(migShard, c.srv.URL); err != nil {
 		t.Fatalf("replicate: %v", err)
@@ -330,6 +339,112 @@ func TestMigrationUnderLoad(t *testing.T) {
 	}
 	if !replayed.Equal(primary) {
 		t.Fatal("replica's replay of the forwarded framed write differs from the owner's memory")
+	}
+}
+
+// TestSessionAcrossShardReturns: a session outlives the shards of an index it
+// visits. Session S, homed on node B, reaches shard 1 while A owns it (A's
+// log introduces S's token for a peer session of A's), then after the shard
+// moved to B, away to A — where another session joins the log — and back to
+// B. Each log introduces S's token once, S's ops land on the shard B owns
+// now, and every record of S's is S's: a replica of the final log replays to
+// the owner's memory.
+func TestSessionAcrossShardReturns(t *testing.T) {
+	coord, csrv := startCoordinator(t)
+	a := startNode(t, nil, "a")
+	b := startNode(t, []int{}, "b")
+	for _, n := range []*testNode{a, b} {
+		if _, err := coord.Join(n.srv.URL, n.empty); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	taken := map[string]bool{}
+	home, shard := 0, 1
+	tS, tI, tT := tenantOn(t, home, taken), tenantOn(t, shard, taken), tenantOn(t, shard, taken)
+	login := func(tenant string) *fsclient.ClusterClient {
+		t.Helper()
+		cc, err := fsclient.DialCluster(csrv.URL)
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(cc.Close)
+		if err := cc.Login(tenant, 1, "pw-"+tenant); err != nil {
+			t.Fatalf("login %s: %v", tenant, err)
+		}
+		return cc
+	}
+	migrate := func(to *testNode) {
+		t.Helper()
+		if err := coord.Migrate(shard, to.srv.URL); err != nil {
+			t.Fatalf("migrate shard %d to %s: %v", shard, to.srv.URL, err)
+		}
+	}
+	if err := coord.Migrate(home, b.srv.URL); err != nil {
+		t.Fatalf("migrate home shard: %v", err)
+	}
+	owner := login(tI)
+	if err := owner.Create(fsproto.CreateRequest{Name: "f.bin", Perm: 0666, Size: 8192, Encrypted: true}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	s := login(tS)
+	// S writes into tI's file with tI's passphrase, then reads it back.
+	visit := func(round byte) {
+		t.Helper()
+		data := bytes.Repeat([]byte{round}, 256)
+		if err := s.Write(fsproto.WriteRequest{Name: "f.bin", Tenant: tI, Passphrase: "pw-" + tI, Offset: 256 * uint64(round), Data: data}); err != nil {
+			t.Fatalf("round %d: S's write: %v", round, err)
+		}
+		if got, err := owner.Read(fsproto.ReadRequest{Name: "f.bin", Offset: 256 * uint64(round), Length: 256}); err != nil || !bytes.Equal(got, data) {
+			t.Fatalf("round %d: the owner reads %d bytes of S's write back (%v)", round, len(got), err)
+		}
+	}
+	visit(1) // forwarded: A's log introduces S's token
+	migrate(b)
+	visit(2) // local on B
+	migrate(a)
+	login(tT) // a session introduced after S's, on A
+	migrate(b)
+	visit(3) // local on B again, on a new shard object
+
+	ctx := context.Background()
+	segs, err := b.node.Service().RecordsFrom(ctx, shard, 0)
+	if err != nil {
+		t.Fatalf("owner log: %v", err)
+	}
+	var rd fsproto.LogReader
+	writes := 0
+	for log := bytes.Join(segs, nil); len(log) > 0; {
+		var rec fsproto.LogRecord
+		if log, err = rd.Next(log, &rec); err != nil {
+			t.Fatalf("owner log: %v", err)
+		}
+		if rec.Kind == fsproto.KindWrite {
+			if writes++; rec.Tenant != tS {
+				t.Errorf("write %d on record as tenant %q's, S is %q's", writes, rec.Tenant, tS)
+			}
+		}
+	}
+	if writes != 3 {
+		t.Fatalf("owner log holds %d writes, want S's 3", writes)
+	}
+	if err := coord.Replicate(shard, a.srv.URL); err != nil {
+		t.Fatalf("replicate: %v", err)
+	}
+	rep := a.node.Replica(shard)
+	if err := rep.Sync(); err != nil {
+		t.Fatalf("replica sync: %v", err)
+	}
+	rep.Stop()
+	var root [32]byte
+	for _, sh := range b.node.Service().Shards() {
+		if sh.ID() == shard {
+			if err := sh.DoSide(ctx, func() { root = sh.Sys.M.MC.MerkleRoot() }); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if rep.Root() != root {
+		t.Fatal("a replica of the owner's log does not replay to the owner's memory")
 	}
 }
 

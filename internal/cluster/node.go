@@ -100,8 +100,9 @@ type statusError struct {
 
 // shardVerb adapts a fabric verb on one shard to its handler: an
 // undecodable shardReq answers 400, an error its status with the JSON error
-// body, and a result 200 — a []byte as is (a gob payload), anything else as
-// JSON, nil as the empty object.
+// body, and a result 200 — a []byte as is (a gob payload), a [][]byte as its
+// pieces back to back (encoded log records), anything else as JSON, nil as
+// the empty object.
 func shardVerb(verb func(*http.Request, shardReq) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req shardReq
@@ -124,19 +125,15 @@ func shardVerb(verb func(*http.Request, shardReq) (any, error)) http.HandlerFunc
 		case []byte:
 			w.Header().Set("Content-Type", "application/octet-stream")
 			w.Write(out)
+		case [][]byte:
+			w.Header().Set("Content-Type", "application/octet-stream")
+			for _, b := range out {
+				w.Write(b)
+			}
 		default:
 			writeJSON(w, out)
 		}
 	}
-}
-
-// gobBytes encodes a fabric payload.
-func gobBytes(v any) ([]byte, error) {
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(v); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
 }
 
 // freeze quiesces a shard for migration and parks the hold. The shard itself
@@ -183,7 +180,9 @@ func (n *Node) export(_ *http.Request, req shardReq) (any, error) {
 	if err != nil {
 		return nil, err
 	}
-	return gobBytes(st)
+	var buf bytes.Buffer
+	err = gob.NewEncoder(&buf).Encode(st)
+	return buf.Bytes(), err
 }
 
 // resume rolls a migration back: the hold releases, the worker serves the
@@ -228,14 +227,10 @@ func (n *Node) discard(_ *http.Request, req shardReq) (any, error) {
 	return nil, nil
 }
 
-// pull ships admission-log records from a position onward (gob) — the
-// replication stream.
+// pull ships the encoded admission-log records from a position onward —
+// the replication stream.
 func (n *Node) pull(r *http.Request, req shardReq) (any, error) {
-	recs, err := n.svc.RecordsFrom(r.Context(), req.Shard, req.From)
-	if err != nil {
-		return nil, err
-	}
-	return gobBytes(recs)
+	return n.svc.RecordsFrom(r.Context(), req.Shard, req.From)
 }
 
 // logLen reports a shard's admission-log length.

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -24,14 +22,17 @@ import (
 // promoted later.
 //
 // Exactly one goroutine — the pull loop, or after Stop the caller —
-// touches the detached shard; Root, the one reader from outside, takes the
-// replay lock the loop holds while it replays.
+// touches the detached shard and the log reader; Root, the one reader from
+// outside, takes the replay lock the loop holds while it replays.
 type Replica struct {
 	svc    *server.Service
 	sh     *server.Shard
 	shard  int
 	source string
 	hc     *http.Client
+	// rd has decoded every record pulled so far: the sessions the log
+	// introduced before the next pull are known to it alone.
+	rd fsproto.LogReader
 
 	stop chan struct{}
 	done chan struct{}
@@ -99,13 +100,20 @@ func (r *Replica) loop(interval time.Duration) {
 	}
 }
 
+// errReplay marks a pulled batch that did not replay: the shard and the log
+// reader have moved past the records before the failing one, so a retry
+// from the old position cannot be right.
+var errReplay = errors.New("cluster: replica replay failed")
+
 // transient reports errors worth retrying on the next tick (the primary
-// briefly unreachable) as opposed to divergence, which is terminal.
+// briefly unreachable) as opposed to a failed replay — divergence or a
+// malformed log — which is terminal.
 func transient(err error) bool {
-	return !errors.Is(err, server.ErrDiverged)
+	return !errors.Is(err, errReplay)
 }
 
-// pullOnce fetches records past the replica's position and replays them.
+// pullOnce fetches the encoded records past the replica's position and
+// replays them.
 func (r *Replica) pullOnce() error {
 	r.mu.Lock()
 	from := r.pulled
@@ -114,16 +122,12 @@ func (r *Replica) pullOnce() error {
 	if err != nil {
 		return err
 	}
-	var recs []fsproto.LogRecord
-	if err := gob.NewDecoder(bytes.NewReader(body)).Decode(&recs); err != nil {
-		return err
-	}
-	if len(recs) == 0 {
-		return nil
-	}
 	r.replay.Lock()
-	err = r.svc.ReplayRecords(r.sh, recs)
+	n, err := r.svc.ReplayLog(r.sh, &r.rd, body)
 	r.replay.Unlock()
+	r.mu.Lock()
+	r.pulled = from + uint64(n)
+	r.mu.Unlock()
 	if err != nil {
 		if errors.Is(err, server.ErrDiverged) {
 			r.sh.Jrn.Emit(journal.Event{
@@ -132,11 +136,8 @@ func (r *Replica) pullOnce() error {
 				Detail: fmt.Sprintf("shard %d replica diverged from %s: %v", r.shard, r.source, err),
 			})
 		}
-		return err
+		return fmt.Errorf("%w: %w", errReplay, err)
 	}
-	r.mu.Lock()
-	r.pulled = from + uint64(len(recs))
-	r.mu.Unlock()
 	return nil
 }
 

@@ -1,10 +1,8 @@
 package fsproto
 
-import "encoding/json"
-
-// Cluster routing plane wire types: the coordinator's placement table, the
-// per-shard admission-log records that migration and replication replay,
-// and the session records that travel with a migrated shard.
+// Cluster routing plane wire types: the coordinator's placement table and
+// the session records that travel with a migrated shard (the admission log
+// that migration and replication replay is log.go).
 //
 // The placement table turns ShardIndex from an in-process array index into
 // a cluster-wide contract: gid maps onto one of NShards *global* shard
@@ -48,61 +46,6 @@ func (t *ClusterTable) Owner(shard int) (string, bool) {
 		return "", false
 	}
 	return p.Node, true
-}
-
-// Admission-log record kinds beyond the op names ("create", "read", ...,
-// "login"): internal records the shard's worker appends itself.
-const (
-	// RecFlush marks a writeback of all dirty cached lines plus an OTT
-	// seal into the encrypted region — the crash-persist path run as a
-	// schedule step, so replicas replay the exact same flush.
-	RecFlush = "flush"
-	// RecCheckpoint carries the Merkle root observed at this log position.
-	// Replay verifies (never regenerates) it: a mismatch is divergence.
-	RecCheckpoint = "checkpoint"
-)
-
-// LogRecord is one admitted request in a shard's admission log, in
-// admission order. Per-shard state is a pure function of this sequence, so
-// the log doubles as the state-transfer stream for live migration and the
-// replication stream for replica shards.
-//
-// Records are self-contained: they carry the session identity (tenant,
-// effective uid, passphrase) so a replayer that never saw the session's
-// login (a replica bootstrapping mid-history, a cross-tenant op whose
-// session lives on another shard) can still reconstruct the acting
-// principal.
-type LogRecord struct {
-	// Pos is the record's position in the shard's log (0-based, dense).
-	Pos uint64 `json:"pos"`
-	// Kind is the op name ("login", "create", "read", "write", "chmod",
-	// "delete", "kv_create", "kv_put", "kv_get", "kv_delete") or an
-	// internal record kind (RecFlush, RecCheckpoint).
-	Kind string `json:"kind"`
-	// Seq is the deterministic-mode schedule position (0 in fair mode,
-	// where log order alone is the schedule).
-	Seq uint64 `json:"seq,omitempty"`
-	// GID is the admission group — the tenant group whose queue/telemetry
-	// the request was accounted to (the *target* group for cross-tenant
-	// ops).
-	GID uint32 `json:"gid,omitempty"`
-	// Token names the acting session. For "login" records it is the token
-	// the server assigned, so replicas bind the same token.
-	Token string `json:"token,omitempty"`
-	// Tenant/EUID/Pass reconstruct the acting session on a replayer.
-	Tenant string `json:"tenant,omitempty"`
-	EUID   uint32 `json:"euid,omitempty"`
-	Pass   string `json:"pass,omitempty"`
-	// TraceID/Parent/Sampled reproduce the request's tracing decision —
-	// trace retention counters live in the shard's deterministic registry,
-	// so replay must make the same keep/drop choices.
-	TraceID uint64 `json:"trace_id,omitempty"`
-	Parent  uint64 `json:"parent,omitempty"`
-	Sampled bool   `json:"sampled,omitempty"`
-	// Req is the op's request body (absent for internal records).
-	Req json.RawMessage `json:"req,omitempty"`
-	// Root is the hex Merkle root (RecCheckpoint only).
-	Root string `json:"root,omitempty"`
 }
 
 // SessionRecord is one live session shipped with a migrating shard, so

@@ -1,31 +1,97 @@
 package server
 
-// Admission-log replay: a shard's simulated state is a pure function of
-// its sequence-ordered admission log, so replaying the log into a fresh
-// shard booted with the same chip sequence reconstructs the source shard
-// byte for byte — the state-transfer primitive behind live migration and
-// replication. Replay runs the serving path: applyRecord looks the record's
-// kind up in the op table (ops.go), decodes and stages the request exactly
-// as exec does, and hands the same task to the same Shard.serve — the only
-// code that samples the shard clock, observes the per-tenant histograms and
-// drives the trace scope — so the per-shard deterministic registry is
-// reproduced too. Checkpoint records carry the source's Merkle root for
-// divergence detection at every cadence boundary.
+// The admission log and its replay. A logged shard's worker encodes a record
+// of each op it executes (succeeding or failing) and of every flush and
+// checkpoint straight into append-only chunks, in fsproto's record format: the
+// bytes a replica pulls and a migration ships. A shard's simulated state is a
+// pure function of its log, so replaying the log into a fresh shard booted
+// with the same chip sequence rebuilds it byte for byte. Replay runs the
+// serving path: applyRecord decodes the request through the live decode,
+// stages it as exec does and hands the same task to the same Shard.serve — the
+// only code that samples the shard clock, observes the per-tenant histograms
+// and drives the trace scope — so the deterministic registry is reproduced
+// too. Checkpoint records carry the source's Merkle root, so divergence is
+// caught at every cadence boundary.
 
 import (
 	"context"
-	"encoding/hex"
-	"encoding/json"
+	"encoding/binary"
 	"fmt"
+	"sort"
+	"sync/atomic"
 
 	"fsencr/internal/fsproto"
 )
 
-// appendRecord appends one record to the shard's admission log,
-// position-stamped. Worker-goroutine (or pre-Start replayer) only.
-func (sh *Shard) appendRecord(rec fsproto.LogRecord) {
-	rec.Pos = uint64(len(sh.recs))
-	sh.recs = append(sh.recs, rec)
+// logChunkBytes is the size of a log chunk. A record never spans two: one
+// that may not fit in the tail chunk starts the next, sized to hold it.
+const logChunkBytes = 64 << 10
+
+// logStore is a shard's admission log: encoded records in append-only chunks,
+// each knowing the log position of its first record. Worker-only but for the
+// footprint counts, which the metrics export reads. gen tells this log from
+// every other, also from the earlier logs of its shard index.
+type logStore struct {
+	w           fsproto.LogWriter
+	gen         uint64
+	chunks      []logChunk
+	recs, bytes atomic.Uint64
+}
+
+var logGens atomic.Uint64
+
+type logChunk struct {
+	first uint64 // log position of the chunk's first record
+	b     []byte
+}
+
+// append encodes rec at the tail of the log.
+func (l *logStore) append(rec *fsproto.LogRecord) {
+	room := rec.SizeBound()
+	if n := len(l.chunks); n == 0 || len(l.chunks[n-1].b)+room > cap(l.chunks[n-1].b) {
+		l.chunks = append(l.chunks, logChunk{first: l.recs.Load(), b: make([]byte, 0, max(room, logChunkBytes))})
+	}
+	c := &l.chunks[len(l.chunks)-1]
+	n := len(c.b)
+	c.b = l.w.Append(c.b, rec)
+	l.recs.Add(1)
+	l.bytes.Add(uint64(len(c.b) - n))
+}
+
+// from returns the encoded records [k, end) as slices of the chunks. Nothing
+// is copied: appends only write past a chunk's length, where the slices stop.
+func (l *logStore) from(k uint64) [][]byte {
+	i := sort.Search(len(l.chunks), func(i int) bool { return l.chunks[i].first > k }) - 1
+	if i < 0 || k >= l.recs.Load() {
+		return nil
+	}
+	b := l.chunks[i].b
+	for skip := k - l.chunks[i].first; skip > 0; skip-- {
+		n, m := binary.Uvarint(b) // the store's own bytes: well formed
+		b = b[m+int(n):]
+	}
+	out := make([][]byte, 0, len(l.chunks)-i)
+	out = append(out, b[:len(b):len(b)])
+	for _, c := range l.chunks[i+1:] {
+		out = append(out, c.b[:len(c.b):len(c.b)])
+	}
+	return out
+}
+
+// logOp appends the record of an executed op task. The session's log index
+// is resolved once per (session, log), by its token: the token's first record
+// in the log introduces it, whichever Session object that was.
+func (sh *Shard) logOp(t *task) {
+	st, s := sh.state(t.sess), t.sess
+	if st.logGen != sh.log.gen {
+		st.logSess, st.logGen = sh.log.w.Session(s.token), sh.log.gen
+	}
+	sh.log.append(&fsproto.LogRecord{
+		Kind: t.kind, Seq: t.seq, GID: t.tenant,
+		Session: st.logSess, Token: s.token, Tenant: s.tenant, EUID: s.uid, Pass: s.pass,
+		TraceID: t.trace.TraceID, Parent: t.trace.Parent, Sampled: t.trace.Sampled,
+		Req: t.body, Framed: t.framed,
+	})
 }
 
 // maybeCheckpoint folds a Merkle-root checkpoint into the log once
@@ -44,8 +110,7 @@ func (sh *Shard) maybeCheckpoint() {
 // executes the identical flush at the identical log position.
 func (sh *Shard) checkpoint() {
 	sh.sinceCkpt = 0
-	root := sh.Sys.M.MC.MerkleRoot()
-	sh.appendRecord(fsproto.LogRecord{Kind: fsproto.RecCheckpoint, Root: hex.EncodeToString(root[:])})
+	sh.log.append(&fsproto.LogRecord{Kind: fsproto.RecCheckpoint, Root: sh.Sys.M.MC.MerkleRoot()})
 }
 
 // flush executes and logs a flush record: write back every dirty cache
@@ -54,7 +119,7 @@ func (sh *Shard) checkpoint() {
 func (sh *Shard) flush() {
 	sh.Sys.M.WritebackAll()
 	sh.Sys.M.MC.FlushOTT()
-	sh.appendRecord(fsproto.LogRecord{Kind: fsproto.RecFlush})
+	sh.log.append(&fsproto.LogRecord{Kind: fsproto.RecFlush})
 }
 
 // replaySession returns the session staged on sh under token, staging one
@@ -71,80 +136,79 @@ func (svc *Service) replaySession(sh *Shard, token, tenant string, euid uint32, 
 	return s
 }
 
-// applyRecord executes one admission-log record against sh, which appends
-// it to its own log (so a rehydrated shard or promoted replica can itself
-// be replicated from). Returns an error only for structural failures —
-// checkpoint divergence, unknown kinds, undecodable or invalid requests; a
-// replayed op's application error is the faithfully reproduced live
-// outcome.
-func (svc *Service) applyRecord(sh *Shard, rec fsproto.LogRecord) error {
+// applyRecord executes the admission-log record at position pos against sh,
+// which appends it to its own log (so a rehydrated shard or promoted replica
+// can itself be replicated from). Returns an error only for structural
+// failures — checkpoint divergence, undecodable or invalid requests; a
+// replayed op's application error is the faithfully reproduced live outcome.
+func (svc *Service) applyRecord(sh *Shard, rec *fsproto.LogRecord, pos uint64) error {
 	switch rec.Kind {
 	case fsproto.RecFlush:
 		sh.flush()
+		return nil
 	case fsproto.RecCheckpoint:
-		root := sh.Sys.M.MC.MerkleRoot()
-		if got := hex.EncodeToString(root[:]); got != rec.Root {
-			return fmt.Errorf("%w: checkpoint at pos %d: root %s != %s", ErrDiverged, rec.Pos, got, rec.Root)
+		if root := sh.Sys.M.MC.MerkleRoot(); root != rec.Root {
+			return fmt.Errorf("%w: checkpoint at pos %d: root %x != %x", ErrDiverged, pos, root, rec.Root)
 		}
-		sh.appendRecord(rec)
+		sh.log.append(rec)
 		sh.sinceCkpt = 0
-	default:
-		o := ops[rec.Kind]
-		if o == nil {
-			return fmt.Errorf("record %d: unknown admission-log record kind %q", rec.Pos, rec.Kind)
-		}
-		req := o.newReq()
-		if err := json.Unmarshal(rec.Req, req); err != nil {
-			return fmt.Errorf("record %d (%s): %w", rec.Pos, rec.Kind, err)
-		}
-		sess := svc.replaySession(sh, rec.Token, rec.Tenant, rec.EUID, rec.Pass)
-		// Staging re-runs the live validation, so a forged length in a
-		// shipped log fails the replay instead of allocating.
-		_, tgt, pl, err := svc.stage(o, sh, sess, req)
-		if err != nil {
-			return fmt.Errorf("record %d (%s): %w", rec.Pos, rec.Kind, err)
-		}
-		tc := fsproto.TraceContext{TraceID: rec.TraceID, Parent: rec.Parent, Sampled: rec.Sampled}
-		t := o.task(svc, tgt, sess, req, rec.Seq, tc, pl.Data)
-		t.rec = &rec
-		sh.serve(t)
-		pl.Release()
-		if rec.Seq+1 > sh.detNext {
-			// Continue the deterministic schedule where the source stopped.
-			sh.detNext = rec.Seq + 1
-		}
+		return nil
+	}
+	o := ops[rec.Kind] // the reader accepts op kinds of the table only
+	req := o.newReq()
+	wire := fsproto.Request{Path: o.route, ContentType: fsproto.ContentTypeJSON, Body: rec.Req}
+	if rec.Framed {
+		wire.ContentType = fsproto.ContentTypeFrame
+	}
+	if err := decode(&wire, req); err != nil {
+		return fmt.Errorf("record %d (%v): %w", pos, rec.Kind, err)
+	}
+	sess := svc.replaySession(sh, rec.Token, rec.Tenant, rec.EUID, rec.Pass)
+	// Staging re-runs the live validation, so a forged length in a shipped
+	// log fails the replay instead of allocating.
+	_, tgt, pl, err := svc.stage(o, sh, sess, req)
+	if err != nil {
+		return fmt.Errorf("record %d (%v): %w", pos, rec.Kind, err)
+	}
+	tc := fsproto.TraceContext{TraceID: rec.TraceID, Parent: rec.Parent, Sampled: rec.Sampled}
+	sh.serve(o.task(svc, tgt, sess, req, rec.Seq, tc, pl.Data, rec.Req, rec.Framed))
+	pl.Release()
+	if rec.Seq+1 > sh.detNext {
+		// Continue the deterministic schedule where the source stopped.
+		sh.detNext = rec.Seq + 1
 	}
 	return nil
 }
 
-// ReplayRecords replays an admission log (or its next batch) into a
-// detached shard. The caller is the only goroutine touching it: InstallShard
-// before Start, or a replica's pull loop.
-func (svc *Service) ReplayRecords(sh *Shard, recs []fsproto.LogRecord) error {
-	for i := range recs {
-		if err := svc.applyRecord(sh, recs[i]); err != nil {
-			return err
+// ReplayLog replays encoded admission-log records — a whole log, or the next
+// batch of one rd has read from position 0 — into a detached shard and
+// reports how many it applied. The caller is the only goroutine touching sh:
+// InstallShard before Start, or a replica's pull loop.
+func (svc *Service) ReplayLog(sh *Shard, rd *fsproto.LogReader, b []byte) (n int, err error) {
+	var rec fsproto.LogRecord
+	for ; len(b) > 0; n++ {
+		pos := rd.Records()
+		if b, err = rd.Next(b, &rec); err != nil {
+			return n, err
+		}
+		if err = svc.applyRecord(sh, &rec, pos); err != nil {
+			return n, err
 		}
 	}
-	return nil
+	return n, nil
 }
 
-// RecordsFrom snapshots shard idx's admission log from position from
-// onward (serialized with tenant traffic on the worker). It is the
-// /fabric/pull surface replicas replicate from.
-func (svc *Service) RecordsFrom(ctx context.Context, idx int, from uint64) ([]fsproto.LogRecord, error) {
+// RecordsFrom returns shard idx's encoded admission log from position from
+// on, as slices of its chunks taken on the worker (serialized with tenant
+// traffic; nothing is copied). It is the /fabric/pull surface replicas
+// replicate from, decoded by the LogReader that read [0, from).
+func (svc *Service) RecordsFrom(ctx context.Context, idx int, from uint64) ([][]byte, error) {
 	sh, err := svc.shardAt(idx)
 	if err != nil {
 		return nil, err
 	}
-	var out []fsproto.LogRecord
-	err = sh.DoSide(ctx, func() {
-		if from >= uint64(len(sh.recs)) {
-			return
-		}
-		out = append(out, sh.recs[from:]...)
-	})
-	if err != nil {
+	var out [][]byte
+	if err := sh.DoSide(ctx, func() { out = sh.log.from(from) }); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -158,6 +222,6 @@ func (svc *Service) LogLen(ctx context.Context, idx int) (uint64, error) {
 		return 0, err
 	}
 	var n uint64
-	err = sh.DoSide(ctx, func() { n = uint64(len(sh.recs)) })
+	err = sh.DoSide(ctx, func() { n = sh.log.recs.Load() })
 	return n, err
 }

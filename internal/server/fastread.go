@@ -115,7 +115,7 @@ func (sh *Shard) drainDeltas() {
 			// time — but it still gets exactly one sampler decision.
 			sh.scope.Begin(n.trace.TraceID, n.trace.Parent)
 			sh.scope.Enter()
-			sh.scope.Exit("request", opRead.kind, uint64(now), uint64(now), 0)
+			sh.scope.Exit("request", opRead.kind.String(), uint64(now), uint64(now), 0)
 			sh.scope.End(sh.sampler.Keep(n.trace.TraceID, 0, false))
 		}
 		n.d.Reset()

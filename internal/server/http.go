@@ -140,9 +140,9 @@ func (svc *Service) routes() map[string]route {
 				return nil, err
 			}
 			if o == opLogin {
-				return svc.login(ctx, req.(*fsproto.LoginRequest))
+				return svc.login(ctx, req.(*fsproto.LoginRequest), r)
 			}
-			pl, v, err := svc.exec(ctx, o, sess, req)
+			pl, v, err := svc.exec(ctx, o, sess, req, r)
 			if err != nil || pl.Data == nil {
 				return v, err
 			}

@@ -13,6 +13,7 @@ package server
 // with the routing error so clients re-route without dropping a request.
 
 import (
+	"bytes"
 	"context"
 	"fmt"
 	"sort"
@@ -32,9 +33,9 @@ type ShardState struct {
 	// schedule position.
 	Det     bool
 	DetNext uint64
-	// Records is the full admission log; replaying it is how the target
-	// reconstructs state.
-	Records []fsproto.LogRecord
+	// Log is the full admission log, encoded (fsproto.LogWriter); replaying
+	// it is how the target reconstructs state.
+	Log []byte
 	// Sessions lists the sessions homed on the shard (belt and braces: the
 	// log's login records rebuild them; these verify nothing went missing).
 	Sessions []fsproto.SessionRecord
@@ -77,9 +78,12 @@ func (svc *Service) FreezeShard(ctx context.Context, idx int) (*Migration, error
 	return &Migration{svc: svc, sh: sh, h: h}, nil
 }
 
-// Export snapshots the frozen shard into its wire state.
+// Export snapshots the frozen shard into its wire state. Under the hold it
+// takes the log's chunks as they are; they are joined into one buffer after
+// the worker is free again.
 func (m *Migration) Export() (*ShardState, error) {
 	var st *ShardState
+	var log [][]byte
 	var err error
 	m.h.Run(func() {
 		var img *memctrl.Image
@@ -87,18 +91,19 @@ func (m *Migration) Export() (*ShardState, error) {
 		if err != nil {
 			return
 		}
-		recs := make([]fsproto.LogRecord, len(m.sh.recs))
-		copy(recs, m.sh.recs)
+		log = m.sh.log.from(0)
 		st = &ShardState{
 			Shard:    m.sh.id,
 			ChipSeq:  m.sh.chipSeq,
 			Det:      m.sh.det,
 			DetNext:  m.sh.detNext,
-			Records:  recs,
 			Sessions: m.svc.sessionRecordsFor(m.sh.id),
 			Image:    img,
 		}
 	})
+	if st != nil {
+		st.Log = bytes.Join(log, nil)
+	}
 	return st, err
 }
 
@@ -137,7 +142,7 @@ func (svc *Service) ChipSeqFor(idx int) uint64 { return chipSeqFor(svc.opts, idx
 // NewReplicaShard boots a detached, log-enabled shard for replaying
 // another node's admission log. It is not adopted (it serves nothing) and
 // has no running worker: exactly one goroutine — the replica pull loop —
-// may touch it, through ReplayRecords, until PromoteShard.
+// may touch it, through ReplayLog, until PromoteShard.
 func (svc *Service) NewReplicaShard(idx int, chipSeq uint64, det bool) *Shard {
 	return NewShardWith(idx, svc.opts.config(), svc.opts.MCMode, svc.opts.Access, det, svc.opts.PerTenantQueue, svc.reg,
 		ShardOptions{ChipSeq: chipSeq, Log: true, CheckpointEvery: svc.opts.CheckpointEvery, Detached: true})
@@ -152,7 +157,7 @@ func (svc *Service) PromoteShard(sh *Shard) error {
 	sh.Jrn.Emit(journal.Event{
 		Cycle:  uint64(sh.Sys.M.MaxCoreTime()),
 		Type:   journal.ShardMigrated,
-		Detail: fmt.Sprintf("shard %d promoted from replica at log position %d", sh.id, len(sh.recs)),
+		Detail: fmt.Sprintf("shard %d promoted from replica at log position %d", sh.id, sh.log.recs.Load()),
 	})
 	sh.Start()
 	return nil
@@ -184,7 +189,8 @@ func (svc *Service) InstallShard(st *ShardState) error {
 		return fmt.Errorf("server: shard state carries no image")
 	}
 	sh := svc.NewReplicaShard(st.Shard, st.ChipSeq, st.Det)
-	if err := svc.ReplayRecords(sh, st.Records); err != nil {
+	n, err := svc.ReplayLog(sh, new(fsproto.LogReader), st.Log)
+	if err != nil {
 		return err
 	}
 	if root := sh.Sys.M.MC.MerkleRoot(); root != st.Image.Root {
@@ -217,7 +223,7 @@ func (svc *Service) InstallShard(st *ShardState) error {
 	sh.Jrn.Emit(journal.Event{
 		Cycle:  uint64(sh.Sys.M.MaxCoreTime()),
 		Type:   journal.ShardMigrated,
-		Detail: fmt.Sprintf("shard %d rehydrated from %d records", st.Shard, len(st.Records)),
+		Detail: fmt.Sprintf("shard %d rehydrated from %d records", st.Shard, n),
 	})
 	sh.Start()
 	return nil

@@ -66,6 +66,11 @@ type sessState struct {
 	proc *kernel.Process
 	maps map[uint16]addr.Virt // ino -> base va (inos are never reused)
 	kv   map[string]*kvHandle // full store name -> handle
+	// logSess is the session's index in the admission log logGen names (0:
+	// none yet). A session outlives the shards of an index it visits, and
+	// each brings a log of its own.
+	logSess uint32
+	logGen  uint64
 }
 
 type kvHandle struct {
@@ -181,29 +186,31 @@ func (svc *Service) noteDenial(sess *Session, tgt target, err error) {
 	svc.cXDenied.Inc()
 }
 
-// buildRecord assembles one admission-log record: the request's wire JSON
-// plus the session credentials a replayer needs to reconstruct a shadow
-// session that never logged in through this shard's log (cross-tenant
-// traffic). Returns nil when req does not marshal — the op then simply
-// goes unlogged rather than failing live traffic.
-func buildRecord(kind string, gid uint32, seq uint64, sess *Session, tc fsproto.TraceContext, req any) *fsproto.LogRecord {
-	raw, err := json.Marshal(req)
-	if err != nil {
-		return nil
+// logBody is what a logged shard records of a request: the body it came in,
+// or for an in-process call the one a client would send (a frame around a
+// write's or KV put's payload), held to the wire's size limit so that every
+// op the shard executes has a record a replayer accepts.
+func logBody(req any, wire *fsproto.Request) ([]byte, bool, error) {
+	if wire != nil {
+		return wire.Body, wire.ContentType == fsproto.ContentTypeFrame, nil
 	}
-	return &fsproto.LogRecord{
-		Kind:    kind,
-		Seq:     seq,
-		GID:     gid,
-		Token:   sess.token,
-		Tenant:  sess.tenant,
-		EUID:    sess.uid,
-		Pass:    sess.pass,
-		TraceID: tc.TraceID,
-		Parent:  tc.Parent,
-		Sampled: tc.Sampled,
-		Req:     raw,
+	var payload []byte
+	switch r := req.(type) {
+	case *fsproto.WriteRequest:
+		meta := *r
+		meta.Data, payload, req = nil, r.Data, &meta
+	case *fsproto.KVPutRequest:
+		meta := *r
+		meta.Value, payload, req = nil, r.Value, &meta
 	}
+	body, err := json.Marshal(req)
+	if payload != nil {
+		body = fsproto.AppendFrame(make([]byte, 0, fsproto.FrameHeaderLen+len(body)+len(payload)), body, payload)
+	}
+	if err == nil && len(body) > maxBodyBytes {
+		err = fmt.Errorf("%w: %d-byte request exceeds the %d-byte body limit", ErrBadRequest, len(body), maxBodyBytes)
+	}
+	return body, payload != nil, err
 }
 
 // op is one logged operation, defined once: its table row below is all
@@ -212,9 +219,9 @@ func buildRecord(kind string, gid uint32, seq uint64, sess *Session, tc fsproto.
 // validates what the source validated and touches its simulated machine in
 // exactly the live sequence.
 type op struct {
-	kind   string     // admission-log record kind and root-span name
-	route  string     // /v1 route
-	newReq func() any // a zero *Request of the op's fsproto request type
+	kind   fsproto.Kind // admission-log record kind; its name is the root-span name
+	route  string       // /v1 route
+	newReq func() any   // a zero *Request of the op's fsproto request type
 	plan   func(req any) (plan, error)
 	// work is the worker-side body; dst is the reply buffer plan sized.
 	work func(svc *Service, tgt target, sess *Session, req any, dst []byte) (any, error)
@@ -231,11 +238,11 @@ type plan struct {
 const noReply = -1
 
 // ops is the op table, by kind.
-var ops = map[string]*op{}
+var ops [fsproto.NumOps]*op
 
 // defOp adds a row to the op table, erasing the request type R behind the
 // untyped signatures the three table walkers share.
-func defOp[R any](kind, route string, planR func(*R) (plan, error), workR func(*Service, target, *Session, *R, []byte) (any, error)) *op {
+func defOp[R any](kind fsproto.Kind, route string, planR func(*R) (plan, error), workR func(*Service, target, *Session, *R, []byte) (any, error)) *op {
 	o := &op{
 		kind:   kind,
 		route:  route,
@@ -250,16 +257,16 @@ func defOp[R any](kind, route string, planR func(*R) (plan, error), workR func(*
 }
 
 var (
-	opLogin    = defOp("login", "/v1/login", planLogin, workLogin)
-	opCreate   = defOp("create", "/v1/create", planCreate, workCreate)
-	opRead     = defOp("read", "/v1/read", planRead, workRead)
-	opWrite    = defOp("write", "/v1/write", planWrite, workWrite)
-	opChmod    = defOp("chmod", "/v1/chmod", planChmod, workChmod)
-	opDelete   = defOp("delete", "/v1/delete", planDelete, workDelete)
-	opKVCreate = defOp("kv_create", "/v1/kv/create", planKVCreate, workKVCreate)
-	opKVPut    = defOp("kv_put", "/v1/kv/put", planKVPut, workKVPut)
-	opKVGet    = defOp("kv_get", "/v1/kv/get", planKVGet, workKVGet)
-	opKVDelete = defOp("kv_delete", "/v1/kv/delete", planKVDelete, workKVDelete)
+	opLogin    = defOp(fsproto.KindLogin, "/v1/login", planLogin, workLogin)
+	opCreate   = defOp(fsproto.KindCreate, "/v1/create", planCreate, workCreate)
+	opRead     = defOp(fsproto.KindRead, "/v1/read", planRead, workRead)
+	opWrite    = defOp(fsproto.KindWrite, "/v1/write", planWrite, workWrite)
+	opChmod    = defOp(fsproto.KindChmod, "/v1/chmod", planChmod, workChmod)
+	opDelete   = defOp(fsproto.KindDelete, "/v1/delete", planDelete, workDelete)
+	opKVCreate = defOp(fsproto.KindKVCreate, "/v1/kv/create", planKVCreate, workKVCreate)
+	opKVPut    = defOp(fsproto.KindKVPut, "/v1/kv/put", planKVPut, workKVPut)
+	opKVGet    = defOp(fsproto.KindKVGet, "/v1/kv/get", planKVGet, workKVGet)
+	opKVDelete = defOp(fsproto.KindKVDelete, "/v1/kv/delete", planKVDelete, workKVDelete)
 )
 
 // stage runs the stateless half of an op — validation, target resolution
@@ -278,13 +285,17 @@ func (svc *Service) stage(o *op, via *Shard, sess *Session, req any) (p plan, tg
 }
 
 // task builds the unit of work the shard serves for a staged op; exec
-// submits it to the worker, replay hands it to serve directly.
-func (o *op) task(svc *Service, tgt target, sess *Session, req any, seq uint64, tc fsproto.TraceContext, dst []byte) task {
+// submits it to the worker, replay hands it to serve directly. body/framed
+// are the request as a logged shard records it.
+func (o *op) task(svc *Service, tgt target, sess *Session, req any, seq uint64, tc fsproto.TraceContext, dst, body []byte, framed bool) task {
 	return task{
 		seq:    seq,
 		tenant: tgt.gid,
-		name:   o.kind,
+		kind:   o.kind,
+		framed: framed,
 		trace:  tc,
+		sess:   sess,
+		body:   body,
 		fn: func() (any, error) {
 			v, err := o.work(svc, tgt, sess, req, dst)
 			if err != nil {
@@ -298,10 +309,10 @@ func (o *op) task(svc *Service, tgt target, sess *Session, req any, seq uint64, 
 // exec is the live path of every logged op: stage it, try the snapshot
 // fast path (reads only), and submit the task under the service's request
 // timeout, with the trace context the HTTP layer put into ctx and — on
-// logging shards only, so the zero-allocation read path never marshals —
-// the admission-log record the worker appends after execution. The Payload
-// is the filled reply buffer of ops that have one, the any the body's value.
-func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any) (Payload, any, error) {
+// logging shards only — the request body the worker logs after execution:
+// wire's, or nil for an in-process call. The Payload is the filled reply
+// buffer of ops that have one, the any the body's value.
+func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wire *fsproto.Request) (Payload, any, error) {
 	p, tgt, pl, err := svc.stage(o, nil, sess, req)
 	if err != nil {
 		return Payload{}, nil, err
@@ -322,10 +333,15 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any) (Pa
 	if p.seq != nil {
 		seq = *p.seq
 	}
-	t := o.task(svc, tgt, sess, req, seq, tc, pl.Data)
+	var body []byte
+	var framed bool
 	if tgt.sh.logOn {
-		t.rec = buildRecord(o.kind, tgt.gid, seq, sess, tc, req)
+		if body, framed, err = logBody(req, wire); err != nil {
+			pl.Release()
+			return Payload{}, nil, err
+		}
 	}
+	t := o.task(svc, tgt, sess, req, seq, tc, pl.Data, body, framed)
 	v, err := tgt.sh.submit(ctx, time.Now().Add(svc.opts.RequestTimeout), t)
 	if err != nil {
 		// pl is not released: on a caller timeout the task may still be
@@ -519,7 +535,7 @@ func workKVDelete(_ *Service, tgt target, sess *Session, req *fsproto.KVDeleteRe
 
 // Create creates a file in the session tenant's own namespace.
 func (svc *Service) Create(ctx context.Context, sess *Session, req fsproto.CreateRequest) error {
-	_, _, err := svc.exec(ctx, opCreate, sess, &req)
+	_, _, err := svc.exec(ctx, opCreate, sess, &req, nil)
 	return err
 }
 
@@ -528,52 +544,52 @@ func (svc *Service) Create(ctx context.Context, sess *Session, req fsproto.Creat
 // without a single plaintext byte leaving the shard. The bytes land in a
 // pooled buffer — Release the returned Payload after encoding it.
 func (svc *Service) Read(ctx context.Context, sess *Session, req fsproto.ReadRequest) (Payload, error) {
-	pl, _, err := svc.exec(ctx, opRead, sess, &req)
+	pl, _, err := svc.exec(ctx, opRead, sess, &req, nil)
 	return pl, err
 }
 
 // Write stores bytes at an offset and persists them (CLWB+SFENCE under
 // DAX).
 func (svc *Service) Write(ctx context.Context, sess *Session, req fsproto.WriteRequest) error {
-	_, _, err := svc.exec(ctx, opWrite, sess, &req)
+	_, _, err := svc.exec(ctx, opWrite, sess, &req, nil)
 	return err
 }
 
 // Chmod changes permission bits (owner or root only).
 func (svc *Service) Chmod(ctx context.Context, sess *Session, req fsproto.ChmodRequest) error {
-	_, _, err := svc.exec(ctx, opChmod, sess, &req)
+	_, _, err := svc.exec(ctx, opChmod, sess, &req, nil)
 	return err
 }
 
 // Delete unlinks a file: the controller drops its key and shreds its
 // pages, so the bytes are gone even for holders of the old passphrase.
 func (svc *Service) Delete(ctx context.Context, sess *Session, req fsproto.DeleteRequest) error {
-	_, _, err := svc.exec(ctx, opDelete, sess, &req)
+	_, _, err := svc.exec(ctx, opDelete, sess, &req, nil)
 	return err
 }
 
 // KVCreate creates an encrypted pool file holding a persistent B+Tree.
 func (svc *Service) KVCreate(ctx context.Context, sess *Session, req fsproto.KVCreateRequest) error {
-	_, _, err := svc.exec(ctx, opKVCreate, sess, &req)
+	_, _, err := svc.exec(ctx, opKVCreate, sess, &req, nil)
 	return err
 }
 
 // KVPut stores a value.
 func (svc *Service) KVPut(ctx context.Context, sess *Session, req fsproto.KVPutRequest) error {
-	_, _, err := svc.exec(ctx, opKVPut, sess, &req)
+	_, _, err := svc.exec(ctx, opKVPut, sess, &req, nil)
 	return err
 }
 
 // KVGet fetches a value into a pooled buffer — Release the returned
 // Payload after encoding it.
 func (svc *Service) KVGet(ctx context.Context, sess *Session, req fsproto.KVGetRequest) (Payload, error) {
-	pl, _, err := svc.exec(ctx, opKVGet, sess, &req)
+	pl, _, err := svc.exec(ctx, opKVGet, sess, &req, nil)
 	return pl, err
 }
 
 // KVDelete removes a key.
 func (svc *Service) KVDelete(ctx context.Context, sess *Session, req fsproto.KVDeleteRequest) (bool, error) {
-	_, v, err := svc.exec(ctx, opKVDelete, sess, &req)
+	_, v, err := svc.exec(ctx, opKVDelete, sess, &req, nil)
 	if err != nil {
 		return false, err
 	}

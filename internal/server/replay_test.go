@@ -153,6 +153,32 @@ func runReplayWorkload(t *testing.T, svc *Service, seqs *seqFor, tA, tB string) 
 	return sess
 }
 
+// decodeLog decodes an encoded admission log from position 0.
+func decodeLog(t *testing.T, b []byte) []fsproto.LogRecord {
+	t.Helper()
+	var rd fsproto.LogReader
+	var out []fsproto.LogRecord
+	for len(b) > 0 {
+		var rec fsproto.LogRecord
+		var err error
+		if b, err = rd.Next(b, &rec); err != nil {
+			t.Fatalf("decode log: %v", err)
+		}
+		out = append(out, rec)
+	}
+	return out
+}
+
+// encodeLog encodes records as a log from position 0.
+func encodeLog(recs []fsproto.LogRecord) []byte {
+	var w fsproto.LogWriter
+	var out []byte
+	for i := range recs {
+		out = w.Append(out, &recs[i])
+	}
+	return out
+}
+
 // snapshotJSON is the shard's whole deterministic snapshot, spans included.
 func snapshotJSON(t *testing.T, sh *Shard) []byte {
 	t.Helper()
@@ -198,16 +224,17 @@ func TestReplayRebuildsShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("export: %v", err)
 	}
-	if len(st.Records) == 0 || st.Image == nil {
-		t.Fatalf("export is empty: %d records, image=%v", len(st.Records), st.Image)
+	recs := decodeLog(t, st.Log)
+	if len(recs) == 0 || st.Image == nil {
+		t.Fatalf("export is empty: %d records, image=%v", len(recs), st.Image)
 	}
-	logged := map[string]bool{}
-	for _, rec := range st.Records {
+	logged := map[fsproto.Kind]bool{}
+	for _, rec := range recs {
 		logged[rec.Kind] = true
 	}
-	for kind := range ops {
-		if !logged[kind] {
-			t.Errorf("op %q never reached the replayed log: extend runReplayWorkload", kind)
+	for _, o := range ops {
+		if !logged[o.kind] {
+			t.Errorf("op %v never reached the replayed log: extend runReplayWorkload", o.kind)
 		}
 	}
 	srcProm := promBytes(t, svcA.Shards()[1])
@@ -226,13 +253,13 @@ func TestReplayRebuildsShard(t *testing.T) {
 	// A forged length in a shipped read record meets the validation the live
 	// path runs: the replay is refused before anything is allocated.
 	forged := *st
-	forged.Records = append([]fsproto.LogRecord(nil), st.Records...)
-	for i := range forged.Records {
-		if forged.Records[i].Kind == "read" {
-			forged.Records[i].Req = json.RawMessage(`{"name":"data.bin","length":1099511627776}`)
+	for i := range recs {
+		if recs[i].Kind == fsproto.KindRead {
+			recs[i].Req = []byte(`{"name":"data.bin","length":1099511627776}`)
 			break
 		}
 	}
+	forged.Log = encodeLog(recs)
 	if err := svcB.InstallShard(&forged); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("install of a log with a forged read length: got %v, want ErrBadRequest", err)
 	}
@@ -302,21 +329,18 @@ func TestReplayDivergenceDetected(t *testing.T) {
 		t.Fatalf("export: %v", err)
 	}
 	mig.Resume()
-	// Flip a byte inside the first logged write's payload.
+	// Flip a byte inside the first logged write's payload, in the shipped
+	// bytes themselves (a decoded record's Req aliases them).
 	tampered := false
-	for i := range st.Records {
-		if st.Records[i].Kind == "write" && len(st.Records[i].Req) > 0 {
-			raw := append([]byte(nil), st.Records[i].Req...)
-			if j := bytes.Index(raw, []byte(`"data"`)); j >= 0 && j+20 < len(raw) {
-				raw[j+10] ^= 1
-				st.Records[i].Req = raw
-				tampered = true
-				break
-			}
+	for _, rec := range decodeLog(t, st.Log) {
+		if _, payload, err := fsproto.SplitFrame(rec.Req); rec.Kind == fsproto.KindWrite && rec.Framed && err == nil && len(payload) > 10 {
+			payload[10] ^= 1
+			tampered = true
+			break
 		}
 	}
 	if !tampered {
-		t.Skip("no tamperable write record found")
+		t.Fatal("no framed write record in the log")
 	}
 	optsB := clusterTestOptions()
 	optsB.OwnedShards = []int{}

@@ -315,8 +315,11 @@ func (svc *Service) forwarder() Forwarder {
 
 // AdoptShard registers a shard (typically rehydrated from a migration's
 // exported state) under its global index, folding sessions reconstructed
-// during replay into the service session table. The caller starts the
-// shard afterwards.
+// during replay into the service session table. A token with a live session
+// here (homed on another shard, or back from an earlier visit) keeps it, with
+// the replayed state on this shard: the state every replayer of the log
+// gives that token, which no earlier shard of the index's state may stand in
+// for. The caller starts the shard afterwards.
 func (svc *Service) AdoptShard(sh *Shard) error {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
@@ -330,7 +333,9 @@ func (svc *Service) AdoptShard(sh *Shard) error {
 	svc.shards = append(svc.shards, sh)
 	sortShards(svc.shards)
 	for tok, s := range sh.replaySessions {
-		if _, exists := svc.sessions[tok]; !exists {
+		if live, exists := svc.sessions[tok]; exists {
+			live.st[sh.id] = s.st[sh.id]
+		} else {
 			svc.sessions[tok] = s
 		}
 		// The token came home (e.g. a shard migrating back): clear any
@@ -396,17 +401,19 @@ func (svc *Service) newSession(token, tenant string, euid uint32, pass string) *
 // Login authenticates (tenant, uid, passphrase) and opens a session. The
 // keyring on the tenant's shard is the credential store (workLogin).
 func (svc *Service) Login(ctx context.Context, tenant string, uid uint32, passphrase string, seq uint64) (*Session, error) {
-	return svc.login(ctx, &fsproto.LoginRequest{Tenant: tenant, UID: uid, Passphrase: passphrase, Seq: &seq})
+	return svc.login(ctx, &fsproto.LoginRequest{Tenant: tenant, UID: uid, Passphrase: passphrase, Seq: &seq}, nil)
 }
 
-func (svc *Service) login(ctx context.Context, req *fsproto.LoginRequest) (*Session, error) {
+// login is Login for a decoded request; wire is the request it arrived in
+// (nil: an in-process call), for the admission log.
+func (svc *Service) login(ctx context.Context, req *fsproto.LoginRequest, wire *fsproto.Request) (*Session, error) {
 	// The session — token included — exists before admission so the login's
 	// admission-log record carries it like any other op's: replaying the
 	// record rebinds the same token to the same credentials on a migration
 	// target or replica.
 	token := fmt.Sprintf("%s%d", svc.opts.TokenPrefix, svc.tokSeq.Add(1))
 	sess := svc.newSession(token, req.Tenant, fsproto.UserUID(req.Tenant, req.UID), req.Passphrase)
-	if _, _, err := svc.exec(ctx, opLogin, sess, req); err != nil {
+	if _, _, err := svc.exec(ctx, opLogin, sess, req, wire); err != nil {
 		return nil, err
 	}
 	// Register the tenant on the SLO plane at first login so its gauges
@@ -473,15 +480,20 @@ func (svc *Service) peerSession(req *fsproto.Request) (*Session, error) {
 // deterministic registry, in shard order. Aggregate only — per-shard
 // snapshots are served separately so their byte-identity is checkable.
 // Export-time gauges are refreshed here: the audit chain head of each
-// shard and the total number of journal events dropped to ring overflow.
+// shard, the total number of journal events dropped to ring overflow, and
+// the admission logs' bytes and records.
 func (svc *Service) MetricsSnapshot() *telemetry.Snapshot {
-	drops := uint64(0)
+	var drops, logBytes, logRecs uint64
 	shards := svc.Shards()
 	for _, sh := range shards {
 		svc.reg.Gauge(fmt.Sprintf("server.shard%d.audit_head_seq", sh.ID())).Set(sh.Aud.HeadSeq())
 		drops += sh.Jrn.Drops()
+		logBytes += sh.log.bytes.Load()
+		logRecs += sh.log.recs.Load()
 	}
 	svc.gJrnDrops.Set(drops)
+	svc.reg.Gauge("server.log_bytes").Set(logBytes)
+	svc.reg.Gauge("server.log_records").Set(logRecs)
 	out := svc.reg.Snapshot()
 	out.Runs = 1
 	svc.injectSLOGauges(out)

@@ -81,20 +81,23 @@ type taskResult struct {
 type task struct {
 	seq    uint64
 	tenant uint32
+	// kind is the op, which names the request's root span ("write",
+	// "kv_get", ...) and its log record; sess, nil on a task that is no op
+	// (Do, its span "task"), is the op's session. framed and body are the
+	// request as decode takes it, which a logged shard records.
+	kind   fsproto.Kind
+	framed bool
 	ts     *tenantState // resolved by submit (by serve for a replayed task)
 	fn     func() (any, error)
 	resp   chan taskResult // buffered(1): the worker never blocks on it
-	// name labels the request's root span ("write", "kv_get", ...).
-	name string
 	// trace is the request's wire trace context (zero: untraced).
 	trace fsproto.TraceContext
 	// enq is the shard clock when the worker absorbed the task (fair queue
 	// only): the start of the measurable queue wait. The deterministic queue
 	// leaves it 0 — arrival interleaving is not schedule state there.
-	enq uint64
-	// rec, when non-nil, is the admission-log record the worker appends
-	// after executing the task (cluster mode).
-	rec *fsproto.LogRecord
+	enq  uint64
+	sess *Session
+	body []byte
 }
 
 // sideTask is out-of-band worker work; done is closed after fn ran.
@@ -181,7 +184,7 @@ type Shard struct {
 
 	// Cluster plane. chipSeq is the controller key-derivation sequence the
 	// shard booted with (0: per-process auto). logOn enables the admission
-	// log; recs and the checkpoint/schedule cursors below are worker-only
+	// log; log and the checkpoint/schedule cursors below are worker-only
 	// (readers go through DoSide or a Hold). detNext is the next
 	// deterministic schedule sequence — a field rather than a loop local so
 	// a shard rehydrated by log replay continues the schedule exactly where
@@ -189,7 +192,7 @@ type Shard struct {
 	// instead of executing it: the shard has migrated away.
 	chipSeq   uint64
 	logOn     bool
-	recs      []fsproto.LogRecord
+	log       logStore
 	ckptEvery int
 	sinceCkpt int
 	detNext   uint64
@@ -263,6 +266,7 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 		stopped:        make(chan struct{}),
 		chipSeq:        so.ChipSeq,
 		logOn:          so.Log,
+		log:            logStore{gen: logGens.Add(1)},
 		ckptEvery:      so.CheckpointEvery,
 		replaySessions: make(map[string]*Session),
 	}
@@ -308,13 +312,13 @@ func (sh *Shard) tenant(id uint32) *tenantState {
 // runs to completion (a simulated syscall cannot be cancelled midway), but
 // Do stops waiting when ctx expires.
 func (sh *Shard) Do(ctx context.Context, tenant uint32, seq uint64, fn func() (any, error)) (any, error) {
-	return sh.submit(ctx, time.Time{}, task{seq: seq, tenant: tenant, name: "task", fn: fn})
+	return sh.submit(ctx, time.Time{}, task{seq: seq, tenant: tenant, fn: fn})
 }
 
 // submit is Do for a task built by the caller, which may also carry a
 // trace context — spans recorded anywhere below the shard's system while it
 // runs are linked into that trace, kept or dropped by the tail sampler at
-// completion — and the admission-log record to append after execution.
+// completion — and the op a logged shard records after execution.
 //
 // deadline (zero: none) bounds the call like an expiring ctx does, without
 // a derived context per request: one pooled timer, armed only once a step
@@ -489,7 +493,7 @@ func (sh *Shard) exec(t task) {
 
 // serve runs one task — admitted live, or rebuilt from an admission-log
 // record by applyRecord — separating queue wait from service time, recording
-// the request's trace and logging the task's record. Everything observed
+// the request's trace and logging the op. Everything observed
 // here derives from the shard's simulated clock, so the per-shard registry
 // stays a pure function of the schedule; nothing else samples that clock or
 // drives the trace scope on a request's behalf, which is what makes a
@@ -523,11 +527,15 @@ func (sh *Shard) serve(t task) (any, error) {
 	end := uint64(sh.Sys.M.MaxCoreTime())
 	ts.hSvc.Observe(end - start)
 	if traced {
-		sh.scope.Exit("request", t.name, rootStart, end, 0)
+		name := "task"
+		if t.sess != nil {
+			name = t.kind.String()
+		}
+		sh.scope.Exit("request", name, rootStart, end, 0)
 		sh.scope.End(sh.sampler.Keep(t.trace.TraceID, end-rootStart, err != nil))
 	}
-	if t.rec != nil && sh.logOn {
-		sh.appendRecord(*t.rec)
+	if t.sess != nil && sh.logOn {
+		sh.logOp(&t)
 		sh.sinceCkpt++
 	}
 	return v, err

@@ -180,14 +180,14 @@ func TestSubmitDeadline(t *testing.T) {
 
 	// Admitted, then the deadline: the caller stops waiting, the task stays.
 	ran := make(chan struct{})
-	_, err := sh.submit(ctx, soon(), task{tenant: 1, name: "task", fn: func() (any, error) { close(ran); return nil, nil }})
+	_, err := sh.submit(ctx, soon(), task{tenant: 1, fn: func() (any, error) { close(ran); return nil, nil }})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("admitted task past its deadline: %v, want context.DeadlineExceeded", err)
 	}
 
 	// Tenant 1's only slot is still held by that task: backpressure.
 	var busy *BusyError
-	if _, err := sh.submit(ctx, soon(), task{tenant: 1, name: "task", fn: noop}); !errors.As(err, &busy) || busy.Depth != 2 {
+	if _, err := sh.submit(ctx, soon(), task{tenant: 1, fn: noop}); !errors.As(err, &busy) || busy.Depth != 2 {
 		t.Fatalf("behind a full tenant queue: %v, want *BusyError with depth 2", err)
 	}
 
@@ -209,7 +209,7 @@ func TestSubmitDeadline(t *testing.T) {
 		}
 	}
 	busy = nil
-	if _, err := sh.submit(ctx, soon(), task{tenant: 5, name: "task", fn: noop}); !errors.As(err, &busy) || busy.Depth != 5 {
+	if _, err := sh.submit(ctx, soon(), task{tenant: 5, fn: noop}); !errors.As(err, &busy) || busy.Depth != 5 {
 		t.Fatalf("behind a full ingress: %v, want *BusyError with depth 5", err)
 	}
 
@@ -222,7 +222,7 @@ func TestSubmitDeadline(t *testing.T) {
 	}
 	// Its slot came back with it: tenant 1 is admitted again, and nothing is
 	// left counted as queued.
-	if _, err := sh.submit(ctx, time.Now().Add(2*time.Second), task{tenant: 1, name: "task", fn: noop}); err != nil {
+	if _, err := sh.submit(ctx, time.Now().Add(2*time.Second), task{tenant: 1, fn: noop}); err != nil {
 		t.Fatalf("tenant 1 after its timed-out task ran: %v", err)
 	}
 	// (The worker answers a task before it returns the task's resources.)
