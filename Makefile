@@ -54,7 +54,7 @@ layerbench-test:
 # payload frame codec, the server's request loop fed arbitrary connection
 # bytes, the client's response parse fed arbitrary server bytes, the
 # /v1/write handler fed arbitrary frames (seeded from the malice campaign's
-# malformed ones) through both transports, and the migration image import
+# malformed ones) through both transports, and the controller's image import
 # fed exports corrupted one field at a time, the admission-log reader fed
 # arbitrary bytes (seeded with a log of every record kind) — plus one
 # differential target: aesctr's pad entry points (so the assembly kernel on

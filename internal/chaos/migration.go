@@ -30,18 +30,19 @@ const CampaignMigrationCrash = "node-crash-during-migration"
 var migrationVictims = []string{"source", "target"}
 
 // migrationOutcomes maps (step, victim) to the contractually required
-// result. A dead source after a successful install cannot serve, so
-// completing is safe; a dead target before the epoch bump must roll
-// back; a dead target after the bump leaves the shard on the (dead)
-// owner — unavailable until failover, but never split-brained.
+// result. A dead source after the target's promotion cannot serve, so
+// completing is safe; a dead source before it leaves the replica short of
+// the frozen log, and a dead target before the epoch bump cannot take the
+// shard — both roll back; a dead target after the bump leaves the shard on
+// the (dead) owner — unavailable until failover, but never split-brained.
 var migrationOutcomes = map[[2]string]string{
+	{cluster.StepAfterCatchUp, "source"}: "rolled-back",
 	{cluster.StepAfterFreeze, "source"}:  "rolled-back",
-	{cluster.StepAfterExport, "source"}:  "completed",
-	{cluster.StepAfterInstall, "source"}: "completed",
+	{cluster.StepAfterPromote, "source"}: "completed",
 	{cluster.StepAfterCommit, "source"}:  "completed",
+	{cluster.StepAfterCatchUp, "target"}: "rolled-back",
 	{cluster.StepAfterFreeze, "target"}:  "rolled-back",
-	{cluster.StepAfterExport, "target"}:  "rolled-back",
-	{cluster.StepAfterInstall, "target"}: "rolled-back",
+	{cluster.StepAfterPromote, "target"}: "rolled-back",
 	{cluster.StepAfterCommit, "target"}:  "completed",
 }
 
@@ -54,12 +55,15 @@ type MigrationCrashCase struct {
 	OwnerAlive bool   `json:"owner_alive"`
 	DataIntact bool   `json:"data_intact"` // seeded bytes readable on the live owner
 	SplitBrain bool   `json:"split_brain"` // a live non-owner still answers for the shard
-	Err        string `json:"err,omitempty"`
+	// Residue: a rollback left a replica of the shard on the live target,
+	// which had none before the migration.
+	Residue bool   `json:"residue"`
+	Err     string `json:"err,omitempty"`
 }
 
 // ok reports whether the case satisfied the migration contract.
 func (c MigrationCrashCase) ok() bool {
-	if c.Outcome != c.Expected || c.SplitBrain {
+	if c.Outcome != c.Expected || c.SplitBrain || c.Residue {
 		return false
 	}
 	if c.OwnerAlive && !c.DataIntact {
@@ -103,11 +107,11 @@ func (r *MigrationCrashResult) String() string {
 		if !c.ok() {
 			verdict = "VIOLATION"
 		}
-		fmt.Fprintf(&b, "  %-13s victim=%-6s -> %-11s (want %-11s) owner=%-5s data=%-5s split-brain=%v  %s\n",
-			c.Step, c.Victim, c.Outcome, c.Expected, owner, data, c.SplitBrain, verdict)
+		fmt.Fprintf(&b, "  %-14s victim=%-6s -> %-11s (want %-11s) owner=%-5s data=%-5s split-brain=%-5v residue=%-5v  %s\n",
+			c.Step, c.Victim, c.Outcome, c.Expected, owner, data, c.SplitBrain, c.Residue, verdict)
 	}
 	if r.Clean() {
-		b.WriteString("  every crash point completed or rolled back cleanly; no split-brain\n")
+		b.WriteString("  every crash point completed or rolled back cleanly; no split-brain, no residue\n")
 	}
 	return b.String()
 }
@@ -261,6 +265,7 @@ func runMigrationCrashCase(step, victim string) (MigrationCrashCase, error) {
 		return c, fmt.Errorf("migration errored (%v) but the table cut over", migErr)
 	}
 	c.OwnerAlive = !ownerNode.dead
+	c.Residue = c.Outcome == "rolled-back" && !tgt.dead && tgt.node.Replica(shard) != nil
 
 	// Split-brain probe: a live non-owner must refuse the shard.
 	if !otherNode.dead {

@@ -5,7 +5,7 @@ import "testing"
 // TestMigrationCrashCampaign sweeps a node crash over every migration
 // persist point for both victims and requires the coordinator contract to
 // hold at each: complete or roll back cleanly, no split-brain, no lost
-// acknowledged data on a live owner.
+// acknowledged data on a live owner, and a rolled-back target left as it was.
 func TestMigrationCrashCampaign(t *testing.T) {
 	res, err := RunMigrationCrash()
 	if err != nil {
@@ -20,6 +20,9 @@ func TestMigrationCrashCampaign(t *testing.T) {
 		}
 		if c.SplitBrain {
 			t.Errorf("%s/%s: split-brain — two live nodes serve the shard", c.Step, c.Victim)
+		}
+		if c.Residue {
+			t.Errorf("%s/%s: the rollback left a replica on the target", c.Step, c.Victim)
 		}
 		if c.OwnerAlive && !c.DataIntact {
 			t.Errorf("%s/%s: live owner lost acknowledged data", c.Step, c.Victim)

@@ -10,21 +10,24 @@
 //     table epoch and pushes the new table to every member.
 //
 //   - Node: one fsencrd process — a server.Service plus the fabric
-//     endpoints (/fabric/*) the coordinator drives: freeze/export/
-//     resume/commit on a migration source, install/discard on a target,
-//     pull for replication, and table pushes that update the node's
-//     published epoch and its misroute forwarder.
+//     endpoints (/fabric/*) the coordinator drives: freeze/resume/commit on
+//     a migration source, pull for replication, replica start/promote/
+//     status/discard, and table pushes that update the node's published
+//     epoch, its misroute forwarder and the owner its replicas pull from.
 //
 //   - Replica: a detached shard on a node replaying a primary's
 //     admission log pull-by-pull. Checkpoint records carry the primary's
 //     Merkle root, so divergence is detected at every checkpoint cadence;
 //     a clean replica promotes into a serving owner when the primary
-//     dies.
+//     dies, or when a migration moves the shard to its node.
 //
-// State transfer is admission-log replay (see internal/server/apply.go):
-// a shard's simulated state is a pure function of its log, the shipped
-// controller image is the proof artifact, and cutover gates on full image
-// equality plus the Osiris crash-recovery cycle.
+// There is one way to rebuild a shard on another node: admission-log replay
+// (see internal/server/apply.go) into a replica. A shard's simulated state
+// is a pure function of its log, so a migration makes the target a replica,
+// freezes the source once the replica has caught up, and promotes the
+// replica at the freeze point — gated on the frozen log length, the digest
+// of the source's module image and the Osiris crash-recovery cycle. Only the
+// log and that 32-byte digest cross the wire.
 package cluster
 
 import (
@@ -33,6 +36,8 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+
+	"fsencr/internal/server"
 )
 
 // fabricErr is the JSON error body fabric endpoints return.
@@ -47,6 +52,9 @@ type shardReq struct {
 	From  uint64 `json:"from,omitempty"`
 	// Source is the base URL a replica pulls from (replica/start).
 	Source string `json:"source,omitempty"`
+	// Frozen is where a migration's source froze (replica/promote; nil in
+	// a failover).
+	Frozen *server.Frozen `json:"frozen,omitempty"`
 }
 
 // postJSON posts req as JSON and decodes a 200 response into out (nil out
@@ -63,9 +71,8 @@ func postJSON(hc *http.Client, url string, req, out any) error {
 	return json.Unmarshal(data, out)
 }
 
-// postRaw posts an opaque body (gob payloads relay through the
-// coordinator undecoded; the fabric's handlers do not look at the content
-// type, so JSON requests go the same way) and returns the raw 200 response.
+// postRaw posts a body (the fabric's handlers do not look at the content
+// type) and returns the raw 200 response: encoded log records for a pull.
 func postRaw(hc *http.Client, url string, body []byte) ([]byte, error) {
 	resp, err := hc.Post(url, "application/octet-stream", bytes.NewReader(body))
 	if err != nil {

@@ -321,8 +321,8 @@ func TestMigrationUnderLoad(t *testing.T) {
 		t.Fatalf("replica sync: %v", err)
 	}
 	rep.Stop() // the detached shard is ours to read now
-	if rep.Pulled() != uint64(len(recs)) || rep.Err() != nil {
-		t.Fatalf("replica pulled %d of %d records, err %v", rep.Pulled(), len(recs), rep.Err())
+	if rep.Status().Pulled != uint64(len(recs)) || rep.Err() != nil {
+		t.Fatalf("replica pulled %d of %d records, err %v", rep.Status().Pulled, len(recs), rep.Err())
 	}
 	var primary *memctrl.Image
 	for _, sh := range b.node.Service().Shards() {
@@ -337,7 +337,7 @@ func TestMigrationUnderLoad(t *testing.T) {
 	if err != nil {
 		t.Fatalf("export replica image: %v", err)
 	}
-	if !replayed.Equal(primary) {
+	if replayed.Digest() != primary.Digest() {
 		t.Fatal("replica's replay of the forwarded framed write differs from the owner's memory")
 	}
 }
@@ -510,8 +510,8 @@ func TestReplicationAndFailover(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loglen: %v", err)
 	}
-	if repB.Pulled() != ln || repC.Pulled() != ln {
-		t.Fatalf("replicas pulled %d/%d of %d records", repB.Pulled(), repC.Pulled(), ln)
+	if repB.Status().Pulled != ln || repC.Status().Pulled != ln {
+		t.Fatalf("replicas pulled %d/%d of %d records", repB.Status().Pulled, repC.Status().Pulled, ln)
 	}
 	if repB.Root() != repC.Root() {
 		t.Fatalf("replica roots diverged: %x vs %x", repB.Root(), repC.Root())
@@ -564,6 +564,113 @@ func TestReplicationAndFailover(t *testing.T) {
 	// And accepts new writes as the owner.
 	if err := cc.Write(fsproto.WriteRequest{Name: "d.bin", Offset: 1024, Data: []byte("after failover")}); err != nil {
 		t.Fatalf("post-failover write: %v", err)
+	}
+}
+
+// ownerRoot is the Merkle root of shard on the node owning it.
+func ownerRoot(t *testing.T, n *testNode, shard int) [32]byte {
+	t.Helper()
+	for _, sh := range n.node.Service().Shards() {
+		if sh.ID() == shard {
+			var root [32]byte
+			if err := sh.DoSide(context.Background(), func() { root = sh.Sys.M.MC.MerkleRoot() }); err != nil {
+				t.Fatal(err)
+			}
+			return root
+		}
+	}
+	t.Fatalf("%s does not own shard %d", n.srv.URL, shard)
+	return [32]byte{}
+}
+
+// TestReplicaFollowsOwner: a replica keeps up with its shard across a
+// migration and a failover. The table push points it at the new owner,
+// whose log continues the old one position for position — after an A→B
+// migration B's log is A's frozen log, byte for byte. C, a replica from
+// the start, follows the shard onto B; after B dies and C is promoted, A,
+// a replica by then, follows C.
+func TestReplicaFollowsOwner(t *testing.T) {
+	coord, csrv := startCoordinator(t)
+	a := startNode(t, nil, "a")
+	b := startNode(t, []int{}, "b")
+	c := startNode(t, []int{}, "c")
+	for _, n := range []*testNode{a, b, c} {
+		if _, err := coord.Join(n.srv.URL, n.empty); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	shard := 2
+	tn := tenantOn(t, shard, map[string]bool{})
+	cc, err := fsclient.DialCluster(csrv.URL)
+	if err != nil {
+		t.Fatalf("dial: %v", err)
+	}
+	t.Cleanup(cc.Close)
+	if err := cc.Login(tn, 1, "pw-"+tn); err != nil {
+		t.Fatalf("login: %v", err)
+	}
+	if err := cc.Create(fsproto.CreateRequest{Name: "f.bin", Perm: 0600, Size: 8192, Encrypted: true}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	write := func(round byte) {
+		t.Helper()
+		if err := cc.Write(fsproto.WriteRequest{Name: "f.bin", Offset: 512 * uint64(round), Data: bytes.Repeat([]byte{round}, 512)}); err != nil {
+			t.Fatalf("write %d: %v", round, err)
+		}
+	}
+	write(1)
+	if err := coord.Replicate(shard, c.srv.URL); err != nil {
+		t.Fatalf("replicate on C: %v", err)
+	}
+	repC := c.node.Replica(shard)
+
+	ctx := context.Background()
+	var frozen []byte
+	coord.StepHook = func(step string, _ int) {
+		if step == StepAfterFreeze {
+			segs, err := a.node.Service().RecordsFrom(ctx, shard, 0)
+			if err != nil {
+				t.Errorf("A's frozen log: %v", err)
+			}
+			frozen = bytes.Join(segs, nil)
+		}
+	}
+	if err := coord.Migrate(shard, b.srv.URL); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	segs, err := b.node.Service().RecordsFrom(ctx, shard, 0)
+	if err != nil {
+		t.Fatalf("B's log: %v", err)
+	}
+	if len(frozen) == 0 || !bytes.Equal(bytes.Join(segs, nil), frozen) {
+		t.Fatalf("B's log (%d bytes) is not A's frozen log (%d bytes)", len(bytes.Join(segs, nil)), len(frozen))
+	}
+
+	write(2)
+	if err := repC.Sync(); err != nil {
+		t.Fatalf("replica on C after the migration: %v", err)
+	}
+	if repC.Root() != ownerRoot(t, b, shard) {
+		t.Fatal("replica on C differs from the new owner B")
+	}
+
+	if err := coord.Replicate(shard, a.srv.URL); err != nil {
+		t.Fatalf("replicate on A: %v", err)
+	}
+	repA := a.node.Replica(shard)
+	b.kill()
+	if moved := coord.CheckOwners(); len(moved) != 1 || moved[0] != shard {
+		t.Fatalf("CheckOwners failed over %v, want [%d]", moved, shard)
+	}
+	if tbl := coord.Table(); tbl.Placements[shard].Node != c.srv.URL {
+		t.Fatalf("failover owner = %q, want C", tbl.Placements[shard].Node)
+	}
+	write(3)
+	if err := repA.Sync(); err != nil {
+		t.Fatalf("replica on A after the failover: %v", err)
+	}
+	if repA.Root() != ownerRoot(t, c, shard) {
+		t.Fatal("replica on A differs from the new owner C")
 	}
 }
 
@@ -638,8 +745,8 @@ func TestReplicaTenKOps(t *testing.T) {
 	if err := repC.Sync(); err != nil {
 		t.Fatalf("replica C sync: %v", err)
 	}
-	if repB.Pulled() != ln || repC.Pulled() != ln {
-		t.Fatalf("replicas pulled %d/%d of %d", repB.Pulled(), repC.Pulled(), ln)
+	if repB.Status().Pulled != ln || repC.Status().Pulled != ln {
+		t.Fatalf("replicas pulled %d/%d of %d", repB.Status().Pulled, repC.Status().Pulled, ln)
 	}
 	if repB.Err() != nil || repC.Err() != nil {
 		t.Fatalf("replica errors: B=%v C=%v", repB.Err(), repC.Err())

@@ -3,10 +3,12 @@ package cluster
 import (
 	"fmt"
 	"net/http"
+	"slices"
 	"sync"
 	"time"
 
 	"fsencr/internal/fsproto"
+	"fsencr/internal/server"
 )
 
 // Migration persist points, in order. The coordinator calls its StepHook
@@ -14,15 +16,15 @@ import (
 // target node exactly there and asserts the fabric either completes the
 // migration or rolls it back cleanly, with no split-brain.
 const (
+	StepAfterCatchUp = "after-catch-up"
 	StepAfterFreeze  = "after-freeze"
-	StepAfterExport  = "after-export"
-	StepAfterInstall = "after-install"
+	StepAfterPromote = "after-promote"
 	StepAfterCommit  = "after-commit"
 )
 
 // MigrationSteps lists the persist points in order (chaos campaigns
 // iterate them).
-var MigrationSteps = []string{StepAfterFreeze, StepAfterExport, StepAfterInstall, StepAfterCommit}
+var MigrationSteps = []string{StepAfterCatchUp, StepAfterFreeze, StepAfterPromote, StepAfterCommit}
 
 // Coordinator owns the placement table and orchestrates ownership
 // changes. One per cluster; nodes join it, clients fetch routes from it.
@@ -220,19 +222,28 @@ func (c *Coordinator) owner(shard int) (string, error) {
 	return p.Node, nil
 }
 
-// Migrate moves shard live from its current owner to node `to`:
-// freeze -> export -> install -> commit, with the new epoch published
-// only after the target proved the replayed state (Merkle root + full
-// image equality + the Osiris recovery gate, enforced by InstallShard).
+// Migrate moves shard live from its current owner to node `to` by
+// promoting a replica there:
 //
-// Failure handling keeps exactly one serving owner at every point:
+//  1. catch up: `to` becomes a replica of the shard (one already listed
+//     there is reused) and answers once it has caught up with the log;
+//  2. freeze: the source holds the shard, folds a flush and a checkpoint
+//     into the log, and answers where it froze — the log length and the
+//     digest of its module image;
+//  3. promote: `to` pulls exactly that log, must reproduce the digest and
+//     pass the Osiris recovery gate (server.PromoteShard), and adopts the
+//     shard;
+//  4. the epoch bumps — published only after the target proved the state;
+//  5. commit: the source's shard retires at the new epoch.
 //
-//   - failure before install: roll back — resume the source, table
-//     unchanged.
-//   - target dead at install, or unhealthy before commit: roll back.
-//   - source dead after a successful install: complete the migration (a
-//     dead source cannot serve, so cutover loses nothing and
-//     split-brain is impossible).
+// Failure handling keeps exactly one serving owner at every point. Any
+// failure before the bump rolls back: the source resumes, the table stays,
+// and the target is left as it was — a replica this migration started is
+// discarded, a listed one keeps replicating. That includes a source that
+// dies after the freeze: the replica can no longer reach the frozen log. A
+// source that dies after the promotion completes the migration: a dead
+// source cannot serve, so the cutover loses nothing and split-brain is
+// impossible.
 func (c *Coordinator) Migrate(shard int, to string) error {
 	src, err := c.owner(shard)
 	if err != nil {
@@ -241,50 +252,77 @@ func (c *Coordinator) Migrate(shard int, to string) error {
 	if src == to {
 		return fmt.Errorf("cluster: shard %d already lives on %s", shard, to)
 	}
-	if err := postJSON(c.hc, src+"/fabric/freeze", shardReq{Shard: shard}, nil); err != nil {
+	listed := c.isReplica(shard, to)
+	start := shardReq{Shard: shard, Source: src}
+	// undo leaves the target as it was: without the shard, and a replica
+	// only if it was listed before.
+	undo := func(promoted bool) {
+		if promoted || !listed {
+			_ = postJSON(c.hc, to+"/fabric/discard", shardReq{Shard: shard}, nil)
+		}
+		if promoted && listed {
+			_ = postJSON(c.hc, to+"/fabric/replica/start", start, nil)
+		}
+	}
+	if err := postJSON(c.hc, to+"/fabric/replica/start", start, nil); err != nil {
+		return fmt.Errorf("catch-up on %s: %w", to, err)
+	}
+	c.step(StepAfterCatchUp, shard)
+
+	at := new(server.Frozen)
+	if err := postJSON(c.hc, src+"/fabric/freeze", shardReq{Shard: shard}, at); err != nil {
+		// Not resumed: a refused freeze (409) is another migration's hold.
+		undo(false)
 		return fmt.Errorf("freeze on %s: %w", src, err)
 	}
 	c.step(StepAfterFreeze, shard)
 
-	state, err := postRaw(c.hc, src+"/fabric/export", mustJSON(shardReq{Shard: shard}))
-	if err != nil {
-		// The source died (or failed) holding the freeze; nothing was
-		// installed anywhere, so the table stays put. If the source is
-		// alive, release the hold.
-		_ = postJSON(c.hc, src+"/fabric/resume", shardReq{Shard: shard}, nil)
-		return fmt.Errorf("export on %s: %w", src, err)
+	resume := func() { _ = postJSON(c.hc, src+"/fabric/resume", shardReq{Shard: shard}, nil) }
+	if err := postJSON(c.hc, to+"/fabric/replica/promote", shardReq{Shard: shard, Frozen: at}, nil); err != nil {
+		resume()
+		undo(false)
+		return fmt.Errorf("promote on %s: %w", to, err)
 	}
-	c.step(StepAfterExport, shard)
+	c.step(StepAfterPromote, shard)
 
-	if _, err := postRaw(c.hc, to+"/fabric/install", state); err != nil {
-		_ = postJSON(c.hc, src+"/fabric/resume", shardReq{Shard: shard}, nil)
-		return fmt.Errorf("install on %s: %w", to, err)
-	}
-	c.step(StepAfterInstall, shard)
-
-	// Point of no return is the table bump; require a live, installed
-	// target first. If the target died right after installing, roll back.
+	// Point of no return is the table bump; require a live target first.
 	if !healthy(c.hc, to) {
-		_ = postJSON(c.hc, src+"/fabric/resume", shardReq{Shard: shard}, nil)
-		_ = postJSON(c.hc, to+"/fabric/discard", shardReq{Shard: shard}, nil)
-		return fmt.Errorf("cluster: target %s unhealthy after install; rolled back", to)
+		resume()
+		undo(true)
+		return fmt.Errorf("cluster: target %s unhealthy after promotion; rolled back", to)
 	}
-
 	c.mu.Lock()
 	c.table.Epoch++
 	epoch := c.table.Epoch
 	c.table.Placements[shard] = fsproto.Placement{Shard: shard, Node: to, Epoch: epoch,
-		Replicas: c.table.Placements[shard].Replicas}
+		Replicas: without(c.table.Placements[shard].Replicas, to)}
 	t := c.snapshotLocked()
 	c.mu.Unlock()
 
 	// Retire the source. A dead source is fine — it cannot serve, so the
-	// cutover is safe regardless; the error is recorded in the returned
-	// table push semantics, not fatal.
+	// cutover is safe regardless.
 	_ = postJSON(c.hc, src+"/fabric/commit", shardReq{Shard: shard, Epoch: epoch}, nil)
 	c.push(t)
 	c.step(StepAfterCommit, shard)
 	return nil
+}
+
+// isReplica reports whether the table lists node as a replica of shard.
+func (c *Coordinator) isReplica(shard int, node string) bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return slices.Contains(c.table.Placements[shard].Replicas, node)
+}
+
+// without returns nodes minus node, as a new slice.
+func without(nodes []string, node string) []string {
+	out := make([]string, 0, len(nodes))
+	for _, n := range nodes {
+		if n != node {
+			out = append(out, n)
+		}
+	}
+	return out
 }
 
 // Replicate starts an admission-log replica of shard on node `on` and
@@ -301,14 +339,7 @@ func (c *Coordinator) Replicate(shard int, on string) error {
 		return err
 	}
 	c.mu.Lock()
-	p := &c.table.Placements[shard]
-	has := false
-	for _, r := range p.Replicas {
-		if r == on {
-			has = true
-		}
-	}
-	if !has {
+	if p := &c.table.Placements[shard]; !slices.Contains(p.Replicas, on) {
 		p.Replicas = append(p.Replicas, on)
 	}
 	t := c.snapshotLocked()
@@ -335,21 +366,13 @@ func (c *Coordinator) Failover(shard int) error {
 		if !healthy(c.hc, rep) {
 			continue
 		}
-		c.mu.Lock()
-		c.table.Epoch++
-		epoch := c.table.Epoch
-		c.mu.Unlock()
-		if err := postJSON(c.hc, rep+"/fabric/replica/promote", shardReq{Shard: shard, Epoch: epoch}, nil); err != nil {
+		if err := postJSON(c.hc, rep+"/fabric/replica/promote", shardReq{Shard: shard}, nil); err != nil {
 			return fmt.Errorf("promote on %s: %w", rep, err)
 		}
 		c.mu.Lock()
-		reps := make([]string, 0, len(p.Replicas))
-		for _, r := range p.Replicas {
-			if r != rep {
-				reps = append(reps, r)
-			}
-		}
-		c.table.Placements[shard] = fsproto.Placement{Shard: shard, Node: rep, Epoch: epoch, Replicas: reps}
+		c.table.Epoch++
+		c.table.Placements[shard] = fsproto.Placement{Shard: shard, Node: rep, Epoch: c.table.Epoch,
+			Replicas: without(p.Replicas, rep)}
 		t := c.snapshotLocked()
 		c.mu.Unlock()
 		c.push(t)

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -16,9 +14,10 @@ import (
 
 // Node wraps one fsencrd service with the fabric endpoints the
 // coordinator drives. The node's /v1 surface is unchanged; /fabric/* is
-// the control plane: migration source verbs (freeze, export, resume,
-// commit), target verbs (install, discard), the replication pull surface,
-// replica management, and placement-table pushes.
+// the control plane: migration source verbs (freeze, resume, commit), the
+// replication pull surface, replica management (start, promote, status, and
+// discard on a migration target that rolls back), and placement-table
+// pushes.
 type Node struct {
 	svc  *server.Service
 	base string
@@ -42,23 +41,13 @@ func (n *Node) SetBase(base string) {
 	n.mu.Unlock()
 }
 
-// Base returns the advertised base URL.
-func (n *Node) Base() string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.base
-}
-
 // Service exposes the wrapped service.
 func (n *Node) Service() *server.Service { return n.svc }
 
 // Close stops replica pull loops and drains the service.
 func (n *Node) Close() {
 	n.mu.Lock()
-	reps := make([]*Replica, 0, len(n.reps))
-	for _, r := range n.reps {
-		reps = append(reps, r)
-	}
+	reps := n.reps
 	n.reps = make(map[int]*Replica)
 	n.mu.Unlock()
 	for _, r := range reps {
@@ -72,10 +61,8 @@ func (n *Node) Close() {
 func (n *Node) Mux() *http.ServeMux {
 	mux := n.svc.Mux()
 	mux.HandleFunc("/fabric/freeze", shardVerb(n.freeze))
-	mux.HandleFunc("/fabric/export", shardVerb(n.export))
 	mux.HandleFunc("/fabric/resume", shardVerb(n.resume))
 	mux.HandleFunc("/fabric/commit", shardVerb(n.commit))
-	mux.HandleFunc("/fabric/install", n.handleInstall)
 	mux.HandleFunc("/fabric/discard", shardVerb(n.discard))
 	mux.HandleFunc("/fabric/pull", shardVerb(n.pull))
 	mux.HandleFunc("/fabric/loglen", shardVerb(n.logLen))
@@ -100,9 +87,8 @@ type statusError struct {
 
 // shardVerb adapts a fabric verb on one shard to its handler: an
 // undecodable shardReq answers 400, an error its status with the JSON error
-// body, and a result 200 — a []byte as is (a gob payload), a [][]byte as its
-// pieces back to back (encoded log records), anything else as JSON, nil as
-// the empty object.
+// body, and a result 200 — a [][]byte as its pieces back to back (encoded
+// log records), anything else as JSON, nil as the empty object.
 func shardVerb(verb func(*http.Request, shardReq) (any, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req shardReq
@@ -122,9 +108,6 @@ func shardVerb(verb func(*http.Request, shardReq) (any, error)) http.HandlerFunc
 		switch out := out.(type) {
 		case nil:
 			writeJSON(w, struct{}{})
-		case []byte:
-			w.Header().Set("Content-Type", "application/octet-stream")
-			w.Write(out)
 		case [][]byte:
 			w.Header().Set("Content-Type", "application/octet-stream")
 			for _, b := range out {
@@ -136,8 +119,9 @@ func shardVerb(verb func(*http.Request, shardReq) (any, error)) http.HandlerFunc
 	}
 }
 
-// freeze quiesces a shard for migration and parks the hold. The shard itself
-// arbitrates concurrent freezes: exactly one takes it.
+// freeze quiesces a shard for migration, parks the hold and answers where
+// the shard froze (server.Frozen). The shard itself arbitrates concurrent
+// freezes: exactly one takes it.
 func (n *Node) freeze(r *http.Request, req shardReq) (any, error) {
 	mig, err := n.svc.FreezeShard(r.Context(), req.Shard)
 	if errors.Is(err, server.ErrHeld) {
@@ -149,7 +133,7 @@ func (n *Node) freeze(r *http.Request, req shardReq) (any, error) {
 	n.mu.Lock()
 	n.migs[req.Shard] = mig
 	n.mu.Unlock()
-	return nil, nil
+	return mig.At, nil
 }
 
 func (n *Node) takeMig(shard int) *server.Migration {
@@ -158,31 +142,6 @@ func (n *Node) takeMig(shard int) *server.Migration {
 	m := n.migs[shard]
 	delete(n.migs, shard)
 	return m
-}
-
-func (n *Node) peekMig(shard int) *server.Migration {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.migs[shard]
-}
-
-func errNotFrozen(shard int) error {
-	return statusError{http.StatusConflict, fmt.Errorf("shard %d is not frozen", shard)}
-}
-
-// export ships the frozen shard's state as gob.
-func (n *Node) export(_ *http.Request, req shardReq) (any, error) {
-	mig := n.peekMig(req.Shard)
-	if mig == nil {
-		return nil, errNotFrozen(req.Shard)
-	}
-	st, err := mig.Export()
-	if err != nil {
-		return nil, err
-	}
-	var buf bytes.Buffer
-	err = gob.NewEncoder(&buf).Encode(st)
-	return buf.Bytes(), err
 }
 
 // resume rolls a migration back: the hold releases, the worker serves the
@@ -199,30 +158,16 @@ func (n *Node) resume(_ *http.Request, req shardReq) (any, error) {
 func (n *Node) commit(_ *http.Request, req shardReq) (any, error) {
 	mig := n.takeMig(req.Shard)
 	if mig == nil {
-		return nil, errNotFrozen(req.Shard)
+		return nil, statusError{http.StatusConflict, fmt.Errorf("shard %d is not frozen", req.Shard)}
 	}
 	mig.Commit(req.Epoch)
 	return nil, nil
 }
 
-// handleInstall rehydrates a migrated shard from its gob state.
-func (n *Node) handleInstall(w http.ResponseWriter, r *http.Request) {
-	defer r.Body.Close()
-	var st server.ShardState
-	if err := gob.NewDecoder(r.Body).Decode(&st); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := n.svc.InstallShard(&st); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, struct{}{})
-}
-
-// discard drops an installed-but-uncommitted shard (rollback on the
-// target).
+// discard undoes what a rolled-back migration left on its target: the
+// replica it started there, and the shard if that replica was promoted.
 func (n *Node) discard(_ *http.Request, req shardReq) (any, error) {
+	n.dropReplica(req.Shard)
 	n.svc.DropShard(req.Shard)
 	return nil, nil
 }
@@ -239,15 +184,17 @@ func (n *Node) logLen(r *http.Request, req shardReq) (any, error) {
 	return map[string]uint64{"len": ln}, err
 }
 
-// replicaStart begins replicating a shard from its primary.
+// replicaStart makes this node a replica of a shard and answers once it has
+// caught up with its primary.
 func (n *Node) replicaStart(_ *http.Request, req shardReq) (any, error) {
 	_, err := n.StartReplica(req.Shard, req.Source)
 	return nil, err
 }
 
-// replicaPromote turns a clean replica into the serving owner.
+// replicaPromote turns a clean replica into the serving owner: at a
+// migration's freeze point when the request carries one.
 func (n *Node) replicaPromote(_ *http.Request, req shardReq) (any, error) {
-	return nil, n.PromoteReplica(req.Shard, req.Epoch)
+	return nil, n.PromoteReplica(req.Shard, req.Frozen)
 }
 
 // ReplicaStatus is the replica sync report.
@@ -286,6 +233,15 @@ func (n *Node) ApplyTable(t fsproto.ClusterTable) {
 		return
 	}
 	n.table = t
+	// A replica follows its shard's owner: after a migration or a failover
+	// the old one answers pulls with the routing error. The new owner's log
+	// continues the old one position for position (replay appends every
+	// record it applies), so the replica pulls on from where it stopped.
+	for shard, rep := range n.reps {
+		if owner, ok := t.Owner(shard); ok {
+			rep.setSource(owner)
+		}
+	}
 	n.mu.Unlock()
 	n.svc.SetClusterEpoch(t.Epoch)
 	n.svc.SetForwarder(func(shard int) (string, bool) {
@@ -300,31 +256,47 @@ func (n *Node) ApplyTable(t fsproto.ClusterTable) {
 	})
 }
 
-// Table returns the node's current placement table.
-func (n *Node) Table() fsproto.ClusterTable {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.table
+// StartReplica makes this node a replica of shard, replaying the primary at
+// source, and returns once one synchronous pull has caught it up. A replica
+// of the shard already here is reused, pointed at source; a new one that
+// cannot catch up is dropped again.
+func (n *Node) StartReplica(shard int, source string) (*Replica, error) {
+	rep, fresh := n.Replica(shard), false
+	if rep == nil {
+		var err error
+		if rep, err = NewReplica(n.svc, shard, source); err != nil {
+			return nil, err
+		}
+		n.mu.Lock()
+		if n.reps[shard] != nil {
+			n.mu.Unlock()
+			return nil, fmt.Errorf("cluster: already replicating shard %d", shard)
+		}
+		n.reps[shard] = rep
+		n.mu.Unlock()
+		rep.Start(2 * time.Millisecond)
+		fresh = true
+	} else {
+		rep.setSource(source)
+	}
+	if err := rep.Sync(); err != nil {
+		if fresh {
+			n.dropReplica(shard)
+		}
+		return nil, fmt.Errorf("cluster: replica of shard %d catching up with %s: %w", shard, source, err)
+	}
+	return rep, nil
 }
 
-// StartReplica boots a detached replica shard replaying the primary at
-// source and starts its pull loop.
-func (n *Node) StartReplica(shard int, source string) (*Replica, error) {
+// dropReplica stops and forgets the replica of shard, if any.
+func (n *Node) dropReplica(shard int) {
 	n.mu.Lock()
-	if _, dup := n.reps[shard]; dup {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("cluster: already replicating shard %d", shard)
-	}
+	rep := n.reps[shard]
+	delete(n.reps, shard)
 	n.mu.Unlock()
-	rep, err := NewReplica(n.svc, shard, source)
-	if err != nil {
-		return nil, err
+	if rep != nil {
+		rep.Stop()
 	}
-	n.mu.Lock()
-	n.reps[shard] = rep
-	n.mu.Unlock()
-	rep.Start(2 * time.Millisecond)
-	return rep, nil
 }
 
 // Replica returns the node's replica of shard, if any.
@@ -334,19 +306,20 @@ func (n *Node) Replica(shard int) *Replica {
 	return n.reps[shard]
 }
 
-// PromoteReplica stops the pull loop and adopts the replica as owner at
-// the given epoch.
-func (n *Node) PromoteReplica(shard int, epoch uint64) error {
-	n.mu.Lock()
-	rep := n.reps[shard]
-	delete(n.reps, shard)
-	n.mu.Unlock()
+// PromoteReplica adopts the replica of shard as its owner (Replica.Promote;
+// at is nil in a failover). A refused replica stays listed here, so the
+// rollback that follows finds it. The new epoch arrives with the
+// coordinator's table push.
+func (n *Node) PromoteReplica(shard int, at *server.Frozen) error {
+	rep := n.Replica(shard)
 	if rep == nil {
-		return fmt.Errorf("cluster: no replica of shard %d here", shard)
+		return statusError{http.StatusNotFound, fmt.Errorf("no replica of shard %d here", shard)}
 	}
-	if err := rep.Promote(); err != nil {
+	if err := rep.Promote(at); err != nil {
 		return err
 	}
-	n.svc.SetClusterEpoch(epoch)
+	n.mu.Lock()
+	delete(n.reps, shard)
+	n.mu.Unlock()
 	return nil
 }

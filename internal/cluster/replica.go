@@ -14,10 +14,11 @@ import (
 )
 
 // Replica replays a primary shard's admission log into a detached local
-// shard. The shard is booted with the primary's chip sequence, so replay
+// shard. The shard is booted with the service's own discipline and chip
+// sequence — the fabric requires every node to share them — so replay
 // reproduces ciphertext, counters and the Merkle tree exactly; every
-// checkpoint record in the pulled stream carries the primary's root at
-// that log position, and a mismatch stops the replica cold
+// checkpoint record in the pulled stream carries the primary's root at that
+// log position, and a mismatch stops the replica cold
 // (journal.ReplicaDiverged) rather than letting a divergent copy be
 // promoted later.
 //
@@ -25,11 +26,10 @@ import (
 // touches the detached shard and the log reader; Root, the one reader from
 // outside, takes the replay lock the loop holds while it replays.
 type Replica struct {
-	svc    *server.Service
-	sh     *server.Shard
-	shard  int
-	source string
-	hc     *http.Client
+	svc   *server.Service
+	sh    *server.Shard
+	shard int
+	hc    *http.Client
 	// rd has decoded every record pulled so far: the sessions the log
 	// introduced before the next pull are known to it alone.
 	rd fsproto.LogReader
@@ -38,25 +38,25 @@ type Replica struct {
 	done chan struct{}
 	kick chan chan error
 
-	mu     sync.Mutex
+	mu sync.Mutex
+	// source is the base URL of the shard's owner, which table pushes
+	// re-point (Node.ApplyTable).
+	source string
 	pulled uint64
 	err    error
 
 	replay sync.Mutex // held across a replay batch, and by Root
 }
 
-// NewReplica boots the detached replica shard. The primary's discipline
-// and chip sequence are derived from the local service options — the
-// fabric requires every node to run the same shard-count/chip-base
-// configuration.
+// NewReplica boots the detached replica shard of shard, to pull from the
+// owner at source.
 func NewReplica(svc *server.Service, shard int, source string) (*Replica, error) {
 	if source == "" {
 		return nil, fmt.Errorf("cluster: replica of shard %d needs a source", shard)
 	}
-	sh := svc.NewReplicaShard(shard, svc.ChipSeqFor(shard), false)
 	return &Replica{
 		svc:    svc,
-		sh:     sh,
+		sh:     svc.NewReplicaShard(shard),
 		shard:  shard,
 		source: source,
 		hc:     &http.Client{Timeout: 10 * time.Second},
@@ -116,9 +116,9 @@ func transient(err error) bool {
 // replays them.
 func (r *Replica) pullOnce() error {
 	r.mu.Lock()
-	from := r.pulled
+	from, source := r.pulled, r.source
 	r.mu.Unlock()
-	body, err := postRaw(r.hc, r.source+"/fabric/pull", mustJSON(shardReq{Shard: r.shard, From: from}))
+	body, err := postRaw(r.hc, source+"/fabric/pull", mustJSON(shardReq{Shard: r.shard, From: from}))
 	if err != nil {
 		return err
 	}
@@ -133,7 +133,7 @@ func (r *Replica) pullOnce() error {
 			r.sh.Jrn.Emit(journal.Event{
 				Cycle:  uint64(r.sh.Sys.M.MaxCoreTime()),
 				Type:   journal.ReplicaDiverged,
-				Detail: fmt.Sprintf("shard %d replica diverged from %s: %v", r.shard, r.source, err),
+				Detail: fmt.Sprintf("shard %d replica diverged from %s: %v", r.shard, source, err),
 			})
 		}
 		return fmt.Errorf("%w: %w", errReplay, err)
@@ -182,13 +182,6 @@ func (r *Replica) Status() ReplicaStatus {
 	return st
 }
 
-// Pulled reports how many records the replica has replayed.
-func (r *Replica) Pulled() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.pulled
-}
-
 // Root returns the replica shard's current Merkle root (divergence
 // comparisons in tests).
 func (r *Replica) Root() [32]byte {
@@ -197,27 +190,34 @@ func (r *Replica) Root() [32]byte {
 	return r.sh.Sys.M.MC.MerkleRoot()
 }
 
-// Promote stops the pull loop, makes a best-effort final catch-up pull,
-// and adopts the replica as the serving owner. A diverged replica refuses
-// to promote.
-func (r *Replica) Promote() error {
-	select {
-	case <-r.done:
-	default:
-		// Best-effort catch-up while the loop still runs; in a failover the
-		// primary is usually already dead and this returns a transport error.
-		ch := make(chan error, 1)
-		select {
-		case r.kick <- ch:
-			<-ch
-		case <-r.done:
-		}
-		r.Stop()
+// setSource points the pull loop at the shard's current owner.
+func (r *Replica) setSource(source string) {
+	r.mu.Lock()
+	r.source = source
+	r.mu.Unlock()
+}
+
+// Promote adopts the replica as the serving owner. A migration passes where
+// its source froze: the replica must then catch up with the frozen log, and a
+// pull that fails leaves it running as it was. A failover's catch-up is best
+// effort (the primary is usually dead). The pull loop then stops for good,
+// and server.PromoteShard gates the adoption; a replica that diverged, or
+// that the gates refuse, is not adopted and reports why in Err.
+func (r *Replica) Promote(at *server.Frozen) error {
+	if err := r.Sync(); err != nil && at != nil {
+		return fmt.Errorf("cluster: replica of shard %d cannot reach the frozen log: %w", r.shard, err)
 	}
+	r.Stop()
 	if err := r.Err(); err != nil {
 		return fmt.Errorf("cluster: refusing to promote diverged replica of shard %d: %w", r.shard, err)
 	}
-	return r.svc.PromoteShard(r.sh)
+	if err := r.svc.PromoteShard(r.sh, at); err != nil {
+		r.mu.Lock()
+		r.err = err
+		r.mu.Unlock()
+		return err
+	}
+	return nil
 }
 
 // mustJSON marshals v, panicking on failure (wire structs only).

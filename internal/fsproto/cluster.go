@@ -1,8 +1,7 @@
 package fsproto
 
-// Cluster routing plane wire types: the coordinator's placement table and
-// the session records that travel with a migrated shard (the admission log
-// that migration and replication replay is log.go).
+// Cluster routing plane wire types: the coordinator's placement table (the
+// admission log that migration and replication replay is log.go).
 //
 // The placement table turns ShardIndex from an in-process array index into
 // a cluster-wide contract: gid maps onto one of NShards *global* shard
@@ -46,14 +45,4 @@ func (t *ClusterTable) Owner(shard int) (string, bool) {
 		return "", false
 	}
 	return p.Node, true
-}
-
-// SessionRecord is one live session shipped with a migrating shard, so
-// already-issued tokens keep working on the new owner.
-type SessionRecord struct {
-	Token  string `json:"token"`
-	Tenant string `json:"tenant"`
-	GID    uint32 `json:"gid"`
-	EUID   uint32 `json:"euid"`
-	Pass   string `json:"pass"`
 }

@@ -144,17 +144,3 @@ func (s *System) SnapshotRead(sr *SnapshotReader, uid, gid uint32, name, passphr
 	}
 	return true
 }
-
-// SnapshotStat resolves a file's metadata without any side effects: pure
-// lookup plus the Unix permission check, no clock, no cache, no keyring.
-// ok=false sends the caller to the owner goroutine for the exact error.
-func (s *System) SnapshotStat(uid, gid uint32, name string) (*fs.File, bool) {
-	f, err := s.FS.Lookup(name)
-	if err != nil {
-		return nil, false
-	}
-	if !f.Allows(uid, gid, fs.ReadAccess) {
-		return nil, false
-	}
-	return f, true
-}

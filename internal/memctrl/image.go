@@ -1,24 +1,24 @@
 package memctrl
 
-// Shard-migration images: a serializable snapshot of everything the NVM
-// module side of a controller holds — device frames (ciphertext), counter
-// blocks, ECC tags, OTT entries and the sealed OTT region — plus the
-// Merkle root and the chip key-derivation sequence.
+// Module images: a plain-data snapshot of everything the NVM module side of
+// a controller holds — device frames (ciphertext), counter blocks, ECC
+// tags, OTT entries and the sealed OTT region — plus the Merkle root and the
+// chip key-derivation sequence.
 //
 // Unlike Transport (lifecycle.go), which hands live pointers to a
-// destination controller in the same process, an Image is plain data: it
-// gob-encodes, ships over the cluster fabric, and rehydrates into a fresh
-// controller built with the same chip sequence. The image is the
-// *verification artifact* of a migration — the target reconstructs state
-// by replaying the admission log and then proves equivalence against the
-// image root and the Osiris recovery gate — not the transfer mechanism.
+// destination controller, an Image is a copy, and it stays on the node that
+// exported it: it is never sent anywhere. A migration rebuilds a shard by
+// replaying the admission log; the source and the new owner each export
+// their own image and compare Digests, and the new owner's image must pass
+// VerifyImage, the Osiris recovery gate, on a scratch controller.
 
 import (
-	"bytes"
+	"crypto/sha256"
+	"encoding/binary"
 	"errors"
 	"fmt"
-	"maps"
 	"math/bits"
+	"slices"
 
 	"fsencr/internal/config"
 	"fsencr/internal/counters"
@@ -27,7 +27,7 @@ import (
 	"fsencr/internal/stats"
 )
 
-// Image is the serializable module snapshot.
+// Image is the plain-data module snapshot.
 type Image struct {
 	// ChipSeq is the key-derivation sequence of the source controller. A
 	// controller can only import an image whose ChipSeq matches its own:
@@ -62,7 +62,7 @@ func (c *Controller) FlushOTT() {
 	}
 }
 
-// ExportImage snapshots the controller into a serializable image. The
+// ExportImage snapshots the controller into a plain-data image. The
 // caller must have quiesced the datapath, flushed dirty cache lines, and
 // run FlushOTT first (the shard fabric runs its flush log-record before
 // exporting, which does all three). ExportImage itself mutates nothing —
@@ -119,59 +119,69 @@ func eccPages(lines map[uint64]uint64) map[uint64]*eccPage {
 	return pages
 }
 
-// Equal reports whether two images describe byte-identical module state:
-// same chip sequence, Merkle root, device frames, counter blocks, ECC
-// tags, OTT entries and sealed region. The migration install gate uses it
-// to prove the replayed shard reproduced the source exactly — including
-// data content the Merkle root (which covers only the metadata region)
-// cannot vouch for.
-func (img *Image) Equal(o *Image) bool {
-	if o == nil || img.ChipSeq != o.ChipSeq || img.Root != o.Root {
-		return false
-	}
-	if len(img.Frames) != len(o.Frames) || len(img.ECC) != len(o.ECC) ||
-		len(img.Entries) != len(o.Entries) || len(img.Buckets) != len(o.Buckets) ||
-		!maps.Equal(img.Counters, o.Counters) {
-		return false
-	}
-	for k, v := range img.Frames {
-		if !bytes.Equal(v, o.Frames[k]) {
-			return false
+// Digest is a sha256 over every field of the image — chip sequence, Merkle
+// root, device frames, counter blocks, ECC tags, OTT entries and sealed
+// region — in one canonical order (maps by ascending key, every variable
+// length prefixed), so two images digest equal exactly when they describe
+// the same module state. A migration compares the source's digest with the
+// new owner's: the gate that catches data-content divergence the Merkle
+// root, which covers only the metadata region, cannot vouch for.
+func (img *Image) Digest() [32]byte {
+	h := sha256.New()
+	w := func(v any) {
+		// Every value is fixed-size; one that is not would be left out.
+		if err := binary.Write(h, binary.LittleEndian, v); err != nil {
+			panic(err)
 		}
 	}
-	for k, v := range img.ECC {
-		if o.ECC[k] != v {
-			return false
-		}
+	w(img.ChipSeq)
+	w(img.Root)
+	w(uint64(len(img.Frames)))
+	for _, page := range sortedKeys(img.Frames) {
+		w(page)
+		w(uint64(len(img.Frames[page])))
+		h.Write(img.Frames[page])
 	}
-	for i, e := range img.Entries {
-		if o.Entries[i] != e {
-			return false
-		}
+	w(uint64(len(img.Counters)))
+	for _, slot := range sortedKeys(img.Counters) {
+		w(slot)
+		w(img.Counters[slot])
 	}
-	for i, b := range img.Buckets {
-		if len(b) != len(o.Buckets[i]) {
-			return false
-		}
-		for j, s := range b {
-			if o.Buckets[i][j] != s {
-				return false
-			}
-		}
+	w(uint64(len(img.ECC)))
+	for _, line := range sortedKeys(img.ECC) {
+		w([2]uint64{line, img.ECC[line]})
 	}
-	return true
+	w(uint64(len(img.Entries)))
+	w(img.Entries)
+	w(uint64(len(img.Buckets)))
+	for _, bucket := range img.Buckets {
+		w(uint64(len(bucket)))
+		w(bucket)
+	}
+	var d [32]byte
+	h.Sum(d[:0])
+	return d
+}
+
+func sortedKeys[V any](m map[uint64]V) []uint64 {
+	keys := make([]uint64, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.Sort(keys)
+	return keys
 }
 
 // ErrImageRejected reports an image that does not authenticate against
 // this controller: wrong chip sequence (keys), a field outside what the
 // device and the counter encodings can hold, or a regenerated Merkle root
-// that disagrees with the transported one.
+// that disagrees with the image's.
 var ErrImageRejected = errors.New("memctrl: image rejected")
 
 // validate range-checks everything ImportImage would otherwise index or
-// encode with: the image is a peer's migration payload, and an out-of-range
-// page, identity or counter must be an error here, not a panic in the
-// Merkle tree or the counter codec later.
+// encode with: an image is plain data anyone holding it can edit, and an
+// out-of-range page, identity or counter must be an error here, not a panic
+// in the Merkle tree or the counter codec later.
 func (img *Image) validate() error {
 	const pages, lines = MaxDataBytes / config.PageSize, MaxDataBytes / config.LineSize
 	for page, frame := range img.Frames {
@@ -236,9 +246,9 @@ func (c *Controller) ImportImage(img *Image) error {
 // VerifyImage is the migration cutover gate: it rehydrates the image into
 // a scratch controller (same config, mode and chip sequence), then runs
 // the full crash/recovery cycle — Crash(true), Osiris Recover, and
-// VerifyRecovery — against it. Success proves the shipped frames, counter
+// VerifyRecovery — against it. Success proves the image's frames, counter
 // blocks, ECC tags and sealed OTT region are mutually consistent and
-// recoverable on the target, without ever touching the live controller.
+// recoverable, without ever touching the live controller.
 func VerifyImage(cfg config.Config, mode Mode, img *Image) error {
 	c := NewWithChipSeq(cfg, mode, stats.NewSet(), img.ChipSeq)
 	if err := c.ImportImage(img); err != nil {

@@ -1,8 +1,6 @@
 package memctrl
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"testing"
 
@@ -46,9 +44,9 @@ func buildImageSource(t *testing.T, seq uint64) *Controller {
 	return c
 }
 
-// TestImageRoundTrip exports an image, ships it through gob (the wire
-// form), imports it into a fresh controller with the same chip sequence,
-// and checks plaintext and root equivalence plus the recovery gate.
+// TestImageRoundTrip exports an image, imports it into a fresh controller
+// with the same chip sequence, and checks plaintext and root equivalence,
+// the digest of a re-export, and the recovery gate.
 func TestImageRoundTrip(t *testing.T) {
 	const seq = 4242
 	src := buildImageSource(t, seq)
@@ -57,19 +55,10 @@ func TestImageRoundTrip(t *testing.T) {
 		t.Fatalf("export: %v", err)
 	}
 
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(img); err != nil {
-		t.Fatalf("gob encode: %v", err)
-	}
-	var wire Image
-	if err := gob.NewDecoder(&buf).Decode(&wire); err != nil {
-		t.Fatalf("gob decode: %v", err)
-	}
-
 	cfg := config.Default()
 	mode := Mode{MemEncryption: true, FileEncryption: true}
 	dst := NewWithChipSeq(cfg, mode, stats.NewSet(), seq)
-	if err := dst.ImportImage(&wire); err != nil {
+	if err := dst.ImportImage(img); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	if dst.MerkleRoot() != src.MerkleRoot() {
@@ -89,9 +78,75 @@ func TestImageRoundTrip(t *testing.T) {
 		t.Fatalf("file plaintext mismatch after import: %x vs %x", want[:8], got[:8])
 	}
 
-	// The non-destructive cutover gate must pass on the wire image.
-	if err := VerifyImage(cfg, mode, &wire); err != nil {
+	if again, err := dst.ExportImage(); err != nil || again.Digest() != img.Digest() {
+		t.Fatalf("the imported controller's image digests differently (%v)", err)
+	}
+
+	// The non-destructive cutover gate must pass on the image.
+	if err := VerifyImage(cfg, mode, img); err != nil {
 		t.Fatalf("VerifyImage: %v", err)
+	}
+}
+
+// TestImageDigest: two exports of the same state digest equal, and a
+// change to any single field of the image — one frame byte, one counter
+// minor, one ECC tag, one OTT entry, one sealed bucket, the root, the chip
+// sequence — changes the digest.
+func TestImageDigest(t *testing.T) {
+	export := func() *Image {
+		img, err := buildImageSource(t, 4242).ExportImage()
+		if err != nil {
+			t.Fatalf("export: %v", err)
+		}
+		return img
+	}
+	want := export().Digest()
+	if export().Digest() != want {
+		t.Fatal("two exports of the same state digest differently")
+	}
+	anyKey := func(m map[uint64][]byte) uint64 {
+		for k := range m {
+			return k
+		}
+		t.Fatal("empty map")
+		return 0
+	}
+	mutations := map[string]func(*Image){
+		"frame byte": func(img *Image) { img.Frames[anyKey(img.Frames)][100] ^= 1 },
+		"counter minor": func(img *Image) {
+			for slot, b := range img.Counters {
+				b.Minor[5]++
+				img.Counters[slot] = b
+				return
+			}
+		},
+		"ECC tag": func(img *Image) {
+			for line := range img.ECC {
+				img.ECC[line] ^= 1
+				return
+			}
+		},
+		"OTT entry": func(img *Image) { img.Entries[0].Key[0] ^= 1 },
+		"sealed bucket": func(img *Image) {
+			for _, b := range img.Buckets {
+				if len(b) > 0 {
+					b[0][0] ^= 1
+					return
+				}
+			}
+		},
+		"root":     func(img *Image) { img.Root[0] ^= 1 },
+		"chip seq": func(img *Image) { img.ChipSeq++ },
+	}
+	for name, mutate := range mutations {
+		img := export()
+		if len(img.Entries) == 0 || len(img.Counters) == 0 || len(img.ECC) == 0 {
+			t.Fatal("the source image lacks a field the test mutates")
+		}
+		mutate(img)
+		if img.Digest() == want {
+			t.Errorf("%s: a changed image digests like the original", name)
+		}
 	}
 }
 
@@ -192,10 +247,8 @@ func TestImportImageFailsClosed(t *testing.T) {
 // FuzzImportImage corrupts a real export one field at a time (seeded with
 // the untouched export and the rejected edits above). Whatever arrives, the
 // outcome is an error or a controller whose Merkle root is the image's —
-// never a panic. The image is edited in memory rather than on the wire:
-// encoding/gob is documented as not hardened against adversarial input,
-// and fuzzing its byte stream finds gob's own memory blow-ups within
-// seconds, which a size-bounded wire format has to fix in internal/cluster.
+// never a panic. An image has no wire form (it never leaves the node that
+// exported it), so it is edited field by field.
 func FuzzImportImage(f *testing.F) {
 	const seq = 4242
 	f.Add(uint8(6), uint64(0), uint64(0), uint32(0), uint8(0)) // the export as it is

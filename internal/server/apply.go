@@ -3,7 +3,7 @@ package server
 // The admission log and its replay. A logged shard's worker encodes a record
 // of each op it executes (succeeding or failing) and of every flush and
 // checkpoint straight into append-only chunks, in fsproto's record format: the
-// bytes a replica pulls and a migration ships. A shard's simulated state is a
+// bytes a replica pulls, a migration's target included. A shard's simulated state is a
 // pure function of its log, so replaying the log into a fresh shard booted
 // with the same chip sequence rebuilds it byte for byte. Replay runs the
 // serving path: applyRecord decodes the request through the live decode,
@@ -123,10 +123,9 @@ func (sh *Shard) flush() {
 }
 
 // replaySession returns the session staged on sh under token, staging one
-// from the given credentials when the token never logged in through this
-// shard's log (cross-tenant traffic, or a session record shipped beside the
-// log). AdoptShard later folds the staged sessions into the service session
-// table.
+// from the credentials of the record that introduces the token to the log
+// (its login, or its first cross-tenant op). AdoptShard later folds the
+// staged sessions into the service session table.
 func (svc *Service) replaySession(sh *Shard, token, tenant string, euid uint32, pass string) *Session {
 	s, ok := sh.replaySessions[token]
 	if !ok {
@@ -183,7 +182,7 @@ func (svc *Service) applyRecord(sh *Shard, rec *fsproto.LogRecord, pos uint64) e
 // ReplayLog replays encoded admission-log records — a whole log, or the next
 // batch of one rd has read from position 0 — into a detached shard and
 // reports how many it applied. The caller is the only goroutine touching sh:
-// InstallShard before Start, or a replica's pull loop.
+// a replica's pull loop, before PromoteShard starts the shard.
 func (svc *Service) ReplayLog(sh *Shard, rd *fsproto.LogReader, b []byte) (n int, err error) {
 	var rec fsproto.LogRecord
 	for ; len(b) > 0; n++ {

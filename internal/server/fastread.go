@@ -204,24 +204,19 @@ func (sh *Shard) tryFastRead(sess *Session, tc fsproto.TraceContext, name, passp
 	return false
 }
 
-// tryFastStat serves a stat without the worker. ok=false falls back (the
-// worker produces the exact live error shapes for missing or denied
-// files).
-func (sh *Shard) tryFastStat(sess *Session, name string) (fsproto.StatResponse, bool) {
+// tryFastStat runs stat without the worker, under the read lock. false: the
+// lock stayed contended and stat did not run; fall back.
+func (sh *Shard) tryFastStat(stat func()) bool {
 	for attempt := 0; attempt < fastReadRetries; attempt++ {
 		if !sh.rLock() {
 			runtime.Gosched()
 			continue
 		}
-		f, ok := sh.Sys.SnapshotStat(sess.uid, sess.gid, name)
-		var resp fsproto.StatResponse
-		if ok {
-			resp = statResponse(f)
-		}
+		stat()
 		sh.rmu.RUnlock()
-		return resp, ok
+		return true
 	}
-	return fsproto.StatResponse{}, false
+	return false
 }
 
 // snapshotRead plans and executes one read under the held read lock.

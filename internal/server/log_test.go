@@ -249,7 +249,7 @@ func TestTokenIntroducedOnce(t *testing.T) {
 	}
 	// On another shard of the index — another log — the index the session
 	// cached means nothing: the token is introduced there afresh.
-	rep := svc.NewReplicaShard(0, svc.ChipSeqFor(0), false)
+	rep := svc.NewReplicaShard(0)
 	rep.logOp(&task{kind: fsproto.KindRead, sess: sess, body: []byte(`{}`)})
 	var rec fsproto.LogRecord
 	if _, err := new(fsproto.LogReader).Next(bytes.Join(rep.log.from(0), nil), &rec); err != nil || rec.Session != 0 || rec.Token != sess.token {

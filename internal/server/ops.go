@@ -638,11 +638,11 @@ func statResponse(f *fs.File) fsproto.StatResponse {
 	}
 }
 
-// workStat is the worker-side stat fallback. It deliberately touches no
-// simulated state — no clock, no journal, no keyring — so stat stays
-// replay-neutral on logged shards and schedule-neutral on deterministic
-// ones; it exists to produce the exact live error shapes the snapshot path
-// refuses to guess.
+// workStat is the one stat: lookup plus the Unix permission check. It
+// deliberately touches no simulated state — no clock, no journal, no
+// keyring — so stat stays replay-neutral on logged shards and
+// schedule-neutral on deterministic ones, and it answers the same, errors
+// included, under the read lock off the worker as on it.
 func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, error) {
 	f, err := sh.Sys.FS.Lookup(name)
 	if err != nil {
@@ -655,9 +655,9 @@ func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, erro
 }
 
 // Stat returns file metadata. Read-only end to end, and deliberately not in
-// the op table: the fast path answers from a seqlock-guarded snapshot off
-// the worker; the fallback runs as out-of-band worker work (DoSide), so
-// stat never consumes a deterministic schedule slot, advances no simulated
+// the op table: the fast path runs workStat under the seqlock off the
+// worker; the fallback runs it as out-of-band worker work (DoSide), so stat
+// never consumes a deterministic schedule slot, advances no simulated
 // clock, and is never logged.
 func (svc *Service) Stat(ctx context.Context, sess *Session, req fsproto.StatRequest) (fsproto.StatResponse, error) {
 	if req.Name == "" {
@@ -668,18 +668,19 @@ func (svc *Service) Stat(ctx context.Context, sess *Session, req fsproto.StatReq
 		return fsproto.StatResponse{}, err
 	}
 	name := fullName(tgt.tenant, req.Name)
+	var resp fsproto.StatResponse
+	var serr error
+	stat := func() { resp, serr = workStat(tgt.sh, sess, name) }
 	if svc.fastReadable(tgt.sh) {
-		if resp, ok := tgt.sh.tryFastStat(sess, name); ok {
+		if tgt.sh.tryFastStat(stat) {
 			svc.cFastReads.Inc()
-			return resp, nil
+			return resp, serr
 		}
 		svc.cFastFallbacks.Inc()
 	}
 	ctx, cancel := context.WithTimeout(ctx, svc.opts.RequestTimeout)
 	defer cancel()
-	var resp fsproto.StatResponse
-	var serr error
-	if err := tgt.sh.DoSide(ctx, func() { resp, serr = workStat(tgt.sh, sess, name) }); err != nil {
+	if err := tgt.sh.DoSide(ctx, stat); err != nil {
 		return fsproto.StatResponse{}, err
 	}
 	return resp, serr

@@ -5,11 +5,16 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"slices"
 	"testing"
 
+	"fsencr/internal/addr"
+	"fsencr/internal/config"
 	"fsencr/internal/fsproto"
 	"fsencr/internal/kernel"
 	"fsencr/internal/memctrl"
+	"fsencr/internal/obsplane/journal"
 )
 
 // seqFor hands out per-shard deterministic schedule sequence numbers.
@@ -198,16 +203,41 @@ func promBytes(t *testing.T, sh *Shard) []byte {
 	return buf.Bytes()
 }
 
-// TestReplayRebuildsShard freezes a logged deterministic shard, exports
-// its state, and installs it into a second (empty) node: the replayed
-// shard must reproduce the source's Merkle root, pass the recovery gate,
-// serve the migrated sessions, and emit a byte-identical /shards.prom
-// section and — spans of the traced ops included — JSON snapshot. The
-// workload must put every kind of the op table into the log, so an op
-// added without replay coverage fails here.
+// frozenLog freezes shard idx of svc for migration and returns the
+// migration with the shard's whole log, taken under the hold as a replica's
+// last pull would.
+func frozenLog(t *testing.T, svc *Service, idx int) (*Migration, []byte) {
+	t.Helper()
+	ctx := context.Background()
+	mig, err := svc.FreezeShard(ctx, idx)
+	if err != nil {
+		t.Fatalf("freeze: %v", err)
+	}
+	segs, err := svc.RecordsFrom(ctx, idx, 0)
+	if err != nil {
+		t.Fatalf("frozen log: %v", err)
+	}
+	return mig, bytes.Join(segs, nil)
+}
+
+// emptyNode is a second node of the test cluster that owns no shard yet.
+func emptyNode() *Service {
+	opts := clusterTestOptions()
+	opts.OwnedShards = []int{}
+	opts.TokenPrefix = "b"
+	return New(opts)
+}
+
+// TestReplayRebuildsShard freezes a logged deterministic shard and rebuilds
+// it on a second (empty) node the way a migration does: a replica shard
+// replays the log — in two pulls, the first short of the freeze — and is
+// promoted at the freeze point. The promoted shard must pass the gates,
+// serve the migrated sessions where the schedule stopped, and emit a
+// byte-identical /shards.prom section, JSON snapshot (spans of the traced
+// ops included) and journal. The workload must put every kind of the op
+// table into the log, so an op added without replay coverage fails here.
 func TestReplayRebuildsShard(t *testing.T) {
-	optsA := clusterTestOptions()
-	svcA := New(optsA)
+	svcA := New(clusterTestOptions())
 	defer svcA.Close()
 	taken := map[string]bool{}
 	tA := tenantOnShard(t, 0, 2, taken)
@@ -215,18 +245,11 @@ func TestReplayRebuildsShard(t *testing.T) {
 	seqs := newSeqFor(2)
 	sess := runReplayWorkload(t, svcA, seqs, tA, tB)
 
-	// Freeze + export shard 1 (tB's home).
-	mig, err := svcA.FreezeShard(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("freeze: %v", err)
-	}
-	st, err := mig.Export()
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
-	recs := decodeLog(t, st.Log)
-	if len(recs) == 0 || st.Image == nil {
-		t.Fatalf("export is empty: %d records, image=%v", len(recs), st.Image)
+	// Freeze shard 1 (tB's home).
+	mig, log := frozenLog(t, svcA, 1)
+	recs := decodeLog(t, log)
+	if uint64(len(recs)) != mig.At.Len || recs[len(recs)-1].Kind != fsproto.RecCheckpoint {
+		t.Fatalf("frozen log holds %d records ending in %v, the freeze reported %d", len(recs), recs[len(recs)-1].Kind, mig.At.Len)
 	}
 	logged := map[fsproto.Kind]bool{}
 	for _, rec := range recs {
@@ -237,44 +260,63 @@ func TestReplayRebuildsShard(t *testing.T) {
 			t.Errorf("op %v never reached the replayed log: extend runReplayWorkload", o.kind)
 		}
 	}
-	srcProm := promBytes(t, svcA.Shards()[1])
-	srcSnap := snapshotJSON(t, svcA.Shards()[1])
-	if len(svcA.Shards()[1].Snapshot().Spans) == 0 {
+	shA := svcA.Shards()[1]
+	srcProm, srcSnap, srcJrn := promBytes(t, shA), snapshotJSON(t, shA), shA.Jrn.Events()
+	if len(shA.Snapshot().Spans) == 0 {
 		t.Fatal("source snapshot holds no spans: the traced lifecycle went unexercised")
 	}
 
-	// Install on node B, which owns nothing yet.
-	optsB := clusterTestOptions()
-	optsB.OwnedShards = []int{}
-	optsB.ClusterShards = 2
-	optsB.TokenPrefix = "b"
-	svcB := New(optsB)
+	svcB := emptyNode()
 	defer svcB.Close()
 	// A forged length in a shipped read record meets the validation the live
 	// path runs: the replay is refused before anything is allocated.
-	forged := *st
-	for i := range recs {
-		if recs[i].Kind == fsproto.KindRead {
-			recs[i].Req = []byte(`{"name":"data.bin","length":1099511627776}`)
+	forged := append([]fsproto.LogRecord(nil), recs...)
+	for i := range forged {
+		if forged[i].Kind == fsproto.KindRead {
+			forged[i].Req = []byte(`{"name":"data.bin","length":1099511627776}`)
 			break
 		}
 	}
-	forged.Log = encodeLog(recs)
-	if err := svcB.InstallShard(&forged); !errors.Is(err, ErrBadRequest) {
-		t.Fatalf("install of a log with a forged read length: got %v, want ErrBadRequest", err)
+	if _, err := svcB.ReplayLog(svcB.NewReplicaShard(1), new(fsproto.LogReader), encodeLog(forged)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("replay of a log with a forged read length: got %v, want ErrBadRequest", err)
 	}
-	if err := svcB.InstallShard(st); err != nil {
-		t.Fatalf("install: %v", err)
+
+	// The replica catches up short of the freeze's flush and checkpoint, and
+	// may not be promoted there.
+	shB := svcB.NewReplicaShard(1)
+	var rd fsproto.LogReader
+	head := encodeLog(recs[:len(recs)-2])
+	if !bytes.HasPrefix(log, head) {
+		t.Fatal("re-encoded records differ from the log's bytes")
 	}
-	shB := svcB.Shards()[0]
-	if shB.ID() != 1 {
-		t.Fatalf("installed shard has id %d, want 1", shB.ID())
+	if _, err := svcB.ReplayLog(shB, &rd, head); err != nil {
+		t.Fatalf("replay up to the freeze: %v", err)
+	}
+	if err := svcB.PromoteShard(shB, &mig.At); err == nil {
+		t.Fatal("a replica short of the frozen log was promoted")
+	}
+	if n, err := svcB.ReplayLog(shB, &rd, log[len(head):]); err != nil || n != 2 {
+		t.Fatalf("replay of the freeze: %d records, %v", n, err)
+	}
+	if err := svcB.PromoteShard(shB, &mig.At); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	if got := svcB.Shards(); len(got) != 1 || got[0] != shB || shB.ID() != 1 {
+		t.Fatalf("node B owns %v, want the promoted shard 1", got)
 	}
 	if got := promBytes(t, shB); !bytes.Equal(got, srcProm) {
 		t.Fatalf("replayed shard snapshot differs from source:\n--- source ---\n%s\n--- replayed ---\n%s", srcProm, got)
 	}
 	if got := snapshotJSON(t, shB); !bytes.Equal(got, srcSnap) {
 		t.Fatalf("replayed shard JSON snapshot (spans included) differs from source:\n--- source ---\n%s\n--- replayed ---\n%s", srcSnap, got)
+	}
+	jrn := shB.Jrn.Events()
+	last := jrn[len(jrn)-1]
+	if !slices.Equal(jrn[:len(jrn)-1], srcJrn) {
+		t.Fatalf("replayed journal differs from source:\n--- source ---\n%+v\n--- replayed ---\n%+v", srcJrn, jrn)
+	}
+	if want := fmt.Sprintf("shard 1 rehydrated from %d records", mig.At.Len); last.Type != journal.ShardMigrated || last.Detail != want {
+		t.Fatalf("promotion journaled %+v, want %s %q", last, journal.ShardMigrated, want)
 	}
 	mig.Commit(1)
 	svcA.SetClusterEpoch(1)
@@ -286,8 +328,7 @@ func TestReplayRebuildsShard(t *testing.T) {
 	if err != nil {
 		t.Fatalf("migrated session not found on target: %v", err)
 	}
-	seq := st.DetNext
-	pl, err := svcB.Read(context.Background(), sB, fsproto.ReadRequest{Name: "data.bin", Length: 4096, Seq: &seq})
+	pl, err := svcB.Read(context.Background(), sB, fsproto.ReadRequest{Name: "data.bin", Length: 4096, Seq: seqs.take(sB.gid)})
 	if err != nil {
 		t.Fatalf("post-migration read: %v", err)
 	}
@@ -309,30 +350,22 @@ func TestReplayRebuildsShard(t *testing.T) {
 	}
 }
 
-// TestReplayDivergenceDetected corrupts one logged write and checks the
-// next checkpoint catches the replica's divergence.
+// TestReplayDivergenceDetected corrupts one logged write's payload: the
+// replica replays it without complaint — the Merkle root covers counters,
+// not data — and the promotion's image digest refuses it.
 func TestReplayDivergenceDetected(t *testing.T) {
-	opts := clusterTestOptions()
-	svcA := New(opts)
+	svcA := New(clusterTestOptions())
 	defer svcA.Close()
 	taken := map[string]bool{}
 	tA := tenantOnShard(t, 0, 2, taken)
 	tB := tenantOnShard(t, 1, 2, taken)
-	seqs := newSeqFor(2)
-	runReplayWorkload(t, svcA, seqs, tA, tB)
-	mig, err := svcA.FreezeShard(context.Background(), 1)
-	if err != nil {
-		t.Fatalf("freeze: %v", err)
-	}
-	st, err := mig.Export()
-	if err != nil {
-		t.Fatalf("export: %v", err)
-	}
+	runReplayWorkload(t, svcA, newSeqFor(2), tA, tB)
+	mig, log := frozenLog(t, svcA, 1)
 	mig.Resume()
-	// Flip a byte inside the first logged write's payload, in the shipped
-	// bytes themselves (a decoded record's Req aliases them).
+	// Flip a byte inside the first logged write's payload, in the log bytes
+	// themselves (a decoded record's Req aliases them).
 	tampered := false
-	for _, rec := range decodeLog(t, st.Log) {
+	for _, rec := range decodeLog(t, log) {
 		if _, payload, err := fsproto.SplitFrame(rec.Req); rec.Kind == fsproto.KindWrite && rec.Framed && err == nil && len(payload) > 10 {
 			payload[10] ^= 1
 			tampered = true
@@ -342,12 +375,55 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	if !tampered {
 		t.Fatal("no framed write record in the log")
 	}
-	optsB := clusterTestOptions()
-	optsB.OwnedShards = []int{}
-	optsB.TokenPrefix = "b"
-	svcB := New(optsB)
+	svcB := emptyNode()
 	defer svcB.Close()
-	if err := svcB.InstallShard(st); err == nil {
-		t.Fatal("install of a tampered log must fail")
+	sh := svcB.NewReplicaShard(1)
+	if _, err := svcB.ReplayLog(sh, new(fsproto.LogReader), log); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if err := svcB.PromoteShard(sh, &mig.At); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("promotion of a replica of a tampered log: got %v, want ErrDiverged", err)
+	}
+	if len(svcB.Shards()) != 0 {
+		t.Fatal("a refused replica was adopted")
+	}
+}
+
+// TestPromotionRefusesTamperedFrames: a replica whose data frames change
+// after an exact replay keeps its Merkle root — the tree covers only the
+// metadata region — and the image digest is what refuses its promotion.
+func TestPromotionRefusesTamperedFrames(t *testing.T) {
+	svcA := New(clusterTestOptions())
+	defer svcA.Close()
+	taken := map[string]bool{}
+	runReplayWorkload(t, svcA, newSeqFor(2), tenantOnShard(t, 0, 2, taken), tenantOnShard(t, 1, 2, taken))
+	mig, log := frozenLog(t, svcA, 1)
+	defer mig.Resume()
+	svcB := emptyNode()
+	defer svcB.Close()
+	sh := svcB.NewReplicaShard(1)
+	if _, err := svcB.ReplayLog(sh, new(fsproto.LogReader), log); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	mc := sh.Sys.M.MC
+	img, err := mc.ExportImage()
+	if err != nil || img.Digest() != mig.At.Digest {
+		t.Fatalf("an exact replay does not reproduce the source's image (%v)", err)
+	}
+	root := mc.MerkleRoot()
+	pages := make([]uint64, 0, len(img.Frames))
+	for p := range img.Frames {
+		pages = append(pages, p)
+	}
+	slices.Sort(pages)
+	mc.FlipDataBit(addr.Phys(pages[0]*config.PageSize), 3)
+	if mc.MerkleRoot() != root {
+		t.Fatal("a data-frame flip moved the Merkle root")
+	}
+	if err := svcB.PromoteShard(sh, &mig.At); !errors.Is(err, ErrDiverged) {
+		t.Fatalf("promotion of a replica with a tampered frame: got %v, want ErrDiverged", err)
+	}
+	if len(svcB.Shards()) != 0 {
+		t.Fatal("a refused replica was adopted")
 	}
 }

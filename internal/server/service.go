@@ -50,12 +50,6 @@ type Options struct {
 	PerTenantQueue int
 	// RequestTimeout bounds one request's queue+execute time (<= 0 default).
 	RequestTimeout time.Duration
-	// SLOLatency is the per-request wall-clock bound a "good" request must
-	// finish within (<= 0 uses DefaultSLOLatency).
-	SLOLatency time.Duration
-	// SLOObjective is the target good-request fraction feeding the
-	// burn-rate gauges (0 uses DefaultSLOObjective).
-	SLOObjective float64
 
 	// ClusterShards is the global number of shards in the cluster routing
 	// space (0: standalone, equal to Shards). Tenant placement always
@@ -192,12 +186,6 @@ func New(opts Options) *Service {
 	if opts.RequestTimeout <= 0 {
 		opts.RequestTimeout = DefaultRequestTimeout
 	}
-	if opts.SLOLatency <= 0 {
-		opts.SLOLatency = DefaultSLOLatency
-	}
-	if opts.SLOObjective <= 0 || opts.SLOObjective >= 1 {
-		opts.SLOObjective = DefaultSLOObjective
-	}
 	cfg := opts.config()
 	reg := telemetry.New()
 	svc := &Service{
@@ -313,8 +301,8 @@ func (svc *Service) forwarder() Forwarder {
 	return nil
 }
 
-// AdoptShard registers a shard (typically rehydrated from a migration's
-// exported state) under its global index, folding sessions reconstructed
+// AdoptShard registers a shard (a promoted replica) under its global index,
+// folding sessions reconstructed
 // during replay into the service session table. A token with a live session
 // here (homed on another shard, or back from an earlier visit) keeps it, with
 // the replayed state on this shard: the state every replayer of the log

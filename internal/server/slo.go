@@ -31,11 +31,11 @@ func TraceFromContext(ctx context.Context) fsproto.TraceContext {
 	return tc
 }
 
-// SLO defaults: requests finishing within the latency bound count toward
-// the objective fraction of good requests.
+// The SLO every tenant is scored against: requests finishing within the
+// latency bound count toward the objective fraction of good requests.
 const (
-	DefaultSLOLatency   = 50 * time.Millisecond
-	DefaultSLOObjective = 0.99
+	SLOLatency   = 50 * time.Millisecond
+	SLOObjective = 0.99
 )
 
 // tenantSLO is one tenant's host-side SLO accounting.
@@ -103,7 +103,7 @@ func (svc *Service) noteRequest(sess *Session, dur time.Duration, status int) {
 	// Bad = the service failed the tenant: a 5xx answer (internal fault or
 	// timeout) or an over-latency success. Expected 4xx denials — the
 	// security model working as designed — stay good.
-	if status >= 500 || (status < 400 && dur > svc.opts.SLOLatency) {
+	if status >= 500 || (status < 400 && dur > SLOLatency) {
 		ts.cBad.Inc()
 		return
 	}
@@ -116,10 +116,7 @@ func (svc *Service) noteRequest(sess *Session, dur time.Duration, status int) {
 // milli-units: 1000 means bad requests are arriving exactly at the budget
 // rate (1 - objective); 0 means no burn.
 func (svc *Service) injectSLOGauges(out *telemetry.Snapshot) {
-	budget := 1 - svc.opts.SLOObjective
-	if budget <= 0 {
-		budget = 1 - DefaultSLOObjective
-	}
+	const budget = 1 - SLOObjective
 	for _, name := range svc.slo.names() {
 		prefix := "server.tenant." + name + "."
 		if h := out.Histograms[prefix+"request_ns"]; h != nil && h.Count > 0 {
