@@ -61,6 +61,10 @@ type File struct {
 // Pages returns the number of allocated pages.
 func (f *File) Pages() int { return len(f.extents) }
 
+// Covers reports whether the byte range [off, off+n) lies inside the file:
+// the EOF bound is Size, not the page-rounded allocation. Overflow-safe.
+func (f *File) Covers(off, n uint64) bool { return off <= f.Size && n <= f.Size-off }
+
 // PagePA returns the physical address of file page idx (no DF-bit; the
 // kernel decides DF at mapping time).
 func (f *File) PagePA(idx int) (addr.Phys, error) {

@@ -229,6 +229,21 @@ func (s *System) CreateFile(p *Process, name string, perm fs.Mode, size uint64, 
 	return f, nil
 }
 
+// Access looks name up and checks its Unix permission bits for (uid, gid):
+// the part of opening a file that reads nothing but the filesystem, so a
+// reader off the owner goroutine (SnapshotRead, the server's stat) decides
+// who may touch which file exactly as OpenFile does.
+func (s *System) Access(uid, gid uint32, name string, want fs.Access) (*fs.File, error) {
+	f, err := s.FS.Lookup(name)
+	if err != nil {
+		return nil, err
+	}
+	if !f.Allows(uid, gid, want) {
+		return nil, fmt.Errorf("%w: %q", ErrPermission, name)
+	}
+	return f, nil
+}
+
 // OpenFile checks permissions and, for encrypted files, verifies the
 // passphrase-derived key against what the controller holds: a wrong
 // passphrase is rejected even if permission bits (after, say, an accidental
@@ -238,12 +253,9 @@ func (s *System) OpenFile(p *Process, name string, want fs.Access, passphrase st
 		defer done()
 	}
 	p.core.Compute(s.cfg.Kernel.SyscallLatency)
-	f, err := s.FS.Lookup(name)
+	f, err := s.Access(p.UID, p.GID, name, want)
 	if err != nil {
 		return nil, err
-	}
-	if !f.Allows(p.UID, p.GID, want) {
-		return nil, fmt.Errorf("%w: %q", ErrPermission, name)
 	}
 	if f.Encrypted {
 		key := s.Keyring.FileKey(passphrase, f.Salt)

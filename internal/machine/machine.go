@@ -384,7 +384,7 @@ func (co *Core) ReadPageNC(pa addr.Phys, dst *aesctr.Page) {
 // overlaid so the result matches what ReadPageNC/ReadNC would have
 // returned. No machine state is mutated and no core clock advances; side
 // effects land in d for the owner goroutine to drain. Must run with the
-// owning shard quiescent (its seqlock held for reading). pa must be
+// owning shard quiescent (its read lock held). pa must be
 // page-aligned. Returns false when the controller path must fall back.
 func (m *Machine) SnapshotReadPage(rd *memctrl.Reader, pa addr.Phys, dst *aesctr.Page, d *memctrl.ReadDelta) bool {
 	base := pa.PageAlign()

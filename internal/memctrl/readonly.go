@@ -104,14 +104,6 @@ func (d *ReadDelta) Reset() {
 	d.ECC = d.ECC[:0]
 }
 
-// Merge folds another delta into this one (a fanned read accumulates its
-// helper chunks' deltas in chunk order before handoff to the owner).
-func (d *ReadDelta) Merge(o *ReadDelta) {
-	d.Reads += o.Reads
-	d.Audits = append(d.Audits, o.Audits...)
-	d.ECC = append(d.ECC, o.ECC...)
-}
-
 // PeekVerifyKey is VerifyKey without side effects (no OTT LRU refresh, no
 // probe counters): the snapshot stat/read path uses it to validate a
 // caller-supplied passphrase against the installed file key.

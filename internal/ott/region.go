@@ -154,8 +154,8 @@ func (r *Region) Lookup(group uint32, file uint16) (Entry, int, bool) {
 // Peek is Lookup without side effects: no probe counters, no telemetry
 // observations. open/DecryptBlock16 touch only the engine's stateless key
 // schedule, so a reader goroutine can unseal concurrently with the owner
-// as long as the bucket table itself is quiescent (the fast-path's
-// seqlock guarantees that).
+// as long as the bucket table itself is quiescent (the fast path's read
+// lock guarantees that).
 func (r *Region) Peek(group uint32, file uint16) (Entry, bool) {
 	b := r.Bucket(group, file)
 	for _, s := range r.table[b] {

@@ -23,7 +23,7 @@ import (
 // writer: every read must observe a consistent page — the pre-write
 // pattern or the post-write pattern, never a mix — and the fast path must
 // actually have served reads (this is the test that runs under -race in
-// `make race`, probing the seqlock protocol's happens-before edges).
+// `make race`, probing the read lock's happens-before edges).
 func TestConcurrentReadEquivalence(t *testing.T) {
 	svc, sess := testReadService(t)
 	ctx := context.Background()
@@ -66,7 +66,7 @@ func TestConcurrentReadEquivalence(t *testing.T) {
 			}
 		}()
 	}
-	// The race only probes the seqlock if snapshot reads are in flight when
+	// The race only probes the read lock if snapshot reads are in flight when
 	// the writes land, so the writer waits for the first one. (Sampling the
 	// counter once after the run instead failed 1–2 in 20 under -race on two
 	// cores: 40 writes can be over before a reader's first read returns.)
@@ -98,11 +98,11 @@ func TestConcurrentReadEquivalence(t *testing.T) {
 	}
 }
 
-// TestFastReadFanned checks the crypt-pool fan-out: a read spanning the
-// whole 4-page file (>= fanMinSpans page spans) decrypts to exactly the
-// serial path's plaintext, and the deferred side effects reach the
-// controller at the next mutation (counters advance, audit chain intact).
-func TestFastReadFanned(t *testing.T) {
+// TestFastReadMultiPage checks a fast read of the whole 4-page file: it
+// decrypts to exactly the written plaintext, and the deferred side effects
+// reach the controller at the next mutation — one audit record per DF page,
+// counters advanced, audit chain intact.
+func TestFastReadMultiPage(t *testing.T) {
 	svc, sess := testReadService(t)
 	ctx := context.Background()
 	sh := svc.shards[0]
@@ -115,7 +115,7 @@ func TestFastReadFanned(t *testing.T) {
 		return v
 	}
 
-	before := mcReads()
+	before, head0 := mcReads(), sh.Aud.HeadSeq()
 	pl, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "hot.dat", Offset: 0, Length: 4 * 4096})
 	if err != nil {
 		t.Fatal(err)
@@ -128,6 +128,10 @@ func TestFastReadFanned(t *testing.T) {
 	pl.Release()
 	if svc.MetricsSnapshot().Counters["server.fast_reads_total"] == 0 {
 		t.Fatal("full-file read did not take the fast path")
+	}
+	mcReads() // a side task drains the read's delta, and only that
+	if head := sh.Aud.HeadSeq(); head != head0+4 {
+		t.Fatalf("audit head advanced by %d records over a 4-page read, want one per DF page", head-head0)
 	}
 
 	// The read's side effects are deferred until the worker's next
@@ -262,43 +266,209 @@ func TestFastReadGating(t *testing.T) {
 	})
 }
 
-// TestSerialReadsEquivalence: the same read answered by the fast path and
-// by a -serial-reads baseline service returns identical plaintext.
-func TestSerialReadsEquivalence(t *testing.T) {
-	read := func(serial bool) []byte {
+// readTwin is one history played on two services: a default one, whose
+// reads take the fast path, and a SerialReads one, whose reads all run on
+// the worker. Tenant acme's user 1 owns the files; tenant rival has a
+// session too.
+type readTwin struct {
+	svc         [2]*Service // fast, serial
+	acme, rival [2]*Session
+}
+
+// readOutcome is what a client sees of a read.
+type readOutcome struct {
+	status int
+	err    string
+	data   string
+}
+
+func newReadTwin(tb testing.TB) *readTwin {
+	tb.Helper()
+	tw := &readTwin{}
+	for i, serial := range []bool{false, true} {
 		svc := New(Options{
 			Shards:      1,
 			MCMode:      memctrl.Mode{MemEncryption: true, FileEncryption: true},
 			Access:      kernel.ModeDAX,
 			SerialReads: serial,
 		})
-		t.Cleanup(svc.Close)
-		ctx := context.Background()
-		sess, err := svc.Login(ctx, "acme", 1, "pw-acme", 0)
-		if err != nil {
-			t.Fatal(err)
+		tb.Cleanup(svc.Close)
+		var err error
+		if tw.acme[i], err = svc.Login(context.Background(), "acme", 1, "pw-acme", 0); err != nil {
+			tb.Fatal(err)
 		}
-		if err := svc.Create(ctx, sess, fsproto.CreateRequest{Name: "eq.dat", Perm: 0600, Size: 4 * 4096, Encrypted: true}); err != nil {
-			t.Fatal(err)
+		if tw.rival[i], err = svc.Login(context.Background(), "rival", 1, "pw-rival", 0); err != nil {
+			tb.Fatal(err)
 		}
-		body := make([]byte, 4*4096)
-		for i := range body {
-			body[i] = byte(i * 31)
-		}
-		if err := svc.Write(ctx, sess, fsproto.WriteRequest{Name: "eq.dat", Data: body}); err != nil {
-			t.Fatal(err)
-		}
-		pl, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "eq.dat", Offset: 100, Length: 4*4096 - 200})
-		if err != nil {
-			t.Fatal(err)
-		}
-		out := append([]byte(nil), pl.Data...)
-		pl.Release()
-		return out
+		tw.svc[i] = svc
 	}
-	fast, serial := read(false), read(true)
-	if !bytes.Equal(fast, serial) {
-		t.Fatal("fast-path plaintext differs from the serialized baseline")
+	return tw
+}
+
+// create makes acme's encrypted file name of size bytes on both services
+// and writes all of it, so the fast path finds every page tagged.
+func (tw *readTwin) create(tb testing.TB, name string, size uint64) {
+	tb.Helper()
+	ctx := context.Background()
+	body := make([]byte, size)
+	for i := range body {
+		body[i] = byte(i*31 + int(size))
+	}
+	for i, svc := range tw.svc {
+		if err := svc.Create(ctx, tw.acme[i], fsproto.CreateRequest{Name: name, Perm: 0600, Size: size, Encrypted: true}); err != nil {
+			tb.Fatal(err)
+		}
+		if size > 0 {
+			if err := svc.Write(ctx, tw.acme[i], fsproto.WriteRequest{Name: name, Data: body}); err != nil {
+				tb.Fatal(err)
+			}
+		}
+	}
+}
+
+// read sends req as acme (or rival) to both services and returns both
+// outcomes, and whether the fast service served it off the worker.
+func (tw *readTwin) read(tb testing.TB, asRival bool, req fsproto.ReadRequest) (fast, serial readOutcome, offWorker bool) {
+	tb.Helper()
+	ctx := context.Background()
+	var out [2]readOutcome
+	for i, svc := range tw.svc {
+		// A worker answer precedes the worker's release of the writer lock;
+		// a side task returns after its own, so the read finds the lock free.
+		if err := svc.shards[0].DoSide(ctx, func() {}); err != nil {
+			tb.Fatal(err)
+		}
+		sess := tw.acme[i]
+		if asRival {
+			sess = tw.rival[i]
+		}
+		fast0 := svc.cFastReads.Value()
+		pl, err := svc.Read(ctx, sess, req)
+		if err != nil {
+			out[i].status, _ = httpStatus(err)
+			out[i].err = err.Error()
+		} else {
+			out[i].status, out[i].data = http.StatusOK, string(pl.Data)
+			pl.Release()
+		}
+		if i == 0 {
+			offWorker = svc.cFastReads.Value() != fast0
+		}
+	}
+	return out[0], out[1], offWorker
+}
+
+// TestSerialReadsEquivalence: the fast path never answers differently from
+// the worker. Each read goes to a default service and to a SerialReads one;
+// status, error text and bytes must match, and every read that succeeds
+// must have been served off the worker on the default service (else the
+// comparison proves nothing). The EOF rows pin that the fast path bounds a
+// read by the file's size, not by its last page.
+func TestSerialReadsEquivalence(t *testing.T) {
+	tw := newReadTwin(t)
+	tw.create(t, "small.dat", 100)
+	tw.create(t, "big.dat", 3*4096)
+	rows := []struct {
+		name    string
+		asRival bool
+		req     fsproto.ReadRequest
+		status  int
+	}{
+		{"ends at size", false, fsproto.ReadRequest{Name: "small.dat", Length: 100}, http.StatusOK},
+		{"one byte past size", false, fsproto.ReadRequest{Name: "small.dat", Length: 101}, http.StatusBadRequest},
+		{"rest of the last page", false, fsproto.ReadRequest{Name: "small.dat", Length: 4096}, http.StatusBadRequest},
+		{"offset at size, length 0", false, fsproto.ReadRequest{Name: "small.dat", Offset: 100}, http.StatusOK},
+		{"offset past size", false, fsproto.ReadRequest{Name: "small.dat", Offset: 200, Length: 10}, http.StatusBadRequest},
+		{"partial cross-page range", false, fsproto.ReadRequest{Name: "big.dat", Offset: 100, Length: 3*4096 - 200}, http.StatusOK},
+		{"whole multi-page file", false, fsproto.ReadRequest{Name: "big.dat", Length: 3 * 4096}, http.StatusOK},
+		{"wrong passphrase", false, fsproto.ReadRequest{Name: "small.dat", Length: 100, Passphrase: "not-it"}, http.StatusForbidden},
+		{"another tenant, denied", true, fsproto.ReadRequest{Tenant: "acme", Name: "small.dat", Length: 100}, http.StatusForbidden},
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			fast, serial, offWorker := tw.read(t, r.asRival, r.req)
+			if fast != serial {
+				t.Fatalf("fast path answered %d %q (%d bytes), the worker %d %q (%d bytes)",
+					fast.status, fast.err, len(fast.data), serial.status, serial.err, len(serial.data))
+			}
+			if serial.status != r.status {
+				t.Fatalf("status %d (%s), want %d", serial.status, serial.err, r.status)
+			}
+			if serial.status == http.StatusOK && (len(serial.data) != r.req.Length || !offWorker) {
+				t.Fatalf("%d bytes, off the worker %v; want %d bytes served off the worker", len(serial.data), offWorker, r.req.Length)
+			}
+		})
+	}
+}
+
+// FuzzReadEquivalence is TestSerialReadsEquivalence over arbitrary reads:
+// a file size, an offset, a length and the right or a wrong passphrase.
+// Sizes are folded onto a hundred files (0, 100, …, 9900 bytes) created on
+// first use, so a long run cannot exhaust the inode space.
+func FuzzReadEquivalence(f *testing.F) {
+	f.Add(uint8(1), uint64(0), 100, true)       // ends at size
+	f.Add(uint8(1), uint64(0), 101, true)       // one byte past size
+	f.Add(uint8(1), uint64(0), 4096, true)      // rest of the last page
+	f.Add(uint8(1), uint64(100), 0, true)       // offset at size, length 0
+	f.Add(uint8(1), uint64(200), 10, true)      // offset past size
+	f.Add(uint8(99), uint64(100), 9700, true)   // partial cross-page range
+	f.Add(uint8(1), uint64(0), 100, false)      // wrong passphrase
+	f.Add(uint8(41), uint64(1<<64-8), 16, true) // offset + length wraps
+	tw := newReadTwin(f)
+	made := map[uint64]bool{}
+	f.Fuzz(func(t *testing.T, sizeIdx uint8, off uint64, length int, rightPass bool) {
+		size := uint64(sizeIdx%100) * 100
+		name := fmt.Sprintf("f%d.dat", size)
+		if !made[size] {
+			tw.create(t, name, size)
+			made[size] = true
+		}
+		req := fsproto.ReadRequest{Name: name, Offset: off, Length: length}
+		if !rightPass {
+			req.Passphrase = "not-it"
+		}
+		if fast, serial, _ := tw.read(t, false, req); fast != serial {
+			t.Fatalf("read %+v of a %d-byte file: fast path %d %q (%d bytes), worker %d %q (%d bytes)",
+				req, size, fast.status, fast.err, len(fast.data), serial.status, serial.err, len(serial.data))
+		}
+	})
+}
+
+// raceEnabled is set under -race (race_test.go).
+var raceEnabled bool
+
+// TestFastReadAllocs pins the fast read's heap cost: a warm one-page read
+// allocates only the node that carries its delta to the worker. Each read
+// is measured alone, with the worker's drain of the one before it outside
+// the window, on one P so nothing else runs inside it.
+func TestFastReadAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	svc, sess := testReadService(t)
+	sh := svc.shards[0]
+	name, dst := fullName("acme", "hot.dat"), make([]byte, 4096)
+	const runs = 100
+	var ms runtime.MemStats
+	var allocs uint64
+	for i := -1; i < runs; i++ { // run -1 warms the pools and the key memo
+		if err := sh.DoSide(context.Background(), func() {}); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		ok := sh.tryFastRead(sess, fsproto.TraceContext{}, name, sess.pass, 4096, dst)
+		runtime.ReadMemStats(&ms)
+		if !ok {
+			t.Fatalf("read %d fell back to the worker", i)
+		}
+		if i >= 0 {
+			allocs += ms.Mallocs - before
+		}
+	}
+	if per := float64(allocs) / runs; per > 1 {
+		t.Fatalf("fast read: %.2f allocs/op, want <= 1 (the delta node)", per)
 	}
 }
 
@@ -453,7 +623,7 @@ func TestReadScalingGuard(t *testing.T) {
 
 // BenchmarkServerParallelRead measures the concurrent read fast-path: all
 // procs reading one shard's encrypted file through the full service path
-// (payload pool, seqlock, snapshot decrypt, deferred deltas).
+// (payload pool, read lock, snapshot decrypt, deferred deltas).
 func BenchmarkServerParallelRead(b *testing.B) {
 	svc, sess := testReadService(b)
 	ctx := context.Background()

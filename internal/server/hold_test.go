@@ -32,6 +32,15 @@ func owner(t *testing.T, sh *Shard) (h *Hold) {
 
 func noop() (any, error) { return nil, nil }
 
+// readLockFree reports whether a fast reader would get the read lock now.
+func readLockFree(sh *Shard) bool {
+	if !sh.rmu.TryRLock() {
+		return false
+	}
+	sh.rmu.RUnlock()
+	return true
+}
+
 // TestHoldProtocol covers Hold as a state of the worker loop: who owns the
 // shard, what runs under a hold, and how every way out of one leaves the
 // shard.
@@ -96,8 +105,8 @@ func TestHoldProtocol(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Hold: %v", err)
 		}
-		if v := sh.ver.Load(); v&1 == 0 || sh.rLock() {
-			t.Fatalf("under a hold: version %d, want odd and fast reads refused", v)
+		if readLockFree(sh) {
+			t.Fatal("under a hold: the read lock was granted, want fast reads refused")
 		}
 		var ran atomic.Bool
 		moved := errors.New("moved")
@@ -130,8 +139,15 @@ func TestHoldProtocol(t *testing.T) {
 		if err := <-res; !errors.Is(err, moved) || ran.Load() {
 			t.Fatalf("queued task after Retire: err %v, ran=%v; want the retire error, unexecuted", err, ran.Load())
 		}
-		if v := sh.ver.Load(); v&1 != 0 {
-			t.Fatalf("after Retire: version %d still odd", v)
+		// The retired task was answered inside a mutation bracket; a side
+		// task returns only after its own bracket closed.
+		within(t, "DoSide after Retire", func() {
+			if err := sh.DoSide(bg, func() {}); err != nil {
+				t.Errorf("DoSide after Retire: %v", err)
+			}
+		})
+		if !readLockFree(sh) {
+			t.Fatal("after Retire: fast reads still refused")
 		}
 	})
 
@@ -143,10 +159,8 @@ func TestHoldProtocol(t *testing.T) {
 		}
 		h1.Resume()
 		h1.Resume()
-		if sh.rLock() {
-			sh.rmu.RUnlock()
-		} else {
-			t.Fatalf("after Resume: fast reads still refused (version %d)", sh.ver.Load())
+		if !readLockFree(sh) {
+			t.Fatal("after Resume: fast reads still refused")
 		}
 		h2, err := sh.Hold(bg)
 		if err != nil {

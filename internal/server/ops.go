@@ -435,7 +435,7 @@ func workWrite(_ *Service, tgt target, sess *Session, req *fsproto.WriteRequest,
 	if err != nil {
 		return nil, err
 	}
-	if req.Offset > f.Size || uint64(len(req.Data)) > f.Size-req.Offset {
+	if !f.Covers(req.Offset, uint64(len(req.Data))) {
 		return nil, fmt.Errorf("%w: write of %d bytes at %d beyond EOF %d", ErrBadRequest, len(req.Data), req.Offset, f.Size)
 	}
 	va, err := tgt.sh.mapping(sess, f)
@@ -608,7 +608,7 @@ func (sh *Shard) readInto(sess *Session, name, passphrase string, off uint64, ds
 	if err != nil {
 		return err
 	}
-	if off > f.Size || uint64(len(dst)) > f.Size-off {
+	if !f.Covers(off, uint64(len(dst))) {
 		return fmt.Errorf("%w: read of %d bytes at %d beyond EOF %d", ErrBadRequest, len(dst), off, f.Size)
 	}
 	va, err := sh.mapping(sess, f)
@@ -627,35 +627,28 @@ func (svc *Service) fastReadable(sh *Shard) bool {
 	return !sh.det && !sh.logOn && !svc.opts.SerialReads
 }
 
-// statResponse is the wire form of a stat'ed inode.
-func statResponse(f *fs.File) fsproto.StatResponse {
+// workStat is the one stat: kernel.System.Access, the check every open
+// makes, then the inode's wire form. It deliberately touches no simulated
+// state — no clock, no journal, no keyring — so stat stays replay-neutral
+// on logged shards and schedule-neutral on deterministic ones, and it
+// answers the same, errors included, under the read lock off the worker as
+// on it.
+func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, error) {
+	f, err := sh.Sys.Access(sess.uid, sess.gid, name, fs.ReadAccess)
+	if err != nil {
+		return fsproto.StatResponse{}, err
+	}
 	return fsproto.StatResponse{
 		Name:      f.Name,
 		Size:      f.Size,
 		Perm:      uint16(f.Perm),
 		Encrypted: f.Encrypted,
 		Pages:     f.Pages(),
-	}
-}
-
-// workStat is the one stat: lookup plus the Unix permission check. It
-// deliberately touches no simulated state — no clock, no journal, no
-// keyring — so stat stays replay-neutral on logged shards and
-// schedule-neutral on deterministic ones, and it answers the same, errors
-// included, under the read lock off the worker as on it.
-func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, error) {
-	f, err := sh.Sys.FS.Lookup(name)
-	if err != nil {
-		return fsproto.StatResponse{}, err
-	}
-	if !f.Allows(sess.uid, sess.gid, fs.ReadAccess) {
-		return fsproto.StatResponse{}, fmt.Errorf("%w: %q", kernel.ErrPermission, name)
-	}
-	return statResponse(f), nil
+	}, nil
 }
 
 // Stat returns file metadata. Read-only end to end, and deliberately not in
-// the op table: the fast path runs workStat under the seqlock off the
+// the op table: the fast path runs workStat under the read lock off the
 // worker; the fallback runs it as out-of-band worker work (DoSide), so stat
 // never consumes a deterministic schedule slot, advances no simulated
 // clock, and is never logged.
@@ -672,7 +665,7 @@ func (svc *Service) Stat(ctx context.Context, sess *Session, req fsproto.StatReq
 	var serr error
 	stat := func() { resp, serr = workStat(tgt.sh, sess, name) }
 	if svc.fastReadable(tgt.sh) {
-		if tgt.sh.tryFastStat(stat) {
+		if tgt.sh.tryReadLocked(stat) {
 			svc.cFastReads.Inc()
 			return resp, serr
 		}

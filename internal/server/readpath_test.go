@@ -35,6 +35,12 @@ func testReadService(tb testing.TB) (*Service, *Session) {
 	}); err != nil {
 		tb.Fatal(err)
 	}
+	// Write returns once the worker has answered, which is before the worker
+	// releases the writer lock; a side task returns only after its own
+	// release, so the caller's first fast read finds the lock free.
+	if err := svc.shards[0].DoSide(ctx, func() {}); err != nil {
+		tb.Fatal(err)
+	}
 	return svc, sess
 }
 

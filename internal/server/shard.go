@@ -157,15 +157,14 @@ type Shard struct {
 	cServed  *telemetry.Counter
 
 	// Concurrent read fast-path plane (fastread.go). rmu excludes snapshot
-	// readers from worker mutations; ver is the seqlock epoch the readers
-	// validate (odd while a mutation batch is in progress); deltas is the
-	// lock-free stack of deferred read side effects the worker folds into
-	// the controller at its next mutation — pendingDeltas counts them and
+	// readers from worker mutations: the worker holds it for writing across
+	// every mutation batch, a reader TryRLocks it; deltas is the lock-free
+	// stack of deferred read side effects the worker folds into the
+	// controller at its next mutation — pendingDeltas counts them and
 	// drainAsked is up while a reader's request for a drain is outstanding
-	// (pushDelta) — and the pools recycle per-goroutine reader contexts and
+	// (askDrain) — and the pools recycle per-goroutine reader contexts and
 	// delta buffers.
 	rmu           sync.RWMutex
-	ver           atomic.Uint64
 	deltas        atomic.Pointer[deltaNode]
 	pendingDeltas atomic.Int64
 	drainAsked    atomic.Bool
