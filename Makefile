@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build cross-build test loc sim-digest layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke ci
+.PHONY: build cross-build test loc sim-digest sim-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke ci
 
 build:
 	$(GO) build ./...
@@ -33,8 +33,7 @@ loc:
 # report — so a refactor that claims "simulation output byte-identical" can
 # print both sides and diff them. The tools run from inside the output
 # directory because they echo the paths they wrote. Under a minute on a
-# 2-core host. Not part of `make ci` and there is no committed golden: the
-# digests are quoted in the PR that needs them.
+# 2-core host.
 sim-digest:
 	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; mkdir $$d/out; \
 	$(GO) build -o $$d/fsencr-bench ./cmd/fsencr-bench; \
@@ -43,6 +42,14 @@ sim-digest:
 	../fsencr-bench -ops 2000 -json figures.json -metrics-dir metrics -trace-out trace.json > figures.txt; \
 	../fsencr-chaos -seed 1 -faults 300 -json chaos.json > chaos.txt; \
 	find . -type f | sort | xargs sha256sum
+
+# The same digests against the committed golden, sim-digest.sha256 (recorded
+# with go1.24.0): any drift fails, so simulated results gate at 0 %
+# tolerance without a parent checkout. A change meant to move the
+# simulation regenerates the golden (make -s sim-digest > sim-digest.sha256)
+# and says why.
+sim-digest-check:
+	@$(MAKE) -s --no-print-directory sim-digest | diff -u sim-digest.sha256 - && echo "sim-digest: every digest matches sim-digest.sha256"
 
 # bench/ is a Go module of its own (the layered service benchmark), so
 # `go test ./...` above does not see it: its smoke test, manifest check and
@@ -59,9 +66,9 @@ layerbench-test:
 # arbitrary bytes (seeded with a log of every record kind) — plus two
 # differential targets: aesctr's pad entry points (so the assembly kernel on
 # amd64) against a one-block-at-a-time crypto/aes generator, and file reads
-# (size, offset, length, right or wrong passphrase) answered by the fast
-# read path against the same reads on a -serial-reads service, which must
-# agree on status, error and bytes. FuzzFramedWrite and FuzzReadEquivalence
+# (size, offset, length, right or wrong passphrase) and KV gets (asker, key,
+# store, passphrase) answered by the fast read path against the same ops on
+# a -serial-reads service, which must agree on status, error and bytes. FuzzFramedWrite and FuzzReadEquivalence
 # drive live services whose goroutines make coverage vary between runs of
 # one input, and FuzzLogRecords' corpus holds a near-megabyte write, so for
 # those the engine's minimiser (a minute per new input by default) is cut
@@ -184,4 +191,4 @@ overhead-guard:
 # per-plane `-run` shortcuts to chain here: to check one plane, name its test
 # (`go test -run TestFsencrdSmoke ./internal/server`). cluster-smoke stays as
 # the one named subset because it spans two packages.
-ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos overhead-guard bench-check
+ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos sim-digest-check overhead-guard bench-check

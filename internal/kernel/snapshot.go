@@ -1,6 +1,9 @@
 package kernel
 
 import (
+	"errors"
+
+	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
 	"fsencr/internal/config"
 	"fsencr/internal/fs"
@@ -8,21 +11,28 @@ import (
 )
 
 // This file is the kernel layer of the concurrent read fast-path. A reader
-// goroutine holding the shard's read lock can execute a file read against a
-// quiescent System without mutating anything: no core clock advances, no
-// page faults, no keyring memoization, no controller metadata fills.
-// Anything the live path would have handled with a mutation (or an error
-// whose exact text the client sees) makes the snapshot path return
-// ok=false, and the caller re-runs the read on the owner goroutine.
+// goroutine holding the shard's read lock can open a file and load from it
+// against a quiescent System without mutating anything: no core clock
+// advances, no page faults, no keyring memoization, no controller metadata
+// fills. Anything the live path would have handled with a mutation (or an
+// error whose exact text the client sees) makes the snapshot path refuse,
+// and the caller re-runs the op on the owner goroutine.
 
 // SnapshotReader is one goroutine's private read context: a controller
 // Reader (forked AES engines and OTP scratch), a page of plaintext scratch
-// for sub-page copies, and a passphrase-derived file-key memo replacing the
-// owner-only Keyring cache. Never share one across goroutines.
+// for partial-page loads, a passphrase-derived file-key memo replacing the
+// owner-only Keyring cache, and the file Open last opened — so opening one
+// allocates nothing. Never share one across goroutines.
 type SnapshotReader struct {
+	s    *System
 	rd   *memctrl.Reader
 	keys map[fekMemo]aesctr.Key
 	page aesctr.Page
+
+	// The open file, and the delta its loads defer their side effects into.
+	f  *fs.File
+	df bool
+	d  *memctrl.ReadDelta
 }
 
 type fekMemo struct {
@@ -30,10 +40,14 @@ type fekMemo struct {
 	salt [8]byte
 }
 
+// errRefused is every refused snapshot load: the caller falls back.
+var errRefused = errors.New("kernel: snapshot load refused")
+
 // NewSnapshotReader builds a read context bound to this system's memory
 // controller. Safe to call from any goroutine.
 func (s *System) NewSnapshotReader() *SnapshotReader {
 	return &SnapshotReader{
+		s:    s,
 		rd:   s.M.MC.NewReader(),
 		keys: make(map[fekMemo]aesctr.Key),
 	}
@@ -49,48 +63,72 @@ func (sr *SnapshotReader) fileKey(pass string, salt [8]byte) aesctr.Key {
 	return k
 }
 
-// SnapshotRead reads [off, off+len(buf)) of name for (uid, gid) into buf
-// without mutating the system, deferring side effects into d. It decides
-// what OpenFile and the owner's read decide — Access, the passphrase-derived
-// key verified against what the controller holds (through the side-effect-
-// free Peek path), the file's EOF bound — then decrypts page by page: whole
-// pages straight into buf, partial ones through the reader's page scratch.
-// ok=false means fall back, buf then unspecified: the live path mutates (key
-// refill, first fault) or fails with an error the caller must take from it.
-// Only ModeDAX reads qualify: the page-cache modes fill caches on read.
-func (s *System) SnapshotRead(sr *SnapshotReader, uid, gid uint32, name, passphrase string, off uint64, buf []byte, d *memctrl.ReadDelta) bool {
+// Open decides what OpenFile decides for a read by (uid, gid) — Access,
+// then the key check through the side-effect-free Peek path — and makes
+// name the file ReadAt loads from, deferring side effects into d. false
+// means fall back: the open fails, or the page-cache modes (not ModeDAX)
+// would fill caches on read.
+func (sr *SnapshotReader) Open(uid, gid uint32, name, passphrase string, d *memctrl.ReadDelta) bool {
+	s := sr.s
 	if s.mode != ModeDAX {
 		return false
 	}
 	f, err := s.Access(uid, gid, name, fs.ReadAccess)
-	if err != nil || !f.Covers(off, uint64(len(buf))) {
+	if err != nil || f.Encrypted && !s.M.MC.PeekVerifyKey(f.GroupID, f.Ino, sr.fileKey(passphrase, f.Salt)) {
 		return false
 	}
-	if f.Encrypted && !s.M.MC.PeekVerifyKey(f.GroupID, f.Ino, sr.fileKey(passphrase, f.Salt)) {
-		return false
+	sr.f, sr.df, sr.d = f, f.Encrypted && s.dfEnabled(), d
+	return true
+}
+
+// ReadAt loads [off, off+len(b)) of the open file into b — an io.ReaderAt
+// over the file's offsets — within its EOF bound (the worker's
+// fs.File.Covers): whole pages straight into b, a partial page as the run
+// of lines covering it, through the page scratch. A partial page is line
+// loads on the worker, which audit nothing, so its run stops short of the
+// 64 lines that carry a page's audit record. Any error means fall back, b
+// then unspecified.
+func (sr *SnapshotReader) ReadAt(b []byte, off int64) (int, error) {
+	if off < 0 || !sr.f.Covers(uint64(off), uint64(len(b))) {
+		return 0, errRefused
 	}
-	df := f.Encrypted && s.dfEnabled()
-	for n := 0; n < len(buf); {
-		cur := off + uint64(n)
-		pa, err := f.PagePA(int(cur / config.PageSize))
+	for n := 0; n < len(b); {
+		cur := uint64(off) + uint64(n)
+		pa, err := sr.f.PagePA(int(cur / config.PageSize))
 		if err != nil {
-			return false
+			return 0, err
 		}
-		if df {
+		if sr.df {
 			pa = pa.WithDF()
 		}
-		po, rest := int(cur%config.PageSize), buf[n:]
+		po, rest := int(cur%config.PageSize), b[n:]
 		if po == 0 && len(rest) >= config.PageSize {
-			if !s.M.SnapshotReadPage(sr.rd, pa, (*aesctr.Page)(rest), d) {
-				return false
+			if !sr.s.M.SnapshotReadLines(sr.rd, pa, config.LinesPerPage, rest, sr.d) {
+				return 0, errRefused
 			}
 			n += config.PageSize
 			continue
 		}
-		if !s.M.SnapshotReadPage(sr.rd, pa, &sr.page, d) {
-			return false
+		lo := po &^ (config.LineSize - 1)
+		hi := min(po+len(rest)+config.LineSize-1, config.PageSize) &^ (config.LineSize - 1)
+		hi = min(hi, lo+(config.LinesPerPage-1)*config.LineSize)
+		if !sr.s.M.SnapshotReadLines(sr.rd, pa+addr.Phys(lo), (hi-lo)/config.LineSize, sr.page[lo:hi], sr.d) {
+			return 0, errRefused
 		}
-		n += copy(rest, sr.page[po:])
+		n += copy(rest, sr.page[po:hi])
 	}
-	return true
+	return len(b), nil
+}
+
+// SnapshotRead reads [off, off+len(buf)) of name for (uid, gid) into buf
+// without mutating the system, deferring side effects into d: Open, then
+// ReadAt. ok=false means fall back, buf then unspecified: the live path
+// mutates (key refill, first fault) or fails with an error the caller must
+// take from it.
+func (s *System) SnapshotRead(sr *SnapshotReader, uid, gid uint32, name, passphrase string, off uint64, buf []byte, d *memctrl.ReadDelta) bool {
+	if !sr.Open(uid, gid, name, passphrase, d) {
+		return false
+	}
+	_, err := sr.ReadAt(buf, int64(off))
+	return err == nil
 }

@@ -9,9 +9,12 @@
 package kvstore
 
 import (
+	"cmp"
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
+	"sync"
 
 	"fsencr/internal/pmem"
 	"fsencr/internal/telemetry"
@@ -30,7 +33,6 @@ const Order = 8
 //	inner: bytes 72..143 child offsets[9]
 const (
 	nodeSize    = 192
-	hdrOff      = 0
 	keysOff     = 8
 	slotsOff    = 72
 	nextLeafOff = 136
@@ -170,18 +172,15 @@ func (t *BTree) writeValue(val []byte) (uint64, error) {
 	return off, nil
 }
 
-// readValue reads the blob at off into buf, returning its length.
-func (t *BTree) readValue(off uint64, buf []byte) (int, error) {
-	var hdr [8]byte
-	va := t.pool.Addr(off)
-	if err := t.pool.Load(va, hdr[:]); err != nil {
+// readValue reads the blob at pool offset off into buf through r, returning
+// its length; hdr is 8 bytes of scratch for the blob's length word.
+func readValue(r io.ReaderAt, off uint64, hdr, buf []byte) (int, error) {
+	if _, err := r.ReadAt(hdr, int64(off)); err != nil {
 		return 0, err
 	}
-	n := int(binary.LittleEndian.Uint64(hdr[:]))
-	if n > len(buf) {
-		n = len(buf)
-	}
-	return n, t.pool.Load(va+8, buf[:n])
+	n := int(min(binary.LittleEndian.Uint64(hdr), uint64(len(buf))))
+	_, err := r.ReadAt(buf[:n], int64(off+8))
+	return n, err
 }
 
 // Put inserts or overwrites key with val.
@@ -375,27 +374,59 @@ func (t *BTree) Get(key uint64, buf []byte) (int, error) {
 	if t.tel != nil {
 		defer t.opSpan("get", t.tGet, uint64(t.pool.Proc().Now()))
 	}
-	off, err := t.root()
-	if err != nil {
+	return lookup(t.pool, false, t.rootSlot, key, buf)
+}
+
+// Lookup is Get without a tree handle, through r, any io.ReaderAt over the
+// pool file: it checks the pool header pmem.Open checks, then makes Get's
+// loads. Bytes that are not a tree fail — a node of more than Order keys,
+// or a walk past maxDepth, which keeps a reader from spinning in a cycle.
+func Lookup(r io.ReaderAt, rootSlot int, key uint64, buf []byte) (int, error) {
+	return lookup(r, true, rootSlot, key, buf)
+}
+
+// maxDepth is far deeper than a tree over the largest pool can grow.
+const maxDepth = 32
+
+var errNotTree = errors.New("kvstore: not a B+Tree pool")
+
+// nodes recycles the node a lookup reads through: its loads go through an
+// interface, so a buffer on the stack would escape to the heap every get.
+var nodes = sync.Pool{New: func() any { return new(node) }}
+
+func lookup(r io.ReaderAt, header bool, rootSlot int, key uint64, buf []byte) (int, error) {
+	n := nodes.Get().(*node)
+	defer nodes.Put(n)
+	word := n.buf[:8]
+	if header {
+		if _, err := r.ReadAt(word, 0); err != nil || !pmem.IsHeader(word) {
+			return 0, cmp.Or(err, errNotTree)
+		}
+	}
+	if _, err := r.ReadAt(word, int64(pmem.RootOff(rootSlot))); err != nil {
 		return 0, err
 	}
-	for {
-		n, err := t.readNode(off)
-		if err != nil {
+	off := binary.LittleEndian.Uint64(word)
+	for depth := 0; depth < maxDepth; depth++ {
+		if _, err := r.ReadAt(n.buf[:], int64(off)); err != nil {
 			return 0, err
+		}
+		if n.count() > Order {
+			return 0, errNotTree
 		}
 		idx := n.search(key)
 		if n.isLeaf() {
 			if idx >= n.count() || n.key(idx) != key {
 				return 0, fmt.Errorf("%w: %d", ErrNotFound, key)
 			}
-			return t.readValue(n.slot(idx), buf)
+			return readValue(r, n.slot(idx), word, buf)
 		}
 		if idx < n.count() && n.key(idx) == key {
 			idx++
 		}
 		off = n.slot(idx)
 	}
+	return 0, errNotTree
 }
 
 // Scan walks keys in ascending order starting at from, calling fn with each
@@ -420,9 +451,10 @@ func (t *BTree) Scan(from uint64, buf []byte, fn func(key uint64, val []byte) bo
 		}
 		off = n.slot(idx)
 	}
+	var hdr [8]byte
 	for {
 		for i := n.search(from); i < n.count(); i++ {
-			ln, err := t.readValue(n.slot(i), buf)
+			ln, err := readValue(t.pool, n.slot(i), hdr[:], buf)
 			if err != nil {
 				return err
 			}

@@ -359,3 +359,52 @@ func TestDeleteModelProperty(t *testing.T) {
 		}
 	}
 }
+
+// TestLookup: Lookup through the pool's own io.ReaderAt answers what Get
+// answers, and it refuses, rather than follows, what is not a tree — a
+// loader without a pool header, a node claiming more than Order keys, and a
+// child pointer back to its own node, which would otherwise be walked for
+// as long as the caller waited.
+func TestLookup(t *testing.T) {
+	tr, pool, _ := mktree(t, 1)
+	for k := uint64(0); k < 40; k++ {
+		if err := tr.Put(k, val(k, 24)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	buf := make([]byte, 64)
+	for k := uint64(0); k < 41; k++ {
+		n, err := Lookup(pool, 0, k, buf)
+		m, gerr := tr.Get(k, make([]byte, 64))
+		if n != m || (err == nil) != (gerr == nil) || err == nil && !bytes.Equal(buf[:n], val(k, 24)) {
+			t.Fatalf("key %d: Lookup %d, %v; Get %d, %v", k, n, err, m, gerr)
+		}
+	}
+	if _, err := Lookup(bytes.NewReader(make([]byte, 4096)), 0, 1, buf); !errors.Is(err, errNotTree) {
+		t.Fatalf("zeroed bytes: %v, want errNotTree", err)
+	}
+
+	off, err := pool.Alloc(nodeSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cyclic := &node{off: off}
+	cyclic.setCount(1)
+	cyclic.setKey(0, 10)
+	cyclic.setSlot(0, off)
+	cyclic.setSlot(1, off)
+	wide := &node{off: off}
+	wide.buf[0] = 1
+	wide.setCount(Order + 1)
+	for _, bad := range []*node{cyclic, wide} {
+		if err := pool.Store(pool.Addr(off), bad.buf[:]); err != nil {
+			t.Fatal(err)
+		}
+		if err := pool.SetRoot(1, off); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Lookup(pool, 1, 5, buf); !errors.Is(err, errNotTree) {
+			t.Fatalf("node %x…: %v, want errNotTree", bad.buf[:2], err)
+		}
+	}
+}

@@ -378,24 +378,27 @@ func (co *Core) ReadPageNC(pa addr.Phys, dst *aesctr.Page) {
 	m.nNCPageReads.Add(1)
 }
 
-// SnapshotReadPage is the concurrent read fast-path's coherent page read:
-// the page is decrypted through the controller's read-only snapshot entry
-// point, then any lines cached in the hierarchy (dirty or clean) are
-// overlaid so the result matches what ReadPageNC/ReadNC would have
-// returned. No machine state is mutated and no core clock advances; side
-// effects land in d for the owner goroutine to drain. Must run with the
-// owning shard quiescent (its read lock held). pa must be
-// page-aligned. Returns false when the controller path must fall back.
-func (m *Machine) SnapshotReadPage(rd *memctrl.Reader, pa addr.Phys, dst *aesctr.Page, d *memctrl.ReadDelta) bool {
-	base := pa.PageAlign()
-	if !m.MC.SnapshotReadPage(rd, base, dst, d) {
+// SnapshotReadLines is the concurrent read fast-path's coherent read of the
+// n lines at line-aligned la (within one page): the controller's snapshot
+// read, with the lines cached in the hierarchy (dirty or clean) overlaid,
+// as a load or ReadPageNC would return them. No machine state is mutated
+// and no clock advances; side effects land in d. Must run with the owning
+// shard quiescent (its read lock held). false: fall back.
+func (m *Machine) SnapshotReadLines(rd *memctrl.Reader, la addr.Phys, n int, dst []byte, d *memctrl.ReadDelta) bool {
+	// As on the live path, a run the hierarchy holds whole never reaches
+	// the controller; otherwise the cached lines overlay its read (whose
+	// ECC verdicts were taken on the NVM-resident plaintext).
+	hit := 0
+	for off := 0; off < n*config.LineSize; off += config.LineSize {
+		if _, ok := m.lines[la+addr.Phys(off)]; ok {
+			hit++
+		}
+	}
+	if hit < n && !m.MC.SnapshotReadLines(rd, la, n, dst, d) {
 		return false
 	}
-	// The ECC tags above were checked against the NVM-resident plaintext;
-	// cached lines overlay afterwards, exactly as the live path serves
-	// cached data without re-reading the array.
-	for off := 0; off < config.PageSize; off += config.LineSize {
-		if lb, ok := m.lines[base+addr.Phys(off)]; ok {
+	for off := 0; hit > 0 && off < n*config.LineSize; off += config.LineSize {
+		if lb, ok := m.lines[la+addr.Phys(off)]; ok {
 			copy(dst[off:off+config.LineSize], lb.data[:])
 		}
 	}

@@ -12,17 +12,17 @@ import (
 
 // This file holds the crypt context every pad is built through, and the
 // read-only snapshot entry point of the concurrent read fast-path:
-// SnapshotReadPage decrypts one page without mutating any controller
-// state, so reader goroutines can run it in parallel while the shard's
-// owner goroutine is parked behind the shard's reader lock. All side
-// effects the live datapath would have produced — stats, audit records,
-// ECC-violation accounting — are captured in a ReadDelta the owner later
-// applies under its own lock (ApplyReadDelta).
+// SnapshotReadLines decrypts a run of lines — a page or less — without
+// mutating any controller state, so reader goroutines can run it in
+// parallel while the shard's owner goroutine is parked behind the shard's
+// reader lock. All side effects the live datapath would have produced —
+// stats, audit records, ECC-violation accounting — are captured in a
+// ReadDelta the owner later applies under its own lock (ApplyReadDelta).
 //
 // The snapshot path is success-only: anything the live path would handle
 // with a mutation (metadata-cache fill, OTT refill, first-touch counter
 // creation side effects, journal emission, locked or crashed datapath)
-// makes SnapshotReadPage return false, and the caller re-runs the read on
+// makes SnapshotReadLines return false, and the caller re-runs the read on
 // the owner goroutine with full live semantics.
 
 // Reader is one goroutine's private crypt context: the controller's memory
@@ -120,25 +120,30 @@ func (c *Controller) PeekVerifyKey(group uint32, file uint16, key aesctr.Key) bo
 	return false
 }
 
-// SnapshotReadPage decrypts the page containing pa into dst using only
-// immutable reads of controller state, recording deferred side effects in
-// d. It returns false — leaving dst unspecified — whenever the live path
-// would have mutated state beyond the deferred set: locked or crashed
-// controller, untagged DF page, unresolvable or region-only file key.
-// On success the plaintext is byte-identical to ReadPageInto's.
+// SnapshotReadPage is SnapshotReadLines over the whole page containing pa.
 func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page, d *ReadDelta) bool {
+	return c.SnapshotReadLines(rd, pa.PageAlign(), config.LinesPerPage, dst[:], d)
+}
+
+// SnapshotReadLines is readLines of the n lines at line-aligned la (within
+// one page) into dst through immutable reads of controller state only, its
+// side effects recorded in d. It returns false — dst then unspecified —
+// whenever the live path would have mutated state beyond the deferred set:
+// locked or crashed controller, untagged DF page, unresolvable or
+// region-only file key.
+func (c *Controller) SnapshotReadLines(rd *Reader, la addr.Phys, n int, dst []byte, d *ReadDelta) bool {
 	if c.crashed {
 		return false
 	}
-	base := pa.PageAlign()
-	c.PCM.PeekPageInto(base.Raw(), dst)
-	d.Reads += config.LinesPerPage
+	dst = dst[:n*config.LineSize]
+	c.PCM.PeekLinesInto(la.Raw(), dst)
+	d.Reads += uint64(n)
 
 	if !c.mode.MemEncryption {
 		return true
 	}
 
-	page := base.PageNum()
+	page, li0 := la.PageNum(), la.LineInPage()
 	// An absent counter block decrypts exactly like the fresh zero block
 	// getCtr would have created — the create side effects (persist
 	// snapshot, Merkle leaf) are what the owner's fallback exists for, and a
@@ -146,7 +151,7 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 	m := c.peekCtr(memSlot(page))
 	var fecb *counters.CB
 	var key aesctr.Key
-	if base.IsDF() {
+	if la.IsDF() {
 		if !c.fileActive() {
 			return false // locked datapath: live path journals and decrypts to garbage
 		}
@@ -163,14 +168,16 @@ func (c *Controller) SnapshotReadPage(rd *Reader, pa addr.Phys, dst *aesctr.Page
 		if key, ok = c.ottTable.Peek(fecb.GroupID, fecb.FileID); !ok {
 			return false
 		}
-		d.Audits = append(d.Audits, AuditEvent{Op: audit.OpReadPage, Page: page, Group: fecb.GroupID, File: fecb.FileID})
+		if n == config.LinesPerPage { // n: as fileSide, page accesses only
+			d.Audits = append(d.Audits, AuditEvent{Op: audit.OpReadPage, Page: page, Group: fecb.GroupID, File: fecb.FileID})
+		}
 	}
-	aesctr.XORBytes(dst[:], rd.pads(page, 0, config.LinesPerPage, &m, fecb, key))
+	aesctr.XORBytes(dst, rd.pads(page, li0, n, &m, fecb, key))
 
 	// Osiris check tags, deferred: mismatches are recorded, accounted by
 	// the owner at drain time.
-	for bad := c.eccBad(page, 0, dst[:]); bad != 0; bad &= bad - 1 {
-		d.ECC = append(d.ECC, ECCEvent{Page: page, Line: bits.TrailingZeros64(bad)})
+	for bad := c.eccBad(page, li0, dst); bad != 0; bad &= bad - 1 {
+		d.ECC = append(d.ECC, ECCEvent{Page: page, Line: li0 + bits.TrailingZeros64(bad)})
 	}
 	return true
 }

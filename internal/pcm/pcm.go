@@ -271,17 +271,17 @@ func (m *Memory) ReadPageInto(pa addr.Phys, dst *aesctr.Page) {
 	*dst = aesctr.Page(*m.frame(pa))
 }
 
-// PeekPageInto is ReadPageInto without the first-touch allocation: an
+// PeekLinesInto is ReadLinesInto without the first-touch allocation: an
 // unbacked frame reads as zeros instead of materializing in the frame map.
 // The concurrent read fast-path uses it so a reader goroutine never
 // mutates the device (frame allocation would race the owner and perturb
 // FramesTouched/migration images).
-func (m *Memory) PeekPageInto(pa addr.Phys, dst *aesctr.Page) {
+func (m *Memory) PeekLinesInto(pa addr.Phys, dst []byte) {
 	if f, ok := m.frames[pa.PageNum()]; ok {
-		*dst = aesctr.Page(*f)
+		copy(dst, f[pa.PageOffset()&^(config.LineSize-1):])
 		return
 	}
-	*dst = aesctr.Page{}
+	clear(dst)
 }
 
 // WritePageFrom stores a full 4 KB page at the page containing pa.

@@ -71,11 +71,14 @@ func Open(proc *kernel.Process, f *fs.File, size uint64) (*Pool, error) {
 	if err := proc.Read(base, hdr[:]); err != nil {
 		return nil, err
 	}
-	if binary.LittleEndian.Uint64(hdr[:]) != poolMagic {
+	if !IsHeader(hdr[:]) {
 		return nil, fmt.Errorf("pmem: %q is not a pool", f.Name)
 	}
 	return p, nil
 }
+
+// IsHeader reports whether hdr, a file's first 8 bytes, is a pool header.
+func IsHeader(hdr []byte) bool { return binary.LittleEndian.Uint64(hdr) == poolMagic }
 
 // Proc returns the owning process.
 func (p *Pool) Proc() *kernel.Process { return p.proc }
@@ -83,22 +86,22 @@ func (p *Pool) Proc() *kernel.Process { return p.proc }
 // Base returns the pool's base virtual address.
 func (p *Pool) Base() addr.Virt { return p.base }
 
-// Root returns the address of root slot i (8 bytes each).
-func (p *Pool) Root(i int) addr.Virt {
+// RootOff returns the pool offset of root slot i (8 bytes each).
+func RootOff(i int) uint64 {
 	if i < 0 || i >= rootSize/8 {
 		panic("pmem: root slot out of range")
 	}
-	return p.base + headerSize + addr.Virt(8*i)
+	return headerSize + 8*uint64(i)
 }
 
 // SetRoot durably stores a pool-relative offset in root slot i.
 func (p *Pool) SetRoot(i int, off uint64) error {
-	return p.StoreU64(p.Root(i), off)
+	return p.StoreU64(p.Addr(RootOff(i)), off)
 }
 
 // GetRoot reads root slot i.
 func (p *Pool) GetRoot(i int) (uint64, error) {
-	return p.proc.ReadU64(p.Root(i))
+	return p.proc.ReadU64(p.Addr(RootOff(i)))
 }
 
 // Addr converts a pool-relative offset into a virtual address. Offset 0 is
@@ -144,6 +147,15 @@ func (p *Pool) StoreU64(va addr.Virt, v uint64) error {
 
 // Load reads len(buf) bytes at va.
 func (p *Pool) Load(va addr.Virt, buf []byte) error { return p.proc.Read(va, buf) }
+
+// ReadAt loads len(b) bytes at pool offset off: the pool as the io.ReaderAt
+// over its own offsets that kvstore walks a tree through.
+func (p *Pool) ReadAt(b []byte, off int64) (int, error) {
+	if err := p.Load(p.Addr(uint64(off)), b); err != nil {
+		return 0, err
+	}
+	return len(b), nil
+}
 
 // LoadU64 reads one 64-bit value.
 func (p *Pool) LoadU64(va addr.Virt) (uint64, error) { return p.proc.ReadU64(va) }

@@ -104,7 +104,7 @@ func TestRootSlotBoundsPanic(t *testing.T) {
 			t.Fatal("out-of-range root slot accepted")
 		}
 	}()
-	pool.Root(1000)
+	pool.SetRoot(1000, 1)
 }
 
 func TestOffAddrInverse(t *testing.T) {

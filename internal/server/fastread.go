@@ -1,20 +1,21 @@
 package server
 
-// Concurrent read fast-path: read-only ops (file read, stat) leave the
-// shard worker's admission queue entirely and run on the calling goroutine
-// against a quiescent snapshot of the shard's machine.
+// Concurrent read fast-path: read-only ops (file read, stat, KV get) leave
+// the shard worker's admission queue entirely and run on the calling
+// goroutine against a quiescent snapshot of the shard's machine.
 //
 // The consistency scheme is the shard's RWMutex and nothing else: the
 // worker (Shard.run) holds the writer lock across every mutation batch
 // (enterMut/exitMut), and a reader TryRLocks — which fails while the worker
-// holds the lock or waits for it — and runs the whole read, access and EOF
-// checks included, under that one read lock (kernel.System.SnapshotRead,
-// which decides them with the worker's own code). Anything else — the lock
-// refused fastReadRetries times, or a snapshot-unservable condition
-// (unresolved key, unfaulted page, locked datapath, non-DAX mode, a read the
-// worker would refuse) — makes the reader fall back to ordinary worker
-// admission, which re-runs the op with exact live semantics. The fast path
-// is success-only; it never invents an error.
+// holds the lock or waits for it — and runs the whole op under that one
+// read lock: a kernel.SnapshotReader opened on the file (or store) with the
+// worker's own checks, then loads by offset — the read's range, or a
+// B+Tree walk (kvstore.Lookup). Anything else — the lock refused
+// fastReadRetries times, or a snapshot-unservable condition (unresolved
+// key, unfaulted page, locked datapath, non-DAX mode, an op the worker
+// would refuse) — makes the reader fall back to ordinary worker admission,
+// which re-runs the op with exact live semantics. The fast path is
+// success-only; it never invents an error.
 //
 // Side effects the live read path would have produced (stats, audit
 // records, Osiris ECC accounting) are deferred into pooled ReadDelta
@@ -48,13 +49,15 @@ const (
 
 // deltaNode is one deferred-side-effect buffer on the shard's lock-free
 // Treiber stack (pushed by readers, swapped out whole by the worker).
-// trace carries the read's wire trace context so the worker can give every
-// sampled fast read its one tail-sampling decision at drain time — the
-// invariant "every sampled request gets exactly one kept/dropped verdict"
-// survives the read leaving the admission plane.
+// trace and kind carry the read's wire trace context and op, so the worker
+// can give every sampled fast read its one tail-sampling decision, under
+// the op's root-span name, at drain time — the invariant "every sampled
+// request gets exactly one kept/dropped verdict" survives the read leaving
+// the admission plane.
 type deltaNode struct {
 	d     *memctrl.ReadDelta
 	trace fsproto.TraceContext
+	kind  fsproto.Kind
 	next  *deltaNode
 }
 
@@ -94,7 +97,7 @@ func (sh *Shard) drainDeltas() {
 			// time — but it still gets exactly one sampler decision.
 			sh.scope.Begin(n.trace.TraceID, n.trace.Parent)
 			sh.scope.Enter()
-			sh.scope.Exit("request", opRead.kind.String(), uint64(now), uint64(now), 0)
+			sh.scope.Exit("request", n.kind.String(), uint64(now), uint64(now), 0)
 			sh.scope.End(sh.sampler.Keep(n.trace.TraceID, 0, false))
 		}
 		sh.putDelta(n.d)
@@ -104,8 +107,8 @@ func (sh *Shard) drainDeltas() {
 
 // pushDelta hands a completed read's side effects to the worker, which
 // folds them in at its next mutation.
-func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext) {
-	n := &deltaNode{d: d, trace: tc}
+func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext, kind fsproto.Kind) {
+	n := &deltaNode{d: d, trace: tc, kind: kind}
 	for {
 		old := sh.deltas.Load()
 		n.next = old
@@ -156,16 +159,20 @@ func (sh *Shard) tryReadLocked(fn func()) bool {
 	return false
 }
 
-// tryFastRead serves a file read without the worker. dst is fully written
-// on success; on false its contents are unspecified and the caller must
-// fall back to worker admission.
-func (sh *Shard) tryFastRead(sess *Session, tc fsproto.TraceContext, name, passphrase string, off uint64, dst []byte) bool {
-	ok := false
+// tryFast serves op kind off the worker: name opened for sess, then load,
+// which fills the reply and returns its length. false, on any failure, means
+// fall back to worker admission, so the worker answers every error.
+func (sh *Shard) tryFast(sess *Session, tc fsproto.TraceContext, kind fsproto.Kind, name, passphrase string, load func(*kernel.SnapshotReader) (int, error)) (n int, ok bool) {
 	sh.tryReadLocked(func() {
 		sr := sh.readPool.Get().(*kernel.SnapshotReader)
 		d := sh.deltaPool.Get().(*memctrl.ReadDelta)
-		if ok = sh.Sys.SnapshotRead(sr, sess.uid, sess.gid, name, passphrase, off, dst, d); ok {
-			sh.pushDelta(d, tc)
+		if sr.Open(sess.uid, sess.gid, name, passphrase, d) {
+			var err error
+			n, err = load(sr)
+			ok = err == nil
+		}
+		if ok {
+			sh.pushDelta(d, tc, kind)
 		} else {
 			sh.putDelta(d)
 		}
@@ -174,5 +181,5 @@ func (sh *Shard) tryFastRead(sess *Session, tc fsproto.TraceContext, name, passp
 	if ok {
 		sh.askDrain()
 	}
-	return ok
+	return n, ok
 }

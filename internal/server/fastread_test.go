@@ -148,6 +148,40 @@ func TestFastReadMultiPage(t *testing.T) {
 	}
 }
 
+// TestFastReadAuditsPagesOnly: a fast read leaves a page's audit record
+// only for a page it loads whole, as the worker's page datapath does. A
+// partial page — even one that touches all 64 lines — is line loads on the
+// worker, which audit nothing, so it audits nothing here either.
+func TestFastReadAuditsPagesOnly(t *testing.T) {
+	svc, sess := testReadService(t)
+	ctx := context.Background()
+	sh := svc.shards[0]
+	for _, r := range []struct {
+		off     uint64
+		length  int
+		records uint64
+	}{
+		{0, 64, 0}, {100, 200, 0}, {8, 4088, 0}, {0, 4095, 0}, {4000, 200, 0},
+		{4096, 4096, 1}, {100, 3 * 4096, 2},
+	} {
+		head0, fast0 := sh.Aud.HeadSeq(), svc.cFastReads.Value()
+		pl, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "hot.dat", Offset: r.off, Length: r.length})
+		if err != nil || !bytes.Equal(pl.Data, bytes.Repeat([]byte{0x5A}, r.length)) {
+			t.Fatalf("read %d at %d: %v", r.length, r.off, err)
+		}
+		pl.Release()
+		if err := sh.DoSide(ctx, func() {}); err != nil { // drains the read's delta
+			t.Fatal(err)
+		}
+		if svc.cFastReads.Value() != fast0+1 {
+			t.Fatalf("read %d at %d did not take the fast path", r.length, r.off)
+		}
+		if head := sh.Aud.HeadSeq(); head != head0+r.records {
+			t.Errorf("read %d at %d: %d audit records, want %d", r.length, r.off, head-head0, r.records)
+		}
+	}
+}
+
 // TestReadDeltasBounded: a tenant that only reads must not grow the deferred
 // side-effect stack until somebody writes. 10 000 fast reads with no write
 // in between keep the stack within twice the drain threshold at every
@@ -268,11 +302,12 @@ func TestFastReadGating(t *testing.T) {
 
 // readTwin is one history played on two services: a default one, whose
 // reads take the fast path, and a SerialReads one, whose reads all run on
-// the worker. Tenant acme's user 1 owns the files; tenant rival has a
-// session too.
+// the worker. Tenant acme's user 1 owns the files, its user 2 (same
+// passphrase) is a group member; tenant rival has a session too.
 type readTwin struct {
-	svc         [2]*Service // fast, serial
-	acme, rival [2]*Session
+	svc                 [2]*Service // fast, serial
+	acme, member, rival [2]*Session
+	kvMade              bool
 }
 
 // readOutcome is what a client sees of a read.
@@ -295,6 +330,9 @@ func newReadTwin(tb testing.TB) *readTwin {
 		tb.Cleanup(svc.Close)
 		var err error
 		if tw.acme[i], err = svc.Login(context.Background(), "acme", 1, "pw-acme", 0); err != nil {
+			tb.Fatal(err)
+		}
+		if tw.member[i], err = svc.Login(context.Background(), "acme", 2, "pw-acme", 0); err != nil {
 			tb.Fatal(err)
 		}
 		if tw.rival[i], err = svc.Login(context.Background(), "rival", 1, "pw-rival", 0); err != nil {
@@ -329,6 +367,18 @@ func (tw *readTwin) create(tb testing.TB, name string, size uint64) {
 // read sends req as acme (or rival) to both services and returns both
 // outcomes, and whether the fast service served it off the worker.
 func (tw *readTwin) read(tb testing.TB, asRival bool, req fsproto.ReadRequest) (fast, serial readOutcome, offWorker bool) {
+	who := &tw.acme
+	if asRival {
+		who = &tw.rival
+	}
+	return tw.ask(tb, who, func(svc *Service, sess *Session) (Payload, error) {
+		return svc.Read(context.Background(), sess, req)
+	})
+}
+
+// ask sends one request, call, as who to both services and returns both
+// outcomes, and whether the fast service served it off the worker.
+func (tw *readTwin) ask(tb testing.TB, who *[2]*Session, call func(*Service, *Session) (Payload, error)) (fast, serial readOutcome, offWorker bool) {
 	tb.Helper()
 	ctx := context.Background()
 	var out [2]readOutcome
@@ -338,12 +388,8 @@ func (tw *readTwin) read(tb testing.TB, asRival bool, req fsproto.ReadRequest) (
 		if err := svc.shards[0].DoSide(ctx, func() {}); err != nil {
 			tb.Fatal(err)
 		}
-		sess := tw.acme[i]
-		if asRival {
-			sess = tw.rival[i]
-		}
 		fast0 := svc.cFastReads.Value()
-		pl, err := svc.Read(ctx, sess, req)
+		pl, err := call(svc, who[i])
 		if err != nil {
 			out[i].status, _ = httpStatus(err)
 			out[i].err = err.Error()
@@ -404,19 +450,46 @@ func TestSerialReadsEquivalence(t *testing.T) {
 // FuzzReadEquivalence is TestSerialReadsEquivalence over arbitrary reads:
 // a file size, an offset, a length and the right or a wrong passphrase.
 // Sizes are folded onto a hundred files (0, 100, …, 9900 bytes) created on
-// first use, so a long run cannot exhaust the inode space.
+// first use, so a long run cannot exhaust the inode space. Its KV arm (kv
+// set) is TestSerialKVGetEquivalence over arbitrary gets of store "kv": the
+// asker (sizeIdx: owner, group member, another tenant), the key (off,
+// folded onto the stored, deleted and missing ones), the store (length: a
+// multiple of 7 asks for the regular file "plain") and the passphrase.
 func FuzzReadEquivalence(f *testing.F) {
-	f.Add(uint8(1), uint64(0), 100, true)       // ends at size
-	f.Add(uint8(1), uint64(0), 101, true)       // one byte past size
-	f.Add(uint8(1), uint64(0), 4096, true)      // rest of the last page
-	f.Add(uint8(1), uint64(100), 0, true)       // offset at size, length 0
-	f.Add(uint8(1), uint64(200), 10, true)      // offset past size
-	f.Add(uint8(99), uint64(100), 9700, true)   // partial cross-page range
-	f.Add(uint8(1), uint64(0), 100, false)      // wrong passphrase
-	f.Add(uint8(41), uint64(1<<64-8), 16, true) // offset + length wraps
+	f.Add(uint8(1), uint64(0), 100, true, false)       // ends at size
+	f.Add(uint8(1), uint64(0), 101, true, false)       // one byte past size
+	f.Add(uint8(1), uint64(0), 4096, true, false)      // rest of the last page
+	f.Add(uint8(1), uint64(100), 0, true, false)       // offset at size, length 0
+	f.Add(uint8(1), uint64(200), 10, true, false)      // offset past size
+	f.Add(uint8(99), uint64(100), 9700, true, false)   // partial cross-page range
+	f.Add(uint8(1), uint64(0), 100, false, false)      // wrong passphrase
+	f.Add(uint8(41), uint64(1<<64-8), 16, true, false) // offset + length wraps
+	f.Add(uint8(0), uint64(1), 1, true, true)          // KV: present key
+	f.Add(uint8(0), uint64(3), 1, true, true)          // KV: deleted key
+	f.Add(uint8(0), uint64(kvKeys+1), 1, true, true)   // KV: missing key
+	f.Add(uint8(1), uint64(2), 1, true, true)          // KV: group member
+	f.Add(uint8(1), uint64(2), 1, false, true)         // KV: group member, wrong passphrase
+	f.Add(uint8(2), uint64(1), 1, true, true)          // KV: another tenant
+	f.Add(uint8(0), uint64(1), 7, true, true)          // KV: regular file at kv/plain
 	tw := newReadTwin(f)
 	made := map[uint64]bool{}
-	f.Fuzz(func(t *testing.T, sizeIdx uint8, off uint64, length int, rightPass bool) {
+	f.Fuzz(func(t *testing.T, sizeIdx uint8, off uint64, length int, rightPass, kv bool) {
+		if kv {
+			tw.makeKV(t)
+			who := [...]*[2]*Session{&tw.acme, &tw.member, &tw.rival}[sizeIdx%3]
+			req := fsproto.KVGetRequest{Tenant: "acme", Store: "kv", Key: off % (kvKeys + 4)}
+			if length%7 == 0 {
+				req.Store = "plain"
+			}
+			if !rightPass {
+				req.Passphrase = "not-it"
+			}
+			if fast, serial, _ := tw.kvGet(t, who, req); fast != serial {
+				t.Fatalf("get %+v as asker %d: fast path %d %q (%q), worker %d %q (%q)",
+					req, sizeIdx%3, fast.status, fast.err, fast.data, serial.status, serial.err, serial.data)
+			}
+			return
+		}
 		size := uint64(sizeIdx%100) * 100
 		name := fmt.Sprintf("f%d.dat", size)
 		if !made[size] {
@@ -458,7 +531,9 @@ func TestFastReadAllocs(t *testing.T) {
 		}
 		runtime.ReadMemStats(&ms)
 		before := ms.Mallocs
-		ok := sh.tryFastRead(sess, fsproto.TraceContext{}, name, sess.pass, 4096, dst)
+		_, ok := sh.tryFast(sess, fsproto.TraceContext{}, fsproto.KindRead, name, sess.pass, func(sr *kernel.SnapshotReader) (int, error) {
+			return sr.ReadAt(dst, 4096)
+		})
 		runtime.ReadMemStats(&ms)
 		if !ok {
 			t.Fatalf("read %d fell back to the worker", i)

@@ -76,6 +76,8 @@ type sessState struct {
 type kvHandle struct {
 	pool *pmem.Pool
 	tree *kvstore.BTree
+	file *fs.File // what the handle maps
+	pass string   // what its checks passed with
 	// checked[a]: the session passed the store's permission check for
 	// access a (it opened the store for a, or created it). A handle opened
 	// by a get has not been checked for writing, nor one opened by a put
@@ -318,14 +320,27 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wir
 		return Payload{}, nil, err
 	}
 	tc := TraceFromContext(ctx)
-	if o == opRead && svc.fastReadable(tgt.sh) {
-		r := req.(*fsproto.ReadRequest)
-		if tgt.sh.tryFastRead(sess, tc, fullName(tgt.tenant, r.Name), pass(sess, r.Passphrase), r.Offset, pl.Data) {
+	if (o == opRead || o == opKVGet) && svc.fastReadable(tgt.sh) {
+		var n int
+		var ok bool
+		switch r := req.(type) {
+		case *fsproto.ReadRequest:
+			n, ok = tgt.sh.tryFast(sess, tc, o.kind, fullName(tgt.tenant, r.Name), pass(sess, r.Passphrase), func(sr *kernel.SnapshotReader) (int, error) {
+				return sr.ReadAt(pl.Data, int64(r.Offset))
+			})
+		case *fsproto.KVGetRequest:
+			// The tree is walked without the session's store handle.
+			n, ok = tgt.sh.tryFast(sess, tc, o.kind, kvName(tgt.tenant, r.Store), pass(sess, r.Passphrase), func(sr *kernel.SnapshotReader) (int, error) {
+				return kvstore.Lookup(sr, 0, r.Key, pl.Data)
+			})
+		}
+		if ok {
 			svc.cFastReads.Inc()
+			pl.Data = pl.Data[:n]
 			return pl, nil, nil
 		}
 		// Anything the snapshot path couldn't serve — contention, an
-		// unfaulted page, a key not yet in the on-chip OTT, or a read that
+		// unfaulted page, a key not yet in the on-chip OTT, or an op that
 		// genuinely fails — re-runs below with exact live semantics.
 		svc.cFastFallbacks.Inc()
 	}
@@ -487,7 +502,8 @@ func workKVCreate(_ *Service, tgt target, sess *Session, req *fsproto.KVCreateRe
 		return nil, err
 	}
 	tree.Instrument(sh.Reg)
-	sh.state(sess).kv[full] = &kvHandle{pool: pool, tree: tree, checked: [2]bool{fs.ReadAccess: true, fs.WriteAccess: true}}
+	sh.state(sess).kv[full] = &kvHandle{pool: pool, tree: tree, file: f, pass: pass(sess, req.Passphrase),
+		checked: [2]bool{fs.ReadAccess: true, fs.WriteAccess: true}}
 	return nil, nil
 }
 
@@ -618,11 +634,11 @@ func (sh *Shard) readInto(sess *Session, name, passphrase string, off uint64, ds
 	return p.Read(va+addr.Virt(off), dst)
 }
 
-// fastReadable gates the concurrent read fast-path: deterministic shards
-// must stay a pure function of their schedule (a fast read would skip the
-// schedule entirely), logged shards must observe every op as an
-// admission-log record, and -serial-reads forces the worker path for A/B
-// measurement against the serialized datapath.
+// fastReadable gates the concurrent read fast-path — file reads, stats and
+// KV gets: deterministic shards must stay a pure function of their schedule
+// (a fast read would skip the schedule entirely), logged shards must
+// observe every op as an admission-log record, and -serial-reads forces the
+// worker path for A/B measurement against the serialized datapath.
 func (svc *Service) fastReadable(sh *Shard) bool {
 	return !sh.det && !sh.logOn && !svc.opts.SerialReads
 }
@@ -685,28 +701,33 @@ func kvName(tenant, store string) string { return tenant + "/kv/" + store }
 // kvHandleFor opens (or returns the cached) per-session view of a store:
 // permission check through OpenFile, then a pmem pool mapping in the
 // session's own process. A cached handle repeats the check, once, for the
-// first op of an access kind it was not opened for. Worker-goroutine only,
-// so replay opens exactly when the live run did.
+// first op of an access kind it was not opened for, and in full whenever
+// the op brings another passphrase, the bits no longer allow the access or
+// the name is another file now, so it answers what a fresh open — and a
+// snapshot get — would (System.Access touches no simulated state).
+// Worker-goroutine only, so replay opens exactly when the live run did.
 func (sh *Shard) kvHandleFor(sess *Session, tenant, store, passphrase string, want fs.Access) (*kvHandle, error) {
 	st := sh.state(sess)
 	full := kvName(tenant, store)
-	h, cached := st.kv[full]
-	if cached && h.checked[want] {
-		return h, nil
+	h := st.kv[full]
+	if h != nil && h.checked[want] && h.pass == passphrase {
+		if f, err := sh.Sys.Access(sess.uid, sess.gid, full, want); err == nil && f == h.file {
+			return h, nil
+		}
 	}
 	p := sh.proc(sess)
 	f, err := sh.Sys.OpenFile(p, full, want, passphrase)
 	if err != nil {
 		return nil, err
 	}
-	if !cached {
+	if h == nil || h.file != f || h.pass != passphrase {
 		pool, err := pmem.Open(p, f, f.Size)
 		if err != nil {
 			return nil, err
 		}
 		tree := kvstore.Open(pool, 0)
 		tree.Instrument(sh.Reg)
-		h = &kvHandle{pool: pool, tree: tree}
+		h = &kvHandle{pool: pool, tree: tree, file: f, pass: passphrase}
 		st.kv[full] = h
 	}
 	h.checked[want] = true

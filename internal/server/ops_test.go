@@ -15,12 +15,15 @@ import (
 // user 1 of acme with one key in it, then chmodded to perm — and returns a
 // login for further users of the tenant. They reach the store with the
 // owner's passphrase, so only the permission bits stand between them and it.
+// Gets run on the worker (SerialReads), so a get opens a store handle there
+// as a get the fast path cannot serve does.
 func kvPermService(t *testing.T, perm uint16) (svc *Service, owner *Session, login func(uid uint32) *Session) {
 	t.Helper()
 	svc = New(Options{
-		Shards: 1,
-		MCMode: memctrl.Mode{MemEncryption: true, FileEncryption: true},
-		Access: kernel.ModeDAX,
+		Shards:      1,
+		MCMode:      memctrl.Mode{MemEncryption: true, FileEncryption: true},
+		Access:      kernel.ModeDAX,
+		SerialReads: true,
 	})
 	t.Cleanup(svc.Close)
 	ctx := context.Background()
@@ -89,5 +92,25 @@ func TestKVReadNeedsReadPermission(t *testing.T) {
 	}
 	if pl, err := svc.KVGet(ctx, member, fsproto.KVGetRequest{Store: "s", Key: 1}); !errors.Is(err, kernel.ErrPermission) {
 		t.Errorf("get without read permission = %q, %v, want permission denied", pl.Data, err)
+	}
+}
+
+// TestKVHandleFollowsChmod: a store handle a member's get opened does not
+// outlive the owner taking the member's access away — the handle cache
+// answers what a fresh open would, as a get served off the worker does.
+func TestKVHandleFollowsChmod(t *testing.T) {
+	svc, owner, login := kvPermService(t, 0640)
+	ctx := context.Background()
+	member := login(2)
+	pl, err := svc.KVGet(ctx, member, fsproto.KVGetRequest{Store: "s", Key: 1})
+	if err != nil {
+		t.Fatalf("group member's get: %v", err)
+	}
+	pl.Release()
+	if err := svc.Chmod(ctx, owner, fsproto.ChmodRequest{Name: "kv/s", Perm: 0600}); err != nil {
+		t.Fatal(err)
+	}
+	if pl, err := svc.KVGet(ctx, member, fsproto.KVGetRequest{Store: "s", Key: 1}); !errors.Is(err, kernel.ErrPermission) {
+		t.Errorf("get after the chmod = %q, %v, want permission denied", pl.Data, err)
 	}
 }
