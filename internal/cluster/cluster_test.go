@@ -674,9 +674,11 @@ func TestReplicaFollowsOwner(t *testing.T) {
 	}
 }
 
-// TestReplicaTenKOps drives a 10k+ operation admission log through one
-// shard and replays it on two replicas: both must consume the full log
-// with zero divergence and identical Merkle roots.
+// TestReplicaTenKOps drives a 10k+ record admission log through one shard —
+// puts and writes, each a record, and reads between them, which the shard
+// may serve off its worker and log as read deltas instead — and replays it
+// on two replicas: both must consume the full log with zero divergence and
+// identical Merkle roots.
 func TestReplicaTenKOps(t *testing.T) {
 	coord, _ := startCoordinator(t)
 	a := startNode(t, nil, "a")
@@ -705,7 +707,7 @@ func TestReplicaTenKOps(t *testing.T) {
 	if err := svc.Create(ctx, sess, fsproto.CreateRequest{Name: "w.bin", Perm: 0600, Size: 4096, Encrypted: true}); err != nil {
 		t.Fatalf("create: %v", err)
 	}
-	const ops = 10_050
+	const ops = 13_400 // 10 050 puts and writes
 	val := []byte{1, 2, 3, 4, 5, 6, 7, 8}
 	for i := 0; i < ops; i++ {
 		switch i % 4 {
@@ -729,8 +731,8 @@ func TestReplicaTenKOps(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loglen: %v", err)
 	}
-	if ln < ops {
-		t.Fatalf("admission log holds %d records, want >= %d", ln, ops)
+	if ln < ops*3/4 {
+		t.Fatalf("admission log holds %d records, want >= %d", ln, ops*3/4)
 	}
 
 	for _, n := range []*testNode{b, c} {

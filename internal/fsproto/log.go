@@ -6,12 +6,16 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+
+	"fsencr/internal/audit"
+	"fsencr/internal/config"
+	"fsencr/internal/memctrl"
 )
 
-// The admission log: every request a logged shard admits, in admission
-// order, as the bytes the shard keeps, a replica pulls and a migration
-// ships. A log is records back to back, each uvarint(len(body)) ‖ body. An
-// op record's body is
+// The admission log: every request a logged shard admits to its worker, in
+// admission order, as the bytes the shard keeps, a replica pulls and a
+// migration ships. A log is records back to back, each uvarint(len(body)) ‖
+// body. An op record's body is
 //
 //	kind ‖ flags ‖ uvarint(Seq) ‖ uvarint(GID) ‖ uvarint(Session)
 //	  ‖ str(Token) ‖ str(Tenant) ‖ uvarint(EUID) ‖ str(Pass)   if flagNewSession
@@ -19,8 +23,17 @@ import (
 //	  ‖ Req                                                    the rest
 //
 // with str(s) = uvarint(len(s)) ‖ s; a RecFlush body is kind ‖ 0, a
-// RecCheckpoint body kind ‖ 0 ‖ Root. Sessions are numbered in order of first
-// use and only the record introducing one carries its credentials, so a log
+// RecCheckpoint body kind ‖ 0 ‖ Root, and a RecReadDeltas body
+//
+//	kind ‖ 0 ‖ uvarint(Delta.Reads)
+//	  ‖ uvarint(n) ‖ n·(op byte ‖ uvarint(page) ‖ uvarint(group) ‖ uvarint(file))   Delta.Audits
+//	  ‖ uvarint(n) ‖ n·(uvarint(page) ‖ uvarint(line))                              Delta.ECC
+//	  ‖ uvarint(n) ‖ n·(TraceID (8 bytes, big-endian) ‖ uvarint(Parent) ‖ kind)      Traces
+//
+// — the side effects of the reads the shard served off its worker since the
+// previous one (such a read is no record of its own). Sessions are numbered
+// in order of first use and only the record introducing one carries its
+// credentials, so a log
 // describes itself from position 0, not from the middle. A token is
 // introduced once: its index is a fact of the log, not of whoever writes it.
 const (
@@ -47,13 +60,14 @@ const (
 	KindKVDelete
 	RecFlush      // a writeback of every dirty line plus an OTT seal: the crash-persist path as a step
 	RecCheckpoint // the Merkle root at its position, which replay verifies
+	RecReadDeltas // the side effects of reads served off the worker, applied at its position
 )
 
 // NumOps is the number of op kinds, KindLogin through KindKVDelete.
 const NumOps = int(RecFlush)
 
 var kindNames = [...]string{"login", "create", "read", "write", "chmod", "delete",
-	"kv_create", "kv_put", "kv_get", "kv_delete", "flush", "checkpoint"}
+	"kv_create", "kv_put", "kv_get", "kv_delete", "flush", "checkpoint", "read_deltas"}
 
 // String is the kind's name, the root-span name of its requests.
 func (k Kind) String() string {
@@ -88,14 +102,26 @@ type LogRecord struct {
 	Req    []byte
 	Framed bool
 	Root   [32]byte // RecCheckpoint only
+	// RecReadDeltas only: the reads' merged side effects, and each sampled
+	// read's trace context and op.
+	Delta  memctrl.ReadDelta
+	Traces []ReadTrace
+}
+
+// ReadTrace is a sampled read served off the worker: its trace and op.
+type ReadTrace struct {
+	TraceID, Parent uint64
+	Kind            Kind
 }
 
 func (rec *LogRecord) traced() bool { return rec.TraceID != 0 || rec.Parent != 0 }
 
 // SizeBound bounds the length of rec's encoding: its request and credentials
-// plus the widest its nine varints, kind, flags and trace ID can be.
+// plus the widest its nine varints, kind, flags and trace ID can be, and the
+// widest its read deltas' entries can be.
 func (rec *LogRecord) SizeBound() int {
-	return len(rec.Req) + len(rec.Token) + len(rec.Tenant) + len(rec.Pass) + 9*binary.MaxVarintLen64 + 10
+	return len(rec.Req) + len(rec.Token) + len(rec.Tenant) + len(rec.Pass) + 9*binary.MaxVarintLen64 + 10 +
+		19*(len(rec.Delta.Audits)+len(rec.Traces)) + 11*len(rec.Delta.ECC)
 }
 
 // LogWriter encodes records. A record whose Session equals Sessions()
@@ -127,6 +153,21 @@ func (w *LogWriter) Append(dst []byte, rec *LogRecord) []byte {
 		dst = append(dst, 0)
 	case rec.Kind == RecCheckpoint:
 		dst = append(append(dst, 0), rec.Root[:]...)
+	case rec.Kind == RecReadDeltas:
+		d := &rec.Delta
+		dst = binary.AppendUvarint(append(dst, 0), d.Reads)
+		dst = binary.AppendUvarint(dst, uint64(len(d.Audits)))
+		for _, a := range d.Audits {
+			dst = binary.AppendUvarint(binary.AppendUvarint(binary.AppendUvarint(append(dst, byte(a.Op)), a.Page), uint64(a.Group)), uint64(a.File))
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(d.ECC)))
+		for _, e := range d.ECC {
+			dst = binary.AppendUvarint(binary.AppendUvarint(dst, e.Page), uint64(e.Line))
+		}
+		dst = binary.AppendUvarint(dst, uint64(len(rec.Traces)))
+		for _, t := range rec.Traces {
+			dst = append(binary.AppendUvarint(binary.BigEndian.AppendUint64(dst, t.TraceID), t.Parent), byte(t.Kind))
+		}
 	case int(rec.Kind) < NumOps && (rec.Session < known || rec.Session == known && w.Session(rec.Token) == known):
 		introduces := rec.Session == known
 		var flags byte
@@ -199,9 +240,12 @@ func (r *LogReader) Next(b []byte, rec *LogRecord) ([]byte, error) {
 	introduces := flags&flagNewSession != 0
 	var s LogRecord
 	switch known := uint32(len(r.sessions)); {
-	case out.Kind == RecFlush || out.Kind == RecCheckpoint:
-		if out.Kind == RecCheckpoint {
+	case out.Kind == RecFlush || out.Kind == RecCheckpoint || out.Kind == RecReadDeltas:
+		switch out.Kind {
+		case RecCheckpoint:
 			copy(out.Root[:], c.take(len(out.Root)))
+		case RecReadDeltas:
+			c.readDeltas(&out)
 		}
 		if flags != 0 || len(c.b) != 0 {
 			c.fail("%v record with flags %#x and %d stray bytes", out.Kind, flags, len(c.b))
@@ -246,6 +290,27 @@ func (r *LogReader) Next(b []byte, rec *LogRecord) ([]byte, error) {
 	r.n++
 	*rec = out
 	return rest, nil
+}
+
+// readDeltas reads a RecReadDeltas body after its flags. Each count is held
+// to the entries the bytes left could hold before any is appended.
+func (c *cursor) readDeltas(out *LogRecord) {
+	d := &out.Delta
+	d.Reads = c.uvarint(math.MaxUint64)
+	for n := c.uvarint(uint64(len(c.b) / 4)); n > 0; n-- {
+		d.Audits = append(d.Audits, memctrl.AuditEvent{Op: audit.Op(c.take(1)[0]), Page: c.uvarint(math.MaxUint64),
+			Group: uint32(c.uvarint(math.MaxUint32)), File: uint16(c.uvarint(math.MaxUint16))})
+	}
+	for n := c.uvarint(uint64(len(c.b) / 2)); n > 0; n-- {
+		d.ECC = append(d.ECC, memctrl.ECCEvent{Page: c.uvarint(math.MaxUint64), Line: int(c.uvarint(config.LinesPerPage - 1))})
+	}
+	for n := c.uvarint(uint64(len(c.b) / 10)); n > 0; n-- {
+		t := ReadTrace{TraceID: binary.BigEndian.Uint64(c.take(8)), Parent: c.uvarint(math.MaxUint64), Kind: Kind(c.take(1)[0])}
+		if int(t.Kind) >= NumOps {
+			c.fail("read trace of kind %d", t.Kind)
+		}
+		out.Traces = append(out.Traces, t)
+	}
 }
 
 // zeros stands in for the fields a failed cursor can no longer read.

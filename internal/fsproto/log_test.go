@@ -7,13 +7,16 @@ import (
 	"reflect"
 	"runtime"
 	"testing"
+
+	"fsencr/internal/audit"
+	"fsencr/internal/memctrl"
 )
 
 // seedLogs returns logs shaped like a live shard's, requests as the client
 // sends them: every kind; a session introduced by its login, then used again,
 // and one introduced by a cross-tenant op; traced and untraced records;
-// framed payloads of 0, 1 and 4096 bytes — and, on its own, a write near the
-// body limit, bigger than a server log chunk.
+// framed payloads of 0, 1 and 4096 bytes; the read deltas of a drain — and,
+// on its own, a write near the body limit, bigger than a server log chunk.
 func seedLogs() (log, big []byte) {
 	var w LogWriter
 	add := func(dst []byte, rec LogRecord) []byte { return w.Append(dst, &rec) }
@@ -47,6 +50,11 @@ func seedLogs() (log, big []byte) {
 	seq := uint64(41)
 	cross.Seq, cross.GID = seq, TenantGID("globex")
 	log = add(log, cross)
+	log = add(log, LogRecord{Kind: RecReadDeltas, Delta: memctrl.ReadDelta{
+		Reads:  131,
+		Audits: []memctrl.AuditEvent{{Op: audit.OpReadPage, Page: 1 << 40, Group: TenantGID("acme"), File: 7}, {Op: audit.OpReadPage, Page: 3, Group: 1, File: 65535}},
+		ECC:    []memctrl.ECCEvent{{Page: 1<<40 + 1, Line: 63}},
+	}, Traces: []ReadTrace{{TraceID: 0x55, Parent: 1 << 62, Kind: KindKVGet}, {TraceID: 1 << 63, Kind: KindRead}}})
 	log = add(log, op(KindDelete, 0, false, body(DeleteRequest{Name: "obj0"}), false))
 	log = add(log, LogRecord{Kind: RecFlush})
 	w = LogWriter{} // a log of its own: the write introduces the session
@@ -86,11 +94,15 @@ func TestLogRoundTrip(t *testing.T) {
 		}
 	}
 	recs, _ := decodeAll(log)
-	if len(recs) != 14 || recs[1].Token != "n1-1" || recs[1].Pass != "pw-acme" || recs[11].Tenant != "globex" || recs[11].Seq != 41 {
+	if len(recs) != 15 || recs[1].Token != "n1-1" || recs[1].Pass != "pw-acme" || recs[11].Tenant != "globex" || recs[11].Seq != 41 {
 		t.Fatalf("credentials or fields lost in the %d records decoded", len(recs))
 	}
 	if _, payload, err := SplitFrame(recs[2].Req); err != nil || len(payload) != 4096 || !recs[2].Framed {
 		t.Fatalf("framed write payload: %d bytes, %v", len(payload), err)
+	}
+	if d := recs[12].Delta; recs[12].Kind != RecReadDeltas || d.Reads != 131 || len(d.Audits) != 2 || d.Audits[1].File != 65535 ||
+		d.ECC[0].Line != 63 || len(recs[12].Traces) != 2 || recs[12].Traces[0].Kind != KindKVGet {
+		t.Fatalf("read deltas lost in decoding: %+v", recs[12])
 	}
 }
 
@@ -106,7 +118,7 @@ func TestLogReaderRefuses(t *testing.T) {
 		"length overruns":         {5, byte(KindRead), 0},
 		"length past any body":    {0xff, 0xff, 0xff, 0xff, 0x0f},
 		"non-minimal length":      {0x82, 0x00, byte(RecFlush), 0},
-		"unknown kind":            rec(byte(RecCheckpoint)+1, 0),
+		"unknown kind":            rec(byte(RecReadDeltas)+1, 0),
 		"unknown flag":            rec(byte(KindRead), 0x10, 0, 1, 0),
 		"flags on a flush":        rec(byte(RecFlush), flagSampled),
 		"stray byte after flush":  rec(byte(RecFlush), 0, 0),
@@ -119,6 +131,12 @@ func TestLogReaderRefuses(t *testing.T) {
 		"empty trace context":     rec(byte(KindLogin), flagNewSession|flagTraced, 0, 1, 1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0),
 		"truncated trace id":      rec(byte(KindLogin), flagNewSession|flagTraced, 0, 1, 1, 0, 0, 1, 0, 9),
 		"request over the limit":  append([]byte{0x89, 0x80, 0x40, byte(KindRead), 0, 0, 1, 0}, make([]byte, MaxBodyBytes+4)...),
+		"flags on read deltas":    rec(byte(RecReadDeltas), flagSampled, 0, 0, 0, 0),
+		"audit count overruns":    rec(byte(RecReadDeltas), 0, 0, 2, byte(audit.OpReadPage), 1, 1, 1, 0, 0),
+		"non-minimal read count":  rec(byte(RecReadDeltas), 0, 0x80, 0x00, 0, 0, 0),
+		"ecc line past the page":  rec(byte(RecReadDeltas), 0, 0, 0, 1, 5, 64, 0),
+		"trace of a record kind":  rec(byte(RecReadDeltas), 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, byte(RecFlush)),
+		"stray byte after deltas": rec(byte(RecReadDeltas), 0, 0, 0, 0, 0, 9),
 	} {
 		var rd LogReader
 		rest, err := rd.Next(login, new(LogRecord))

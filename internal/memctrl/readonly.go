@@ -104,6 +104,17 @@ func (d *ReadDelta) Reset() {
 	d.ECC = d.ECC[:0]
 }
 
+// Add appends o's side effects to d's: applying d then has the effect of
+// applying d and o one after the other at the same clock.
+func (d *ReadDelta) Add(o *ReadDelta) {
+	d.Reads += o.Reads
+	d.Audits = append(d.Audits, o.Audits...)
+	d.ECC = append(d.ECC, o.ECC...)
+}
+
+// Empty reports whether applying d would change nothing.
+func (d *ReadDelta) Empty() bool { return d.Reads == 0 && len(d.Audits) == 0 && len(d.ECC) == 0 }
+
 // PeekVerifyKey is VerifyKey without side effects (no OTT LRU refresh, no
 // probe counters): the snapshot stat/read path uses it to validate a
 // caller-supplied passphrase against the installed file key.

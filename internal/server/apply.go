@@ -1,17 +1,20 @@
 package server
 
 // The admission log and its replay. A logged shard's worker encodes a record
-// of each op it executes (succeeding or failing) and of every flush and
-// checkpoint straight into append-only chunks, in fsproto's record format: the
-// bytes a replica pulls, a migration's target included. A shard's simulated state is a
-// pure function of its log, so replaying the log into a fresh shard booted
-// with the same chip sequence rebuilds it byte for byte. Replay runs the
-// serving path: applyRecord decodes the request through the live decode,
-// stages it as exec does and hands the same task to the same Shard.serve — the
-// only code that samples the shard clock, observes the per-tenant histograms
-// and drives the trace scope — so the deterministic registry is reproduced
-// too. Checkpoint records carry the source's Merkle root, so divergence is
-// caught at every cadence boundary.
+// of each op it executes (succeeding or failing), of every flush and
+// checkpoint, and of the side effects of each drain of the reads served off
+// it (applyReads), straight into append-only chunks, in fsproto's record
+// format: the bytes a replica pulls, a migration's target included. A shard's
+// simulated state is a pure function of its log, so replaying the log into a
+// fresh shard booted with the same chip sequence rebuilds it byte for byte
+// (a read served off the worker changes nothing but its side effects, which
+// replay applies at the position, so at the clock, the source drained them).
+// Replay runs the serving path: applyRecord decodes the request through the
+// live decode, stages it as exec does and hands the same task to the same
+// Shard.serve — the only code but applyReads that samples the shard clock,
+// observes the per-tenant histograms and drives the trace scope — so the
+// deterministic registry is reproduced too. Checkpoint records carry the
+// source's Merkle root, so divergence is caught at every cadence boundary.
 
 import (
 	"context"
@@ -151,6 +154,9 @@ func (svc *Service) applyRecord(sh *Shard, rec *fsproto.LogRecord, pos uint64) e
 		}
 		sh.log.append(rec)
 		sh.sinceCkpt = 0
+		return nil
+	case fsproto.RecReadDeltas:
+		sh.applyReads(&rec.Delta, rec.Traces)
 		return nil
 	}
 	o := ops[rec.Kind] // the reader accepts op kinds of the table only

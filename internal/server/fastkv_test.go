@@ -58,17 +58,17 @@ func (tw *readTwin) makeKV(tb testing.TB) {
 }
 
 // kvGet sends req as who to both services (see ask).
-func (tw *readTwin) kvGet(tb testing.TB, who *[2]*Session, req fsproto.KVGetRequest) (fast, serial readOutcome, offWorker bool) {
+func (tw *readTwin) kvGet(tb testing.TB, who *[3]*Session, req fsproto.KVGetRequest) (fast, serial readOutcome, offWorker bool) {
 	return tw.ask(tb, who, func(svc *Service, sess *Session) (Payload, error) {
 		return svc.KVGet(context.Background(), sess, req)
 	})
 }
 
 // TestSerialKVGetEquivalence: a KV get answers the same whether the fast
-// path serves it or the worker does. Each get goes to a default service and
-// to a SerialReads one, in order; status, error text and bytes must match,
-// and every get that succeeds must have been served off the worker on the
-// default service. The passphrase rows also pin that a store handle the
+// path serves it or the worker does. Each get goes to a default service, to
+// one with an admission log and to a SerialReads one, in order; status,
+// error text and bytes must match, and every get that succeeds must have
+// been served off the worker on both fast services. The passphrase rows also pin that a store handle the
 // worker holds from an earlier op (the owner's from its create, the
 // member's from a get on the SerialReads service) does not let a wrong
 // passphrase through.
@@ -77,7 +77,7 @@ func TestSerialKVGetEquivalence(t *testing.T) {
 	tw.makeKV(t)
 	rows := []struct {
 		name   string
-		who    *[2]*Session
+		who    *[3]*Session
 		req    fsproto.KVGetRequest
 		status int
 	}{

@@ -19,13 +19,15 @@ package server
 //
 // Side effects the live read path would have produced (stats, audit
 // records, Osiris ECC accounting) are deferred into pooled ReadDelta
-// buffers pushed onto a lock-free stack; the worker folds them into the
-// controller at its next mutation, under its own lock, stamped with its
-// own clock.
+// buffers pushed onto a lock-free stack; the worker merges what it finds
+// there at its next mutation into one delta and applies it to the
+// controller, under its own lock, stamped with its own clock. On a logged
+// shard that delta — not the reads — is the log's record of them: one
+// RecReadDeltas record at that position, which a replayer applies the same
+// way, at the same clock (applyReads).
 //
 // Gating: deterministic shards (state must stay a pure function of the
-// schedule), logged shards (every op must be an admission-log record), and
-// -serial-reads servers always take the worker path.
+// schedule) and -serial-reads servers always take the worker path.
 
 import (
 	"runtime"
@@ -73,10 +75,10 @@ func (sh *Shard) enterMut() {
 // exitMut ends the batch.
 func (sh *Shard) exitMut() { sh.rmu.Unlock() }
 
-// drainDeltas applies every delta pushed since the last drain. Runs on the
-// worker under the writer lock; the deferred records are stamped with the
-// worker's current simulated clock (snapshot reads advance no clock of
-// their own).
+// drainDeltas merges every delta pushed since the last drain into one and
+// applies it. Runs on the worker under the writer lock. A drain that found
+// nothing to apply — reads the simulated caches served whole, none sampled
+// — leaves no trace, in the log neither.
 func (sh *Shard) drainDeltas() {
 	// Cleared before the swap: a push that lands after it finds the flag
 	// down and asks again (at worst one drain that finds little to do).
@@ -85,24 +87,42 @@ func (sh *Shard) drainDeltas() {
 	if head == nil {
 		return
 	}
-	now := sh.Sys.M.MaxCoreTime()
-	drained := int64(0)
+	d, drained := &sh.drained, int64(0)
 	for n := head; n != nil; n = n.next {
 		drained++
-		sh.Sys.M.MC.ApplyReadDelta(now, n.d)
+		d.Add(n.d)
 		if n.trace.Sampled && n.trace.TraceID != 0 {
-			// A fast read advances no simulated clock and records no
-			// component spans (readers cannot touch the worker's registry),
-			// so its trace is a single zero-length root stamped at drain
-			// time — but it still gets exactly one sampler decision.
-			sh.scope.Begin(n.trace.TraceID, n.trace.Parent)
-			sh.scope.Enter()
-			sh.scope.Exit("request", n.kind.String(), uint64(now), uint64(now), 0)
-			sh.scope.End(sh.sampler.Keep(n.trace.TraceID, 0, false))
+			sh.drainedTraces = append(sh.drainedTraces, fsproto.ReadTrace{TraceID: n.trace.TraceID, Parent: n.trace.Parent, Kind: n.kind})
 		}
 		sh.putDelta(n.d)
 	}
 	sh.pendingDeltas.Add(-drained)
+	if !d.Empty() || len(sh.drainedTraces) > 0 {
+		sh.applyReads(d, sh.drainedTraces)
+	}
+	d.Reset()
+	sh.drainedTraces = sh.drainedTraces[:0]
+}
+
+// applyReads applies the side effects of reads served off the worker — a
+// drain's, or a RecReadDeltas record's on replay — stamped with the shard's
+// clock: snapshot reads advance none of their own, and at a log position a
+// replayer's clock is the source's. A logged shard records them there.
+func (sh *Shard) applyReads(d *memctrl.ReadDelta, traces []fsproto.ReadTrace) {
+	now := sh.Sys.M.MaxCoreTime()
+	sh.Sys.M.MC.ApplyReadDelta(now, d)
+	for _, t := range traces {
+		// A fast read records no component spans (readers cannot touch the
+		// worker's registry), so its trace is a single zero-length root — but
+		// it still gets exactly one sampler decision.
+		sh.scope.Begin(t.TraceID, t.Parent)
+		sh.scope.Enter()
+		sh.scope.Exit("request", t.Kind.String(), uint64(now), uint64(now), 0)
+		sh.scope.End(sh.sampler.Keep(t.TraceID, 0, false))
+	}
+	if sh.logOn {
+		sh.log.append(&fsproto.LogRecord{Kind: fsproto.RecReadDeltas, Delta: *d, Traces: traces})
+	}
 }
 
 // pushDelta hands a completed read's side effects to the worker, which
@@ -146,13 +166,17 @@ func (sh *Shard) putDelta(d *memctrl.ReadDelta) {
 }
 
 // tryReadLocked runs fn under the read lock, trying for it fastReadRetries
-// times. false: the worker kept the lock and fn did not run; fall back.
+// times. false: the worker kept the lock, or the shard is closed, and fn did
+// not run; fall back.
 func (sh *Shard) tryReadLocked(fn func()) bool {
 	for attempt := 0; attempt < fastReadRetries; attempt++ {
 		if sh.rmu.TryRLock() {
-			fn()
+			ok := !sh.closed.Load()
+			if ok {
+				fn()
+			}
 			sh.rmu.RUnlock()
-			return true
+			return ok
 		}
 		runtime.Gosched()
 	}

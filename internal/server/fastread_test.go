@@ -300,13 +300,14 @@ func TestFastReadGating(t *testing.T) {
 	})
 }
 
-// readTwin is one history played on two services: a default one, whose
-// reads take the fast path, and a SerialReads one, whose reads all run on
-// the worker. Tenant acme's user 1 owns the files, its user 2 (same
-// passphrase) is a group member; tenant rival has a session too.
+// readTwin is one history played on three services: a default one and one
+// with an admission log, whose reads take the fast path, and a SerialReads
+// one, whose reads all run on the worker. Tenant acme's user 1 owns the
+// files, its user 2 (same passphrase) is a group member; tenant rival has a
+// session too.
 type readTwin struct {
-	svc                 [2]*Service // fast, serial
-	acme, member, rival [2]*Session
+	svc                 [3]*Service // fast, fast and logged, serial
+	acme, member, rival [3]*Session
 	kvMade              bool
 }
 
@@ -320,12 +321,13 @@ type readOutcome struct {
 func newReadTwin(tb testing.TB) *readTwin {
 	tb.Helper()
 	tw := &readTwin{}
-	for i, serial := range []bool{false, true} {
+	for i := range tw.svc {
 		svc := New(Options{
-			Shards:      1,
-			MCMode:      memctrl.Mode{MemEncryption: true, FileEncryption: true},
-			Access:      kernel.ModeDAX,
-			SerialReads: serial,
+			Shards:       1,
+			MCMode:       memctrl.Mode{MemEncryption: true, FileEncryption: true},
+			Access:       kernel.ModeDAX,
+			AdmissionLog: i == 1,
+			SerialReads:  i == 2,
 		})
 		tb.Cleanup(svc.Close)
 		var err error
@@ -364,8 +366,7 @@ func (tw *readTwin) create(tb testing.TB, name string, size uint64) {
 	}
 }
 
-// read sends req as acme (or rival) to both services and returns both
-// outcomes, and whether the fast service served it off the worker.
+// read sends req as acme (or rival) to the services (see ask).
 func (tw *readTwin) read(tb testing.TB, asRival bool, req fsproto.ReadRequest) (fast, serial readOutcome, offWorker bool) {
 	who := &tw.acme
 	if asRival {
@@ -376,12 +377,14 @@ func (tw *readTwin) read(tb testing.TB, asRival bool, req fsproto.ReadRequest) (
 	})
 }
 
-// ask sends one request, call, as who to both services and returns both
-// outcomes, and whether the fast service served it off the worker.
-func (tw *readTwin) ask(tb testing.TB, who *[2]*Session, call func(*Service, *Session) (Payload, error)) (fast, serial readOutcome, offWorker bool) {
+// ask sends one request, call, as who to the three services and returns the
+// fast and the serial outcome, and whether both fast services served it off
+// the worker. The two fast services must answer alike.
+func (tw *readTwin) ask(tb testing.TB, who *[3]*Session, call func(*Service, *Session) (Payload, error)) (fast, serial readOutcome, offWorker bool) {
 	tb.Helper()
 	ctx := context.Background()
-	var out [2]readOutcome
+	var out [3]readOutcome
+	offWorker = true
 	for i, svc := range tw.svc {
 		// A worker answer precedes the worker's release of the writer lock;
 		// a side task returns after its own, so the read finds the lock free.
@@ -397,18 +400,22 @@ func (tw *readTwin) ask(tb testing.TB, who *[2]*Session, call func(*Service, *Se
 			out[i].status, out[i].data = http.StatusOK, string(pl.Data)
 			pl.Release()
 		}
-		if i == 0 {
-			offWorker = svc.cFastReads.Value() != fast0
+		if i < 2 {
+			offWorker = offWorker && svc.cFastReads.Value() != fast0
 		}
 	}
-	return out[0], out[1], offWorker
+	if out[1] != out[0] {
+		tb.Fatalf("the logged service answered %d %q (%q), the unlogged one %d %q (%q)",
+			out[1].status, out[1].err, out[1].data, out[0].status, out[0].err, out[0].data)
+	}
+	return out[0], out[2], offWorker
 }
 
 // TestSerialReadsEquivalence: the fast path never answers differently from
-// the worker. Each read goes to a default service and to a SerialReads one;
-// status, error text and bytes must match, and every read that succeeds
-// must have been served off the worker on the default service (else the
-// comparison proves nothing). The EOF rows pin that the fast path bounds a
+// the worker. Each read goes to a default service, to one with an admission
+// log and to a SerialReads one; status, error text and bytes must match, and
+// every read that succeeds must have been served off the worker on both
+// fast services (else the comparison proves nothing). The EOF rows pin that the fast path bounds a
 // read by the file's size, not by its last page.
 func TestSerialReadsEquivalence(t *testing.T) {
 	tw := newReadTwin(t)
@@ -476,7 +483,7 @@ func FuzzReadEquivalence(f *testing.F) {
 	f.Fuzz(func(t *testing.T, sizeIdx uint8, off uint64, length int, rightPass, kv bool) {
 		if kv {
 			tw.makeKV(t)
-			who := [...]*[2]*Session{&tw.acme, &tw.member, &tw.rival}[sizeIdx%3]
+			who := [...]*[3]*Session{&tw.acme, &tw.member, &tw.rival}[sizeIdx%3]
 			req := fsproto.KVGetRequest{Tenant: "acme", Store: "kv", Key: off % (kvKeys + 4)}
 			if length%7 == 0 {
 				req.Store = "plain"

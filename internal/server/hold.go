@@ -59,6 +59,7 @@ func (h *Hold) release(err error) {
 		h.sh.held = nil
 		if err != nil {
 			h.sh.retired = err
+			h.sh.closed.Store(true) // the hold's bracket is still open
 		}
 	})
 }

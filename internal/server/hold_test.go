@@ -3,9 +3,13 @@ package server
 import (
 	"context"
 	"errors"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"fsencr/internal/fsproto"
+	"fsencr/internal/kernel"
 )
 
 // within fails the test unless fn returns inside two seconds: every step of
@@ -146,8 +150,8 @@ func TestHoldProtocol(t *testing.T) {
 				t.Errorf("DoSide after Retire: %v", err)
 			}
 		})
-		if !readLockFree(sh) {
-			t.Fatal("after Retire: fast reads still refused")
+		if !readLockFree(sh) || !sh.closed.Load() {
+			t.Fatal("after Retire: the read lock is still held, or the shard not closed to readers")
 		}
 	})
 
@@ -192,4 +196,66 @@ func TestHoldProtocol(t *testing.T) {
 			t.Fatal("Run executed on a stopped shard")
 		}
 	})
+}
+
+// TestRetiredShardServesNoReads: readers that resolved a logged shard before
+// its migration keep hammering it across FreezeShard and Commit. From the
+// freeze on none of them is served off it — the hold keeps them out, and
+// retiring marks the shard closed before its bracket opens again — so no read
+// delta is left behind that no log would carry: the source's audit head does
+// not move after the freeze.
+func TestRetiredShardServesNoReads(t *testing.T) {
+	svc, sess := readServiceWith(t, fairLoggedOptions())
+	sh := svc.Shards()[0]
+	var frozen, stop atomic.Bool
+	var served, late, tries atomic.Uint64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 4096)
+			for i := int64(r); !stop.Load(); i++ {
+				after := frozen.Load()
+				_, ok := sh.tryFast(sess, fsproto.TraceContext{}, fsproto.KindRead, fullName("acme", "hot.dat"), sess.pass, func(sr *kernel.SnapshotReader) (int, error) {
+					return sr.ReadAt(buf, i%4*4096)
+				})
+				if ok {
+					served.Add(1)
+				}
+				if after {
+					tries.Add(1)
+					if ok {
+						late.Add(1)
+					}
+				}
+			}
+		}()
+	}
+	defer func() { stop.Store(true); wg.Wait() }()
+	for deadline := time.Now().Add(10 * time.Second); served.Load() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("fast path never served a read")
+		}
+	}
+	mig, err := svc.FreezeShard(context.Background(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	frozen.Store(true)
+	head := sh.Aud.HeadSeq()
+	mig.Commit(1)
+	for deadline := time.Now().Add(10 * time.Second); tries.Load() < 1000; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the readers stalled")
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+	if n := late.Load(); n != 0 {
+		t.Fatalf("%d of %d reads after the freeze were served off the source", n, tries.Load())
+	}
+	if got := sh.Aud.HeadSeq(); got != head {
+		t.Fatalf("the source's audit head moved by %d records after the freeze", got-head)
+	}
 }

@@ -636,11 +636,12 @@ func (sh *Shard) readInto(sess *Session, name, passphrase string, off uint64, ds
 
 // fastReadable gates the concurrent read fast-path — file reads, stats and
 // KV gets: deterministic shards must stay a pure function of their schedule
-// (a fast read would skip the schedule entirely), logged shards must
-// observe every op as an admission-log record, and -serial-reads forces the
-// worker path for A/B measurement against the serialized datapath.
+// (a fast read would skip the schedule entirely), and -serial-reads forces
+// the worker path for A/B measurement against the serialized datapath. A
+// logged shard reads fast too: a read changes no state a replayer must
+// rebuild but its side effects, which the drain logs (applyReads).
 func (svc *Service) fastReadable(sh *Shard) bool {
-	return !sh.det && !sh.logOn && !svc.opts.SerialReads
+	return !sh.det && !svc.opts.SerialReads
 }
 
 // workStat is the one stat: kernel.System.Access, the check every open

@@ -13,12 +13,17 @@ import (
 // testReadService boots a one-shard service with an encrypted 4-page file
 // already written, ready for read-path measurements.
 func testReadService(tb testing.TB) (*Service, *Session) {
-	tb.Helper()
-	svc := New(Options{
+	return readServiceWith(tb, Options{
 		Shards: 1,
 		MCMode: memctrl.Mode{MemEncryption: true, FileEncryption: true},
 		Access: kernel.ModeDAX,
 	})
+}
+
+// readServiceWith is testReadService on a service booted with opts.
+func readServiceWith(tb testing.TB, opts Options) (*Service, *Session) {
+	tb.Helper()
+	svc := New(opts)
 	tb.Cleanup(svc.Close)
 	ctx := context.Background()
 	sess, err := svc.Login(ctx, "acme", 1, "pw-acme", 0)

@@ -7,7 +7,11 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/config"
@@ -426,4 +430,159 @@ func TestPromotionRefusesTamperedFrames(t *testing.T) {
 	if len(svcB.Shards()) != 0 {
 		t.Fatal("a refused replica was adopted")
 	}
+}
+
+// fastReadSource boots a fair logged one-shard service with
+// testReadService's file and runs three readers of 4 KiB pages and 256-byte
+// ranges on it — every fifth read traced and sampled, and served off the
+// worker — against a writer, until the fast path has served reads while the
+// writes landed. Then it freezes the shard and returns the service, the
+// migration, the frozen log and its records, which must hold read deltas
+// with audit records and traces among them.
+func fastReadSource(t *testing.T) (*Service, *Migration, []byte, []fsproto.LogRecord) {
+	t.Helper()
+	ctx := context.Background()
+	svc, sess := readServiceWith(t, fairLoggedOptions())
+	sh := svc.Shards()[0]
+	var stop atomic.Bool
+	var ids atomic.Uint64
+	var wg sync.WaitGroup
+	for r := 0; r < 3; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 4096)
+			for i := uint64(r); !stop.Load(); i++ {
+				req := fsproto.ReadRequest{Name: "hot.dat", Offset: i % 4 * 4096, Length: 4096}
+				if i%2 == 1 {
+					req.Offset, req.Length = i%60*256+100, 256
+				}
+				if i%5 == 0 {
+					// A sampled read is served off the worker or not at all: one
+					// that fell back would be timed with its queue wait, which a
+					// fair log does not carry, and the replayed sampler's
+					// slow-decile cut would see another duration.
+					tc := fsproto.TraceContext{TraceID: 0x7e57_0000 + ids.Add(1), Parent: i, Sampled: true}
+					sh.tryFast(sess, tc, fsproto.KindRead, fullName("acme", req.Name), sess.pass, func(sr *kernel.SnapshotReader) (int, error) {
+						return sr.ReadAt(buf[:req.Length], int64(req.Offset))
+					})
+					continue
+				}
+				pl, err := svc.Read(ctx, sess, req)
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				pl.Release()
+			}
+		}()
+	}
+	defer func() { stop.Store(true); wg.Wait() }()
+	for deadline := time.Now().Add(10 * time.Second); svc.cFastReads.Value() == 0; time.Sleep(100 * time.Microsecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("fast path never served a read")
+		}
+	}
+	for i := 0; i < 30; i++ {
+		if err := svc.Write(ctx, sess, fsproto.WriteRequest{Name: "hot.dat", Offset: uint64(i*1000) % (4*4096 - 256), Data: bytes.Repeat([]byte{byte(i)}, 256)}); err != nil {
+			t.Fatal(err)
+		}
+		time.Sleep(200 * time.Microsecond) // breathe, or every read falls back
+	}
+	stop.Store(true)
+	wg.Wait()
+	mig, log := frozenLog(t, svc, 0)
+	recs := decodeLog(t, log)
+	var deltas, audits, traces, size int
+	for i, rec := range recs {
+		if rec.Kind == fsproto.RecReadDeltas {
+			deltas, audits, traces = deltas+1, audits+len(rec.Delta.Audits), traces+len(rec.Traces)
+			size += len(encodeLog(recs[i : i+1]))
+		}
+	}
+	if audits == 0 || traces == 0 {
+		t.Fatalf("%d read_deltas records carry %d audit records and %d traces, want some of each", deltas, audits, traces)
+	}
+	t.Logf("%d records, %d of them read deltas (%d B: %d audit records, %d traces) for %d fast reads",
+		len(recs), deltas, size, audits, traces, svc.cFastReads.Value())
+	return svc, mig, log, recs
+}
+
+// fairLoggedOptions is a fair-mode logging configuration of one shard: its
+// reads take the fast path.
+func fairLoggedOptions() Options {
+	opts := clusterTestOptions()
+	opts.Shards, opts.Deterministic = 1, false
+	return opts
+}
+
+// TestReplayFastReads: a replica of a fair logged shard whose reads were
+// served off the worker — concurrently with writes, pages and sub-page
+// ranges, some traced — rebuilds it from the log, in two pulls, and passes
+// promotion's gates. The read deltas land at the source's positions and
+// clock, so the replica's audit chain ends in the source's head (seq and
+// hash), its journal and tail-sampler verdicts equal the source's. A
+// read_deltas record short of one audit record is refused at promotion: the
+// audit region is in the image Image.Digest proves.
+func TestReplayFastReads(t *testing.T) {
+	svcA, mig, log, recs := fastReadSource(t)
+	defer mig.Resume()
+	shA := svcA.Shards()[0]
+	verdicts := func(sh *Shard) [2]uint64 {
+		c := sh.Snapshot().Counters
+		return [2]uint64{c["trace.kept_total"], c["trace.dropped_total"]}
+	}
+	var srcSeq uint64
+	var srcHash [32]byte
+	mig.h.Run(func() { srcSeq, srcHash = shA.Aud.Head() })
+	srcJrn, srcVerdicts := shA.Jrn.Events(), verdicts(shA)
+
+	opts := fairLoggedOptions()
+	opts.OwnedShards, opts.TokenPrefix = []int{}, "b"
+	t.Run("exact", func(t *testing.T) {
+		svcB := New(opts)
+		defer svcB.Close()
+		shB := svcB.NewReplicaShard(0)
+		var rd fsproto.LogReader
+		head := encodeLog(recs[:len(recs)/2])
+		if !bytes.HasPrefix(log, head) {
+			t.Fatal("re-encoded records differ from the log's bytes")
+		}
+		for _, pull := range [][]byte{head, log[len(head):]} {
+			if _, err := svcB.ReplayLog(shB, &rd, pull); err != nil {
+				t.Fatalf("replay: %v", err)
+			}
+		}
+		if err := svcB.PromoteShard(shB, &mig.At); err != nil {
+			t.Fatalf("promote: %v", err)
+		}
+		var seq uint64
+		var hash [32]byte
+		if err := shB.DoSide(context.Background(), func() { seq, hash = shB.Aud.Head() }); err != nil {
+			t.Fatal(err)
+		}
+		if seq != srcSeq || hash != srcHash {
+			t.Fatalf("replayed audit head %d %x, the source's %d %x", seq, hash[:4], srcSeq, srcHash[:4])
+		}
+		if jrn := shB.Jrn.Events(); !slices.Equal(jrn[:len(jrn)-1], srcJrn) {
+			t.Fatalf("replayed journal differs from source:\n--- source ---\n%+v\n--- replayed ---\n%+v", srcJrn, jrn)
+		}
+		if v := verdicts(shB); v != srcVerdicts {
+			t.Fatalf("replayed trace verdicts (kept, dropped) %v, the source's %v", v, srcVerdicts)
+		}
+	})
+	t.Run("an audit record dropped", func(t *testing.T) {
+		forged := slices.Clone(recs)
+		i := slices.IndexFunc(forged, func(rec fsproto.LogRecord) bool { return len(rec.Delta.Audits) > 0 })
+		forged[i].Delta.Audits = forged[i].Delta.Audits[1:]
+		svcB := New(opts)
+		defer svcB.Close()
+		shB := svcB.NewReplicaShard(0)
+		if _, err := svcB.ReplayLog(shB, new(fsproto.LogReader), encodeLog(forged)); err != nil {
+			t.Fatalf("replay: %v", err)
+		}
+		if err := svcB.PromoteShard(shB, &mig.At); !errors.Is(err, ErrDiverged) || !strings.Contains(err.Error(), "image") {
+			t.Fatalf("promotion of a replica short of one audit record: got %v, want the image gate's ErrDiverged", err)
+		}
+	})
 }

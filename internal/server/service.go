@@ -43,8 +43,8 @@ type Options struct {
 	Deterministic bool
 	// SerialReads disables the concurrent read fast-path, forcing every
 	// read-only op through worker admission — the serialized baseline the
-	// read-scaling experiments A/B against. Deterministic and admission-
-	// logged shards serialize reads regardless of this flag.
+	// read-scaling experiments A/B against. Deterministic shards serialize
+	// reads regardless of this flag.
 	SerialReads bool
 	// PerTenantQueue bounds fair-mode per-tenant queues (<= 0 default).
 	PerTenantQueue int

@@ -163,13 +163,19 @@ type Shard struct {
 	// controller at its next mutation — pendingDeltas counts them and
 	// drainAsked is up while a reader's request for a drain is outstanding
 	// (askDrain) — and the pools recycle per-goroutine reader contexts and
-	// delta buffers.
+	// delta buffers. drained and drainedTraces are the worker's merge of one
+	// drain. closed, set under the writer lock once the shard has retired or
+	// stopped, turns readers away: their deltas would reach no worker, nor
+	// the log of the shard's new owner.
 	rmu           sync.RWMutex
 	deltas        atomic.Pointer[deltaNode]
 	pendingDeltas atomic.Int64
 	drainAsked    atomic.Bool
+	closed        atomic.Bool
 	readPool      sync.Pool
 	deltaPool     sync.Pool
+	drained       memctrl.ReadDelta
+	drainedTraces []fsproto.ReadTrace
 
 	// Request-trace plane (worker-only, deterministic): scope buffers one
 	// request's spans until the tail sampler's keep/drop decision.
@@ -666,6 +672,7 @@ func (sh *Shard) run() {
 		case t := <-sh.ingress:
 			q.push(t, uint64(sh.Sys.M.MaxCoreTime()))
 		case <-sh.stop:
+			sh.execSide(sideTask{fn: func() { sh.closed.Store(true) }, done: make(chan struct{})})
 			return
 		}
 	}
