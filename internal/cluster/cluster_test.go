@@ -448,6 +448,58 @@ func TestSessionAcrossShardReturns(t *testing.T) {
 	}
 }
 
+// TestLogoutAcrossMigration: a session logged out on its shard's owner stays
+// logged out after the shard migrates — the new owner replays the logout with
+// the rest of the log and answers the token 401.
+func TestLogoutAcrossMigration(t *testing.T) {
+	coord, _ := startCoordinator(t)
+	a := startNode(t, nil, "a")
+	b := startNode(t, []int{}, "b")
+	for _, n := range []*testNode{a, b} {
+		if _, err := coord.Join(n.srv.URL, n.empty); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	shard := 1
+	tn := tenantOn(t, shard, map[string]bool{})
+	// A transport of its own: the request loop takes a /v1 connection over, and
+	// a fabric pull reusing it from http.DefaultTransport would get 404.
+	hc := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(hc.CloseIdleConnections)
+	post := func(base, path, token, body string) (int, []byte) {
+		t.Helper()
+		hr, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("Content-Type", fsproto.ContentTypeJSON)
+		hr.Header.Set(fsproto.TokenHeader, token)
+		resp, err := hc.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
+	var lr fsproto.LoginResponse
+	if code, out := post(a.srv.URL, "/v1/login", "", `{"tenant":"`+tn+`","uid":1,"passphrase":"pw-`+tn+`"}`); code != http.StatusOK || json.Unmarshal(out, &lr) != nil {
+		t.Fatalf("login: %d %s", code, out)
+	}
+	if code, out := post(a.srv.URL, "/v1/create", lr.Token, `{"name":"f","perm":384,"size":4096}`); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, out)
+	}
+	if code, out := post(a.srv.URL, "/v1/logout", lr.Token, `{}`); code != http.StatusOK {
+		t.Fatalf("logout: %d %s", code, out)
+	}
+	if err := coord.Migrate(shard, b.srv.URL); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	if code, out := post(b.srv.URL, "/v1/create", lr.Token, `{"name":"g","perm":384,"size":4096}`); code != http.StatusUnauthorized {
+		t.Fatalf("the new owner answers a logged-out token %d %s, want 401", code, out)
+	}
+}
+
 // TestReplicationAndFailover: a replica replays the primary's log over
 // the fabric, diverges never, and promotes into the owner when the
 // primary dies — with the client following via table refresh and no

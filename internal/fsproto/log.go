@@ -23,7 +23,8 @@ import (
 //	  ‖ Req                                                    the rest
 //
 // with str(s) = uvarint(len(s)) ‖ s; a RecFlush body is kind ‖ 0, a
-// RecCheckpoint body kind ‖ 0 ‖ Root, and a RecReadDeltas body
+// RecCheckpoint body kind ‖ 0 ‖ Root, a RecLogout body kind ‖ 0 ‖
+// uvarint(Session), and a RecReadDeltas body
 //
 //	kind ‖ 0 ‖ uvarint(Delta.Reads)
 //	  ‖ uvarint(n) ‖ n·(op byte ‖ uvarint(page) ‖ uvarint(group) ‖ uvarint(file))   Delta.Audits
@@ -33,9 +34,9 @@ import (
 // — the side effects of the reads the shard served off its worker since the
 // previous one (such a read is no record of its own). Sessions are numbered
 // in order of first use and only the record introducing one carries its
-// credentials, so a log
-// describes itself from position 0, not from the middle. A token is
-// introduced once: its index is a fact of the log, not of whoever writes it.
+// credentials, so a log describes itself from position 0, not from the
+// middle. A token is introduced once: its index is a fact of the log, not of
+// whoever writes it, and a RecLogout names an index introduced before it.
 const (
 	flagSampled = 1 << iota
 	flagFramed
@@ -61,13 +62,14 @@ const (
 	RecFlush      // a writeback of every dirty line plus an OTT seal: the crash-persist path as a step
 	RecCheckpoint // the Merkle root at its position, which replay verifies
 	RecReadDeltas // the side effects of reads served off the worker, applied at its position
+	RecLogout     // the end of a session introduced earlier: its state on the shard is dropped
 )
 
 // NumOps is the number of op kinds, KindLogin through KindKVDelete.
 const NumOps = int(RecFlush)
 
 var kindNames = [...]string{"login", "create", "read", "write", "chmod", "delete",
-	"kv_create", "kv_put", "kv_get", "kv_delete", "flush", "checkpoint", "read_deltas"}
+	"kv_create", "kv_put", "kv_get", "kv_delete", "flush", "checkpoint", "read_deltas", "logout"}
 
 // String is the kind's name, the root-span name of its requests.
 func (k Kind) String() string {
@@ -86,8 +88,9 @@ type LogRecord struct {
 	GID uint32
 	// Session is the acting session's index in this log. A reader fills its
 	// credentials into every op record, so a replayer can rebuild a principal
-	// that never logged in on the shard; a writer writes them only into the
-	// record introducing it (a login's token is the one the server assigned).
+	// that never logged in on the shard, and its Token into a RecLogout; a
+	// writer writes them only into the record introducing it (a login's token
+	// is the one the server assigned).
 	Session uint32
 	Token   string
 	Tenant  string
@@ -153,6 +156,8 @@ func (w *LogWriter) Append(dst []byte, rec *LogRecord) []byte {
 		dst = append(dst, 0)
 	case rec.Kind == RecCheckpoint:
 		dst = append(append(dst, 0), rec.Root[:]...)
+	case rec.Kind == RecLogout && rec.Session < known:
+		dst = binary.AppendUvarint(append(dst, 0), uint64(rec.Session))
 	case rec.Kind == RecReadDeltas:
 		d := &rec.Delta
 		dst = binary.AppendUvarint(append(dst, 0), d.Reads)
@@ -240,12 +245,18 @@ func (r *LogReader) Next(b []byte, rec *LogRecord) ([]byte, error) {
 	introduces := flags&flagNewSession != 0
 	var s LogRecord
 	switch known := uint32(len(r.sessions)); {
-	case out.Kind == RecFlush || out.Kind == RecCheckpoint || out.Kind == RecReadDeltas:
+	case int(out.Kind) >= NumOps && out.Kind <= RecLogout:
 		switch out.Kind {
 		case RecCheckpoint:
 			copy(out.Root[:], c.take(len(out.Root)))
 		case RecReadDeltas:
 			c.readDeltas(&out)
+		case RecLogout:
+			if out.Session = uint32(c.uvarint(math.MaxUint32)); out.Session >= known {
+				c.fail("logout of session %d (%d introduced)", out.Session, known)
+			} else {
+				out.Token = r.sessions[out.Session].Token
+			}
 		}
 		if flags != 0 || len(c.b) != 0 {
 			c.fail("%v record with flags %#x and %d stray bytes", out.Kind, flags, len(c.b))

@@ -15,8 +15,9 @@ import (
 // seedLogs returns logs shaped like a live shard's, requests as the client
 // sends them: every kind; a session introduced by its login, then used again,
 // and one introduced by a cross-tenant op; traced and untraced records;
-// framed payloads of 0, 1 and 4096 bytes; the read deltas of a drain — and,
-// on its own, a write near the body limit, bigger than a server log chunk.
+// framed payloads of 0, 1 and 4096 bytes; the read deltas of a drain; the
+// logout of the cross-tenant session — and, on its own, a write near the body
+// limit, bigger than a server log chunk.
 func seedLogs() (log, big []byte) {
 	var w LogWriter
 	add := func(dst []byte, rec LogRecord) []byte { return w.Append(dst, &rec) }
@@ -56,6 +57,7 @@ func seedLogs() (log, big []byte) {
 		ECC:    []memctrl.ECCEvent{{Page: 1<<40 + 1, Line: 63}},
 	}, Traces: []ReadTrace{{TraceID: 0x55, Parent: 1 << 62, Kind: KindKVGet}, {TraceID: 1 << 63, Kind: KindRead}}})
 	log = add(log, op(KindDelete, 0, false, body(DeleteRequest{Name: "obj0"}), false))
+	log = add(log, LogRecord{Kind: RecLogout, Session: 1, Token: "n2-7"})
 	log = add(log, LogRecord{Kind: RecFlush})
 	w = LogWriter{} // a log of its own: the write introduces the session
 	big = add(nil, op(KindWrite, 0, false, frame(WriteRequest{Name: "obj0"}, bytes.Repeat([]byte{9}, MaxBodyBytes-64)), true))
@@ -94,7 +96,7 @@ func TestLogRoundTrip(t *testing.T) {
 		}
 	}
 	recs, _ := decodeAll(log)
-	if len(recs) != 15 || recs[1].Token != "n1-1" || recs[1].Pass != "pw-acme" || recs[11].Tenant != "globex" || recs[11].Seq != 41 {
+	if len(recs) != 16 || recs[14].Kind != RecLogout || recs[14].Token != "n2-7" || recs[1].Token != "n1-1" || recs[1].Pass != "pw-acme" || recs[11].Tenant != "globex" || recs[11].Seq != 41 {
 		t.Fatalf("credentials or fields lost in the %d records decoded", len(recs))
 	}
 	if _, payload, err := SplitFrame(recs[2].Req); err != nil || len(payload) != 4096 || !recs[2].Framed {
@@ -118,7 +120,7 @@ func TestLogReaderRefuses(t *testing.T) {
 		"length overruns":         {5, byte(KindRead), 0},
 		"length past any body":    {0xff, 0xff, 0xff, 0xff, 0x0f},
 		"non-minimal length":      {0x82, 0x00, byte(RecFlush), 0},
-		"unknown kind":            rec(byte(RecReadDeltas)+1, 0),
+		"unknown kind":            rec(byte(RecLogout)+1, 0),
 		"unknown flag":            rec(byte(KindRead), 0x10, 0, 1, 0),
 		"flags on a flush":        rec(byte(RecFlush), flagSampled),
 		"stray byte after flush":  rec(byte(RecFlush), 0, 0),
@@ -137,6 +139,9 @@ func TestLogReaderRefuses(t *testing.T) {
 		"ecc line past the page":  rec(byte(RecReadDeltas), 0, 0, 0, 1, 5, 64, 0),
 		"trace of a record kind":  rec(byte(RecReadDeltas), 0, 0, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 1, 0, byte(RecFlush)),
 		"stray byte after deltas": rec(byte(RecReadDeltas), 0, 0, 0, 0, 0, 9),
+		"flags on a logout":       rec(byte(RecLogout), flagNewSession, 0),
+		"stray byte after logout": rec(byte(RecLogout), 0, 0, 0),
+		"logout of session 1":     rec(byte(RecLogout), 0, 1),
 	} {
 		var rd LogReader
 		rest, err := rd.Next(login, new(LogRecord))

@@ -1,8 +1,8 @@
 package server
 
 // The admission log and its replay. A logged shard's worker encodes a record
-// of each op it executes (succeeding or failing), of every flush and
-// checkpoint, and of the side effects of each drain of the reads served off
+// of each op it executes (succeeding or failing), of every flush, checkpoint
+// and logout, and of the side effects of each drain of the reads served off
 // it (applyReads), straight into append-only chunks, in fsproto's record
 // format: the bytes a replica pulls, a migration's target included. A shard's
 // simulated state is a pure function of its log, so replaying the log into a
@@ -32,16 +32,12 @@ const logChunkBytes = 64 << 10
 
 // logStore is a shard's admission log: encoded records in append-only chunks,
 // each knowing the log position of its first record. Worker-only but for the
-// footprint counts, which the metrics export reads. gen tells this log from
-// every other, also from the earlier logs of its shard index.
+// footprint counts, which the metrics export reads.
 type logStore struct {
 	w           fsproto.LogWriter
-	gen         uint64
 	chunks      []logChunk
 	recs, bytes atomic.Uint64
 }
-
-var logGens atomic.Uint64
 
 type logChunk struct {
 	first uint64 // log position of the chunk's first record
@@ -81,17 +77,14 @@ func (l *logStore) from(k uint64) [][]byte {
 	return out
 }
 
-// logOp appends the record of an executed op task. The session's log index
-// is resolved once per (session, log), by its token: the token's first record
-// in the log introduces it, whichever Session object that was.
+// logOp appends the record of an executed op task under its token's index in
+// this log, which the log's writer keeps: the token's first record here
+// introduces it, whichever Session object acted.
 func (sh *Shard) logOp(t *task) {
-	st, s := sh.state(t.sess), t.sess
-	if st.logGen != sh.log.gen {
-		st.logSess, st.logGen = sh.log.w.Session(s.token), sh.log.gen
-	}
+	s := t.sess
 	sh.log.append(&fsproto.LogRecord{
 		Kind: t.kind, Seq: t.seq, GID: t.tenant,
-		Session: st.logSess, Token: s.token, Tenant: s.tenant, EUID: s.uid, Pass: s.pass,
+		Session: sh.log.w.Session(s.token), Token: s.token, Tenant: s.tenant, EUID: s.uid, Pass: s.pass,
 		TraceID: t.trace.TraceID, Parent: t.trace.Parent, Sampled: t.trace.Sampled,
 		Req: t.body, Framed: t.framed,
 	})
@@ -125,17 +118,12 @@ func (sh *Shard) flush() {
 	sh.log.append(&fsproto.LogRecord{Kind: fsproto.RecFlush})
 }
 
-// replaySession returns the session staged on sh under token, staging one
-// from the credentials of the record that introduces the token to the log
-// (its login, or its first cross-tenant op). AdoptShard later folds the
-// staged sessions into the service session table.
-func (svc *Service) replaySession(sh *Shard, token, tenant string, euid uint32, pass string) *Session {
-	s, ok := sh.replaySessions[token]
-	if !ok {
-		s = svc.newSession(token, tenant, euid, pass)
-		sh.replaySessions[token] = s
+// logout drops token's state, logging that where the log knows the token.
+func (sh *Shard) logout(token string) {
+	delete(sh.sess, token)
+	if i := sh.log.w.Session(token); i < sh.log.w.Sessions() {
+		sh.log.append(&fsproto.LogRecord{Kind: fsproto.RecLogout, Session: i, Token: token})
 	}
-	return s
 }
 
 // applyRecord executes the admission-log record at position pos against sh,
@@ -158,6 +146,9 @@ func (svc *Service) applyRecord(sh *Shard, rec *fsproto.LogRecord, pos uint64) e
 	case fsproto.RecReadDeltas:
 		sh.applyReads(&rec.Delta, rec.Traces)
 		return nil
+	case fsproto.RecLogout:
+		sh.logout(rec.Token)
+		return nil
 	}
 	o := ops[rec.Kind] // the reader accepts op kinds of the table only
 	req := o.newReq()
@@ -168,7 +159,12 @@ func (svc *Service) applyRecord(sh *Shard, rec *fsproto.LogRecord, pos uint64) e
 	if err := decode(&wire, req); err != nil {
 		return fmt.Errorf("record %d (%v): %w", pos, rec.Kind, err)
 	}
-	sess := svc.replaySession(sh, rec.Token, rec.Tenant, rec.EUID, rec.Pass)
+	// The op acts as the session that created its token's state here, else as
+	// one of the record's credentials, which only an op that runs keeps.
+	sess := newSession(rec.Token, rec.Tenant, rec.EUID, rec.Pass)
+	if st := sh.sess[rec.Token]; st != nil {
+		sess = st.sess
+	}
 	// Staging re-runs the live validation, so a forged length in a shipped
 	// log fails the replay instead of allocating.
 	_, tgt, pl, err := svc.stage(o, sh, sess, req)

@@ -129,8 +129,9 @@ type route struct {
 }
 
 // routes builds the /v1 route table: a row per table op, plus the two
-// unlogged endpoints — logout touches only the session table, stat is
-// read-only and schedule-neutral (Service.Stat).
+// endpoints outside the table — logout takes no schedule slot (its record is
+// the worker's own, Service.Logout), stat is read-only and schedule-neutral
+// (Service.Stat).
 func (svc *Service) routes() map[string]route {
 	rt := make(map[string]route, len(ops)+2)
 	for _, o := range ops {
@@ -150,8 +151,7 @@ func (svc *Service) routes() map[string]route {
 		}}
 	}
 	rt["/v1/logout"] = route{true, func(_ context.Context, sess *Session, _ *fsproto.Request) (any, error) {
-		svc.Logout(sess.token)
-		return nil, nil
+		return nil, svc.Logout(sess.token)
 	}}
 	rt["/v1/stat"] = route{true, func(ctx context.Context, sess *Session, r *fsproto.Request) (any, error) {
 		var req fsproto.StatRequest

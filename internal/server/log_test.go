@@ -232,7 +232,7 @@ func TestTokenIntroducedOnce(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	again := svc.newSession(sess.token, sess.tenant, sess.uid, sess.pass)
+	again := newSession(sess.token, sess.tenant, sess.uid, sess.pass)
 	if err := svc.Create(ctx, again, fsproto.CreateRequest{Name: "f", Perm: 0600, Size: 4096}); err != nil {
 		t.Fatal(err)
 	}
@@ -252,8 +252,8 @@ func TestTokenIntroducedOnce(t *testing.T) {
 	if len(recs) != 3 || recs[0].Token != other.token || recs[1].Token != sess.token || recs[2].Session != recs[1].Session || recs[2].Token != sess.token {
 		t.Fatalf("log %+v: the create is not under the login's session", recs)
 	}
-	// On another shard of the index — another log — the index the session
-	// cached means nothing: the token is introduced there afresh.
+	// Another shard of the index keeps another log, whose writer has not seen
+	// the token: it is introduced there afresh, whatever index it has here.
 	rep := svc.NewReplicaShard(0)
 	rep.logOp(&task{kind: fsproto.KindRead, sess: sess, body: []byte(`{}`)})
 	var rec fsproto.LogRecord

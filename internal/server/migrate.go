@@ -15,11 +15,13 @@ package server
 // and started; the source retires at the new epoch, answering stragglers
 // with the routing error so clients re-route without dropping a request.
 //
-// Nothing but the log crosses the wire. The sessions homed on the shard are
-// rebuilt from their login records, the deterministic schedule continues
-// after the last record's sequence number, and the replica boots with this
-// service's own discipline and chip base, which every node of a fabric
-// shares — a mismatch fails the root and digest gates.
+// Nothing but the log crosses the wire. Session state is the shard's, so the
+// replay rebuilds it: a token's state exists where an op of its ran and no
+// logout followed, and adoption registers exactly those tokens. The
+// deterministic schedule continues after the last record's sequence number,
+// and the replica boots with this service's own discipline and chip base,
+// which every node of a fabric shares — a mismatch fails the root and digest
+// gates.
 
 import (
 	"context"

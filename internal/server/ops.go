@@ -59,18 +59,16 @@ func (p Payload) Release() {
 	}
 }
 
-// sessState is a session's per-shard state: its simulated process, its
-// file mappings, and its open KV handles. Created and touched exclusively
-// by the owning shard's worker goroutine.
+// sessState is a token's state on one shard — simulated process, file
+// mappings, open KV handles — and sess, the session that created it. It is the
+// shard's (Shard.sess), touched only by the worker: an op that runs creates it
+// (a failed login none), a logout drops it, and replay does both at the same
+// records, so every Session object of the token finds the same state.
 type sessState struct {
+	sess *Session
 	proc *kernel.Process
 	maps map[uint16]addr.Virt // ino -> base va (inos are never reused)
 	kv   map[string]*kvHandle // full store name -> handle
-	// logSess is the session's index in the admission log logGen names (0:
-	// none yet). A session outlives the shards of an index it visits, and
-	// each brings a log of its own.
-	logSess uint32
-	logGen  uint64
 }
 
 type kvHandle struct {
@@ -85,13 +83,13 @@ type kvHandle struct {
 	checked [2]bool
 }
 
-// state returns (creating lazily) the session's state on this shard.
-// Worker-goroutine only.
+// state returns (creating lazily) the state of the session's token on this
+// shard. Worker-goroutine only.
 func (sh *Shard) state(sess *Session) *sessState {
-	st := sess.st[sh.id]
+	st := sh.sess[sess.token]
 	if st == nil {
-		st = &sessState{maps: make(map[uint16]addr.Virt), kv: make(map[string]*kvHandle)}
-		sess.st[sh.id] = st
+		st = &sessState{sess: sess, maps: make(map[uint16]addr.Virt), kv: make(map[string]*kvHandle)}
+		sh.sess[sess.token] = st
 	}
 	return st
 }
@@ -394,8 +392,8 @@ func planLogin(r *fsproto.LoginRequest) (plan, error) {
 
 // workLogin checks the credential against the keyring on the tenant's
 // shard: first login registers the passphrase-derived master key, later
-// logins must match it.
-func workLogin(svc *Service, tgt target, _ *Session, req *fsproto.LoginRequest, _ []byte) (any, error) {
+// logins must match it; only a success gives the token state on the shard.
+func workLogin(svc *Service, tgt target, sess *Session, req *fsproto.LoginRequest, _ []byte) (any, error) {
 	sh := tgt.sh
 	euid := fsproto.UserUID(req.Tenant, req.UID)
 	registered, ok := sh.Sys.Keyring.Verify(euid, req.Passphrase)
@@ -412,6 +410,7 @@ func workLogin(svc *Service, tgt target, _ *Session, req *fsproto.LoginRequest, 
 	if !registered {
 		sh.Sys.Keyring.Login(euid, req.Passphrase)
 	}
+	sh.state(sess)
 	return nil, nil
 }
 

@@ -97,17 +97,15 @@ func (e *WrongShardError) Error() string {
 // disagrees with the source — a checkpoint or image Merkle root mismatch.
 var ErrDiverged = errors.New("server: admission-log replay diverged")
 
-// Session is one authenticated tenant session.
+// Session is one authenticated tenant session: a token and the credentials
+// its ops act with. What the token did on a shard is the shard's (sessState),
+// and moves with the shard's log, not with this object.
 type Session struct {
 	token  string
 	tenant string
 	gid    uint32
 	uid    uint32 // effective kernel uid (never 0)
 	pass   string // keyring passphrase; default file-key source
-
-	// st[i] is the session's state on shard i, created and touched only
-	// by that shard's worker goroutine.
-	st []*sessState
 }
 
 // Service is the multi-tenant file service: the shard pool, the session
@@ -302,12 +300,10 @@ func (svc *Service) forwarder() Forwarder {
 }
 
 // AdoptShard registers a shard (a promoted replica) under its global index,
-// folding sessions reconstructed
-// during replay into the service session table. A token with a live session
-// here (homed on another shard, or back from an earlier visit) keeps it, with
-// the replayed state on this shard: the state every replayer of the log
-// gives that token, which no earlier shard of the index's state may stand in
-// for. The caller starts the shard afterwards.
+// and each token with state on it that this service does not know, as the
+// session that created the state: a failed login or an ended session left
+// none, and stays unknown. A known token keeps its Session, which finds the
+// shard's state by token. The caller starts the shard afterwards.
 func (svc *Service) AdoptShard(sh *Shard) error {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
@@ -320,17 +316,14 @@ func (svc *Service) AdoptShard(sh *Shard) error {
 	svc.byIdx[sh.id] = sh
 	svc.shards = append(svc.shards, sh)
 	sortShards(svc.shards)
-	for tok, s := range sh.replaySessions {
-		if live, exists := svc.sessions[tok]; exists {
-			live.st[sh.id] = s.st[sh.id]
-		} else {
-			svc.sessions[tok] = s
+	for tok, st := range sh.sess {
+		if _, ok := svc.sessions[tok]; !ok {
+			svc.sessions[tok] = st.sess
 		}
 		// The token came home (e.g. a shard migrating back): clear any
 		// tombstone left by a previous departure.
 		delete(svc.moved, tok)
 	}
-	sh.replaySessions = make(map[string]*Session)
 	return nil
 }
 
@@ -375,15 +368,8 @@ func (svc *Service) RemoveShard(idx int) *Shard {
 }
 
 // newSession builds a session; euid is the effective kernel uid.
-func (svc *Service) newSession(token, tenant string, euid uint32, pass string) *Session {
-	return &Session{
-		token:  token,
-		tenant: tenant,
-		gid:    fsproto.TenantGID(tenant),
-		uid:    euid,
-		pass:   pass,
-		st:     make([]*sessState, svc.nShards),
-	}
+func newSession(token, tenant string, euid uint32, pass string) *Session {
+	return &Session{token: token, tenant: tenant, gid: fsproto.TenantGID(tenant), uid: euid, pass: pass}
 }
 
 // Login authenticates (tenant, uid, passphrase) and opens a session. The
@@ -400,7 +386,7 @@ func (svc *Service) login(ctx context.Context, req *fsproto.LoginRequest, wire *
 	// record rebinds the same token to the same credentials on a migration
 	// target or replica.
 	token := fmt.Sprintf("%s%d", svc.opts.TokenPrefix, svc.tokSeq.Add(1))
-	sess := svc.newSession(token, req.Tenant, fsproto.UserUID(req.Tenant, req.UID), req.Passphrase)
+	sess := newSession(token, req.Tenant, fsproto.UserUID(req.Tenant, req.UID), req.Passphrase)
 	if _, _, err := svc.exec(ctx, opLogin, sess, req, wire); err != nil {
 		return nil, err
 	}
@@ -425,12 +411,21 @@ func (svc *Service) register(sess *Session) (*Session, error) {
 	return sess, nil
 }
 
-// Logout closes a session. The keyring registration stays: it is the
-// tenant user's credential record, not the session.
-func (svc *Service) Logout(token string) {
+// Logout closes a session: the token leaves the session table, and every
+// owned shard drops its state and logs the logout, so no replica or migration
+// target brings the token back (the error names a shard that did not answer).
+// The keyring registration stays: it is the user's credential, not a session.
+func (svc *Service) Logout(token string) error {
 	svc.mu.Lock()
-	defer svc.mu.Unlock()
 	delete(svc.sessions, token)
+	svc.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), svc.opts.RequestTimeout)
+	defer cancel()
+	var errs []error
+	for _, sh := range svc.Shards() {
+		errs = append(errs, sh.DoSide(ctx, func() { sh.logout(token) }))
+	}
+	return errors.Join(errs...)
 }
 
 // session resolves a token.
@@ -461,7 +456,7 @@ func (svc *Service) peerSession(req *fsproto.Request) (*Session, error) {
 	if !req.Forwarded || req.Peer == nil || req.Token == "" {
 		return nil, errBadToken
 	}
-	return svc.register(svc.newSession(req.Token, req.Peer.Tenant, req.Peer.UID, req.Peer.Pass))
+	return svc.register(newSession(req.Token, req.Peer.Tenant, req.Peer.UID, req.Peer.Pass))
 }
 
 // MetricsSnapshot merges the host-side registry with every shard's

@@ -1,0 +1,205 @@
+package server
+
+import (
+	"bytes"
+	"context"
+	"errors"
+	"fmt"
+	"testing"
+
+	"fsencr/internal/fsproto"
+)
+
+// migrate moves shard idx of svc to a new node the way a migration does:
+// freeze, replay the frozen log into a replica there, promote it, commit.
+// The new node runs svc's discipline.
+func migrate(t *testing.T, svc *Service, idx int) *Service {
+	t.Helper()
+	mig, log := frozenLog(t, svc, idx)
+	opts := svc.opts
+	opts.OwnedShards, opts.TokenPrefix = []int{}, "b"
+	to := New(opts)
+	t.Cleanup(to.Close)
+	sh := to.NewReplicaShard(idx)
+	if _, err := to.ReplayLog(sh, new(fsproto.LogReader), log); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if err := to.PromoteShard(sh, &mig.At); err != nil {
+		mig.Resume()
+		t.Fatalf("promote: %v", err)
+	}
+	mig.Commit(1)
+	return to
+}
+
+// TestFailedLoginRefusedAfterMigration: a wrong-passphrase login is a log
+// record but no session. Its token — guessable, the next in sequence — must
+// not become one on the shard's new owner, where it would act as the victim
+// and could delete the victim's unencrypted file.
+func TestFailedLoginRefusedAfterMigration(t *testing.T) {
+	ctx := context.Background()
+	svc := New(clusterTestOptions())
+	defer svc.Close()
+	tV := tenantOnShard(t, 1, 2, map[string]bool{})
+	seqs := newSeqFor(2)
+	gid := fsproto.TenantGID(tV)
+	victim, err := svc.Login(ctx, tV, 1, "pw-"+tV, *seqs.take(gid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Create(ctx, victim, fsproto.CreateRequest{Name: "open.txt", Perm: 0600, Size: 4096, Seq: seqs.take(gid)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.Login(ctx, tV, 1, "guessed", *seqs.take(gid)); !errors.Is(err, ErrAuth) {
+		t.Fatalf("login with the wrong passphrase: %v", err)
+	}
+	failed := fmt.Sprintf("t%d", svc.tokSeq.Load())
+
+	to := migrate(t, svc, 1)
+	if s, err := to.session(failed); !errors.Is(err, errBadToken) {
+		t.Errorf("the new owner resolves the failed login's token %s: %v", failed, err)
+		if err == nil {
+			_ = to.Delete(ctx, s, fsproto.DeleteRequest{Name: "open.txt", Seq: seqs.take(gid)})
+		}
+	}
+	v, err := to.session(victim.token)
+	if err != nil {
+		t.Fatalf("the victim's session did not migrate: %v", err)
+	}
+	if _, err := to.Stat(ctx, v, fsproto.StatRequest{Name: "open.txt"}); err != nil {
+		t.Fatalf("the victim's file did not survive: %v", err)
+	}
+}
+
+// TestLogoutRefusedAfterMigration: a logout is logged, so a replayed log
+// does not bring the token back on the shard's new owner.
+func TestLogoutRefusedAfterMigration(t *testing.T) {
+	ctx := context.Background()
+	svc := New(clusterTestOptions())
+	defer svc.Close()
+	tn := tenantOnShard(t, 1, 2, map[string]bool{})
+	seqs := newSeqFor(2)
+	gid := fsproto.TenantGID(tn)
+	s, err := svc.Login(ctx, tn, 1, "pw-"+tn, *seqs.take(gid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Create(ctx, s, fsproto.CreateRequest{Name: "f", Perm: 0600, Size: 4096, Encrypted: true, Seq: seqs.take(gid)}); err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Logout(s.token); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := svc.session(s.token); !errors.Is(err, errBadToken) {
+		t.Fatalf("the source resolves the token after its logout: %v", err)
+	}
+	to := migrate(t, svc, 1)
+	if _, err := to.session(s.token); !errors.Is(err, errBadToken) {
+		t.Fatalf("the new owner resolves a logged-out token: %v", err)
+	}
+}
+
+// TestShadowSessionKeepsShardState: a session homed on shard 0 writes into
+// shard 1; shard 0 is dropped, taking the session with it, and a forward
+// registers the token again as a peer's shadow — a new Session object. Its
+// next write continues the token's state on shard 1, as every replayer of
+// shard 1's log does, so a migration of shard 1 passes promotion's gates.
+func TestShadowSessionKeepsShardState(t *testing.T) {
+	ctx := context.Background()
+	svc := New(clusterTestOptions())
+	defer svc.Close()
+	taken := map[string]bool{}
+	tA, tB := tenantOnShard(t, 0, 2, taken), tenantOnShard(t, 1, 2, taken)
+	seqs := newSeqFor(2)
+	gA, gB := fsproto.TenantGID(tA), fsproto.TenantGID(tB)
+	sB, err := svc.Login(ctx, tB, 1, "pw-"+tB, *seqs.take(gB))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := svc.Create(ctx, sB, fsproto.CreateRequest{Name: "shared.bin", Perm: 0666, Size: 8192, Encrypted: true, Seq: seqs.take(gB)}); err != nil {
+		t.Fatal(err)
+	}
+	sA, err := svc.Login(ctx, tA, 1, "pw-"+tA, *seqs.take(gA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	write := func(s *Session, off uint64) {
+		t.Helper()
+		req := fsproto.WriteRequest{Name: "shared.bin", Tenant: tB, Passphrase: "pw-" + tB, Offset: off, Data: bytes.Repeat([]byte{byte(off >> 8)}, 256), Seq: seqs.take(gB)}
+		if err := svc.Write(ctx, s, req); err != nil {
+			t.Fatalf("cross-tenant write at %d: %v", off, err)
+		}
+	}
+	write(sA, 0)
+	svc.DropShard(0)
+	if _, err := svc.session(sA.token); !errors.Is(err, errBadToken) {
+		t.Fatalf("dropping shard 0 kept its session: %v", err)
+	}
+	shadow, err := svc.peerSession(&fsproto.Request{Forwarded: true, Token: sA.token, Peer: &fsproto.Peer{Tenant: tA, UID: sA.uid, Pass: sA.pass}})
+	if err != nil || shadow == sA {
+		t.Fatalf("peer session: %v (the dropped object again: %v)", err, shadow == sA)
+	}
+	write(shadow, 4096)
+	migrate(t, svc, 1)
+}
+
+// stateful counts the tokens with state on svc's shards, read on each worker.
+func stateful(t *testing.T, svc *Service) int {
+	t.Helper()
+	n := 0
+	for _, sh := range svc.Shards() {
+		if err := sh.DoSide(context.Background(), func() { n += len(sh.sess) }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
+// TestSessionTableBounded: sessions that log in, act and log out leave no
+// state on any shard — nor on a replica of either shard's log, migrated to
+// another node — and the promoted replica registers none of their tokens.
+func TestSessionTableBounded(t *testing.T) {
+	ctx := context.Background()
+	opts := clusterTestOptions()
+	opts.Deterministic = false
+	svc := New(opts)
+	defer svc.Close()
+	taken := map[string]bool{}
+	tenants := []string{tenantOnShard(t, 0, 2, taken), tenantOnShard(t, 1, 2, taken)}
+	var tokens []string
+	for i := 0; i < 50; i++ {
+		tn, other := tenants[i%2], tenants[1-i%2]
+		s, err := svc.Login(ctx, tn, uint32(1+i%3), "pw-"+tn, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tokens = append(tokens, s.token)
+		if err := svc.Create(ctx, s, fsproto.CreateRequest{Name: fmt.Sprintf("f%d", i), Perm: 0600, Size: 4096, Encrypted: true}); err != nil {
+			t.Fatal(err)
+		}
+		// A denied cross-tenant write gives the token state on the other shard.
+		if err := svc.Write(ctx, s, fsproto.WriteRequest{Name: "f0", Tenant: other, Passphrase: "wrong", Data: []byte{1}}); err == nil {
+			t.Fatal("a cross-tenant write with the wrong passphrase succeeded")
+		}
+		if n := stateful(t, svc); n != 2 {
+			t.Fatalf("cycle %d: %d tokens have state across both shards, want the session's on each", i, n)
+		}
+		if err := svc.Logout(s.token); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := stateful(t, svc); n != 0 {
+		t.Fatalf("the shards keep state for %d tokens after every session logged out", n)
+	}
+	for idx := range 2 {
+		to := migrate(t, svc, idx)
+		if n := stateful(t, to); n != 0 {
+			t.Fatalf("a replica of shard %d keeps state for %d tokens", idx, n)
+		}
+		for _, tok := range tokens {
+			if _, err := to.session(tok); !errors.Is(err, errBadToken) {
+				t.Fatalf("adopting shard %d registered the logged-out token %s: %v", idx, tok, err)
+			}
+		}
+	}
+}

@@ -202,9 +202,7 @@ type Shard struct {
 	sinceCkpt int
 	detNext   uint64
 	retired   error
-	// replaySessions stages sessions reconstructed from login records
-	// during replay; AdoptShard folds them into the service session table.
-	replaySessions map[string]*Session
+	sess      map[string]*sessState // token -> its state here; worker-only
 }
 
 // traceKeepEvery is the tail sampler's probabilistic keep rate for traces
@@ -267,13 +265,12 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 		scope:     scope,
 		sampler: telemetry.NewTailSampler(traceKeepEvery,
 			reg.Counter("trace.kept_total"), reg.Counter("trace.dropped_total")),
-		stop:           make(chan struct{}),
-		stopped:        make(chan struct{}),
-		chipSeq:        so.ChipSeq,
-		logOn:          so.Log,
-		log:            logStore{gen: logGens.Add(1)},
-		ckptEvery:      so.CheckpointEvery,
-		replaySessions: make(map[string]*Session),
+		stop:      make(chan struct{}),
+		stopped:   make(chan struct{}),
+		chipSeq:   so.ChipSeq,
+		logOn:     so.Log,
+		ckptEvery: so.CheckpointEvery,
+		sess:      make(map[string]*sessState),
 	}
 	sh.readPool.New = func() any { return sh.Sys.NewSnapshotReader() }
 	sh.deltaPool.New = func() any { return new(memctrl.ReadDelta) }
