@@ -20,13 +20,15 @@ cross-build:
 test:
 	$(GO) test ./...
 
-# Non-test Go lines per package under internal/ and cmd/, plus the total:
-# ROADMAP counts net non-test LOC going down as a success metric, so a PR
-# can quote its before/after from here.
+# Non-test Go lines per package under internal/ and cmd/, plus the total and
+# the internal/memctrl + internal/server sum ROADMAP's unification item
+# targets: ROADMAP counts net non-test LOC going down as a success metric, so
+# a PR can quote its before/after from here.
 loc:
 	@find internal cmd -name '*.go' ! -name '*_test.go' | xargs wc -l | awk ' \
 	  $$2 != "total" { pkg = $$2; sub(/\/[^\/]*$$/, "", pkg); n[pkg] += $$1; all += $$1 } \
-	  END { for (p in n) printf("%7d %s\n", n[p], p) | "sort -k2"; close("sort -k2"); printf("%7d total\n", all) }'
+	  END { for (p in n) printf("%7d %s\n", n[p], p) | "sort -k2"; close("sort -k2"); printf("%7d total\n", all); \
+	    printf("%7d internal/memctrl + internal/server\n", n["internal/memctrl"] + n["internal/server"]) }'
 
 # One sha256 per simulation artefact — the figure JSON and stdout table,
 # each per-figure telemetry snapshot, the Chrome trace, the chaos JSON and

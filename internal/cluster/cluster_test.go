@@ -462,26 +462,7 @@ func TestLogoutAcrossMigration(t *testing.T) {
 	}
 	shard := 1
 	tn := tenantOn(t, shard, map[string]bool{})
-	// A transport of its own: the request loop takes a /v1 connection over, and
-	// a fabric pull reusing it from http.DefaultTransport would get 404.
-	hc := &http.Client{Transport: &http.Transport{}}
-	t.Cleanup(hc.CloseIdleConnections)
-	post := func(base, path, token, body string) (int, []byte) {
-		t.Helper()
-		hr, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader([]byte(body)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		hr.Header.Set("Content-Type", fsproto.ContentTypeJSON)
-		hr.Header.Set(fsproto.TokenHeader, token)
-		resp, err := hc.Do(hr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		out, _ := io.ReadAll(resp.Body)
-		return resp.StatusCode, out
-	}
+	post := poster(t)
 	var lr fsproto.LoginResponse
 	if code, out := post(a.srv.URL, "/v1/login", "", `{"tenant":"`+tn+`","uid":1,"passphrase":"pw-`+tn+`"}`); code != http.StatusOK || json.Unmarshal(out, &lr) != nil {
 		t.Fatalf("login: %d %s", code, out)
@@ -497,6 +478,77 @@ func TestLogoutAcrossMigration(t *testing.T) {
 	}
 	if code, out := post(b.srv.URL, "/v1/create", lr.Token, `{"name":"g","perm":384,"size":4096}`); code != http.StatusUnauthorized {
 		t.Fatalf("the new owner answers a logged-out token %d %s, want 401", code, out)
+	}
+}
+
+// poster returns a raw JSON POST of a /v1 request carrying a token and no
+// peer headers, answering the status and body.
+func poster(t *testing.T) func(base, path, token, body string) (int, []byte) {
+	// A transport of its own: the request loop takes a /v1 connection over, and
+	// a fabric pull reusing it from http.DefaultTransport would get 404.
+	hc := &http.Client{Transport: &http.Transport{}}
+	t.Cleanup(hc.CloseIdleConnections)
+	return func(base, path, token, body string) (int, []byte) {
+		t.Helper()
+		hr, err := http.NewRequest(http.MethodPost, base+path, bytes.NewReader([]byte(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		hr.Header.Set("Content-Type", fsproto.ContentTypeJSON)
+		hr.Header.Set(fsproto.TokenHeader, token)
+		resp, err := hc.Do(hr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		out, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, out
+	}
+}
+
+// TestLogoutEndsForwardedToken: a token homed on node A writes across tenants
+// into a shard on node B, which A forwards with the session's identity as the
+// peer. After the logout at A, the token sent straight to B, without peer
+// headers, is refused: B resolves a token only through its home shard, which
+// A owns and has dropped the token from.
+func TestLogoutEndsForwardedToken(t *testing.T) {
+	coord, _ := startCoordinator(t)
+	a := startNode(t, nil, "a")
+	b := startNode(t, []int{}, "b")
+	for _, n := range []*testNode{a, b} {
+		if _, err := coord.Join(n.srv.URL, n.empty); err != nil {
+			t.Fatalf("join: %v", err)
+		}
+	}
+	taken := map[string]bool{}
+	home, shard := 0, 1
+	tS, tI := tenantOn(t, home, taken), tenantOn(t, shard, taken)
+	if err := coord.Migrate(shard, b.srv.URL); err != nil {
+		t.Fatalf("migrate: %v", err)
+	}
+	post := poster(t)
+	login := func(base, tenant string) string {
+		t.Helper()
+		var lr fsproto.LoginResponse
+		if code, out := post(base, "/v1/login", "", `{"tenant":"`+tenant+`","uid":1,"passphrase":"pw-`+tenant+`"}`); code != http.StatusOK || json.Unmarshal(out, &lr) != nil {
+			t.Fatalf("login %s: %d %s", tenant, code, out)
+		}
+		return lr.Token
+	}
+	owner := login(b.srv.URL, tI)
+	if code, out := post(b.srv.URL, "/v1/create", owner, `{"name":"f","perm":438,"size":4096,"encrypted":true}`); code != http.StatusOK {
+		t.Fatalf("create: %d %s", code, out)
+	}
+	tok := login(a.srv.URL, tS)
+	write := `{"name":"f","tenant":"` + tI + `","passphrase":"pw-` + tI + `","offset":0,"data":"AQID"}`
+	if code, out := post(a.srv.URL, "/v1/write", tok, write); code != http.StatusOK {
+		t.Fatalf("forwarded cross-tenant write: %d %s", code, out)
+	}
+	if code, out := post(a.srv.URL, "/v1/logout", tok, `{}`); code != http.StatusOK {
+		t.Fatalf("logout: %d %s", code, out)
+	}
+	if code, out := post(b.srv.URL, "/v1/write", tok, write); code != http.StatusUnauthorized {
+		t.Fatalf("B answers the logged-out token %d %s, want 401", code, out)
 	}
 }
 

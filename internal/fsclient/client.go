@@ -279,35 +279,14 @@ func needsReroute(err error) bool {
 // BaseDelay — still far gentler than a few exponential doublings.
 const queueDepthScale = 16
 
-// backoffFor picks the sleep before re-send n+1. A 429 that carries the
-// server's queue-depth hint gets a depth-proportional delay instead of the
-// exponential curve: a read burst bouncing off a shallow, already-draining
-// queue retries almost immediately, while a deep queue (genuine
-// congestion) waits longer. Transport faults and unhinted errors say
-// nothing about server load, so they keep the conservative exponential.
+// backoffFor picks the sleep before re-send n+1, with ±50% jitter so
+// synchronized clients desynchronize. A 429 that carries the server's
+// queue-depth hint gets a depth-proportional delay: a read burst bouncing off
+// a shallow, already-draining queue retries almost immediately, while a deep
+// queue (genuine congestion) waits longer. Transport faults and unhinted
+// errors say nothing about server load, so they keep the conservative curve,
+// exponential from BaseDelay. Either is capped at MaxDelay.
 func (c *Client) backoffFor(attempt int, err error) time.Duration {
-	var ae *APIError
-	if errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests && ae.QueueDepth >= 0 {
-		base := c.retry.BaseDelay
-		if base <= 0 {
-			base = 5 * time.Millisecond
-		}
-		maxd := c.retry.MaxDelay
-		if maxd <= 0 {
-			maxd = 250 * time.Millisecond
-		}
-		d := base + base*time.Duration(ae.QueueDepth)/queueDepthScale
-		if d > maxd || d <= 0 {
-			d = maxd
-		}
-		return d/2 + time.Duration(rand.Int64N(int64(d)))
-	}
-	return c.backoff(attempt)
-}
-
-// backoff is the sleep before re-send n+1: exponential from BaseDelay,
-// capped at MaxDelay, with ±50% jitter so synchronized clients desynchronize.
-func (c *Client) backoff(attempt int) time.Duration {
 	base := c.retry.BaseDelay
 	if base <= 0 {
 		base = 5 * time.Millisecond
@@ -317,6 +296,10 @@ func (c *Client) backoff(attempt int) time.Duration {
 		maxd = 250 * time.Millisecond
 	}
 	d := base << (attempt - 1)
+	var ae *APIError
+	if errors.As(err, &ae) && ae.Status == http.StatusTooManyRequests && ae.QueueDepth >= 0 {
+		d = base + base*time.Duration(ae.QueueDepth)/queueDepthScale
+	}
 	if d > maxd || d <= 0 {
 		d = maxd
 	}

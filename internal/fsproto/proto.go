@@ -60,11 +60,12 @@ const TokenHeader = "X-Fsencr-Token"
 const ForwardedHeader = "X-Fsencr-Forwarded"
 
 // Peer headers ride on a forwarded request whose session is homed on the
-// forwarding node: the new owner of the target shard reconstructs a
-// shadow session from them (the same trust the admission-log replayer
-// extends to record credentials — fabric peers are inside the trust
-// boundary; tenant-level authorization still comes from the request
-// body's passphrase).
+// forwarding node: the owner of the target shard acts as the session they
+// name for that one request and registers nothing (the same trust the
+// admission-log replayer extends to record credentials — fabric peers are
+// inside the trust boundary; tenant-level authorization still comes from the
+// request body's passphrase). Nothing authenticates the peer yet: any client
+// that sets ForwardedHeader can claim any identity here.
 const (
 	PeerTenantHeader = "X-Fsencr-Peer-Tenant"
 	PeerUIDHeader    = "X-Fsencr-Peer-Uid"

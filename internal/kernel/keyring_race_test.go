@@ -23,9 +23,9 @@ import (
 // (permission bits, per-file key, owner-only chmod/unlink) must hold under
 // arbitrary interleaving, and no intruder operation may ever succeed.
 func TestKeyringDenialRace(t *testing.T) {
-	sh := server.NewShard(0, config.Default(),
+	sh := server.NewShardWith(0, config.Default(),
 		memctrl.Mode{MemEncryption: true, FileEncryption: true}, kernel.ModeDAX,
-		false, 0, nil)
+		false, 0, nil, server.ShardOptions{})
 	defer sh.Close()
 	ctx := context.Background()
 

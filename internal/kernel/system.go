@@ -3,6 +3,7 @@ package kernel
 import (
 	"errors"
 	"fmt"
+	"slices"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
@@ -73,7 +74,8 @@ type System struct {
 	frameRefs  map[addr.Phys]pagecache.Key  // page-cache frame -> file page
 	freeFrames []addr.Phys                  // recycled page-cache frames
 	anonNext   uint64
-	procs      []*Process
+	procs      []*Process // live ones; started counts every NewProcess
+	started    int
 
 	// Handles on the machine's "kernel." counters, resolved once in BootSeq.
 	nSWDecrypts, nSWEncrypts, nPageCacheLoads, nPageCacheWritebacks stats.Counter
@@ -181,11 +183,11 @@ func (s *System) dfEnabled() bool {
 }
 
 // NewProcess starts a process with the given credentials, bound to a core
-// round-robin.
+// round-robin in the order processes start.
 func (s *System) NewProcess(uid, gid uint32) *Process {
 	p := &Process{
 		sys:  s,
-		core: s.M.Core(len(s.procs) % s.M.Cores()),
+		core: s.M.Core(s.started % s.M.Cores()),
 		UID:  uid,
 		GID:  gid,
 		pt:   make(map[uint64]pte),
@@ -193,8 +195,20 @@ func (s *System) NewProcess(uid, gid uint32) *Process {
 		mmapNext: 0x7f00_0000_0000,
 	}
 	s.procs = append(s.procs, p)
+	s.started++
 	return p
 }
+
+// ExitProcess ends p: the kernel forgets it, so its page tables are no longer
+// kept up to date. p must not be used again.
+func (s *System) ExitProcess(p *Process) {
+	if i := slices.Index(s.procs, p); i >= 0 {
+		s.procs = slices.Delete(s.procs, i, i+1)
+	}
+}
+
+// Processes returns how many processes the kernel keeps.
+func (s *System) Processes() int { return len(s.procs) }
 
 // CreateFile creates (and for encrypted files, keys) a file on behalf of p.
 // For encrypted files the key is derived from the owner's passphrase and

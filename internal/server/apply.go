@@ -118,9 +118,15 @@ func (sh *Shard) flush() {
 	sh.log.append(&fsproto.LogRecord{Kind: fsproto.RecFlush})
 }
 
-// logout drops token's state, logging that where the log knows the token.
+// logout drops token's state, and its process from the kernel, logging that
+// where the log knows the token.
 func (sh *Shard) logout(token string) {
-	delete(sh.sess, token)
+	if st := sh.sess[token]; st != nil {
+		sh.Sys.ExitProcess(st.proc)
+		sh.sessMu.Lock()
+		delete(sh.sess, token)
+		sh.sessMu.Unlock()
+	}
 	if i := sh.log.w.Session(token); i < sh.log.w.Sessions() {
 		sh.log.append(&fsproto.LogRecord{Kind: fsproto.RecLogout, Session: i, Token: token})
 	}
@@ -159,12 +165,9 @@ func (svc *Service) applyRecord(sh *Shard, rec *fsproto.LogRecord, pos uint64) e
 	if err := decode(&wire, req); err != nil {
 		return fmt.Errorf("record %d (%v): %w", pos, rec.Kind, err)
 	}
-	// The op acts as the session that created its token's state here, else as
-	// one of the record's credentials, which only an op that runs keeps.
+	// The op acts with the credentials the live op acted with; its token's
+	// state here, if any, is found by token. Only an op that runs keeps them.
 	sess := newSession(rec.Token, rec.Tenant, rec.EUID, rec.Pass)
-	if st := sh.sess[rec.Token]; st != nil {
-		sess = st.sess
-	}
 	// Staging re-runs the live validation, so a forged length in a shipped
 	// log fails the replay instead of allocating.
 	_, tgt, pl, err := svc.stage(o, sh, sess, req)

@@ -163,9 +163,10 @@ func (svc *Service) routes() map[string]route {
 	return rt
 }
 
-// dispatch runs req's endpoint: route, method check, session resolution.
-// The session is returned whenever it was resolved, whatever the endpoint
-// then answered.
+// dispatch runs req's endpoint: route, method check, session resolution — a
+// forwarded request's peer identity (peerSession), else the token's home
+// shard's table. The session is returned whenever it was resolved, whatever
+// the endpoint then answered.
 func (svc *Service) dispatch(ctx context.Context, req *fsproto.Request) (sess *Session, v any, err error) {
 	rt, ok := svc.rt[req.Path]
 	if !ok {
@@ -175,12 +176,10 @@ func (svc *Service) dispatch(ctx context.Context, req *fsproto.Request) (sess *S
 		return nil, nil, fmt.Errorf("%w: POST required", ErrBadRequest)
 	}
 	if rt.authed {
-		sess, err = svc.session(req.Token)
-		if err != nil && errors.Is(err, errBadToken) {
-			sess, err = svc.peerSession(req)
-		}
-		if err != nil {
-			return nil, nil, err
+		if sess = peerSession(req); sess == nil {
+			if sess, err = svc.session(req.Token); err != nil {
+				return nil, nil, err
+			}
 		}
 	}
 	v, err = rt.h(ctx, sess, req)
@@ -243,9 +242,9 @@ func (svc *Service) handle(req *fsproto.Request) (resp fsproto.Response, pl Payl
 // parsed request sent on: the resolved trace context, so the owner continues
 // the same trace even when this node minted the ID, and — when the session is
 // homed here (a cross-tenant op targeting a remote shard) — its identity as
-// the peer, so the owner can admit it under a shadow session. The owner's
-// answer, queue-depth hint included, is returned as is. ok=false falls
-// through to the ordinary 421, which a cluster-aware client answers by
+// the peer, so the owner acts as that session for the one request. The
+// owner's answer, queue-depth hint included, is returned as is. ok=false
+// falls through to the ordinary 421, which a cluster-aware client answers by
 // refreshing its routing table.
 func (svc *Service) tryForward(req *fsproto.Request, tc fsproto.TraceContext, sess *Session, err error) (resp fsproto.Response, ok bool) {
 	var wse *WrongShardError

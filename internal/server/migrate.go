@@ -17,7 +17,8 @@ package server
 //
 // Nothing but the log crosses the wire. Session state is the shard's, so the
 // replay rebuilds it: a token's state exists where an op of its ran and no
-// logout followed, and adoption registers exactly those tokens. The
+// logout followed, and once the shard is adopted the tokens homed on it
+// resolve through that table here, and through the routing error there. The
 // deterministic schedule continues after the last record's sequence number,
 // and the replica boots with this service's own discipline and chip base,
 // which every node of a fabric shares — a mismatch fails the root and digest
@@ -89,20 +90,19 @@ func (m *Migration) Resume() { m.h.Resume() }
 // Commit finishes the migration at the new routing epoch: the source
 // shard retires (queued and future tasks answer with the routing error,
 // so clients re-route and retry — none of them ever executed here, so the
-// retry cannot duplicate work), its sessions are tombstoned, and the
-// shard leaves the owned set.
+// retry cannot duplicate work), and the shard leaves the owned set, so the
+// tokens homed on it answer with the routing error.
 func (m *Migration) Commit(epoch uint64) {
 	m.h.Retire(&WrongShardError{Shard: m.sh.id, Epoch: epoch})
 	m.svc.RemoveShard(m.sh.id)
 }
 
-// DropShard discards an adopted shard without tombstoning its sessions
-// (migration rollback on the target: the source resumes serving, so the
-// tokens stay valid there and a tombstone here would be a lie). The
-// shard's worker drains and exits. No-op if idx is not owned.
+// DropShard discards an adopted shard (migration rollback on the target: the
+// source resumes serving). The shard's worker drains and exits. No-op if idx
+// is not owned.
 func (svc *Service) DropShard(idx int) {
 	svc.mu.Lock()
-	sh := svc.unregister(idx, false)
+	sh := svc.unregister(idx)
 	svc.mu.Unlock()
 	if sh != nil {
 		sh.Close()

@@ -62,8 +62,10 @@ func (p Payload) Release() {
 // sessState is a token's state on one shard — simulated process, file
 // mappings, open KV handles — and sess, the session that created it. It is the
 // shard's (Shard.sess), touched only by the worker: an op that runs creates it
-// (a failed login none), a logout drops it, and replay does both at the same
-// records, so every Session object of the token finds the same state.
+// (a failed login none, and on the token's home shard only its login), a
+// logout drops it, and replay does both at the same records, so every Session
+// object of the token finds the same state. The home shard's table is the
+// session table: the token is live where it holds the token's state.
 type sessState struct {
 	sess *Session
 	proc *kernel.Process
@@ -89,7 +91,9 @@ func (sh *Shard) state(sess *Session) *sessState {
 	st := sh.sess[sess.token]
 	if st == nil {
 		st = &sessState{sess: sess, maps: make(map[uint16]addr.Virt), kv: make(map[string]*kvHandle)}
+		sh.sessMu.Lock()
 		sh.sess[sess.token] = st
+		sh.sessMu.Unlock()
 	}
 	return st
 }
@@ -286,7 +290,9 @@ func (svc *Service) stage(o *op, via *Shard, sess *Session, req any) (p plan, tg
 
 // task builds the unit of work the shard serves for a staged op; exec
 // submits it to the worker, replay hands it to serve directly. body/framed
-// are the request as a logged shard records it.
+// are the request as a logged shard records it. On the token's home shard
+// only its login creates state: any other op of a token without state there
+// (logged out, or admitted before a logout and served after it) is refused.
 func (o *op) task(svc *Service, tgt target, sess *Session, req any, seq uint64, tc fsproto.TraceContext, dst, body []byte, framed bool) task {
 	return task{
 		seq:    seq,
@@ -297,6 +303,9 @@ func (o *op) task(svc *Service, tgt target, sess *Session, req any, seq uint64, 
 		sess:   sess,
 		body:   body,
 		fn: func() (any, error) {
+			if o != opLogin && tgt.sh.sess[sess.token] == nil && svc.tokenHome(sess.token) == tgt.sh.id {
+				return nil, errBadToken
+			}
 			v, err := o.work(svc, tgt, sess, req, dst)
 			if err != nil {
 				svc.noteDenial(sess, tgt, err)

@@ -328,7 +328,7 @@ func TestReplayRebuildsShard(t *testing.T) {
 	// The migrated session keeps working on the new node with its old
 	// token, continuing the deterministic schedule where the source
 	// stopped.
-	sB, err := svcB.session(sess[tB].Token())
+	sB, err := svcB.session(sess[tB].token)
 	if err != nil {
 		t.Fatalf("migrated session not found on target: %v", err)
 	}
@@ -342,8 +342,8 @@ func TestReplayRebuildsShard(t *testing.T) {
 		t.Fatalf("post-migration read returned wrong bytes")
 	}
 
-	// The source answers the tombstoned token with the routing error.
-	if _, err := svcA.session(sess[tB].Token()); err == nil {
+	// The source answers the migrated token with the routing error.
+	if _, err := svcA.session(sess[tB].token); err == nil {
 		t.Fatal("source still resolves the migrated session")
 	} else if wse, ok := err.(*WrongShardError); !ok || wse.Shard != 1 {
 		t.Fatalf("want WrongShardError{Shard:1}, got %v", err)

@@ -4,7 +4,8 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sort"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +23,8 @@ import (
 // keyring master key and the presented passphrase does not derive it.
 var ErrAuth = errors.New("server: authentication failed")
 
-// errBadToken reports a request carrying no (or an unknown) session token.
+// errBadToken reports a request carrying no, a malformed or an unknown session
+// token.
 var errBadToken = fmt.Errorf("%w: unknown session token", ErrAuth)
 
 // DefaultRequestTimeout bounds how long a request may wait for its shard
@@ -60,7 +62,8 @@ type Options struct {
 	OwnedShards []int
 	// TokenPrefix namespaces session tokens per node ("" = "t") so tokens
 	// minted on different nodes of one cluster never collide — a migrated
-	// session keeps its token on the new owner.
+	// session keeps its token on the new owner. A token is
+	// <prefix><seq>.<home shard>.
 	TokenPrefix string
 	// ChipSeqBase, when non-zero, boots global shard i with controller chip
 	// sequence ChipSeqBase+i. Every node of a cluster must share the base:
@@ -99,7 +102,8 @@ var ErrDiverged = errors.New("server: admission-log replay diverged")
 
 // Session is one authenticated tenant session: a token and the credentials
 // its ops act with. What the token did on a shard is the shard's (sessState),
-// and moves with the shard's log, not with this object.
+// and moves with the shard's log, not with this object. The token names its
+// home shard, the tenant's, whose table alone says whether it is live.
 type Session struct {
 	token  string
 	tenant string
@@ -108,8 +112,8 @@ type Session struct {
 	pass   string // keyring passphrase; default file-key source
 }
 
-// Service is the multi-tenant file service: the shard pool, the session
-// table, and the host-side observability registry.
+// Service is the multi-tenant file service: the shard pool and the host-side
+// observability registry. Sessions live in their home shards' tables.
 type Service struct {
 	opts Options
 	// nShards is the global routing shard count; shards holds the owned
@@ -160,12 +164,7 @@ type Service struct {
 	traceBase uint64
 	traceSeq  atomic.Uint64
 
-	mu       sync.RWMutex
-	sessions map[string]*Session
-	// moved tombstones tokens whose home shard migrated away: token ->
-	// global shard index, answered with WrongShardError so the client
-	// re-routes instead of seeing "unknown token".
-	moved  map[string]int
+	mu     sync.RWMutex
 	closed bool
 	tokSeq atomic.Uint64
 }
@@ -201,8 +200,6 @@ func New(opts Options) *Service {
 		cFastFallbacks: reg.Counter("server.fast_read_fallbacks_total"),
 		slo:            newSLOTable(reg),
 		traceBase:      0x66_73_65_6e_63_72, // "fsencr": fixed, IDs still unique via traceSeq
-		sessions:       make(map[string]*Session),
-		moved:          make(map[string]int),
 		nShards:        opts.ClusterShards,
 		byIdx:          make(map[int]*Shard),
 		gEpoch:         reg.Gauge("cluster.epoch"),
@@ -222,7 +219,7 @@ func New(opts Options) *Service {
 		svc.byIdx[i] = sh
 		svc.shards = append(svc.shards, sh)
 	}
-	sortShards(svc.shards)
+	slices.SortFunc(svc.shards, byID)
 	return svc
 }
 
@@ -242,22 +239,15 @@ func chipSeqFor(opts Options, i int) uint64 {
 	return opts.ChipSeqBase + uint64(i)
 }
 
-func sortShards(shards []*Shard) {
-	sort.Slice(shards, func(i, j int) bool { return shards[i].id < shards[j].id })
-}
+func byID(a, b *Shard) int { return a.id - b.id }
 
 // Shards snapshots the owned shard pool, ordered by global index, under
 // the lock: membership changes at migration.
 func (svc *Service) Shards() []*Shard {
 	svc.mu.RLock()
 	defer svc.mu.RUnlock()
-	out := make([]*Shard, len(svc.shards))
-	copy(out, svc.shards)
-	return out
+	return slices.Clone(svc.shards)
 }
-
-// NShards returns the global routing shard count.
-func (svc *Service) NShards() int { return svc.nShards }
 
 // Registry exposes the host-side registry.
 func (svc *Service) Registry() *telemetry.Registry { return svc.reg }
@@ -299,11 +289,10 @@ func (svc *Service) forwarder() Forwarder {
 	return nil
 }
 
-// AdoptShard registers a shard (a promoted replica) under its global index,
-// and each token with state on it that this service does not know, as the
-// session that created the state: a failed login or an ended session left
-// none, and stays unknown. A known token keeps its Session, which finds the
-// shard's state by token. The caller starts the shard afterwards.
+// AdoptShard registers a shard (a promoted replica) under its global index.
+// The tokens homed on it are live here from then on: the ones its table holds,
+// which a failed login or an ended session is not. The caller starts the shard
+// afterwards.
 func (svc *Service) AdoptShard(sh *Shard) error {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
@@ -315,52 +304,30 @@ func (svc *Service) AdoptShard(sh *Shard) error {
 	}
 	svc.byIdx[sh.id] = sh
 	svc.shards = append(svc.shards, sh)
-	sortShards(svc.shards)
-	for tok, st := range sh.sess {
-		if _, ok := svc.sessions[tok]; !ok {
-			svc.sessions[tok] = st.sess
-		}
-		// The token came home (e.g. a shard migrating back): clear any
-		// tombstone left by a previous departure.
-		delete(svc.moved, tok)
-	}
+	slices.SortFunc(svc.shards, byID)
 	return nil
 }
 
-// unregister takes shard idx out of the owned set and drops the sessions
-// homed on it, tombstoning their tokens when asked. Caller holds mu.
-// Returns nil if the shard is not owned here.
-func (svc *Service) unregister(idx int, tombstone bool) *Shard {
+// unregister takes shard idx out of the owned set, and with it the tokens
+// homed there: they answer with the routing error from then on. Caller holds
+// mu. Returns nil if the shard is not owned here.
+func (svc *Service) unregister(idx int) *Shard {
 	sh := svc.byIdx[idx]
 	if sh == nil {
 		return nil
 	}
 	delete(svc.byIdx, idx)
-	for i, s := range svc.shards {
-		if s == sh {
-			svc.shards = append(svc.shards[:i], svc.shards[i+1:]...)
-			break
-		}
-	}
-	for tok, s := range svc.sessions {
-		if fsproto.ShardIndex(s.gid, svc.nShards) == idx {
-			delete(svc.sessions, tok)
-			if tombstone {
-				svc.moved[tok] = idx
-			}
-		}
-	}
+	svc.shards = slices.DeleteFunc(svc.shards, func(s *Shard) bool { return s == sh })
 	return sh
 }
 
-// RemoveShard unregisters a shard after migration cutover. Sessions homed
-// on it are tombstoned (their tokens answer with the routing error) and
-// the shard is parked on the retired list so Close still drains its
-// worker. Returns nil if the shard is not owned here.
+// RemoveShard unregisters a shard after migration cutover and parks it on the
+// retired list so Close still drains its worker. Returns nil if the shard is
+// not owned here.
 func (svc *Service) RemoveShard(idx int) *Shard {
 	svc.mu.Lock()
 	defer svc.mu.Unlock()
-	sh := svc.unregister(idx, true)
+	sh := svc.unregister(idx)
 	if sh != nil {
 		svc.retiredShards = append(svc.retiredShards, sh)
 	}
@@ -384,8 +351,10 @@ func (svc *Service) login(ctx context.Context, req *fsproto.LoginRequest, wire *
 	// The session — token included — exists before admission so the login's
 	// admission-log record carries it like any other op's: replaying the
 	// record rebinds the same token to the same credentials on a migration
-	// target or replica.
-	token := fmt.Sprintf("%s%d", svc.opts.TokenPrefix, svc.tokSeq.Add(1))
+	// target or replica. The token names its home, the tenant's shard, where
+	// a successful login enters it in the table (workLogin).
+	home := fsproto.ShardIndex(fsproto.TenantGID(req.Tenant), svc.nShards)
+	token := fmt.Sprintf("%s%d.%d", svc.opts.TokenPrefix, svc.tokSeq.Add(1), home)
 	sess := newSession(token, req.Tenant, fsproto.UserUID(req.Tenant, req.UID), req.Passphrase)
 	if _, _, err := svc.exec(ctx, opLogin, sess, req, wire); err != nil {
 		return nil, err
@@ -393,32 +362,14 @@ func (svc *Service) login(ctx context.Context, req *fsproto.LoginRequest, wire *
 	// Register the tenant on the SLO plane at first login so its gauges
 	// exist (at zero) before any op traffic.
 	svc.slo.tenant(req.Tenant)
-	return svc.register(sess)
-}
-
-// register enters sess in the session table, or returns the session its
-// token already names there (a peer's shadow session, forwarded again).
-func (svc *Service) register(sess *Session) (*Session, error) {
-	svc.mu.Lock()
-	defer svc.mu.Unlock()
-	if svc.closed {
-		return nil, ErrDraining
-	}
-	if s, ok := svc.sessions[sess.token]; ok {
-		return s, nil
-	}
-	svc.sessions[sess.token] = sess
 	return sess, nil
 }
 
-// Logout closes a session: the token leaves the session table, and every
-// owned shard drops its state and logs the logout, so no replica or migration
-// target brings the token back (the error names a shard that did not answer).
-// The keyring registration stays: it is the user's credential, not a session.
+// Logout closes a session: every owned shard drops the token's state and logs
+// the logout, so neither this node nor a replica or migration target resolves
+// the token again (the error names a shard that did not answer). The keyring
+// registration stays: it is the user's credential, not a session.
 func (svc *Service) Logout(token string) error {
-	svc.mu.Lock()
-	delete(svc.sessions, token)
-	svc.mu.Unlock()
 	ctx, cancel := context.WithTimeout(context.Background(), svc.opts.RequestTimeout)
 	defer cancel()
 	var errs []error
@@ -428,35 +379,55 @@ func (svc *Service) Logout(token string) error {
 	return errors.Join(errs...)
 }
 
-// session resolves a token.
+// session resolves a token through its home shard's table: the routing error
+// when that shard is owned elsewhere, errBadToken when the token is malformed
+// or the table does not hold it.
 func (svc *Service) session(token string) (*Session, error) {
-	svc.mu.RLock()
-	defer svc.mu.RUnlock()
-	s, ok := svc.sessions[token]
-	if !ok {
-		if idx, moved := svc.moved[token]; moved {
-			return nil, &WrongShardError{Shard: idx, Epoch: svc.epoch.Load()}
-		}
+	home := svc.tokenHome(token)
+	if home < 0 {
 		return nil, errBadToken
 	}
-	return s, nil
+	sh, err := svc.shardAt(home)
+	if err != nil {
+		return nil, err
+	}
+	sh.sessMu.RLock()
+	st := sh.sess[token]
+	sh.sessMu.RUnlock()
+	if st == nil {
+		return nil, errBadToken
+	}
+	return st.sess, nil
 }
 
-// Token returns the session's token (for clients driving the service
-// in-process).
-func (s *Session) Token() string { return s.token }
-
-// peerSession admits a forwarded request whose session is homed on the
-// forwarding node: a fabric peer vouches for the identity in the peer
-// headers (the same trust the admission-log replayer extends to record
-// credentials), and the session registers here as a shadow so repeated
-// forwards reuse its per-shard state. Tenant-level authorization is
-// unaffected — it comes from the request body's passphrase.
-func (svc *Service) peerSession(req *fsproto.Request) (*Session, error) {
-	if !req.Forwarded || req.Peer == nil || req.Token == "" {
-		return nil, errBadToken
+// tokenHome parses the home shard a token names after its last '.', without
+// allocating: -1 for a token with no such digits or an index outside the
+// routing space, which also bounds the parse.
+func (svc *Service) tokenHome(token string) int {
+	digits := token[strings.LastIndexByte(token, '.')+1:]
+	if len(digits) == 0 || len(digits) == len(token) {
+		return -1
 	}
-	return svc.register(newSession(req.Token, req.Peer.Tenant, req.Peer.UID, req.Peer.Pass))
+	home := 0
+	for _, c := range []byte(digits) {
+		if home = home*10 + int(c-'0'); c < '0' || c > '9' || home >= svc.nShards {
+			return -1
+		}
+	}
+	return home
+}
+
+// peerSession is the session a forwarded request acts as when its token is
+// homed on the forwarding node: a fabric peer vouches for the identity in the
+// peer headers (the same trust the admission-log replayer extends to record
+// credentials), for this one request — nothing is registered. The token's
+// state on the target shard is the shard's, found by token as any session's.
+// nil when req carries no peer identity.
+func peerSession(req *fsproto.Request) *Session {
+	if !req.Forwarded || req.Peer == nil || req.Token == "" {
+		return nil
+	}
+	return newSession(req.Token, req.Peer.Tenant, req.Peer.UID, req.Peer.Pass)
 }
 
 // MetricsSnapshot merges the host-side registry with every shard's
@@ -544,15 +515,14 @@ func (svc *Service) JournalEvents() []journal.Event {
 // with a drain bound of its own calls Drain first.
 func (svc *Service) Drain(ctx context.Context) { svc.conns.drain(ctx) }
 
-// Close drains the data-plane connections, then every shard in order, and
-// drops the session table. After Close, admission returns ErrDraining.
+// Close drains the data-plane connections, then every shard in order. After
+// Close, admission returns ErrDraining.
 func (svc *Service) Close() {
 	ctx, cancel := context.WithTimeout(context.Background(), svc.opts.RequestTimeout)
 	svc.Drain(ctx)
 	cancel()
 	svc.mu.Lock()
 	svc.closed = true
-	svc.sessions = make(map[string]*Session)
 	shards := append([]*Shard(nil), svc.shards...)
 	shards = append(shards, svc.retiredShards...)
 	svc.retiredShards = nil

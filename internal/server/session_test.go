@@ -5,6 +5,10 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"maps"
+	"net/http"
+	"runtime"
+	"sync"
 	"testing"
 
 	"fsencr/internal/fsproto"
@@ -53,7 +57,7 @@ func TestFailedLoginRefusedAfterMigration(t *testing.T) {
 	if _, err := svc.Login(ctx, tV, 1, "guessed", *seqs.take(gid)); !errors.Is(err, ErrAuth) {
 		t.Fatalf("login with the wrong passphrase: %v", err)
 	}
-	failed := fmt.Sprintf("t%d", svc.tokSeq.Load())
+	failed := fmt.Sprintf("t%d.1", svc.tokSeq.Load())
 
 	to := migrate(t, svc, 1)
 	if s, err := to.session(failed); !errors.Is(err, errBadToken) {
@@ -100,10 +104,11 @@ func TestLogoutRefusedAfterMigration(t *testing.T) {
 }
 
 // TestShadowSessionKeepsShardState: a session homed on shard 0 writes into
-// shard 1; shard 0 is dropped, taking the session with it, and a forward
-// registers the token again as a peer's shadow — a new Session object. Its
-// next write continues the token's state on shard 1, as every replayer of
-// shard 1's log does, so a migration of shard 1 passes promotion's gates.
+// shard 1; shard 0 is dropped, and with it the token's home, so the token
+// answers with the routing error. A forward from the token's home node acts
+// as a new Session object built from the peer headers, and its write continues
+// the token's state on shard 1, as every replayer of shard 1's log does, so a
+// migration of shard 1 passes promotion's gates.
 func TestShadowSessionKeepsShardState(t *testing.T) {
 	ctx := context.Background()
 	svc := New(clusterTestOptions())
@@ -132,14 +137,15 @@ func TestShadowSessionKeepsShardState(t *testing.T) {
 	}
 	write(sA, 0)
 	svc.DropShard(0)
-	if _, err := svc.session(sA.token); !errors.Is(err, errBadToken) {
-		t.Fatalf("dropping shard 0 kept its session: %v", err)
+	var wse *WrongShardError
+	if _, err := svc.session(sA.token); !errors.As(err, &wse) || wse.Shard != 0 {
+		t.Fatalf("the token of a session homed on dropped shard 0 resolves to %v, want the routing error naming shard 0", err)
 	}
-	shadow, err := svc.peerSession(&fsproto.Request{Forwarded: true, Token: sA.token, Peer: &fsproto.Peer{Tenant: tA, UID: sA.uid, Pass: sA.pass}})
-	if err != nil || shadow == sA {
-		t.Fatalf("peer session: %v (the dropped object again: %v)", err, shadow == sA)
+	peer := peerSession(&fsproto.Request{Forwarded: true, Token: sA.token, Peer: &fsproto.Peer{Tenant: tA, UID: sA.uid, Pass: sA.pass}})
+	if peer == nil || peer == sA {
+		t.Fatalf("peer session %p: none, or the dropped object again", peer)
 	}
-	write(shadow, 4096)
+	write(peer, 4096)
 	migrate(t, svc, 1)
 }
 
@@ -155,9 +161,22 @@ func stateful(t *testing.T, svc *Service) int {
 	return n
 }
 
+// processes counts the kernel's processes on each of svc's shards, by index,
+// read on each worker.
+func processes(t *testing.T, svc *Service) map[int]int {
+	t.Helper()
+	n := map[int]int{}
+	for _, sh := range svc.Shards() {
+		if err := sh.DoSide(context.Background(), func() { n[sh.id] = sh.Sys.Processes() }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return n
+}
+
 // TestSessionTableBounded: sessions that log in, act and log out leave no
-// state on any shard — nor on a replica of either shard's log, migrated to
-// another node — and the promoted replica registers none of their tokens.
+// state on any shard, nor a process in its kernel — nor on a replica of either
+// shard's log, migrated to another node, which resolves none of their tokens.
 func TestSessionTableBounded(t *testing.T) {
 	ctx := context.Background()
 	opts := clusterTestOptions()
@@ -166,6 +185,7 @@ func TestSessionTableBounded(t *testing.T) {
 	defer svc.Close()
 	taken := map[string]bool{}
 	tenants := []string{tenantOnShard(t, 0, 2, taken), tenantOnShard(t, 1, 2, taken)}
+	before := processes(t, svc)
 	var tokens []string
 	for i := 0; i < 50; i++ {
 		tn, other := tenants[i%2], tenants[1-i%2]
@@ -191,15 +211,163 @@ func TestSessionTableBounded(t *testing.T) {
 	if n := stateful(t, svc); n != 0 {
 		t.Fatalf("the shards keep state for %d tokens after every session logged out", n)
 	}
+	if after := processes(t, svc); !maps.Equal(after, before) {
+		t.Fatalf("kernel processes per shard %v after every session logged out, %v before", after, before)
+	}
 	for idx := range 2 {
 		to := migrate(t, svc, idx)
 		if n := stateful(t, to); n != 0 {
 			t.Fatalf("a replica of shard %d keeps state for %d tokens", idx, n)
 		}
-		for _, tok := range tokens {
-			if _, err := to.session(tok); !errors.Is(err, errBadToken) {
-				t.Fatalf("adopting shard %d registered the logged-out token %s: %v", idx, tok, err)
+		if n := processes(t, to)[idx]; n != before[idx] {
+			t.Fatalf("a replica of shard %d keeps %d kernel processes, the source %d before the sessions", idx, n, before[idx])
+		}
+		for i, tok := range tokens {
+			if home := i % 2; home == idx {
+				if _, err := to.session(tok); !errors.Is(err, errBadToken) {
+					t.Fatalf("the owner of adopted shard %d resolves the logged-out token %s: %v", idx, tok, err)
+				}
+			} else if _, err := to.session(tok); !isWrongShard(err, home) {
+				t.Fatalf("the owner of shard %d only resolves token %s, homed on shard %d, to %v", idx, tok, home, err)
 			}
 		}
+	}
+}
+
+// TestSessionTableConcurrent: handlers resolve tokens off the worker while the
+// worker enters them at login and drops them at logout. Run it under -race.
+func TestSessionTableConcurrent(t *testing.T) {
+	opts := clusterTestOptions()
+	opts.Deterministic = false
+	svc := New(opts)
+	defer svc.Close()
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			tn := fmt.Sprintf("tenant%d", g)
+			for range 25 {
+				s, err := svc.Login(ctx, tn, 1, "pw-"+tn, 0)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := svc.session(s.token); got != s || err != nil {
+					t.Errorf("token %s resolves to %p (%v), the login's session is %p", s.token, got, err, s)
+					return
+				}
+				if err := svc.Logout(s.token); err != nil {
+					t.Error(err)
+					return
+				}
+				if _, err := svc.session(s.token); !errors.Is(err, errBadToken) {
+					t.Errorf("token %s resolves after its logout: %v", s.token, err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+}
+
+// isWrongShard reports whether err is the routing error naming shard idx.
+func isWrongShard(err error, idx int) bool {
+	var wse *WrongShardError
+	return errors.As(err, &wse) && wse.Shard == idx
+}
+
+// TestLogoutRefusesAdmittedOp: an op admitted under a token before its logout
+// and served after it is refused with the auth error on the token's home shard,
+// and brings none of the token's state back — live, and in every replica of
+// the shard's log, which passes promotion's gates.
+func TestLogoutRefusesAdmittedOp(t *testing.T) {
+	ctx := context.Background()
+	svc := New(clusterTestOptions())
+	defer svc.Close()
+	tn := tenantOnShard(t, 1, 2, map[string]bool{})
+	seqs := newSeqFor(2)
+	gid := fsproto.TenantGID(tn)
+	s, err := svc.Login(ctx, tn, 1, "pw-"+tn, *seqs.take(gid))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := svc.shardAt(1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	h, err := sh.Hold(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() {
+		done <- svc.Create(ctx, s, fsproto.CreateRequest{Name: "late", Perm: 0600, Size: 4096, Seq: seqs.take(gid)})
+	}()
+	for sh.depth.Load() == 0 {
+		runtime.Gosched()
+	}
+	if err := svc.Logout(s.token); err != nil {
+		t.Fatal(err)
+	}
+	h.Resume()
+	if err := <-done; !errors.Is(err, errBadToken) {
+		t.Fatalf("an op admitted before the logout and served after it answers %v, want the auth error", err)
+	}
+	var st *sessState
+	if err := sh.DoSide(ctx, func() { st = sh.sess[s.token] }); err != nil || st != nil {
+		t.Fatalf("the home shard holds state for the logged-out token (%v)", err)
+	}
+	to := migrate(t, svc, 1)
+	if _, err := to.session(s.token); !errors.Is(err, errBadToken) {
+		t.Fatalf("the new owner resolves the logged-out token: %v", err)
+	}
+}
+
+// TestMalformedTokens: a token that names no home shard in the routing space
+// is refused as unknown, one whose home is owned elsewhere answers the routing
+// error naming that shard, and none of them panics — resolved directly, and
+// through a request.
+func TestMalformedTokens(t *testing.T) {
+	opts := clusterTestOptions()
+	opts.OwnedShards = []int{0}
+	svc := New(opts)
+	defer svc.Close()
+	for _, c := range []struct {
+		token string
+		home  int // -1: malformed
+	}{
+		{"", -1},
+		{"t1", -1},
+		{"t1.", -1},
+		{".", -1},
+		{"t1.x", -1},
+		{"t1.0x", -1},
+		{"t1.-1", -1},
+		{"t1.+1", -1},
+		{"t1.99999999999999999999999999999", -1},
+		{"t1.2", -1},
+		{"t1.0", 0}, // owned here, but no login minted it
+		{"t1.1", 1},
+		{"t1.2.1", 1},
+	} {
+		_, err := svc.session(c.token)
+		want := http.StatusUnauthorized
+		if c.home == 1 {
+			want = http.StatusMisdirectedRequest
+			if !isWrongShard(err, 1) {
+				t.Errorf("token %q resolves to %v, want the routing error naming shard 1", c.token, err)
+			}
+		} else if !errors.Is(err, errBadToken) {
+			t.Errorf("token %q resolves to %v, want errBadToken", c.token, err)
+		}
+		resp, _ := svc.handle(&fsproto.Request{Path: "/v1/stat", Token: c.token, Body: []byte(`{"name":"f"}`)})
+		if resp.Status != want {
+			t.Errorf("token %q: a request answers %d, want %d", c.token, resp.Status, want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { svc.tokenHome("n0123abcd-42.1") }); n != 0 {
+		t.Errorf("parsing a token's home shard allocates %.0f times", n)
 	}
 }

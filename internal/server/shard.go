@@ -202,21 +202,15 @@ type Shard struct {
 	sinceCkpt int
 	detNext   uint64
 	retired   error
-	sess      map[string]*sessState // token -> its state here; worker-only
+	// sess maps a token to its state here. Only the worker writes it, under
+	// sessMu, and reads it without; Service.session reads it under sessMu.
+	sessMu sync.RWMutex
+	sess   map[string]*sessState
 }
 
 // traceKeepEvery is the tail sampler's probabilistic keep rate for traces
 // that are neither errors nor slow-decile: 1 in traceKeepEvery.
 const traceKeepEvery = 8
-
-// NewShard boots a system for shard id and starts its worker.
-// deterministic selects the admission discipline; perTenant bounds the
-// fair-mode queues (<= 0 uses DefaultPerTenantQueue). serverReg is the
-// host-side (non-deterministic) registry receiving the shard's queue-depth
-// gauge; nil is allowed.
-func NewShard(id int, cfg config.Config, mode memctrl.Mode, access kernel.AccessMode, deterministic bool, perTenant int, serverReg *telemetry.Registry) *Shard {
-	return NewShardWith(id, cfg, mode, access, deterministic, perTenant, serverReg, ShardOptions{})
-}
 
 // ShardOptions carries the cluster-plane knobs of a shard.
 type ShardOptions struct {
@@ -234,7 +228,11 @@ type ShardOptions struct {
 	Detached bool
 }
 
-// NewShardWith is NewShard plus cluster-plane options.
+// NewShardWith boots a system for shard id and starts its worker (unless
+// so.Detached). deterministic selects the admission discipline; perTenant
+// bounds the fair-mode queues (<= 0 uses DefaultPerTenantQueue). serverReg is
+// the host-side (non-deterministic) registry receiving the shard's
+// queue-depth gauge; nil is allowed.
 func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.AccessMode, deterministic bool, perTenant int, serverReg *telemetry.Registry, so ShardOptions) *Shard {
 	if perTenant <= 0 {
 		perTenant = DefaultPerTenantQueue

@@ -15,8 +15,8 @@ import (
 
 func testShard(t *testing.T, det bool, perTenant int) *Shard {
 	t.Helper()
-	sh := NewShard(0, config.Default(), memctrl.Mode{MemEncryption: true, FileEncryption: true},
-		kernel.ModeDAX, det, perTenant, nil)
+	sh := NewShardWith(0, config.Default(), memctrl.Mode{MemEncryption: true, FileEncryption: true},
+		kernel.ModeDAX, det, perTenant, nil, ShardOptions{})
 	t.Cleanup(sh.Close)
 	return sh
 }
