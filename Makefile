@@ -120,12 +120,13 @@ cluster-smoke:
 vet:
 	$(GO) vet ./...
 
-# Hot-path microbenchmarks (datapath + Merkle write-back + crypto engine +
-# kvstore + the server read path and the product client over loopback), one
-# iteration batch each — enough for before/after comparisons of the
-# fast-path.
+# Hot-path microbenchmarks (datapath + PCM page burst and repeat + Merkle
+# write-back + crypto engine + kvstore + the server read path and the
+# product client over loopback), one iteration batch each — enough for
+# before/after comparisons of the fast-path.
 bench:
 	$(GO) test -run '^$$' -bench 'ReadLine|WriteLine|ReadPage|WritePage' ./internal/memctrl
+	$(GO) test -run '^$$' -bench 'AccessPage|AccessRepeat' ./internal/pcm
 	$(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush' ./internal/merkle
 	$(GO) test -run '^$$' -bench . ./internal/aesctr
 	$(GO) test -run '^$$' -bench 'Put|Get' ./internal/kvstore

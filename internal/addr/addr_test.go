@@ -133,3 +133,26 @@ func TestMappingDFIgnored(t *testing.T) {
 		t.Fatal("DF bit leaked into DRAM mapping")
 	}
 }
+
+// TestMappingRun: the lines of a run all share the first line's bank and
+// row, and the line after the run starts a new row buffer column sweep.
+func TestMappingRun(t *testing.T) {
+	m := NewMapping(config.Default().PCM)
+	f := func(raw uint64) bool {
+		p := Phys(raw & uint64(AddrMask) >> 1).LineAlign()
+		bank, row, lines := m.Run(p)
+		if lines < 1 || lines > config.Default().PCM.RowBufferBytes/config.LineSize {
+			return false
+		}
+		for i := 0; i < lines; i++ {
+			d := m.Decompose(p + Phys(i*config.LineSize))
+			if m.BankID(d) != bank || d.Row != row {
+				return false
+			}
+		}
+		return m.Decompose(p+Phys(lines*config.LineSize)).Col == 0
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+}

@@ -60,6 +60,14 @@ func (m *Mapping) Decompose(p Phys) Decomposed {
 	return d
 }
 
+// Run returns the flat bank and the row of the line containing p, and how
+// many lines from it on (its own included) share both: the column bits are
+// the lowest, so a run ends where they wrap.
+func (m *Mapping) Run(p Phys) (bank int, row uint64, lines int) {
+	d := m.Decompose(p)
+	return m.BankID(d), d.Row, 1<<m.colBits - d.Col
+}
+
 // BankID returns a flat bank identifier in [0, TotalBanks).
 func (m *Mapping) BankID(d Decomposed) int {
 	return (d.Channel*m.ranks+d.Rank)*m.banks + d.Bank

@@ -20,6 +20,7 @@
 package memctrl
 
 import (
+	"slices"
 	"sync/atomic"
 
 	"fsencr/internal/aesctr"
@@ -125,12 +126,15 @@ type Controller struct {
 	lineStart [config.LinesPerPage]config.Cycle
 	lineDone  [config.LinesPerPage]config.Cycle
 
-	// writeQueue holds the completion times of in-flight writes. Writes
-	// are posted: the core's CLWB/SFENCE completes when the store is
-	// *accepted* into the controller's persistence domain (ADR), not when
-	// the PCM array write finishes. Backpressure appears only when the
-	// queue fills.
-	writeQueue writeQueue
+	// writeQueue holds the completion times of in-flight writes in
+	// ascending order. Writes are posted: the core's CLWB/SFENCE completes
+	// when the store is *accepted* into the controller's persistence
+	// domain (ADR), not when the PCM array write finishes. Backpressure
+	// appears only when the queue fills. The queue is a window of
+	// wqBufs[wqSide]; the other buffer is the target of the next merge
+	// (postWrites).
+	writeQueue []config.Cycle
+	wqSide     int
 
 	violations uint64
 
@@ -153,6 +157,9 @@ type Controller struct {
 	// page-access records written through to the reserved region at
 	// AuditBase.
 	aud *audit.Log
+
+	// Last, so the 4 KiB of queue buffers leave the other fields together.
+	wqBufs [2][4 * writeQueueDepth]config.Cycle
 }
 
 // writeQueueDepth is the number of in-flight writes the controller buffers.
@@ -160,61 +167,43 @@ type Controller struct {
 // page burst the queue may hold up to 2*writeQueueDepth-1 entries.
 const writeQueueDepth = 64
 
-// writeQueue is a binary min-heap of in-flight write completion times. The
-// datapath only ever asks it for the earliest completion — to retire
-// everything at or before now, or to wait for a slot when full — so the root
-// answers in O(1) and a removal costs O(log n); a flat slice would cost a
-// scan of the queue per line written.
-type writeQueue []config.Cycle
-
-func (q *writeQueue) push(done config.Cycle) {
-	h := append(*q, done)
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= done {
-			break
-		}
-		h[i] = h[parent]
-		i = parent
-	}
-	h[i] = done
-	*q = h
-}
-
-// pop removes and returns the earliest completion of a non-empty queue.
-func (q *writeQueue) pop() config.Cycle {
-	h := *q
-	earliest, last := h[0], h[len(h)-1]
-	h = h[:len(h)-1]
-	*q = h
-	// Sift the former last element down from the root.
-	i := 0
-	for {
-		child := 2*i + 1
-		if child >= len(h) {
-			break
-		}
-		if r := child + 1; r < len(h) && h[r] < h[child] {
-			child = r
-		}
-		if last <= h[child] {
-			break
-		}
-		h[i] = h[child]
-		i = child
-	}
-	if len(h) > 0 {
-		h[i] = last
-	}
-	return earliest
-}
-
-// retireWrites drops completed writes from the in-flight queue.
+// retireWrites drops completed writes, a prefix of the queue.
 func (c *Controller) retireWrites(now config.Cycle) {
-	for len(c.writeQueue) > 0 && c.writeQueue[0] <= now {
-		c.writeQueue.pop()
+	q := c.writeQueue
+	for len(q) > 0 && q[0] <= now {
+		q = q[1:]
 	}
+	c.writeQueue = q
+}
+
+// postWrites adds a request's completion times to the queue, reordering
+// dones. A lone line inserts in place, moving only the entries after it. A
+// run sorts its completions once and merges them with the queue into the
+// spare buffer, which then holds the queue; so does a lone line that finds
+// no room after the queue's end.
+func (c *Controller) postWrites(dones []config.Cycle) {
+	q := c.writeQueue
+	if len(dones) == 1 && len(q) < cap(q) {
+		i, d := len(q), dones[0]
+		q = q[:i+1]
+		for ; i > 0 && q[i-1] > d; i-- {
+			q[i] = q[i-1]
+		}
+		q[i] = d
+		c.writeQueue = q
+		return
+	}
+	slices.Sort(dones)
+	c.wqSide ^= 1
+	out := c.wqBufs[c.wqSide][:0]
+	for len(q) > 0 && len(dones) > 0 {
+		if q[0] <= dones[0] {
+			out, q = append(out, q[0]), q[1:]
+		} else {
+			out, dones = append(out, dones[0]), dones[1:]
+		}
+	}
+	c.writeQueue = append(append(out, q...), dones...)
 }
 
 // acceptSlot grants one persistence-domain slot at now, popping the
@@ -226,7 +215,9 @@ func (c *Controller) acceptSlot(now config.Cycle) config.Cycle {
 	}
 	// Queue full: wait for the earliest in-flight write to retire.
 	c.n.writeQueueStalls.Add(1)
-	return c.writeQueue.pop() + 1
+	earliest := c.writeQueue[0]
+	c.writeQueue = c.writeQueue[1:]
+	return earliest + 1
 }
 
 // instanceSeq gives every controller distinct processor keys (fuses differ

@@ -238,9 +238,7 @@ func (c *Controller) issueWrites(now, firstAccept config.Cycle, raw addr.Phys, n
 		c.lineStart[li] = max(dataReady0+config.Cycle(li), accept)
 	}
 	c.accessLines(now, raw, n, true)
-	for _, done := range c.lineDone[:n] {
-		c.writeQueue.push(done)
-	}
+	c.postWrites(c.lineDone[:n])
 	// Long-standing quirk the figures' telemetry exports are pinned to: an
 	// unencrypted line write records no accept-latency sample.
 	if c.mode.MemEncryption || n > 1 {

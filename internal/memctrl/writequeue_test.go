@@ -8,8 +8,8 @@ import (
 	"fsencr/internal/config"
 )
 
-// linearQueue is the flat-slice write queue the heap replaced, kept as the
-// reference: retire filters the slice, accept scans it for the minimum.
+// linearQueue is the flat-slice write queue, kept as the reference for the
+// sorted one: retire filters the slice, accept scans it for the minimum.
 type linearQueue struct {
 	q      []config.Cycle
 	stalls uint64
@@ -42,15 +42,17 @@ func (l *linearQueue) accept(now config.Cycle) config.Cycle {
 	return accepted + 1
 }
 
-// TestWriteQueueMatchesLinearScan drives the controller's heap and the
-// linear reference with the same seeded stream of requests — each one
+// TestWriteQueueMatchesLinearScan drives the controller's sorted queue and
+// the linear reference with the same seeded stream of requests — each one
 // retire at its arrival, then a run of 1 or 64 lines claiming a slot per
-// line and posting its completions, as writeLines/issueWrites do — and
-// requires identical accept times, stall counts and surviving multisets
-// after every request. Arrival gaps and completion delays are drawn so the
-// queue spends time empty, filling, full, and over-full (64..127 entries
-// right after a page burst), and completions collide on a coarse grid so
-// ties at the minimum are common.
+// line and posting its completions through postWrites (a run merges, a
+// lone line inserts in place), as writeLines/issueWrites do — and requires
+// identical accept times and stall counts, and the queue to equal the
+// reference's surviving multiset in ascending order, after every request.
+// Arrival gaps and completion delays are drawn so the queue spends time
+// empty, filling, full, and over-full (64..127 entries right after a page
+// burst), and completions collide on a coarse grid so ties at the minimum
+// are common.
 func TestWriteQueueMatchesLinearScan(t *testing.T) {
 	c := newMC(Mode{})
 	ref := &linearQueue{}
@@ -90,17 +92,14 @@ func TestWriteQueueMatchesLinearScan(t *testing.T) {
 			}
 			got, want = c.acceptSlot(got), ref.accept(want)
 		}
-		for _, d := range dones[:n] {
-			c.writeQueue.push(d)
-			steps++
-		}
 		ref.q = append(ref.q, dones[:n]...)
+		c.postWrites(dones[:n])
+		steps += n
 
-		heap, flat := slices.Clone([]config.Cycle(c.writeQueue)), slices.Clone(ref.q)
-		slices.Sort(heap)
+		flat := slices.Clone(ref.q)
 		slices.Sort(flat)
-		if !slices.Equal(heap, flat) {
-			t.Fatalf("request %d: queues diverged\nheap   %v\nlinear %v", req, heap, flat)
+		if !slices.Equal(c.writeQueue, flat) {
+			t.Fatalf("request %d: queues diverged\nsorted %v\nlinear %v", req, c.writeQueue, flat)
 		}
 		if stalls := c.st.Get("mc.write_queue_stalls"); stalls != ref.stalls {
 			t.Fatalf("request %d: %d stalls counted, linear scan says %d", req, stalls, ref.stalls)

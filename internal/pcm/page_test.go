@@ -1,12 +1,15 @@
 package pcm
 
 import (
+	"fmt"
+	"reflect"
 	"testing"
 
 	"fsencr/internal/addr"
 	"fsencr/internal/aesctr"
 	"fsencr/internal/config"
 	"fsencr/internal/stats"
+	"fsencr/internal/telemetry"
 )
 
 func TestPageRoundtrip(t *testing.T) {
@@ -55,21 +58,47 @@ func TestAccessPagePipelinesBanks(t *testing.T) {
 	}
 }
 
+// instrumented returns a device with a telemetry registry attached.
+func instrumented() (*Memory, *stats.Set, *telemetry.Registry) {
+	st, reg := stats.NewSet(), telemetry.New()
+	m := New(config.Default().PCM, st)
+	m.Instrument(reg)
+	return m, st, reg
+}
+
+// requireSameBooks fails unless two devices' event counters and latency
+// histograms (buckets, count, sum, max) are equal.
+func requireSameBooks(t *testing.T, what string, st, wantSt *stats.Set, reg, wantReg *telemetry.Registry) {
+	t.Helper()
+	for _, name := range []string{"pcm.reads", "pcm.writes", "pcm.row_hits", "pcm.row_misses", "pcm.bank_conflicts", "pcm.adaptive_closes"} {
+		if st.Get(name) != wantSt.Get(name) {
+			t.Errorf("%s %s: %d, per-line Access %d", what, name, st.Get(name), wantSt.Get(name))
+		}
+	}
+	got, want := reg.Snapshot().Histograms, wantReg.Snapshot().Histograms
+	for _, name := range []string{"pcm.queue_delay_cycles", "pcm.service_cycles"} {
+		if want[name] == nil || want[name].Count == 0 {
+			t.Fatalf("%s: per-line Access recorded no %s", what, name)
+		}
+		if !reflect.DeepEqual(got[name], want[name]) {
+			t.Errorf("%s %s: %+v, per-line Access %+v", what, name, got[name], want[name])
+		}
+	}
+}
+
 // TestAccessPageStatsMatchPerLine pins that batching only changes how event
-// counters are flushed, never what they count.
+// counters and latency histograms are flushed, never what they record.
 func TestAccessPageStatsMatchPerLine(t *testing.T) {
 	pa := addr.Phys(0x200000)
 	var starts, dones [config.LinesPerPage]config.Cycle
 
-	stPage := stats.NewSet()
-	mPage := New(config.Default().PCM, stPage)
+	mPage, stPage, regPage := instrumented()
 	for li := range starts {
 		starts[li] = config.Cycle(li)
 	}
 	mPage.AccessPage(0, pa, true, &starts, &dones)
 
-	stLine := stats.NewSet()
-	mLine := New(config.Default().PCM, stLine)
+	mLine, stLine, regLine := instrumented()
 	for li := 0; li < config.LinesPerPage; li++ {
 		want := mLine.Access(starts[li], pa+addr.Phys(li*config.LineSize), true)
 		if dones[li] != want {
@@ -77,21 +106,18 @@ func TestAccessPageStatsMatchPerLine(t *testing.T) {
 		}
 	}
 
-	for _, name := range []string{"pcm.reads", "pcm.writes", "pcm.row_hits", "pcm.row_misses", "pcm.bank_conflicts", "pcm.adaptive_closes"} {
-		if stPage.Get(name) != stLine.Get(name) {
-			t.Errorf("%s: page path %d != line path %d", name, stPage.Get(name), stLine.Get(name))
-		}
-	}
+	requireSameBooks(t, "page path", stPage, stLine, regPage, regLine)
 }
 
 // TestAccessRepeatMatchesAccess: n accesses to one line as one call leave
 // the bank, the completion time and the counters exactly where n Access
-// calls leave them, on a bank that is idle, busy, and busy in another row.
+// calls leave them, histograms included, on a bank that is idle, busy, and
+// busy in another row.
 func TestAccessRepeatMatchesAccess(t *testing.T) {
 	line := addr.Phys(0x300000)
 	for _, n := range []int{1, 2, 32} {
-		stRep, stOne := stats.NewSet(), stats.NewSet()
-		mRep, mOne := New(config.Default().PCM, stRep), New(config.Default().PCM, stOne)
+		mRep, stRep, regRep := instrumented()
+		mOne, stOne, regOne := instrumented()
 		// Leave the line's bank busy in a different row first.
 		other := line + addr.Phys(64*config.PageSize)
 		mRep.Access(0, other, false)
@@ -110,11 +136,7 @@ func TestAccessRepeatMatchesAccess(t *testing.T) {
 		if after, want := mRep.Access(200000, line, false), mOne.Access(200000, line, false); after != want {
 			t.Fatalf("n=%d: bank state diverged: next access done %d vs %d", n, after, want)
 		}
-		for _, name := range []string{"pcm.reads", "pcm.writes", "pcm.row_hits", "pcm.row_misses", "pcm.bank_conflicts", "pcm.adaptive_closes"} {
-			if stRep.Get(name) != stOne.Get(name) {
-				t.Errorf("n=%d %s: repeat %d != per-call %d", n, name, stRep.Get(name), stOne.Get(name))
-			}
-		}
+		requireSameBooks(t, fmt.Sprintf("n=%d repeat", n), stRep, stOne, regRep, regOne)
 	}
 }
 
@@ -124,5 +146,16 @@ func BenchmarkAccessPage(b *testing.B) {
 	now := config.Cycle(0)
 	for i := 0; i < b.N; i++ {
 		now = m.AccessPage(now, addr.Phys(i%16)*config.PageSize, i%2 == 0, nil, nil)
+	}
+}
+
+// BenchmarkAccessRepeat is the shape of a page write's stop-loss
+// write-throughs: 32 writes to one line in one call.
+func BenchmarkAccessRepeat(b *testing.B) {
+	m := newMem()
+	b.ReportAllocs()
+	now := config.Cycle(0)
+	for i := 0; i < b.N; i++ {
+		now = m.AccessRepeat(now, addr.Phys(i%16)*config.PageSize, true, 32)
 	}
 }

@@ -144,43 +144,43 @@ func (m *Memory) flushTally(t *tally) {
 }
 
 // Access schedules a line read or write arriving at time now and returns
-// its completion time. Bank state (row buffer, busy-until) is updated.
+// its completion time. Bank state (row buffer, busy-until) is updated. A
+// lone access observes its latency histograms directly: zeroing walk's two
+// batches would cost more than the atomics they save.
 func (m *Memory) Access(now config.Cycle, pa addr.Phys, write bool) config.Cycle {
 	var t tally
-	done := m.access(now, pa, write, &t)
+	bank, row, _ := m.mapping.Run(pa)
+	start, service := m.access(now, &m.banks[bank], row, write, &t)
+	m.tQueue.Observe(uint64(start - now))
+	m.tService.Observe(uint64(service))
 	m.flushTally(&t)
-	return done
+	return start + service
 }
 
 // AccessRepeat schedules n accesses of the one line containing pa, all
 // arriving at now, and returns the completion time of the last: n Access
-// calls on the bank state machine, with the event counts folded into the
-// stats set once. The controller issues a page write's stop-loss counter
-// write-throughs this way.
-func (m *Memory) AccessRepeat(now config.Cycle, pa addr.Phys, write bool, n int) (last config.Cycle) {
-	var t tally
-	for i := 0; i < n; i++ {
-		last = m.access(now, pa, write, &t)
+// calls on the bank state machine, with the bookkeeping folded in once. The
+// controller issues a page write's stop-loss counter write-throughs this
+// way, and a lone line's single one, which goes as Access.
+func (m *Memory) AccessRepeat(now config.Cycle, pa addr.Phys, write bool, n int) config.Cycle {
+	if n == 1 {
+		return m.Access(now, pa, write)
 	}
-	m.flushTally(&t)
-	return last
+	return m.walk(now, pa, write, n, 0, nil, nil)
 }
 
-// access is the bank state machine shared by Access, AccessRepeat and
-// AccessPage; event counts land in t, not the stats set.
-func (m *Memory) access(now config.Cycle, pa addr.Phys, write bool, tl *tally) config.Cycle {
-	d := m.mapping.Decompose(pa)
-	b := &m.banks[m.mapping.BankID(d)]
-
-	start := now
+// access is the bank state machine shared by Access and walk: one access of
+// row on bank b arriving at now. Event counts land in tl, not the stats
+// set; it returns when the access starts and how long its service takes,
+// from which callers take the completion time and the latency samples.
+func (m *Memory) access(now config.Cycle, b *bank, row uint64, write bool, tl *tally) (start, service config.Cycle) {
+	start = now
 	if b.readyAt > start {
 		start = b.readyAt
 		tl.conflicts++
 	}
-	m.tQueue.Observe(uint64(start - now))
 
-	var service config.Cycle
-	rowHit := b.rowValid && b.openRow == d.Row
+	rowHit := b.rowValid && b.openRow == row
 	switch {
 	case rowHit:
 		service = m.cfg.RowBufferHitLatency
@@ -205,16 +205,14 @@ func (m *Memory) access(now config.Cycle, pa addr.Phys, write bool, tl *tally) c
 		tl.reads++
 	}
 
-	done := start + service
-	m.tService.Observe(uint64(service))
-	busyUntil := done
+	busyUntil := start + service
 	if write {
 		busyUntil += m.cfg.TWR - m.cfg.WriteLatency // recovery overlaps cell write
 	}
 
 	// Open-adaptive policy: keep the row open by default; after two
 	// consecutive conflicts on this bank, close the row eagerly.
-	b.openRow = d.Row
+	b.openRow = row
 	b.rowValid = true
 	if b.conflictStreak >= 2 {
 		b.rowValid = false
@@ -222,7 +220,42 @@ func (m *Memory) access(now config.Cycle, pa addr.Phys, write bool, tl *tally) c
 		tl.adaptiveCloses++
 	}
 	b.readyAt = busyUntil
-	return done
+	return start, service
+}
+
+// walk schedules n accesses starting at the line containing pa and
+// advancing stride lines each (1: a page burst, 0: one line repeated), and
+// returns the latest completion. It resolves the bank and row once per run
+// of lines sharing them, and folds the event counts and both latency
+// histograms in once per call. Access i arrives at starts[i] (at now when
+// starts is nil) and its completion goes to dones[i] when dones is non-nil.
+func (m *Memory) walk(now config.Cycle, pa addr.Phys, write bool, n, stride int, starts, dones *[config.LinesPerPage]config.Cycle) (last config.Cycle) {
+	var tl tally
+	var queue, service telemetry.Batch
+	for i := 0; i < n; {
+		bank, row, lines := m.mapping.Run(pa + addr.Phys(i*stride*config.LineSize))
+		if stride == 0 {
+			lines = n
+		}
+		b := &m.banks[bank]
+		for end := min(i+lines, n); i < end; i++ {
+			at := now
+			if starts != nil {
+				at = starts[i]
+			}
+			start, svc := m.access(at, b, row, write, &tl)
+			queue.Observe(uint64(start - at))
+			service.Observe(uint64(svc))
+			last = max(last, start+svc)
+			if dones != nil {
+				dones[i] = start + svc
+			}
+		}
+	}
+	m.flushTally(&tl)
+	m.tQueue.Add(&queue)
+	m.tService.Add(&service)
+	return last
 }
 
 // AccessPage schedules all 64 line accesses of the page containing pa as
@@ -235,8 +268,8 @@ func (m *Memory) access(now config.Cycle, pa addr.Phys, write bool, tl *tally) c
 //
 // starts optionally gives each line its own issue time (otherwise all
 // issue at now); dones optionally receives per-line completion times (the
-// controller feeds them to its write queue). Event counters are folded
-// into the stats set once per page instead of once per line.
+// controller feeds them to its write queue). The burst walks the mapping
+// once per (bank, row) run and keeps its books once per page.
 func (m *Memory) AccessPage(now config.Cycle, pa addr.Phys, write bool, starts, dones *[config.LinesPerPage]config.Cycle) (last config.Cycle) {
 	if ts := m.trace; ts.Active() {
 		name := "access_page_read"
@@ -246,23 +279,7 @@ func (m *Memory) AccessPage(now config.Cycle, pa addr.Phys, write bool, starts, 
 		ts.Enter()
 		defer func() { ts.Exit("pcm", name, uint64(now), uint64(last), 0) }()
 	}
-	base := pa.PageAlign()
-	var tl tally
-	for li := 0; li < config.LinesPerPage; li++ {
-		at := now
-		if starts != nil {
-			at = starts[li]
-		}
-		done := m.access(at, base+addr.Phys(li*config.LineSize), write, &tl)
-		if dones != nil {
-			dones[li] = done
-		}
-		if done > last {
-			last = done
-		}
-	}
-	m.flushTally(&tl)
-	return last
+	return m.walk(now, pa.PageAlign(), write, config.LinesPerPage, 1, starts, dones)
 }
 
 // ReadPageInto copies the full 4 KB page containing pa into dst.

@@ -7,8 +7,12 @@
 //
 //   - The hot path must be cheap. A live counter increment is one atomic
 //     add on a pre-resolved pointer (no map lookup, no lock, no
-//     allocation); a histogram observation is a bits.Len64 plus three
-//     atomic adds. Both stay well under the 20 ns/event budget.
+//     allocation); a histogram observation is a bits.Len64, two atomic adds
+//     and an atomic load, plus a store when it sets a new max. Both stay
+//     well under the 20 ns/event budget. A run of events recorded in one
+//     call (a page burst's 64 line accesses) observes into a plain Batch
+//     and folds it into the Histogram once with Add; a lone event observes
+//     directly, as zeroing a Batch costs more than the atomics it saves.
 //   - The subsystem must compile out. Every metric handle is nil-safe: an
 //     uninstrumented component carries nil *Counter/*Histogram fields and
 //     pays exactly one predictable branch per event. A nil *Registry is
@@ -103,6 +107,39 @@ func (h *Histogram) Observe(v uint64) {
 	h.sum.Add(v)
 	if v > h.max.Load() {
 		h.max.Store(v)
+	}
+}
+
+// Batch gathers observations bound for one Histogram without atomics, for
+// a caller that records a run of events at a time and folds them in with
+// Histogram.Add. Bucket counts, sum and max do not depend on order, so the
+// folded histogram equals one fed value by value. The zero value is empty.
+type Batch struct {
+	buckets  [NumBuckets]uint64
+	sum, max uint64
+}
+
+// Observe records one value in the batch.
+func (b *Batch) Observe(v uint64) {
+	b.buckets[bits.Len64(v)]++
+	b.sum += v
+	b.max = max(b.max, v)
+}
+
+// Add folds batch b into h: the same state as observing b's values one by
+// one.
+func (h *Histogram) Add(b *Batch) {
+	if h == nil {
+		return
+	}
+	for i, n := range b.buckets {
+		if n != 0 {
+			h.buckets[i].Add(n)
+		}
+	}
+	h.sum.Add(b.sum)
+	if b.max > h.max.Load() {
+		h.max.Store(b.max)
 	}
 }
 

@@ -3,6 +3,7 @@ package telemetry
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -305,5 +306,47 @@ func TestSpanCategories(t *testing.T) {
 	got := r.Snapshot().SpanCategories()
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("SpanCategories = %v", got)
+	}
+}
+
+// TestBatchAddMatchesObserve: a batch folded in with Add leaves a histogram
+// exactly where observing the same values one by one leaves it — v = 0 and
+// values in the top bucket included — an empty batch leaves its max alone,
+// and a nil histogram ignores a batch.
+func TestBatchAddMatchesObserve(t *testing.T) {
+	r := New()
+	direct, folded := r.Histogram("direct"), r.Histogram("folded")
+	for _, vs := range [][]uint64{
+		{0, 0, 1, 7, 1 << 20, 3, 0},
+		{1<<63 + 5, 2, 1 << 63, ^uint64(0)},
+		{9, 4},
+	} {
+		var b Batch
+		for _, v := range vs {
+			direct.Observe(v)
+			b.Observe(v)
+		}
+		folded.Add(&b)
+	}
+	s := r.Snapshot()
+	want, got := s.Histograms["direct"], s.Histograms["folded"]
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("folded %+v, observed one by one %+v", got, want)
+	}
+	if got.Buckets[0] != 3 || got.Buckets[64] != 3 || got.Max != ^uint64(0) {
+		t.Fatalf("bucket 0 = %d, bucket 64 = %d, max %d", got.Buckets[0], got.Buckets[64], got.Max)
+	}
+
+	folded.Add(&Batch{})
+	if after := r.Snapshot().Histograms["folded"]; !reflect.DeepEqual(after, got) {
+		t.Fatalf("an empty batch changed the histogram: %+v, was %+v", after, got)
+	}
+
+	var nilHist *Histogram
+	b := Batch{}
+	b.Observe(3)
+	nilHist.Add(&b)
+	if nilHist.Count() != 0 {
+		t.Fatal("nil histogram recorded a batch")
 	}
 }
