@@ -185,10 +185,11 @@ bench-check:
 # ReadPage/WritePage. See internal/memctrl/overhead_guard_test.go.
 # TestReadScalingGuard is the concurrent-read gate: on >= 4-core hosts,
 # 8 readers on one shard must sustain >= 2x single-reader throughput
-# through the snapshot fast-path (skipped on smaller hosts).
+# through the snapshot fast-path (skipped on smaller hosts). Both lines run
+# with -count=1: a cached pass would replay an old timing verdict.
 overhead-guard:
-	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestTelemetryOverheadGuard|TestWriteLineGapGuard|TestPageGapGuard|TestWritePageGapGuard|TestAuditOverheadGuard|TestTraceOverheadGuard' -v ./internal/memctrl
-	FSENCR_OVERHEAD_GUARD=1 $(GO) test -run 'TestReadScalingGuard' -v ./internal/server
+	FSENCR_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'TestTelemetryOverheadGuard|TestWriteLineGapGuard|TestPageGapGuard|TestWritePageGapGuard|TestAuditOverheadGuard|TestTraceOverheadGuard' -v ./internal/memctrl
+	FSENCR_OVERHEAD_GUARD=1 $(GO) test -count=1 -run 'TestReadScalingGuard' -v ./internal/server
 
 # `test` and `race` already run every test of every package, so there are no
 # per-plane `-run` shortcuts to chain here: to check one plane, name its test

@@ -53,20 +53,6 @@ func writeFileWith(path string, write func(io.Writer) error) error {
 	return f.Close()
 }
 
-func parseScheme(s string) (core.Scheme, error) {
-	switch s {
-	case "plain", "ext4-dax":
-		return core.SchemePlain, nil
-	case "baseline":
-		return core.SchemeBaseline, nil
-	case "fsencr":
-		return core.SchemeFsEncr, nil
-	case "swencr", "ecryptfs":
-		return core.SchemeSWEncr, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (plain|baseline|fsencr|swencr)", s)
-}
-
 func main() {
 	var (
 		workload  = flag.String("workload", "ycsb", "Table II workload name(s), comma separated")
@@ -107,7 +93,7 @@ func main() {
 
 	var schemes []core.Scheme
 	for _, s := range strings.Split(*scheme, ",") {
-		sc, err := parseScheme(strings.TrimSpace(s))
+		sc, err := core.ParseScheme(strings.TrimSpace(s))
 		if err != nil {
 			fail(2, err)
 		}

@@ -61,20 +61,6 @@ func fail(code int, err error) {
 	os.Exit(code)
 }
 
-func parseScheme(s string) (core.Scheme, error) {
-	switch s {
-	case "plain", "ext4-dax":
-		return core.SchemePlain, nil
-	case "baseline":
-		return core.SchemeBaseline, nil
-	case "fsencr":
-		return core.SchemeFsEncr, nil
-	case "swencr", "ecryptfs":
-		return core.SchemeSWEncr, nil
-	}
-	return 0, fmt.Errorf("unknown scheme %q (plain|baseline|fsencr|swencr)", s)
-}
-
 func serveMain(args []string) {
 	fl := flag.NewFlagSet("serve", flag.ExitOnError)
 	var (
@@ -91,7 +77,7 @@ func serveMain(args []string) {
 		empty     = fl.Bool("empty", false, "with -join: boot owning no shards (receive them by migration)")
 	)
 	fl.Parse(args)
-	sc, err := parseScheme(*scheme)
+	sc, err := core.ParseScheme(*scheme)
 	if err != nil {
 		fail(2, err)
 	}

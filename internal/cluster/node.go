@@ -65,10 +65,8 @@ func (n *Node) Mux() *http.ServeMux {
 	mux.HandleFunc("/fabric/commit", shardVerb(n.commit))
 	mux.HandleFunc("/fabric/discard", shardVerb(n.discard))
 	mux.HandleFunc("/fabric/pull", shardVerb(n.pull))
-	mux.HandleFunc("/fabric/loglen", shardVerb(n.logLen))
 	mux.HandleFunc("/fabric/replica/start", shardVerb(n.replicaStart))
 	mux.HandleFunc("/fabric/replica/promote", shardVerb(n.replicaPromote))
-	mux.HandleFunc("/fabric/replica/status", shardVerb(n.replicaStatus))
 	mux.HandleFunc("/fabric/table", n.handleTable)
 	return mux
 }
@@ -178,12 +176,6 @@ func (n *Node) pull(r *http.Request, req shardReq) (any, error) {
 	return n.svc.RecordsFrom(r.Context(), req.Shard, req.From)
 }
 
-// logLen reports a shard's admission-log length.
-func (n *Node) logLen(r *http.Request, req shardReq) (any, error) {
-	ln, err := n.svc.LogLen(r.Context(), req.Shard)
-	return map[string]uint64{"len": ln}, err
-}
-
 // replicaStart makes this node a replica of a shard and answers once it has
 // caught up with its primary.
 func (n *Node) replicaStart(_ *http.Request, req shardReq) (any, error) {
@@ -195,22 +187,6 @@ func (n *Node) replicaStart(_ *http.Request, req shardReq) (any, error) {
 // migration's freeze point when the request carries one.
 func (n *Node) replicaPromote(_ *http.Request, req shardReq) (any, error) {
 	return nil, n.PromoteReplica(req.Shard, req.Frozen)
-}
-
-// ReplicaStatus is the replica sync report.
-type ReplicaStatus struct {
-	Shard  int    `json:"shard"`
-	Pulled uint64 `json:"pulled"`
-	Err    string `json:"err,omitempty"`
-}
-
-// replicaStatus reports a replica's sync position and health.
-func (n *Node) replicaStatus(_ *http.Request, req shardReq) (any, error) {
-	rep := n.Replica(req.Shard)
-	if rep == nil {
-		return nil, statusError{http.StatusNotFound, fmt.Errorf("no replica of shard %d here", req.Shard)}
-	}
-	return rep.Status(), nil
 }
 
 // handleTable applies a coordinator table push: the node publishes the

@@ -171,6 +171,13 @@ func (r *Replica) Err() error {
 	return r.err
 }
 
+// ReplicaStatus is the replica sync report.
+type ReplicaStatus struct {
+	Shard  int
+	Pulled uint64
+	Err    string
+}
+
 // Status reports the replica's sync position.
 func (r *Replica) Status() ReplicaStatus {
 	r.mu.Lock()

@@ -52,6 +52,22 @@ func (s Scheme) String() string {
 	}
 }
 
+// ParseScheme is String's inverse, and also accepts the aliases "plain"
+// (ext4-dax) and "ecryptfs" (swencr).
+func ParseScheme(s string) (Scheme, error) {
+	switch s {
+	case "plain", "ext4-dax":
+		return SchemePlain, nil
+	case "baseline":
+		return SchemeBaseline, nil
+	case "fsencr":
+		return SchemeFsEncr, nil
+	case "swencr", "ecryptfs":
+		return SchemeSWEncr, nil
+	}
+	return 0, fmt.Errorf("unknown scheme %q (plain|baseline|fsencr|swencr)", s)
+}
+
 // MCMode returns the memory-controller protection mode for the scheme.
 func (s Scheme) MCMode() memctrl.Mode {
 	switch s {

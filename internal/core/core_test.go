@@ -38,6 +38,33 @@ func TestSchemeProperties(t *testing.T) {
 	}
 }
 
+func TestParseScheme(t *testing.T) {
+	cases := []struct {
+		name string
+		want Scheme
+	}{
+		{"ext4-dax", SchemePlain},
+		{"plain", SchemePlain},
+		{"baseline", SchemeBaseline},
+		{"fsencr", SchemeFsEncr},
+		{"swencr", SchemeSWEncr},
+		{"ecryptfs", SchemeSWEncr},
+	}
+	for _, c := range cases {
+		if got, err := ParseScheme(c.name); err != nil || got != c.want {
+			t.Fatalf("ParseScheme(%q) = %v, %v; want %v", c.name, got, err, c.want)
+		}
+	}
+	for _, s := range []Scheme{SchemePlain, SchemeBaseline, SchemeFsEncr, SchemeSWEncr} {
+		if got, err := ParseScheme(s.String()); err != nil || got != s {
+			t.Fatalf("ParseScheme(%v.String()) = %v, %v", s, got, err)
+		}
+	}
+	if _, err := ParseScheme("rot13"); err == nil || !strings.Contains(err.Error(), `"rot13"`) {
+		t.Fatalf("ParseScheme(rot13) error = %v, want one naming it", err)
+	}
+}
+
 func TestRunValidation(t *testing.T) {
 	if _, err := Run(Request{Workload: "nope", Scheme: SchemePlain, Ops: 10}); err == nil {
 		t.Fatal("unknown workload accepted")

@@ -325,32 +325,6 @@ func (co *Core) ReadNC(pa addr.Phys, buf []byte) {
 	}
 }
 
-// WriteNT performs non-temporal full-line stores starting at pa: lines go
-// straight to the memory controller without read-for-ownership or cache
-// allocation. The stores are accepted into the persistence domain before
-// WriteNT returns; Fence covers them. pa and len(data) must be line-aligned.
-func (co *Core) WriteNT(pa addr.Phys, data []byte) {
-	m := co.m
-	for off := 0; off < len(data); off += config.LineSize {
-		la := (pa + addr.Phys(off)).LineAlign()
-		var line aesctr.Line
-		copy(line[:], data[off:off+config.LineSize])
-		// Coherence: drop any cached copy of the overwritten line.
-		if lb, ok := m.lines[la]; ok {
-			lb.data = line
-			lb.dirty = false
-		}
-		accepted := m.MC.WriteLine(co.Now, la, line)
-		if accepted > co.Now {
-			co.Now = accepted
-		}
-		if accepted > co.pendingPersist {
-			co.pendingPersist = accepted
-		}
-	}
-	m.nNTWrites.Add(1)
-}
-
 // ReadPageNC performs a non-caching read of one full 4 KB page into dst
 // through the controller's batched page datapath: one counter fetch, one
 // key lookup, and one PCM burst for all 64 lines. If any of the page's
@@ -406,10 +380,10 @@ func (m *Machine) SnapshotReadLines(rd *memctrl.Reader, la addr.Phys, n int, dst
 }
 
 // WritePageNT performs a non-temporal store of one full 4 KB page through
-// the batched page datapath: the controller accepts all 64 lines as one
-// burst (covered by Fence, like WriteNT), and any cached copies are
-// updated in place and marked clean for coherence. pa must be
-// page-aligned.
+// the batched page datapath: the controller accepts all 64 lines into the
+// persistence domain as one burst before WritePageNT returns (Fence covers
+// it), and any cached copies are updated in place and marked clean for
+// coherence. pa must be page-aligned.
 func (co *Core) WritePageNT(pa addr.Phys, src *aesctr.Page) {
 	m := co.m
 	if ts := m.trace; ts.Active() {

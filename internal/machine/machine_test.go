@@ -5,6 +5,7 @@ import (
 	"testing/quick"
 
 	"fsencr/internal/addr"
+	"fsencr/internal/aesctr"
 	"fsencr/internal/config"
 	"fsencr/internal/memctrl"
 )
@@ -180,16 +181,16 @@ func TestWritebackAll(t *testing.T) {
 func TestNTWriteAndNCRead(t *testing.T) {
 	m := newM(memctrl.Mode{MemEncryption: true})
 	co := m.Core(0)
-	data := make([]byte, 2*config.LineSize)
-	for i := range data {
-		data[i] = byte(i ^ 0x3C)
+	var page aesctr.Page
+	for i := range page {
+		page[i] = byte(i ^ 0x3C)
 	}
-	co.WriteNT(0xA000, data)
+	co.WritePageNT(0xA000, &page)
 	co.Fence()
-	got := make([]byte, len(data))
+	got := make([]byte, len(page))
 	co.ReadNC(0xA000, got)
 	for i := range got {
-		if got[i] != data[i] {
+		if got[i] != page[i] {
 			t.Fatalf("NT/NC mismatch at %d", i)
 		}
 	}

@@ -71,7 +71,7 @@ func TestPageNCCoherence(t *testing.T) {
 }
 
 // TestPageNTFenceCoverage ensures Fence waits for a page NT store's accept
-// time, matching WriteNT's persistence contract.
+// time.
 func TestPageNTFenceCoverage(t *testing.T) {
 	m := newM(memctrl.Mode{MemEncryption: true})
 	co := m.Core(0)

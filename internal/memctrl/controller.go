@@ -15,8 +15,10 @@
 // of n lines); readonly.go the crypt context every pad is built through and
 // snapshot reads; metadata.go the counter-block store (one map of blocks by
 // slot, see memSlot) with its fetch and persistence; keys.go OTT and MMIO
-// operations; crash.go Osiris recovery; lifecycle.go/image.go rotation,
-// transport and migration images; hooks.go the physical-attacker hooks.
+// operations; crash.go Osiris recovery; image.go the module image (the
+// one snapshot and the one install, §VI's move and migration's gates);
+// lifecycle.go file-key rotation and the §VI move; hooks.go the
+// physical-attacker hooks.
 package memctrl
 
 import (
@@ -104,7 +106,8 @@ type Controller struct {
 	ecc         map[uint64]*eccPage    // page number -> the ECC-embedded check tags of its lines
 	crashed     bool
 
-	// Pre-crash snapshots, used only by VerifyRecovery in tests.
+	// Pre-crash snapshots, which VerifyRecovery checks recovery against —
+	// in tests and in VerifyImage, migration's cutover gate.
 	preCrash     map[uint64]*counters.CB
 	preCrashRoot merkle.Hash
 
@@ -231,45 +234,32 @@ var instanceSeq atomic.Uint64
 // New builds a controller in the given mode. All keys (memory key, OTT key)
 // are generated inside the "processor" and never exposed.
 func New(cfg config.Config, mode Mode, st *stats.Set) *Controller {
-	return newWithSeq(cfg, mode, st, instanceSeq.Add(1))
+	return NewWithChipSeq(cfg, mode, st, 0)
 }
 
 // NewWithChipSeq builds a controller with an explicit chip sequence
 // number. The cluster fabric uses it to give a shard's replicas and
 // migration targets the same processor keys as the primary, so state
 // reconstructed by admission-log replay is byte-identical down to the
-// ciphertext. seq 0 falls back to the auto-assigned per-process sequence.
+// ciphertext; tests that compare ciphertext across two controllers do the
+// same. seq 0 takes the next per-process sequence.
 func NewWithChipSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Controller {
 	if seq == 0 {
-		return New(cfg, mode, st)
+		seq = instanceSeq.Add(1)
 	}
-	return newWithSeq(cfg, mode, st, seq)
-}
-
-// ChipSeq returns the chip key-derivation sequence number.
-func (c *Controller) ChipSeq() uint64 { return c.chipSeq }
-
-// newWithSeq builds a controller with an explicit chip sequence number.
-// Tests that must compare ciphertext across two controllers (the
-// page-vs-line equivalence property) pass the same seq to both so the
-// derived processor keys match; production construction always goes
-// through New.
-func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Controller {
 	c := &Controller{
 		cfg:         cfg,
 		mode:        mode,
 		st:          st,
 		n:           resolveEvents(st),
-		chipSeq:     seq,
 		PCM:         pcm.New(cfg.PCM, st),
 		ctr:         make(map[uint64]*counters.CB),
 		persisted:   make(map[uint64]counters.CB),
 		unpersisted: make(map[uint64]int),
 		ecc:         make(map[uint64]*eccPage),
+		rd:          &Reader{engines: make(map[aesctr.Key]*aesctr.Engine)},
 	}
-	var memEngine *aesctr.Engine
 	if mode.MemEncryption {
-		memEngine = aesctr.New(deriveKey("fsencr-memory-key", seq), cfg.Security.AESLatency)
 		if cfg.Security.PartitionMetadataCache {
 			// Equitable split: half for the tree nodes (they are the
 			// deepest structure), a quarter each for MECB and FECB.
@@ -286,10 +276,27 @@ func newWithSeq(cfg config.Config, mode Mode, st *stats.Set, seq uint64) *Contro
 	}
 	if mode.FileEncryption {
 		c.ottTable = ott.NewTable(cfg.Security.OTTBanks, cfg.Security.OTTEntriesPerBank)
-		c.ottRegion = ott.NewRegion(deriveKey("fsencr-ott-key", seq), 1024)
 	}
-	c.rd = &Reader{mem: memEngine, engines: make(map[aesctr.Key]*aesctr.Engine)}
+	c.adoptChip(seq)
 	return c
+}
+
+// ChipSeq returns the chip key-derivation sequence number.
+func (c *Controller) ChipSeq() uint64 { return c.chipSeq }
+
+// adoptChip is the one place a chip's keys come from: it takes seq as the
+// controller's chip sequence and derives the memory engine and the sealed
+// OTT region's key from it. The region starts empty and reports to the
+// controller's telemetry registry.
+func (c *Controller) adoptChip(seq uint64) {
+	c.chipSeq = seq
+	if c.mode.MemEncryption {
+		c.rd.mem = aesctr.New(deriveKey("fsencr-memory-key", seq), c.cfg.Security.AESLatency)
+	}
+	if c.mode.FileEncryption {
+		c.ottRegion = ott.NewRegion(deriveKey("fsencr-ott-key", seq), 1024)
+		c.ottRegion.Instrument(c.tel)
+	}
 }
 
 // deriveKey produces a deterministic per-purpose, per-chip key for

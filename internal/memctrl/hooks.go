@@ -35,16 +35,9 @@ func (c *Controller) DecryptWithMemoryKeyOnly(pa addr.Phys) aesctr.Line {
 	return cipher
 }
 
-// TamperFECB flips a bit in a page's file counter block behind the Merkle
-// tree's back, as a physical attacker rewriting the metadata region would.
-// The next fetch of that block must raise an integrity violation.
-func (c *Controller) TamperFECB(pa addr.Phys) { c.flipCtrBit(fileSlot(pa.PageNum()), minor0LSB) }
-
-// TamperMECB is TamperFECB for the memory counter block.
-func (c *Controller) TamperMECB(pa addr.Phys) { c.flipCtrBit(memSlot(pa.PageNum()), minor0LSB) }
-
-// minor0LSB is the stored bit the Tamper hooks flip: the low bit of minor
-// counter 0, which follows the 8-byte major/identity word in either kind.
+// minor0LSB is the stored position of minor counter 0's low bit, after the
+// 8-byte major/identity word in either kind: the bit to hand
+// FlipMECBBit/FlipFECBBit for the smallest counter tamper.
 const minor0LSB = 8 * 8
 
 // evictMeta drops a metadata line from the metadata cache so the next
@@ -55,12 +48,11 @@ func (c *Controller) evictMeta(metaAddr uint64) {
 	}
 }
 
-// FlipMECBBit flips an arbitrary bit of a page's encoded memory counter
-// block behind the Merkle tree's back (the chaos engine's generalization
-// of TamperMECB: any of the 512 stored bits, not just minor[0]'s LSB).
-// The encoding is bijective, so re-encoding on the next fetch reproduces
-// the tampered bytes and Verify must fail. Self-inverse: flipping the same
-// bit again restores the block.
+// FlipMECBBit flips one of the 512 stored bits of a page's encoded memory
+// counter block behind the Merkle tree's back, as a physical attacker
+// rewriting the metadata region would. The encoding is bijective, so
+// re-encoding on the next fetch reproduces the tampered bytes and Verify
+// must fail. Self-inverse: flipping the same bit again restores the block.
 func (c *Controller) FlipMECBBit(page uint64, bit int) { c.flipCtrBit(memSlot(page), bit) }
 
 // FlipFECBBit is FlipMECBBit for the file counter block.

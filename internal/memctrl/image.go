@@ -5,12 +5,14 @@ package memctrl
 // tags, OTT entries and the sealed OTT region — plus the Merkle root and the
 // chip key-derivation sequence.
 //
-// Unlike Transport (lifecycle.go), which hands live pointers to a
-// destination controller, an Image is a copy, and it stays on the node that
-// exported it: it is never sent anywhere. A migration rebuilds a shard by
-// replaying the admission log; the source and the new owner each export
-// their own image and compare Digests, and the new owner's image must pass
-// VerifyImage, the Osiris recovery gate, on a scratch controller.
+// An Image is a copy, never a live pointer into its controller. It is the
+// package's one way to snapshot a module and ImportImage its one way to
+// install one. §VI's move to a new machine is an exported image imported
+// under the source chip's keys (Export/Import, lifecycle.go). A migration
+// rebuilds a shard by replaying the admission log instead; the source and
+// the new owner each export their own image and compare Digests, and the
+// new owner's image must pass VerifyImage, the Osiris recovery gate, on a
+// scratch controller.
 
 import (
 	"crypto/sha256"
@@ -232,14 +234,25 @@ func (c *Controller) ImportImage(img *Image) error {
 		return fmt.Errorf("%w: %v", ErrImageRejected, err)
 	}
 	c.PCM.ImportFrames(img.Frames)
-	ctr := make(map[uint64]*counters.CB, len(img.Counters))
+	// Every counter block is adopted as durable.
+	c.ctr = make(map[uint64]*counters.CB, len(img.Counters))
+	c.persisted = make(map[uint64]counters.CB, len(img.Counters))
 	for slot, b := range img.Counters {
-		bb := b
-		ctr[slot] = &bb
+		c.ctr[slot] = &b
+		c.persisted[slot] = b
 	}
-	if !c.install(ctr, img.ECC, img.Entries, img.Root) {
+	c.unpersisted = make(map[uint64]int)
+	c.ecc = eccPages(img.ECC)
+	c.ottTable.Clear()
+	for _, e := range img.Entries {
+		c.ottTable.Insert(e)
+	}
+	c.clearMetaCaches()
+	c.rebuildTreeFromCounters()
+	if c.mt.Root() != img.Root {
 		return fmt.Errorf("%w: regenerated Merkle root mismatch", ErrImageRejected)
 	}
+	c.n.imports.Add(1)
 	return nil
 }
 

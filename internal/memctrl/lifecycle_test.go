@@ -71,14 +71,21 @@ func TestExportImport(t *testing.T) {
 	npa := addr.Phys(0xB00000)
 	src.WriteLine(0, npa, lineOf(8))
 
-	transport, err := src.Export()
+	img, err := src.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	if err := dst.Import(transport); err != nil {
+	if err := dst.Import(img); err != nil {
 		t.Fatalf("import: %v", err)
 	}
+	if dst.ChipSeq() != src.ChipSeq() {
+		t.Fatalf("destination chip seq %d, source %d", dst.ChipSeq(), src.ChipSeq())
+	}
+	// The image is a copy, not a shared device: the source writing on
+	// after the export changes nothing on the destination.
+	src.WriteLine(0, pa, lineOf(10))
+	src.WriteLine(0, npa, lineOf(11))
 	got, _ := dst.ReadLine(0, pa)
 	if got != lineOf(7) {
 		t.Fatal("file line unreadable on destination machine")
@@ -96,34 +103,67 @@ func TestExportImport(t *testing.T) {
 	if dst.IntegrityViolations() != 0 {
 		t.Fatal("integrity violations after import")
 	}
+	// And it survives a power loss like a controller that was never moved.
+	dst.Crash(true)
+	if err := dst.Recover(); err != nil {
+		t.Fatalf("recover on destination: %v", err)
+	}
+	if err := dst.VerifyRecovery(); err != nil {
+		t.Fatalf("verify recovery on destination: %v", err)
+	}
 }
 
 func TestImportRejectsTamperedModule(t *testing.T) {
 	src := newMC(Mode{MemEncryption: true, FileEncryption: true})
 	pa := addr.Phys(0xC00000)
 	src.WriteLine(0, pa, lineOf(1))
-	transport, err := src.Export()
+	img, err := src.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
 	// Attacker swaps counter state in transit.
-	for _, m := range transport.ctr {
-		m.Minor[0] ^= 1
+	for slot, b := range img.Counters {
+		b.Minor[0] ^= 1
+		img.Counters[slot] = b
 	}
 	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	if err := dst.Import(transport); !errors.Is(err, ErrTransportRejected) {
-		t.Fatalf("tampered transport accepted: %v", err)
+	if err := dst.Import(img); !errors.Is(err, ErrImageRejected) {
+		t.Fatalf("tampered module accepted: %v", err)
+	}
+}
+
+// A frame is ciphertext the Merkle tree does not cover, so an import may
+// accept a module with one byte flipped; the line's ECC check tag must
+// still flag it at the destination's first read.
+func TestImportedFrameCorruptionDetected(t *testing.T) {
+	src := newMC(Mode{MemEncryption: true, FileEncryption: true})
+	pa := addr.Phys(0xE00000).WithDF()
+	src.InstallKey(0, 6, 6, fileKey(6))
+	src.TagPage(0, pa, 6, 6)
+	src.WriteLine(0, pa, lineOf(3))
+	img, err := src.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img.Frames[pa.PageNum()][0] ^= 0x01 // pa is page-aligned: its line's first byte
+	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})
+	if err := dst.Import(img); err != nil {
+		t.Fatalf("import: %v", err)
+	}
+	dst.ReadLine(0, pa)
+	if n := dst.Stats().Get("mc.data_ecc_errors"); n != 1 {
+		t.Fatalf("read of the flipped line counted %d data-ECC violations, want 1", n)
 	}
 }
 
 func TestImportWithoutFileDatapathFails(t *testing.T) {
 	src := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	transport, err := src.Export()
+	img, err := src.Export()
 	if err != nil {
 		t.Fatal(err)
 	}
 	dst := newMC(Mode{MemEncryption: true})
-	if err := dst.Import(transport); err == nil {
+	if err := dst.Import(img); err == nil {
 		t.Fatal("import into non-FsEncr controller succeeded")
 	}
 }

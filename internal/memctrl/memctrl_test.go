@@ -288,7 +288,7 @@ func TestTamperDetection(t *testing.T) {
 	if c.IntegrityViolations() != 0 {
 		t.Fatal("violations before tampering")
 	}
-	c.TamperFECB(pa)
+	c.FlipFECBBit(pa.PageNum(), minor0LSB)
 	c.ReadLine(1000, pa)
 	if c.IntegrityViolations() == 0 {
 		t.Fatal("FECB tampering not detected")
@@ -296,7 +296,7 @@ func TestTamperDetection(t *testing.T) {
 	c2 := newMC(Mode{MemEncryption: true})
 	pb := addr.Phys(0xC0000)
 	c2.WriteLine(0, pb, lineOf(14))
-	c2.TamperMECB(pb)
+	c2.FlipMECBBit(pb.PageNum(), minor0LSB)
 	c2.ReadLine(1000, pb)
 	if c2.IntegrityViolations() == 0 {
 		t.Fatal("MECB tampering not detected")

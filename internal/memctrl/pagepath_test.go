@@ -19,8 +19,8 @@ import (
 // OTT state are directly comparable.
 func pageEquivPair(mode Mode) (lineC, pageC *Controller, lineJ, pageJ *journal.Journal) {
 	seq := instanceSeq.Add(1)
-	lineC = newWithSeq(config.Default(), mode, stats.NewSet(), seq)
-	pageC = newWithSeq(config.Default(), mode, stats.NewSet(), seq)
+	lineC = NewWithChipSeq(config.Default(), mode, stats.NewSet(), seq)
+	pageC = NewWithChipSeq(config.Default(), mode, stats.NewSet(), seq)
 	lineJ, pageJ = journal.New(0), journal.New(0)
 	lineC.AttachJournal(lineJ)
 	pageC.AttachJournal(pageJ)
