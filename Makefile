@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build cross-build test loc sim-digest sim-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke ci
+.PHONY: build cross-build test loc sim-digest sim-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke examples-smoke ci
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,11 @@ sim-digest:
 # and says why.
 sim-digest-check:
 	@$(MAKE) -s --no-print-directory sim-digest | diff -u sim-digest.sha256 - && echo "sim-digest: every digest matches sim-digest.sha256"
+
+# examples/liveobs polls the live observability plane of an in-process
+# batch; nothing else runs it. About 4 s.
+examples-smoke:
+	$(GO) run ./examples/liveobs > /dev/null
 
 # bench/ is a Go module of its own (the layered service benchmark), so
 # `go test ./...` above does not see it: its smoke test, manifest check and
@@ -195,4 +200,4 @@ overhead-guard:
 # per-plane `-run` shortcuts to chain here: to check one plane, name its test
 # (`go test -run TestFsencrdSmoke ./internal/server`). cluster-smoke stays as
 # the one named subset because it spans two packages.
-ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos sim-digest-check overhead-guard bench-check
+ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos examples-smoke sim-digest-check overhead-guard bench-check

@@ -18,7 +18,7 @@
 //
 //	fsencr-sim -workload ycsb,hashmap -scheme fsencr -serve :9143 -linger
 //	curl localhost:9143/metrics        # Prometheus scrape
-//	curl localhost:9143/snapshot.json  # numbered snapshot + delta
+//	curl localhost:9143/snapshot.json  # live merged snapshot, spans included
 //	curl localhost:9143/journal.jsonl  # security-event journal
 package main
 
@@ -68,9 +68,8 @@ func main() {
 		traceOut   = flag.String("trace-out", "", "write the batch's spans as Chrome trace-event JSON (chrome://tracing) to this file")
 		journalOut = flag.String("journal-out", "", "write the batch's merged security-event journal as JSONL to this file")
 
-		serve      = flag.String("serve", "", "serve the live observability plane on this address (e.g. :9143) while the batch runs")
-		linger     = flag.Bool("linger", false, "with -serve: keep serving after the batch completes, until interrupted")
-		publishInt = flag.Duration("publish-interval", obsplane.DefaultInterval, "with -serve: period between numbered snapshot publications")
+		serve  = flag.String("serve", "", "serve the live observability plane on this address (e.g. :9143) while the batch runs")
+		linger = flag.Bool("linger", false, "with -serve: keep serving after the batch completes, until interrupted")
 	)
 	flag.Parse()
 	core.Parallelism = *parallel
@@ -131,7 +130,6 @@ func main() {
 		srv = obsplane.NewServer(obsplane.Options{
 			Snapshot: core.LiveTelemetrySnapshot,
 			Journal:  core.LiveJournalEvents,
-			Interval: *publishInt,
 		})
 		addr, err := srv.Start(*serve)
 		if err != nil {
@@ -143,11 +141,6 @@ func main() {
 	results, err := core.RunBatch(reqs)
 	if err != nil {
 		fail(1, err)
-	}
-	if srv != nil {
-		// One final publication so scrapers see the completed batch even if
-		// it finished between ticks.
-		srv.Publish()
 	}
 
 	if *journalOut != "" {
@@ -205,13 +198,8 @@ func main() {
 			sig := make(chan os.Signal, 1)
 			signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 			<-sig
-		} else {
-			// Leave one publish interval for a scraper to catch the final
-			// state before the process exits.
-			time.Sleep(*publishInt)
 		}
-		// Graceful drain: in-flight scrapes finish (bounded), and a final
-		// publication captures the terminal state.
+		// Graceful drain: in-flight scrapes finish, bounded.
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 		defer cancel()
 		if err := srv.Shutdown(ctx); err != nil {

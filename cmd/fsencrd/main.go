@@ -18,9 +18,9 @@
 //	fsencrd replicate -coordinator http://127.0.0.1:9100 -shard 2 -on http://127.0.0.1:9145
 //
 // The serve mode exposes the /v1 file+KV API (see internal/fsproto), the
-// per-shard determinism surfaces /shards.prom and /shards.json, and the
-// live observability plane (/metrics /snapshot.json /trace.json
-// /journal.jsonl /healthz /debug/pprof). SIGINT/SIGTERM triggers a
+// per-shard determinism surface /shards.prom, and the live observability
+// plane (/metrics /snapshot.json /trace.json /journal.jsonl /audit.jsonl
+// /healthz /debug/pprof). SIGINT/SIGTERM triggers a
 // graceful drain: admission stops, admitted requests finish, the HTTP
 // listener closes.
 //

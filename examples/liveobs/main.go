@@ -31,6 +31,15 @@ func get(base, path string) []byte {
 	return body
 }
 
+// snapshot polls the live merged telemetry snapshot.
+func snapshot(base string) *telemetry.Snapshot {
+	snap := telemetry.NewSnapshot()
+	if err := json.Unmarshal(get(base, "/snapshot.json"), snap); err != nil {
+		panic(err)
+	}
+	return snap
+}
+
 func main() {
 	core.EnableTelemetry()
 	core.EnableJournal()
@@ -38,7 +47,6 @@ func main() {
 	srv := obsplane.NewServer(obsplane.Options{
 		Snapshot: core.LiveTelemetrySnapshot,
 		Journal:  core.LiveJournalEvents,
-		Interval: 50 * time.Millisecond,
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -61,12 +69,11 @@ func main() {
 		done <- err
 	}()
 
-	// Poll the plane while the batch runs, like a dashboard would.
-	var doc struct {
-		Seq      uint64              `json:"seq"`
-		Snapshot *telemetry.Snapshot `json:"snapshot"`
-		Delta    *telemetry.Snapshot `json:"delta"`
-	}
+	// Poll the plane while the batch runs, like a dashboard would: the
+	// snapshot is live, so the change since the previous poll is ours to
+	// compute.
+	var prevReads uint64
+	var snap *telemetry.Snapshot
 	for running := true; running; {
 		select {
 		case err := <-done:
@@ -77,19 +84,15 @@ func main() {
 		case <-time.After(100 * time.Millisecond):
 		}
 		fmt.Printf("healthz: %s", get(base, "/healthz"))
-		if err := json.Unmarshal(get(base, "/snapshot.json"), &doc); err != nil {
-			panic(err)
-		}
-		fmt.Printf("snapshot seq=%d: %d runs merged, %d pcm reads (+%d since last publish)\n",
-			doc.Seq, doc.Snapshot.Runs, doc.Snapshot.Counters["pcm.reads"], doc.Delta.Counters["pcm.reads"])
+		snap = snapshot(base)
+		reads := snap.Counters["pcm.reads"]
+		fmt.Printf("snapshot: %d runs merged, %d pcm reads (+%d since last poll)\n",
+			snap.Runs, reads, reads-prevReads)
+		prevReads = reads
 	}
 
-	srv.Publish() // final numbered snapshot covering the whole batch
-	if err := json.Unmarshal(get(base, "/snapshot.json"), &doc); err != nil {
-		panic(err)
-	}
 	evs := core.JournalEvents()
-	fmt.Printf("batch done: %d runs, %d security-journal events\n", doc.Snapshot.Runs, len(evs))
+	fmt.Printf("batch done: %d runs, %d security-journal events\n", snap.Runs, len(evs))
 	for i, e := range evs {
 		if i == 5 {
 			fmt.Printf("  ... %d more\n", len(evs)-5)

@@ -242,10 +242,9 @@ func Run(req Request) (Result, error) {
 		MetaHits:       delta("mc.meta_hits"),
 		MetaMisses:     delta("mc.meta_misses"),
 		Faults:         faultsAfter - faultsBefore,
-		ReadLatMean:    m.ReadLatency.Mean(),
-		ReadLatMax:     m.ReadLatency.Max(),
 		Ops:            req.Ops,
 	}
+	res.ReadLatMean, res.ReadLatMax = m.ReadMissLatency()
 	if reg != nil {
 		if scope.Active() {
 			scope.Exit("run", fmt.Sprintf("%s/%s", req.Workload, req.Scheme),

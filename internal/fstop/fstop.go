@@ -1,10 +1,9 @@
 // Package fstop renders the fsencrd live operator view: a plain-text
-// dashboard polled from the daemon's /snapshot.json (counters, gauges) and
-// /spans.json (retained traces) endpoints. One frame
-// shows the host-side request counters and rates, per-shard queue state,
-// the per-tenant SLO plane (latency quantiles and error-budget burn), the
-// tail sampler's kept/dropped accounting, and a waterfall of the slowest
-// retained request traces. Everything derives from the same merged
+// dashboard polled from the daemon's /snapshot.json endpoint (counters,
+// gauges, retained traces). One frame shows the host-side request counters
+// and rates, per-shard queue state, the per-tenant SLO plane (latency
+// quantiles and error-budget burn), the tail sampler's kept/dropped
+// accounting, and a waterfall of the slowest retained request traces. Everything derives from the same merged
 // telemetry snapshot the bench harness exports, so what the operator sees
 // is exactly what the canonical artifacts record.
 package fstop
@@ -42,56 +41,22 @@ const maxTraces = 3
 // clearScreen is the ANSI erase-and-home sequence used between frames.
 const clearScreen = "\x1b[2J\x1b[H"
 
-// Fetch polls one merged telemetry snapshot from the daemon. The obsplane
-// serves /snapshot.json as a numbered publication doc ({seq, snapshot,
-// delta}) with spans stripped; Fetch unwraps it (falling back to a plain
-// snapshot body for older daemons) and fills in the retained spans from
-// /spans.json so the trace waterfalls render. A missing or failing
-// /spans.json degrades to a span-less frame rather than an error.
+// Fetch polls one merged telemetry snapshot, retained spans included, from
+// the daemon's live /snapshot.json.
 func Fetch(c *http.Client, base string) (*telemetry.Snapshot, error) {
-	base = strings.TrimRight(base, "/")
-	body, err := get(c, base+"/snapshot.json")
-	if err != nil {
-		return nil, err
-	}
-	var doc struct {
-		Snapshot *telemetry.Snapshot `json:"snapshot"`
-	}
-	if err := json.Unmarshal(body, &doc); err != nil {
-		return nil, fmt.Errorf("fstop: decode snapshot: %w", err)
-	}
-	s := doc.Snapshot
-	if s == nil {
-		s = telemetry.NewSnapshot()
-		if err := json.Unmarshal(body, s); err != nil {
-			return nil, fmt.Errorf("fstop: decode snapshot: %w", err)
-		}
-	}
-	if len(s.Spans) == 0 {
-		if body, err := get(c, base+"/spans.json"); err == nil {
-			var full telemetry.Snapshot
-			if json.Unmarshal(body, &full) == nil {
-				s.Spans = full.Spans
-				if full.SpanDrops > s.SpanDrops {
-					s.SpanDrops = full.SpanDrops
-				}
-			}
-		}
-	}
-	return s, nil
-}
-
-// get issues one GET and returns the body of a 200 response.
-func get(c *http.Client, url string) ([]byte, error) {
-	resp, err := c.Get(url)
+	resp, err := c.Get(strings.TrimRight(base, "/") + "/snapshot.json")
 	if err != nil {
 		return nil, err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("fstop: %s: %s", url, resp.Status)
+		return nil, fmt.Errorf("fstop: /snapshot.json: %s", resp.Status)
 	}
-	return io.ReadAll(resp.Body)
+	s := telemetry.NewSnapshot()
+	if err := json.NewDecoder(resp.Body).Decode(s); err != nil {
+		return nil, fmt.Errorf("fstop: decode snapshot: %w", err)
+	}
+	return s, nil
 }
 
 // Run polls and renders until the process is killed (or once, with

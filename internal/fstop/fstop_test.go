@@ -2,13 +2,16 @@ package fstop
 
 import (
 	"bytes"
-	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"fsencr/internal/core"
+	"fsencr/internal/fsclient"
+	"fsencr/internal/fsproto"
+	"fsencr/internal/server"
 	"fsencr/internal/telemetry"
 )
 
@@ -90,26 +93,16 @@ func TestRenderFrame(t *testing.T) {
 }
 
 // TestRunOncePolls drives Run in once mode against a fake daemon serving
-// the real obsplane shape: /snapshot.json is a numbered publication doc
-// with spans stripped, and the retained spans live on /spans.json.
+// the one endpoint fsencr-top reads: /snapshot.json, spans included.
 func TestRunOncePolls(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		switch r.URL.Path {
-		case "/snapshot.json":
-			doc := struct {
-				Seq      uint64              `json:"seq"`
-				Snapshot *telemetry.Snapshot `json:"snapshot"`
-			}{Seq: 1, Snapshot: sampleSnapshot().WithoutSpans()}
-			if err := json.NewEncoder(w).Encode(doc); err != nil {
-				t.Error(err)
-			}
-		case "/spans.json":
-			if err := sampleSnapshot().WriteJSON(w); err != nil {
-				t.Error(err)
-			}
-		default:
+		if r.URL.Path != "/snapshot.json" {
 			http.NotFound(w, r)
+			return
+		}
+		w.Header().Set("Content-Type", "application/json")
+		if err := sampleSnapshot().WriteJSON(w); err != nil {
+			t.Error(err)
 		}
 	}))
 	defer hs.Close()
@@ -128,8 +121,8 @@ func TestRunOncePolls(t *testing.T) {
 	}
 }
 
-// TestFetchPlainSnapshot pins the fallback decode path: a daemon serving a
-// bare snapshot body (no publication wrapper) still renders.
+// TestFetchPlainSnapshot pins Fetch's decode of a snapshot body, spans
+// included, and that a non-200 answer is an error.
 func TestFetchPlainSnapshot(t *testing.T) {
 	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/snapshot.json" {
@@ -142,11 +135,68 @@ func TestFetchPlainSnapshot(t *testing.T) {
 	}))
 	defer hs.Close()
 
-	s, err := Fetch(http.DefaultClient, hs.URL)
+	s, err := Fetch(http.DefaultClient, hs.URL+"/")
 	if err != nil {
 		t.Fatalf("Fetch: %v", err)
 	}
 	if s.Counters["server.requests_total"] != 120 || len(s.Spans) != 4 {
 		t.Fatalf("plain-shape decode lost data: %+v", s)
+	}
+	if _, err := Fetch(http.DefaultClient, hs.URL+"/missing"); err == nil {
+		t.Fatal("Fetch of a 404 succeeded")
+	}
+}
+
+// TestFetchFollowsFsencrd polls a real fsencrd route set between requests:
+// each frame must show the requests served since the one before it, and the
+// retained trace of a request it has not seen yet.
+func TestFetchFollowsFsencrd(t *testing.T) {
+	svc := server.New(server.Options{
+		Shards: 1,
+		MCMode: core.SchemeFsEncr.MCMode(),
+		Access: core.SchemeFsEncr.AccessMode(),
+	})
+	hs := httptest.NewServer(svc.Mux())
+	defer func() { svc.Close(); hs.Close() }()
+
+	roots := func(s *telemetry.Snapshot) int {
+		n := 0
+		for _, sp := range s.Spans {
+			if sp.Cat == "request" && sp.ParentID == 0 && sp.SpanID != 0 {
+				n++
+			}
+		}
+		return n
+	}
+	before, err := Fetch(hs.Client(), hs.URL)
+	if err != nil {
+		t.Fatalf("first Fetch: %v", err)
+	}
+
+	// The client owns its connection, which the request loop takes over;
+	// the polls ride a transport of their own.
+	cl := fsclient.Dial(hs.URL)
+	defer cl.Close()
+	if err := cl.Login("acme", 1, "pw"); err != nil {
+		t.Fatalf("login: %v", err)
+	}
+	if err := cl.Create(fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 8192, Encrypted: true}); err != nil {
+		t.Fatalf("create: %v", err)
+	}
+	if err := cl.Write(fsproto.WriteRequest{Name: "f.dat", Data: make([]byte, 4096)}); err != nil {
+		t.Fatalf("write: %v", err)
+	}
+	const sent = 3
+
+	after, err := Fetch(hs.Client(), hs.URL)
+	if err != nil {
+		t.Fatalf("second Fetch: %v", err)
+	}
+	b, a := before.Counters["server.requests_total"], after.Counters["server.requests_total"]
+	if a != b+sent {
+		t.Fatalf("server.requests_total went %d -> %d across %d requests; the snapshot is not live", b, a, sent)
+	}
+	if roots(after) <= roots(before) {
+		t.Fatalf("no new request root span: %d retained before, %d after", roots(before), roots(after))
 	}
 }

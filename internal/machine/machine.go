@@ -53,9 +53,9 @@ type Machine struct {
 
 	tracer Tracer
 
-	// ReadLatency records the end-to-end latency of every demand read that
-	// missed to the memory controller (cycles).
-	ReadLatency *stats.Histogram
+	// missN, missSum and missMax summarize the end-to-end latency (cycles)
+	// of every demand read that missed to the memory controller.
+	missN, missSum, missMax uint64
 
 	// flushIssue is the pipeline cost of issuing one CLWB.
 	flushIssue config.Cycle
@@ -110,13 +110,12 @@ func New(cfg config.Config, mode memctrl.Mode) *Machine {
 func NewWithChipSeq(cfg config.Config, mode memctrl.Mode, chipSeq uint64) *Machine {
 	st := stats.NewSet()
 	m := &Machine{
-		cfg:         cfg,
-		st:          st,
-		MC:          memctrl.NewWithChipSeq(cfg, mode, st, chipSeq),
-		l3:          cache.New("l3", cfg.Processor.L3Size, cfg.Processor.L3Ways),
-		lines:       make(map[addr.Phys]*lineBuf),
-		ReadLatency: stats.NewHistogram(100, 150, 200, 300, 400, 600, 1000, 2000),
-		flushIssue:  5,
+		cfg:        cfg,
+		st:         st,
+		MC:         memctrl.NewWithChipSeq(cfg, mode, st, chipSeq),
+		l3:         cache.New("l3", cfg.Processor.L3Size, cfg.Processor.L3Ways),
+		lines:      make(map[addr.Phys]*lineBuf),
+		flushIssue: 5,
 
 		nL3DirtyEvictions: st.Counter("machine.l3_dirty_evictions"),
 		nFlushes:          st.Counter("machine.flushes"),
@@ -133,6 +132,16 @@ func NewWithChipSeq(cfg config.Config, mode memctrl.Mode, chipSeq uint64) *Machi
 		})
 	}
 	return m
+}
+
+// ReadMissLatency returns the mean and the largest end-to-end latency, in
+// cycles, of the demand reads that missed to the memory controller (0, 0
+// before the first miss).
+func (m *Machine) ReadMissLatency() (mean float64, maxLat uint64) {
+	if m.missN == 0 {
+		return 0, 0
+	}
+	return float64(m.missSum) / float64(m.missN), m.missMax
 }
 
 // Config returns the machine configuration.
@@ -166,8 +175,11 @@ func (m *Machine) access(co *Core, la addr.Phys, write bool) *lineBuf {
 		// traversing the hierarchy.
 		reqAt := co.Now + p.L1Latency + p.L2Latency + p.L3Latency
 		data, done := m.MC.ReadLine(reqAt, la)
-		m.ReadLatency.Observe(uint64(done - co.Now))
-		m.tMissCycles.Observe(uint64(done - co.Now))
+		lat := uint64(done - co.Now)
+		m.missN++
+		m.missSum += lat
+		m.missMax = max(m.missMax, lat)
+		m.tMissCycles.Observe(lat)
 		co.Now = done
 		if _, ok := m.lines[la]; !ok {
 			m.lines[la] = &lineBuf{data: data}

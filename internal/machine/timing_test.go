@@ -124,18 +124,21 @@ func TestBankParallelismAcrossCores(t *testing.T) {
 	}
 }
 
-// TestReadLatencyHistogramPopulated checks the machine's latency histogram
-// captures misses.
+// TestReadLatencyHistogramPopulated checks the machine's miss-latency
+// record captures misses.
 func TestReadLatencyHistogramPopulated(t *testing.T) {
 	m := newM(memctrl.Mode{MemEncryption: true})
+	if mean, maxLat := m.ReadMissLatency(); mean != 0 || maxLat != 0 {
+		t.Fatalf("no misses yet, latency record reads mean %.1f max %d", mean, maxLat)
+	}
 	co := m.Core(0)
 	for i := 0; i < 100; i++ {
 		co.Read(addr.Phys(0x300000+i*4096), []byte{0})
 	}
-	if m.ReadLatency.Count() < 100 {
-		t.Fatalf("histogram saw %d misses", m.ReadLatency.Count())
+	if m.missN < 100 {
+		t.Fatalf("miss-latency record saw %d misses", m.missN)
 	}
-	if m.ReadLatency.Mean() < float64(config.Default().PCM.ReadLatency) {
-		t.Fatalf("mean miss latency %.1f below raw array latency", m.ReadLatency.Mean())
+	if mean, _ := m.ReadMissLatency(); mean < float64(config.Default().PCM.ReadLatency) {
+		t.Fatalf("mean miss latency %.1f below raw array latency", mean)
 	}
 }

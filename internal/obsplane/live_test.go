@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"sync"
 	"testing"
-	"time"
 
 	"fsencr/internal/core"
 	"fsencr/internal/obsplane"
@@ -69,7 +68,6 @@ func TestLiveReaderPreservesDeterminism(t *testing.T) {
 		// exports, proving the live surface never contaminates them.
 		Snapshot: core.LiveTelemetrySnapshot,
 		Journal:  core.LiveJournalEvents,
-		Interval: 2 * time.Millisecond,
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -82,7 +80,7 @@ func TestLiveReaderPreservesDeterminism(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		paths := []string{"/healthz", "/metrics", "/snapshot.json", "/trace.json", "/journal.jsonl"}
+		paths := []string{"/healthz", "/metrics", "/snapshot.json", "/trace.json", "/journal.jsonl", "/audit.jsonl"}
 		for i := 0; ; i++ {
 			select {
 			case <-stop:

@@ -1,35 +1,31 @@
 // Package obsplane is the live observability plane: an HTTP serving layer
 // over the telemetry sink and the security-event journal, so a running
 // simulation can be scraped (/metrics), inspected (/snapshot.json,
-// /spans.json, /trace.json, /journal.jsonl), health-checked (/healthz), and profiled
-// (/debug/pprof) without stopping the batch.
+// /trace.json, /journal.jsonl, /audit.jsonl), health-checked (/healthz), and
+// profiled (/debug/pprof) without stopping the batch.
 //
-// The server owns no metrics itself: it reads through caller-supplied
-// capture functions (typically core.TelemetrySnapshot and
-// core.JournalEvents), which serialize against the batch merge locks, so a
-// live reader never perturbs what the simulation records — determinism of
-// the exported data is untouched by scrape traffic.
+// The server owns no metrics and keeps no state between requests: every
+// endpoint reads the current capture through caller-supplied functions
+// (typically core.LiveTelemetrySnapshot and core.LiveJournalEvents), which
+// serialize against the batch merge locks, so a live reader never perturbs
+// what the simulation records — determinism of the exported data is
+// untouched by scrape traffic. A reader that wants rates diffs two
+// consecutive fetches itself.
 package obsplane
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"net"
 	"net/http"
 	"net/http/pprof"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"fsencr/internal/audit"
 	"fsencr/internal/obsplane/journal"
 	"fsencr/internal/telemetry"
 )
-
-// DefaultInterval is the periodic publish cadence when Options.Interval is
-// unset.
-const DefaultInterval = time.Second
 
 // Options configures a Server.
 type Options struct {
@@ -42,28 +38,19 @@ type Options struct {
 	// Audit captures the current tamper-evident access-audit window; nil
 	// serves an empty log.
 	Audit func() []audit.Record
-	// Interval is the periodic publish cadence (<= 0 uses DefaultInterval).
-	Interval time.Duration
 }
 
-// Server publishes periodic numbered snapshots and serves the live plane.
+// Server serves the live plane.
 type Server struct {
 	opts Options
-
-	mu    sync.Mutex
-	seq   uint64
-	last  *telemetry.Snapshot // last published state, spans stripped
-	delta *telemetry.Snapshot // change since the previous publish
 
 	// writeErrs counts export responses that failed mid-write (client went
 	// away, encode error). The data is gone either way; the count is
 	// surfaced on /healthz so broken scrapes are visible, not silent.
 	writeErrs atomic.Uint64
 
-	lis  net.Listener
-	hs   *http.Server
-	done chan struct{}
-	wg   sync.WaitGroup
+	hs *http.Server
+	wg sync.WaitGroup
 }
 
 // noteWrite folds one export write result into the error count.
@@ -78,12 +65,7 @@ func (s *Server) WriteErrors() uint64 { return s.writeErrs.Load() }
 
 // NewServer builds a server; call Start to bind it or mount Handler
 // yourself.
-func NewServer(opts Options) *Server {
-	if opts.Interval <= 0 {
-		opts.Interval = DefaultInterval
-	}
-	return &Server{opts: opts}
-}
+func NewServer(opts Options) *Server { return &Server{opts: opts} }
 
 // capture reads the current telemetry state, tolerating absent sources.
 func (s *Server) capture() *telemetry.Snapshot {
@@ -109,39 +91,12 @@ func (s *Server) auditRecords() []audit.Record {
 	return nil
 }
 
-// Publish captures a numbered snapshot and computes its delta against the
-// previous publication. The ticker drives it; /snapshot.json also calls it
-// once if nothing has been published yet. Returns the new sequence number.
-func (s *Server) Publish() uint64 {
-	cur := s.capture().WithoutSpans()
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.delta = telemetry.Diff(s.last, cur)
-	s.last = cur
-	s.seq++
-	return s.seq
-}
-
-// published returns the latest publication, publishing first if none
-// exists yet.
-func (s *Server) published() (seq uint64, last, delta *telemetry.Snapshot) {
-	s.mu.Lock()
-	if s.seq == 0 {
-		s.mu.Unlock()
-		s.Publish()
-		s.mu.Lock()
-	}
-	defer s.mu.Unlock()
-	return s.seq, s.last, s.delta
-}
-
 // Handler returns the plane's route mux.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	mux.HandleFunc("/metrics", s.handleMetrics)
 	mux.HandleFunc("/snapshot.json", s.handleSnapshot)
-	mux.HandleFunc("/spans.json", s.handleSpans)
 	mux.HandleFunc("/trace.json", s.handleTrace)
 	mux.HandleFunc("/journal.jsonl", s.handleJournal)
 	mux.HandleFunc("/audit.jsonl", s.handleAudit)
@@ -154,44 +109,21 @@ func (s *Server) Handler() http.Handler {
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
-	s.mu.Lock()
-	seq := s.seq
-	s.mu.Unlock()
 	w.Header().Set("Content-Type", "application/json")
-	_, err := fmt.Fprintf(w, "{\"status\":\"ok\",\"seq\":%d,\"write_errors\":%d}\n",
-		seq, s.writeErrs.Load())
+	_, err := fmt.Fprintf(w, "{\"status\":\"ok\",\"write_errors\":%d}\n", s.writeErrs.Load())
 	s.noteWrite(err)
 }
 
 func (s *Server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	// Scrapes read the live sink, not the last publication: Prometheus
-	// brings its own cadence. Runtime gauges are added to this serving-time
-	// copy only — they never touch the deterministic snapshots.
+	// Runtime gauges are added to this serving-time copy only — they never
+	// touch the deterministic snapshots.
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.noteWrite(s.capture().AddRuntimeGauges().WritePrometheus(w))
 }
 
-// snapshotDoc is the /snapshot.json shape: the latest numbered publication
-// plus what changed since the one before it.
-type snapshotDoc struct {
-	Seq      uint64              `json:"seq"`
-	Snapshot *telemetry.Snapshot `json:"snapshot"`
-	Delta    *telemetry.Snapshot `json:"delta"`
-}
-
+// handleSnapshot serves the live capture as one snapshot document,
+// retained spans included.
 func (s *Server) handleSnapshot(w http.ResponseWriter, _ *http.Request) {
-	seq, last, delta := s.published()
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	s.noteWrite(enc.Encode(snapshotDoc{Seq: seq, Snapshot: last, Delta: delta}))
-}
-
-// handleSpans serves the live capture as one plain snapshot document,
-// spans included. The numbered /snapshot.json publications strip spans to
-// keep their deltas small, so trace consumers (fsencr-top's waterfalls)
-// read this endpoint instead.
-func (s *Server) handleSpans(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	s.noteWrite(s.capture().WriteJSON(w))
 }
@@ -213,59 +145,38 @@ func (s *Server) handleAudit(w http.ResponseWriter, _ *http.Request) {
 	s.noteWrite(audit.WriteJSONL(w, s.auditRecords()))
 }
 
-// Start binds addr (":0" picks a free port), serves the plane in the
-// background, and starts the periodic publisher. It returns the bound
-// address.
+// Start binds addr (":0" picks a free port) and serves the plane in the
+// background. It returns the bound address.
 func (s *Server) Start(addr string) (string, error) {
 	lis, err := net.Listen("tcp", addr)
 	if err != nil {
 		return "", fmt.Errorf("obsplane: %w", err)
 	}
-	s.lis = lis
 	s.hs = &http.Server{Handler: s.Handler()}
-	s.done = make(chan struct{})
-	s.wg.Add(2)
+	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		_ = s.hs.Serve(lis) // always returns ErrServerClosed on Close
 	}()
-	go func() {
-		defer s.wg.Done()
-		t := time.NewTicker(s.opts.Interval)
-		defer t.Stop()
-		for {
-			select {
-			case <-t.C:
-				s.Publish()
-			case <-s.done:
-				return
-			}
-		}
-	}()
 	return lis.Addr().String(), nil
 }
 
-// Close stops the publisher and the HTTP server, waiting for both.
+// Close stops the HTTP server and waits for it.
 func (s *Server) Close() error {
 	if s.hs == nil {
 		return nil
 	}
-	close(s.done)
 	err := s.hs.Close()
 	s.wg.Wait()
 	s.hs = nil
 	return err
 }
 
-// Shutdown is the graceful Close: the publisher stops, in-flight HTTP
-// requests drain (bounded by ctx), and one final publication is made so
-// scrapers arriving during the drain see the terminal state.
+// Shutdown is the graceful Close: in-flight requests drain, bounded by ctx.
 func (s *Server) Shutdown(ctx context.Context) error {
 	if s.hs == nil {
 		return nil
 	}
-	close(s.done)
-	s.Publish()
 	err := s.hs.Shutdown(ctx)
 	s.wg.Wait()
 	s.hs = nil

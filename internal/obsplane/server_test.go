@@ -6,7 +6,6 @@ import (
 	"net/http"
 	"strings"
 	"testing"
-	"time"
 
 	"fsencr/internal/obsplane/journal"
 	"fsencr/internal/telemetry"
@@ -49,7 +48,6 @@ func TestServerEndpoints(t *testing.T) {
 	srv := NewServer(Options{
 		Snapshot: src.snapshot,
 		Journal:  func() []journal.Event { return src.evs },
-		Interval: time.Hour, // publish only on demand in this test
 	})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {
@@ -78,34 +76,24 @@ func TestServerEndpoints(t *testing.T) {
 		t.Errorf("/metrics missing merkle dirty-leaves histogram:\n%s", body)
 	}
 
-	// First snapshot fetch publishes on demand; the delta of publication #1
-	// is the absolute state.
-	var doc struct {
-		Seq      uint64              `json:"seq"`
-		Snapshot *telemetry.Snapshot `json:"snapshot"`
-		Delta    *telemetry.Snapshot `json:"delta"`
+	// /snapshot.json is the live capture: each fetch sees the source's
+	// current state.
+	snapshot := func() *telemetry.Snapshot {
+		_, body := get(t, base+"/snapshot.json")
+		var snap telemetry.Snapshot
+		if err := json.Unmarshal([]byte(body), &snap); err != nil {
+			t.Fatalf("/snapshot.json: %v\n%s", err, body)
+		}
+		return &snap
 	}
-	_, body = get(t, base+"/snapshot.json")
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatalf("/snapshot.json: %v\n%s", err, body)
+	snap := snapshot()
+	if snap.Counters["pcm.reads"] != 42 || snap.Counters["merkle.flushes"] != 7 ||
+		snap.Histograms["merkle.dirty_leaves_per_flush"].Sum != 64 {
+		t.Fatalf("/snapshot.json: %+v", snap)
 	}
-	if doc.Seq != 1 || doc.Snapshot.Counters["pcm.reads"] != 42 || doc.Delta.Counters["pcm.reads"] != 42 {
-		t.Fatalf("/snapshot.json publication #1: %+v", doc)
-	}
-	if doc.Snapshot.Counters["merkle.flushes"] != 7 ||
-		doc.Snapshot.Histograms["merkle.dirty_leaves_per_flush"].Sum != 64 {
-		t.Fatalf("/snapshot.json missing merkle write-back metrics: %+v", doc.Snapshot)
-	}
-
-	// Advance the source and publish again: the delta carries the change.
 	src.reads = 100
-	srv.Publish()
-	_, body = get(t, base+"/snapshot.json")
-	if err := json.Unmarshal([]byte(body), &doc); err != nil {
-		t.Fatal(err)
-	}
-	if doc.Seq != 2 || doc.Snapshot.Counters["pcm.reads"] != 100 || doc.Delta.Counters["pcm.reads"] != 58 {
-		t.Fatalf("/snapshot.json publication #2: %+v", doc)
+	if snap := snapshot(); snap.Counters["pcm.reads"] != 100 {
+		t.Fatalf("/snapshot.json after the source advanced: %+v", snap)
 	}
 
 	_, body = get(t, base+"/trace.json")
@@ -136,31 +124,9 @@ func TestServerNilSources(t *testing.T) {
 	}
 	defer srv.Close()
 	base := "http://" + addr
-	for _, path := range []string{"/healthz", "/metrics", "/snapshot.json", "/spans.json", "/trace.json", "/journal.jsonl"} {
+	for _, path := range []string{"/healthz", "/metrics", "/snapshot.json", "/trace.json", "/journal.jsonl", "/audit.jsonl"} {
 		if code, _ := get(t, base+path); code != http.StatusOK {
 			t.Errorf("%s with nil sources: %d", path, code)
 		}
-	}
-}
-
-func TestDiff(t *testing.T) {
-	prev := telemetry.NewSnapshot()
-	prev.Counters["a"] = 10
-	prev.Runs = 2
-	cur := telemetry.NewSnapshot()
-	cur.Counters["a"] = 15
-	cur.Counters["b"] = 3
-	cur.Runs = 5
-	d := telemetry.Diff(prev, cur)
-	if d.Counters["a"] != 5 || d.Counters["b"] != 3 || d.Runs != 3 {
-		t.Fatalf("diff: %+v", d)
-	}
-	// A reset sink (shrinking counter) clamps to the new absolute value.
-	cur.Counters["a"] = 2
-	if d := telemetry.Diff(prev, cur); d.Counters["a"] != 2 {
-		t.Fatalf("diff after reset: %+v", d)
-	}
-	if d := telemetry.Diff(nil, cur); d.Counters["b"] != 3 {
-		t.Fatalf("diff from nil: %+v", d)
 	}
 }

@@ -354,25 +354,8 @@ func (svc *Service) handleShardsProm(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// handleShardsJSON serves the same state as JSON.
-func (svc *Service) handleShardsJSON(w http.ResponseWriter, _ *http.Request) {
-	type shardDoc struct {
-		Shard    int `json:"shard"`
-		Snapshot any `json:"snapshot"`
-	}
-	shards := svc.Shards()
-	docs := make([]shardDoc, 0, len(shards))
-	for _, sh := range shards {
-		docs = append(docs, shardDoc{Shard: sh.ID(), Snapshot: sh.Snapshot().WithoutSpans()})
-	}
-	w.Header().Set("Content-Type", fsproto.ContentTypeJSON)
-	if err := json.NewEncoder(w).Encode(docs); err != nil {
-		svc.cEncErrs.Inc()
-	}
-}
-
 // Mux returns the full fsencrd route set: the /v1 API, the per-shard
-// determinism surfaces, and the live observability plane (/metrics,
+// determinism surface (/shards.prom), and the live observability plane (/metrics,
 // /snapshot.json, /trace.json, /journal.jsonl, /audit.jsonl, /healthz,
 // /debug/pprof) backed by the service's merged telemetry, journals, and
 // audit logs.
@@ -382,7 +365,6 @@ func (svc *Service) Mux() *http.ServeMux {
 		mux.HandleFunc(path, svc.serveHTTP)
 	}
 	mux.HandleFunc("/shards.prom", svc.handleShardsProm)
-	mux.HandleFunc("/shards.json", svc.handleShardsJSON)
 
 	obs := obsplane.NewServer(obsplane.Options{
 		Snapshot: svc.MetricsSnapshot,

@@ -120,57 +120,3 @@ func (s *Set) String() string {
 	}
 	return b.String()
 }
-
-// Histogram is a fixed-bucket latency histogram.
-type Histogram struct {
-	bounds []uint64 // ascending upper bounds; last bucket is overflow
-	counts []uint64
-	total  uint64
-	sum    uint64
-	max    uint64
-}
-
-// NewHistogram returns a histogram with the given ascending bucket upper
-// bounds; values above the last bound land in an overflow bucket.
-func NewHistogram(bounds ...uint64) *Histogram {
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("stats: histogram bounds must be strictly ascending")
-		}
-	}
-	return &Histogram{bounds: bounds, counts: make([]uint64, len(bounds)+1)}
-}
-
-// Observe records one value.
-func (h *Histogram) Observe(v uint64) {
-	i := sort.Search(len(h.bounds), func(i int) bool { return v <= h.bounds[i] })
-	h.counts[i]++
-	h.total++
-	h.sum += v
-	if v > h.max {
-		h.max = v
-	}
-}
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 { return h.total }
-
-// Mean returns the mean of observations, or 0 if empty.
-func (h *Histogram) Mean() float64 {
-	if h.total == 0 {
-		return 0
-	}
-	return float64(h.sum) / float64(h.total)
-}
-
-// Max returns the largest observation.
-func (h *Histogram) Max() uint64 { return h.max }
-
-// Buckets returns (upper bound, count) pairs, with ^uint64(0) as the
-// overflow bucket's bound.
-func (h *Histogram) Buckets() ([]uint64, []uint64) {
-	b := append([]uint64(nil), h.bounds...)
-	b = append(b, ^uint64(0))
-	c := append([]uint64(nil), h.counts...)
-	return b, c
-}

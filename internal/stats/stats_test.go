@@ -147,49 +147,6 @@ func TestCounterCopiesShareSlot(t *testing.T) {
 	}
 }
 
-func TestHistogram(t *testing.T) {
-	h := NewHistogram(10, 100, 1000)
-	for _, v := range []uint64{1, 10, 11, 100, 500, 5000} {
-		h.Observe(v)
-	}
-	if h.Count() != 6 {
-		t.Fatalf("count = %d", h.Count())
-	}
-	if h.Max() != 5000 {
-		t.Fatalf("max = %d", h.Max())
-	}
-	wantMean := float64(1+10+11+100+500+5000) / 6
-	if math.Abs(h.Mean()-wantMean) > 1e-9 {
-		t.Fatalf("mean = %v want %v", h.Mean(), wantMean)
-	}
-	bounds, counts := h.Buckets()
-	if len(bounds) != 4 || len(counts) != 4 {
-		t.Fatalf("buckets: %v %v", bounds, counts)
-	}
-	// <=10: {1,10}; <=100: {11,100}; <=1000: {500}; overflow: {5000}
-	want := []uint64{2, 2, 1, 1}
-	for i := range want {
-		if counts[i] != want[i] {
-			t.Fatalf("bucket %d = %d want %d", i, counts[i], want[i])
-		}
-	}
-}
-
-func TestHistogramBadBoundsPanic(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("descending bounds accepted")
-		}
-	}()
-	NewHistogram(10, 10)
-}
-
-func TestHistogramEmptyMean(t *testing.T) {
-	if NewHistogram(1).Mean() != 0 {
-		t.Fatal("empty mean not 0")
-	}
-}
-
 func TestTableRendering(t *testing.T) {
 	tb := NewTable("demo", "name", "value")
 	tb.AddRow("alpha", 1.5)

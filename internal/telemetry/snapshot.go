@@ -139,9 +139,8 @@ func (s *Snapshot) AddCounters(m map[string]uint64) {
 // Diff returns what changed from prev to cur: counter and histogram deltas
 // (monotonic series; a shrinking value means the sink was reset, and the
 // delta clamps to the new absolute value), gauges at their current level
-// (they are occupancy readings, not rates). Spans are omitted — the live
-// plane serves the full trace separately. Either argument may be nil; a nil
-// prev makes the diff equal cur's absolute state.
+// (they are occupancy readings, not rates). Spans are omitted. Either
+// argument may be nil; a nil prev makes the diff equal cur's absolute state.
 func Diff(prev, cur *Snapshot) *Snapshot {
 	d := NewSnapshot()
 	if cur == nil {

@@ -350,3 +350,25 @@ func TestBatchAddMatchesObserve(t *testing.T) {
 		t.Fatal("nil histogram recorded a batch")
 	}
 }
+
+func TestDiff(t *testing.T) {
+	prev := NewSnapshot()
+	prev.Counters["a"] = 10
+	prev.Runs = 2
+	cur := NewSnapshot()
+	cur.Counters["a"] = 15
+	cur.Counters["b"] = 3
+	cur.Runs = 5
+	d := Diff(prev, cur)
+	if d.Counters["a"] != 5 || d.Counters["b"] != 3 || d.Runs != 3 {
+		t.Fatalf("diff: %+v", d)
+	}
+	// A reset sink (shrinking counter) clamps to the new absolute value.
+	cur.Counters["a"] = 2
+	if d := Diff(prev, cur); d.Counters["a"] != 2 {
+		t.Fatalf("diff after reset: %+v", d)
+	}
+	if d := Diff(nil, cur); d.Counters["b"] != 3 {
+		t.Fatalf("diff from nil: %+v", d)
+	}
+}
