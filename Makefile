@@ -90,8 +90,12 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzImportImage$$' -fuzztime 10s ./internal/memctrl
 	$(GO) test -run '^$$' -fuzz '^FuzzOTPLines$$' -fuzztime 10s ./internal/aesctr
 
+# One -race pass catches an ordering bug in a concurrent test only as often
+# as the interleaving that shows it comes up: the replayed fast reads' trace
+# verdicts and the worker's hand-off to an answered caller get five.
 race:
 	$(GO) test -race ./...
+	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestAnsweredCallerRunsFirst' ./internal/server
 
 # Full chaos campaign: >= 1000 seeded faults injected across the encrypted
 # datapath (counter blocks, data lines, torn writes, OTT region, audit
@@ -127,15 +131,17 @@ vet:
 
 # Hot-path microbenchmarks (datapath + PCM page burst and repeat + Merkle
 # write-back + crypto engine + kvstore + the server read path and the
-# product client over loopback), one iteration batch each — enough for
-# before/after comparisons of the fast-path.
+# product client over loopback: reads, KV gets, and 4 KiB writes by one
+# caller and by two, with their median latency), one iteration batch each —
+# enough for before/after comparisons of the fast-path. ClientWrite4K is not
+# in bench-json or bench-check.
 bench:
 	$(GO) test -run '^$$' -bench 'ReadLine|WriteLine|ReadPage|WritePage' ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'AccessPage|AccessRepeat' ./internal/pcm
 	$(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush' ./internal/merkle
 	$(GO) test -run '^$$' -bench . ./internal/aesctr
 	$(GO) test -run '^$$' -bench 'Put|Get' ./internal/kvstore
-	$(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientKVGet' ./internal/server
+	$(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientWrite4K|ClientKVGet' ./internal/server
 
 # Machine-readable perf baseline: the same hot-path benchmarks, folded
 # into BENCH_baseline.json as {"pkg.Benchmark": {iterations, ns_per_op}}

@@ -5,7 +5,7 @@ package server
 // goroutine against a quiescent snapshot of the shard's machine.
 //
 // The consistency scheme is the shard's RWMutex and nothing else: the
-// worker (Shard.run) holds the writer lock across every mutation batch
+// worker (Shard.run) holds the writer lock across each task it runs
 // (enterMut/exitMut), and a reader TryRLocks — which fails while the worker
 // holds the lock or waits for it — and runs the whole op under that one
 // read lock: a kernel.SnapshotReader opened on the file (or store) with the
@@ -41,9 +41,6 @@ const (
 	// fastReadRetries bounds read-lock attempts before a read falls back to
 	// worker admission.
 	fastReadRetries = 2
-	// groupCommitBatch bounds how many admitted tasks the worker serves
-	// under one writer-lock acquisition (Shard.run).
-	groupCommitBatch = 8
 	// deltaDrainThreshold is the number of undrained read deltas at which a
 	// reader asks the worker for a drain (askDrain).
 	deltaDrainThreshold = 256
@@ -63,16 +60,16 @@ type deltaNode struct {
 	next  *deltaNode
 }
 
-// enterMut begins a worker mutation batch: writer lock (readers in flight
+// enterMut opens a worker mutation bracket: writer lock (readers in flight
 // finish first, new ones are refused), then the deferred side effects of
-// reads that completed since the last batch are folded in, so audit records
+// reads that completed since the last bracket are folded in, so audit records
 // never reorder across the mutations that follow them.
 func (sh *Shard) enterMut() {
 	sh.rmu.Lock()
 	sh.drainDeltas()
 }
 
-// exitMut ends the batch.
+// exitMut closes the bracket.
 func (sh *Shard) exitMut() { sh.rmu.Unlock() }
 
 // drainDeltas merges every delta pushed since the last drain into one and

@@ -434,16 +434,15 @@ func TestPromotionRefusesTamperedFrames(t *testing.T) {
 
 // fastReadSource boots a fair logged one-shard service with
 // testReadService's file and runs three readers of 4 KiB pages and 256-byte
-// ranges on it — every fifth read traced and sampled, and served off the
-// worker — against a writer, until the fast path has served reads while the
-// writes landed. Then it freezes the shard and returns the service, the
-// migration, the frozen log and its records, which must hold read deltas
-// with audit records and traces among them.
+// ranges on it — every fifth read traced and sampled, served off the worker
+// or, when it falls back, by it — against a writer, until the fast path has
+// served reads while the writes landed. Then it freezes the shard and returns
+// the service, the migration, the frozen log and its records, which must
+// hold read deltas with audit records and traces among them.
 func fastReadSource(t *testing.T) (*Service, *Migration, []byte, []fsproto.LogRecord) {
 	t.Helper()
 	ctx := context.Background()
 	svc, sess := readServiceWith(t, fairLoggedOptions())
-	sh := svc.Shards()[0]
 	var stop atomic.Bool
 	var ids atomic.Uint64
 	var wg sync.WaitGroup
@@ -451,24 +450,16 @@ func fastReadSource(t *testing.T) (*Service, *Migration, []byte, []fsproto.LogRe
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			buf := make([]byte, 4096)
 			for i := uint64(r); !stop.Load(); i++ {
 				req := fsproto.ReadRequest{Name: "hot.dat", Offset: i % 4 * 4096, Length: 4096}
 				if i%2 == 1 {
 					req.Offset, req.Length = i%60*256+100, 256
 				}
+				rctx := ctx
 				if i%5 == 0 {
-					// A sampled read is served off the worker or not at all: one
-					// that fell back would be timed with its queue wait, which a
-					// fair log does not carry, and the replayed sampler's
-					// slow-decile cut would see another duration.
-					tc := fsproto.TraceContext{TraceID: 0x7e57_0000 + ids.Add(1), Parent: i, Sampled: true}
-					sh.tryFast(sess, tc, fsproto.KindRead, fullName("acme", req.Name), sess.pass, func(sr *kernel.SnapshotReader) (int, error) {
-						return sr.ReadAt(buf[:req.Length], int64(req.Offset))
-					})
-					continue
+					rctx = WithTrace(ctx, fsproto.TraceContext{TraceID: 0x7e57_0000 + ids.Add(1), Parent: i, Sampled: true})
 				}
-				pl, err := svc.Read(ctx, sess, req)
+				pl, err := svc.Read(rctx, sess, req)
 				if err != nil {
 					t.Errorf("read: %v", err)
 					return

@@ -25,6 +25,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -158,7 +159,7 @@ type Shard struct {
 
 	// Concurrent read fast-path plane (fastread.go). rmu excludes snapshot
 	// readers from worker mutations: the worker holds it for writing across
-	// every mutation batch, a reader TryRLocks it; deltas is the lock-free
+	// every task it serves, a reader TryRLocks it; deltas is the lock-free
 	// stack of deferred read side effects the worker folds into the
 	// controller at its next mutation — pendingDeltas counts them and
 	// drainAsked is up while a reader's request for a drain is outstanding
@@ -448,7 +449,7 @@ func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
 	}
 }
 
-// execSide runs one side task as a mutation batch of its own. A Hold
+// execSide runs one side task in a mutation bracket of its own. A Hold
 // stretches the bracket: the task that takes the shard leaves it open, side
 // work under the hold runs inside it, the task that releases closes it.
 func (sh *Shard) execSide(t sideTask) {
@@ -532,7 +533,8 @@ func (sh *Shard) serve(t task) (any, error) {
 			name = t.kind.String()
 		}
 		sh.scope.Exit("request", name, rootStart, end, 0)
-		sh.scope.End(sh.sampler.Keep(t.trace.TraceID, end-rootStart, err != nil))
+		// Service time, not the root's length: a replayed task has no queue wait.
+		sh.scope.End(sh.sampler.Keep(t.trace.TraceID, end-start, err != nil))
 	}
 	if t.sess != nil && sh.logOn {
 		sh.logOp(&t)
@@ -625,11 +627,13 @@ func (q *seqQueue) pop() (task, bool) {
 // waits for the next arrival or stop. A held shard keeps absorbing and keeps
 // running side tasks (how the holder reaches the machine) but pops nothing.
 //
-// Mutations run inside enterMut/exitMut (fastread.go), so concurrent snapshot
-// readers either see a quiescent machine or fall back to admission here.
-// Admitted tasks are group-committed: up to groupCommitBatch servings share
-// one bracket, amortizing writer-side synchronization under load while
-// keeping reader stalls bounded to a batch.
+// Each task runs in a mutation bracket of its own, enterMut/exitMut
+// (fastread.go): snapshot readers see a quiescent machine or fall back to
+// admission here, stalling one task at most. Answering a task readies its
+// caller behind the worker on this P, so while admitted work waits the
+// worker yields after the bracket (never inside it, where readers would meet
+// the held writer lock) and the answered caller runs before the next task.
+// A det shard's order is seqQueue's, not the scheduler's.
 func (sh *Shard) run() {
 	defer close(sh.stopped)
 	var q queue = &fairQueue{}
@@ -651,13 +655,10 @@ func (sh *Shard) run() {
 			if t, ok := q.pop(); ok {
 				sh.enterMut()
 				sh.exec(t)
-				for n := 1; n < groupCommitBatch; n++ {
-					if t, ok = q.pop(); !ok {
-						break
-					}
-					sh.exec(t)
-				}
 				sh.exitMut()
+				if sh.depth.Load() > 0 {
+					runtime.Gosched()
+				}
 				continue
 			}
 		}

@@ -3,8 +3,10 @@ package server
 import (
 	"context"
 	"errors"
+	"runtime"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -108,6 +110,56 @@ func TestShardFairRoundRobin(t *testing.T) {
 	if !seen[1] || !seen[2] {
 		t.Fatalf("first half served only one tenant: %v", order)
 	}
+}
+
+// TestAnsweredCallerRunsFirst pins the worker's hand-off on one P: task A
+// holds the worker while task B is admitted behind it, and once A is
+// answered, A's caller resumes before B is served. Without the worker's yield
+// the answered caller waits in the P's next slot while the worker serves B.
+// The scheduler checks its global queue first on one tick in 61, which hands
+// that round to the worker, so the test asks for 80 rounds of 100.
+func TestAnsweredCallerRunsFirst(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	sh := testShard(t, false, 0)
+	ctx := context.Background()
+	const rounds, want = 100, 80
+	first := 0
+	for r := 0; r < rounds; r++ {
+		gate, running, aDone, bDone := make(chan struct{}), make(chan struct{}), make(chan struct{}), make(chan struct{})
+		var resumed, aFirst atomic.Bool
+		go func() {
+			defer close(aDone)
+			sh.Do(ctx, 1, 0, func() (any, error) {
+				close(running)
+				<-gate
+				return nil, nil
+			})
+			resumed.Store(true)
+		}()
+		<-running
+		go func() {
+			defer close(bDone)
+			sh.Do(ctx, 2, 0, func() (any, error) {
+				aFirst.Store(resumed.Load())
+				return nil, nil
+			})
+		}()
+		for deadline := time.Now().Add(2 * time.Second); sh.depth.Load() < 2; time.Sleep(10 * time.Microsecond) {
+			if time.Now().After(deadline) {
+				t.Fatal("task B was never admitted")
+			}
+		}
+		close(gate)
+		<-aDone
+		<-bDone
+		if aFirst.Load() {
+			first++
+		}
+	}
+	if first < want {
+		t.Fatalf("the answered caller ran before the next task in %d of %d rounds, want >= %d", first, rounds, want)
+	}
+	t.Logf("the answered caller ran first in %d of %d rounds", first, rounds)
 }
 
 // TestShardBackpressure fills one tenant's admission slots and checks the
