@@ -178,10 +178,10 @@ bench-check:
 	} | $(GO) run ./cmd/fsencr-bench -check BENCH_baseline.json -tolerance 0.15
 
 # Telemetry-overhead gate: with no registry attached (the no-op recorder)
-# a telemetry hook must stay one predictable branch (<= 0.5 ns) and a
-# ReadLine/WriteLine must reach no more hooks than pinned — the two factors
-# of what a line op pays for detached telemetry, neither of which moves
-# when the datapath itself gets faster. TestWriteLineGapGuard rides along:
+# a telemetry hook must stay one predictable branch (<= 0.5 ns). That is one
+# factor of what a line op pays for detached telemetry; the other, the hooks
+# a ReadLine/WriteLine reaches, is pinned exactly by TestHooksPerLineOp in
+# `make test`. Neither moves when the datapath itself gets faster. TestWriteLineGapGuard rides along:
 # it pins the WriteLine/ReadLine ns/op ratio so eager per-write Merkle
 # propagation cannot silently return. TestPageGapGuard pins the batched page
 # path at no worse than half the host cost of 64 WriteLine calls, so the

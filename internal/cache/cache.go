@@ -23,9 +23,13 @@ type entry struct {
 }
 
 // Cache is one set-associative cache. Not safe for concurrent use.
+//
+// Its entries are allocated by the first Insert: until then every query
+// answers as an empty cache would, so a core that never runs costs a
+// machine nothing.
 type Cache struct {
 	name     string
-	sets     [][]entry
+	entries  []entry // numSets*ways, set-major; nil until the first Insert
 	ways     int
 	numSets  int
 	lineBits uint
@@ -51,18 +55,12 @@ func New(name string, sizeBytes, ways int) *Cache {
 	if numSets&(numSets-1) != 0 {
 		panic(fmt.Sprintf("cache %s: set count %d not a power of two", name, numSets))
 	}
-	c := &Cache{
+	return &Cache{
 		name:     name,
 		ways:     ways,
 		numSets:  numSets,
 		lineBits: log2(config.LineSize),
 	}
-	c.sets = make([][]entry, numSets)
-	backing := make([]entry, numSets*ways)
-	for i := range c.sets {
-		c.sets[i], backing = backing[:ways], backing[ways:]
-	}
-	return c
 }
 
 // Name returns the cache's diagnostic name.
@@ -71,9 +69,21 @@ func (c *Cache) Name() string { return c.name }
 // Sets returns the number of sets.
 func (c *Cache) Sets() int { return c.numSets }
 
+// Filled reports whether a line was ever inserted, which is when the
+// entries are allocated.
+func (c *Cache) Filled() bool { return c.entries != nil }
+
 func (c *Cache) locate(lineAddr uint64) (setIdx int, tag uint64) {
 	idx := lineAddr >> c.lineBits
 	return int(idx % uint64(c.numSets)), idx / uint64(c.numSets)
+}
+
+// set returns set idx's ways: none before the first Insert.
+func (c *Cache) set(idx int) []entry {
+	if c.entries == nil {
+		return nil
+	}
+	return c.entries[idx*c.ways : (idx+1)*c.ways]
 }
 
 // Lookup probes for the line containing addr. On a hit it refreshes LRU
@@ -81,8 +91,9 @@ func (c *Cache) locate(lineAddr uint64) (setIdx int, tag uint64) {
 func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
 	set, tag := c.locate(lineAddr)
 	c.clock++
-	for i := range c.sets[set] {
-		e := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		e := &ways[i]
 		if e.valid && e.tag == tag {
 			e.lastUse = c.clock
 			if markDirty {
@@ -99,8 +110,9 @@ func (c *Cache) Lookup(lineAddr uint64, markDirty bool) bool {
 // Contains probes without disturbing LRU or statistics.
 func (c *Cache) Contains(lineAddr uint64) bool {
 	set, tag := c.locate(lineAddr)
-	for i := range c.sets[set] {
-		e := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		e := &ways[i]
 		if e.valid && e.tag == tag {
 			return true
 		}
@@ -120,9 +132,13 @@ type Victim struct {
 func (c *Cache) Insert(lineAddr uint64, dirty bool) (Victim, bool) {
 	set, tag := c.locate(lineAddr)
 	c.clock++
+	if c.entries == nil {
+		c.entries = make([]entry, c.numSets*c.ways)
+	}
 	var victim *entry
-	for i := range c.sets[set] {
-		e := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		e := &ways[i]
 		if e.valid && e.tag == tag {
 			e.lastUse = c.clock
 			e.dirty = e.dirty || dirty
@@ -159,8 +175,9 @@ func (c *Cache) lineAddr(set int, tag uint64) uint64 {
 // Invalidate drops the line if present, returning whether it was dirty.
 func (c *Cache) Invalidate(lineAddr uint64) (wasDirty, wasPresent bool) {
 	set, tag := c.locate(lineAddr)
-	for i := range c.sets[set] {
-		e := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		e := &ways[i]
 		if e.valid && e.tag == tag {
 			e.valid = false
 			return e.dirty, true
@@ -173,8 +190,9 @@ func (c *Cache) Invalidate(lineAddr uint64) (wasDirty, wasPresent bool) {
 // line is written back but retained).
 func (c *Cache) Clean(lineAddr uint64) {
 	set, tag := c.locate(lineAddr)
-	for i := range c.sets[set] {
-		e := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		e := &ways[i]
 		if e.valid && e.tag == tag {
 			e.dirty = false
 			return
@@ -185,8 +203,9 @@ func (c *Cache) Clean(lineAddr uint64) {
 // IsDirty reports whether the line is present and dirty.
 func (c *Cache) IsDirty(lineAddr uint64) bool {
 	set, tag := c.locate(lineAddr)
-	for i := range c.sets[set] {
-		e := &c.sets[set][i]
+	ways := c.set(set)
+	for i := range ways {
+		e := &ways[i]
 		if e.valid && e.tag == tag {
 			return e.dirty
 		}
@@ -196,24 +215,15 @@ func (c *Cache) IsDirty(lineAddr uint64) bool {
 
 // WalkValid calls fn for every valid line. fn must not mutate the cache.
 func (c *Cache) WalkValid(fn func(lineAddr uint64, dirty bool)) {
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			e := &c.sets[set][i]
-			if e.valid {
-				fn(c.lineAddr(set, e.tag), e.dirty)
-			}
+	for i := range c.entries {
+		if e := &c.entries[i]; e.valid {
+			fn(c.lineAddr(i/c.ways, e.tag), e.dirty)
 		}
 	}
 }
 
 // Clear invalidates everything (a crash powering off SRAM).
-func (c *Cache) Clear() {
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			c.sets[set][i] = entry{}
-		}
-	}
-}
+func (c *Cache) Clear() { clear(c.entries) }
 
 // HitRate returns hits / (hits + misses), or 0 if never accessed.
 func (c *Cache) HitRate() float64 {

@@ -192,3 +192,32 @@ func TestCapacityBound(t *testing.T) {
 		t.Fatalf("valid lines = %d, capacity 128", n)
 	}
 }
+
+// TestUnfilledCacheIsEmpty: until the first Insert a cache holds no entries
+// and answers every query as an empty cache, while Lookup still counts its
+// misses; New allocates the Cache and nothing else.
+func TestUnfilledCacheIsEmpty(t *testing.T) {
+	if n := testing.AllocsPerRun(10, func() { New("t", 8<<10, 8) }); n != 1 {
+		t.Fatalf("New made %v allocations, want 1", n)
+	}
+	c := New("t", 8<<10, 8)
+	if c.Lookup(line(1), true) || c.Lookup(line(2), false) || c.Misses != 2 || c.Hits != 0 {
+		t.Fatalf("lookups on an unfilled cache: hits=%d misses=%d", c.Hits, c.Misses)
+	}
+	if c.Contains(line(1)) || c.IsDirty(line(1)) {
+		t.Fatal("an unfilled cache holds line 1")
+	}
+	if dirty, present := c.Invalidate(line(1)); dirty || present {
+		t.Fatalf("Invalidate on an unfilled cache = %v, %v", dirty, present)
+	}
+	c.Clean(line(1))
+	c.Clear()
+	c.WalkValid(func(uint64, bool) { t.Fatal("an unfilled cache walked a line") })
+	if c.Filled() || c.entries != nil {
+		t.Fatal("queries allocated the entries")
+	}
+	c.Insert(line(1), true)
+	if !c.Filled() || !c.IsDirty(line(1)) {
+		t.Fatal("the first Insert did not fill the cache")
+	}
+}

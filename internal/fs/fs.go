@@ -100,10 +100,16 @@ func (f *File) Allows(uid, gid uint32, want Access) bool {
 type FS struct {
 	regionBase uint64 // physical byte offset of the PMEM region
 	regionSize uint64
-	freePages  []uint64 // physical page numbers available for allocation
 	files      map[string]*File
 	byIno      map[uint16]*File
 	nextIno    uint16
+
+	// Free pages are the never-allocated range [next, end) plus a stack of
+	// freed pages, handed out first, last-in first-out: sequential files get
+	// sequential pages, and the memory kept grows with what was freed, not
+	// with the region.
+	next, end uint64
+	freed     []uint64
 }
 
 // Errors returned by filesystem operations.
@@ -123,29 +129,22 @@ func New(base, size uint64) *FS {
 	if base%config.PageSize != 0 || size%config.PageSize != 0 {
 		panic("fs: region must be page aligned")
 	}
-	f := &FS{
+	return &FS{
 		regionBase: base,
 		regionSize: size,
+		next:       base / config.PageSize,
+		end:        (base + size) / config.PageSize,
 		files:      make(map[string]*File),
 		byIno:      make(map[uint16]*File),
 		nextIno:    1,
 	}
-	first := base / config.PageSize
-	count := size / config.PageSize
-	f.freePages = make([]uint64, 0, count)
-	// Keep the free list sorted descending so allocation pops ascending
-	// page numbers from the tail (sequential files get sequential pages).
-	for i := int64(count) - 1; i >= 0; i-- {
-		f.freePages = append(f.freePages, first+uint64(i))
-	}
-	return f
 }
 
 // RegionBase returns the physical base of the volume.
 func (s *FS) RegionBase() uint64 { return s.regionBase }
 
 // FreePages returns how many pages remain unallocated.
-func (s *FS) FreePages() int { return len(s.freePages) }
+func (s *FS) FreePages() int { return len(s.freed) + int(s.end-s.next) }
 
 // Create makes a new file. Encrypted files get a deterministic-per-inode
 // salt; key derivation and registration with the memory controller are the
@@ -204,22 +203,28 @@ func (s *FS) Files() []*File {
 
 // Truncate grows (or shrinks) a file to size bytes, allocating or freeing
 // whole pages. Shrinking returns the freed physical pages so the kernel can
-// shred them.
+// shred them. Growing is all or nothing: without room for every page it
+// takes none and fails with ErrNoSpace.
 func (s *FS) Truncate(f *File, size uint64) (freed []uint64, err error) {
-	wantPages := int((size + config.PageSize - 1) / config.PageSize)
-	for len(f.extents) < wantPages {
-		if len(s.freePages) == 0 {
-			return nil, ErrNoSpace
+	wantPages := (size + config.PageSize - 1) / config.PageSize
+	if have := uint64(len(f.extents)); wantPages > have && wantPages-have > uint64(s.FreePages()) {
+		return nil, ErrNoSpace
+	}
+	for uint64(len(f.extents)) < wantPages {
+		var pg uint64
+		if n := len(s.freed); n > 0 {
+			pg, s.freed = s.freed[n-1], s.freed[:n-1]
+		} else {
+			pg = s.next
+			s.next++
 		}
-		pg := s.freePages[len(s.freePages)-1]
-		s.freePages = s.freePages[:len(s.freePages)-1]
 		f.extents = append(f.extents, pg)
 	}
-	for len(f.extents) > wantPages {
+	for uint64(len(f.extents)) > wantPages {
 		pg := f.extents[len(f.extents)-1]
 		f.extents = f.extents[:len(f.extents)-1]
 		freed = append(freed, pg)
-		s.freePages = append(s.freePages, pg)
+		s.freed = append(s.freed, pg)
 	}
 	f.Size = size
 	return freed, nil
@@ -234,7 +239,7 @@ func (s *FS) Unlink(name string) (*File, []uint64, error) {
 	delete(s.files, name)
 	delete(s.byIno, f.Ino)
 	pages := append([]uint64(nil), f.extents...)
-	s.freePages = append(s.freePages, f.extents...)
+	s.freed = append(s.freed, f.extents...)
 	f.extents = nil
 	return f, pages, nil
 }

@@ -2,6 +2,8 @@ package fs
 
 import (
 	"errors"
+	"fmt"
+	"math/rand"
 	"testing"
 
 	"fsencr/internal/config"
@@ -112,6 +114,110 @@ func TestNoSpace(t *testing.T) {
 	f, _ := s.Create("big", 1, 1, 0600, false)
 	if _, err := s.Truncate(f, 3*config.PageSize); !errors.Is(err, ErrNoSpace) {
 		t.Fatalf("overcommit error = %v", err)
+	}
+	if f.Pages() != 0 || s.FreePages() != 2 {
+		t.Fatalf("a failed grow took pages: file holds %d, %d free; want 0 and 2", f.Pages(), s.FreePages())
+	}
+}
+
+// listAlloc is the free list the free range replaced, kept as the reference
+// for its order: every page number, sorted descending, popped from the tail,
+// freed pages pushed back on it.
+type listAlloc struct {
+	free  []uint64
+	files map[string][]uint64
+}
+
+func newListAlloc(base, size uint64) *listAlloc {
+	l := &listAlloc{files: map[string][]uint64{}}
+	first, count := base/config.PageSize, size/config.PageSize
+	for i := int64(count) - 1; i >= 0; i-- {
+		l.free = append(l.free, first+uint64(i))
+	}
+	return l
+}
+
+func (l *listAlloc) truncate(name string, size uint64) error {
+	ext := l.files[name]
+	want := int((size + config.PageSize - 1) / config.PageSize)
+	if want-len(ext) > len(l.free) {
+		return ErrNoSpace
+	}
+	for len(ext) < want {
+		ext, l.free = append(ext, l.free[len(l.free)-1]), l.free[:len(l.free)-1]
+	}
+	for len(ext) > want {
+		l.free, ext = append(l.free, ext[len(ext)-1]), ext[:len(ext)-1]
+	}
+	l.files[name] = ext
+	return nil
+}
+
+func (l *listAlloc) unlink(name string) {
+	l.free = append(l.free, l.files[name]...)
+	delete(l.files, name)
+}
+
+// TestFreeRangeMatchesList drives the filesystem and the reference list
+// through the same seeded creates, grows, shrinks and unlinks on a small
+// region, failed creates (unlinked, as the kernel does) included: every
+// file's page sequence and the free count must agree after every step.
+func TestFreeRangeMatchesList(t *testing.T) {
+	const base, size = 12 << 30, 256 * config.PageSize
+	s, ref := New(base, size), newListAlloc(base, size)
+	rng := rand.New(rand.NewSource(39))
+	var names []string
+	randSize := func() uint64 { return uint64(rng.Int63n(48 * config.PageSize)) }
+	for step := 0; step < 20000; step++ {
+		switch op := rng.Intn(10); {
+		case op < 3 || len(names) == 0:
+			name := fmt.Sprintf("f%d", step)
+			f, err := s.Create(name, 1, 1, 0600, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sz := randSize()
+			_, err = s.Truncate(f, sz)
+			if rerr := ref.truncate(name, sz); !errors.Is(err, rerr) {
+				t.Fatalf("step %d: create %q of %d bytes: %v, reference %v", step, name, sz, err, rerr)
+			}
+			if err != nil {
+				s.Unlink(name)
+				ref.unlink(name)
+				break
+			}
+			names = append(names, name)
+		case op < 8:
+			name := names[rng.Intn(len(names))]
+			f, _ := s.Lookup(name)
+			sz := randSize()
+			_, err := s.Truncate(f, sz)
+			if rerr := ref.truncate(name, sz); !errors.Is(err, rerr) {
+				t.Fatalf("step %d: truncate %q to %d bytes: %v, reference %v", step, name, sz, err, rerr)
+			}
+		default:
+			i := rng.Intn(len(names))
+			if _, _, err := s.Unlink(names[i]); err != nil {
+				t.Fatal(err)
+			}
+			ref.unlink(names[i])
+			names = append(names[:i], names[i+1:]...)
+		}
+		if s.FreePages() != len(ref.free) {
+			t.Fatalf("step %d: %d free pages, reference %d", step, s.FreePages(), len(ref.free))
+		}
+		for _, name := range names {
+			f, _ := s.Lookup(name)
+			ext := ref.files[name]
+			if f.Pages() != len(ext) {
+				t.Fatalf("step %d: %q holds %d pages, reference %d", step, name, f.Pages(), len(ext))
+			}
+			for i, pg := range ext {
+				if pa, _ := f.PagePA(i); uint64(pa) != pg*config.PageSize {
+					t.Fatalf("step %d: %q page %d at %#x, reference %#x", step, name, i, uint64(pa), pg*config.PageSize)
+				}
+			}
+		}
 	}
 }
 

@@ -51,6 +51,10 @@ type Request struct {
 	Peer      *Peer
 	Body      []byte
 	Tail      []byte
+	// Kept is a server handler's report that something it started still
+	// holds Body after it returns: ServeConn then reads the next body into
+	// a new buffer instead of this one.
+	Kept bool
 }
 
 // Peer is the session identity the peer headers carry.

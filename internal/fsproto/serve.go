@@ -11,6 +11,7 @@ import (
 	"net"
 	"net/http"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -26,11 +27,12 @@ import (
 // br, when not nil, is a reader that is already ahead of nc (a hijacked
 // connection's): what it has buffered is served first, in order.
 //
-// h gets the connection's one Request, valid until h returns except for its
-// Body, which is the request's own buffer. The Body of the Response h returns
-// must stay valid until h is called again or ServeConn returns. A Response
-// with Close set ends the connection once it is sent; so do a request
-// "Connection: close" and HTTP/1.0.
+// h gets the connection's one Request, valid until h returns, Body included:
+// the connection reads every body into one buffer, unless h sets Kept, which
+// leaves the buffer to whatever still holds it. The Body of the Response h
+// returns must stay valid until h is called again or ServeConn returns. A
+// Response with Close set ends the connection once it is sent; so do a
+// request "Connection: close" and HTTP/1.0.
 //
 // Framing is refused, never guessed. Transfer-Encoding, Expect, a repeated,
 // signed, non-decimal or over-long Content-Length, a header line without a
@@ -64,6 +66,9 @@ func ServeConn(nc net.Conn, br *bufio.Reader, h func(*Request) Response) error {
 			return &WireError{Op: "read", Err: err}
 		default:
 			resp = h(&s.req)
+			if s.req.Kept {
+				s.body = nil // held past h: the next body gets a buffer of its own
+			}
 		}
 		resp.Close = resp.Close || closing
 		if err := s.writeResponse(&resp); err != nil {
@@ -99,6 +104,7 @@ type serverConn struct {
 	br   *bufio.Reader
 	req  Request
 	head []byte // response head scratch
+	body []byte // request body buffer, reused unless a handler kept it
 	out  sender
 	// A connection repeats its path and token: the strings of the last
 	// request are kept and reused when the bytes are the same.
@@ -209,13 +215,16 @@ func (s *serverConn) readRequest() (closing bool, err error) {
 		return false, refusef("%d-byte body exceeds the %d-byte limit", length, MaxBodyBytes)
 	}
 	if length > 0 {
-		// One buffer per request, GC-owned: a queued write may outlive its
-		// request (see the server's decode).
-		if req.Body, err = ReadBody(s.br, length, MaxBodyBytes); err != nil {
+		if int64(cap(s.body)) < length {
+			// Rounded up to a size class: a body a few bytes longer fits too.
+			s.body = slices.Grow([]byte(nil), int(length))
+		}
+		req.Body = s.body[:length]
+		if _, err = io.ReadFull(s.br, req.Body); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				return false, err
 			}
-			return false, grammarError(strings.TrimPrefix(err.Error(), "fsproto: "))
+			return false, refusef("read body: %v", err)
 		}
 	}
 	return closing, nil

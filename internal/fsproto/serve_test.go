@@ -29,13 +29,15 @@ func (c *memConn) Close() error                    { c.closed = true; return nil
 func (c *memConn) SetReadDeadline(time.Time) error { return nil }
 
 // serveBytes runs the loop over in and returns the requests the handler was
-// handed (copies: the loop reuses its Request), the bytes answered, and the
-// loop's result. Every request is answered 200 with its own body.
+// handed (copies, Body included: the loop reuses its Request and its body
+// buffer), the bytes answered, and the loop's result. Every request is
+// answered 200 with its own body.
 func serveBytes(t testing.TB, in []byte) (reqs []Request, out string, err error) {
 	t.Helper()
 	nc := &memConn{in: bytes.NewReader(in)}
 	err = ServeConn(nc, nil, func(req *Request) Response {
 		r := *req
+		r.Body = bytes.Clone(req.Body)
 		if req.Peer != nil {
 			p := *req.Peer
 			r.Peer = &p
@@ -164,6 +166,32 @@ func TestServeConnAccepts(t *testing.T) {
 		return Response{Status: 200, QueueDepth: -1}
 	}); err != nil || !reflect.DeepEqual(paths, []string{"/first", "/second"}) {
 		t.Fatalf("hijacked reader: served %v, result %v", paths, err)
+	}
+}
+
+// TestServeConnBodyBuffer: a connection reads its bodies into one buffer,
+// the next body into the last one's bytes, except after a handler marked a
+// body Kept: that body keeps its bytes, and the next one gets a buffer of
+// its own.
+func TestServeConnBodyBuffer(t *testing.T) {
+	var in []byte
+	for _, body := range []string{"aaaa", "bbb", "cccc", "dddd"} {
+		in = fmt.Appendf(in, "POST /v1/write HTTP/1.1\r\nContent-Length: %d\r\n\r\n%s", len(body), body)
+	}
+	var bodies [][]byte
+	err := ServeConn(&memConn{in: bytes.NewReader(in)}, nil, func(req *Request) Response {
+		bodies = append(bodies, req.Body)
+		req.Kept = len(bodies) == 2
+		return Response{Status: 200, QueueDepth: -1}
+	})
+	if err != nil || len(bodies) != 4 {
+		t.Fatalf("served %d bodies, result %v", len(bodies), err)
+	}
+	if &bodies[0][0] != &bodies[1][0] || &bodies[2][0] != &bodies[3][0] {
+		t.Error("a body not kept was not read into the last body's buffer")
+	}
+	if string(bodies[1]) != "bbb" || &bodies[1][0] == &bodies[2][0] {
+		t.Errorf("the kept body reads %q after the next one was read; its buffer was reused", bodies[1])
 	}
 }
 

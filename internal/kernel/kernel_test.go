@@ -265,3 +265,23 @@ func TestEncryptedFileNeedsPassphrase(t *testing.T) {
 		t.Fatalf("encrypted file without passphrase: %v", err)
 	}
 }
+
+// TestFailedCreateTakesNothing: a create larger than the region fails and
+// leaves the volume as it found it — every free page still free, the name
+// free — so the next small create, by anyone, succeeds.
+func TestFailedCreateTakesNothing(t *testing.T) {
+	s := bootFsEncr()
+	p := s.NewProcess(1000, 100)
+	free := s.FS.FreePages()
+	if _, err := s.CreateFile(p, "huge.db", 0600, 5<<30, true, pass); !errors.Is(err, fs.ErrNoSpace) {
+		t.Fatalf("5 GiB create: %v, want ErrNoSpace", err)
+	}
+	if got := s.FS.FreePages(); got != free {
+		t.Fatalf("a failed create took pages: %d free, want %d", got, free)
+	}
+	if _, err := s.FS.Lookup("huge.db"); !errors.Is(err, fs.ErrNotExist) {
+		t.Fatalf("a failed create left its name taken: lookup %v", err)
+	}
+	mkfile(t, s, s.NewProcess(2000, 200), "small.db", 4<<10, true)
+	mkfile(t, s, p, "huge.db", 4<<10, true)
+}

@@ -227,6 +227,7 @@ func (s *System) CreateFile(p *Process, name string, perm fs.Mode, size uint64, 
 		return nil, err
 	}
 	if _, err := s.FS.Truncate(f, size); err != nil {
+		s.FS.Unlink(name) // the file holds no page: a failed grow takes none
 		return nil, err
 	}
 	if encrypted {

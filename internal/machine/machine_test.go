@@ -247,3 +247,26 @@ func TestPropertyReadYourWriteRandom(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestIdleCoresBuildNoCaches: traffic on core 0 alone, enough to make the
+// L3 evict and back-invalidate every core's private caches, builds core 0's
+// L1 and L2 and no other core's.
+func TestIdleCoresBuildNoCaches(t *testing.T) {
+	cfg := config.Default()
+	cfg.Processor.L3Size = 256 << 10
+	m := New(cfg, memctrl.Mode{MemEncryption: true})
+	co := m.Core(0)
+	buf := make([]byte, config.LineSize)
+	for la := addr.Phys(0); la < 1<<20; la += config.LineSize {
+		co.Write(la, buf)
+	}
+	if m.Stats().Get("machine.l3_dirty_evictions") == 0 {
+		t.Fatal("the traffic evicted nothing from the L3")
+	}
+	for i := 0; i < m.Cores(); i++ {
+		c := m.Core(i)
+		if c.l1.Filled() != (i == 0) || c.l2.Filled() != (i == 0) {
+			t.Errorf("core %d: L1 built %v, L2 built %v; want %v", i, c.l1.Filled(), c.l2.Filled(), i == 0)
+		}
+	}
+}

@@ -271,12 +271,12 @@ func hooksPerLineOp(write bool) float64 {
 
 // TestTelemetryOverheadGuard is the CI overhead gate (make overhead-guard)
 // for detached telemetry on the line datapath. What a line op pays for it is
-// hooks reached x cost of a no-op hook, so the guard pins those two factors:
-// it fails when the no-op path grows a lock, an allocation or an interface
-// call (the per-hook cost jumps), or when a line op starts reaching more
-// hooks — and not when the op itself gets cheaper: a budget stated as a share
-// of ReadLine's ns/op fails on untouched telemetry whenever the datapath
-// speeds up. Skipped unless FSENCR_OVERHEAD_GUARD=1: it runs a real
+// hooks reached x cost of a no-op hook. TestHooksPerLineOp pins the first
+// factor exactly; this guard pins the second: it fails when the no-op path
+// grows a lock, an allocation or an interface call (the per-hook cost
+// jumps) — and not when the op itself gets cheaper: a budget stated as a
+// share of ReadLine's ns/op fails on untouched telemetry whenever the
+// datapath speeds up. Skipped unless FSENCR_OVERHEAD_GUARD=1: it runs a real
 // benchmark and takes seconds.
 func TestTelemetryOverheadGuard(t *testing.T) {
 	if os.Getenv("FSENCR_OVERHEAD_GUARD") == "" {
@@ -293,26 +293,24 @@ func TestTelemetryOverheadGuard(t *testing.T) {
 		t.Errorf("no-op telemetry hook costs %.2f ns, over %.2f ns: the detached path is no longer one predictable branch",
 			nilObserve, noopHookLimitNs)
 	}
+}
 
-	// maxHooks pins the recordings one steady-state line op makes: a
-	// ReadLine makes 5 (mc.read_cycles, mc.key_lookup_cycles, ott.table_hits,
-	// the PCM queue and service histograms), a WriteLine 10 (the Merkle leaf
-	// updates and the stop-loss write-through add theirs). Two spare for the
-	// Active() gates and nil-journal checks the count cannot see.
+// TestHooksPerLineOp pins the telemetry recordings one steady-state line op
+// makes, exactly: a ReadLine makes 5 (mc.read_cycles, mc.key_lookup_cycles,
+// ott.table_hits, the PCM queue and service histograms), a WriteLine 10 (the
+// Merkle leaf updates and the stop-loss write-through add theirs). A change
+// that adds or drops one counts it and re-pins the number.
+func TestHooksPerLineOp(t *testing.T) {
 	for _, op := range []struct {
-		name     string
-		write    bool
-		maxHooks float64
+		name  string
+		write bool
+		hooks float64
 	}{
-		{"ReadLine", false, 7},
-		{"WriteLine", true, 12},
+		{"ReadLine", false, 5},
+		{"WriteLine", true, 10},
 	} {
-		hooks := hooksPerLineOp(op.write)
-		t.Logf("%s: %.1f hooks/op (limit %.0f) x %.2f ns = %.2f ns detached",
-			op.name, hooks, op.maxHooks, nilObserve, hooks*nilObserve)
-		if hooks > op.maxHooks {
-			t.Errorf("%s reaches %.1f telemetry hooks per op, over %.0f: count the new ones and re-pin maxHooks",
-				op.name, hooks, op.maxHooks)
+		if hooks := hooksPerLineOp(op.write); hooks != op.hooks {
+			t.Errorf("%s reaches %.3f telemetry hooks per op, want %.0f", op.name, hooks, op.hooks)
 		}
 	}
 }

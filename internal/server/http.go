@@ -106,9 +106,10 @@ func decode(req *fsproto.Request, v any) error {
 	}
 	if framed {
 		// The payload aliases the request body, not a copy of it. That is
-		// safe because a body is one GC-owned buffer per request, never
-		// pooled, on both transports: a queued write can outlive its request
-		// when RequestTimeout fires.
+		// safe because no body is reused while a task may read it: net/http
+		// reads one per request, and the request loop reuses its buffer
+		// unless exec marks the body Kept — a queued write outlives its
+		// request when RequestTimeout fires.
 		switch r := v.(type) {
 		case *fsproto.WriteRequest:
 			r.Data = payload

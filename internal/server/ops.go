@@ -366,9 +366,13 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wir
 	t := o.task(svc, tgt, sess, req, seq, tc, pl.Data, body, framed)
 	v, err := tgt.sh.submit(ctx, time.Now().Add(svc.opts.RequestTimeout), t)
 	if err != nil {
-		// pl is not released: on a caller timeout the task may still be
-		// queued, and the buffer must not re-enter the pool while a worker
-		// could yet write into it. The GC reclaims it instead.
+		// On a caller timeout the task may still be queued, holding pl and
+		// the request body, which its payload may alias: pl is not released
+		// and the body is marked kept, so that neither is written while a
+		// worker could yet read or fill it. The GC reclaims both instead.
+		if wire != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
+			wire.Kept = true
+		}
 		return Payload{}, nil, err
 	}
 	if n, short := v.(int); short {

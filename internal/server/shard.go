@@ -324,6 +324,8 @@ func (sh *Shard) Do(ctx context.Context, tenant uint32, seq uint64, fn func() (a
 // deadline (zero: none) bounds the call like an expiring ctx does, without
 // a derived context per request: one pooled timer, armed only once a step
 // actually has to wait. ctx stays the caller's own (a disconnected client).
+// Only an admitted task's wait ends in a context error (ctx.Err() or
+// DeadlineExceeded): the task still runs, and holds what it was given.
 func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, error) {
 	dl := deadlineTimer{at: deadline}
 	defer dl.stop()

@@ -149,7 +149,8 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 // TestTimedOutWriteKeepsItsBytes: a framed write's Data aliases the request
 // body, and the write outlives its handler when RequestTimeout fires while
 // it is queued. The body must still hold the intended bytes when the worker
-// gets to it — which is why request bodies are never pooled.
+// gets to it — which is why the request loop reads the next body into a
+// buffer of its own once a handler has marked the body Kept.
 func TestTimedOutWriteKeepsItsBytes(t *testing.T) {
 	svc := server.New(server.Options{
 		Shards:         1,
@@ -201,6 +202,32 @@ func TestTimedOutWriteKeepsItsBytes(t *testing.T) {
 			t.Fatalf("timed-out write never landed intact: err %v, equal %v", err, bytes.Equal(got, want))
 		}
 		time.Sleep(5 * time.Millisecond)
+	}
+}
+
+// TestOversizedCreateSparesTheShard: a create larger than the shard's DAX
+// region fails and takes nothing with it, so another tenant's small create
+// on the same shard succeeds, and so does the failed name's.
+func TestOversizedCreateSparesTheShard(t *testing.T) {
+	svc := server.New(server.Options{Shards: 1, MCMode: core.SchemeFsEncr.MCMode(), Access: core.SchemeFsEncr.AccessMode()})
+	hs := httptest.NewServer(svc.Mux())
+	t.Cleanup(func() { svc.Close(); hs.Close() })
+
+	greedy, other := fsclient.Dial(hs.URL), fsclient.Dial(hs.URL)
+	if err := greedy.Login("greedy", 1, "pw"); err != nil {
+		t.Fatalf("login: %v", err)
+	}
+	if err := other.Login("other", 2, "pw"); err != nil {
+		t.Fatalf("login: %v", err)
+	}
+	if err := greedy.Create(fsproto.CreateRequest{Name: "huge.dat", Perm: 0600, Size: 5 << 30, Encrypted: true}); err == nil {
+		t.Fatal("a 5 GiB create on a 4 GiB region succeeded")
+	}
+	if err := other.Create(fsproto.CreateRequest{Name: "small.dat", Perm: 0600, Size: 4096, Encrypted: true}); err != nil {
+		t.Fatalf("another tenant's 4 KiB create after the failed one: %v", err)
+	}
+	if err := greedy.Create(fsproto.CreateRequest{Name: "huge.dat", Perm: 0600, Size: 4096, Encrypted: true}); err != nil {
+		t.Fatalf("a 4 KiB create under the failed name: %v", err)
 	}
 }
 
