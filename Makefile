@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build cross-build test loc sim-digest sim-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke examples-smoke ci
+.PHONY: build cross-build test loc sim-digest sim-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke fabric-cli-smoke examples-smoke ci
 
 build:
 	$(GO) build ./...
@@ -126,6 +126,14 @@ cluster-smoke:
 	$(GO) test -run 'TestJoinPlacesFirstNode|TestMigrationUnderLoad|TestReplicationAndFailover|TestReplicaTenKOps' -count 1 -v ./internal/cluster
 	$(GO) test -run 'TestMigrationCrashCampaign' -count 1 -v ./internal/chaos
 
+# fabric-cli-smoke: README's cluster block against built fsencrd binaries on
+# loopback ports 19100-19102 — a coordinator and two joined nodes, `fsencrd
+# replicate` and `fsencrd migrate` (exit 0, the printed table names the
+# target), a refused migrate printing its reason, and SIGTERM to all three
+# (each prints "drained"). About 5 s.
+fabric-cli-smoke:
+	./scripts/fabric-cli-smoke.sh
+
 vet:
 	$(GO) vet ./...
 
@@ -206,4 +214,4 @@ overhead-guard:
 # per-plane `-run` shortcuts to chain here: to check one plane, name its test
 # (`go test -run TestFsencrdSmoke ./internal/server`). cluster-smoke stays as
 # the one named subset because it spans two packages.
-ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos examples-smoke sim-digest-check overhead-guard bench-check
+ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos fabric-cli-smoke examples-smoke sim-digest-check overhead-guard bench-check

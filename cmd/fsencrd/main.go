@@ -34,14 +34,12 @@
 package main
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"hash/fnv"
-	"io"
 	"net/http"
 	"os"
 	"os/signal"
@@ -130,7 +128,7 @@ func serveMain(args []string) {
 		*shards, sc, map[bool]string{true: ", deterministic", false: ""}[*det], *addr)
 	if *join != "" {
 		var tbl fsproto.ClusterTable
-		if err := postCtl(*join+"/cluster/join", map[string]any{"node": base, "empty": *empty}, &tbl); err != nil {
+		if err := fsproto.ControlJSON(ctl, *join+"/cluster/join", map[string]any{"node": base, "empty": *empty}, &tbl); err != nil {
 			fail(1, fmt.Errorf("join %s: %w", *join, err))
 		}
 		fmt.Fprintf(os.Stderr, "fsencrd: joined %s as %s (table epoch %d)\n", *join, base, tbl.Epoch)
@@ -233,31 +231,8 @@ func loadgenMain(args []string) {
 	}
 }
 
-// postCtl posts v as JSON to a control-plane URL and decodes a 200
-// response into out (nil discards it).
-func postCtl(url string, v, out any) error {
-	body, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	hc := &http.Client{Timeout: 60 * time.Second}
-	resp, err := hc.Post(url, "application/json", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("%s: %s", resp.Status, strings.TrimSpace(string(data)))
-	}
-	if out == nil {
-		return nil
-	}
-	return json.Unmarshal(data, out)
-}
+// ctl carries the subcommands' control-plane calls.
+var ctl = &http.Client{Timeout: 60 * time.Second}
 
 // printTable renders a placement table for the operator.
 func printTable(t fsproto.ClusterTable) {
@@ -314,39 +289,25 @@ func coordinatorMain(args []string) {
 	sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
 	_ = hs.Shutdown(sctx)
+	fmt.Fprintln(os.Stderr, "fsencrd: drained")
 }
 
-func migrateMain(args []string) {
-	fl := flag.NewFlagSet("migrate", flag.ExitOnError)
+// moveMain runs the coordinator verb of migrate or replicate on a shard and
+// a target node, named by the flag target (its request field too), and
+// prints the new table.
+func moveMain(cmd, target, usage string, args []string) {
+	fl := flag.NewFlagSet(cmd, flag.ExitOnError)
 	var (
 		coord = fl.String("coordinator", "http://127.0.0.1:9100", "coordinator URL")
-		shard = fl.Int("shard", -1, "global shard index to migrate")
-		to    = fl.String("to", "", "target node base URL")
+		shard = fl.Int("shard", -1, "global shard index to "+cmd)
+		node  = fl.String(target, "", usage)
 	)
 	fl.Parse(args)
-	if *shard < 0 || *to == "" {
-		fail(2, errors.New("migrate needs -shard and -to"))
+	if *shard < 0 || *node == "" {
+		fail(2, fmt.Errorf("%s needs -shard and -%s", cmd, target))
 	}
 	var tbl fsproto.ClusterTable
-	if err := postCtl(*coord+"/cluster/migrate", map[string]any{"shard": *shard, "to": *to}, &tbl); err != nil {
-		fail(1, err)
-	}
-	printTable(tbl)
-}
-
-func replicateMain(args []string) {
-	fl := flag.NewFlagSet("replicate", flag.ExitOnError)
-	var (
-		coord = fl.String("coordinator", "http://127.0.0.1:9100", "coordinator URL")
-		shard = fl.Int("shard", -1, "global shard index to replicate")
-		on    = fl.String("on", "", "replica node base URL")
-	)
-	fl.Parse(args)
-	if *shard < 0 || *on == "" {
-		fail(2, errors.New("replicate needs -shard and -on"))
-	}
-	var tbl fsproto.ClusterTable
-	if err := postCtl(*coord+"/cluster/replicate", map[string]any{"shard": *shard, "on": *on}, &tbl); err != nil {
+	if err := fsproto.ControlJSON(ctl, *coord+"/cluster/"+cmd, map[string]any{"shard": *shard, target: *node}, &tbl); err != nil {
 		fail(1, err)
 	}
 	printTable(tbl)
@@ -364,9 +325,9 @@ func main() {
 	case "coordinator":
 		coordinatorMain(os.Args[2:])
 	case "migrate":
-		migrateMain(os.Args[2:])
+		moveMain("migrate", "to", "target node base URL", os.Args[2:])
 	case "replicate":
-		replicateMain(os.Args[2:])
+		moveMain("replicate", "on", "replica node base URL", os.Args[2:])
 	default:
 		fail(2, fmt.Errorf("unknown subcommand %q (serve|loadgen|coordinator|migrate|replicate)", os.Args[1]))
 	}

@@ -31,19 +31,13 @@
 package cluster
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
-	"io"
+	"errors"
 	"net/http"
 
+	"fsencr/internal/fsproto"
 	"fsencr/internal/server"
 )
-
-// fabricErr is the JSON error body fabric endpoints return.
-type fabricErr struct {
-	Error string `json:"error"`
-}
 
 // shardReq is the common fabric request shape.
 type shardReq struct {
@@ -57,47 +51,51 @@ type shardReq struct {
 	Frozen *server.Frozen `json:"frozen,omitempty"`
 }
 
-// postJSON posts req as JSON and decodes a 200 response into out (nil out
-// discards it). Non-200 responses come back as errors carrying the body.
-func postJSON(hc *http.Client, url string, req, out any) error {
-	body, err := json.Marshal(req)
-	if err != nil {
-		return err
-	}
-	data, err := postRaw(hc, url, body)
-	if err != nil || out == nil {
-		return err
-	}
-	return json.Unmarshal(data, out)
+// statusError is a control-plane verb's error that names its HTTP status;
+// any other error answers 500.
+type statusError struct {
+	status int
+	error
 }
 
-// postRaw posts a body (the fabric's handlers do not look at the content
-// type) and returns the raw 200 response: encoded log records for a pull.
-func postRaw(hc *http.Client, url string, body []byte) ([]byte, error) {
-	resp, err := hc.Post(url, "application/octet-stream", bytes.NewReader(body))
-	if err != nil {
-		return nil, err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, err
-	}
-	if resp.StatusCode != http.StatusOK {
-		var fe fabricErr
-		if json.Unmarshal(data, &fe) == nil && fe.Error != "" {
-			return nil, fmt.Errorf("cluster: %s: %s", url, fe.Error)
+// verb adapts one control-plane verb — every POST route of a node and of
+// the coordinator — to its handler, the server half of fsproto.Control. A
+// body past fsproto.MaxBodyBytes or one that does not decode as R answers
+// 400, an error its statusError status (else 500) with the JSON error body,
+// and a result 200: a [][]byte as its pieces back to back (encoded log
+// records), nil as the empty object, anything else as JSON.
+func verb[R any](f func(*http.Request, R) (any, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		var req R
+		var out any
+		err := json.NewDecoder(http.MaxBytesReader(w, r.Body, fsproto.MaxBodyBytes)).Decode(&req)
+		if err != nil {
+			err = statusError{http.StatusBadRequest, err}
+		} else {
+			out, err = f(r, req)
 		}
-		return nil, fmt.Errorf("cluster: %s: %s: %s", url, resp.Status, data)
+		if err != nil {
+			status := http.StatusInternalServerError
+			if se := (statusError{}); errors.As(err, &se) {
+				status = se.status
+			}
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(status)
+			json.NewEncoder(w).Encode(fsproto.ControlError{Error: err.Error()})
+			return
+		}
+		switch out := out.(type) {
+		case nil:
+			writeJSON(w, struct{}{})
+		case [][]byte:
+			w.Header().Set("Content-Type", "application/octet-stream")
+			for _, b := range out {
+				w.Write(b)
+			}
+		default:
+			writeJSON(w, out)
+		}
 	}
-	return data, nil
-}
-
-// writeErr answers a fabric request with a JSON error.
-func writeErr(w http.ResponseWriter, status int, err error) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(fabricErr{Error: err.Error()})
 }
 
 // writeJSON answers 200 with a JSON body.

@@ -896,7 +896,7 @@ func TestConcurrentFreeze(t *testing.T) {
 		if slices.Sort(codes); !slices.Equal(codes, []int{http.StatusOK, http.StatusConflict}) {
 			t.Fatalf("round %d: concurrent freezes answered %v, want one 200 and one 409", round, codes)
 		}
-		if err := postJSON(hc, a.srv.URL+"/fabric/resume", shardReq{Shard: 1}, nil); err != nil {
+		if err := fsproto.ControlJSON(hc, a.srv.URL+"/fabric/resume", shardReq{Shard: 1}, nil); err != nil {
 			t.Fatalf("round %d resume: %v", round, err)
 		}
 	}

@@ -58,12 +58,26 @@ func NewCoordinator(nShards int) *Coordinator {
 // Mux returns the coordinator's route set.
 func (c *Coordinator) Mux() *http.ServeMux {
 	mux := http.NewServeMux()
-	mux.HandleFunc("/cluster/join", c.handleJoin)
-	mux.HandleFunc("/cluster/table", c.handleTable)
-	mux.HandleFunc("/cluster/migrate", c.handleMigrate)
-	mux.HandleFunc("/cluster/replicate", c.handleReplicate)
+	mux.HandleFunc("/cluster/join", verb(func(_ *http.Request, req joinReq) (any, error) {
+		return c.Join(req.Node, req.Empty)
+	}))
+	mux.HandleFunc("/cluster/migrate", verb(func(_ *http.Request, req moveReq) (any, error) {
+		return c.tableAfter(c.Migrate(req.Shard, req.To))
+	}))
+	mux.HandleFunc("/cluster/replicate", verb(func(_ *http.Request, req moveReq) (any, error) {
+		return c.tableAfter(c.Replicate(req.Shard, req.On))
+	}))
+	mux.HandleFunc("/cluster/table", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, c.Table()) })
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) { writeJSON(w, struct{}{}) })
 	return mux
+}
+
+// tableAfter answers a table change: the new table, unless it failed.
+func (c *Coordinator) tableAfter(err error) (any, error) {
+	if err != nil {
+		return nil, err
+	}
+	return c.Table(), nil
 }
 
 // Table returns a copy of the current placement table.
@@ -90,58 +104,12 @@ type joinReq struct {
 	Empty bool `json:"empty"`
 }
 
-func (c *Coordinator) handleJoin(w http.ResponseWriter, r *http.Request) {
-	var req joinReq
-	if err := jsonDecode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	t, err := c.Join(req.Node, req.Empty)
-	if err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, t)
-}
-
-func (c *Coordinator) handleTable(w http.ResponseWriter, _ *http.Request) {
-	writeJSON(w, c.Table())
-}
-
-type migrateReq struct {
+// moveReq asks for a shard to move to node To (/cluster/migrate) or to be
+// replicated on node On (/cluster/replicate).
+type moveReq struct {
 	Shard int    `json:"shard"`
 	To    string `json:"to"`
-}
-
-func (c *Coordinator) handleMigrate(w http.ResponseWriter, r *http.Request) {
-	var req migrateReq
-	if err := jsonDecode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := c.Migrate(req.Shard, req.To); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, c.Table())
-}
-
-type replicateReq struct {
-	Shard int    `json:"shard"`
 	On    string `json:"on"`
-}
-
-func (c *Coordinator) handleReplicate(w http.ResponseWriter, r *http.Request) {
-	var req replicateReq
-	if err := jsonDecode(r, &req); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	if err := c.Replicate(req.Shard, req.On); err != nil {
-		writeErr(w, http.StatusInternalServerError, err)
-		return
-	}
-	writeJSON(w, c.Table())
 }
 
 // Join admits a node. The first non-empty joiner (which boots owning
@@ -154,7 +122,7 @@ func (c *Coordinator) handleReplicate(w http.ResponseWriter, r *http.Request) {
 // The new table is pushed to every member and returned.
 func (c *Coordinator) Join(node string, empty bool) (fsproto.ClusterTable, error) {
 	if node == "" {
-		return fsproto.ClusterTable{}, fmt.Errorf("cluster: join needs a node base URL")
+		return fsproto.ClusterTable{}, statusError{http.StatusBadRequest, fmt.Errorf("cluster: join needs a node base URL")}
 	}
 	c.mu.Lock()
 	if !empty && c.table.Epoch > 0 {
@@ -166,8 +134,8 @@ func (c *Coordinator) Join(node string, empty bool) (fsproto.ClusterTable, error
 		}
 		if !rejoin {
 			c.mu.Unlock()
-			return fsproto.ClusterTable{}, fmt.Errorf(
-				"cluster: placement already seeded; boot %s with no owned shards (-empty)", node)
+			return fsproto.ClusterTable{}, statusError{http.StatusConflict, fmt.Errorf(
+				"cluster: placement already seeded; boot %s with no owned shards (-empty)", node)}
 		}
 	}
 	dup := false
@@ -198,7 +166,7 @@ func (c *Coordinator) push(t fsproto.ClusterTable) {
 	members := append([]string(nil), c.members...)
 	c.mu.Unlock()
 	for _, m := range members {
-		_ = postJSON(c.hc, m+"/fabric/table", t, nil)
+		_ = fsproto.ControlJSON(c.hc, m+"/fabric/table", t, nil)
 	}
 }
 
@@ -213,11 +181,11 @@ func (c *Coordinator) owner(shard int) (string, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if shard < 0 || shard >= len(c.table.Placements) {
-		return "", fmt.Errorf("cluster: shard %d out of range [0,%d)", shard, len(c.table.Placements))
+		return "", statusError{http.StatusBadRequest, fmt.Errorf("cluster: shard %d out of range [0,%d)", shard, len(c.table.Placements))}
 	}
 	p := c.table.Placements[shard]
 	if p.Epoch == 0 || p.Node == "" {
-		return "", fmt.Errorf("cluster: shard %d is unplaced", shard)
+		return "", statusError{http.StatusBadRequest, fmt.Errorf("cluster: shard %d is unplaced", shard)}
 	}
 	return p.Node, nil
 }
@@ -250,7 +218,7 @@ func (c *Coordinator) Migrate(shard int, to string) error {
 		return err
 	}
 	if src == to {
-		return fmt.Errorf("cluster: shard %d already lives on %s", shard, to)
+		return statusError{http.StatusConflict, fmt.Errorf("cluster: shard %d already lives on %s", shard, to)}
 	}
 	listed := c.isReplica(shard, to)
 	start := shardReq{Shard: shard, Source: src}
@@ -258,27 +226,27 @@ func (c *Coordinator) Migrate(shard int, to string) error {
 	// only if it was listed before.
 	undo := func(promoted bool) {
 		if promoted || !listed {
-			_ = postJSON(c.hc, to+"/fabric/discard", shardReq{Shard: shard}, nil)
+			_ = fsproto.ControlJSON(c.hc, to+"/fabric/discard", shardReq{Shard: shard}, nil)
 		}
 		if promoted && listed {
-			_ = postJSON(c.hc, to+"/fabric/replica/start", start, nil)
+			_ = fsproto.ControlJSON(c.hc, to+"/fabric/replica/start", start, nil)
 		}
 	}
-	if err := postJSON(c.hc, to+"/fabric/replica/start", start, nil); err != nil {
+	if err := fsproto.ControlJSON(c.hc, to+"/fabric/replica/start", start, nil); err != nil {
 		return fmt.Errorf("catch-up on %s: %w", to, err)
 	}
 	c.step(StepAfterCatchUp, shard)
 
 	at := new(server.Frozen)
-	if err := postJSON(c.hc, src+"/fabric/freeze", shardReq{Shard: shard}, at); err != nil {
+	if err := fsproto.ControlJSON(c.hc, src+"/fabric/freeze", shardReq{Shard: shard}, at); err != nil {
 		// Not resumed: a refused freeze (409) is another migration's hold.
 		undo(false)
 		return fmt.Errorf("freeze on %s: %w", src, err)
 	}
 	c.step(StepAfterFreeze, shard)
 
-	resume := func() { _ = postJSON(c.hc, src+"/fabric/resume", shardReq{Shard: shard}, nil) }
-	if err := postJSON(c.hc, to+"/fabric/replica/promote", shardReq{Shard: shard, Frozen: at}, nil); err != nil {
+	resume := func() { _ = fsproto.ControlJSON(c.hc, src+"/fabric/resume", shardReq{Shard: shard}, nil) }
+	if err := fsproto.ControlJSON(c.hc, to+"/fabric/replica/promote", shardReq{Shard: shard, Frozen: at}, nil); err != nil {
 		resume()
 		undo(false)
 		return fmt.Errorf("promote on %s: %w", to, err)
@@ -301,7 +269,7 @@ func (c *Coordinator) Migrate(shard int, to string) error {
 
 	// Retire the source. A dead source is fine — it cannot serve, so the
 	// cutover is safe regardless.
-	_ = postJSON(c.hc, src+"/fabric/commit", shardReq{Shard: shard, Epoch: epoch}, nil)
+	_ = fsproto.ControlJSON(c.hc, src+"/fabric/commit", shardReq{Shard: shard, Epoch: epoch}, nil)
 	c.push(t)
 	c.step(StepAfterCommit, shard)
 	return nil
@@ -333,9 +301,9 @@ func (c *Coordinator) Replicate(shard int, on string) error {
 		return err
 	}
 	if src == on {
-		return fmt.Errorf("cluster: %s already owns shard %d", on, shard)
+		return statusError{http.StatusConflict, fmt.Errorf("cluster: %s already owns shard %d", on, shard)}
 	}
-	if err := postJSON(c.hc, on+"/fabric/replica/start", shardReq{Shard: shard, Source: src}, nil); err != nil {
+	if err := fsproto.ControlJSON(c.hc, on+"/fabric/replica/start", shardReq{Shard: shard, Source: src}, nil); err != nil {
 		return err
 	}
 	c.mu.Lock()
@@ -366,7 +334,7 @@ func (c *Coordinator) Failover(shard int) error {
 		if !healthy(c.hc, rep) {
 			continue
 		}
-		if err := postJSON(c.hc, rep+"/fabric/replica/promote", shardReq{Shard: shard}, nil); err != nil {
+		if err := fsproto.ControlJSON(c.hc, rep+"/fabric/replica/promote", shardReq{Shard: shard}, nil); err != nil {
 			return fmt.Errorf("promote on %s: %w", rep, err)
 		}
 		c.mu.Lock()

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -60,61 +59,19 @@ func (n *Node) Close() {
 // observability surfaces plus the cluster fabric.
 func (n *Node) Mux() *http.ServeMux {
 	mux := n.svc.Mux()
-	mux.HandleFunc("/fabric/freeze", shardVerb(n.freeze))
-	mux.HandleFunc("/fabric/resume", shardVerb(n.resume))
-	mux.HandleFunc("/fabric/commit", shardVerb(n.commit))
-	mux.HandleFunc("/fabric/discard", shardVerb(n.discard))
-	mux.HandleFunc("/fabric/pull", shardVerb(n.pull))
-	mux.HandleFunc("/fabric/replica/start", shardVerb(n.replicaStart))
-	mux.HandleFunc("/fabric/replica/promote", shardVerb(n.replicaPromote))
-	mux.HandleFunc("/fabric/table", n.handleTable)
+	mux.HandleFunc("/fabric/freeze", verb(n.freeze))
+	mux.HandleFunc("/fabric/resume", verb(n.resume))
+	mux.HandleFunc("/fabric/commit", verb(n.commit))
+	mux.HandleFunc("/fabric/discard", verb(n.discard))
+	mux.HandleFunc("/fabric/pull", verb(n.pull))
+	mux.HandleFunc("/fabric/replica/start", verb(n.replicaStart))
+	mux.HandleFunc("/fabric/replica/promote", verb(n.replicaPromote))
+	// A coordinator's table push.
+	mux.HandleFunc("/fabric/table", verb(func(_ *http.Request, t fsproto.ClusterTable) (any, error) {
+		n.ApplyTable(t)
+		return nil, nil
+	}))
 	return mux
-}
-
-func jsonDecode(r *http.Request, v any) error {
-	defer r.Body.Close()
-	return json.NewDecoder(r.Body).Decode(v)
-}
-
-// statusError is a fabric verb's error that names its HTTP status; any
-// other error answers 500.
-type statusError struct {
-	status int
-	error
-}
-
-// shardVerb adapts a fabric verb on one shard to its handler: an
-// undecodable shardReq answers 400, an error its status with the JSON error
-// body, and a result 200 — a [][]byte as its pieces back to back (encoded
-// log records), anything else as JSON, nil as the empty object.
-func shardVerb(verb func(*http.Request, shardReq) (any, error)) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		var req shardReq
-		if err := jsonDecode(r, &req); err != nil {
-			writeErr(w, http.StatusBadRequest, err)
-			return
-		}
-		out, err := verb(r, req)
-		if err != nil {
-			status := http.StatusInternalServerError
-			if se := (statusError{}); errors.As(err, &se) {
-				status = se.status
-			}
-			writeErr(w, status, err)
-			return
-		}
-		switch out := out.(type) {
-		case nil:
-			writeJSON(w, struct{}{})
-		case [][]byte:
-			w.Header().Set("Content-Type", "application/octet-stream")
-			for _, b := range out {
-				w.Write(b)
-			}
-		default:
-			writeJSON(w, out)
-		}
-	}
 }
 
 // freeze quiesces a shard for migration, parks the hold and answers where
@@ -189,19 +146,9 @@ func (n *Node) replicaPromote(_ *http.Request, req shardReq) (any, error) {
 	return nil, n.PromoteReplica(req.Shard, req.Frozen)
 }
 
-// handleTable applies a coordinator table push: the node publishes the
-// new epoch and forwards misrouted requests one hop to current owners.
-func (n *Node) handleTable(w http.ResponseWriter, r *http.Request) {
-	var t fsproto.ClusterTable
-	if err := jsonDecode(r, &t); err != nil {
-		writeErr(w, http.StatusBadRequest, err)
-		return
-	}
-	n.ApplyTable(t)
-	writeJSON(w, struct{}{})
-}
-
-// ApplyTable installs a placement table: newer epochs only.
+// ApplyTable installs a placement table, newer epochs only: the node
+// publishes the new epoch and forwards misrouted requests one hop to
+// current owners.
 func (n *Node) ApplyTable(t fsproto.ClusterTable) {
 	n.mu.Lock()
 	if t.Epoch < n.table.Epoch {

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http"
@@ -118,7 +117,7 @@ func (r *Replica) pullOnce() error {
 	r.mu.Lock()
 	from, source := r.pulled, r.source
 	r.mu.Unlock()
-	body, err := postRaw(r.hc, source+"/fabric/pull", mustJSON(shardReq{Shard: r.shard, From: from}))
+	body, err := fsproto.Control(r.hc, source+"/fabric/pull", shardReq{Shard: r.shard, From: from})
 	if err != nil {
 		return err
 	}
@@ -225,13 +224,4 @@ func (r *Replica) Promote(at *server.Frozen) error {
 		return err
 	}
 	return nil
-}
-
-// mustJSON marshals v, panicking on failure (wire structs only).
-func mustJSON(v any) []byte {
-	b, err := json.Marshal(v)
-	if err != nil {
-		panic(err)
-	}
-	return b
 }

@@ -10,9 +10,7 @@ package fsclient
 // session is all the client ever needs.
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -25,8 +23,9 @@ type ClusterClient struct {
 	*Client
 
 	coord string
-	// hc fetches the placement table: a cold control-plane GET, left on
-	// net/http, one connection per fetch so nothing idles behind a session.
+	// hc fetches the placement table (fsproto.Control): a cold control-plane
+	// GET, left on net/http, one connection per fetch so nothing idles
+	// behind a session.
 	hc *http.Client
 
 	mu    sync.Mutex
@@ -65,20 +64,8 @@ func (cc *ClusterClient) Table() fsproto.ClusterTable {
 
 // refresh re-fetches the placement table from the coordinator.
 func (cc *ClusterClient) refresh() error {
-	resp, err := cc.hc.Get(cc.coord + "/cluster/table")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("fsclient: coordinator table fetch: %s: %s", resp.Status, data)
-	}
 	var t fsproto.ClusterTable
-	if err := json.Unmarshal(data, &t); err != nil {
+	if err := fsproto.ControlJSON(cc.hc, cc.coord+"/cluster/table", nil, &t); err != nil {
 		return err
 	}
 	cc.mu.Lock()

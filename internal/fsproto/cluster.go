@@ -9,6 +9,18 @@ package fsproto
 // are the fencing tokens: every ownership change bumps the placement's
 // epoch (and the table epoch), so a router holding an old table can detect
 // staleness the moment a node answers CodeEpochMismatch.
+//
+// Control is the one client call of the control plane (every /cluster/* and
+// /fabric/* request): the server side is internal/cluster's verb adapter.
+
+import (
+	"bytes"
+	"encoding/json"
+	"fmt"
+	"io"
+	"net/http"
+	"strings"
+)
 
 // Placement is one shard's current home.
 type Placement struct {
@@ -45,4 +57,53 @@ func (t *ClusterTable) Owner(shard int) (string, bool) {
 		return "", false
 	}
 	return p.Node, true
+}
+
+// ControlError is the JSON body of every non-200 control-plane answer.
+type ControlError struct {
+	Error string `json:"error"`
+}
+
+// Control sends one control-plane request on hc: req as JSON in a POST, or
+// a bodiless GET when req is nil (the table fetch). It returns the body of a
+// 200 answer, unbounded (a /fabric/pull answer is encoded log records); any
+// other status is an error naming url and carrying the answer's
+// ControlError text, or else its status and body.
+func Control(hc *http.Client, url string, req any) ([]byte, error) {
+	var resp *http.Response
+	var err error
+	if req == nil {
+		resp, err = hc.Get(url)
+	} else {
+		var body []byte
+		if body, err = json.Marshal(req); err != nil {
+			return nil, err
+		}
+		resp, err = hc.Post(url, "application/json", bytes.NewReader(body))
+	}
+	if err != nil {
+		return nil, err
+	}
+	defer resp.Body.Close()
+	data, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		var ce ControlError
+		if json.Unmarshal(data, &ce) == nil && ce.Error != "" {
+			return nil, fmt.Errorf("%s: %s", url, ce.Error)
+		}
+		return nil, fmt.Errorf("%s: %s: %s", url, resp.Status, strings.TrimSpace(string(data)))
+	}
+	return data, nil
+}
+
+// ControlJSON is Control decoding a 200 answer into out (nil discards it).
+func ControlJSON(hc *http.Client, url string, req, out any) error {
+	data, err := Control(hc, url, req)
+	if err != nil || out == nil {
+		return err
+	}
+	return json.Unmarshal(data, out)
 }

@@ -60,9 +60,6 @@ func (s *Server) noteWrite(err error) {
 	}
 }
 
-// WriteErrors returns how many export responses failed mid-write.
-func (s *Server) WriteErrors() uint64 { return s.writeErrs.Load() }
-
 // NewServer builds a server; call Start to bind it or mount Handler
 // yourself.
 func NewServer(opts Options) *Server { return &Server{opts: opts} }
