@@ -92,10 +92,11 @@ fuzz-smoke:
 
 # One -race pass catches an ordering bug in a concurrent test only as often
 # as the interleaving that shows it comes up: the replayed fast reads' trace
-# verdicts and the worker's hand-off to an answered caller get five.
+# verdicts, a concurrent fair run against its replay, the hold protocol on
+# the shared ingress and the worker's hand-off to an answered caller get five.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestAnsweredCallerRunsFirst' ./internal/server
+	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst' ./internal/server
 
 # Full chaos campaign: >= 1000 seeded faults injected across the encrypted
 # datapath (counter blocks, data lines, torn writes, OTT region, audit

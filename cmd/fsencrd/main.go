@@ -6,7 +6,6 @@
 // Usage:
 //
 //	fsencrd serve -addr :9144 -shards 4 -scheme fsencr
-//	fsencrd serve -addr :9144 -shards 4 -det          # deterministic admission
 //	fsencrd loadgen -addr http://127.0.0.1:9144 -clients 64 -tenants 4 -mix 3:1
 //
 // Cluster mode (the multi-node shard fabric, see internal/cluster):
@@ -18,9 +17,10 @@
 //	fsencrd replicate -coordinator http://127.0.0.1:9100 -shard 2 -on http://127.0.0.1:9145
 //
 // The serve mode exposes the /v1 file+KV API (see internal/fsproto), the
-// per-shard determinism surface /shards.prom, and the live observability
-// plane (/metrics /snapshot.json /trace.json /journal.jsonl /audit.jsonl
-// /healthz /debug/pprof). SIGINT/SIGTERM triggers a
+// per-shard simulated registries /shards.prom (a replay of a shard's
+// admission log reproduces its section byte for byte), and the live
+// observability plane (/metrics /snapshot.json /trace.json /journal.jsonl
+// /audit.jsonl /healthz /debug/pprof). SIGINT/SIGTERM triggers a
 // graceful drain: admission stops, admitted requests finish, the HTTP
 // listener closes.
 //
@@ -65,7 +65,6 @@ func serveMain(args []string) {
 		addr      = fl.String("addr", ":9144", "listen address")
 		shards    = fl.Int("shards", 4, "number of simulated machines")
 		scheme    = fl.String("scheme", "fsencr", "protection scheme: plain|baseline|fsencr|swencr")
-		det       = fl.Bool("det", false, "deterministic admission (requests carry schedule sequence numbers)")
 		serialRd  = fl.Bool("serial-reads", false, "disable the concurrent read fast-path (serialized A/B baseline)")
 		perTenant = fl.Int("per-tenant-queue", server.DefaultPerTenantQueue, "per-tenant admitted-request bound (backpressure)")
 		timeout   = fl.Duration("timeout", server.DefaultRequestTimeout, "per-request queue+execute bound")
@@ -84,7 +83,6 @@ func serveMain(args []string) {
 		Shards:         *shards,
 		MCMode:         sc.MCMode(),
 		Access:         sc.AccessMode(),
-		Deterministic:  *det,
 		SerialReads:    *serialRd,
 		PerTenantQueue: *perTenant,
 		RequestTimeout: *timeout,
@@ -124,8 +122,7 @@ func serveMain(args []string) {
 	defer stop()
 	errc := make(chan error, 1)
 	go func() { errc <- hs.ListenAndServe() }()
-	fmt.Fprintf(os.Stderr, "fsencrd: serving %d shards (%s%s) on %s\n",
-		*shards, sc, map[bool]string{true: ", deterministic", false: ""}[*det], *addr)
+	fmt.Fprintf(os.Stderr, "fsencrd: serving %d shards (%s) on %s\n", *shards, sc, *addr)
 	if *join != "" {
 		var tbl fsproto.ClusterTable
 		if err := fsproto.ControlJSON(ctl, *join+"/cluster/join", map[string]any{"node": base, "empty": *empty}, &tbl); err != nil {
@@ -167,13 +164,11 @@ func loadgenMain(args []string) {
 		ops     = fl.Int("ops", 64, "data operations per client")
 		mix     = fl.String("mix", "read:write", "read:write weights, e.g. 3:1 (read:write = 1:1)")
 		seed    = fl.Uint64("seed", 1, "operation schedule seed")
-		det     = fl.Bool("det", false, "assign schedule sequence numbers (server must run -det)")
-		shards  = fl.Int("shards", 4, "with -det: the server's shard count")
 		cross   = fl.Int("cross-every", 8, "every Nth op probes another tenant's file (0 disables)")
 		statEv  = fl.Int("stat-every", 0, "every Nth op stats the client's own file (0 disables)")
 		malice  = fl.Bool("malice", false, "run the malicious-client attack campaign instead of the load mix")
 		asJSON  = fl.Bool("json", false, "emit the report as JSON instead of text")
-		coord   = fl.String("coordinator", "", "route clients through this coordinator's placement table (cluster mode; incompatible with -det)")
+		coord   = fl.String("coordinator", "", "route clients through this coordinator's placement table (cluster mode)")
 	)
 	fl.Parse(args)
 	base := *addr
@@ -200,16 +195,14 @@ func loadgenMain(args []string) {
 		return
 	}
 	rep, err := fsclient.RunLoadgen(base, fsclient.LoadgenOptions{
-		Clients:       *clients,
-		Tenants:       *tenants,
-		Ops:           *ops,
-		Mix:           *mix,
-		Seed:          *seed,
-		Deterministic: *det,
-		Shards:        *shards,
-		CrossEvery:    *cross,
-		StatEvery:     *statEv,
-		Coordinator:   *coord,
+		Clients:     *clients,
+		Tenants:     *tenants,
+		Ops:         *ops,
+		Mix:         *mix,
+		Seed:        *seed,
+		CrossEvery:  *cross,
+		StatEvery:   *statEv,
+		Coordinator: *coord,
 	})
 	if err != nil {
 		fail(1, err)

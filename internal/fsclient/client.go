@@ -1,13 +1,12 @@
 // Package fsclient is the Go client for fsencrd, the multi-tenant
 // encrypted file service: a thin typed layer over the /v1 API (JSON
 // messages; page payloads travel raw, see fsproto/frame.go) plus a
-// deterministic load generator (loadgen.go).
+// seeded load generator (loadgen.go).
 //
 // A Client is one authenticated tenant session. Methods mirror the
 // service's operations one-to-one; request structs come from
 // internal/fsproto so client and server agree on shapes and on the
-// tenant -> shard mapping (which a deterministic client needs to assign
-// schedule sequence numbers).
+// tenant -> shard mapping (which the cluster client routes by).
 package fsclient
 
 import (
@@ -69,8 +68,8 @@ type Client struct {
 
 	// Trace minting state: traceBase hashes the caller identity (tenant
 	// and uid at Login, the base URL before), reqSeq counts requests, and
-	// together they make every request's trace ID deterministic for a
-	// deterministic schedule. sampled is the head-sampling bit (default
+	// together they make every request's trace ID a function of the
+	// session's op sequence. sampled is the head-sampling bit (default
 	// on; the server tail-samples among sampled traces).
 	traceBase uint64
 	reqSeq    uint64
@@ -79,8 +78,7 @@ type Client struct {
 	LastRequestID string
 
 	// retry bounds automatic re-sends; the zero value means exactly one
-	// attempt, which keeps the deterministic load generator's schedule
-	// intact (a silent retry would admit the same sequence number twice).
+	// attempt, so every op is sent once.
 	retry RetryPolicy
 	// onReroute, when set, is consulted on an epoch-mismatch response or a
 	// transport error: it returns a (possibly new) base URL after
@@ -98,8 +96,8 @@ type RetryPolicy struct {
 	MaxDelay  time.Duration // backoff cap (default 250ms)
 }
 
-// SetRetry installs a retry policy. Leave it unset (or Max 0) for
-// deterministic schedules.
+// SetRetry installs a retry policy. Leave it unset (or Max 0) to send every
+// op exactly once.
 func (c *Client) SetRetry(p RetryPolicy) { c.retry = p }
 
 // SetRerouter installs the routing-refresh hook consulted on epoch
@@ -306,14 +304,13 @@ func (c *Client) backoffFor(attempt int, err error) time.Duration {
 	return d/2 + time.Duration(rand.Int64N(int64(d)))
 }
 
-// Login opens the session. seq is the deterministic-mode schedule position
-// of the login on the tenant's shard; omit it in fair mode.
-func (c *Client) Login(tenant string, uid uint32, passphrase string, seq ...uint64) error {
-	// Rebase trace minting on the tenant identity so a deterministic
-	// schedule yields the same trace IDs regardless of the server address.
+// Login opens the session.
+func (c *Client) Login(tenant string, uid uint32, passphrase string) error {
+	// Rebase trace minting on the tenant identity so a session's ops get the
+	// same trace IDs regardless of the server address.
 	c.traceBase = fnv64a("trace", tenant, fmt.Sprintf("%d", uid))
 	c.reqSeq = 0
-	req := fsproto.LoginRequest{Tenant: tenant, UID: uid, Passphrase: passphrase, Seq: seqPtr(seq)}
+	req := fsproto.LoginRequest{Tenant: tenant, UID: uid, Passphrase: passphrase}
 	var resp fsproto.LoginResponse
 	if err := c.post("/v1/login", req, &resp); err != nil {
 		return err
@@ -340,8 +337,7 @@ func (c *Client) Read(req fsproto.ReadRequest) ([]byte, error) {
 	return c.postForPayload("/v1/read", req)
 }
 
-// Stat fetches file metadata. Stat is side-effect free end to end and
-// never consumes a deterministic schedule slot, so it carries no seq.
+// Stat fetches file metadata. Stat is side-effect free end to end.
 func (c *Client) Stat(req fsproto.StatRequest) (fsproto.StatResponse, error) {
 	var resp fsproto.StatResponse
 	err := c.post("/v1/stat", req, &resp)
@@ -389,13 +385,4 @@ func (c *Client) KVDelete(req fsproto.KVDeleteRequest) (bool, error) {
 		return false, err
 	}
 	return resp.Existed, nil
-}
-
-// seqPtr turns an optional variadic sequence number into the wire shape.
-func seqPtr(seq []uint64) fsproto.Seq {
-	if len(seq) == 0 {
-		return nil
-	}
-	s := seq[0]
-	return &s
 }

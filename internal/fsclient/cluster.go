@@ -96,10 +96,8 @@ func (cc *ClusterClient) reroute() (string, bool) {
 }
 
 // Login resolves the tenant's home shard, dials its owner, and opens the
-// session there. Cluster routing implies fair mode (live migration does
-// not preserve a client-assigned deterministic schedule), so no sequence
-// numbers are sent and retries are safe: a default retry policy is
-// installed; override with SetRetry.
+// session there. A default retry policy is installed, so the client rides
+// out migrations; override with SetRetry.
 func (cc *ClusterClient) Login(tenant string, uid uint32, passphrase string) error {
 	gid := fsproto.TenantGID(tenant)
 	cc.mu.Lock()

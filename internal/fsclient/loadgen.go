@@ -26,13 +26,12 @@ const (
 	lgStat
 )
 
-// lgOp is one precomputed operation of the load schedule.
+// lgOp is one precomputed operation of a client's op list.
 type lgOp struct {
 	kind   int
 	off    uint64
 	n      int
-	victim int         // lgCrossRead: client whose file is probed
-	seq    fsproto.Seq // per-shard schedule position (deterministic mode)
+	victim int // lgCrossRead: client whose file is probed
 }
 
 // LoadgenOptions configures RunLoadgen.
@@ -49,22 +48,15 @@ type LoadgenOptions struct {
 	Mix string
 	// Seed drives the per-client operation RNGs.
 	Seed uint64
-	// Deterministic assigns per-shard schedule sequence numbers so a
-	// deterministic server admits the exact same op order every run.
-	// Shards must then match the server's shard count.
-	Deterministic bool
-	Shards        int
 	// CrossEvery makes every Nth data op a cross-tenant read probe — the
 	// access the kernel must deny (0 disables; default 8).
 	CrossEvery int
 	// StatEvery makes every Nth data op a metadata stat of the client's own
-	// file (0 disables). Stats never consume a deterministic schedule slot:
-	// the server answers them off the admission plane.
+	// file (0 disables). The server answers stats off the admission plane.
 	StatEvery int
 	// Coordinator, when set, routes every client through the cluster
 	// placement table (DialCluster) instead of the fixed base URL, so the
-	// load follows shards across migrations and failovers. Incompatible
-	// with Deterministic: cluster routing implies fair mode.
+	// load follows shards across migrations and failovers.
 	Coordinator string
 }
 
@@ -83,9 +75,6 @@ func (o *LoadgenOptions) defaults() {
 	}
 	if o.CrossEvery == 0 {
 		o.CrossEvery = 8
-	}
-	if o.Shards <= 0 {
-		o.Shards = 1
 	}
 }
 
@@ -189,7 +178,7 @@ func percentile(sorted []uint64, p float64) uint64 {
 	return sorted[i]
 }
 
-// Loadgen shape shared by both ends of a deterministic run.
+// Loadgen shape: every client's file and I/O sizes.
 const (
 	lgPageSize = 4096
 	lgPages    = 4
@@ -197,8 +186,8 @@ const (
 	lgIOSize   = 256
 )
 
-// Per-client identity helpers. Deterministic functions of the client
-// index, so reruns place the same tenants on the same shards.
+// Per-client identity helpers. Pure functions of the client index, so
+// reruns place the same tenants on the same shards.
 func lgTenant(c, tenants int) string { return fmt.Sprintf("tenant%02d", c%tenants) }
 func lgFile(c int) string            { return fmt.Sprintf("f%03d.dat", c) }
 func lgPassphrase(c, tenants int) string {
@@ -234,12 +223,8 @@ func crossVictim(c, clients, tenants int) int {
 	return -1
 }
 
-// buildSchedule precomputes every client's op list. In deterministic mode
-// it also assigns per-shard sequence numbers by walking clients
-// round-robin — one global total order — so each shard's admission order
-// is a pure function of (seed, client count), and the interleaving is
-// deadlock-free: every client issues its ops in global-order positions,
-// so the lowest unexecuted position is always issuable.
+// buildSchedule precomputes every client's op list, a pure function of
+// (seed, client index); the clients run their lists concurrently.
 func buildSchedule(o LoadgenOptions) [][]lgOp {
 	readW, writeW := parseMix(o.Mix)
 	ops := make([][]lgOp, o.Clients)
@@ -282,45 +267,15 @@ func buildSchedule(o LoadgenOptions) [][]lgOp {
 		list = append(list, lgOp{kind: lgLogout})
 		ops[c] = list
 	}
-	if o.Deterministic {
-		nextSeq := make([]uint64, o.Shards)
-		for round := 0; ; round++ {
-			assigned := false
-			for c := 0; c < o.Clients; c++ {
-				if round >= len(ops[c]) {
-					continue
-				}
-				assigned = true
-				op := &ops[c][round]
-				if op.kind == lgLogout || op.kind == lgStat {
-					continue // logout and stat bypass shard admission
-				}
-				target := c
-				if op.kind == lgCrossRead {
-					target = op.victim
-				}
-				shard := fsproto.ShardIndex(fsproto.TenantGID(lgTenant(target, o.Tenants)), o.Shards)
-				s := nextSeq[shard]
-				nextSeq[shard]++
-				op.seq = &s
-			}
-			if !assigned {
-				break
-			}
-		}
-	}
 	return ops
 }
 
 // RunLoadgen drives one load run against a server and reports what
-// happened. base is the server URL. The run aborts a client on transport
-// errors (which would hole a deterministic schedule) but treats op-level
-// denials as data: expected for cross-tenant probes, counted otherwise.
+// happened. base is the server URL. The run aborts a client whose login
+// fails but treats op-level denials as data: expected for cross-tenant
+// probes, counted otherwise.
 func RunLoadgen(base string, o LoadgenOptions) (*LoadgenReport, error) {
 	o.defaults()
-	if o.Coordinator != "" && o.Deterministic {
-		return nil, errors.New("fsclient: cluster routing implies fair mode; drop Deterministic or Coordinator")
-	}
 	schedule := buildSchedule(o)
 	rep := &LoadgenReport{Clients: o.Clients, Tenants: o.Tenants}
 
@@ -348,11 +303,17 @@ func RunLoadgen(base string, o LoadgenOptions) (*LoadgenReport, error) {
 	}
 
 	runStart := time.Now()
-	var wg sync.WaitGroup
+	// setup holds every client's ops after its create until each client
+	// has created its file (or given up), so a cross-tenant probe always
+	// finds its victim's file.
+	var wg, setup sync.WaitGroup
+	setup.Add(o.Clients)
 	for c := 0; c < o.Clients; c++ {
 		wg.Add(1)
 		go func(c int) {
 			defer wg.Done()
+			setUp := sync.OnceFunc(setup.Done)
+			defer setUp()
 			cl := Dial(base)
 			var cc *ClusterClient
 			if o.Coordinator != "" {
@@ -394,7 +355,11 @@ func RunLoadgen(base string, o LoadgenOptions) (*LoadgenReport, error) {
 			record := func(kind int) {
 				local[kind] = append(local[kind], uint64(time.Since(start)))
 			}
-			for _, op := range schedule[c] {
+			for i, op := range schedule[c] {
+				if i > 0 && schedule[c][i-1].kind == lgCreate {
+					setUp()
+					setup.Wait()
+				}
 				ops.Add(1)
 				start = time.Now()
 				var err error
@@ -405,8 +370,6 @@ func RunLoadgen(base string, o LoadgenOptions) (*LoadgenReport, error) {
 						// swaps the embedded transport client.
 						err = cc.Login(tenant, uint32(c), lgPassphrase(c, o.Tenants))
 						cl = cc.Client
-					} else if op.seq != nil {
-						err = cl.Login(tenant, uint32(c), lgPassphrase(c, o.Tenants), *op.seq)
 					} else {
 						err = cl.Login(tenant, uint32(c), lgPassphrase(c, o.Tenants))
 					}
@@ -424,16 +387,16 @@ func RunLoadgen(base string, o LoadgenOptions) (*LoadgenReport, error) {
 					continue
 				case lgCreate:
 					err = cl.Create(fsproto.CreateRequest{
-						Name: lgFile(c), Perm: 0600, Size: lgFileSize, Encrypted: true, Seq: op.seq,
+						Name: lgFile(c), Perm: 0600, Size: lgFileSize, Encrypted: true,
 					})
 				case lgWrite:
-					err = cl.Write(fsproto.WriteRequest{Name: lgFile(c), Offset: op.off, Data: pattern[:op.n], Seq: op.seq})
+					err = cl.Write(fsproto.WriteRequest{Name: lgFile(c), Offset: op.off, Data: pattern[:op.n]})
 					if err == nil {
 						writes.Add(1)
 					}
 				case lgRead:
 					var data []byte
-					data, err = cl.Read(fsproto.ReadRequest{Name: lgFile(c), Offset: op.off, Length: op.n, Seq: op.seq})
+					data, err = cl.Read(fsproto.ReadRequest{Name: lgFile(c), Offset: op.off, Length: op.n})
 					if err == nil {
 						reads.Add(1)
 						// The read range was written by this client, so
@@ -461,7 +424,7 @@ func RunLoadgen(base string, o LoadgenOptions) (*LoadgenReport, error) {
 					_, err = cl.Read(fsproto.ReadRequest{
 						Name:   lgFile(op.victim),
 						Tenant: lgTenant(op.victim, o.Tenants),
-						Offset: 0, Length: op.n, Seq: op.seq,
+						Offset: 0, Length: op.n,
 					})
 					record(lgCrossRead)
 					if err == nil {
@@ -474,8 +437,8 @@ func RunLoadgen(base string, o LoadgenOptions) (*LoadgenReport, error) {
 					case IsCode(err, fsproto.CodePermission), IsCode(err, fsproto.CodeWrongPassphrase):
 						denied.Add(1)
 					case IsCode(err, fsproto.CodeNotFound):
-						// Victim has not created its file yet (fair mode
-						// interleaving) — acceptable.
+						// The victim's setup failed, which counted its own
+						// error — not a second one.
 					default:
 						noteErr(c, op, err)
 					}

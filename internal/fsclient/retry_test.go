@@ -17,7 +17,7 @@ func apiErr(w http.ResponseWriter, status int, code string) {
 }
 
 // TestRetryOffByDefault: a 429 comes straight back on the first attempt —
-// deterministic schedules must never see a silent re-admission.
+// an op is sent exactly once unless a retry policy is set.
 func TestRetryOffByDefault(t *testing.T) {
 	var hits atomic.Int64
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {

@@ -17,7 +17,7 @@ import (
 // migration ships. A log is records back to back, each uvarint(len(body)) ‖
 // body. An op record's body is
 //
-//	kind ‖ flags ‖ uvarint(Seq) ‖ uvarint(GID) ‖ uvarint(Session)
+//	kind ‖ flags ‖ uvarint(Wait) ‖ uvarint(GID) ‖ uvarint(Session)
 //	  ‖ str(Token) ‖ str(Tenant) ‖ uvarint(EUID) ‖ str(Pass)   if flagNewSession
 //	  ‖ TraceID (8 bytes, big-endian) ‖ uvarint(Parent)        if flagTraced
 //	  ‖ Req                                                    the rest
@@ -82,10 +82,12 @@ func (k Kind) String() string {
 // LogRecord is one record of a log, decoded.
 type LogRecord struct {
 	Kind Kind
-	// Seq is the deterministic schedule position (0 in fair mode); GID the
-	// admission group (the *target* group of a cross-tenant op).
-	Seq uint64
-	GID uint32
+	// Wait is the op's queue wait in simulated cycles: the shard clock at
+	// service less the clock when its worker absorbed it, the one input of
+	// the shard's registry that does not follow from the records before it.
+	// GID is the admission group (the *target* group of a cross-tenant op).
+	Wait uint64
+	GID  uint32
 	// Session is the acting session's index in this log. A reader fills its
 	// credentials into every op record, so a replayer can rebuild a principal
 	// that never logged in on the shard, and its Token into a RecLogout; a
@@ -182,7 +184,7 @@ func (w *LogWriter) Append(dst []byte, rec *LogRecord) []byte {
 			}
 		}
 		dst = append(dst, flags)
-		dst = binary.AppendUvarint(dst, rec.Seq)
+		dst = binary.AppendUvarint(dst, rec.Wait)
 		dst = binary.AppendUvarint(dst, uint64(rec.GID))
 		dst = binary.AppendUvarint(dst, uint64(rec.Session))
 		if introduces {
@@ -264,7 +266,7 @@ func (r *LogReader) Next(b []byte, rec *LogRecord) ([]byte, error) {
 	case int(out.Kind) >= NumOps || flags >= flagTraced<<1:
 		c.fail("unknown record kind %d or flags %#x", out.Kind, flags)
 	default:
-		out.Seq, out.GID = c.uvarint(math.MaxUint64), uint32(c.uvarint(math.MaxUint32))
+		out.Wait, out.GID = c.uvarint(math.MaxUint64), uint32(c.uvarint(math.MaxUint32))
 		switch out.Session = uint32(c.uvarint(math.MaxUint32)); {
 		case introduces && out.Session == known:
 			if s.Token, s.Tenant, s.EUID, s.Pass = c.str(), c.str(), uint32(c.uvarint(math.MaxUint32)), c.str(); r.tokens[s.Token] {

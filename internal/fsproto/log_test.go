@@ -48,8 +48,7 @@ func seedLogs() (log, big []byte) {
 	log = add(log, op(KindKVDelete, 0, false, body(KVDeleteRequest{Store: "kv", Key: 9}), false))
 	cross := op(KindRead, 0x44, false, body(ReadRequest{Name: "obj0", Tenant: "acme", Length: 64, Passphrase: "pw-acme"}), false)
 	cross.Session, cross.Token, cross.Tenant, cross.EUID, cross.Pass = 1, "n2-7", "globex", UserUID("globex", 1), "pw-globex"
-	seq := uint64(41)
-	cross.Seq, cross.GID = seq, TenantGID("globex")
+	cross.Wait, cross.GID = 41, TenantGID("globex")
 	log = add(log, cross)
 	log = add(log, LogRecord{Kind: RecReadDeltas, Delta: memctrl.ReadDelta{
 		Reads:  131,
@@ -96,7 +95,7 @@ func TestLogRoundTrip(t *testing.T) {
 		}
 	}
 	recs, _ := decodeAll(log)
-	if len(recs) != 16 || recs[14].Kind != RecLogout || recs[14].Token != "n2-7" || recs[1].Token != "n1-1" || recs[1].Pass != "pw-acme" || recs[11].Tenant != "globex" || recs[11].Seq != 41 {
+	if len(recs) != 16 || recs[14].Kind != RecLogout || recs[14].Token != "n2-7" || recs[1].Token != "n1-1" || recs[1].Pass != "pw-acme" || recs[11].Tenant != "globex" || recs[11].Wait != 41 {
 		t.Fatalf("credentials or fields lost in the %d records decoded", len(recs))
 	}
 	if _, payload, err := SplitFrame(recs[2].Req); err != nil || len(payload) != 4096 || !recs[2].Framed {

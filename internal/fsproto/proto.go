@@ -4,8 +4,8 @@
 //
 // The mapping functions are protocol, not implementation detail: the
 // server places a tenant's state on the shard derived from its group ID,
-// and a deterministic load generator must assign per-shard sequence
-// numbers with the same mapping to reproduce a schedule exactly.
+// and a cluster client routes a tenant to that shard's owner by the same
+// mapping.
 package fsproto
 
 import (
@@ -171,16 +171,6 @@ const (
 	CodeEpochMismatch = "epoch_mismatch"
 )
 
-// Seq carries the deterministic-mode schedule position of a request. The
-// field is a pointer so "absent" (fair arrival-order mode) is
-// distinguishable from sequence 0.
-//
-// Every op request embeds one; the server's shard admits requests in
-// strictly increasing per-shard sequence order when running
-// deterministically, making per-shard simulated state a pure function of
-// the schedule rather than of network timing.
-type Seq = *uint64
-
 // LoginRequest opens a tenant session. The passphrase becomes the
 // session's keyring master credential: the first login for (tenant, uid)
 // registers it, later logins must present a passphrase deriving the same
@@ -189,14 +179,13 @@ type LoginRequest struct {
 	Tenant     string `json:"tenant"`
 	UID        uint32 `json:"uid"`
 	Passphrase string `json:"passphrase"`
-	Seq        Seq    `json:"seq,omitempty"`
 }
 
 // LoginResponse returns the session token.
 type LoginResponse struct {
 	Token string `json:"token"`
 	// GID/Shard echo the server-side placement (useful for debugging and
-	// for deterministic clients cross-checking their own mapping).
+	// for clients cross-checking their own mapping).
 	GID   uint32 `json:"gid"`
 	Shard int    `json:"shard"`
 }
@@ -211,7 +200,6 @@ type CreateRequest struct {
 	// Passphrase overrides the session passphrase as the file key source
 	// (e.g. a group-shared file key). Empty means the session passphrase.
 	Passphrase string `json:"passphrase,omitempty"`
-	Seq        Seq    `json:"seq,omitempty"`
 }
 
 // ReadRequest reads [Offset, Offset+Length) of a file. Tenant targets
@@ -223,7 +211,6 @@ type ReadRequest struct {
 	Offset     uint64 `json:"offset"`
 	Length     int    `json:"length"`
 	Passphrase string `json:"passphrase,omitempty"`
-	Seq        Seq    `json:"seq,omitempty"`
 }
 
 // ReadResponse carries the plaintext bytes (base64 on the wire).
@@ -233,13 +220,11 @@ type ReadResponse struct {
 
 // StatRequest fetches file metadata. Stat is read-only and side-effect
 // free end to end: the server answers it off the shard worker when the
-// fast-path is available, and as out-of-band worker work otherwise — it
-// never consumes a deterministic schedule slot and is never logged, so
-// Seq, while accepted for interface uniformity, is ignored.
+// fast-path is available, and as side work on the worker otherwise — it
+// takes no fairness slot and is never logged.
 type StatRequest struct {
 	Name   string `json:"name"`
 	Tenant string `json:"tenant,omitempty"`
-	Seq    Seq    `json:"seq,omitempty"`
 }
 
 // StatResponse carries the inode's metadata. Name is the full
@@ -259,7 +244,6 @@ type WriteRequest struct {
 	Offset     uint64 `json:"offset"`
 	Data       []byte `json:"data"`
 	Passphrase string `json:"passphrase,omitempty"`
-	Seq        Seq    `json:"seq,omitempty"`
 }
 
 // ChmodRequest changes permission bits (owner or root only).
@@ -267,7 +251,6 @@ type ChmodRequest struct {
 	Name   string `json:"name"`
 	Tenant string `json:"tenant,omitempty"`
 	Perm   uint16 `json:"perm"`
-	Seq    Seq    `json:"seq,omitempty"`
 }
 
 // DeleteRequest unlinks a file: key removal plus Silent-Shredder page
@@ -275,7 +258,6 @@ type ChmodRequest struct {
 type DeleteRequest struct {
 	Name   string `json:"name"`
 	Tenant string `json:"tenant,omitempty"`
-	Seq    Seq    `json:"seq,omitempty"`
 }
 
 // OKResponse is the body of operations with no payload.
@@ -289,7 +271,6 @@ type KVCreateRequest struct {
 	Store      string `json:"store"`
 	Size       uint64 `json:"size"`
 	Passphrase string `json:"passphrase,omitempty"`
-	Seq        Seq    `json:"seq,omitempty"`
 }
 
 // KVPutRequest stores Value under Key.
@@ -299,7 +280,6 @@ type KVPutRequest struct {
 	Key        uint64 `json:"key"`
 	Value      []byte `json:"value"`
 	Passphrase string `json:"passphrase,omitempty"`
-	Seq        Seq    `json:"seq,omitempty"`
 }
 
 // KVGetRequest fetches the value under Key.
@@ -308,7 +288,6 @@ type KVGetRequest struct {
 	Tenant     string `json:"tenant,omitempty"`
 	Key        uint64 `json:"key"`
 	Passphrase string `json:"passphrase,omitempty"`
-	Seq        Seq    `json:"seq,omitempty"`
 }
 
 // KVGetResponse carries the fetched value.
@@ -322,7 +301,6 @@ type KVDeleteRequest struct {
 	Tenant     string `json:"tenant,omitempty"`
 	Key        uint64 `json:"key"`
 	Passphrase string `json:"passphrase,omitempty"`
-	Seq        Seq    `json:"seq,omitempty"`
 }
 
 // KVDeleteResponse reports whether the key existed.

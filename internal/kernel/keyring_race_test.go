@@ -25,12 +25,12 @@ import (
 func TestKeyringDenialRace(t *testing.T) {
 	sh := server.NewShardWith(0, config.Default(),
 		memctrl.Mode{MemEncryption: true, FileEncryption: true}, kernel.ModeDAX,
-		false, 0, nil, server.ShardOptions{})
+		0, nil, server.ShardOptions{})
 	defer sh.Close()
 	ctx := context.Background()
 
 	var owner, intruder *kernel.Process
-	if _, err := sh.Do(ctx, 1, 0, func() (any, error) {
+	if _, err := sh.Do(ctx, 1, func() (any, error) {
 		owner = sh.Sys.NewProcess(1001, 100)
 		intruder = sh.Sys.NewProcess(2002, 200)
 		sh.Sys.Keyring.Login(1001, "owner-master")
@@ -63,7 +63,7 @@ func TestKeyringDenialRace(t *testing.T) {
 			if i%2 == 0 {
 				perm = 0644
 			}
-			if _, err := sh.Do(ctx, 1, 0, func() (any, error) {
+			if _, err := sh.Do(ctx, 1, func() (any, error) {
 				if _, err := sh.Sys.OpenFile(owner, "shared.db", fs.ReadAccess, "owner-pw"); err != nil {
 					return nil, fmt.Errorf("owner open: %w", err)
 				}
@@ -82,7 +82,7 @@ func TestKeyringDenialRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, err := sh.Do(ctx, 2, 0, func() (any, error) {
+			if _, err := sh.Do(ctx, 2, func() (any, error) {
 				_, err := sh.Sys.OpenFile(intruder, "shared.db", fs.ReadAccess, "guessed-pw")
 				switch {
 				case errors.Is(err, kernel.ErrPermission):
@@ -107,7 +107,7 @@ func TestKeyringDenialRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, err := sh.Do(ctx, 2, 0, func() (any, error) {
+			if _, err := sh.Do(ctx, 2, func() (any, error) {
 				if err := sh.Sys.Chmod(intruder, "shared.db", 0777); !errors.Is(err, fs.ErrPermEperm) {
 					return nil, fmt.Errorf("intruder chmod: want EPERM, got %v", err)
 				}
@@ -129,7 +129,7 @@ func TestKeyringDenialRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
-			if _, err := sh.Do(ctx, 3, 0, func() (any, error) {
+			if _, err := sh.Do(ctx, 3, func() (any, error) {
 				if reg, ok := sh.Sys.Keyring.Verify(1001, "wrong-master"); !reg || ok {
 					return nil, fmt.Errorf("verify(owner, wrong) = (%v, %v), want (true, false)", reg, ok)
 				}
@@ -164,12 +164,12 @@ func TestKeyringDenialRace(t *testing.T) {
 		{0600, kernel.ErrPermission},      // bits deny before the key is consulted
 		{0644, kernel.ErrWrongPassphrase}, // bits allow, the per-file key denies
 	} {
-		if _, err := sh.Do(ctx, 1, 0, func() (any, error) {
+		if _, err := sh.Do(ctx, 1, func() (any, error) {
 			return nil, sh.Sys.Chmod(owner, "shared.db", tc.perm)
 		}); err != nil {
 			t.Fatalf("chmod %o: %v", tc.perm, err)
 		}
-		if _, err := sh.Do(ctx, 2, 0, func() (any, error) {
+		if _, err := sh.Do(ctx, 2, func() (any, error) {
 			_, err := sh.Sys.OpenFile(intruder, "shared.db", fs.ReadAccess, "guessed-pw")
 			return nil, err
 		}); !errors.Is(err, tc.want) {
@@ -178,7 +178,7 @@ func TestKeyringDenialRace(t *testing.T) {
 	}
 
 	// The file survived every attack and still opens for its owner.
-	if _, err := sh.Do(ctx, 1, 0, func() (any, error) {
+	if _, err := sh.Do(ctx, 1, func() (any, error) {
 		_, err := sh.Sys.OpenFile(owner, "shared.db", fs.ReadAccess, "owner-pw")
 		return nil, err
 	}); err != nil {

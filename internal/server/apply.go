@@ -80,10 +80,10 @@ func (l *logStore) from(k uint64) [][]byte {
 // logOp appends the record of an executed op task under its token's index in
 // this log, which the log's writer keeps: the token's first record here
 // introduces it, whichever Session object acted.
-func (sh *Shard) logOp(t *task) {
+func (sh *Shard) logOp(t *task, wait uint64) {
 	s := t.sess
 	sh.log.append(&fsproto.LogRecord{
-		Kind: t.kind, Seq: t.seq, GID: t.tenant,
+		Kind: t.kind, Wait: wait, GID: t.tenant,
 		Session: sh.log.w.Session(s.token), Token: s.token, Tenant: s.tenant, EUID: s.uid, Pass: s.pass,
 		TraceID: t.trace.TraceID, Parent: t.trace.Parent, Sampled: t.trace.Sampled,
 		Req: t.body, Framed: t.framed,
@@ -135,8 +135,9 @@ func (sh *Shard) logout(token string) {
 // applyRecord executes the admission-log record at position pos against sh,
 // which appends it to its own log (so a rehydrated shard or promoted replica
 // can itself be replicated from). Returns an error only for structural
-// failures — checkpoint divergence, undecodable or invalid requests; a
-// replayed op's application error is the faithfully reproduced live outcome.
+// failures — checkpoint divergence, undecodable or invalid requests, a wait
+// longer than the shard has run; a replayed op's application error is the
+// faithfully reproduced live outcome.
 func (svc *Service) applyRecord(sh *Shard, rec *fsproto.LogRecord, pos uint64) error {
 	switch rec.Kind {
 	case fsproto.RecFlush:
@@ -170,17 +171,21 @@ func (svc *Service) applyRecord(sh *Shard, rec *fsproto.LogRecord, pos uint64) e
 	sess := newSession(rec.Token, rec.Tenant, rec.EUID, rec.Pass)
 	// Staging re-runs the live validation, so a forged length in a shipped
 	// log fails the replay instead of allocating.
-	_, tgt, pl, err := svc.stage(o, sh, sess, req)
+	tgt, pl, err := svc.stage(o, sh, sess, req)
 	if err != nil {
 		return fmt.Errorf("record %d (%v): %w", pos, rec.Kind, err)
 	}
-	tc := fsproto.TraceContext{TraceID: rec.TraceID, Parent: rec.Parent, Sampled: rec.Sampled}
-	sh.serve(o.task(svc, tgt, sess, req, rec.Seq, tc, pl.Data, rec.Req, rec.Framed))
-	pl.Release()
-	if rec.Seq+1 > sh.detNext {
-		// Continue the deterministic schedule where the source stopped.
-		sh.detNext = rec.Seq + 1
+	// The op waited as long as it did live: serve starts at the clock the
+	// source served it at, so the queue_wait observation and span match.
+	now := uint64(sh.Sys.M.MaxCoreTime())
+	if rec.Wait > now {
+		pl.Release()
+		return fmt.Errorf("record %d (%v): %w: a wait of %d cycles at clock %d", pos, rec.Kind, ErrBadRequest, rec.Wait, now)
 	}
+	t := o.task(svc, tgt, sess, req, fsproto.TraceContext{TraceID: rec.TraceID, Parent: rec.Parent, Sampled: rec.Sampled}, pl.Data, rec.Req, rec.Framed)
+	t.enq = now - rec.Wait
+	sh.serve(t)
+	pl.Release()
 	return nil
 }
 

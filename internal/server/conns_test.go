@@ -96,7 +96,7 @@ func TestForwardRelaysQueueDepth(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sh.Do(context.Background(), fsproto.TenantGID(p.tenant[1]), 0, func() (any, error) {
+			sh.Do(context.Background(), fsproto.TenantGID(p.tenant[1]), func() (any, error) {
 				<-gate
 				return nil, nil
 			})

@@ -26,8 +26,7 @@ package server
 // RecReadDeltas record at that position, which a replayer applies the same
 // way, at the same clock (applyReads).
 //
-// Gating: deterministic shards (state must stay a pure function of the
-// schedule) and -serial-reads servers always take the worker path.
+// Gating: -serial-reads servers always take the worker path.
 
 import (
 	"runtime"
@@ -138,10 +137,10 @@ func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext, kind f
 
 // askDrain keeps a tenant that only reads from growing the delta stack
 // until somebody writes: with deltaDrainThreshold deltas pending and no
-// request outstanding, the reader posts a no-op on the side lane, which the
-// worker runs inside enterMut/exitMut like any side task. Called with
+// request outstanding, the reader posts a no-op as side work, which the
+// worker runs inside enterMut/exitMut like any side work. Called with
 // the read lock released, so the worker can start at once. The send never
-// blocks a reader — a full lane holds side tasks that each drain on entry —
+// blocks a reader — a full ingress holds tasks that each drain on entry —
 // and after one the reader yields: the send left the worker runnable behind
 // this goroutine, and a handler in a tight loop of fast reads could
 // otherwise run out its time slice, hundreds more pushes, before the drain
@@ -151,7 +150,7 @@ func (sh *Shard) askDrain() {
 		return
 	}
 	select {
-	case sh.side <- sideTask{fn: func() {}, done: make(chan struct{})}:
+	case sh.ingress <- task{side: func() {}, resp: make(chan taskResult, 1)}:
 		runtime.Gosched()
 	default:
 	}

@@ -238,40 +238,10 @@ func TestReadDeltasBounded(t *testing.T) {
 	t.Logf("%d reads (%d fast), worst pending %d", reads, svc.cFastReads.Value()-fast0, worst)
 }
 
-// TestFastReadGating: deterministic shards and -serial-reads services must
-// never enter the fast path — not even its fallback branch.
+// TestFastReadGating: a -serial-reads service must never enter the fast
+// path — not even its fallback branch — and its stat, served on the worker
+// as side work, answers the inode's values.
 func TestFastReadGating(t *testing.T) {
-	t.Run("deterministic", func(t *testing.T) {
-		svc := New(Options{
-			Shards:        1,
-			MCMode:        memctrl.Mode{MemEncryption: true, FileEncryption: true},
-			Access:        kernel.ModeDAX,
-			Deterministic: true,
-		})
-		t.Cleanup(svc.Close)
-		ctx := context.Background()
-		seq := func(n uint64) fsproto.Seq { return &n }
-		sess, err := svc.Login(ctx, "acme", 1, "pw", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Create(ctx, sess, fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 4096, Encrypted: true, Seq: seq(1)}); err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Write(ctx, sess, fsproto.WriteRequest{Name: "f.dat", Data: bytes.Repeat([]byte{7}, 4096), Seq: seq(2)}); err != nil {
-			t.Fatal(err)
-		}
-		pl, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "f.dat", Length: 4096, Seq: seq(3)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		pl.Release()
-		snap := svc.MetricsSnapshot()
-		if snap.Counters["server.fast_reads_total"] != 0 || snap.Counters["server.fast_read_fallbacks_total"] != 0 {
-			t.Fatalf("deterministic shard entered the fast path: fast %d fallbacks %d",
-				snap.Counters["server.fast_reads_total"], snap.Counters["server.fast_read_fallbacks_total"])
-		}
-	})
 	t.Run("serial-reads", func(t *testing.T) {
 		svc := New(Options{
 			Shards:      1,
@@ -285,7 +255,7 @@ func TestFastReadGating(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := svc.Create(ctx, sess, fsproto.CreateRequest{Name: "f.dat", Perm: 0600, Size: 4096, Encrypted: true}); err != nil {
+		if err := svc.Create(ctx, sess, fsproto.CreateRequest{Name: "f.dat", Perm: 0640, Size: 8192, Encrypted: true}); err != nil {
 			t.Fatal(err)
 		}
 		pl, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "f.dat", Length: 4096})
@@ -293,6 +263,13 @@ func TestFastReadGating(t *testing.T) {
 			t.Fatal(err)
 		}
 		pl.Release()
+		resp, err := svc.Stat(ctx, sess, fsproto.StatRequest{Name: "f.dat"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if resp.Size != 8192 || resp.Pages != 2 || resp.Perm != 0640 {
+			t.Fatalf("worker stat = %+v", resp)
+		}
 		snap := svc.MetricsSnapshot()
 		if snap.Counters["server.fast_reads_total"] != 0 || snap.Counters["server.fast_read_fallbacks_total"] != 0 {
 			t.Fatal("-serial-reads service entered the fast path")
@@ -554,9 +531,9 @@ func TestFastReadAllocs(t *testing.T) {
 	}
 }
 
-// TestStatOps covers the new stat operation end to end: fast-path values,
-// the worker fallback on deterministic shards (no schedule slot consumed),
-// and the live error shape for a missing file.
+// TestStatOps covers the stat operation end to end: fast-path values and
+// the live error shape for a missing file (TestFastReadGating's serial-reads
+// row checks the values of the worker's stat).
 func TestStatOps(t *testing.T) {
 	t.Run("fast", func(t *testing.T) {
 		svc, sess := testReadService(t)
@@ -570,36 +547,6 @@ func TestStatOps(t *testing.T) {
 		}
 		if svc.MetricsSnapshot().Counters["server.fast_reads_total"] == 0 {
 			t.Fatal("stat did not take the fast path")
-		}
-	})
-	t.Run("det-fallback", func(t *testing.T) {
-		svc := New(Options{
-			Shards:        1,
-			MCMode:        memctrl.Mode{MemEncryption: true, FileEncryption: true},
-			Access:        kernel.ModeDAX,
-			Deterministic: true,
-		})
-		t.Cleanup(svc.Close)
-		ctx := context.Background()
-		seq := func(n uint64) fsproto.Seq { return &n }
-		sess, err := svc.Login(ctx, "acme", 1, "pw", 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := svc.Create(ctx, sess, fsproto.CreateRequest{Name: "s.dat", Perm: 0640, Size: 8192, Encrypted: true, Seq: seq(1)}); err != nil {
-			t.Fatal(err)
-		}
-		// Stat consumes no schedule slot: no seq, and the next sequenced op
-		// (2, not 3) must still be admitted afterwards.
-		resp, err := svc.Stat(ctx, sess, fsproto.StatRequest{Name: "s.dat"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if resp.Size != 8192 || resp.Pages != 2 || resp.Perm != 0640 {
-			t.Fatalf("det stat = %+v", resp)
-		}
-		if err := svc.Write(ctx, sess, fsproto.WriteRequest{Name: "s.dat", Data: []byte{1}, Seq: seq(2)}); err != nil {
-			t.Fatalf("write after stat (stat must not consume sequence 2): %v", err)
 		}
 	})
 	t.Run("missing", func(t *testing.T) {

@@ -5,16 +5,16 @@ import "context"
 // Hold owns a shard's worker: while Shard.held names it, run pops no
 // admitted task, so closures passed to Run have the simulated machine with
 // nothing interleaving — the quiesce primitive of live migration. Taking,
-// using and releasing the shard are side tasks, and the taking one leaves its
-// mutation bracket open (execSide): snapshot readers stay out for the whole
-// hold, while read-only side work (audit export, log pulls, the stat
-// fallback) is still served. Requests queue behind the hold; Resume serves
+// using and releasing the shard are side work (DoSide), and the taking one
+// leaves its mutation bracket open (execSide): snapshot readers stay out for
+// the whole hold, while read-only side work (audit export, log pulls, the
+// stat fallback) is still served. Requests queue behind the hold; Resume serves
 // them, Retire answers them (and everything after) with the given error.
 type Hold struct{ sh *Shard }
 
 // Hold takes the shard if it is free and fails with ErrHeld if another Hold
 // owns it. ctx bounds the wait (under sustained load the worker picks the
-// side task up between servings).
+// side work up between servings).
 func (sh *Shard) Hold(ctx context.Context) (*Hold, error) {
 	h := &Hold{sh: sh}
 	refused := false
@@ -24,8 +24,9 @@ func (sh *Shard) Hold(ctx context.Context) (*Hold, error) {
 		}
 	})
 	if err != nil {
-		// The take may still be on the lane and win the shard later; the lane
-		// is FIFO, so a release posted now runs after it. An abandoned hold
+		// The take may still be on the ingress and win the shard later; side
+		// work runs in the order it was sent, so a release posted now runs
+		// after it. An abandoned hold
 		// cannot wedge the shard, nor (release checks the owner) free another's.
 		go h.release(nil)
 		return nil, err

@@ -3,6 +3,7 @@ package server
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -52,9 +53,9 @@ func TestHoldProtocol(t *testing.T) {
 	bg := context.Background()
 
 	t.Run("abandoned behind a busy worker", func(t *testing.T) {
-		sh := testShard(t, false, 0)
+		sh := testShard(t, 0)
 		gate, parked := make(chan struct{}), make(chan struct{})
-		go sh.Do(bg, 9, 0, func() (any, error) { close(parked); <-gate; return nil, nil })
+		go sh.Do(bg, 9, func() (any, error) { close(parked); <-gate; return nil, nil })
 		<-parked
 		// The take reaches the lane, the worker does not reach the take.
 		ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
@@ -66,7 +67,7 @@ func TestHoldProtocol(t *testing.T) {
 		// The take now runs and wins the shard for nobody; the release posted
 		// behind it must free it, or this task is never served.
 		within(t, "a task after an abandoned hold", func() {
-			if _, err := sh.Do(bg, 1, 0, noop); err != nil {
+			if _, err := sh.Do(bg, 1, noop); err != nil {
 				t.Errorf("Do after an abandoned hold: %v", err)
 			}
 		})
@@ -78,7 +79,7 @@ func TestHoldProtocol(t *testing.T) {
 	})
 
 	t.Run("one owner", func(t *testing.T) {
-		sh := testShard(t, false, 0)
+		sh := testShard(t, 0)
 		h, err := sh.Hold(bg)
 		if err != nil {
 			t.Fatalf("Hold: %v", err)
@@ -104,7 +105,7 @@ func TestHoldProtocol(t *testing.T) {
 	})
 
 	t.Run("what runs under a hold", func(t *testing.T) {
-		sh := testShard(t, false, 0)
+		sh := testShard(t, 0)
 		h, err := sh.Hold(bg)
 		if err != nil {
 			t.Fatalf("Hold: %v", err)
@@ -116,7 +117,7 @@ func TestHoldProtocol(t *testing.T) {
 		moved := errors.New("moved")
 		res := make(chan error, 1)
 		go func() {
-			_, err := sh.Do(bg, 1, 0, func() (any, error) { ran.Store(true); return nil, nil })
+			_, err := sh.Do(bg, 1, func() (any, error) { ran.Store(true); return nil, nil })
 			res <- err
 		}()
 		for deadline := time.Now().Add(2 * time.Second); sh.depth.Load() != 1; time.Sleep(time.Millisecond) {
@@ -156,7 +157,7 @@ func TestHoldProtocol(t *testing.T) {
 	})
 
 	t.Run("resume, stale resume, hold again", func(t *testing.T) {
-		sh := testShard(t, true, 0) // the protocol is the same in both disciplines
+		sh := testShard(t, 0)
 		h1, err := sh.Hold(bg)
 		if err != nil {
 			t.Fatalf("Hold: %v", err)
@@ -175,13 +176,13 @@ func TestHoldProtocol(t *testing.T) {
 			t.Fatalf("a stale Resume changed the owner to %p, want %p", got, h2)
 		}
 		h2.Resume()
-		if _, err := sh.Do(bg, 1, 0, noop); err != nil {
+		if _, err := sh.Do(bg, 1, noop); err != nil {
 			t.Fatalf("Do after Resume: %v", err)
 		}
 	})
 
 	t.Run("close under a hold", func(t *testing.T) {
-		sh := testShard(t, false, 0)
+		sh := testShard(t, 0)
 		h, err := sh.Hold(bg)
 		if err != nil {
 			t.Fatalf("Hold: %v", err)
@@ -258,4 +259,90 @@ func TestRetiredShardServesNoReads(t *testing.T) {
 	if got := sh.Aud.HeadSeq(); got != head {
 		t.Fatalf("the source's audit head moved by %d records after the freeze", got-head)
 	}
+}
+
+// TestSideWorkOnIngress pins side work as a task kind of the one ingress.
+// With the worker parked inside a task, one tenant at its slot limit and k
+// of its tasks admitted behind that one, a DoSide is not refused as busy,
+// counts in no queue depth and runs before any of the k. A Hold taken and
+// abandoned there, then released, leaves the shard free: side work runs in
+// the order it was sent.
+func TestSideWorkOnIngress(t *testing.T) {
+	const k = 3
+	bg := context.Background()
+	sh := testShard(t, k)
+	var mu sync.Mutex
+	var order []string
+	note := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
+	var wg sync.WaitGroup
+	// park parks the worker inside tenant 9's task and queues k tasks of
+	// tenant 1 behind it; the returned gate releases the worker.
+	park := func() chan struct{} {
+		gate, parked := make(chan struct{}), make(chan struct{})
+		wg.Add(1)
+		go func() { defer wg.Done(); sh.Do(bg, 9, func() (any, error) { close(parked); <-gate; return nil, nil }) }()
+		<-parked
+		for i := range k {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				if _, err := sh.Do(bg, 1, func() (any, error) { note(fmt.Sprint("task ", i)); return nil, nil }); err != nil {
+					t.Errorf("task %d: %v", i, err)
+				}
+			}()
+		}
+		for deadline := time.Now().Add(2 * time.Second); sh.depth.Load() != k+1 || len(sh.ingress) != k; time.Sleep(time.Millisecond) {
+			if time.Now().After(deadline) {
+				t.Fatalf("depth %d, ingress %d: want %d admitted and %d queued", sh.depth.Load(), len(sh.ingress), k+1, k)
+			}
+		}
+		return gate
+	}
+
+	gate := park()
+	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
+	if _, err := sh.Do(ctx, 1, noop); !errors.Is(err, ErrBusy) {
+		t.Fatalf("tenant 1 past its %d slots: %v, want ErrBusy", k, err)
+	}
+	cancel()
+	var depthInSide int64
+	side := make(chan error, 1)
+	go func() {
+		ctx, cancel := context.WithTimeout(bg, 2*time.Second)
+		defer cancel()
+		side <- sh.DoSide(ctx, func() { depthInSide = sh.depth.Load(); note("side") })
+	}()
+	for deadline := time.Now().Add(2 * time.Second); len(sh.ingress) != k+1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("side work never reached the ingress")
+		}
+	}
+	if d := sh.depth.Load(); d != k+1 {
+		t.Fatalf("side work on the ingress: depth %d, want %d", d, k+1)
+	}
+	close(gate)
+	if err := <-side; err != nil {
+		t.Fatalf("DoSide behind a tenant at its slot limit: %v", err)
+	}
+	wg.Wait()
+	if len(order) != k+1 || order[0] != "side" {
+		t.Fatalf("ran %q, want the side work before the %d admitted tasks", order, k)
+	}
+	if depthInSide != k {
+		t.Fatalf("side work saw depth %d, want the %d admitted tasks only", depthInSide, k)
+	}
+
+	gate = park()
+	ctx, cancel = context.WithTimeout(bg, 20*time.Millisecond)
+	defer cancel()
+	if _, err := sh.Hold(ctx); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("Hold behind %d queued tasks: %v, want deadline exceeded", k, err)
+	}
+	close(gate)
+	within(t, "the queued tasks after an abandoned hold", wg.Wait)
+	h, err := sh.Hold(bg)
+	if err != nil {
+		t.Fatalf("Hold after an abandoned one and its release: %v", err)
+	}
+	h.Resume()
 }

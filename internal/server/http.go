@@ -130,8 +130,8 @@ type route struct {
 }
 
 // routes builds the /v1 route table: a row per table op, plus the two
-// endpoints outside the table — logout takes no schedule slot (its record is
-// the worker's own, Service.Logout), stat is read-only and schedule-neutral
+// endpoints outside the table — logout takes no fairness slot (its record is
+// the worker's own, Service.Logout), stat is read-only and replay-neutral
 // (Service.Stat).
 func (svc *Service) routes() map[string]route {
 	rt := make(map[string]route, len(ops)+2)
@@ -343,7 +343,8 @@ func (svc *Service) serveHTTP(w http.ResponseWriter, r *http.Request) {
 
 // handleShardsProm serves every shard's deterministic snapshot in
 // Prometheus text format, one "# shard N" section each — the surface the
-// determinism acceptance check byte-compares across reruns.
+// reproducibility check byte-compares between a shard and a replay of its
+// log.
 func (svc *Service) handleShardsProm(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	for _, sh := range svc.Shards() {
@@ -356,7 +357,7 @@ func (svc *Service) handleShardsProm(w http.ResponseWriter, _ *http.Request) {
 }
 
 // Mux returns the full fsencrd route set: the /v1 API, the per-shard
-// determinism surface (/shards.prom), and the live observability plane (/metrics,
+// replay surface (/shards.prom), and the live observability plane (/metrics,
 // /snapshot.json, /trace.json, /journal.jsonl, /audit.jsonl, /healthz,
 // /debug/pprof) backed by the service's merged telemetry, journals, and
 // audit logs.

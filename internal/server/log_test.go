@@ -188,7 +188,7 @@ func seededLog(n int) (*logStore, []fsproto.LogRecord, []uint64) {
 			}
 			cred := sessions[s]
 			rec.Session, rec.Token, rec.Tenant, rec.EUID, rec.Pass = uint32(s), cred.Token, cred.Tenant, cred.EUID, cred.Pass
-			rec.Seq, rec.GID = uint64(rng.IntN(3))*uint64(i), uint32(rng.IntN(1<<18))
+			rec.Wait, rec.GID = uint64(rng.IntN(3))*uint64(i), uint32(rng.IntN(1<<18))
 			if rng.IntN(3) == 0 {
 				rec.TraceID, rec.Parent, rec.Sampled = rng.Uint64()|1, uint64(rng.IntN(1000)), rng.IntN(2) == 0
 			}
@@ -255,7 +255,7 @@ func TestTokenIntroducedOnce(t *testing.T) {
 	// Another shard of the index keeps another log, whose writer has not seen
 	// the token: it is introduced there afresh, whatever index it has here.
 	rep := svc.NewReplicaShard(0)
-	rep.logOp(&task{kind: fsproto.KindRead, sess: sess, body: []byte(`{}`)})
+	rep.logOp(&task{kind: fsproto.KindRead, sess: sess, body: []byte(`{}`)}, 0)
 	var rec fsproto.LogRecord
 	if _, err := new(fsproto.LogReader).Next(bytes.Join(rep.log.from(0), nil), &rec); err != nil || rec.Session != 0 || rec.Token != sess.token {
 		t.Fatalf("the session's first record in a new log: %+v, %v", rec, err)

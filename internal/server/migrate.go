@@ -19,10 +19,8 @@ package server
 // replay rebuilds it: a token's state exists where an op of its ran and no
 // logout followed, and once the shard is adopted the tokens homed on it
 // resolve through that table here, and through the routing error there. The
-// deterministic schedule continues after the last record's sequence number,
-// and the replica boots with this service's own discipline and chip base,
-// which every node of a fabric shares — a mismatch fails the root and digest
-// gates.
+// replica boots with this service's own chip base, which every node of a
+// fabric shares — a mismatch fails the root and digest gates.
 
 import (
 	"context"
@@ -110,13 +108,12 @@ func (svc *Service) DropShard(idx int) {
 }
 
 // NewReplicaShard boots a detached, log-enabled shard for replaying another
-// node's admission log of global shard idx, with this service's admission
-// discipline and idx's chip sequence — what replay needs to reproduce the
-// source's ciphertext and schedule. It is not adopted (it serves nothing)
+// node's admission log of global shard idx, with idx's chip sequence — what
+// replay needs to reproduce the source's ciphertext. It is not adopted (it serves nothing)
 // and has no running worker: exactly one goroutine — the replica pull loop —
 // may touch it, through ReplayLog, until PromoteShard.
 func (svc *Service) NewReplicaShard(idx int) *Shard {
-	return NewShardWith(idx, svc.opts.config(), svc.opts.MCMode, svc.opts.Access, svc.opts.Deterministic, svc.opts.PerTenantQueue, svc.reg,
+	return NewShardWith(idx, svc.opts.config(), svc.opts.MCMode, svc.opts.Access, svc.opts.PerTenantQueue, svc.reg,
 		ShardOptions{ChipSeq: chipSeqFor(svc.opts, idx), Log: true, CheckpointEvery: svc.opts.CheckpointEvery, Detached: true})
 }
 

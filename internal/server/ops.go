@@ -175,7 +175,7 @@ func deniedKind(err error) bool {
 }
 
 // noteDenial records a cross-tenant denial in the target shard's journal
-// (worker goroutine, so the event lands in deterministic admission order)
+// (worker goroutine, so the event lands in admission order)
 // and on the host-side counter.
 func (svc *Service) noteDenial(sess *Session, tgt target, err error) {
 	if !tgt.cross || !deniedKind(err) {
@@ -235,8 +235,7 @@ type op struct {
 // before any shard is touched.
 type plan struct {
 	tenant string // namespace override ("" or the session's own: none)
-	seq    fsproto.Seq
-	reply  int // bytes of reply buffer the body fills, or noReply
+	reply  int    // bytes of reply buffer the body fills, or noReply
 }
 
 const noReply = -1
@@ -275,8 +274,9 @@ var (
 
 // stage runs the stateless half of an op — validation, target resolution
 // (via as for resolve), reply buffer — shared by exec and replay.
-func (svc *Service) stage(o *op, via *Shard, sess *Session, req any) (p plan, tgt target, pl Payload, err error) {
-	if p, err = o.plan(req); err != nil {
+func (svc *Service) stage(o *op, via *Shard, sess *Session, req any) (tgt target, pl Payload, err error) {
+	p, err := o.plan(req)
+	if err != nil {
 		return
 	}
 	if tgt, err = svc.resolve(via, sess, p.tenant); err != nil {
@@ -293,9 +293,8 @@ func (svc *Service) stage(o *op, via *Shard, sess *Session, req any) (p plan, tg
 // are the request as a logged shard records it. On the token's home shard
 // only its login creates state: any other op of a token without state there
 // (logged out, or admitted before a logout and served after it) is refused.
-func (o *op) task(svc *Service, tgt target, sess *Session, req any, seq uint64, tc fsproto.TraceContext, dst, body []byte, framed bool) task {
+func (o *op) task(svc *Service, tgt target, sess *Session, req any, tc fsproto.TraceContext, dst, body []byte, framed bool) task {
 	return task{
-		seq:    seq,
 		tenant: tgt.gid,
 		kind:   o.kind,
 		framed: framed,
@@ -322,12 +321,12 @@ func (o *op) task(svc *Service, tgt target, sess *Session, req any, seq uint64, 
 // wire's, or nil for an in-process call. The Payload is the filled reply
 // buffer of ops that have one, the any the body's value.
 func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wire *fsproto.Request) (Payload, any, error) {
-	p, tgt, pl, err := svc.stage(o, nil, sess, req)
+	tgt, pl, err := svc.stage(o, nil, sess, req)
 	if err != nil {
 		return Payload{}, nil, err
 	}
 	tc := TraceFromContext(ctx)
-	if (o == opRead || o == opKVGet) && svc.fastReadable(tgt.sh) {
+	if (o == opRead || o == opKVGet) && !svc.opts.SerialReads {
 		var n int
 		var ok bool
 		switch r := req.(type) {
@@ -351,10 +350,6 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wir
 		// genuinely fails — re-runs below with exact live semantics.
 		svc.cFastFallbacks.Inc()
 	}
-	var seq uint64
-	if p.seq != nil {
-		seq = *p.seq
-	}
 	var body []byte
 	var framed bool
 	if tgt.sh.logOn {
@@ -363,7 +358,7 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wir
 			return Payload{}, nil, err
 		}
 	}
-	t := o.task(svc, tgt, sess, req, seq, tc, pl.Data, body, framed)
+	t := o.task(svc, tgt, sess, req, tc, pl.Data, body, framed)
 	v, err := tgt.sh.submit(ctx, time.Now().Add(svc.opts.RequestTimeout), t)
 	if err != nil {
 		// On a caller timeout the task may still be queued, holding pl and
@@ -382,25 +377,25 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wir
 	return pl, v, nil
 }
 
-func nameRequired(name, tenant string, seq fsproto.Seq) (plan, error) {
+func nameRequired(name, tenant string) (plan, error) {
 	if name == "" {
 		return plan{}, fmt.Errorf("%w: name required", ErrBadRequest)
 	}
-	return plan{tenant: tenant, seq: seq, reply: noReply}, nil
+	return plan{tenant: tenant, reply: noReply}, nil
 }
 
-func storeRequired(store, tenant string, seq fsproto.Seq, reply int) (plan, error) {
+func storeRequired(store, tenant string, reply int) (plan, error) {
 	if store == "" {
 		return plan{}, fmt.Errorf("%w: store required", ErrBadRequest)
 	}
-	return plan{tenant: tenant, seq: seq, reply: reply}, nil
+	return plan{tenant: tenant, reply: reply}, nil
 }
 
 func planLogin(r *fsproto.LoginRequest) (plan, error) {
 	if r.Tenant == "" || r.Passphrase == "" {
 		return plan{}, fmt.Errorf("%w: tenant and passphrase required", ErrAuth)
 	}
-	return plan{seq: r.Seq, reply: noReply}, nil
+	return plan{reply: noReply}, nil
 }
 
 // workLogin checks the credential against the keyring on the tenant's
@@ -429,7 +424,7 @@ func workLogin(svc *Service, tgt target, sess *Session, req *fsproto.LoginReques
 
 // Creates take no tenant override: a file is born in its creator's
 // namespace.
-func planCreate(r *fsproto.CreateRequest) (plan, error) { return nameRequired(r.Name, "", r.Seq) }
+func planCreate(r *fsproto.CreateRequest) (plan, error) { return nameRequired(r.Name, "") }
 
 func workCreate(_ *Service, tgt target, sess *Session, req *fsproto.CreateRequest, _ []byte) (any, error) {
 	p := tgt.sh.proc(sess)
@@ -447,14 +442,14 @@ func planRead(r *fsproto.ReadRequest) (plan, error) {
 	if r.Length > maxReadBytes {
 		return plan{}, fmt.Errorf("%w: length %d exceeds limit %d", ErrBadRequest, r.Length, maxReadBytes)
 	}
-	return plan{tenant: r.Tenant, seq: r.Seq, reply: r.Length}, nil
+	return plan{tenant: r.Tenant, reply: r.Length}, nil
 }
 
 func workRead(_ *Service, tgt target, sess *Session, req *fsproto.ReadRequest, dst []byte) (any, error) {
 	return nil, tgt.sh.readInto(sess, fullName(tgt.tenant, req.Name), pass(sess, req.Passphrase), req.Offset, dst)
 }
 
-func planWrite(r *fsproto.WriteRequest) (plan, error) { return nameRequired(r.Name, r.Tenant, r.Seq) }
+func planWrite(r *fsproto.WriteRequest) (plan, error) { return nameRequired(r.Name, r.Tenant) }
 
 func workWrite(_ *Service, tgt target, sess *Session, req *fsproto.WriteRequest, _ []byte) (any, error) {
 	p := tgt.sh.proc(sess)
@@ -475,13 +470,13 @@ func workWrite(_ *Service, tgt target, sess *Session, req *fsproto.WriteRequest,
 	return nil, p.Persist(va+addr.Virt(req.Offset), uint64(len(req.Data)))
 }
 
-func planChmod(r *fsproto.ChmodRequest) (plan, error) { return nameRequired(r.Name, r.Tenant, r.Seq) }
+func planChmod(r *fsproto.ChmodRequest) (plan, error) { return nameRequired(r.Name, r.Tenant) }
 
 func workChmod(_ *Service, tgt target, sess *Session, req *fsproto.ChmodRequest, _ []byte) (any, error) {
 	return nil, tgt.sh.Sys.Chmod(tgt.sh.proc(sess), fullName(tgt.tenant, req.Name), fs.Mode(req.Perm))
 }
 
-func planDelete(r *fsproto.DeleteRequest) (plan, error) { return nameRequired(r.Name, r.Tenant, r.Seq) }
+func planDelete(r *fsproto.DeleteRequest) (plan, error) { return nameRequired(r.Name, r.Tenant) }
 
 func workDelete(_ *Service, tgt target, sess *Session, req *fsproto.DeleteRequest, _ []byte) (any, error) {
 	return nil, tgt.sh.Sys.Unlink(tgt.sh.proc(sess), fullName(tgt.tenant, req.Name))
@@ -492,7 +487,7 @@ func planKVCreate(r *fsproto.KVCreateRequest) (plan, error) {
 	if r.Size == 0 {
 		return plan{}, fmt.Errorf("%w: size required", ErrBadRequest)
 	}
-	return storeRequired(r.Store, "", r.Seq, noReply)
+	return storeRequired(r.Store, "", noReply)
 }
 
 func workKVCreate(_ *Service, tgt target, sess *Session, req *fsproto.KVCreateRequest, _ []byte) (any, error) {
@@ -523,7 +518,7 @@ func planKVPut(r *fsproto.KVPutRequest) (plan, error) {
 	if len(r.Value) > maxKVValue {
 		return plan{}, fmt.Errorf("%w: value exceeds %d bytes", ErrBadRequest, maxKVValue)
 	}
-	return storeRequired(r.Store, r.Tenant, r.Seq, noReply)
+	return storeRequired(r.Store, r.Tenant, noReply)
 }
 
 func workKVPut(_ *Service, tgt target, sess *Session, req *fsproto.KVPutRequest, _ []byte) (any, error) {
@@ -535,7 +530,7 @@ func workKVPut(_ *Service, tgt target, sess *Session, req *fsproto.KVPutRequest,
 }
 
 func planKVGet(r *fsproto.KVGetRequest) (plan, error) {
-	return storeRequired(r.Store, r.Tenant, r.Seq, maxKVValue)
+	return storeRequired(r.Store, r.Tenant, maxKVValue)
 }
 
 // workKVGet returns how much of dst the value filled.
@@ -548,7 +543,7 @@ func workKVGet(_ *Service, tgt target, sess *Session, req *fsproto.KVGetRequest,
 }
 
 func planKVDelete(r *fsproto.KVDeleteRequest) (plan, error) {
-	return storeRequired(r.Store, r.Tenant, r.Seq, noReply)
+	return storeRequired(r.Store, r.Tenant, noReply)
 }
 
 // workKVDelete returns the wire response: whether the key existed.
@@ -646,22 +641,11 @@ func (sh *Shard) readInto(sess *Session, name, passphrase string, off uint64, ds
 	return p.Read(va+addr.Virt(off), dst)
 }
 
-// fastReadable gates the concurrent read fast-path — file reads, stats and
-// KV gets: deterministic shards must stay a pure function of their schedule
-// (a fast read would skip the schedule entirely), and -serial-reads forces
-// the worker path for A/B measurement against the serialized datapath. A
-// logged shard reads fast too: a read changes no state a replayer must
-// rebuild but its side effects, which the drain logs (applyReads).
-func (svc *Service) fastReadable(sh *Shard) bool {
-	return !sh.det && !svc.opts.SerialReads
-}
-
 // workStat is the one stat: kernel.System.Access, the check every open
 // makes, then the inode's wire form. It deliberately touches no simulated
 // state — no clock, no journal, no keyring — so stat stays replay-neutral
-// on logged shards and schedule-neutral on deterministic ones, and it
-// answers the same, errors included, under the read lock off the worker as
-// on it.
+// on logged shards, and it answers the same, errors included, under the read
+// lock off the worker as on it.
 func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, error) {
 	f, err := sh.Sys.Access(sess.uid, sess.gid, name, fs.ReadAccess)
 	if err != nil {
@@ -678,9 +662,8 @@ func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, erro
 
 // Stat returns file metadata. Read-only end to end, and deliberately not in
 // the op table: the fast path runs workStat under the read lock off the
-// worker; the fallback runs it as out-of-band worker work (DoSide), so stat
-// never consumes a deterministic schedule slot, advances no simulated
-// clock, and is never logged.
+// worker; the fallback runs it as side work on the worker (DoSide), so stat
+// takes no fairness slot, advances no simulated clock, and is never logged.
 func (svc *Service) Stat(ctx context.Context, sess *Session, req fsproto.StatRequest) (fsproto.StatResponse, error) {
 	if req.Name == "" {
 		return fsproto.StatResponse{}, fmt.Errorf("%w: name required", ErrBadRequest)
@@ -693,7 +676,7 @@ func (svc *Service) Stat(ctx context.Context, sess *Session, req fsproto.StatReq
 	var resp fsproto.StatResponse
 	var serr error
 	stat := func() { resp, serr = workStat(tgt.sh, sess, name) }
-	if svc.fastReadable(tgt.sh) {
+	if !svc.opts.SerialReads {
 		if tgt.sh.tryReadLocked(stat) {
 			svc.cFastReads.Inc()
 			return resp, serr

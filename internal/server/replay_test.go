@@ -21,21 +21,6 @@ import (
 	"fsencr/internal/obsplane/journal"
 )
 
-// seqFor hands out per-shard deterministic schedule sequence numbers.
-type seqFor struct {
-	next map[int]uint64
-	n    int
-}
-
-func newSeqFor(nShards int) *seqFor { return &seqFor{next: make(map[int]uint64), n: nShards} }
-
-func (s *seqFor) take(gid uint32) *uint64 {
-	idx := fsproto.ShardIndex(gid, s.n)
-	v := s.next[idx]
-	s.next[idx] = v + 1
-	return &v
-}
-
 // tenantOnShard finds a tenant name hashing onto the wanted global shard.
 func tenantOnShard(t *testing.T, want, nShards int, taken map[string]bool) string {
 	t.Helper()
@@ -53,14 +38,13 @@ func tenantOnShard(t *testing.T, want, nShards int, taken map[string]bool) strin
 	return ""
 }
 
-// clusterTestOptions is the two-shard deterministic logging configuration
-// the replay tests run under.
+// clusterTestOptions is the two-shard logging configuration the replay
+// tests run under.
 func clusterTestOptions() Options {
 	return Options{
 		Shards:          2,
 		MCMode:          memctrl.Mode{MemEncryption: true, FileEncryption: true},
 		Access:          kernel.ModeDAX,
-		Deterministic:   true,
 		AdmissionLog:    true,
 		ChipSeqBase:     DefaultChipSeqBase,
 		CheckpointEvery: 4,
@@ -72,7 +56,7 @@ func clusterTestOptions() Options {
 // kind failing on the worker (so the failure is itself a log record), a
 // third of the ops carrying a sampled trace context — and returns the
 // sessions by tenant.
-func runReplayWorkload(t *testing.T, svc *Service, seqs *seqFor, tA, tB string) map[string]*Session {
+func runReplayWorkload(t *testing.T, svc *Service, tA, tB string) map[string]*Session {
 	t.Helper()
 	steps := 0
 	// next returns the context of the next op: every third one is traced.
@@ -97,68 +81,61 @@ func runReplayWorkload(t *testing.T, svc *Service, seqs *seqFor, tA, tB string) 
 	}
 	sess := make(map[string]*Session)
 	for _, tn := range []string{tA, tB} {
-		gid := fsproto.TenantGID(tn)
-		s, err := svc.Login(next(), tn, 1, "pw-"+tn, *seqs.take(gid))
+		s, err := svc.Login(next(), tn, 1, "pw-"+tn, 0)
 		ok("login "+tn, err)
 		sess[tn] = s
-		_, err = svc.Login(next(), tn, 1, "guessed", *seqs.take(gid))
+		_, err = svc.Login(next(), tn, 1, "guessed", 0)
 		fails("login "+tn+" with the wrong passphrase", err)
 	}
 	for _, tn := range []string{tA, tB} {
 		s := sess[tn]
-		seq := func() fsproto.Seq { return seqs.take(s.gid) }
 		create := fsproto.CreateRequest{Name: "data.bin", Perm: 0600, Size: 2 * 4096, Encrypted: true}
-		create.Seq = seq()
 		ok("create "+tn, svc.Create(next(), s, create))
-		create.Seq = seq()
 		fails("create "+tn+" of an existing file", svc.Create(next(), s, create))
 		payload := bytes.Repeat([]byte{byte(len(tn))}, 4096)
-		ok("write "+tn, svc.Write(next(), s, fsproto.WriteRequest{Name: "data.bin", Data: payload, Seq: seq()}))
-		ok("chmod "+tn, svc.Chmod(next(), s, fsproto.ChmodRequest{Name: "data.bin", Perm: 0640, Seq: seq()}))
-		pl, err := svc.Read(next(), s, fsproto.ReadRequest{Name: "data.bin", Length: 4096, Seq: seq()})
+		ok("write "+tn, svc.Write(next(), s, fsproto.WriteRequest{Name: "data.bin", Data: payload}))
+		ok("chmod "+tn, svc.Chmod(next(), s, fsproto.ChmodRequest{Name: "data.bin", Perm: 0640}))
+		pl, err := svc.Read(next(), s, fsproto.ReadRequest{Name: "data.bin", Length: 4096})
 		ok("read "+tn, err)
 		pl.Release()
-		_, err = svc.Read(next(), s, fsproto.ReadRequest{Name: "data.bin", Offset: 1 << 40, Length: 64, Seq: seq()})
+		_, err = svc.Read(next(), s, fsproto.ReadRequest{Name: "data.bin", Offset: 1 << 40, Length: 64})
 		fails("read "+tn+" beyond EOF", err)
-		ok("create tmp "+tn, svc.Create(next(), s, fsproto.CreateRequest{Name: "tmp.bin", Perm: 0600, Size: 4096, Encrypted: true, Seq: seq()}))
-		ok("delete "+tn, svc.Delete(next(), s, fsproto.DeleteRequest{Name: "tmp.bin", Seq: seq()}))
-		fails("delete "+tn+" of a missing file", svc.Delete(next(), s, fsproto.DeleteRequest{Name: "tmp.bin", Seq: seq()}))
+		ok("create tmp "+tn, svc.Create(next(), s, fsproto.CreateRequest{Name: "tmp.bin", Perm: 0600, Size: 4096, Encrypted: true}))
+		ok("delete "+tn, svc.Delete(next(), s, fsproto.DeleteRequest{Name: "tmp.bin"}))
+		fails("delete "+tn+" of a missing file", svc.Delete(next(), s, fsproto.DeleteRequest{Name: "tmp.bin"}))
 
 		kvCreate := fsproto.KVCreateRequest{Store: "kv", Size: 16 * 4096}
-		kvCreate.Seq = seq()
 		ok("kv create "+tn, svc.KVCreate(next(), s, kvCreate))
-		kvCreate.Seq = seq()
 		fails("kv create "+tn+" of an existing store", svc.KVCreate(next(), s, kvCreate))
 		for i := 0; i < 6; i++ {
 			ok("kv put "+tn, svc.KVPut(next(), s, fsproto.KVPutRequest{
-				Store: "kv", Key: uint64(i), Value: bytes.Repeat([]byte{byte(i)}, 64), Seq: seq(),
+				Store: "kv", Key: uint64(i), Value: bytes.Repeat([]byte{byte(i)}, 64),
 			}))
 		}
-		fails("kv put "+tn+" into a missing store", svc.KVPut(next(), s, fsproto.KVPutRequest{Store: "nope", Key: 1, Value: []byte{1}, Seq: seq()}))
-		pl, err = svc.KVGet(next(), s, fsproto.KVGetRequest{Store: "kv", Key: 3, Seq: seq()})
+		fails("kv put "+tn+" into a missing store", svc.KVPut(next(), s, fsproto.KVPutRequest{Store: "nope", Key: 1, Value: []byte{1}}))
+		pl, err = svc.KVGet(next(), s, fsproto.KVGetRequest{Store: "kv", Key: 3})
 		ok("kv get "+tn, err)
 		if !bytes.Equal(pl.Data, bytes.Repeat([]byte{3}, 64)) {
 			t.Fatalf("kv get %s returned %x", tn, pl.Data)
 		}
 		pl.Release()
-		_, err = svc.KVGet(next(), s, fsproto.KVGetRequest{Store: "kv", Key: 99, Seq: seq()})
+		_, err = svc.KVGet(next(), s, fsproto.KVGetRequest{Store: "kv", Key: 99})
 		fails("kv get "+tn+" of a missing key", err)
-		existed, err := svc.KVDelete(next(), s, fsproto.KVDeleteRequest{Store: "kv", Key: 3, Seq: seq()})
+		existed, err := svc.KVDelete(next(), s, fsproto.KVDeleteRequest{Store: "kv", Key: 3})
 		ok("kv delete "+tn, err)
 		if !existed {
 			t.Fatalf("kv delete %s: key 3 did not exist", tn)
 		}
-		_, err = svc.KVDelete(next(), s, fsproto.KVDeleteRequest{Store: "nope", Key: 3, Seq: seq()})
+		_, err = svc.KVDelete(next(), s, fsproto.KVDeleteRequest{Store: "nope", Key: 3})
 		fails("kv delete "+tn+" in a missing store", err)
 	}
 	// Cross-tenant denials: tA probing tB's file lands (and is journaled) on
-	// tB's shard, in schedule order, under a shadow session replay must
+	// tB's shard, in admission order, under a shadow session replay must
 	// rebuild from the records' credentials.
-	xseq := func() fsproto.Seq { return seqs.take(fsproto.TenantGID(tB)) }
 	fails("cross-tenant write with the wrong passphrase", svc.Write(next(), sess[tA], fsproto.WriteRequest{
-		Name: "data.bin", Tenant: tB, Data: []byte{1}, Passphrase: "wrong", Seq: xseq(),
+		Name: "data.bin", Tenant: tB, Data: []byte{1}, Passphrase: "wrong",
 	}))
-	fails("cross-tenant chmod", svc.Chmod(next(), sess[tA], fsproto.ChmodRequest{Name: "data.bin", Tenant: tB, Perm: 0666, Seq: xseq()}))
+	fails("cross-tenant chmod", svc.Chmod(next(), sess[tA], fsproto.ChmodRequest{Name: "data.bin", Tenant: tB, Perm: 0666}))
 	return sess
 }
 
@@ -232,11 +209,11 @@ func emptyNode() *Service {
 	return New(opts)
 }
 
-// TestReplayRebuildsShard freezes a logged deterministic shard and rebuilds
+// TestReplayRebuildsShard freezes a logged shard and rebuilds
 // it on a second (empty) node the way a migration does: a replica shard
 // replays the log — in two pulls, the first short of the freeze — and is
 // promoted at the freeze point. The promoted shard must pass the gates,
-// serve the migrated sessions where the schedule stopped, and emit a
+// serve the migrated sessions where the source stopped, and emit a
 // byte-identical /shards.prom section, JSON snapshot (spans of the traced
 // ops included) and journal. The workload must put every kind of the op
 // table into the log, so an op added without replay coverage fails here.
@@ -246,8 +223,7 @@ func TestReplayRebuildsShard(t *testing.T) {
 	taken := map[string]bool{}
 	tA := tenantOnShard(t, 0, 2, taken)
 	tB := tenantOnShard(t, 1, 2, taken)
-	seqs := newSeqFor(2)
-	sess := runReplayWorkload(t, svcA, seqs, tA, tB)
+	sess := runReplayWorkload(t, svcA, tA, tB)
 
 	// Freeze shard 1 (tB's home).
 	mig, log := frozenLog(t, svcA, 1)
@@ -283,6 +259,12 @@ func TestReplayRebuildsShard(t *testing.T) {
 	}
 	if _, err := svcB.ReplayLog(svcB.NewReplicaShard(1), new(fsproto.LogReader), encodeLog(forged)); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("replay of a log with a forged read length: got %v, want ErrBadRequest", err)
+	}
+	// So is a logged queue wait longer than the shard had run at its record.
+	forged = slices.Clone(recs)
+	forged[slices.IndexFunc(forged, func(rec fsproto.LogRecord) bool { return rec.Kind == fsproto.KindWrite })].Wait = 1 << 62
+	if _, err := svcB.ReplayLog(svcB.NewReplicaShard(1), new(fsproto.LogReader), encodeLog(forged)); !errors.Is(err, ErrBadRequest) {
+		t.Fatalf("replay of a log with a wait beyond the clock: got %v, want ErrBadRequest", err)
 	}
 
 	// The replica catches up short of the freeze's flush and checkpoint, and
@@ -326,13 +308,12 @@ func TestReplayRebuildsShard(t *testing.T) {
 	svcA.SetClusterEpoch(1)
 
 	// The migrated session keeps working on the new node with its old
-	// token, continuing the deterministic schedule where the source
-	// stopped.
+	// token.
 	sB, err := svcB.session(sess[tB].token)
 	if err != nil {
 		t.Fatalf("migrated session not found on target: %v", err)
 	}
-	pl, err := svcB.Read(context.Background(), sB, fsproto.ReadRequest{Name: "data.bin", Length: 4096, Seq: seqs.take(sB.gid)})
+	pl, err := svcB.Read(context.Background(), sB, fsproto.ReadRequest{Name: "data.bin", Length: 4096})
 	if err != nil {
 		t.Fatalf("post-migration read: %v", err)
 	}
@@ -363,7 +344,7 @@ func TestReplayDivergenceDetected(t *testing.T) {
 	taken := map[string]bool{}
 	tA := tenantOnShard(t, 0, 2, taken)
 	tB := tenantOnShard(t, 1, 2, taken)
-	runReplayWorkload(t, svcA, newSeqFor(2), tA, tB)
+	runReplayWorkload(t, svcA, tA, tB)
 	mig, log := frozenLog(t, svcA, 1)
 	mig.Resume()
 	// Flip a byte inside the first logged write's payload, in the log bytes
@@ -400,7 +381,7 @@ func TestPromotionRefusesTamperedFrames(t *testing.T) {
 	svcA := New(clusterTestOptions())
 	defer svcA.Close()
 	taken := map[string]bool{}
-	runReplayWorkload(t, svcA, newSeqFor(2), tenantOnShard(t, 0, 2, taken), tenantOnShard(t, 1, 2, taken))
+	runReplayWorkload(t, svcA, tenantOnShard(t, 0, 2, taken), tenantOnShard(t, 1, 2, taken))
 	mig, log := frozenLog(t, svcA, 1)
 	defer mig.Resume()
 	svcB := emptyNode()
@@ -503,7 +484,7 @@ func fastReadSource(t *testing.T) (*Service, *Migration, []byte, []fsproto.LogRe
 // reads take the fast path.
 func fairLoggedOptions() Options {
 	opts := clusterTestOptions()
-	opts.Shards, opts.Deterministic = 1, false
+	opts.Shards = 1
 	return opts
 }
 
@@ -527,6 +508,7 @@ func TestReplayFastReads(t *testing.T) {
 	var srcHash [32]byte
 	mig.h.Run(func() { srcSeq, srcHash = shA.Aud.Head() })
 	srcJrn, srcVerdicts := shA.Jrn.Events(), verdicts(shA)
+	srcProm, srcSnap := promBytes(t, shA), snapshotJSON(t, shA)
 
 	opts := fairLoggedOptions()
 	opts.OwnedShards, opts.TokenPrefix = []int{}, "b"
@@ -561,6 +543,7 @@ func TestReplayFastReads(t *testing.T) {
 		if v := verdicts(shB); v != srcVerdicts {
 			t.Fatalf("replayed trace verdicts (kept, dropped) %v, the source's %v", v, srcVerdicts)
 		}
+		sameTelemetry(t, srcProm, srcSnap, shB)
 	})
 	t.Run("an audit record dropped", func(t *testing.T) {
 		forged := slices.Clone(recs)
@@ -576,4 +559,112 @@ func TestReplayFastReads(t *testing.T) {
 			t.Fatalf("promotion of a replica short of one audit record: got %v, want the image gate's ErrDiverged", err)
 		}
 	})
+}
+
+// sameTelemetry fails unless sh's /shards.prom section and JSON snapshot,
+// spans included, are the source's bytes.
+func sameTelemetry(t *testing.T, srcProm, srcSnap []byte, sh *Shard) {
+	t.Helper()
+	if got := promBytes(t, sh); !bytes.Equal(got, srcProm) {
+		t.Fatalf("replayed shard snapshot differs from source:\n--- source ---\n%s\n--- replayed ---\n%s", srcProm, got)
+	}
+	if got := snapshotJSON(t, sh); !bytes.Equal(got, srcSnap) {
+		t.Fatalf("replayed shard JSON snapshot (spans included) differs from source:\n--- source ---\n%s\n--- replayed ---\n%s", srcSnap, got)
+	}
+}
+
+// TestReplayConcurrentFair: a fair logged shard that served concurrent
+// writers — some of their ops traced — alongside readers on the fast path
+// equals its own replay byte for byte: the /shards.prom section and the JSON
+// snapshot, spans included. Concurrent ops queue behind each other, so their
+// queue waits are not zero; the replica takes them from the log's Wait slot.
+func TestReplayConcurrentFair(t *testing.T) {
+	ctx := context.Background()
+	svc, sess := readServiceWith(t, fairLoggedOptions())
+	var ids atomic.Uint64
+	traced := func(i int) context.Context {
+		if i%3 != 0 {
+			return ctx
+		}
+		return WithTrace(ctx, fsproto.TraceContext{TraceID: 0x7e57_0000 + ids.Add(1), Parent: uint64(i), Sampled: true})
+	}
+	var stop atomic.Bool
+	var writes atomic.Int64
+	var readers, writers sync.WaitGroup
+	for r := 0; r < 2; r++ {
+		readers.Add(1)
+		go func() {
+			defer readers.Done()
+			for i := r; !stop.Load(); i++ {
+				req := fsproto.ReadRequest{Name: "hot.dat", Offset: uint64(i%4) * 4096, Length: 4096}
+				if i%2 == 1 {
+					req.Offset, req.Length = uint64(i%60)*256+100, 256
+				}
+				pl, err := svc.Read(traced(i), sess, req)
+				if err != nil {
+					t.Errorf("read: %v", err)
+					return
+				}
+				pl.Release()
+			}
+		}()
+	}
+	for w := 0; w < 4; w++ {
+		writers.Add(1)
+		go func() {
+			defer writers.Done()
+			for i := 0; !stop.Load(); i++ {
+				req := fsproto.WriteRequest{Name: "hot.dat", Offset: uint64(w*4096 + i%48*64), Data: bytes.Repeat([]byte{byte(w<<6 | i%64)}, 256)}
+				if err := svc.Write(traced(i), sess, req); err != nil {
+					t.Errorf("write: %v", err)
+					return
+				}
+				writes.Add(1)
+			}
+		}()
+	}
+	// Run until the writers have written 160 times and some op has waited in
+	// the queue (on a loaded host the goroutines may take turns for a while).
+	sh := svc.Shards()[0]
+	qwait := fmt.Sprintf("server.tenant.g%d.queue_wait_cycles", sess.gid)
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(5 * time.Millisecond) {
+		if h := sh.Snapshot().Histograms[qwait]; writes.Load() >= 160 && h != nil && h.Sum > 0 {
+			break
+		}
+		if time.Now().After(deadline) || t.Failed() {
+			stop.Store(true)
+			writers.Wait()
+			readers.Wait()
+			t.Fatal("an op failed, or none waited in the queue: the run was not concurrent")
+		}
+	}
+	stop.Store(true)
+	writers.Wait()
+	readers.Wait()
+
+	mig, log := frozenLog(t, svc, 0)
+	defer mig.Resume()
+	waited := 0
+	for _, rec := range decodeLog(t, log) {
+		if rec.Wait > 0 {
+			waited++
+		}
+	}
+	srcProm, srcSnap := promBytes(t, sh), snapshotJSON(t, sh)
+	if len(sh.Snapshot().Spans) == 0 {
+		t.Fatal("source snapshot holds no spans")
+	}
+	opts := fairLoggedOptions()
+	opts.OwnedShards, opts.TokenPrefix = []int{}, "b"
+	svcB := New(opts)
+	defer svcB.Close()
+	shB := svcB.NewReplicaShard(0)
+	if _, err := svcB.ReplayLog(shB, new(fsproto.LogReader), log); err != nil {
+		t.Fatalf("replay: %v", err)
+	}
+	if err := svcB.PromoteShard(shB, &mig.At); err != nil {
+		t.Fatalf("promote: %v", err)
+	}
+	sameTelemetry(t, srcProm, srcSnap, shB)
+	t.Logf("%d ops of %d records waited in the queue", waited, mig.At.Len)
 }

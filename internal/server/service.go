@@ -41,14 +41,13 @@ type Options struct {
 	Access kernel.AccessMode
 	// Cfg overrides the Table III machine configuration when non-nil.
 	Cfg *config.Config
-	// Deterministic switches every shard to schedule-sequence admission.
-	Deterministic bool
-	// SerialReads disables the concurrent read fast-path, forcing every
-	// read-only op through worker admission — the serialized baseline the
-	// read-scaling experiments A/B against. Deterministic shards serialize
-	// reads regardless of this flag.
+	// SerialReads disables the concurrent read fast-path (file reads, stats
+	// and KV gets), forcing every read-only op through worker admission — the
+	// serialized baseline the read-scaling experiments A/B against. A logged
+	// shard reads fast too: a read changes no state a replayer must rebuild
+	// but its side effects, which the drain logs (applyReads).
 	SerialReads bool
-	// PerTenantQueue bounds fair-mode per-tenant queues (<= 0 default).
+	// PerTenantQueue bounds the per-tenant queues (<= 0 default).
 	PerTenantQueue int
 	// RequestTimeout bounds one request's queue+execute time (<= 0 default).
 	RequestTimeout time.Duration
@@ -154,7 +153,7 @@ type Service struct {
 	gJrnDrops *telemetry.Gauge
 	// Fast-path accounting lives on the host registry, never the per-shard
 	// deterministic ones: fast reads are wall-clock concurrency, not
-	// schedule state.
+	// logged state.
 	cFastReads     *telemetry.Counter
 	cFastFallbacks *telemetry.Counter
 
@@ -214,7 +213,7 @@ func New(opts Options) *Service {
 		}
 	}
 	for _, i := range owned {
-		sh := NewShardWith(i, cfg, opts.MCMode, opts.Access, opts.Deterministic, opts.PerTenantQueue, reg,
+		sh := NewShardWith(i, cfg, opts.MCMode, opts.Access, opts.PerTenantQueue, reg,
 			ShardOptions{ChipSeq: chipSeqFor(opts, i), Log: opts.AdmissionLog, CheckpointEvery: opts.CheckpointEvery})
 		svc.byIdx[i] = sh
 		svc.shards = append(svc.shards, sh)
@@ -340,9 +339,10 @@ func newSession(token, tenant string, euid uint32, pass string) *Session {
 }
 
 // Login authenticates (tenant, uid, passphrase) and opens a session. The
-// keyring on the tenant's shard is the credential store (workLogin).
-func (svc *Service) Login(ctx context.Context, tenant string, uid uint32, passphrase string, seq uint64) (*Session, error) {
-	return svc.login(ctx, &fsproto.LoginRequest{Tenant: tenant, UID: uid, Passphrase: passphrase, Seq: &seq}, nil)
+// keyring on the tenant's shard is the credential store (workLogin). The last
+// parameter is ignored; it remains for existing callers.
+func (svc *Service) Login(ctx context.Context, tenant string, uid uint32, passphrase string, _ uint64) (*Session, error) {
+	return svc.login(ctx, &fsproto.LoginRequest{Tenant: tenant, UID: uid, Passphrase: passphrase}, nil)
 }
 
 // login is Login for a decoded request; wire is the request it arrived in

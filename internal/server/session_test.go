@@ -45,16 +45,14 @@ func TestFailedLoginRefusedAfterMigration(t *testing.T) {
 	svc := New(clusterTestOptions())
 	defer svc.Close()
 	tV := tenantOnShard(t, 1, 2, map[string]bool{})
-	seqs := newSeqFor(2)
-	gid := fsproto.TenantGID(tV)
-	victim, err := svc.Login(ctx, tV, 1, "pw-"+tV, *seqs.take(gid))
+	victim, err := svc.Login(ctx, tV, 1, "pw-"+tV, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Create(ctx, victim, fsproto.CreateRequest{Name: "open.txt", Perm: 0600, Size: 4096, Seq: seqs.take(gid)}); err != nil {
+	if err := svc.Create(ctx, victim, fsproto.CreateRequest{Name: "open.txt", Perm: 0600, Size: 4096}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := svc.Login(ctx, tV, 1, "guessed", *seqs.take(gid)); !errors.Is(err, ErrAuth) {
+	if _, err := svc.Login(ctx, tV, 1, "guessed", 0); !errors.Is(err, ErrAuth) {
 		t.Fatalf("login with the wrong passphrase: %v", err)
 	}
 	failed := fmt.Sprintf("t%d.1", svc.tokSeq.Load())
@@ -63,7 +61,7 @@ func TestFailedLoginRefusedAfterMigration(t *testing.T) {
 	if s, err := to.session(failed); !errors.Is(err, errBadToken) {
 		t.Errorf("the new owner resolves the failed login's token %s: %v", failed, err)
 		if err == nil {
-			_ = to.Delete(ctx, s, fsproto.DeleteRequest{Name: "open.txt", Seq: seqs.take(gid)})
+			_ = to.Delete(ctx, s, fsproto.DeleteRequest{Name: "open.txt"})
 		}
 	}
 	v, err := to.session(victim.token)
@@ -82,13 +80,11 @@ func TestLogoutRefusedAfterMigration(t *testing.T) {
 	svc := New(clusterTestOptions())
 	defer svc.Close()
 	tn := tenantOnShard(t, 1, 2, map[string]bool{})
-	seqs := newSeqFor(2)
-	gid := fsproto.TenantGID(tn)
-	s, err := svc.Login(ctx, tn, 1, "pw-"+tn, *seqs.take(gid))
+	s, err := svc.Login(ctx, tn, 1, "pw-"+tn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Create(ctx, s, fsproto.CreateRequest{Name: "f", Perm: 0600, Size: 4096, Encrypted: true, Seq: seqs.take(gid)}); err != nil {
+	if err := svc.Create(ctx, s, fsproto.CreateRequest{Name: "f", Perm: 0600, Size: 4096, Encrypted: true}); err != nil {
 		t.Fatal(err)
 	}
 	if err := svc.Logout(s.token); err != nil {
@@ -115,22 +111,20 @@ func TestShadowSessionKeepsShardState(t *testing.T) {
 	defer svc.Close()
 	taken := map[string]bool{}
 	tA, tB := tenantOnShard(t, 0, 2, taken), tenantOnShard(t, 1, 2, taken)
-	seqs := newSeqFor(2)
-	gA, gB := fsproto.TenantGID(tA), fsproto.TenantGID(tB)
-	sB, err := svc.Login(ctx, tB, 1, "pw-"+tB, *seqs.take(gB))
+	sB, err := svc.Login(ctx, tB, 1, "pw-"+tB, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Create(ctx, sB, fsproto.CreateRequest{Name: "shared.bin", Perm: 0666, Size: 8192, Encrypted: true, Seq: seqs.take(gB)}); err != nil {
+	if err := svc.Create(ctx, sB, fsproto.CreateRequest{Name: "shared.bin", Perm: 0666, Size: 8192, Encrypted: true}); err != nil {
 		t.Fatal(err)
 	}
-	sA, err := svc.Login(ctx, tA, 1, "pw-"+tA, *seqs.take(gA))
+	sA, err := svc.Login(ctx, tA, 1, "pw-"+tA, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
 	write := func(s *Session, off uint64) {
 		t.Helper()
-		req := fsproto.WriteRequest{Name: "shared.bin", Tenant: tB, Passphrase: "pw-" + tB, Offset: off, Data: bytes.Repeat([]byte{byte(off >> 8)}, 256), Seq: seqs.take(gB)}
+		req := fsproto.WriteRequest{Name: "shared.bin", Tenant: tB, Passphrase: "pw-" + tB, Offset: off, Data: bytes.Repeat([]byte{byte(off >> 8)}, 256)}
 		if err := svc.Write(ctx, s, req); err != nil {
 			t.Fatalf("cross-tenant write at %d: %v", off, err)
 		}
@@ -179,9 +173,7 @@ func processes(t *testing.T, svc *Service) map[int]int {
 // shard's log, migrated to another node, which resolves none of their tokens.
 func TestSessionTableBounded(t *testing.T) {
 	ctx := context.Background()
-	opts := clusterTestOptions()
-	opts.Deterministic = false
-	svc := New(opts)
+	svc := New(clusterTestOptions())
 	defer svc.Close()
 	taken := map[string]bool{}
 	tenants := []string{tenantOnShard(t, 0, 2, taken), tenantOnShard(t, 1, 2, taken)}
@@ -237,9 +229,7 @@ func TestSessionTableBounded(t *testing.T) {
 // TestSessionTableConcurrent: handlers resolve tokens off the worker while the
 // worker enters them at login and drops them at logout. Run it under -race.
 func TestSessionTableConcurrent(t *testing.T) {
-	opts := clusterTestOptions()
-	opts.Deterministic = false
-	svc := New(opts)
+	svc := New(clusterTestOptions())
 	defer svc.Close()
 	ctx := context.Background()
 	var wg sync.WaitGroup
@@ -287,9 +277,7 @@ func TestLogoutRefusesAdmittedOp(t *testing.T) {
 	svc := New(clusterTestOptions())
 	defer svc.Close()
 	tn := tenantOnShard(t, 1, 2, map[string]bool{})
-	seqs := newSeqFor(2)
-	gid := fsproto.TenantGID(tn)
-	s, err := svc.Login(ctx, tn, 1, "pw-"+tn, *seqs.take(gid))
+	s, err := svc.Login(ctx, tn, 1, "pw-"+tn, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -303,7 +291,7 @@ func TestLogoutRefusesAdmittedOp(t *testing.T) {
 	}
 	done := make(chan error, 1)
 	go func() {
-		done <- svc.Create(ctx, s, fsproto.CreateRequest{Name: "late", Perm: 0600, Size: 4096, Seq: seqs.take(gid)})
+		done <- svc.Create(ctx, s, fsproto.CreateRequest{Name: "late", Perm: 0600, Size: 4096})
 	}()
 	for sh.depth.Load() == 0 {
 		runtime.Gosched()

@@ -8,17 +8,18 @@
 // deterministic as it is in-process while independent tenants run in
 // parallel on different shards (tenant -> shard by GroupID hash).
 //
-// One worker loop (Shard.run) serves one admission queue, in one of two orders:
+// One worker loop (Shard.run) serves one admission queue: per-tenant FIFO
+// queues drained round-robin, so one tenant flooding the shard cannot starve
+// its neighbours, with bounded per-tenant depth for backpressure (ErrBusy
+// once the queue is full and the caller's context expires). Everything
+// reaches the worker through one ingress channel, side work (DoSide) as a
+// task the worker runs as soon as it absorbs it.
 //
-//   - Fair (default): per-tenant FIFO queues drained round-robin, so one
-//     tenant flooding the shard cannot starve its neighbours, with bounded
-//     per-tenant depth for backpressure (ErrBusy once the queue is full
-//     and the caller's context expires).
-//   - Deterministic: every request carries a per-shard schedule sequence
-//     number and the worker admits strictly in sequence order, reordering
-//     whatever the network delivers. Per-shard simulated state — clocks,
-//     caches, telemetry, the security journal — becomes a pure function
-//     of the schedule, byte-identical across reruns.
+// A logged shard's simulated state — clocks, caches, telemetry, the
+// security journal — is a pure function of its admission log, which records
+// each op's measured queue wait with it: replaying the log on an empty node
+// reproduces the shard byte for byte. That replay is the system's
+// reproducibility oracle.
 package server
 
 import (
@@ -80,7 +81,6 @@ type taskResult struct {
 // task is one unit of admitted work: a closure executed on the shard's
 // worker goroutine.
 type task struct {
-	seq    uint64
 	tenant uint32
 	// kind is the op, which names the request's root span ("write",
 	// "kv_get", ...) and its log record; sess, nil on a task that is no op
@@ -93,24 +93,21 @@ type task struct {
 	resp   chan taskResult // buffered(1): the worker never blocks on it
 	// trace is the request's wire trace context (zero: untraced).
 	trace fsproto.TraceContext
-	// enq is the shard clock when the worker absorbed the task (fair queue
-	// only): the start of the measurable queue wait. The deterministic queue
-	// leaves it 0 — arrival interleaving is not schedule state there.
+	// enq is the shard clock when the worker absorbed the task: the start of
+	// its queue wait (replay sets it from the logged wait).
 	enq  uint64
 	sess *Session
 	body []byte
-}
-
-// sideTask is out-of-band worker work; done is closed after fn ran.
-type sideTask struct {
-	fn   func()
-	done chan struct{}
+	// side, when set, makes the task side work (DoSide): run at absorption,
+	// answered with an empty result, and outside admission (no tenant slot,
+	// no depth, no log record).
+	side func()
 }
 
 // tenantState is everything a shard keeps per tenant, one record created on
 // first sight (Shard.tenant) and kept for the shard's life. Worker-only but
-// for slots, which bounds the tenant's admitted-but-unserved tasks in fair
-// mode: submit sends before admission, taskDone receives.
+// for slots, which bounds the tenant's admitted-but-unserved tasks: submit
+// sends before admission, taskDone receives.
 type tenantState struct {
 	slots chan struct{}
 	q     []task // q[head:]: absorbed tasks in arrival order
@@ -122,15 +119,14 @@ type tenantState struct {
 
 // Shard is one simulated machine plus its serializing worker.
 type Shard struct {
-	id  int
-	det bool
+	id int
 
 	// Sys is the shard's booted system. Only the worker goroutine may
 	// call into it; everyone else goes through Do.
 	Sys *kernel.System
 	// Reg is the shard's deterministic telemetry registry: every value in
-	// it derives from simulated cycles, so with a deterministic schedule
-	// its snapshot is byte-identical across reruns.
+	// it derives from simulated cycles or the admission log, so a replay of
+	// the shard's log reproduces its snapshot byte for byte.
 	Reg *telemetry.Registry
 	// Jrn is the shard's security-event journal (kernel/machine emissions
 	// plus the server's cross-tenant denial and auth-failure events, all
@@ -141,11 +137,9 @@ type Shard struct {
 	// device window may only be read on the worker; use DoSide.
 	Aud *audit.Log
 
+	// ingress carries admitted tasks and side work (observability reads,
+	// which never take a fairness turn, and the steps of a Hold) to the worker.
 	ingress chan task
-	// side carries work that must run on the worker but outside both
-	// admission disciplines: observability reads (a scrape never consumes a
-	// deterministic-schedule slot or a fairness turn) and the steps of a Hold.
-	side chan sideTask
 
 	mu        sync.Mutex
 	draining  bool
@@ -190,18 +184,14 @@ type Shard struct {
 
 	// Cluster plane. chipSeq is the controller key-derivation sequence the
 	// shard booted with (0: per-process auto). logOn enables the admission
-	// log; log and the checkpoint/schedule cursors below are worker-only
-	// (readers go through DoSide or a Hold). detNext is the next
-	// deterministic schedule sequence — a field rather than a loop local so
-	// a shard rehydrated by log replay continues the schedule exactly where
-	// the source stopped. retired, once set, is answered to every task
+	// log; log and the checkpoint cursor below are worker-only (readers go
+	// through DoSide or a Hold). retired, once set, is answered to every task
 	// instead of executing it: the shard has migrated away.
 	chipSeq   uint64
 	logOn     bool
 	log       logStore
 	ckptEvery int
 	sinceCkpt int
-	detNext   uint64
 	retired   error
 	// sess maps a token to its state here. Only the worker writes it, under
 	// sessMu, and reads it without; Service.session reads it under sessMu.
@@ -230,11 +220,10 @@ type ShardOptions struct {
 }
 
 // NewShardWith boots a system for shard id and starts its worker (unless
-// so.Detached). deterministic selects the admission discipline; perTenant
-// bounds the fair-mode queues (<= 0 uses DefaultPerTenantQueue). serverReg is
-// the host-side (non-deterministic) registry receiving the shard's
-// queue-depth gauge; nil is allowed.
-func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.AccessMode, deterministic bool, perTenant int, serverReg *telemetry.Registry, so ShardOptions) *Shard {
+// so.Detached). perTenant bounds the per-tenant queues (<= 0 uses
+// DefaultPerTenantQueue). serverReg is the host-side (non-deterministic)
+// registry receiving the shard's queue-depth gauge; nil is allowed.
+func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.AccessMode, perTenant int, serverReg *telemetry.Registry, so ShardOptions) *Shard {
 	if perTenant <= 0 {
 		perTenant = DefaultPerTenantQueue
 	}
@@ -250,13 +239,11 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 	aud := sys.EnableAudit(0)
 	sh := &Shard{
 		id:        id,
-		det:       deterministic,
 		Sys:       sys,
 		Reg:       reg,
 		Jrn:       jrn,
 		Aud:       aud,
 		ingress:   make(chan task, 4*perTenant),
-		side:      make(chan sideTask, 8),
 		tenants:   make(map[uint32]*tenantState),
 		perTenant: perTenant,
 		gDepth:    serverReg.Gauge(fmt.Sprintf("server.shard%d.queue_depth", id)),
@@ -290,8 +277,7 @@ func (sh *Shard) Start() {
 func (sh *Shard) ID() int { return sh.id }
 
 // Snapshot captures the shard's deterministic telemetry state. For
-// reproducible bytes, call it when the shard is idle (after a drained
-// schedule).
+// reproducible bytes, call it when the shard is idle or held.
 func (sh *Shard) Snapshot() *telemetry.Snapshot { return sh.Reg.Snapshot() }
 
 // tenant returns (creating on first sight) the shard's record of a tenant.
@@ -307,13 +293,12 @@ func (sh *Shard) tenant(id uint32) *tenantState {
 }
 
 // Do submits fn for execution on the shard's worker and waits for its
-// result. tenant selects the fairness queue; seq is the deterministic-mode
-// schedule position (ignored in fair mode). If ctx expires while queued
+// result. tenant selects the fairness queue. If ctx expires while queued
 // behind backpressure, Do returns ErrBusy; after admission the task always
 // runs to completion (a simulated syscall cannot be cancelled midway), but
 // Do stops waiting when ctx expires.
-func (sh *Shard) Do(ctx context.Context, tenant uint32, seq uint64, fn func() (any, error)) (any, error) {
-	return sh.submit(ctx, time.Time{}, task{seq: seq, tenant: tenant, fn: fn})
+func (sh *Shard) Do(ctx context.Context, tenant uint32, fn func() (any, error)) (any, error) {
+	return sh.submit(ctx, time.Time{}, task{tenant: tenant, fn: fn})
 }
 
 // submit is Do for a task built by the caller, which may also carry a
@@ -331,19 +316,13 @@ func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, e
 	defer dl.stop()
 
 	t.ts = sh.tenant(t.tenant)
-	// Fair mode: per-tenant admission slots. Deterministic mode skips this —
-	// a slot limit could park the next-in-schedule request behind later ones
-	// and deadlock the reorder buffer; the schedule itself bounds in-flight
-	// work there (synchronous clients).
-	if !sh.det && !sendBy(ctx, &dl, t.ts.slots, struct{}{}) {
+	if !sendBy(ctx, &dl, t.ts.slots, struct{}{}) {
 		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 	}
 	sh.mu.Lock()
 	if sh.draining {
 		sh.mu.Unlock()
-		if !sh.det {
-			<-t.ts.slots
-		}
+		<-t.ts.slots
 		return nil, ErrDraining
 	}
 	sh.inflight.Add(1)
@@ -428,21 +407,21 @@ func (d *deadlineTimer) stop() {
 
 // DoSide runs fn on the shard's worker goroutine between admitted tasks
 // and waits for it. It serializes observability reads (the audit log's
-// device window, recovery checks) with simulated work without consuming a
-// deterministic-schedule slot or a fairness turn. Under sustained load the
-// worker services side tasks between servings (a held shard services nothing
-// else); ctx bounds the wait.
+// device window, recovery checks) with simulated work without taking a
+// fairness turn: the worker runs it as soon as it absorbs it from the
+// ingress, ahead of every admitted task still queued, held shard or not.
+// Side work runs in the order it was sent. ctx bounds the wait.
 func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
-	t := sideTask{fn: fn, done: make(chan struct{})}
+	t := task{side: fn, resp: make(chan taskResult, 1)}
 	select {
-	case sh.side <- t:
+	case sh.ingress <- t:
 	case <-sh.stopped:
 		return ErrDraining
 	case <-ctx.Done():
 		return ctx.Err()
 	}
 	select {
-	case <-t.done:
+	case <-t.resp:
 		return nil
 	case <-sh.stopped:
 		return ErrDraining
@@ -451,25 +430,22 @@ func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
 	}
 }
 
-// execSide runs one side task in a mutation bracket of its own. A Hold
-// stretches the bracket: the task that takes the shard leaves it open, side
-// work under the hold runs inside it, the task that releases closes it.
-func (sh *Shard) execSide(t sideTask) {
+// execSide runs side work in a mutation bracket of its own. A Hold
+// stretches the bracket: the work that takes the shard leaves it open, side
+// work under the hold runs inside it, the work that releases closes it.
+func (sh *Shard) execSide(fn func()) {
 	if sh.held == nil {
 		sh.enterMut()
 	}
-	t.fn()
+	fn()
 	if sh.held == nil {
 		sh.exitMut()
 	}
-	close(t.done)
 }
 
 // taskDone returns the resources of an admitted task.
 func (sh *Shard) taskDone(t task) {
-	if !sh.det {
-		<-t.ts.slots
-	}
+	<-t.ts.slots
 	d := sh.depth.Add(-1)
 	if d < 0 {
 		d = 0
@@ -496,10 +472,11 @@ func (sh *Shard) exec(t task) {
 
 // serve runs one task — admitted live, or rebuilt from an admission-log
 // record by applyRecord — separating queue wait from service time, recording
-// the request's trace and logging the op. Everything observed
-// here derives from the shard's simulated clock, so the per-shard registry
-// stays a pure function of the schedule; nothing else samples that clock or
-// drives the trace scope on a request's behalf, which is what makes a
+// the request's trace and logging the op with its wait. Everything observed
+// here derives from the shard's simulated clock, and the one value that does
+// not follow from the log before it, the wait, is logged, so the per-shard
+// registry stays a pure function of the log; nothing else samples that clock
+// or drives the trace scope on a request's behalf, which is what makes a
 // replayed registry equal the source's.
 func (sh *Shard) serve(t task) (any, error) {
 	ts := t.ts
@@ -511,12 +488,11 @@ func (sh *Shard) serve(t task) (any, error) {
 		ts.hSvc = sh.Reg.Histogram(fmt.Sprintf("server.tenant.g%d.service_cycles", t.tenant))
 	}
 	start := uint64(sh.Sys.M.MaxCoreTime())
-	rootStart := start
 	var wait uint64
-	if t.enq != 0 && t.enq < start {
+	if t.enq < start {
 		wait = start - t.enq
-		rootStart = t.enq
 	}
+	rootStart := start - wait
 	ts.hQWait.Observe(wait)
 	traced := t.trace.Sampled && t.trace.TraceID != 0
 	if traced {
@@ -535,24 +511,18 @@ func (sh *Shard) serve(t task) (any, error) {
 			name = t.kind.String()
 		}
 		sh.scope.Exit("request", name, rootStart, end, 0)
-		// Service time, not the root's length: a replayed task has no queue wait.
+		// The verdict judges service time, not the root's length.
 		sh.scope.End(sh.sampler.Keep(t.trace.TraceID, end-start, err != nil))
 	}
 	if t.sess != nil && sh.logOn {
-		sh.logOp(&t)
+		sh.logOp(&t, wait)
 		sh.sinceCkpt++
 	}
 	return v, err
 }
 
-// queue is an admission discipline: the order in which run serves what it
-// absorbed (now is the shard clock at absorption).
-type queue interface {
-	push(t task, now uint64)
-	pop() (task, bool)
-}
-
-// fairQueue serves the tenants with pending work round-robin, each tenant's
+// fairQueue is the admission queue (now is the shard clock at absorption). It
+// serves the tenants with pending work round-robin, each tenant's
 // own tasks in arrival order, so a burst from one tenant queues behind its
 // own earlier requests, not everyone else's. The ring links exactly the
 // tenants whose FIFO is non-empty: a pop costs the same however many tenants
@@ -598,36 +568,11 @@ func (q *fairQueue) pop() (task, bool) {
 	return t, true
 }
 
-// seqQueue admits strictly in per-shard sequence order: arrivals park in a
-// reorder buffer until their turn (unbounded, but synchronous clients keep it
-// at most one entry per client). A retired shard executes nothing, so gaps
-// stop mattering and pop hands out whatever is parked.
-type seqQueue struct {
-	sh      *Shard // for detNext and retired
-	pending map[uint64]task
-}
-
-func (q *seqQueue) push(t task, _ uint64) { q.pending[t.seq] = t }
-
-func (q *seqQueue) pop() (task, bool) {
-	seq := q.sh.detNext
-	if _, ok := q.pending[seq]; ok {
-		q.sh.detNext++
-	} else if q.sh.retired != nil {
-		for seq = range q.pending {
-			break
-		}
-	}
-	t, ok := q.pending[seq]
-	delete(q.pending, seq)
-	return t, ok
-}
-
 // run is the shard's worker, the only loop onto the simulated machine. It
-// absorbs what has arrived without blocking — side tasks run at once, admitted
-// tasks join the queue — then serves from the queue, or with nothing to serve
-// waits for the next arrival or stop. A held shard keeps absorbing and keeps
-// running side tasks (how the holder reaches the machine) but pops nothing.
+// absorbs what has arrived without blocking (absorb), then serves from the
+// queue, or with nothing to serve waits for the next arrival or stop. A held
+// shard keeps absorbing and keeps running side work (how the holder reaches
+// the machine) but pops nothing.
 //
 // Each task runs in a mutation bracket of its own, enterMut/exitMut
 // (fastread.go): snapshot readers see a quiescent machine or fall back to
@@ -635,20 +580,14 @@ func (q *seqQueue) pop() (task, bool) {
 // caller behind the worker on this P, so while admitted work waits the
 // worker yields after the bracket (never inside it, where readers would meet
 // the held writer lock) and the answered caller runs before the next task.
-// A det shard's order is seqQueue's, not the scheduler's.
 func (sh *Shard) run() {
 	defer close(sh.stopped)
-	var q queue = &fairQueue{}
-	if sh.det {
-		q = &seqQueue{sh: sh, pending: make(map[uint64]task)}
-	}
+	var q fairQueue
 	for {
 		for more := true; more; {
 			select {
-			case st := <-sh.side:
-				sh.execSide(st)
 			case t := <-sh.ingress:
-				q.push(t, uint64(sh.Sys.M.MaxCoreTime()))
+				sh.absorb(&q, t)
 			default:
 				more = false
 			}
@@ -665,22 +604,29 @@ func (sh *Shard) run() {
 			}
 		}
 		select {
-		case st := <-sh.side:
-			sh.execSide(st)
 		case t := <-sh.ingress:
-			q.push(t, uint64(sh.Sys.M.MaxCoreTime()))
+			sh.absorb(&q, t)
 		case <-sh.stop:
-			sh.execSide(sideTask{fn: func() { sh.closed.Store(true) }, done: make(chan struct{})})
+			sh.execSide(func() { sh.closed.Store(true) })
 			return
 		}
 	}
 }
 
+// absorb takes one arrival off the ingress: side work runs and is answered
+// at once, an admitted task joins the queue.
+func (sh *Shard) absorb(q *fairQueue, t task) {
+	if t.side != nil {
+		sh.execSide(t.side)
+		t.resp <- taskResult{}
+		return
+	}
+	q.push(t, uint64(sh.Sys.M.MaxCoreTime()))
+}
+
 // Close drains the shard: admission stops (new Do calls get ErrDraining),
 // every already-admitted task runs to completion and is answered, then the
-// worker exits. Safe to call more than once. In deterministic mode the
-// caller must have completed the schedule — a missing sequence number
-// would leave later tasks unserved, and Close waits for them.
+// worker exits. Safe to call more than once.
 func (sh *Shard) Close() {
 	sh.mu.Lock()
 	already := sh.draining

@@ -11,62 +11,27 @@ import (
 	"time"
 
 	"fsencr/internal/config"
+	"fsencr/internal/fsproto"
 	"fsencr/internal/kernel"
 	"fsencr/internal/memctrl"
 )
 
-func testShard(t *testing.T, det bool, perTenant int) *Shard {
+func testShard(t *testing.T, perTenant int) *Shard {
 	t.Helper()
 	sh := NewShardWith(0, config.Default(), memctrl.Mode{MemEncryption: true, FileEncryption: true},
-		kernel.ModeDAX, det, perTenant, nil, ShardOptions{})
+		kernel.ModeDAX, perTenant, nil, ShardOptions{})
 	t.Cleanup(sh.Close)
 	return sh
-}
-
-// TestShardDeterministicReorder submits a schedule out of order from many
-// goroutines and checks the worker executes it strictly in sequence order.
-func TestShardDeterministicReorder(t *testing.T) {
-	sh := testShard(t, true, 0)
-	const n = 32
-	var mu sync.Mutex
-	var got []uint64
-	var wg sync.WaitGroup
-	// Launch in reverse so arrival order fights admission order.
-	for i := n - 1; i >= 0; i-- {
-		wg.Add(1)
-		go func(seq uint64) {
-			defer wg.Done()
-			_, err := sh.Do(context.Background(), 1, seq, func() (any, error) {
-				mu.Lock()
-				got = append(got, seq)
-				mu.Unlock()
-				return nil, nil
-			})
-			if err != nil {
-				t.Errorf("seq %d: %v", seq, err)
-			}
-		}(uint64(i))
-		// Give later sequence numbers a head start at the ingress channel.
-		if i == n-1 {
-			time.Sleep(10 * time.Millisecond)
-		}
-	}
-	wg.Wait()
-	for i, s := range got {
-		if s != uint64(i) {
-			t.Fatalf("execution order %v: position %d got seq %d", got, i, s)
-		}
-	}
 }
 
 // TestShardFairRoundRobin blocks the worker, queues a burst from tenant A
 // and a burst from tenant B, and checks service alternates instead of
 // draining A first.
 func TestShardFairRoundRobin(t *testing.T) {
-	sh := testShard(t, false, 0)
+	sh := testShard(t, 0)
 	gate := make(chan struct{})
 	done := make(chan struct{})
-	go sh.Do(context.Background(), 99, 0, func() (any, error) {
+	go sh.Do(context.Background(), 99, func() (any, error) {
 		close(done)
 		<-gate
 		return nil, nil
@@ -81,7 +46,7 @@ func TestShardFairRoundRobin(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				sh.Do(context.Background(), tenant, 0, func() (any, error) {
+				sh.Do(context.Background(), tenant, func() (any, error) {
 					mu.Lock()
 					order = append(order, tenant)
 					mu.Unlock()
@@ -120,7 +85,7 @@ func TestShardFairRoundRobin(t *testing.T) {
 // that round to the worker, so the test asks for 80 rounds of 100.
 func TestAnsweredCallerRunsFirst(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	sh := testShard(t, false, 0)
+	sh := testShard(t, 0)
 	ctx := context.Background()
 	const rounds, want = 100, 80
 	first := 0
@@ -129,7 +94,7 @@ func TestAnsweredCallerRunsFirst(t *testing.T) {
 		var resumed, aFirst atomic.Bool
 		go func() {
 			defer close(aDone)
-			sh.Do(ctx, 1, 0, func() (any, error) {
+			sh.Do(ctx, 1, func() (any, error) {
 				close(running)
 				<-gate
 				return nil, nil
@@ -139,7 +104,7 @@ func TestAnsweredCallerRunsFirst(t *testing.T) {
 		<-running
 		go func() {
 			defer close(bDone)
-			sh.Do(ctx, 2, 0, func() (any, error) {
+			sh.Do(ctx, 2, func() (any, error) {
 				aFirst.Store(resumed.Load())
 				return nil, nil
 			})
@@ -166,7 +131,7 @@ func TestAnsweredCallerRunsFirst(t *testing.T) {
 // next request bounces with ErrBusy once its context expires, while the
 // other tenant still gets in.
 func TestShardBackpressure(t *testing.T) {
-	sh := testShard(t, false, 2)
+	sh := testShard(t, 2)
 	gate := make(chan struct{})
 	started := make(chan struct{})
 	var startedOnce sync.Once
@@ -175,7 +140,7 @@ func TestShardBackpressure(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sh.Do(context.Background(), 1, 0, func() (any, error) {
+			sh.Do(context.Background(), 1, func() (any, error) {
 				startedOnce.Do(func() { close(started) })
 				<-gate
 				return nil, nil
@@ -192,14 +157,14 @@ func TestShardBackpressure(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
 	defer cancel()
-	if _, err := sh.Do(ctx, 1, 0, func() (any, error) { return nil, nil }); !errors.Is(err, ErrBusy) {
+	if _, err := sh.Do(ctx, 1, func() (any, error) { return nil, nil }); !errors.Is(err, ErrBusy) {
 		t.Fatalf("tenant 1 third request: want ErrBusy, got %v", err)
 	}
 	// Tenant 2 is not affected by tenant 1's backpressure (it queues behind
 	// the parked worker but is admitted immediately).
 	ok := make(chan error, 1)
 	go func() {
-		_, err := sh.Do(context.Background(), 2, 0, func() (any, error) { return nil, nil })
+		_, err := sh.Do(context.Background(), 2, func() (any, error) { return nil, nil })
 		ok <- err
 	}()
 	close(gate)
@@ -215,7 +180,7 @@ func TestShardBackpressure(t *testing.T) {
 // ingress, and context.DeadlineExceeded once admitted — where the task still
 // runs at its turn and returns its own slot.
 func TestSubmitDeadline(t *testing.T) {
-	sh := testShard(t, false, 1) // one slot per tenant, ingress holds 4
+	sh := testShard(t, 1) // one slot per tenant, ingress holds 4
 	ctx := context.Background()
 	soon := func() time.Time { return time.Now().Add(30 * time.Millisecond) }
 	noop := func() (any, error) { return nil, nil }
@@ -226,7 +191,7 @@ func TestSubmitDeadline(t *testing.T) {
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		sh.Do(ctx, 99, 0, func() (any, error) { close(parked); <-gate; return nil, nil })
+		sh.Do(ctx, 99, func() (any, error) { close(parked); <-gate; return nil, nil })
 	}()
 	<-parked
 
@@ -250,7 +215,7 @@ func TestSubmitDeadline(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			if _, err := sh.Do(ctx, tenant, 0, noop); err != nil {
+			if _, err := sh.Do(ctx, tenant, noop); err != nil {
 				t.Errorf("tenant %d: %v", tenant, err)
 			}
 		}()
@@ -288,7 +253,7 @@ func TestSubmitDeadline(t *testing.T) {
 // TestShardDrain checks Close answers every admitted task and subsequent
 // submissions get ErrDraining.
 func TestShardDrain(t *testing.T) {
-	sh := testShard(t, false, 0)
+	sh := testShard(t, 0)
 	var served int
 	var mu sync.Mutex
 	var wg sync.WaitGroup
@@ -296,7 +261,7 @@ func TestShardDrain(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sh.Do(context.Background(), uint32(1+i%3), 0, func() (any, error) {
+			sh.Do(context.Background(), uint32(1+i%3), func() (any, error) {
 				mu.Lock()
 				served++
 				mu.Unlock()
@@ -306,7 +271,7 @@ func TestShardDrain(t *testing.T) {
 	}
 	wg.Wait()
 	sh.Close()
-	if _, err := sh.Do(context.Background(), 1, 0, func() (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
+	if _, err := sh.Do(context.Background(), 1, func() (any, error) { return nil, nil }); !errors.Is(err, ErrDraining) {
 		t.Fatalf("post-Close Do: want ErrDraining, got %v", err)
 	}
 	if served != 16 {
@@ -321,8 +286,9 @@ func TestShardDrain(t *testing.T) {
 func TestFairQueue(t *testing.T) {
 	var q fairQueue
 	noop := func() (any, error) { return nil, nil }
-	push := func(ts *tenantState, tenant uint32, seq uint64) {
-		q.push(task{tenant: tenant, seq: seq, ts: ts, fn: noop}, 7)
+	// A task's trace ID tags it.
+	push := func(ts *tenantState, tenant uint32, id uint64) {
+		q.push(task{tenant: tenant, trace: fsproto.TraceContext{TraceID: id}, ts: ts, fn: noop}, 7)
 	}
 	pop := func() task {
 		t.Helper()
@@ -388,8 +354,8 @@ func TestFairQueue(t *testing.T) {
 		}
 	}
 	for s := range uint64(3) {
-		if tk := pop(); tk.tenant != 42 || tk.seq != s {
-			t.Fatalf("burst pop %d: tenant %d seq %d", s, tk.tenant, tk.seq)
+		if tk := pop(); tk.tenant != 42 || tk.trace.TraceID != s {
+			t.Fatalf("burst pop %d: tenant %d task %d", s, tk.tenant, tk.trace.TraceID)
 		}
 		for i, slot := range hot.q[:cap(hot.q)] {
 			if live := i >= hot.head && i < len(hot.q); !live && (slot.fn != nil || slot.ts != nil) {
@@ -406,39 +372,11 @@ func TestFairQueue(t *testing.T) {
 	push(hot, 42, 0)
 	for s := range uint64(1000) {
 		push(hot, 42, s+1)
-		if tk := pop(); tk.seq != s {
-			t.Fatalf("sustained load: popped seq %d, want %d", tk.seq, s)
+		if tk := pop(); tk.trace.TraceID != s {
+			t.Fatalf("sustained load: popped task %d, want %d", tk.trace.TraceID, s)
 		}
 	}
 	if cap(hot.q) > 8 {
 		t.Fatalf("FIFO of a tenant with <= 2 pending grew to cap %d", cap(hot.q))
-	}
-}
-
-// TestSeqQueue drives the deterministic admission order directly.
-func TestSeqQueue(t *testing.T) {
-	sh := &Shard{}
-	q := &seqQueue{sh: sh, pending: make(map[uint64]task)}
-	for _, s := range []uint64{2, 0, 1, 5} {
-		q.push(task{seq: s}, 7)
-	}
-	for want := range uint64(3) {
-		tk, ok := q.pop()
-		if !ok || tk.seq != want || tk.enq != 0 {
-			t.Fatalf("pop: ok=%v seq=%d enq=%d, want seq %d with enq 0", ok, tk.seq, tk.enq, want)
-		}
-	}
-	if tk, ok := q.pop(); ok || sh.detNext != 3 {
-		t.Fatalf("gap at 3: popped seq %d (ok=%v), detNext %d", tk.seq, ok, sh.detNext)
-	}
-	q.push(task{seq: 9}, 7)
-	sh.retired = errors.New("moved")
-	var flushed []uint64
-	for tk, ok := q.pop(); ok; tk, ok = q.pop() {
-		flushed = append(flushed, tk.seq)
-	}
-	slices.Sort(flushed)
-	if !slices.Equal(flushed, []uint64{5, 9}) || len(q.pending) != 0 {
-		t.Fatalf("retired: flushed %v, %d left parked", flushed, len(q.pending))
 	}
 }

@@ -30,7 +30,6 @@ func TestSLOSmoke(t *testing.T) {
 		Ops:     16,
 		Mix:     "3:1",
 		Seed:    11,
-		Shards:  2,
 	})
 	if err != nil {
 		t.Fatalf("loadgen: %v", err)
