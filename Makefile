@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build cross-build test loc sim-digest sim-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke fabric-cli-smoke examples-smoke ci
+.PHONY: build cross-build test loc bench-pairs sim-digest sim-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke fabric-cli-smoke examples-smoke ci
 
 build:
 	$(GO) build ./...
@@ -147,7 +147,7 @@ vet:
 bench:
 	$(GO) test -run '^$$' -bench 'ReadLine|WriteLine|ReadPage|WritePage' ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'AccessPage|AccessRepeat' ./internal/pcm
-	$(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush' ./internal/merkle
+	$(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush|MerkleVerify' ./internal/merkle
 	$(GO) test -run '^$$' -bench . ./internal/aesctr
 	$(GO) test -run '^$$' -bench 'Put|Get' ./internal/kvstore
 	$(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientWrite4K|ClientKVGet' ./internal/server
@@ -158,7 +158,7 @@ bench:
 bench-json:
 	@{ \
 	  $(GO) test -run '^$$' -bench 'ReadLine|WriteLine|ReadPage|WritePage' ./internal/memctrl ; \
-	  $(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush' ./internal/merkle ; \
+	  $(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush|MerkleVerify' ./internal/merkle ; \
 	  $(GO) test -run '^$$' -bench . ./internal/aesctr ; \
 	  $(GO) test -run '^$$' -bench 'Put|Get' ./internal/kvstore ; \
 	  $(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientKVGet' ./internal/server ; \
@@ -180,11 +180,24 @@ bench-json:
 bench-check:
 	@{ \
 	  $(GO) test -run '^$$' -bench 'ReadLine|WriteLine|ReadPage|WritePage' -count 3 ./internal/memctrl ; \
-	  $(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush' -count 3 ./internal/merkle ; \
+	  $(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush|MerkleVerify' -count 3 ./internal/merkle ; \
 	  $(GO) test -run '^$$' -bench . -count 3 ./internal/aesctr ; \
 	  $(GO) test -run '^$$' -bench 'Put|Get' -count 3 ./internal/kvstore ; \
 	  $(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientKVGet' -count 3 ./internal/server ; \
 	} | $(GO) run ./cmd/fsencr-bench -check BENCH_baseline.json -tolerance 0.15
+
+# Paired end-to-end comparison of a parent revision against the working
+# tree through bench/run.sh, alternating which runs first: every run's
+# metrics, failed ops and GC cycles, then per metric the parent's median and
+# quartiles, the change's median and the pairs it won. Not part of `ci`:
+# ten pairs take about seven minutes. Example:
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=read_page SEED=7 PAIRS=10
+PARENT ?= HEAD
+WORKLOAD ?= read_page
+SEED ?= 7
+PAIRS ?= 10
+bench-pairs:
+	./scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # Telemetry-overhead gate: with no registry attached (the no-op recorder)
 # a telemetry hook must stay one predictable branch (<= 0.5 ns). That is one

@@ -8,9 +8,9 @@ import (
 
 // fetchMeta models bringing one metadata line (counter block or OTT bucket)
 // into the metadata cache: on a hit the block is available after the
-// metadata cache latency; on a miss the block is fetched from PCM and its
-// integrity verified through the Bonsai Merkle tree, walking up until a
-// cached (trusted) node is found. Returns the time the block is usable.
+// metadata cache latency; on a miss the block is fetched from PCM, its leaf
+// checked against the Bonsai Merkle tree, and the walk up to the first
+// cached (trusted) node charged. Returns the time the block is usable.
 func (c *Controller) fetchMeta(now config.Cycle, metaAddr uint64, leaf int, content []byte) config.Cycle {
 	if c.metaHit(metaAddr) {
 		return now + c.cfg.Security.MetadataCacheLatency
@@ -34,8 +34,10 @@ func (c *Controller) fetchMetaMiss(now config.Cycle, metaAddr uint64, leaf int, 
 	ready := c.PCM.Access(now, addr.Phys(metaAddr), false)
 	c.n.metaReads.Add(1)
 
-	// Integrity verification: recompute the leaf MAC and walk up the tree
-	// until a node already cached on-chip (trusted) terminates the walk.
+	// Integrity verification: the host check is Verify's leaf compare, the
+	// only node that came from memory. The walk up the tree until a node
+	// already cached on-chip (trusted) terminates it is timing only: the
+	// fetches and MACs a real controller pays for interior nodes.
 	if content != nil {
 		if !c.mt.Verify(leaf, content) {
 			c.violations++

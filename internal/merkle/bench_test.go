@@ -33,3 +33,19 @@ func BenchmarkMerkleFlush(b *testing.B) {
 		tr.Flush()
 	}
 }
+
+// BenchmarkMerkleVerifyAfterUpdate is a prefill's metadata-miss pattern: a
+// write updates leaf i, then a first touch fetches and verifies leaf i+8.
+func BenchmarkMerkleVerifyAfterUpdate(b *testing.B) {
+	tr := New(8, 9)
+	block := make([]byte, 64)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		leaf := i & 4095
+		tr.Update(leaf, block)
+		if !tr.Verify(leaf+8, block) {
+			b.Fatal("verify failed")
+		}
+	}
+}

@@ -2,6 +2,8 @@ package merkle
 
 import (
 	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -294,6 +296,197 @@ func TestAppendPathNodesMatchesPathNodes(t *testing.T) {
 			if scratch[i] != want[i] {
 				t.Fatalf("leaf %d node %d: %+v != %+v", idx, i, scratch[i], want[i])
 			}
+		}
+	}
+}
+
+// The parent tree: Update, Flush and Verify as they were before Verify
+// stopped hashing interior nodes. Flush propagates the dirty set itself,
+// and Verify flushes, then re-hashes the whole path to the root. It is the
+// reference TestVerifyLeafMatchesFullWalk drives the tree against.
+
+func (t *Tree) parentUpdate(idx int, content []byte) {
+	t.checkLeaf(idx)
+	t.tUpdates.Inc()
+	t.tHashDepth.Observe(0)
+	t.nodes[0][idx] = hashLeaf(content)
+	t.dirty[idx] = struct{}{}
+}
+
+func (t *Tree) parentFlush() {
+	if len(t.dirty) == 0 {
+		return
+	}
+	t.tFlushes.Inc()
+	t.tDirtyLeafs.Observe(uint64(len(t.dirty)))
+	frontier := make([]int, 0, len(t.dirty))
+	for idx := range t.dirty {
+		frontier = append(frontier, idx)
+	}
+	clear(t.dirty)
+	sort.Ints(frontier)
+	for lvl := 1; lvl < t.levels; lvl++ {
+		n := 0
+		for _, idx := range frontier {
+			parent := idx / t.arity
+			if n > 0 && frontier[n-1] == parent {
+				continue
+			}
+			frontier[n] = parent
+			n++
+			t.nodes[lvl][parent] = t.hashChildren(lvl, parent)
+		}
+		frontier = frontier[:n]
+	}
+}
+
+func (t *Tree) parentRoot() Hash {
+	t.parentFlush()
+	return t.node(t.levels-1, 0)
+}
+
+func (t *Tree) parentVerify(idx int, content []byte) bool {
+	t.parentFlush()
+	t.tVerifies.Inc()
+	if idx < 0 || idx >= t.NumLeaves() {
+		t.tVerFails.Inc()
+		return false
+	}
+	if hashLeaf(content) != t.node(0, idx) {
+		t.tVerFails.Inc()
+		t.tHashDepth.Observe(0)
+		return false
+	}
+	for lvl := 1; lvl < t.levels; lvl++ {
+		idx /= t.arity
+		if t.hashChildren(lvl, idx) != t.node(lvl, idx) {
+			t.tVerFails.Inc()
+			t.tHashDepth.Observe(uint64(lvl))
+			return false
+		}
+	}
+	t.tHashDepth.Observe(uint64(t.levels - 1))
+	return true
+}
+
+// merkleSeries are the six telemetry series a tree feeds.
+var merkleSeries = []string{"merkle.verifies", "merkle.verify_failures", "merkle.updates",
+	"merkle.flushes", "merkle.dirty_leaves_per_flush", "merkle.hash_depth"}
+
+func sameSeries(t *testing.T, step int, got, want *telemetry.Registry) {
+	t.Helper()
+	g, w := got.Snapshot(), want.Snapshot()
+	for _, name := range merkleSeries {
+		gc, gok := g.Counters[name]
+		wc, wok := w.Counters[name]
+		gh, wh := g.Histograms[name], w.Histograms[name]
+		if gok != wok || gc != wc || !reflect.DeepEqual(gh, wh) {
+			t.Fatalf("step %d: %s = %d %+v, parent tree %d %+v", step, name, gc, gh, wc, wh)
+		}
+	}
+}
+
+// TestVerifyLeafMatchesFullWalk drives the tree and the parent tree with
+// one seeded stream of Update, Verify (clean, tampered, out of range),
+// Root, Flush and Rebuild, and asserts equal verdicts, an equal root at
+// every root read, an equal Dirty() and equal telemetry throughout: the
+// leaf-only Verify and the hashing deferred to root reads change no
+// observable.
+func TestVerifyLeafMatchesFullWalk(t *testing.T) {
+	for _, levels := range []int{4, 9} {
+		tr, ref := New(8, levels), New(8, levels)
+		reg, refReg := telemetry.New(), telemetry.New()
+		tr.Instrument(reg)
+		ref.Instrument(refReg)
+		rng := rand.New(rand.NewSource(int64(20261017 + levels)))
+		// Draw leaves from a window of 512 so siblings and shared parents
+		// recur; the 9-level tree also gets its far corners.
+		leaf := func() int {
+			if rng.Intn(8) == 0 {
+				return rng.Intn(tr.NumLeaves())
+			}
+			return rng.Intn(512)
+		}
+		written := make(map[int]byte)
+		for step := 0; step < 4000; step++ {
+			switch op := rng.Intn(20); {
+			case op < 8:
+				idx, v := leaf(), byte(rng.Intn(256))
+				tr.Update(idx, content(v))
+				ref.parentUpdate(idx, content(v))
+				written[idx] = v
+			case op < 11: // clean: a written or an untouched leaf
+				idx := leaf()
+				c := content(written[idx])
+				if got, want := tr.Verify(idx, c), ref.parentVerify(idx, c); !got || got != want {
+					t.Fatalf("levels %d step %d: clean verify of %d = %v, parent tree %v", levels, step, idx, got, want)
+				}
+			case op < 14: // tampered
+				idx := leaf()
+				c := content(written[idx] + 1)
+				if got, want := tr.Verify(idx, c), ref.parentVerify(idx, c); got || got != want {
+					t.Fatalf("levels %d step %d: tampered verify of %d = %v, parent tree %v", levels, step, idx, got, want)
+				}
+			case op < 15:
+				idx := []int{-1 - rng.Intn(8), tr.NumLeaves() + rng.Intn(8)}[rng.Intn(2)]
+				if tr.Verify(idx, content(0)) || ref.parentVerify(idx, content(0)) {
+					t.Fatalf("levels %d step %d: out-of-range leaf %d verified", levels, step, idx)
+				}
+			case op < 17:
+				if tr.Root() != ref.parentRoot() {
+					t.Fatalf("levels %d step %d: roots differ", levels, step)
+				}
+			case op < 19:
+				tr.Flush()
+				ref.parentFlush()
+			default: // recover a subset: the dropped leaf reverts to default
+				for idx := range written {
+					if rng.Intn(4) == 0 {
+						delete(written, idx)
+					}
+				}
+				leaves := make(map[int][]byte, len(written))
+				for idx, v := range written {
+					leaves[idx] = content(v)
+				}
+				tr.Rebuild(leaves)
+				ref.Rebuild(leaves)
+			}
+			if tr.Dirty() != ref.Dirty() {
+				t.Fatalf("levels %d step %d: Dirty() = %d, parent tree %d", levels, step, tr.Dirty(), ref.Dirty())
+			}
+			sameSeries(t, step, reg, refReg)
+		}
+		if tr.Root() != ref.parentRoot() {
+			t.Fatalf("levels %d: final roots differ", levels)
+		}
+		sameSeries(t, -1, reg, refReg)
+	}
+}
+
+// TestMerkleHashCounts pins the SHA-256 work of each operation: one hash
+// per Update and per Verify (the leaf), levels-1 for the first root read
+// after updates under one level-1 parent (one per interior level), and
+// none for a root read with nothing stale.
+func TestMerkleHashCounts(t *testing.T) {
+	for _, levels := range []int{4, 9} {
+		tr := New(8, levels)
+		count := func(what string, want uint64, op func()) {
+			t.Helper()
+			before := tr.hashes
+			op()
+			if got := tr.hashes - before; got != want {
+				t.Fatalf("levels %d: %s hashed %d times, want %d", levels, what, got, want)
+			}
+		}
+		for k := 1; k <= 8; k++ {
+			for i := 0; i < k; i++ {
+				count("Update", 1, func() { tr.Update(16+i, content(byte(k))) })
+			}
+			count("Verify", 1, func() { tr.Verify(16, content(byte(k))) })
+			count("Verify of a tampered leaf", 1, func() { tr.Verify(17, content(0xff)) })
+			count("first Root", uint64(levels-1), func() { tr.Root() })
+			count("second Root", 0, func() { tr.Root() })
 		}
 	}
 }
