@@ -66,7 +66,8 @@ layerbench-test:
 
 # Ten seconds of native fuzzing per target over the untrusted decoders: the
 # payload frame codec, the server's request loop fed arbitrary connection
-# bytes, the client's response parse fed arbitrary server bytes, the
+# bytes, the one header grammar fed the same bytes on both ends (which must
+# agree), the client's response parse fed arbitrary server bytes, the
 # /v1/write handler fed arbitrary frames (seeded from the malice campaign's
 # malformed ones) through both transports, and the controller's image import
 # fed exports corrupted one field at a time, the admission-log reader fed
@@ -83,6 +84,7 @@ layerbench-test:
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz '^FuzzSplitFrame$$' -fuzztime 10s ./internal/fsproto
 	$(GO) test -run '^$$' -fuzz '^FuzzRequestHead$$' -fuzztime 10s ./internal/fsproto
+	$(GO) test -run '^$$' -fuzz '^FuzzHeadGrammar$$' -fuzztime 10s ./internal/fsproto
 	$(GO) test -run '^$$' -fuzz '^FuzzLogRecords$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/fsproto
 	$(GO) test -run '^$$' -fuzz '^FuzzExchangeResponse$$' -fuzztime 10s ./internal/fsclient
 	$(GO) test -run '^$$' -fuzz '^FuzzFramedWrite$$' -fuzztime 10s -fuzzminimizetime 1s ./internal/server

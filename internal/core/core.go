@@ -246,14 +246,9 @@ func Run(req Request) (Result, error) {
 	}
 	res.ReadLatMean, res.ReadLatMax = m.ReadMissLatency()
 	if reg != nil {
-		if scope.Active() {
-			scope.Exit("run", fmt.Sprintf("%s/%s", req.Workload, req.Scheme),
-				uint64(start), uint64(m.MaxCoreTime()), 0)
-			scope.End(true)
-		} else {
-			reg.Span("run", fmt.Sprintf("%s/%s", req.Workload, req.Scheme),
-				uint64(start), uint64(m.MaxCoreTime()), 0)
-		}
+		scope.Exit("run", fmt.Sprintf("%s/%s", req.Workload, req.Scheme),
+			uint64(start), uint64(m.MaxCoreTime()), 0)
+		scope.End(true)
 		snap := reg.Snapshot()
 		// Fold the whole-run legacy stats counters into the snapshot so the
 		// stats.Set and telemetry-native metrics export through one pipe

@@ -167,7 +167,8 @@ func TestDialRefusesOtherSchemes(t *testing.T) {
 // FuzzExchangeResponse feeds the client arbitrary server bytes. Whatever
 // they are, Read never panics, never returns more than the body bound, and
 // never hands back as file bytes anything but a well-formed 200
-// octet-stream response.
+// octet-stream response that declares its length: the chunked and
+// read-to-close seeds are refused.
 func FuzzExchangeResponse(f *testing.F) {
 	f.Add(octets([]byte("hello")))
 	f.Add([]byte("HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 19\r\n\r\n{\"data\":\"WlpaWg==\"}"))
@@ -210,8 +211,9 @@ func FuzzExchangeResponse(f *testing.F) {
 		// Accepted: then the bytes must open with a 200 status line, name the
 		// octet-stream type, and hold the payload.
 		head, _, _ := bytes.Cut(resp, []byte("\r\n\r\n"))
+		head = bytes.ToLower(head)
 		if !bytes.HasPrefix(resp, []byte("HTTP/1.")) || len(resp) < 12 || string(resp[9:12]) != "200" ||
-			!bytes.Contains(bytes.ToLower(head), []byte(fsproto.ContentTypeOctets)) {
+			!bytes.Contains(head, []byte(fsproto.ContentTypeOctets)) || !bytes.Contains(head, []byte("\ncontent-length:")) {
 			t.Fatalf("Read accepted %q as a payload", resp)
 		}
 		if len(got) > 0 && bytes.IndexByte(resp, got[0]) < 0 {

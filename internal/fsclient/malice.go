@@ -130,12 +130,15 @@ func readRaw(resp *http.Response) (rawResult, error) {
 // socketAttack is one framing attack: bytes of the attacker's choosing,
 // written to a connection whose first request — warm, well-formed — the
 // server has already answered, so they reach the request loop that took the
-// connection over, not net/http's parser.
+// connection over, not net/http's parser; or, with first set, written as the
+// connection's first request, so net/http parses them and the loop's rule
+// must hold there too.
 type socketAttack struct {
-	name string
-	raw  string
-	fin  bool       // half-close after raw: the body declared is never finished
-	want [][]string // per expected answer, the acceptable codes, in order
+	name  string
+	raw   string
+	first bool       // sent with no warm-up request before it
+	fin   bool       // half-close after raw: the body declared is never finished
+	want  [][]string // per expected answer, the acceptable codes, in order
 	// closes: the server must end the connection after the last answer.
 	closes bool
 }
@@ -161,11 +164,13 @@ func (a socketAttack) run(base, warm string) (answers []rawResult, closed bool, 
 		}
 		return readRaw(resp)
 	}
-	if _, err := io.WriteString(nc, warm); err != nil {
-		return nil, false, err
-	}
-	if _, err := answer(); err != nil {
-		return nil, false, fmt.Errorf("warm-up request: %w", err)
+	if !a.first {
+		if _, err := io.WriteString(nc, warm); err != nil {
+			return nil, false, err
+		}
+		if _, err := answer(); err != nil {
+			return nil, false, fmt.Errorf("warm-up request: %w", err)
+		}
 	}
 	if _, err := io.WriteString(nc, a.raw); err != nil {
 		return nil, false, err
@@ -373,7 +378,8 @@ func RunMalice(base string) (*MaliceReport, error) {
 	// the request loop must refuse (400, then close) instead of guessing at,
 	// each wrapped around the cross-tenant read; two pipelined requests,
 	// answered in order; and a path outside /v1, which a connection the loop
-	// holds cannot serve.
+	// holds cannot serve. Then, as a connection's first request, the framing
+	// net/http would take and the loop refuses: chunked, and Expect.
 	post := func(path, headers, body string) string {
 		return "POST " + path + " HTTP/1.1\r\nHost: malice\r\nContent-Type: application/json\r\n" +
 			fsproto.TokenHeader + ": " + attacker.token + "\r\n" + headers + "\r\n" + body
@@ -396,6 +402,9 @@ func RunMalice(base string) (*MaliceReport, error) {
 		{name: "sock_pipelined", raw: post("/v1/read", length(len(rv)), rv) + "GET /v1/read HTTP/1.1\r\nHost: malice\r\n\r\n",
 			want: [][]string{denied, refused}},
 		{name: "sock_metrics_on_data_conn", raw: "GET /metrics HTTP/1.1\r\nHost: malice\r\n\r\n", want: [][]string{{fsproto.CodeNotFound}}, closes: true},
+		{name: "sock_first_chunked", first: true, raw: post("/v1/read", "Transfer-Encoding: chunked\r\n", fmt.Sprintf("%x\r\n%s\r\n0\r\n\r\n", len(rv), rv)),
+			want: [][]string{refused}, closes: true},
+		{name: "sock_first_expect", first: true, raw: post("/v1/read", length(len(rv))+"Expect: 100-continue\r\n", rv), want: [][]string{refused}, closes: true},
 	}
 	warm := post("/v1/stat", length(len(`{"name":"none"}`)), `{"name":"none"}`)
 	for _, a := range sockets {

@@ -1,6 +1,7 @@
 package fsclient
 
 import (
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -11,11 +12,11 @@ import (
 )
 
 // TestResponseReadBounded: the client reads at most the protocol's body
-// bound of a response, whether the server declares the length or streams
-// without one.
+// bound of a response that declares its length, and refuses one that
+// streams without a length before reading its body, whatever its size.
 func TestResponseReadBounded(t *testing.T) {
 	// /<declared>/<total>/v1/read streams total bytes, declaring declared
-	// (-1: no Content-Length) — four times the bound unless cut off.
+	// (-1: no Content-Length, so net/http sends it chunked).
 	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		parts := strings.Split(r.URL.Path, "/")
 		declared, _ := strconv.Atoi(parts[1])
@@ -35,20 +36,25 @@ func TestResponseReadBounded(t *testing.T) {
 	const limit = fsproto.MaxBodyBytes
 	read := func(declared, total int) ([]byte, error) {
 		c := Dial(srv.URL + "/" + strconv.Itoa(declared) + "/" + strconv.Itoa(total))
+		defer c.Close()
 		return c.Read(fsproto.ReadRequest{Name: "f", Length: 1})
 	}
 
-	for _, declared := range []int{limit + 1, -1} {
-		got, err := read(declared, 4*limit)
-		if err == nil || !strings.Contains(err.Error(), "limit") {
-			t.Fatalf("declared %d: %d bytes, err %v; want the body-limit error", declared, len(got), err)
+	got, err := read(limit+1, 4*limit)
+	if err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("declared %d: %d bytes, err %v; want the body-limit error", limit+1, len(got), err)
+	}
+	// Undeclared: refused at the head, before the body is read.
+	for _, total := range []int{limit, 4 * limit} {
+		got, err := read(-1, total)
+		var we *fsproto.WireError
+		if !errors.As(err, &we) || we.Op != "read" || !strings.Contains(err.Error(), "transfer-encoding") || got != nil {
+			t.Fatalf("undeclared %d-byte body: %d bytes, err %v; want a read WireError refusing the chunked head", total, len(got), err)
 		}
 	}
 	// At the bound exactly the read succeeds and returns every byte.
-	for _, declared := range []int{limit, -1} {
-		if got, err := read(declared, limit); err != nil || len(got) != limit {
-			t.Fatalf("declared %d, body at the bound: %d bytes, err %v", declared, len(got), err)
-		}
+	if got, err := read(limit, limit); err != nil || len(got) != limit {
+		t.Fatalf("declared %d, body at the bound: %d bytes, err %v", limit, len(got), err)
 	}
 }
 

@@ -6,10 +6,10 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/http/httputil"
 	"net/url"
 	"os"
 	"strconv"
+	"strings"
 	"time"
 )
 
@@ -19,6 +19,11 @@ import (
 // response, both on the caller's goroutine — no background reader, no
 // handoff. A Conn is not safe for concurrent use; whoever holds it owns it
 // for the length of a Do.
+//
+// A response head is read by readHeaders, as ServeConn reads a request's, so
+// both ends hold one grammar. A response chunked, without Content-Length
+// (but a 204 or 304) or outside the grammar is a read WireError, and costs
+// the connection.
 //
 // The connection is made by the first Do and remade by the next Do after
 // anything closed it (an error, the server's "Connection: close", Close).
@@ -239,20 +244,12 @@ func (c *Conn) exchange(req *Request) (resp Response, started bool, err error) {
 		c.Close()
 		return resp, false, &WireError{Op: "read", Err: err}
 	}
-	length, chunked, err := c.readHead(&resp)
+	length, err := c.readHead(&resp)
 	if err != nil {
 		c.Close()
 		return resp, true, &WireError{Op: "read", Err: err}
 	}
-	if chunked {
-		if resp.Body, err = ReadBody(httputil.NewChunkedReader(c.br), -1, MaxBodyBytes); err == nil {
-			err = c.skipTrailer()
-		}
-	} else {
-		// Neither length nor chunking: the body runs to the close.
-		resp.Close = resp.Close || length < 0
-		resp.Body, err = ReadBody(c.br, length, MaxBodyBytes)
-	}
+	resp.Body, err = ReadBody(c.br, length, MaxBodyBytes)
 	// Bytes beyond the response would be read as the head of the next one.
 	if err != nil || resp.Close || c.br.Buffered() > 0 {
 		c.Close()
@@ -284,73 +281,117 @@ func (s *sender) send(nc net.Conn, head, body, tail []byte) error {
 	return err
 }
 
-// readHead parses the status line and the headers the protocol defines.
-// length is the declared Content-Length, -1 without one.
-func (c *Conn) readHead(resp *Response) (length int64, chunked bool, err error) {
-	line, err := readLine(c.br, false)
+// readHead parses the status line and the head. length is the body's
+// declared length, 0 for a 204 or 304, which have none.
+func (c *Conn) readHead(resp *Response) (length int64, err error) {
+	line, err := readLine(c.br)
 	if err != nil {
-		return 0, false, err
+		return 0, err
 	}
 	// "HTTP/1.x NNN[ reason]"
 	if len(line) < 12 || string(line[:7]) != "HTTP/1." || line[7] != '0' && line[7] != '1' ||
 		line[8] != ' ' || len(line) > 12 && line[12] != ' ' {
-		return 0, false, fmt.Errorf("malformed status line %q", line)
+		return 0, fmt.Errorf("malformed status line %q", line)
 	}
 	status, ok := parseDigits(line[9:12])
 	if !ok || status < 200 {
-		return 0, false, fmt.Errorf("malformed status line %q", line)
+		return 0, fmt.Errorf("malformed status line %q", line)
 	}
 	resp.Status, resp.QueueDepth = int(status), -1
-	resp.Close = line[7] == '0' // HTTP/1.0 closes after every response
-	length = -1
-	for n := 0; ; n++ {
-		if line, err = readLine(c.br, false); err != nil {
-			return 0, false, err
-		}
-		if len(line) == 0 {
-			break
-		}
-		name, value, ok := splitHeader(line)
-		if !ok || n == maxHeaderLines {
-			return 0, false, fmt.Errorf("malformed or over-long response head at %q", line)
-		}
-		switch {
-		case bytes.EqualFold(name, []byte("Content-Length")):
-			v, ok := parseDigits(value)
-			if !ok || length >= 0 {
-				return 0, false, fmt.Errorf("bad or repeated Content-Length %q", value)
-			}
-			length = v
-		case bytes.EqualFold(name, []byte("Transfer-Encoding")):
-			if !bytes.EqualFold(value, []byte("chunked")) {
-				return 0, false, fmt.Errorf("unsupported Transfer-Encoding %q", value)
-			}
-			chunked = true
-		case bytes.EqualFold(name, []byte("Connection")):
-			resp.Close = resp.Close || hasClose(value)
-		case bytes.EqualFold(name, []byte("Content-Type")):
-			resp.ContentType = contentType(value)
-		case bytes.EqualFold(name, []byte(RequestIDHeader)):
+	http10 := line[7] == '0' // HTTP/1.0 closes after every response
+	var h head
+	if err := readHeaders(c.br, &h, func(name, value []byte) {
+		switch string(name) {
+		case hRequestID:
 			resp.RequestID = string(value)
-		case bytes.EqualFold(name, []byte(QueueDepthHeader)):
+		case hQueueDepth:
 			if v, ok := parseDigits(value); ok {
 				resp.QueueDepth = v
 			}
 		}
+	}); err != nil {
+		return 0, err
 	}
-	if chunked && length >= 0 {
-		return 0, false, errors.New("both Content-Length and Transfer-Encoding: chunked")
+	resp.ContentType, resp.Close = h.contentType, h.close || http10
+	switch {
+	case status == 204 || status == 304:
+		return 0, nil // defined to have no body, whatever the headers say
+	case h.length < 0:
+		return 0, errors.New("response without Content-Length")
 	}
-	if status == 204 || status == 304 {
-		length, chunked = 0, false // defined to have no body, whatever the headers say
-	}
-	return length, chunked, nil
+	return h.length, nil
 }
 
-// readLine reads one head line, of at most maxLineBytes, without its line
-// ending — which must be CRLF when crlf is set (the server's end), and may
-// be a bare LF otherwise. The slice is valid until the next read.
-func readLine(br *bufio.Reader, crlf bool) ([]byte, error) {
+// head is what readHeaders makes of a head's protocol headers.
+type head struct {
+	length      int64 // Content-Length; -1 when absent
+	close       bool  // "Connection: close"
+	contentType string
+}
+
+// Each end's own headers, lower-cased as readHeaders hands them over.
+var (
+	hToken      = strings.ToLower(TokenHeader)
+	hTrace      = strings.ToLower(TraceHeader)
+	hForwarded  = strings.ToLower(ForwardedHeader)
+	hPeerTenant = strings.ToLower(PeerTenantHeader)
+	hPeerUID    = strings.ToLower(PeerUIDHeader)
+	hPeerPass   = strings.ToLower(PeerPassHeader)
+	hRequestID  = strings.ToLower(RequestIDHeader)
+	hQueueDepth = strings.ToLower(QueueDepthHeader)
+)
+
+// readHeaders reads the header lines after a start line, through the blank
+// line that ends the head, on either end. It owns the grammar: CRLF lines
+// of at most maxLineBytes, at most maxHeaderLines of them, each a token
+// name, a colon and a value free of control characters; a decimal
+// Content-Length given once; no Transfer-Encoding and no Expect. It reads
+// Content-Length, Connection and Content-Type into h and hands every other
+// header to own, its name lower-cased in place; name and value are valid
+// only during the call. A head outside the grammar is a grammarError;
+// anything else is the read's own error.
+func readHeaders(br *bufio.Reader, h *head, own func(name, value []byte)) error {
+	*h = head{length: -1}
+	for n := 0; ; n++ {
+		line, err := readLine(br)
+		if err != nil {
+			return err
+		}
+		if len(line) == 0 {
+			return nil
+		}
+		colon := bytes.IndexByte(line, ':')
+		if colon <= 0 || n == maxHeaderLines || !cleanToken(line[:colon]) || !cleanValue(line[colon+1:]) {
+			return refusef("malformed or over-long head at %q", line)
+		}
+		name, value := line[:colon], bytes.Trim(line[colon+1:], " \t")
+		for i, c := range name {
+			if 'A' <= c && c <= 'Z' {
+				name[i] = c + ('a' - 'A')
+			}
+		}
+		switch string(name) {
+		case "content-length":
+			v, ok := parseDigits(value)
+			if !ok || h.length >= 0 {
+				return refusef("bad or repeated Content-Length %q", value)
+			}
+			h.length = v
+		case "transfer-encoding", "expect":
+			return refusef("unsupported header %q", line)
+		case "connection":
+			h.close = h.close || hasClose(value)
+		case "content-type":
+			h.contentType = contentType(value)
+		default:
+			own(name, value)
+		}
+	}
+}
+
+// readLine reads one head line, of at most maxLineBytes, without its CRLF.
+// The slice is valid until the next read.
+func readLine(br *bufio.Reader) ([]byte, error) {
 	line, err := br.ReadSlice('\n')
 	if errors.Is(err, bufio.ErrBufferFull) || len(line) > maxLineBytes {
 		return nil, grammarError("head line over 4 KiB")
@@ -358,36 +399,22 @@ func readLine(br *bufio.Reader, crlf bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if !crlf {
-		return bytes.TrimRight(line, "\r\n"), nil
-	}
 	if !bytes.HasSuffix(line, []byte("\r\n")) {
 		return nil, grammarError("head line ended by a bare LF")
 	}
 	return line[:len(line)-2], nil
 }
 
-// splitHeader splits a header line at its colon and trims the value.
-func splitHeader(line []byte) (name, value []byte, ok bool) {
-	colon := bytes.IndexByte(line, ':')
-	if colon <= 0 {
-		return nil, nil, false
-	}
-	return line[:colon], bytes.Trim(line[colon+1:], " \t"), true
-}
-
-// skipTrailer consumes what follows the last chunk, up to the blank line.
-func (c *Conn) skipTrailer() error {
-	for n := 0; n <= maxHeaderLines; n++ {
-		line, err := readLine(c.br, false)
-		if err != nil {
-			return fmt.Errorf("fsproto: read chunked trailer: %w", err)
-		}
-		if len(line) == 0 {
-			return nil
+// hasClose reports whether a Connection header value lists "close".
+func hasClose(v []byte) bool {
+	for len(v) > 0 {
+		var tok []byte
+		tok, v, _ = bytes.Cut(v, []byte(","))
+		if bytes.EqualFold(bytes.TrimSpace(tok), []byte("close")) {
+			return true
 		}
 	}
-	return errors.New("fsproto: chunked trailer too long")
+	return false
 }
 
 // parseDigits parses a non-negative decimal of at most 18 digits — no sign,

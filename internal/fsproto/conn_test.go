@@ -201,23 +201,27 @@ func TestTraceContextWireForm(t *testing.T) {
 	}
 }
 
-// TestConnBodies: declared-length and chunked bodies (trailer included)
-// arrive whole on one keep-alive connection, header names match in any
-// case, and unknown headers are skipped.
+// TestConnBodies: declared-length bodies arrive whole on one keep-alive
+// connection, header names match in any case, and unknown headers are
+// skipped. A chunked answer is refused before its body and costs the
+// connection.
 func TestConnBodies(t *testing.T) {
-	s := newStub(t, answerEach(func(_, req int) string {
-		switch req {
-		case 1:
+	s := newStub(t, answerEach(func(conn, req int) string {
+		switch {
+		case conn > 1:
+			return okEmpty
+		case req == 1:
 			return "HTTP/1.1 200 OK\r\ncontent-type: application/octet-stream\r\nCONTENT-LENGTH: 5\r\n" +
 				"X-Request-Id: 00000000000000aa\r\nDate: today\r\n\r\nhello"
-		case 2:
+		case req == 2:
 			return "HTTP/1.1 429 Too Many Requests\r\nContent-Type: application/json\r\n" +
-				"Transfer-Encoding: chunked\r\nX-Fsencr-Queue-Depth: 37\r\n\r\n" +
-				"4\r\n{\"co\r\n9;ext=1\r\nde\":\"busy\r\n2\r\n\"}\r\n0\r\nX-Trailer: v\r\n\r\n"
-		case 3:
+				"X-Fsencr-Queue-Depth: 37\r\ncontent-Length: 15\r\n\r\n{\"code\":\"busy\"}"
+		case req == 3:
 			return "HTTP/1.1 204 No Content\r\n\r\n"
+		case req == 4:
+			return "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\nX-Fsencr-Queue-Depth: many\r\n\r\n"
 		}
-		return "HTTP/1.1 404 Not Found\r\nContent-Length: 0\r\nX-Fsencr-Queue-Depth: many\r\n\r\n"
+		return "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nhello\r\n0\r\n\r\n"
 	}))
 	c := dialStub(t, s)
 
@@ -229,7 +233,7 @@ func TestConnBodies(t *testing.T) {
 	resp, err = c.Do(&probe)
 	if err != nil || resp.Status != 429 || string(resp.Body) != `{"code":"busy"}` ||
 		resp.ContentType != ContentTypeJSON || resp.QueueDepth != 37 {
-		t.Fatalf("chunked body: %+v (%q), %v", resp, resp.Body, err)
+		t.Fatalf("error body: %+v (%q), %v", resp, resp.Body, err)
 	}
 	if resp, err = c.Do(&probe); err != nil || resp.Status != 204 || len(resp.Body) != 0 {
 		t.Fatalf("204: %+v, %v", resp, err)
@@ -240,11 +244,21 @@ func TestConnBodies(t *testing.T) {
 	if n := s.accepts.Load(); n != 1 {
 		t.Fatalf("%d connections for four keep-alive exchanges, want 1", n)
 	}
+	var we *WireError
+	if resp, err = c.Do(&probe); !errors.As(err, &we) || we.Op != "read" || len(resp.Body) != 0 {
+		t.Fatalf("chunked body: %q, %v; want a read WireError and no body", resp.Body, err)
+	}
+	if _, err = c.Do(&probe); err != nil {
+		t.Fatalf("exchange after the chunked answer: %v", err)
+	}
+	if n := s.accepts.Load(); n != 2 {
+		t.Fatalf("%d connections, want 2: a refused chunked answer must drop its connection", n)
+	}
 }
 
-// TestConnCloseRedials: after "Connection: close", an HTTP/1.0 answer, or a
-// body that runs to the close, the next Do dials again — and is not taken
-// for a resend.
+// TestConnCloseRedials: after "Connection: close" or an HTTP/1.0 answer the
+// next Do dials again — and is not taken for a resend. A body that would run
+// to the close is refused, and costs the connection too.
 func TestConnCloseRedials(t *testing.T) {
 	s := newStub(t, func(n int, nc net.Conn, br *bufio.Reader) {
 		if _, err := readRequest(br); err != nil {
@@ -253,21 +267,24 @@ func TestConnCloseRedials(t *testing.T) {
 		switch n {
 		case 1:
 			io.WriteString(nc, "HTTP/1.1 200 OK\r\nConnection: close\r\nContent-Length: 1\r\n\r\na")
-			readRequest(br) // stay open: the client must not come back here
 		case 2:
 			io.WriteString(nc, "HTTP/1.0 200 OK\r\nContent-Length: 1\r\n\r\nb")
-			readRequest(br)
 		case 3:
 			io.WriteString(nc, "HTTP/1.1 200 OK\r\n\r\nto the close")
 		default:
 			io.WriteString(nc, "HTTP/1.1 200 OK\r\nContent-Length: 1\r\n\r\nd")
-			readRequest(br)
 		}
+		readRequest(br) // stay open: the client must not come back here
 	})
 	c := dialStub(t, s)
-	for i, want := range []string{"a", "b", "to the close", "d"} {
+	for i, want := range []string{"a", "b", "", "d"} {
 		resp, err := c.Do(&probe)
-		if err != nil || string(resp.Body) != want {
+		if want == "" {
+			var we *WireError
+			if !errors.As(err, &we) || we.Op != "read" || !strings.Contains(err.Error(), "Content-Length") {
+				t.Fatalf("exchange %d: %q, %v; want a read WireError naming the missing Content-Length", i+1, resp.Body, err)
+			}
+		} else if err != nil || string(resp.Body) != want {
 			t.Fatalf("exchange %d: %q, %v; want %q", i+1, resp.Body, err, want)
 		}
 		if n := s.accepts.Load(); n != int64(i+1) {
@@ -345,7 +362,8 @@ func TestConnNoResend(t *testing.T) {
 		{name: "EOF mid-head", second: "HTTP/1.1 200 OK\r\nContent-", wantErr: "EOF"},
 		{name: "EOF after one byte", second: "H", wantErr: "EOF"},
 		{name: "EOF mid-body", second: "HTTP/1.1 200 OK\r\nContent-Length: 10\r\n\r\nabc", wantErr: "EOF"},
-		{name: "EOF mid-chunk", second: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", wantErr: "EOF"},
+		// Refused at the head, before the chunk: still after a response byte.
+		{name: "EOF mid-chunk", second: "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n5\r\nab", wantErr: "transfer-encoding"},
 		{name: "deadline", hang: true, wantErr: "timeout"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
@@ -403,9 +421,11 @@ func TestConnNoResend(t *testing.T) {
 	})
 }
 
-// TestConnBodyLimit: a body over MaxBodyBytes is refused with ReadBody's
-// limit error — a declared one before a byte of it is allocated for — and
-// one exactly at the bound is delivered.
+// TestConnBodyLimit: a declared body over MaxBodyBytes is refused with
+// ReadBody's limit error before a byte of it is allocated for, one exactly
+// at the bound is delivered, and a body without a declared length is
+// refused at the head however long it runs. Each refusal costs the
+// connection.
 func TestConnBodyLimit(t *testing.T) {
 	chunk := strings.Repeat("Z", 64<<10)
 	s := newStub(t, func(n int, nc net.Conn, br *bufio.Reader) {
@@ -438,21 +458,24 @@ func TestConnBodyLimit(t *testing.T) {
 		}
 	})
 	c := dialStub(t, s)
-	for _, name := range []string{"declared", "chunked", "to the close"} {
-		resp, err := c.Do(&probe)
-		if err == nil || !strings.Contains(err.Error(), "limit") {
-			t.Fatalf("%s body over the bound: %d bytes, err %v; want the limit error", name, len(resp.Body), err)
-		}
-		var we *WireError
-		if errors.As(err, &we) {
-			t.Fatalf("%s: the limit error is a WireError; a retry would fetch the same body again", name)
+	resp, err := c.Do(&probe)
+	var we *WireError
+	if err == nil || !strings.Contains(err.Error(), "limit") {
+		t.Fatalf("declared body over the bound: %d bytes, err %v; want the limit error", len(resp.Body), err)
+	}
+	if errors.As(err, &we) {
+		t.Fatal("the limit error is a WireError; a retry would fetch the same body again")
+	}
+	for _, name := range []string{"chunked", "to the close"} {
+		if resp, err := c.Do(&probe); !errors.As(err, &we) || we.Op != "read" || len(resp.Body) != 0 {
+			t.Fatalf("%s body over the bound: %d bytes, err %v; want a read WireError before the body", name, len(resp.Body), err)
 		}
 	}
 	if resp, err := c.Do(&probe); err != nil || len(resp.Body) != MaxBodyBytes {
 		t.Fatalf("body at the bound: %d bytes, err %v", len(resp.Body), err)
 	}
 	if a := s.accepts.Load(); a != 4 {
-		t.Fatalf("%d connections, want 4: an over-limit body must drop its connection", a)
+		t.Fatalf("%d connections, want 4: every refused body must drop its connection", a)
 	}
 }
 
@@ -483,6 +506,11 @@ func TestConnMalformedHead(t *testing.T) {
 		{"unsupported transfer coding", "HTTP/1.1 200 OK\r\nTransfer-Encoding: gzip, chunked\r\n\r\n"},
 		{"header without colon", "HTTP/1.1 200 OK\r\nContent-Length 0\r\n\r\n"},
 		{"header without name", "HTTP/1.1 200 OK\r\n: 0\r\n\r\n"},
+		{"no Content-Length", "HTTP/1.1 200 OK\r\nContent-Type: application/json\r\n\r\n{}"},
+		{"chunked", "HTTP/1.1 200 OK\r\nTransfer-Encoding: chunked\r\n\r\n2\r\n{}\r\n0\r\n\r\n"},
+		{"bare LF", "HTTP/1.1 200 OK\nContent-Length: 0\n\n"},
+		{"bare LF ending one header", "HTTP/1.1 200 OK\r\nContent-Length: 0\n\r\n"},
+		{"control character in a value", "HTTP/1.1 200 OK\r\nX-Request-Id: 00\x0100\r\nContent-Length: 0\r\n\r\n"},
 	}
 	s := newStub(t, func(n int, nc net.Conn, br *bufio.Reader) {
 		if _, err := readRequest(br); err != nil {

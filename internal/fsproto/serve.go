@@ -13,16 +13,15 @@ import (
 	"os"
 	"slices"
 	"strconv"
-	"strings"
 	"time"
 )
 
-// ServeConn is the server end of the /v1 data plane on one connection, the
-// mirror of Conn: read one request — the request line, the protocol's own
-// headers (every other header is skipped unparsed), a body of the declared
-// length — hand it to h, send h's answer as one write, and again until
-// either side closes. Everything runs on the caller's goroutine. ServeConn
-// returns when the connection is done, and closes it.
+// ServeConn is the server end of the /v1 data plane on one connection: read
+// one request — the request line, the head (readHeaders, as Conn reads a
+// response's; headers the protocol does not define are skipped unparsed), a
+// body of the declared length — hand it to h, send h's answer as one write,
+// and again until either side closes. Everything runs on the caller's
+// goroutine. ServeConn returns when the connection is done, and closes it.
 //
 // br, when not nil, is a reader that is already ahead of nc (a hijacked
 // connection's): what it has buffered is served first, in order.
@@ -34,13 +33,14 @@ import (
 // Response with Close set ends the connection once it is sent; so do a
 // request "Connection: close" and HTTP/1.0.
 //
-// Framing is refused, never guessed. Transfer-Encoding, Expect, a repeated,
-// signed, non-decimal or over-long Content-Length, a header line without a
-// colon or starting with whitespace, a line not ended by CRLF or over 4 KiB,
-// more than maxHeaderLines lines, a control character in a header value, a
-// body over MaxBodyBytes or shorter than declared: each is answered 400 with
-// the JSON error body and "Connection: close", h is not called, and the
-// connection is closed. No Content-Length is a zero-length body.
+// Framing is refused, never guessed, by the rules Conn holds a response to.
+// Transfer-Encoding, Expect, a repeated, signed, non-decimal or over-long
+// Content-Length, a header line without a colon or starting with whitespace,
+// a line not ended by CRLF or over 4 KiB, more than maxHeaderLines lines, a
+// control character in a header value, a body over MaxBodyBytes or shorter
+// than declared: each is answered 400 with the JSON error body and
+// "Connection: close", h is not called, and the connection is closed. No
+// Content-Length is a zero-length body.
 //
 // The result is nil when the connection ended between requests, and a
 // *WireError otherwise: Op "write" when an answer could not be sent, "read"
@@ -119,28 +119,10 @@ func keep(last *string, b []byte) string {
 	return *last
 }
 
-// The protocol's request headers, lower-cased for the parser's switch.
-const (
-	hContentLength = "content-length"
-	hContentType   = "content-type"
-	hConnection    = "connection"
-	hTransferEnc   = "transfer-encoding"
-	hExpect        = "expect"
-)
-
-var (
-	hToken      = strings.ToLower(TokenHeader)
-	hTrace      = strings.ToLower(TraceHeader)
-	hForwarded  = strings.ToLower(ForwardedHeader)
-	hPeerTenant = strings.ToLower(PeerTenantHeader)
-	hPeerUID    = strings.ToLower(PeerUIDHeader)
-	hPeerPass   = strings.ToLower(PeerPassHeader)
-)
-
 // readRequest reads one request into s.req. closing reports that the client
 // asked for the connection to end after the answer.
 func (s *serverConn) readRequest() (closing bool, err error) {
-	line, err := readLine(s.br, true)
+	line, err := readLine(s.br)
 	if err != nil {
 		return false, err
 	}
@@ -154,44 +136,17 @@ func (s *serverConn) readRequest() (closing bool, err error) {
 		!cleanToken(method) || !cleanToken(target) {
 		return false, refusef("malformed request line %q", line)
 	}
-	closing = proto[7] == '0'
+	http10 := proto[7] == '0' // HTTP/1.0 closes after every response
 	req := &s.req
 	*req = Request{Path: keep(&s.path, target)}
 	if string(method) != http.MethodPost {
 		req.Method = string(method)
 	}
-	length := int64(-1)
+	var h head
 	var peer Peer
 	peerUID := false
-	for n := 0; ; n++ {
-		if line, err = readLine(s.br, true); err != nil {
-			return false, err
-		}
-		if len(line) == 0 {
-			break
-		}
-		name, value, ok := splitHeader(line)
-		if !ok || n == maxHeaderLines || !cleanToken(name) || !cleanValue(value) {
-			return false, refusef("malformed or over-long request head at %q", line)
-		}
-		for i, c := range name {
-			if 'A' <= c && c <= 'Z' {
-				name[i] = c + ('a' - 'A')
-			}
-		}
+	if err := readHeaders(s.br, &h, func(name, value []byte) {
 		switch string(name) {
-		case hContentLength:
-			v, ok := parseDigits(value)
-			if !ok || length >= 0 {
-				return false, refusef("bad or repeated Content-Length %q", value)
-			}
-			length = v
-		case hTransferEnc, hExpect:
-			return false, refusef("unsupported header %q", line)
-		case hConnection:
-			closing = closing || hasClose(value)
-		case hContentType:
-			req.ContentType = contentType(value)
 		case hToken:
 			req.Token = keep(&s.token, value)
 		case hTrace:
@@ -206,20 +161,23 @@ func (s *serverConn) readRequest() (closing bool, err error) {
 		case hPeerPass:
 			peer.Pass = string(value)
 		}
+	}); err != nil {
+		return false, err
 	}
+	req.ContentType = h.contentType
 	if peer.Tenant != "" && peerUID {
 		p := peer // only a request that carries one pays for it
 		req.Peer = &p
 	}
-	if length > MaxBodyBytes {
-		return false, refusef("%d-byte body exceeds the %d-byte limit", length, MaxBodyBytes)
+	if h.length > MaxBodyBytes {
+		return false, refusef("%d-byte body exceeds the %d-byte limit", h.length, MaxBodyBytes)
 	}
-	if length > 0 {
-		if int64(cap(s.body)) < length {
+	if h.length > 0 {
+		if int64(cap(s.body)) < h.length {
 			// Rounded up to a size class: a body a few bytes longer fits too.
-			s.body = slices.Grow([]byte(nil), int(length))
+			s.body = slices.Grow([]byte(nil), int(h.length))
 		}
-		req.Body = s.body[:length]
+		req.Body = s.body[:h.length]
 		if _, err = io.ReadFull(s.br, req.Body); err != nil {
 			if errors.Is(err, os.ErrDeadlineExceeded) {
 				return false, err
@@ -227,19 +185,7 @@ func (s *serverConn) readRequest() (closing bool, err error) {
 			return false, refusef("read body: %v", err)
 		}
 	}
-	return closing, nil
-}
-
-// hasClose reports whether a Connection header value lists "close".
-func hasClose(v []byte) bool {
-	for len(v) > 0 {
-		var tok []byte
-		tok, v, _ = bytes.Cut(v, []byte(","))
-		if bytes.EqualFold(bytes.TrimSpace(tok), []byte("close")) {
-			return true
-		}
-	}
-	return false
+	return h.close || http10, nil
 }
 
 // writeResponse sends resp: the head rendered into the scratch, then the

@@ -357,3 +357,53 @@ func FuzzRequestHead(f *testing.F) {
 		}
 	})
 }
+
+// FuzzHeadGrammar feeds the same header lines to both ends: under a status
+// line to Conn's readHead, under a request line to the request loop's
+// readRequest. Both refuse, or both accept with the same length, closing and
+// content type. One rule differs by direction: a head without Content-Length
+// is a zero-length request but a refused response, which is then the same
+// head a 204 is accepted with.
+func FuzzHeadGrammar(f *testing.F) {
+	for _, seed := range []string{
+		"Content-Type: application/json\r\nContent-Length: 2\r\n\r\n{}",
+		"content-length: 0\r\nConnection: keep-alive, Close\r\nX-Request-Id: 00aa\r\nX-Fsencr-Token: t1\r\n\r\n",
+		"Content-Type: text/plain\r\n\r\n",
+		"Content-Length: 0\r\nTransfer-Encoding: chunked\r\n\r\n",
+		"Content-Length: 2\r\nExpect: 100-continue\r\n\r\n{}",
+		"Content-Length: 0\nX-A: b\n\n",
+		"Content-Length: 0\r\nX-A: b\x01c\r\n\r\n",
+		"Content-Length: 1\r\nContent-Length: 1\r\n\r\na",
+		"Content-Length: 1048577\r\n\r\n",
+		" folded: x\r\nContent-Length: 0\r\n\r\n",
+	} {
+		f.Add([]byte(seed))
+	}
+	body := make([]byte, MaxBodyBytes) // what the server reads past the head
+	f.Fuzz(func(t *testing.T, hdrs []byte) {
+		client := func(status string) (Response, int64, error) {
+			c := &Conn{br: bufio.NewReaderSize(io.MultiReader(strings.NewReader(status), bytes.NewReader(hdrs)), connBufSize)}
+			var resp Response
+			length, err := c.readHead(&resp)
+			if err == nil && length > MaxBodyBytes {
+				err = errors.New("over the body bound") // ReadBody's refusal, before the body
+			}
+			return resp, length, err
+		}
+		resp, length, cerr := client("HTTP/1.1 200 OK\r\n")
+		s := serverConn{br: bufio.NewReaderSize(io.MultiReader(strings.NewReader("POST /v1/read HTTP/1.1\r\n"),
+			bytes.NewReader(hdrs), bytes.NewReader(body)), connBufSize)}
+		closing, serr := s.readRequest()
+		if serr == nil && cerr != nil && strings.Contains(cerr.Error(), "without Content-Length") {
+			resp, length, cerr = client("HTTP/1.1 204 No Content\r\n")
+		}
+		switch {
+		case (cerr == nil) != (serr == nil):
+			t.Fatalf("head %q: client %v, server %v", hdrs, cerr, serr)
+		case cerr != nil:
+		case length != int64(len(s.req.Body)) || resp.Close != closing || resp.ContentType != s.req.ContentType:
+			t.Fatalf("head %q: client length %d close %v type %q; server length %d close %v type %q",
+				hdrs, length, resp.Close, resp.ContentType, len(s.req.Body), closing, s.req.ContentType)
+		}
+	})
+}

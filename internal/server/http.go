@@ -281,7 +281,9 @@ func (svc *Service) tryForward(req *fsproto.Request, tc fsproto.TraceContext, se
 // route. It answers the request it was given through w and then, when the
 // connection can be taken over (HTTP/1.1 on a ResponseWriter that hijacks),
 // keeps it and runs the request loop on it; a wrapped writer, a recorder or
-// HTTP/2 stays with net/http, request by request.
+// HTTP/2 stays with net/http, request by request. A connection's first
+// request is held to the loop's framing rule: one chunked or carrying Expect
+// is answered 400 and "Connection: close", and handle never sees it.
 func (svc *Service) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	req := fsproto.Request{
 		Path:        r.URL.Path,
@@ -303,7 +305,12 @@ func (svc *Service) serveHTTP(w http.ResponseWriter, r *http.Request) {
 	var err error
 	// Buffered up front: a misrouted request may need proxying to the
 	// shard's current owner, body and all.
-	if req.Body, err = fsproto.ReadBody(r.Body, r.ContentLength, maxBodyBytes); err != nil {
+	if len(r.TransferEncoding) > 0 || r.Header.Get("Expect") != "" {
+		err = errors.New("fsproto: refused: unsupported header Transfer-Encoding or Expect")
+	} else {
+		req.Body, err = fsproto.ReadBody(r.Body, r.ContentLength, maxBodyBytes)
+	}
+	if err != nil {
 		resp = fsproto.ErrorResponse(http.StatusBadRequest, fsproto.CodeBadRequest, err.Error())
 		resp.Close = true
 	} else {

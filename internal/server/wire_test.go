@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -289,6 +290,130 @@ func TestTakenOverConnection(t *testing.T) {
 		t.Fatalf("GET /metrics on a fresh connection: %v", err)
 	} else {
 		resp.Body.Close()
+	}
+}
+
+// TestEveryAnswerDeclaresItsLength pins that every answer fsencrd gives on
+// /v1 declares its length — an fsproto.Conn refuses one that does not. Every
+// /v1 op, an error answer, a GET and an unknown /v1 path go out once as a
+// connection's first request (net/http's adapter) and once as a later one
+// (the request loop), for a tenant homed on the entry node and for one whose
+// shard another node owns, so the entry's forward hop parses that node's
+// answers, adapter and loop alike.
+func TestEveryAnswerDeclaresItsLength(t *testing.T) {
+	var tenants [2]string
+	for _, name := range []string{"acme", "globex", "initech", "umbrella", "wayne", "stark"} {
+		if i := fsproto.ShardIndex(fsproto.TenantGID(name), 2); tenants[i] == "" {
+			tenants[i] = name
+		}
+	}
+	opts := func(owned int, prefix string) server.Options {
+		return server.Options{Shards: 2, ClusterShards: 2, OwnedShards: []int{owned}, TokenPrefix: prefix,
+			MCMode: core.SchemeFsEncr.MCMode(), Access: core.SchemeFsEncr.AccessMode()}
+	}
+	owner := server.New(opts(1, "o"))
+	ohs := httptest.NewServer(owner.Mux())
+	entry := server.New(opts(0, "e"))
+	entry.SetForwarder(func(int) (string, bool) { return ohs.URL, true })
+	var dialled atomic.Int64 // the entry's connections
+	ehs := httptest.NewUnstartedServer(entry.Mux())
+	ehs.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+		if st == http.StateNew {
+			dialled.Add(1)
+		}
+	}
+	ehs.Start()
+	t.Cleanup(func() { entry.Close(); ehs.Close(); owner.Close(); ohs.Close() })
+
+	type call struct {
+		path string
+		body any
+		want int
+	}
+	// The unknown path comes last: the loop ends the connection after it.
+	calls := func(sfx string) []call {
+		f, kv := "f"+sfx, "kv"+sfx
+		return []call{
+			{"/v1/create", fsproto.CreateRequest{Name: f, Perm: 0600, Size: 8192, Encrypted: true}, 200},
+			{"/v1/write", fsproto.WriteRequest{Name: f, Data: []byte("page bytes")}, 200},
+			{"/v1/read", fsproto.ReadRequest{Name: f, Length: 10}, 200},
+			{"/v1/stat", fsproto.StatRequest{Name: f}, 200},
+			{"/v1/chmod", fsproto.ChmodRequest{Name: f, Perm: 0640}, 200},
+			{"/v1/kv/create", fsproto.KVCreateRequest{Store: kv, Size: 16 * 4096}, 200},
+			{"/v1/kv/put", fsproto.KVPutRequest{Store: kv, Key: 7, Value: []byte("v")}, 200},
+			{"/v1/kv/get", fsproto.KVGetRequest{Store: kv, Key: 7}, 200},
+			{"/v1/kv/delete", fsproto.KVDeleteRequest{Store: kv, Key: 7}, 200},
+			{"/v1/delete", fsproto.DeleteRequest{Name: f}, 200},
+			{"/v1/read", fsproto.ReadRequest{Name: f, Length: 10}, http.StatusNotFound},
+			{"/v1/logout", nil, 200},
+			{"/v1/stat", fsproto.StatRequest{Name: f}, http.StatusUnauthorized},
+			{"/v1/nope", nil, http.StatusNotFound},
+		}
+	}
+	type send func(token, path string, body any) fsproto.Response
+	do := func(c *fsproto.Conn) send {
+		return func(token, path string, body any) fsproto.Response {
+			t.Helper()
+			req := fsproto.Request{Path: path, ContentType: fsproto.ContentTypeJSON, Token: token}
+			if body != nil {
+				req.Body, _ = json.Marshal(body)
+			}
+			resp, err := c.Do(&req)
+			if err != nil {
+				t.Fatalf("%s: %v", path, err)
+			}
+			return resp
+		}
+	}
+	dial := func() *fsproto.Conn {
+		c, err := fsproto.Dial(ehs.URL)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return c
+	}
+	for _, tenant := range tenants {
+		kept := dial()
+		passes := []struct {
+			name    string
+			send    send
+			dialled int64
+			// how the unknown path is answered, which shows who answered
+			unknownType  string
+			unknownClose bool
+		}{
+			{"first request", func(token, path string, body any) fsproto.Response {
+				c := dial()
+				defer c.Close()
+				return do(c)(token, path, body)
+			}, 15, "text/plain; charset=utf-8", false},
+			{"later request", do(kept), 1, fsproto.ContentTypeJSON, true},
+		}
+		for i, pass := range passes {
+			before := dialled.Load()
+			var lr fsproto.LoginResponse
+			resp := pass.send("", "/v1/login", fsproto.LoginRequest{Tenant: tenant, UID: 1, Passphrase: "pw"})
+			if err := json.Unmarshal(resp.Body, &lr); resp.Status != 200 || err != nil {
+				t.Fatalf("%s, %s: login %d %q", tenant, pass.name, resp.Status, resp.Body)
+			}
+			for _, cl := range calls(strconv.Itoa(i)) {
+				if resp = pass.send(lr.Token, cl.path, cl.body); resp.Status != cl.want {
+					t.Errorf("%s, %s %s: %d %q, want %d", tenant, pass.name, cl.path, resp.Status, resp.Body, cl.want)
+				}
+			}
+			if resp.ContentType != pass.unknownType || resp.Close != pass.unknownClose {
+				t.Errorf("%s, %s: unknown path answered as %q, close %v; want %q, close %v",
+					tenant, pass.name, resp.ContentType, resp.Close, pass.unknownType, pass.unknownClose)
+			}
+			if n := dialled.Load() - before; n != pass.dialled {
+				t.Errorf("%s, %s: %d connections dialled, want %d", tenant, pass.name, n, pass.dialled)
+			}
+		}
+		kept.Close()
+	}
+	// The remote tenant's login and every call but the unknown path, twice.
+	if n := entry.MetricsSnapshot().Counters["server.forwarded_total"]; n != 2*14 {
+		t.Errorf("server.forwarded_total = %d, want %d", n, 2*14)
 	}
 }
 

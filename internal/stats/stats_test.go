@@ -11,56 +11,23 @@ func TestSetAddIncGet(t *testing.T) {
 	if got := s.Get("missing"); got != 0 {
 		t.Fatalf("untouched counter = %d", got)
 	}
-	a := s.Counter("a")
+	a, b := s.Counter("a"), s.Counter("b")
 	a.Add(1)
 	a.Add(4)
-	s.Set("b", 7)
+	b.Add(7)
 	if s.Get("a") != 5 || s.Get("b") != 7 {
 		t.Fatalf("got a=%d b=%d", s.Get("a"), s.Get("b"))
 	}
 }
 
-func TestSetNamesOrder(t *testing.T) {
-	s := NewSet()
-	z, a := s.Counter("z"), s.Counter("a")
-	z.Add(1)
-	a.Add(1)
-	z.Add(1)
-	names := s.Names()
-	if len(names) != 2 || names[0] != "z" || names[1] != "a" {
-		t.Fatalf("names = %v", names)
-	}
-}
-
 func TestSetSnapshotIsolated(t *testing.T) {
 	s := NewSet()
-	s.Set("x", 1)
+	x := s.Counter("x")
+	x.Add(1)
 	snap := s.Snapshot()
-	s.Counter("x").Add(10)
+	x.Add(10)
 	if snap["x"] != 1 {
 		t.Fatalf("snapshot mutated: %d", snap["x"])
-	}
-}
-
-func TestSetReset(t *testing.T) {
-	s := NewSet()
-	s.Set("x", 9)
-	s.Reset()
-	if s.Get("x") != 0 {
-		t.Fatal("reset did not zero")
-	}
-	if len(s.Names()) != 1 {
-		t.Fatal("reset dropped registry")
-	}
-}
-
-func TestSetString(t *testing.T) {
-	s := NewSet()
-	s.Set("beta", 2)
-	s.Set("alpha", 1)
-	out := s.String()
-	if strings.Index(out, "alpha") > strings.Index(out, "beta") {
-		t.Fatalf("String not sorted:\n%s", out)
 	}
 }
 
@@ -70,62 +37,15 @@ func TestCounterRegistersAtFirstAdd(t *testing.T) {
 	s := NewSet()
 	idle, busy := s.Counter("idle"), s.Counter("busy")
 	busy.Add(3)
-	if names := s.Names(); len(names) != 1 || names[0] != "busy" {
-		t.Fatalf("names = %v, want [busy]", names)
-	}
-	if _, ok := s.Snapshot()["idle"]; ok {
-		t.Fatal("snapshot lists a counter that was never incremented")
-	}
-	if strings.Contains(s.String(), "idle") {
-		t.Fatalf("String lists a counter that was never incremented:\n%s", s)
+	if snap := s.Snapshot(); len(snap) != 1 || snap["busy"] != 3 {
+		t.Fatalf("snapshot = %v, want only busy=3", snap)
 	}
 	if s.Get("idle") != 0 || s.Get("busy") != 3 {
 		t.Fatalf("idle=%d busy=%d", s.Get("idle"), s.Get("busy"))
 	}
-	idle.Add(0) // a zero delta is still a touch, as Set.Add by name was
-	if names := s.Names(); len(names) != 2 || names[1] != "idle" {
-		t.Fatalf("names after idle.Add(0) = %v", names)
-	}
-}
-
-// Handles resolved in one order and incremented in another register in
-// increment order — the first-touch order the same events gave by name.
-func TestCounterFirstTouchOrder(t *testing.T) {
-	s := NewSet()
-	h := map[string]Counter{}
-	for _, name := range []string{"mc.reads", "mc.writes", "mc.meta_hits", "mc.meta_misses", "pcm.reads"} {
-		h[name] = s.Counter(name)
-	}
-	for _, name := range []string{"mc.writes", "mc.meta_misses", "pcm.reads", "mc.writes", "mc.meta_hits", "pcm.reads"} {
-		h[name].Add(1)
-	}
-	s.Set("late", 1)
-	want := []string{"mc.writes", "mc.meta_misses", "pcm.reads", "mc.meta_hits", "late"}
-	got := s.Names()
-	if len(got) != len(want) {
-		t.Fatalf("names = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("names = %v, want %v", got, want)
-		}
-	}
-	if s.Get("mc.writes") != 2 || s.Get("pcm.reads") != 2 || s.Get("mc.reads") != 0 {
-		t.Fatalf("values: %v", s.Snapshot())
-	}
-}
-
-func TestCounterSurvivesReset(t *testing.T) {
-	s := NewSet()
-	c := s.Counter("x")
-	c.Add(9)
-	s.Reset()
-	if s.Get("x") != 0 {
-		t.Fatal("reset did not zero through the handle's cell")
-	}
-	c.Add(2)
-	if s.Get("x") != 2 || len(s.Names()) != 1 {
-		t.Fatalf("after reset x=%d names=%v", s.Get("x"), s.Names())
+	idle.Add(0) // a zero delta is still a touch
+	if snap := s.Snapshot(); len(snap) != 2 || snap["idle"] != 0 {
+		t.Fatalf("snapshot after idle.Add(0) = %v", snap)
 	}
 }
 
@@ -137,13 +57,8 @@ func TestCounterCopiesShareSlot(t *testing.T) {
 	a.Add(1)
 	b.Add(2)
 	again.Add(4)
-	if s.Get("x") != 7 || len(s.Names()) != 1 {
-		t.Fatalf("x=%d names=%v", s.Get("x"), s.Names())
-	}
-	s.Set("x", 1)
-	b.Add(1)
-	if s.Get("x") != 2 {
-		t.Fatalf("Set by name and the handle disagree: %d", s.Get("x"))
+	if snap := s.Snapshot(); s.Get("x") != 7 || len(snap) != 1 || snap["x"] != 7 {
+		t.Fatalf("x=%d snapshot=%v", s.Get("x"), snap)
 	}
 }
 
