@@ -95,10 +95,12 @@ fuzz-smoke:
 # One -race pass catches an ordering bug in a concurrent test only as often
 # as the interleaving that shows it comes up: the replayed fast reads' trace
 # verdicts, a concurrent fair run against its replay, the hold protocol on
-# the shared ingress and the worker's hand-off to an answered caller get five.
+# the shared ingress, the worker's hand-off to an answered caller, and an
+# idle shard's inline ops (run on the caller, never ahead of a queued task,
+# never on a detached shard) get five.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst' ./internal/server
+	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline' ./internal/server
 
 # Full chaos campaign: >= 1000 seeded faults injected across the encrypted
 # datapath (counter blocks, data lines, torn writes, OTT region, audit
@@ -142,17 +144,18 @@ vet:
 
 # Hot-path microbenchmarks (datapath + PCM page burst and repeat + Merkle
 # write-back + crypto engine + kvstore + the server read path and the
-# product client over loopback: reads, KV gets, and 4 KiB writes by one
-# caller and by two, with their median latency), one iteration batch each —
-# enough for before/after comparisons of the fast-path. ClientWrite4K is not
-# in bench-json or bench-check.
+# product client over loopback: reads, KV gets, 64-B KV puts by one caller,
+# and 4 KiB writes by one caller and by two, with their median latency), one
+# iteration batch each — enough for before/after comparisons of the
+# fast-path. ClientWrite4K and ClientKVPut are not in bench-json or
+# bench-check; run ClientKVPut with -cpu 1,2 to see a thread hand-off's cost.
 bench:
 	$(GO) test -run '^$$' -bench 'ReadLine|WriteLine|ReadPage|WritePage' ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'AccessPage|AccessRepeat' ./internal/pcm
 	$(GO) test -run '^$$' -bench 'MerkleUpdate|MerkleFlush|MerkleVerify' ./internal/merkle
 	$(GO) test -run '^$$' -bench . ./internal/aesctr
 	$(GO) test -run '^$$' -bench 'Put|Get' ./internal/kvstore
-	$(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientWrite4K|ClientKVGet' ./internal/server
+	$(GO) test -run '^$$' -bench 'ServerReadPath|ServerParallelRead|ClientRead4K|ClientWrite4K|ClientKVGet|ClientKVPut' ./internal/server
 
 # Machine-readable perf baseline: the same hot-path benchmarks, folded
 # into BENCH_baseline.json as {"pkg.Benchmark": {iterations, ns_per_op}}

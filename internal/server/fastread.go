@@ -4,10 +4,11 @@ package server
 // the shard worker's admission queue entirely and run on the calling
 // goroutine against a quiescent snapshot of the shard's machine.
 //
-// The consistency scheme is the shard's RWMutex and nothing else: the
-// worker (Shard.run) holds the writer lock across each task it runs
-// (enterMut/exitMut), and a reader TryRLocks — which fails while the worker
-// holds the lock or waits for it — and runs the whole op under that one
+// The consistency scheme is the shard's RWMutex and nothing else: it is
+// the machine lock, held for writing across every mutation bracket — the
+// worker's (enterMut/exitMut) and an inline op's (Shard.submit) — and a
+// reader TryRLocks — which fails while a bracket holds the lock or waits
+// for it — and runs the whole op under that one
 // read lock: a kernel.SnapshotReader opened on the file (or store) with the
 // worker's own checks, then loads by offset — the read's range, or a
 // B+Tree walk (kvstore.Lookup). Anything else — the lock refused
@@ -19,9 +20,9 @@ package server
 //
 // Side effects the live read path would have produced (stats, audit
 // records, Osiris ECC accounting) are deferred into pooled ReadDelta
-// buffers pushed onto a lock-free stack; the worker merges what it finds
-// there at its next mutation into one delta and applies it to the
-// controller, under its own lock, stamped with its own clock. On a logged
+// buffers pushed onto a lock-free stack; the next mutation bracket merges
+// what it finds there into one delta and applies it to the controller,
+// under the machine lock, stamped with the shard's clock. On a logged
 // shard that delta — not the reads — is the log's record of them: one
 // RecReadDeltas record at that position, which a replayer applies the same
 // way, at the same clock (applyReads).
@@ -59,10 +60,10 @@ type deltaNode struct {
 	next  *deltaNode
 }
 
-// enterMut opens a worker mutation bracket: writer lock (readers in flight
-// finish first, new ones are refused), then the deferred side effects of
-// reads that completed since the last bracket are folded in, so audit records
-// never reorder across the mutations that follow them.
+// enterMut opens the worker's mutation bracket: the machine lock (readers
+// in flight finish first, new ones are refused), then the deferred side
+// effects of reads that completed since the last bracket are folded in, so
+// audit records never reorder across the mutations that follow them.
 func (sh *Shard) enterMut() {
 	sh.rmu.Lock()
 	sh.drainDeltas()
@@ -72,7 +73,7 @@ func (sh *Shard) enterMut() {
 func (sh *Shard) exitMut() { sh.rmu.Unlock() }
 
 // drainDeltas merges every delta pushed since the last drain into one and
-// applies it. Runs on the worker under the writer lock. A drain that found
+// applies it. Runs under the machine lock, as a bracket opens. A drain that found
 // nothing to apply — reads the simulated caches served whole, none sampled
 // — leaves no trace, in the log neither.
 func (sh *Shard) drainDeltas() {
@@ -121,8 +122,8 @@ func (sh *Shard) applyReads(d *memctrl.ReadDelta, traces []fsproto.ReadTrace) {
 	}
 }
 
-// pushDelta hands a completed read's side effects to the worker, which
-// folds them in at its next mutation.
+// pushDelta hands a completed read's side effects to the next mutation
+// bracket, which folds them in.
 func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext, kind fsproto.Kind) {
 	n := &deltaNode{d: d, trace: tc, kind: kind}
 	for {
@@ -162,7 +163,7 @@ func (sh *Shard) putDelta(d *memctrl.ReadDelta) {
 }
 
 // tryReadLocked runs fn under the read lock, trying for it fastReadRetries
-// times. false: the worker kept the lock, or the shard is closed, and fn did
+// times. false: a bracket kept the lock, or the shard is closed, and fn did
 // not run; fall back.
 func (sh *Shard) tryReadLocked(fn func()) bool {
 	for attempt := 0; attempt < fastReadRetries; attempt++ {

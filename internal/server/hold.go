@@ -6,10 +6,11 @@ import "context"
 // admitted task, so closures passed to Run have the simulated machine with
 // nothing interleaving — the quiesce primitive of live migration. Taking,
 // using and releasing the shard are side work (DoSide), and the taking one
-// leaves its mutation bracket open (execSide): snapshot readers stay out for
-// the whole hold, while read-only side work (audit export, log pulls, the
-// stat fallback) is still served. Requests queue behind the hold; Resume serves
-// them, Retire answers them (and everything after) with the given error.
+// leaves the worker's mutation bracket open (run): snapshot readers stay out
+// and no admitted op runs inline for the whole hold, while read-only side
+// work (audit export, log pulls, the stat fallback) is still served. Requests
+// queue behind the hold; Resume serves them, Retire answers them (and
+// everything after) with the given error.
 type Hold struct{ sh *Shard }
 
 // Hold takes the shard if it is free and fails with ErrHeld if another Hold

@@ -262,11 +262,12 @@ func TestRetiredShardServesNoReads(t *testing.T) {
 }
 
 // TestSideWorkOnIngress pins side work as a task kind of the one ingress.
-// With the worker parked inside a task, one tenant at its slot limit and k
-// of its tasks admitted behind that one, a DoSide is not refused as busy,
-// counts in no queue depth and runs before any of the k. A Hold taken and
-// abandoned there, then released, leaves the shard free: side work runs in
-// the order it was sent.
+// With the machine parked inside an op, one tenant at its slot limit and k
+// of its tasks admitted behind that op (the worker holding one while it
+// waits for the machine), a DoSide is not refused as busy, counts in no
+// queue depth and runs before any of the k. A Hold taken and abandoned
+// there, then released, leaves the shard free: side work runs in the order
+// it was sent.
 func TestSideWorkOnIngress(t *testing.T) {
 	const k = 3
 	bg := context.Background()
@@ -275,13 +276,10 @@ func TestSideWorkOnIngress(t *testing.T) {
 	var order []string
 	note := func(s string) { mu.Lock(); order = append(order, s); mu.Unlock() }
 	var wg sync.WaitGroup
-	// park parks the worker inside tenant 9's task and queues k tasks of
-	// tenant 1 behind it; the returned gate releases the worker.
-	park := func() chan struct{} {
-		gate, parked := make(chan struct{}), make(chan struct{})
-		wg.Add(1)
-		go func() { defer wg.Done(); sh.Do(bg, 9, func() (any, error) { close(parked); <-gate; return nil, nil }) }()
-		<-parked
+	// park parks the machine inside tenant 99's op and queues k tasks of
+	// tenant 1 behind it; the returned func releases the machine.
+	park := func() func() {
+		release := parkMachine(t, sh, &wg, nil)
 		for i := range k {
 			wg.Add(1)
 			go func() {
@@ -291,15 +289,14 @@ func TestSideWorkOnIngress(t *testing.T) {
 				}
 			}()
 		}
-		for deadline := time.Now().Add(2 * time.Second); sh.depth.Load() != k+1 || len(sh.ingress) != k; time.Sleep(time.Millisecond) {
-			if time.Now().After(deadline) {
-				t.Fatalf("depth %d, ingress %d: want %d admitted and %d queued", sh.depth.Load(), len(sh.ingress), k+1, k)
-			}
+		waitQueued(t, sh, k, k-1)
+		if d := sh.depth.Load(); d != k+1 {
+			t.Fatalf("depth %d, want %d admitted", d, k+1)
 		}
-		return gate
+		return release
 	}
 
-	gate := park()
+	release := park()
 	ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
 	if _, err := sh.Do(ctx, 1, noop); !errors.Is(err, ErrBusy) {
 		t.Fatalf("tenant 1 past its %d slots: %v, want ErrBusy", k, err)
@@ -312,7 +309,7 @@ func TestSideWorkOnIngress(t *testing.T) {
 		defer cancel()
 		side <- sh.DoSide(ctx, func() { depthInSide = sh.depth.Load(); note("side") })
 	}()
-	for deadline := time.Now().Add(2 * time.Second); len(sh.ingress) != k+1; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(2 * time.Second); len(sh.ingress) != k; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
 			t.Fatal("side work never reached the ingress")
 		}
@@ -320,7 +317,7 @@ func TestSideWorkOnIngress(t *testing.T) {
 	if d := sh.depth.Load(); d != k+1 {
 		t.Fatalf("side work on the ingress: depth %d, want %d", d, k+1)
 	}
-	close(gate)
+	release()
 	if err := <-side; err != nil {
 		t.Fatalf("DoSide behind a tenant at its slot limit: %v", err)
 	}
@@ -332,13 +329,13 @@ func TestSideWorkOnIngress(t *testing.T) {
 		t.Fatalf("side work saw depth %d, want the %d admitted tasks only", depthInSide, k)
 	}
 
-	gate = park()
+	release = park()
 	ctx, cancel = context.WithTimeout(bg, 20*time.Millisecond)
 	defer cancel()
 	if _, err := sh.Hold(ctx); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("Hold behind %d queued tasks: %v, want deadline exceeded", k, err)
 	}
-	close(gate)
+	release()
 	within(t, "the queued tasks after an abandoned hold", wg.Wait)
 	h, err := sh.Hold(bg)
 	if err != nil {

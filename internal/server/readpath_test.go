@@ -3,6 +3,7 @@ package server
 import (
 	"bytes"
 	"context"
+	"runtime"
 	"testing"
 
 	"fsencr/internal/fsproto"
@@ -40,9 +41,9 @@ func readServiceWith(tb testing.TB, opts Options) (*Service, *Session) {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	// Write returns once the worker has answered, which is before the worker
-	// releases the writer lock; a side task returns only after its own
-	// release, so the caller's first fast read finds the lock free.
+	// A write the worker served returns once the worker has answered, which
+	// is before it releases the machine lock; a side task returns only after
+	// its bracket closed, so the caller's first fast read finds the lock free.
 	if err := svc.shards[0].DoSide(ctx, func() {}); err != nil {
 		tb.Fatal(err)
 	}
@@ -124,5 +125,66 @@ func BenchmarkServerReadPath(b *testing.B) {
 			b.Fatal(err)
 		}
 		pl.Release()
+	}
+}
+
+// TestServiceAllocsPerOp pins the heap allocations of one op called
+// directly on an idle one-shard service, client and wire left out: a read
+// and a KV get served off the worker, a 256-byte write and a 64-byte KV put
+// run inline on the caller's goroutine. The counts are exact; an op that
+// starts making garbage shows here before it shows in a GC count.
+func TestServiceAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	svc, sess := testReadService(t)
+	ctx := context.Background()
+	if err := svc.KVCreate(ctx, sess, fsproto.KVCreateRequest{Store: "s", Size: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	data, value := bytes.Repeat([]byte{0xA5}, 256), bytes.Repeat([]byte{0x3C}, 64)
+	i := 0
+	for _, c := range []struct {
+		op   string
+		want float64
+		fn   func() error
+	}{
+		{"read", 4, func() error {
+			pl, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "hot.dat", Offset: uint64(i%4) * 4096, Length: 4096})
+			pl.Release()
+			return err
+		}},
+		{"write", 4, func() error {
+			return svc.Write(ctx, sess, fsproto.WriteRequest{Name: "hot.dat", Offset: uint64(i%64) * 256, Data: data})
+		}},
+		{"kv_put", 7, func() error {
+			return svc.KVPut(ctx, sess, fsproto.KVPutRequest{Store: "s", Key: uint64(i % 8), Value: value})
+		}},
+		{"kv_get", 3, func() error {
+			pl, err := svc.KVGet(ctx, sess, fsproto.KVGetRequest{Store: "s", Key: uint64(i % 8)})
+			pl.Release()
+			return err
+		}},
+	} {
+		// Warm the op's state, then fold in the reads' deltas outside the window.
+		for i = 0; i < 16; i++ {
+			if err := c.fn(); err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
+		}
+		if err := svc.shards[0].DoSide(ctx, func() {}); err != nil {
+			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			i++
+			if err := c.fn(); err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
+		})
+		t.Logf("%s: %v allocs/op", c.op, got)
+		if got != c.want {
+			t.Errorf("%s: %v allocs/op, want %v", c.op, got, c.want)
+		}
 	}
 }

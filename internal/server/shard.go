@@ -3,17 +3,19 @@
 //
 // The service multiplexes many concurrent network clients onto a pool of
 // sharded simulated machines. Each Shard owns one kernel.System — machine,
-// DAX filesystem, keyring, OTT — and a single worker goroutine that is the
-// only code ever touching that system, so the simulation stays exactly as
+// DAX filesystem, keyring, OTT — and one machine lock: one mutation bracket
+// at a time touches that system, so the simulation stays exactly as
 // deterministic as it is in-process while independent tenants run in
 // parallel on different shards (tenant -> shard by GroupID hash).
 //
-// One worker loop (Shard.run) serves one admission queue: per-tenant FIFO
-// queues drained round-robin, so one tenant flooding the shard cannot starve
-// its neighbours, with bounded per-tenant depth for backpressure (ErrBusy
-// once the queue is full and the caller's context expires). Everything
-// reaches the worker through one ingress channel, side work (DoSide) as a
-// task the worker runs as soon as it absorbs it.
+// An admitted op that finds its shard idle runs in a bracket of its own on
+// the caller's goroutine. What has to queue, one worker loop (Shard.run)
+// serves from one admission queue: per-tenant FIFO queues drained
+// round-robin, so one tenant flooding the shard cannot starve its
+// neighbours, with bounded per-tenant depth for backpressure (ErrBusy once
+// the queue is full and the caller's context expires). Everything reaches
+// the worker through one ingress channel, side work (DoSide) as a task the
+// worker runs as soon as it absorbs it.
 //
 // A logged shard's simulated state — clocks, caches, telemetry, the
 // security journal — is a pure function of its admission log, which records
@@ -78,8 +80,8 @@ type taskResult struct {
 	err error
 }
 
-// task is one unit of admitted work: a closure executed on the shard's
-// worker goroutine.
+// task is one unit of admitted work: a closure executed in a mutation
+// bracket, on the caller's goroutine or on the shard's worker.
 type task struct {
 	tenant uint32
 	// kind is the op, which names the request's root span ("write",
@@ -90,24 +92,25 @@ type task struct {
 	framed bool
 	ts     *tenantState // resolved by submit (by serve for a replayed task)
 	fn     func() (any, error)
-	resp   chan taskResult // buffered(1): the worker never blocks on it
+	resp   chan taskResult // buffered(1): the worker never blocks on it; nil inline
 	// trace is the request's wire trace context (zero: untraced).
 	trace fsproto.TraceContext
 	// enq is the shard clock when the worker absorbed the task: the start of
-	// its queue wait (replay sets it from the logged wait).
+	// its queue wait (inline, the clock at its start; replay sets it from
+	// the logged wait).
 	enq  uint64
 	sess *Session
 	body []byte
 	// side, when set, makes the task side work (DoSide): run at absorption,
-	// answered with an empty result, and outside admission (no tenant slot,
-	// no depth, no log record).
+	// answered with an empty result once the worker's bracket closes, and
+	// outside admission (no tenant slot, no depth, no log record).
 	side func()
 }
 
 // tenantState is everything a shard keeps per tenant, one record created on
-// first sight (Shard.tenant) and kept for the shard's life. Worker-only but
-// for slots, which bounds the tenant's admitted-but-unserved tasks: submit
-// sends before admission, taskDone receives.
+// first sight (Shard.tenant) and kept for the shard's life. slots bounds the
+// tenant's admitted-but-unserved tasks: submit sends before admission,
+// taskDone receives. The rest is touched inside mutation brackets only.
 type tenantState struct {
 	slots chan struct{}
 	q     []task // q[head:]: absorbed tasks in arrival order
@@ -117,12 +120,13 @@ type tenantState struct {
 	hQWait, hSvc *telemetry.Histogram
 }
 
-// Shard is one simulated machine plus its serializing worker.
+// Shard is one simulated machine plus its machine lock and worker.
 type Shard struct {
 	id int
 
-	// Sys is the shard's booted system. Only the worker goroutine may
-	// call into it; everyone else goes through Do.
+	// Sys is the shard's booted system. Only a mutation bracket may call
+	// into it, one bracket at a time (the worker's, or an inline op's);
+	// everyone else goes through Do.
 	Sys *kernel.System
 	// Reg is the shard's deterministic telemetry registry: every value in
 	// it derives from simulated cycles or the admission log, so a replay of
@@ -130,7 +134,7 @@ type Shard struct {
 	Reg *telemetry.Registry
 	// Jrn is the shard's security-event journal (kernel/machine emissions
 	// plus the server's cross-tenant denial and auth-failure events, all
-	// emitted on the worker in admission order).
+	// emitted inside mutation brackets, in admission order).
 	Jrn *journal.Journal
 	// Aud is the shard's tamper-evident access-audit log, appended to by
 	// the shard's memory controller as tenant page traffic flows. Its
@@ -142,24 +146,27 @@ type Shard struct {
 	ingress chan task
 
 	mu        sync.Mutex
-	draining  bool
+	draining  atomic.Bool // set under mu; read without it once a call holds its slot
 	tenants   map[uint32]*tenantState
 	perTenant int
 
 	inflight sync.WaitGroup
 	depth    atomic.Int64
-	gDepth   *telemetry.Gauge
-	cServed  *telemetry.Counter
+	// queued counts admitted tasks sent to the ingress and not yet served
+	// (lowered inside the bracket that served one).
+	queued  atomic.Int64
+	gDepth  *telemetry.Gauge
+	cServed *telemetry.Counter
 
-	// Concurrent read fast-path plane (fastread.go). rmu excludes snapshot
-	// readers from worker mutations: the worker holds it for writing across
-	// every task it serves, a reader TryRLocks it; deltas is the lock-free
-	// stack of deferred read side effects the worker folds into the
-	// controller at its next mutation — pendingDeltas counts them and
+	// Concurrent read fast-path plane (fastread.go). rmu is the machine
+	// lock: every mutation bracket holds it for writing, the worker's and an
+	// inline op's alike, and a snapshot reader TryRLocks it; deltas is the
+	// lock-free stack of deferred read side effects the next bracket folds
+	// into the controller — pendingDeltas counts them and
 	// drainAsked is up while a reader's request for a drain is outstanding
 	// (askDrain) — and the pools recycle per-goroutine reader contexts and
 	// delta buffers. drained and drainedTraces are the worker's merge of one
-	// drain. closed, set under the writer lock once the shard has retired or
+	// drain. closed, set under the machine lock once the shard has retired or
 	// stopped, turns readers away: their deltas would reach no worker, nor
 	// the log of the shard's new owner.
 	rmu           sync.RWMutex
@@ -172,7 +179,7 @@ type Shard struct {
 	drained       memctrl.ReadDelta
 	drainedTraces []fsproto.ReadTrace
 
-	// Request-trace plane (worker-only, deterministic): scope buffers one
+	// Request-trace plane (bracket-only, deterministic): scope buffers one
 	// request's spans until the tail sampler's keep/drop decision.
 	scope   *telemetry.TraceScope
 	sampler *telemetry.TailSampler
@@ -184,7 +191,7 @@ type Shard struct {
 
 	// Cluster plane. chipSeq is the controller key-derivation sequence the
 	// shard booted with (0: per-process auto). logOn enables the admission
-	// log; log and the checkpoint cursor below are worker-only (readers go
+	// log; log and the checkpoint cursor below are bracket-only (readers go
 	// through DoSide or a Hold). retired, once set, is answered to every task
 	// instead of executing it: the shard has migrated away.
 	chipSeq   uint64
@@ -193,8 +200,9 @@ type Shard struct {
 	ckptEvery int
 	sinceCkpt int
 	retired   error
-	// sess maps a token to its state here. Only the worker writes it, under
-	// sessMu, and reads it without; Service.session reads it under sessMu.
+	// sess maps a token to its state here. Only a mutation bracket writes
+	// it, under sessMu, and reads it without; Service.session reads it under
+	// sessMu.
 	sessMu sync.RWMutex
 	sess   map[string]*sessState
 }
@@ -215,7 +223,8 @@ type ShardOptions struct {
 	// operation records (0: checkpoints only at migration freeze).
 	CheckpointEvery int
 	// Detached boots the shard without starting its worker: the caller
-	// replays an admission log into it first, then calls Start.
+	// replays an admission log into it first, then calls Start (no op runs
+	// inline before).
 	Detached bool
 }
 
@@ -281,9 +290,8 @@ func (sh *Shard) ID() int { return sh.id }
 func (sh *Shard) Snapshot() *telemetry.Snapshot { return sh.Reg.Snapshot() }
 
 // tenant returns (creating on first sight) the shard's record of a tenant.
+// sh.mu must be held.
 func (sh *Shard) tenant(id uint32) *tenantState {
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
 	ts, ok := sh.tenants[id]
 	if !ok {
 		ts = &tenantState{slots: make(chan struct{}, sh.perTenant)}
@@ -292,8 +300,9 @@ func (sh *Shard) tenant(id uint32) *tenantState {
 	return ts
 }
 
-// Do submits fn for execution on the shard's worker and waits for its
-// result. tenant selects the fairness queue. If ctx expires while queued
+// Do submits fn for execution on the shard's machine and waits for its
+// result: on the caller's goroutine if the shard is idle, else on the
+// worker. tenant selects the fairness queue. If ctx expires while queued
 // behind backpressure, Do returns ErrBusy; after admission the task always
 // runs to completion (a simulated syscall cannot be cancelled midway), but
 // Do stops waiting when ctx expires.
@@ -311,26 +320,51 @@ func (sh *Shard) Do(ctx context.Context, tenant uint32, fn func() (any, error)) 
 // actually has to wait. ctx stays the caller's own (a disconnected client).
 // Only an admitted task's wait ends in a context error (ctx.Err() or
 // DeadlineExceeded): the task still runs, and holds what it was given.
+//
+// An admitted task runs inline, in a bracket of its own on this goroutine
+// with no queue wait, if the worker is started (a detached shard runs
+// nothing before Start), the machine lock is free (a held shard keeps the
+// worker's bracket open) and nothing sent to the worker is unserved — read
+// again under the lock, so a caller never runs ahead of a queued task.
 func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, error) {
 	dl := deadlineTimer{at: deadline}
 	defer dl.stop()
 
-	t.ts = sh.tenant(t.tenant)
-	if !sendBy(ctx, &dl, t.ts.slots, struct{}{}) {
-		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
-	}
+	// The call counts in inflight from here, so Close waits for it; one that
+	// gets its tenant slot after the drain began is refused then.
 	sh.mu.Lock()
-	if sh.draining {
+	if sh.draining.Load() {
 		sh.mu.Unlock()
-		<-t.ts.slots
 		return nil, ErrDraining
 	}
+	t.ts = sh.tenant(t.tenant)
 	sh.inflight.Add(1)
 	sh.mu.Unlock()
+	if !sendBy(ctx, &dl, t.ts.slots, struct{}{}) {
+		sh.inflight.Done()
+		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
+	}
+	if sh.draining.Load() {
+		<-t.ts.slots
+		sh.inflight.Done()
+		return nil, ErrDraining
+	}
 	sh.gDepth.Set(uint64(sh.depth.Add(1)))
 
+	if sh.started.Load() && sh.queued.Load() == 0 && sh.rmu.TryLock() {
+		if sh.queued.Load() == 0 {
+			sh.drainDeltas() // as enterMut does
+			t.enq = uint64(sh.Sys.M.MaxCoreTime())
+			v, err := sh.exec(t)
+			sh.exitMut()
+			return v, err
+		}
+		sh.rmu.Unlock()
+	}
+	sh.queued.Add(1)
 	t.resp = make(chan taskResult, 1)
 	if !sendBy(ctx, &dl, sh.ingress, t) {
+		sh.queued.Add(-1)
 		sh.taskDone(t)
 		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 	}
@@ -408,9 +442,11 @@ func (d *deadlineTimer) stop() {
 // DoSide runs fn on the shard's worker goroutine between admitted tasks
 // and waits for it. It serializes observability reads (the audit log's
 // device window, recovery checks) with simulated work without taking a
-// fairness turn: the worker runs it as soon as it absorbs it from the
-// ingress, ahead of every admitted task still queued, held shard or not.
-// Side work runs in the order it was sent. ctx bounds the wait.
+// fairness turn: the worker runs it inside its bracket as soon as it absorbs
+// it from the ingress, ahead of every admitted task still queued, held shard
+// or not, and answers it once that bracket has closed (under a hold, which
+// keeps it open, at once). Side work runs in the order it was sent. ctx
+// bounds the wait.
 func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
 	t := task{side: fn, resp: make(chan taskResult, 1)}
 	select {
@@ -430,19 +466,6 @@ func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
 	}
 }
 
-// execSide runs side work in a mutation bracket of its own. A Hold
-// stretches the bracket: the work that takes the shard leaves it open, side
-// work under the hold runs inside it, the work that releases closes it.
-func (sh *Shard) execSide(fn func()) {
-	if sh.held == nil {
-		sh.enterMut()
-	}
-	fn()
-	if sh.held == nil {
-		sh.exitMut()
-	}
-}
-
 // taskDone returns the resources of an admitted task.
 func (sh *Shard) taskDone(t task) {
 	<-t.ts.slots
@@ -454,20 +477,19 @@ func (sh *Shard) taskDone(t task) {
 	sh.inflight.Done()
 }
 
-func (sh *Shard) exec(t task) {
-	if sh.retired != nil {
-		// The shard migrated away after this task was admitted: answer with
-		// the routing error so the client retries at the new owner. The task
-		// never executed, so the retry cannot duplicate work.
-		t.resp <- taskResult{err: sh.retired}
-		sh.taskDone(t)
-		return
+// exec runs an admitted task inside the current mutation bracket, the
+// worker's or its caller's, and returns its resources.
+func (sh *Shard) exec(t task) (v any, err error) {
+	// A retired shard migrated away after this task was admitted: it answers
+	// with the routing error so the client retries at the new owner. The task
+	// never executed, so the retry cannot duplicate work.
+	if err = sh.retired; err == nil {
+		v, err = sh.serve(t)
+		sh.maybeCheckpoint()
+		sh.cServed.Inc()
 	}
-	v, err := sh.serve(t)
-	sh.maybeCheckpoint()
-	t.resp <- taskResult{v: v, err: err}
-	sh.cServed.Inc()
 	sh.taskDone(t)
+	return v, err
 }
 
 // serve runs one task — admitted live, or rebuilt from an admission-log
@@ -481,7 +503,9 @@ func (sh *Shard) exec(t task) {
 func (sh *Shard) serve(t task) (any, error) {
 	ts := t.ts
 	if ts == nil {
+		sh.mu.Lock()
 		ts = sh.tenant(t.tenant)
+		sh.mu.Unlock()
 	}
 	if ts.hQWait == nil {
 		ts.hQWait = sh.Reg.Histogram(fmt.Sprintf("server.tenant.g%d.queue_wait_cycles", t.tenant))
@@ -568,60 +592,84 @@ func (q *fairQueue) pop() (task, bool) {
 	return t, true
 }
 
-// run is the shard's worker, the only loop onto the simulated machine. It
-// absorbs what has arrived without blocking (absorb), then serves from the
-// queue, or with nothing to serve waits for the next arrival or stop. A held
-// shard keeps absorbing and keeps running side work (how the holder reaches
-// the machine) but pops nothing.
+// run is the shard's worker, the loop that serves what has to queue. With
+// nothing to serve (or the shard held) it waits for an arrival or stop. It
+// takes the machine (enterMut, fastread.go) before it absorbs that arrival
+// and everything pending — so side work that came in while an inline op held
+// the machine runs before every queued task, and the queue clock is read
+// inside a bracket — then pops and serves one task and closes the bracket.
+// A Hold stretches the bracket: the side work that takes the shard leaves it
+// open, the worker runs side work inside it but pops nothing, and the side
+// work that releases the shard closes it.
 //
-// Each task runs in a mutation bracket of its own, enterMut/exitMut
-// (fastread.go): snapshot readers see a quiescent machine or fall back to
-// admission here, stalling one task at most. Answering a task readies its
-// caller behind the worker on this P, so while admitted work waits the
-// worker yields after the bracket (never inside it, where readers would meet
-// the held writer lock) and the answered caller runs before the next task.
+// Answering a task readies its caller behind the worker on this P, so while
+// admitted work waits the worker yields after the bracket (never inside it,
+// where readers would meet the held writer lock) and the answered caller
+// runs before the next task.
 func (sh *Shard) run() {
 	defer close(sh.stopped)
 	var q fairQueue
+	var answer []chan taskResult // side work run in the open bracket
 	for {
+		var t task
+		got := false
+		if sh.held != nil || q.tail == nil {
+			select {
+			case t = <-sh.ingress:
+				got = true
+			case <-sh.stop:
+				if sh.held == nil {
+					sh.enterMut()
+					defer sh.exitMut()
+				}
+				sh.closed.Store(true)
+				return
+			}
+		}
+		if sh.held == nil {
+			sh.enterMut()
+		}
+		if got {
+			answer = sh.absorb(&q, t, answer)
+		}
 		for more := true; more; {
 			select {
 			case t := <-sh.ingress:
-				sh.absorb(&q, t)
+				answer = sh.absorb(&q, t, answer)
 			default:
 				more = false
 			}
 		}
+		served := false
 		if sh.held == nil {
 			if t, ok := q.pop(); ok {
-				sh.enterMut()
-				sh.exec(t)
-				sh.exitMut()
-				if sh.depth.Load() > 0 {
-					runtime.Gosched()
-				}
-				continue
+				v, err := sh.exec(t)
+				sh.queued.Add(-1)
+				t.resp <- taskResult{v: v, err: err}
+				served = true
 			}
+			sh.exitMut()
 		}
-		select {
-		case t := <-sh.ingress:
-			sh.absorb(&q, t)
-		case <-sh.stop:
-			sh.execSide(func() { sh.closed.Store(true) })
-			return
+		for _, c := range answer {
+			c <- taskResult{}
+		}
+		answer = answer[:0]
+		if served && sh.depth.Load() > 0 {
+			runtime.Gosched()
 		}
 	}
 }
 
-// absorb takes one arrival off the ingress: side work runs and is answered
-// at once, an admitted task joins the queue.
-func (sh *Shard) absorb(q *fairQueue, t task) {
+// absorb takes one arrival off the ingress inside the worker's bracket: side
+// work runs, its answer joins those sent once the bracket closes, and an
+// admitted task joins the queue.
+func (sh *Shard) absorb(q *fairQueue, t task, answer []chan taskResult) []chan taskResult {
 	if t.side != nil {
-		sh.execSide(t.side)
-		t.resp <- taskResult{}
-		return
+		t.side()
+		return append(answer, t.resp)
 	}
 	q.push(t, uint64(sh.Sys.M.MaxCoreTime()))
+	return answer
 }
 
 // Close drains the shard: admission stops (new Do calls get ErrDraining),
@@ -629,8 +677,7 @@ func (sh *Shard) absorb(q *fairQueue, t task) {
 // worker exits. Safe to call more than once.
 func (sh *Shard) Close() {
 	sh.mu.Lock()
-	already := sh.draining
-	sh.draining = true
+	already := sh.draining.Swap(true)
 	sh.mu.Unlock()
 	if already {
 		<-sh.stopped

@@ -1,8 +1,10 @@
 package server
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"slices"
 	"sync"
@@ -174,6 +176,50 @@ func TestShardBackpressure(t *testing.T) {
 	}
 }
 
+// parkMachine parks the shard's machine inside an op of tenant 99, which
+// the idle shard runs on the calling goroutine, and returns its release.
+// Until then no bracket opens: the worker, once it has received a task,
+// waits for the machine with that task in hand, and everything else sent
+// stays on the ingress. after, if not nil, runs on the same goroutine the
+// moment the op returns.
+func parkMachine(t *testing.T, sh *Shard, wg *sync.WaitGroup, after func()) (release func()) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); !readLockFree(sh) || sh.queued.Load() != 0; runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("the shard never went idle")
+		}
+	}
+	gate, parked := make(chan struct{}), make(chan struct{})
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		sh.Do(context.Background(), 99, func() (any, error) {
+			if sh.queued.Load() != 0 {
+				t.Error("the parking op was queued, not run inline")
+			}
+			close(parked)
+			<-gate
+			return nil, nil
+		})
+		if after != nil {
+			after()
+		}
+	}()
+	<-parked
+	return func() { close(gate) }
+}
+
+// waitQueued waits until n admitted tasks are sent to the worker and
+// unserved, the ingress holding onIngress of them.
+func waitQueued(t *testing.T, sh *Shard, n int64, onIngress int) {
+	t.Helper()
+	for deadline := time.Now().Add(2 * time.Second); sh.queued.Load() != n || len(sh.ingress) != onIngress; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d tasks queued, %d on the ingress: want %d and %d", sh.queued.Load(), len(sh.ingress), n, onIngress)
+		}
+	}
+}
+
 // TestSubmitDeadline pins the three ways submit's deadline ends a call, with
 // the caller's context never expiring: *BusyError carrying the queue depth
 // while waiting for a tenant slot, the same while waiting for room in a full
@@ -184,16 +230,8 @@ func TestSubmitDeadline(t *testing.T) {
 	ctx := context.Background()
 	soon := func() time.Time { return time.Now().Add(30 * time.Millisecond) }
 	noop := func() (any, error) { return nil, nil }
-
-	// Park the worker inside tenant 99's task.
-	gate, parked := make(chan struct{}), make(chan struct{})
 	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		sh.Do(ctx, 99, func() (any, error) { close(parked); <-gate; return nil, nil })
-	}()
-	<-parked
+	release := parkMachine(t, sh, &wg, nil)
 
 	// Admitted, then the deadline: the caller stops waiting, the task stays.
 	ran := make(chan struct{})
@@ -208,10 +246,11 @@ func TestSubmitDeadline(t *testing.T) {
 		t.Fatalf("behind a full tenant queue: %v, want *BusyError with depth 2", err)
 	}
 
-	// Tenants 2-4 fill the ingress buffer (tenant 1's task holds the fourth
-	// place; the parked worker absorbs nothing); tenant 5 gets a slot but no
+	// The worker holds tenant 1's task while it waits for the machine;
+	// tenants 2-5 fill the ingress buffer, and tenant 6 gets a slot but no
 	// room.
-	for tenant := uint32(2); tenant <= 4; tenant++ {
+	waitQueued(t, sh, 1, 0)
+	for tenant := uint32(2); tenant <= 5; tenant++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -220,17 +259,13 @@ func TestSubmitDeadline(t *testing.T) {
 			}
 		}()
 	}
-	for deadline := time.Now().Add(2 * time.Second); len(sh.ingress) < cap(sh.ingress); time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("ingress holds %d of %d", len(sh.ingress), cap(sh.ingress))
-		}
-	}
+	waitQueued(t, sh, 5, cap(sh.ingress))
 	busy = nil
-	if _, err := sh.submit(ctx, soon(), task{tenant: 5, fn: noop}); !errors.As(err, &busy) || busy.Depth != 5 {
-		t.Fatalf("behind a full ingress: %v, want *BusyError with depth 5", err)
+	if _, err := sh.submit(ctx, soon(), task{tenant: 6, fn: noop}); !errors.As(err, &busy) || busy.Depth != 6 {
+		t.Fatalf("behind a full ingress: %v, want *BusyError with depth 6", err)
 	}
 
-	close(gate)
+	release()
 	wg.Wait()
 	select {
 	case <-ran:
@@ -242,11 +277,110 @@ func TestSubmitDeadline(t *testing.T) {
 	if _, err := sh.submit(ctx, time.Now().Add(2*time.Second), task{tenant: 1, fn: noop}); err != nil {
 		t.Fatalf("tenant 1 after its timed-out task ran: %v", err)
 	}
-	// (The worker answers a task before it returns the task's resources.)
-	for deadline := time.Now().Add(2 * time.Second); sh.depth.Load() != 0; time.Sleep(time.Millisecond) {
-		if time.Now().After(deadline) {
-			t.Fatalf("queue depth %d after everything was served", sh.depth.Load())
+	if d, q := sh.depth.Load(), sh.queued.Load(); d != 0 || q != 0 {
+		t.Fatalf("queue depth %d, %d queued after everything was served", d, q)
+	}
+}
+
+// goid is the calling goroutine's number, from its stack header.
+func goid() string {
+	b := make([]byte, 64)
+	return string(bytes.Fields(b[:runtime.Stack(b, false)])[1])
+}
+
+// TestIdleShardRunsInline: a lone caller's op never reaches the ingress. It
+// runs on the caller's own goroutine, inside a bracket of its own, and waits
+// 0 cycles in the queue.
+func TestIdleShardRunsInline(t *testing.T) {
+	sh := testShard(t, 0)
+	me := goid()
+	const ops = 50
+	for i := range ops {
+		_, err := sh.Do(context.Background(), 1, func() (any, error) {
+			if g := goid(); g != me {
+				return nil, fmt.Errorf("ran on goroutine %s, the caller is %s", g, me)
+			}
+			if readLockFree(sh) || sh.queued.Load() != 0 || len(sh.ingress) != 0 {
+				return nil, errors.New("ran outside its bracket, or through the ingress")
+			}
+			return nil, nil
+		})
+		if err != nil {
+			t.Fatalf("op %d: %v", i, err)
 		}
+	}
+	wait := sh.Reg.Snapshot().Histograms["server.tenant.g1.queue_wait_cycles"]
+	if wait == nil || wait.Count != ops || wait.Sum != 0 {
+		t.Fatalf("queue wait %+v, want %d observations of 0", wait, ops)
+	}
+}
+
+// TestInlineNeverJumpsTheQueue: tasks queued behind a parked machine are
+// served in fairQueue order, and an op that arrives the moment the machine
+// is free again — on the goroutine that just left it, while the worker is
+// still waking for the lock — is served after them, never inline ahead of
+// them. Tenant 1's late op joins tenant 1's FIFO, or the ring's tail if that
+// emptied: last either way.
+func TestInlineNeverJumpsTheQueue(t *testing.T) {
+	sh := testShard(t, 0)
+	ctx := context.Background()
+	for round := range 20 {
+		var mu sync.Mutex
+		var order []string
+		note := func(s string) func() (any, error) {
+			return func() (any, error) { mu.Lock(); order = append(order, s); mu.Unlock(); return nil, nil }
+		}
+		var wg sync.WaitGroup
+		release := parkMachine(t, sh, &wg, func() { sh.Do(ctx, 1, note("late")) })
+		for i, tenant := range []uint32{1, 2, 3} {
+			wg.Add(1)
+			go func() { defer wg.Done(); sh.Do(ctx, tenant, note(fmt.Sprint(tenant))) }()
+			waitQueued(t, sh, int64(i+1), i)
+		}
+		release()
+		wg.Wait()
+		if want := []string{"1", "2", "3", "late"}; !slices.Equal(order, want) {
+			t.Fatalf("round %d served %q, want %q", round, order, want)
+		}
+	}
+}
+
+// TestDetachedShardRunsNothingInline: until Start, a detached shard (a
+// replica during replay, a promoted one between AdoptShard and Start) runs
+// no op, inline or otherwise; Start serves what queued, in order.
+func TestDetachedShardRunsNothingInline(t *testing.T) {
+	sh := NewShardWith(0, config.Default(), memctrl.Mode{MemEncryption: true, FileEncryption: true},
+		kernel.ModeDAX, 0, nil, ShardOptions{Detached: true})
+	defer func() { sh.Start(); sh.Close() }()
+	var mu sync.Mutex
+	var order []uint32
+	var wg sync.WaitGroup
+	for i, tenant := range []uint32{1, 2} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := sh.Do(context.Background(), tenant, func() (any, error) {
+				mu.Lock()
+				order = append(order, tenant)
+				mu.Unlock()
+				return nil, nil
+			}); err != nil {
+				t.Errorf("tenant %d: %v", tenant, err)
+			}
+		}()
+		waitQueued(t, sh, int64(i+1), i+1)
+	}
+	time.Sleep(10 * time.Millisecond)
+	mu.Lock()
+	early := len(order)
+	mu.Unlock()
+	if early != 0 || !readLockFree(sh) {
+		t.Fatalf("before Start: %d ops ran, machine lock free %v", early, readLockFree(sh))
+	}
+	sh.Start()
+	wg.Wait()
+	if want := []uint32{1, 2}; !slices.Equal(order, want) {
+		t.Fatalf("after Start served %v, want %v", order, want)
 	}
 }
 

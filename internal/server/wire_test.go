@@ -607,3 +607,24 @@ func BenchmarkClientKVGet(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkClientKVPut is the write-class counterpart of ClientKVGet: one
+// caller putting 64-byte values over loopback. A put runs on the shard's
+// machine, where a get is served off it, so the gap between this benchmark
+// at -cpu 1 and at -cpu 2 is what handing a lone caller's op to another
+// thread costs. Every put allocates its value out of place, so the store is
+// sized for b.N of them.
+func BenchmarkClientKVPut(b *testing.B) {
+	cl := benchClient(b)
+	if err := cl.KVCreate(fsproto.KVCreateRequest{Store: "puts", Size: uint64(b.N+64) * 128}); err != nil {
+		b.Fatalf("kv create: %v", err)
+	}
+	value := wirePattern(64, 4)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := cl.KVPut(fsproto.KVPutRequest{Store: "puts", Key: uint64(i % 64), Value: value}); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
