@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build cross-build test loc bench-pairs sim-digest sim-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke fabric-cli-smoke examples-smoke ci
+.PHONY: build cross-build test loc bench-pairs sim-digest sim-digest-check service-digest service-digest-check layerbench-test fuzz-smoke race vet bench bench-json bench-check overhead-guard chaos chaos-ci migration-chaos cluster-smoke fabric-cli-smoke examples-smoke ci
 
 build:
 	$(GO) build ./...
@@ -52,6 +52,22 @@ sim-digest:
 # and says why.
 sim-digest-check:
 	@$(MAKE) -s --no-print-directory sim-digest | diff -u sim-digest.sha256 - && echo "sim-digest: every digest matches sim-digest.sha256"
+
+# One sha256 per artefact of the service's simulated state — each shard's
+# /shards.prom body, module image digest, audit head, journal and admission
+# log bytes — after TestServiceDigest's seeded single-caller op stream (every
+# op kind and size class, a counter wrap, a logout, a migration of one shard).
+# service-digest-check diffs them against the committed service-digest.sha256
+# (recorded with go1.24.0), as sim-digest-check does for the figures: a change
+# meant to move the service's simulation regenerates it
+# (make -s service-digest > service-digest.sha256) and says why.
+service-digest:
+	@set -e; d=$$(mktemp -d); trap 'rm -rf "$$d"' EXIT; \
+	FSENCR_SERVICE_DIGEST=$$d/digest $(GO) test -count=1 -run '^TestServiceDigest$$' ./internal/server > /dev/null; \
+	cat $$d/digest
+
+service-digest-check:
+	@$(MAKE) -s --no-print-directory service-digest | diff -u service-digest.sha256 - && echo "service-digest: every digest matches service-digest.sha256"
 
 # examples/liveobs polls the live observability plane of an in-process
 # batch; nothing else runs it. About 4 s.
@@ -233,4 +249,4 @@ overhead-guard:
 # per-plane `-run` shortcuts to chain here: to check one plane, name its test
 # (`go test -run TestFsencrdSmoke ./internal/server`). cluster-smoke stays as
 # the one named subset because it spans two packages.
-ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos fabric-cli-smoke examples-smoke sim-digest-check overhead-guard bench-check
+ci: build cross-build vet test race layerbench-test fuzz-smoke chaos-ci migration-chaos fabric-cli-smoke examples-smoke sim-digest-check service-digest-check overhead-guard bench-check
