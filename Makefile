@@ -110,13 +110,14 @@ fuzz-smoke:
 
 # One -race pass catches an ordering bug in a concurrent test only as often
 # as the interleaving that shows it comes up: the replayed fast reads' trace
-# verdicts, a concurrent fair run against its replay, the hold protocol on
-# the shared ingress, the worker's hand-off to an answered caller, and an
-# idle shard's inline ops (run on the caller, never ahead of a queued task,
-# never on a detached shard) get five.
+# verdicts, a concurrent fair run against its replay, the hold protocol, an
+# idle shard's ops (run on the caller, never ahead of a queued task, never on
+# a detached shard) and the machine lock's hand-off (to an answered caller's
+# successor, side work first, each waiter on its own goroutine, a timed-out
+# waiter's turn kept) get five.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline' ./internal/server
+	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline|TestHandOffRunsOnCaller|TestSideWorkFirst|TestSubmitDeadline' ./internal/server
 
 # Full chaos campaign: >= 1000 seeded faults injected across the encrypted
 # datapath (counter blocks, data lines, torn writes, OTT region, audit

@@ -115,12 +115,17 @@ func rawDo(hc *http.Client, method, base, path, ctype, token string, body []byte
 	return readRaw(resp)
 }
 
-// readRaw reads one response's body and error code, and closes it.
+// readRaw reads one response's body and error code, and closes it. The body
+// may come with no declared length (net/http's own answers, chunked), so it
+// is read to its end, bounded by MaxBodyBytes.
 func readRaw(resp *http.Response) (rawResult, error) {
 	defer resp.Body.Close()
-	data, err := fsproto.ReadBody(resp.Body, resp.ContentLength, fsproto.MaxBodyBytes)
+	data, err := io.ReadAll(io.LimitReader(resp.Body, fsproto.MaxBodyBytes+1))
 	if err != nil {
 		return rawResult{}, err
+	}
+	if len(data) > fsproto.MaxBodyBytes {
+		return rawResult{}, fmt.Errorf("fsclient: response body over %d bytes", fsproto.MaxBodyBytes)
 	}
 	var pe fsproto.Error
 	_ = json.Unmarshal(data, &pe) // non-error bodies leave the code empty

@@ -55,25 +55,16 @@ func SplitFrame(b []byte) (meta, payload []byte, err error) {
 	return rest[:n:n], rest[n:], nil
 }
 
-// ReadBody reads one HTTP body of the declared length (-1: unknown) into a
-// single buffer, refusing anything over limit before allocating for it.
+// ReadBody reads one HTTP body of its declared length into a single buffer,
+// refusing a length over limit, or none declared (negative), before
+// allocating for it.
 func ReadBody(r io.Reader, length int64, limit int) ([]byte, error) {
-	if length > int64(limit) {
-		return nil, fmt.Errorf("fsproto: %d-byte body exceeds the %d-byte limit", length, limit)
+	if length < 0 || length > int64(limit) {
+		return nil, fmt.Errorf("fsproto: body length %d outside the %d-byte limit", length, limit)
 	}
-	if length >= 0 {
-		buf := make([]byte, length)
-		if _, err := io.ReadFull(r, buf); err != nil {
-			return nil, fmt.Errorf("fsproto: read body: %w", err)
-		}
-		return buf, nil
-	}
-	buf, err := io.ReadAll(io.LimitReader(r, int64(limit)+1))
-	if err != nil {
+	buf := make([]byte, length)
+	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("fsproto: read body: %w", err)
-	}
-	if len(buf) > limit {
-		return nil, fmt.Errorf("fsproto: body exceeds the %d-byte limit", limit)
 	}
 	return buf, nil
 }

@@ -8,7 +8,7 @@ package memctrl
 // An Image is a copy, never a live pointer into its controller. It is the
 // package's one way to snapshot a module and ImportImage its one way to
 // install one. §VI's move to a new machine is an exported image imported
-// under the source chip's keys (Export/Import, lifecycle.go). A migration
+// into a controller built under the source chip's keys. A migration
 // rebuilds a shard by replaying the admission log instead; the source and
 // the new owner each export their own image and compare Digests, and the
 // new owner's image must pass VerifyImage, the Osiris recovery gate, on a
@@ -64,10 +64,17 @@ func (c *Controller) FlushOTT() {
 	}
 }
 
-// ExportImage snapshots the controller into a plain-data image. The
-// caller must have quiesced the datapath, flushed dirty cache lines, and
-// run FlushOTT first (the shard fabric runs its flush log-record before
-// exporting, which does all three). ExportImage itself mutates nothing —
+// ExportImage snapshots the controller into a plain-data image: the module
+// packaged for a move to a new machine (§VI, "Moving Entire Filesystem To
+// New Machine"). The image carries the chip sequence, so the processor's
+// sealed material — the memory key, the OTT key and the Merkle root —
+// travels with it. The source keeps working; the image is a copy
+// (physically moving the DIMM, the source would lose the device — tests
+// model that by discarding the source). The caller must have quiesced the
+// datapath, flushed dirty cache lines, and run FlushOTT first, sealing the
+// OTT into its region as at shutdown (the shard fabric runs its flush
+// log-record before exporting, which does all three). ExportImage itself
+// mutates nothing —
 // deliberately: the export is not an admission-log record, so any counter
 // it perturbed would diverge a resumed source from its own log.
 func (c *Controller) ExportImage() (*Image, error) {
@@ -214,10 +221,14 @@ func (img *Image) validate() error {
 }
 
 // ImportImage adopts an image into a freshly built controller with the
-// same configuration and chip sequence: device contents, counters, ECC
-// tags and the sealed OTT region are installed, every counter is treated
-// as durable, and the Merkle tree is regenerated and verified against the
-// image root before the controller serves anything.
+// same configuration and chip sequence — for a moved filesystem, one built
+// by NewWithChipSeq with img.ChipSeq, taking over the source chip's keys
+// (the hand-over an authenticated admin interaction performs in hardware):
+// device contents, counters, ECC tags and the sealed OTT region are
+// installed, every counter is treated as durable, and the Merkle tree is
+// regenerated and verified against the image root before the controller
+// serves anything. A rejected import leaves a controller that must not
+// serve.
 func (c *Controller) ImportImage(img *Image) error {
 	if !c.mode.FileEncryption {
 		return errors.New("memctrl: image import requires the FsEncr datapath")

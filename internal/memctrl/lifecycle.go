@@ -1,8 +1,9 @@
 package memctrl
 
 // Operational features from §VI of the paper: file-key rotation (counter
-// reset under a new key), and moving an entire filesystem — the NVM module
-// plus its sealed key material — to a new machine as a module image.
+// reset under a new key) here, and moving an entire filesystem — the NVM
+// module plus its sealed key material — to a new machine as a module image
+// (ExportImage/ImportImage, image.go).
 
 import (
 	"fsencr/internal/addr"
@@ -33,29 +34,4 @@ func (c *Controller) RotateFileKey(now config.Cycle, pa addr.Phys, group uint32,
 	c.persistCounterNow(ready, slot)
 	// Data ECC tags are unchanged: rotation preserves plaintext.
 	return ready
-}
-
-// Export packages the module for a move to a new machine (§VI, "Moving
-// Entire Filesystem To New Machine"): the OTT is sealed into its region, as
-// at shutdown, and the module is snapshotted as an Image. The image carries
-// the chip sequence, so the processor's sealed material — the memory key,
-// the OTT key and the Merkle root — travels with it. The source keeps
-// working; the image is a copy (physically moving the DIMM, the source
-// would lose the device — tests model that by discarding the source).
-func (c *Controller) Export() (*Image, error) {
-	c.FlushOTT()
-	return c.ExportImage()
-}
-
-// Import adopts a moved filesystem into a freshly built controller: it
-// takes over the source chip's keys, derived from img.ChipSeq (the hand-over
-// an authenticated admin interaction performs in hardware), then installs
-// the image with ImportImage, whose regenerated Merkle root must be the
-// transported one before the controller serves any request. A rejected
-// import leaves a controller that must not serve.
-func (c *Controller) Import(img *Image) error {
-	if c.mode.FileEncryption {
-		c.adoptChip(img.ChipSeq)
-	}
-	return c.ImportImage(img)
 }

@@ -6,7 +6,21 @@ import (
 
 	"fsencr/internal/addr"
 	"fsencr/internal/config"
+	"fsencr/internal/stats"
 )
+
+// moveModule packages src's module for a move to a new machine (§VI): the
+// OTT sealed into its region, the image exported. It returns the image and
+// a destination controller in mode built under the source chip's keys.
+func moveModule(t *testing.T, src *Controller, mode Mode) (*Image, *Controller) {
+	t.Helper()
+	src.FlushOTT()
+	img, err := src.ExportImage()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return img, NewWithChipSeq(config.Default(), mode, stats.NewSet(), img.ChipSeq)
+}
 
 func TestRotateFileKeyPreservesPlaintext(t *testing.T) {
 	c := newMC(Mode{MemEncryption: true, FileEncryption: true})
@@ -71,16 +85,9 @@ func TestExportImport(t *testing.T) {
 	npa := addr.Phys(0xB00000)
 	src.WriteLine(0, npa, lineOf(8))
 
-	img, err := src.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	if err := dst.Import(img); err != nil {
+	img, dst := moveModule(t, src, Mode{MemEncryption: true, FileEncryption: true})
+	if err := dst.ImportImage(img); err != nil {
 		t.Fatalf("import: %v", err)
-	}
-	if dst.ChipSeq() != src.ChipSeq() {
-		t.Fatalf("destination chip seq %d, source %d", dst.ChipSeq(), src.ChipSeq())
 	}
 	// The image is a copy, not a shared device: the source writing on
 	// after the export changes nothing on the destination.
@@ -117,17 +124,13 @@ func TestImportRejectsTamperedModule(t *testing.T) {
 	src := newMC(Mode{MemEncryption: true, FileEncryption: true})
 	pa := addr.Phys(0xC00000)
 	src.WriteLine(0, pa, lineOf(1))
-	img, err := src.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, dst := moveModule(t, src, Mode{MemEncryption: true, FileEncryption: true})
 	// Attacker swaps counter state in transit.
 	for slot, b := range img.Counters {
 		b.Minor[0] ^= 1
 		img.Counters[slot] = b
 	}
-	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	if err := dst.Import(img); !errors.Is(err, ErrImageRejected) {
+	if err := dst.ImportImage(img); !errors.Is(err, ErrImageRejected) {
 		t.Fatalf("tampered module accepted: %v", err)
 	}
 }
@@ -141,13 +144,9 @@ func TestImportedFrameCorruptionDetected(t *testing.T) {
 	src.InstallKey(0, 6, 6, fileKey(6))
 	src.TagPage(0, pa, 6, 6)
 	src.WriteLine(0, pa, lineOf(3))
-	img, err := src.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
+	img, dst := moveModule(t, src, Mode{MemEncryption: true, FileEncryption: true})
 	img.Frames[pa.PageNum()][0] ^= 0x01 // pa is page-aligned: its line's first byte
-	dst := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	if err := dst.Import(img); err != nil {
+	if err := dst.ImportImage(img); err != nil {
 		t.Fatalf("import: %v", err)
 	}
 	dst.ReadLine(0, pa)
@@ -158,12 +157,8 @@ func TestImportedFrameCorruptionDetected(t *testing.T) {
 
 func TestImportWithoutFileDatapathFails(t *testing.T) {
 	src := newMC(Mode{MemEncryption: true, FileEncryption: true})
-	img, err := src.Export()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dst := newMC(Mode{MemEncryption: true})
-	if err := dst.Import(img); err == nil {
+	img, dst := moveModule(t, src, Mode{MemEncryption: true})
+	if err := dst.ImportImage(img); err == nil {
 		t.Fatal("import into non-FsEncr controller succeeded")
 	}
 }

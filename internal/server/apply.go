@@ -1,13 +1,13 @@
 package server
 
-// The admission log and its replay. A logged shard's worker encodes a record
-// of each op it executes (succeeding or failing), of every flush, checkpoint
+// The admission log and its replay. A logged shard encodes a record of each
+// op it executes (succeeding or failing), of every flush, checkpoint
 // and logout, and of the side effects of each drain of the reads served off
 // it (applyReads), straight into append-only chunks, in fsproto's record
 // format: the bytes a replica pulls, a migration's target included. A shard's
 // simulated state is a pure function of its log, so replaying the log into a
 // fresh shard booted with the same chip sequence rebuilds it byte for byte
-// (a read served off the worker changes nothing but its side effects, which
+// (a read served under the read lock changes nothing but its side effects, which
 // replay applies at the position, so at the clock, the source drained them).
 // Replay runs the serving path: applyRecord decodes the request through the
 // live decode, stages it as exec does and hands the same task to the same
@@ -208,7 +208,7 @@ func (svc *Service) ReplayLog(sh *Shard, rd *fsproto.LogReader, b []byte) (n int
 }
 
 // RecordsFrom returns shard idx's encoded admission log from position from
-// on, as slices of its chunks taken on the worker (serialized with tenant
+// on, as slices of its chunks taken in a bracket (serialized with tenant
 // traffic; nothing is copied). It is the /fabric/pull surface replicas
 // replicate from, decoded by the LogReader that read [0, from).
 func (svc *Service) RecordsFrom(ctx context.Context, idx int, from uint64) ([][]byte, error) {

@@ -1,33 +1,33 @@
 package server
 
-// Concurrent read fast-path: read-only ops (file read, stat, KV get) leave
-// the shard worker's admission queue entirely and run on the calling
-// goroutine against a quiescent snapshot of the shard's machine.
+// Concurrent read fast-path: read-only ops (file read, stat, KV get) take
+// no turn on the machine at all: they run on the calling goroutine against
+// a quiescent snapshot of the shard's machine.
 //
 // The consistency scheme is the shard's RWMutex and nothing else: it is
-// the machine lock, held for writing across every mutation bracket — the
-// worker's (enterMut/exitMut) and an inline op's (Shard.submit) — and a
-// reader TryRLocks — which fails while a bracket holds the lock or waits
-// for it — and runs the whole op under that one
-// read lock: a kernel.SnapshotReader opened on the file (or store) with the
-// worker's own checks, then loads by offset — the read's range, or a
-// B+Tree walk (kvstore.Lookup). Anything else — the lock refused
-// fastReadRetries times, or a snapshot-unservable condition (unresolved
-// key, unfaulted page, locked datapath, non-DAX mode, an op the worker
-// would refuse) — makes the reader fall back to ordinary worker admission,
-// which re-runs the op with exact live semantics. The fast path is
-// success-only; it never invents an error.
+// the machine lock, held for writing across every mutation bracket and
+// handed from one bracket to the next without an unlock (Shard.handOff), and
+// a reader TryRLocks it — which fails while a bracket holds the lock or
+// waits for it — and runs the whole op under that one read lock: a
+// kernel.SnapshotReader opened on the file (or store) with the bracket's
+// own checks, then loads by offset — the read's range, or a B+Tree walk
+// (kvstore.Lookup). Anything else — the lock refused fastReadRetries times,
+// or a snapshot-unservable condition (unresolved key, unfaulted page, locked
+// datapath, non-DAX mode, an op a bracket would refuse) — makes the reader
+// fall back to ordinary admission, which re-runs the op in a bracket with
+// exact live semantics. The fast path is success-only; it never invents an
+// error.
 //
 // Side effects the live read path would have produced (stats, audit
 // records, Osiris ECC accounting) are deferred into pooled ReadDelta
-// buffers pushed onto a lock-free stack; the next mutation bracket merges
-// what it finds there into one delta and applies it to the controller,
-// under the machine lock, stamped with the shard's clock. On a logged
-// shard that delta — not the reads — is the log's record of them: one
-// RecReadDeltas record at that position, which a replayer applies the same
-// way, at the same clock (applyReads).
+// buffers pushed onto a lock-free stack; the next bracket to take a free
+// machine merges what it finds there into one delta and applies it to the
+// controller, under the machine lock, stamped with the shard's clock. On a
+// logged shard that delta — not the reads — is the log's record of them:
+// one RecReadDeltas record at that position, which a replayer applies the
+// same way, at the same clock (applyReads).
 //
-// Gating: -serial-reads servers always take the worker path.
+// Gating: -serial-reads servers always take admission.
 
 import (
 	"runtime"
@@ -39,16 +39,16 @@ import (
 
 const (
 	// fastReadRetries bounds read-lock attempts before a read falls back to
-	// worker admission.
+	// admission.
 	fastReadRetries = 2
 	// deltaDrainThreshold is the number of undrained read deltas at which a
-	// reader asks the worker for a drain (askDrain).
+	// reader drains them itself (askDrain).
 	deltaDrainThreshold = 256
 )
 
 // deltaNode is one deferred-side-effect buffer on the shard's lock-free
-// Treiber stack (pushed by readers, swapped out whole by the worker).
-// trace and kind carry the read's wire trace context and op, so the worker
+// Treiber stack (pushed by readers, swapped out whole by a bracket).
+// trace and kind carry the read's wire trace context and op, so the drain
 // can give every sampled fast read its one tail-sampling decision, under
 // the op's root-span name, at drain time — the invariant "every sampled
 // request gets exactly one kept/dropped verdict" survives the read leaving
@@ -60,26 +60,21 @@ type deltaNode struct {
 	next  *deltaNode
 }
 
-// enterMut opens the worker's mutation bracket: the machine lock (readers
-// in flight finish first, new ones are refused), then the deferred side
+// enterMut opens a bracket on a free machine: the machine lock (readers in
+// flight finish first, new ones are refused), then the deferred side
 // effects of reads that completed since the last bracket are folded in, so
-// audit records never reorder across the mutations that follow them.
+// audit records never reorder across the mutations that follow them. A
+// bracket handed the machine skips both: no reader got in since the last.
 func (sh *Shard) enterMut() {
 	sh.rmu.Lock()
 	sh.drainDeltas()
 }
-
-// exitMut closes the bracket.
-func (sh *Shard) exitMut() { sh.rmu.Unlock() }
 
 // drainDeltas merges every delta pushed since the last drain into one and
 // applies it. Runs under the machine lock, as a bracket opens. A drain that found
 // nothing to apply — reads the simulated caches served whole, none sampled
 // — leaves no trace, in the log neither.
 func (sh *Shard) drainDeltas() {
-	// Cleared before the swap: a push that lands after it finds the flag
-	// down and asks again (at worst one drain that finds little to do).
-	sh.drainAsked.Store(false)
 	head := sh.deltas.Swap(nil)
 	if head == nil {
 		return
@@ -101,7 +96,7 @@ func (sh *Shard) drainDeltas() {
 	sh.drainedTraces = sh.drainedTraces[:0]
 }
 
-// applyReads applies the side effects of reads served off the worker — a
+// applyReads applies the side effects of reads served under the read lock — a
 // drain's, or a RecReadDeltas record's on replay — stamped with the shard's
 // clock: snapshot reads advance none of their own, and at a log position a
 // replayer's clock is the source's. A logged shard records them there.
@@ -110,7 +105,7 @@ func (sh *Shard) applyReads(d *memctrl.ReadDelta, traces []fsproto.ReadTrace) {
 	sh.Sys.M.MC.ApplyReadDelta(now, d)
 	for _, t := range traces {
 		// A fast read records no component spans (readers cannot touch the
-		// worker's registry), so its trace is a single zero-length root — but
+		// shard's registry), so its trace is a single zero-length root — but
 		// it still gets exactly one sampler decision.
 		sh.scope.Begin(t.TraceID, t.Parent)
 		sh.scope.Enter()
@@ -137,23 +132,14 @@ func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext, kind f
 }
 
 // askDrain keeps a tenant that only reads from growing the delta stack
-// until somebody writes: with deltaDrainThreshold deltas pending and no
-// request outstanding, the reader posts a no-op as side work, which the
-// worker runs inside enterMut/exitMut like any side work. Called with
-// the read lock released, so the worker can start at once. The send never
-// blocks a reader — a full ingress holds tasks that each drain on entry —
-// and after one the reader yields: the send left the worker runnable behind
-// this goroutine, and a handler in a tight loop of fast reads could
-// otherwise run out its time slice, hundreds more pushes, before the drain
-// starts.
+// until somebody writes: with deltaDrainThreshold deltas pending, the reader
+// opens an empty bracket of its own if the machine lock is free and drains
+// there. Called with the read lock released. If a bracket holds the lock, or
+// another reader, the next bracket or reader drains instead.
 func (sh *Shard) askDrain() {
-	if sh.pendingDeltas.Load() < deltaDrainThreshold || !sh.drainAsked.CompareAndSwap(false, true) {
-		return
-	}
-	select {
-	case sh.ingress <- task{side: func() {}, resp: make(chan taskResult, 1)}:
-		runtime.Gosched()
-	default:
+	if sh.pendingDeltas.Load() >= deltaDrainThreshold && sh.rmu.TryLock() {
+		sh.drainDeltas()
+		sh.rmu.Unlock()
 	}
 }
 
@@ -180,9 +166,9 @@ func (sh *Shard) tryReadLocked(fn func()) bool {
 	return false
 }
 
-// tryFast serves op kind off the worker: name opened for sess, then load,
-// which fills the reply and returns its length. false, on any failure, means
-// fall back to worker admission, so the worker answers every error.
+// tryFast serves op kind under the read lock: name opened for sess, then
+// load, which fills the reply and returns its length. false, on any failure,
+// means fall back to admission, so a bracket answers every error.
 func (sh *Shard) tryFast(sess *Session, tc fsproto.TraceContext, kind fsproto.Kind, name, passphrase string, load func(*kernel.SnapshotReader) (int, error)) (n int, ok bool) {
 	sh.tryReadLocked(func() {
 		sr := sh.readPool.Get().(*kernel.SnapshotReader)

@@ -2,33 +2,35 @@ package server
 
 import "context"
 
-// Hold owns a shard's worker: while Shard.held names it, run pops no
-// admitted task, so closures passed to Run have the simulated machine with
-// nothing interleaving — the quiesce primitive of live migration. Taking,
-// using and releasing the shard are side work (DoSide), and the taking one
-// leaves the worker's mutation bracket open (run): snapshot readers stay out
-// and no admitted op runs inline for the whole hold, while read-only side
-// work (audit export, log pulls, the stat fallback) is still served. Requests
-// queue behind the hold; Resume serves them, Retire answers them (and
-// everything after) with the given error.
+// Hold keeps a shard's machine between brackets: while Shard.held names it,
+// the machine lock is not handed to any admitted op, and stays write-locked
+// when no bracket is open, so closures passed to Run have the simulated
+// machine with nothing interleaving — the quiesce primitive of live
+// migration. Taking, using and releasing the shard are side work (DoSide):
+// snapshot readers stay out and no admitted op runs for the whole hold,
+// while side work (audit export, log pulls, the stat fallback) still runs,
+// serialized with Run. Requests queue behind the hold; Resume serves them,
+// Retire answers them (and everything after) with the given error.
 type Hold struct{ sh *Shard }
 
 // Hold takes the shard if it is free and fails with ErrHeld if another Hold
-// owns it. ctx bounds the wait (under sustained load the worker picks the
-// side work up between servings).
+// owns it. ctx bounds the wait (side work goes ahead of every waiting op,
+// so the take waits for the bracket open now only).
 func (sh *Shard) Hold(ctx context.Context) (*Hold, error) {
 	h := &Hold{sh: sh}
 	refused := false
 	err := sh.DoSide(ctx, func() {
+		sh.mu.Lock()
 		if refused = sh.held != nil; !refused {
 			sh.held = h
 		}
+		sh.mu.Unlock()
 	})
 	if err != nil {
-		// The take may still be on the ingress and win the shard later; side
-		// work runs in the order it was sent, so a release posted now runs
-		// after it. An abandoned hold
-		// cannot wedge the shard, nor (release checks the owner) free another's.
+		// The take keeps its turn and may win the shard later; side work runs
+		// in the order it was sent, so a release posted now runs after it. An
+		// abandoned hold cannot wedge the shard, nor (release checks the
+		// owner) free another's.
 		go h.release(nil)
 		return nil, err
 	}
@@ -38,15 +40,15 @@ func (sh *Shard) Hold(ctx context.Context) (*Hold, error) {
 	return h, nil
 }
 
-// Run executes fn on the worker and waits for it. If the shard shut down
-// under the hold, fn does not run.
+// Run executes fn as side work and waits for it. If the shard closed under
+// the hold, fn does not run.
 func (h *Hold) Run(fn func()) { _ = h.sh.DoSide(context.Background(), fn) }
 
-// Resume releases the hold; the worker resumes normal serving (migration
+// Resume releases the hold; the ops waiting behind it run (migration
 // rollback).
 func (h *Hold) Resume() { h.release(nil) }
 
-// Retire releases the hold and marks the shard retired: every queued and
+// Retire releases the hold and marks the shard retired: every waiting and
 // future task is answered with err instead of executing (migration
 // cutover; err is the routing error pointing at the new owner).
 func (h *Hold) Retire(err error) { h.release(err) }
@@ -54,14 +56,17 @@ func (h *Hold) Retire(err error) { h.release(err) }
 // release frees the shard if h still owns it; a second release, or that of a
 // Hold that never won the shard, changes nothing.
 func (h *Hold) release(err error) {
-	_ = h.sh.DoSide(context.Background(), func() {
-		if h.sh.held != h {
-			return
+	sh := h.sh
+	_ = sh.DoSide(context.Background(), func() {
+		sh.mu.Lock()
+		mine := sh.held == h
+		if mine {
+			sh.held = nil
 		}
-		h.sh.held = nil
-		if err != nil {
-			h.sh.retired = err
-			h.sh.closed.Store(true) // the hold's bracket is still open
+		sh.mu.Unlock()
+		if mine && err != nil {
+			sh.retired = err
+			sh.closed.Store(true) // the hold's write lock is still in place
 		}
 	})
 }

@@ -26,7 +26,7 @@ func within(t *testing.T, what string, fn func()) {
 	}
 }
 
-// owner reads Shard.held on the worker.
+// owner reads Shard.held in a bracket.
 func owner(t *testing.T, sh *Shard) (h *Hold) {
 	t.Helper()
 	if err := sh.DoSide(context.Background(), func() { h = sh.held }); err != nil {
@@ -46,7 +46,7 @@ func readLockFree(sh *Shard) bool {
 	return true
 }
 
-// TestHoldProtocol covers Hold as a state of the worker loop: who owns the
+// TestHoldProtocol covers Hold as a state of the machine lock: who owns the
 // shard, what runs under a hold, and how every way out of one leaves the
 // shard.
 func TestHoldProtocol(t *testing.T) {
@@ -261,14 +261,13 @@ func TestRetiredShardServesNoReads(t *testing.T) {
 	}
 }
 
-// TestSideWorkOnIngress pins side work as a task kind of the one ingress.
-// With the machine parked inside an op, one tenant at its slot limit and k
-// of its tasks admitted behind that op (the worker holding one while it
-// waits for the machine), a DoSide is not refused as busy, counts in no
-// queue depth and runs before any of the k. A Hold taken and abandoned
+// TestSideWorkFirst pins side work as the first claim on the machine. With
+// the machine parked inside an op, one tenant at its slot limit and k of its
+// tasks admitted behind that op, a DoSide is not refused as busy, counts in
+// no queue depth and runs before any of the k. A Hold taken and abandoned
 // there, then released, leaves the shard free: side work runs in the order
 // it was sent.
-func TestSideWorkOnIngress(t *testing.T) {
+func TestSideWorkFirst(t *testing.T) {
 	const k = 3
 	bg := context.Background()
 	sh := testShard(t, k)
@@ -289,7 +288,7 @@ func TestSideWorkOnIngress(t *testing.T) {
 				}
 			}()
 		}
-		waitQueued(t, sh, k, k-1)
+		waitQueued(t, sh, k, 0)
 		if d := sh.depth.Load(); d != k+1 {
 			t.Fatalf("depth %d, want %d admitted", d, k+1)
 		}
@@ -309,13 +308,13 @@ func TestSideWorkOnIngress(t *testing.T) {
 		defer cancel()
 		side <- sh.DoSide(ctx, func() { depthInSide = sh.depth.Load(); note("side") })
 	}()
-	for deadline := time.Now().Add(2 * time.Second); len(sh.ingress) != k; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(2 * time.Second); sideWaiting(sh) != 1; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatal("side work never reached the ingress")
+			t.Fatal("side work never waited for the machine")
 		}
 	}
 	if d := sh.depth.Load(); d != k+1 {
-		t.Fatalf("side work on the ingress: depth %d, want %d", d, k+1)
+		t.Fatalf("side work waiting: depth %d, want %d", d, k+1)
 	}
 	release()
 	if err := <-side; err != nil {
@@ -342,4 +341,27 @@ func TestSideWorkOnIngress(t *testing.T) {
 		t.Fatalf("Hold after an abandoned one and its release: %v", err)
 	}
 	h.Resume()
+}
+
+// TestHoldKeepsArrivalClock: an op that arrives while a hold keeps the
+// machine idle waits from the clock it arrived at, so the side work the hold
+// runs before releasing (here 1000 cycles of it) counts in its queue wait.
+func TestHoldKeepsArrivalClock(t *testing.T) {
+	bg := context.Background()
+	sh := testShard(t, 0)
+	h, err := sh.Hold(bg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { _, err := sh.Do(bg, 5, noop); done <- err }()
+	waitQueued(t, sh, 1, 0)
+	h.Run(func() { sh.Sys.M.Core(0).Now = sh.Sys.M.MaxCoreTime() + 1000 })
+	h.Resume()
+	if err := <-done; err != nil {
+		t.Fatal(err)
+	}
+	if w := sh.Reg.Snapshot().Histograms["server.tenant.g5.queue_wait_cycles"]; w == nil || w.Count != 1 || w.Sum != 1000 {
+		t.Fatalf("queue wait %+v, want one wait of 1000 cycles", w)
+	}
 }

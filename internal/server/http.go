@@ -108,7 +108,7 @@ func decode(req *fsproto.Request, v any) error {
 		// The payload aliases the request body, not a copy of it. That is
 		// safe because no body is reused while a task may read it: net/http
 		// reads one per request, and the request loop reuses its buffer
-		// unless exec marks the body Kept — a queued write outlives its
+		// unless exec marks the body Kept — a waiting write outlives its
 		// request when RequestTimeout fires.
 		switch r := v.(type) {
 		case *fsproto.WriteRequest:
@@ -131,7 +131,7 @@ type route struct {
 
 // routes builds the /v1 route table: a row per table op, plus the two
 // endpoints outside the table — logout takes no fairness slot (its record is
-// the worker's own, Service.Logout), stat is read-only and replay-neutral
+// side work's, Service.Logout), stat is read-only and replay-neutral
 // (Service.Stat).
 func (svc *Service) routes() map[string]route {
 	rt := make(map[string]route, len(ops)+2)

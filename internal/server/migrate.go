@@ -3,9 +3,9 @@ package server
 // Live shard migration: the source's freeze and the promotion of the
 // replica that rebuilt the shard on the target (internal/cluster drives
 // both). The target replays the source's admission log like any replica,
-// and the source freezes once it has caught up: the shard is held through
-// its own worker (Hold), a flush and a checkpoint land in the log, and the
-// freeze reports where it stopped — the log's length and the digest of the
+// and the source freezes once it has caught up: the shard is held (Hold), a
+// flush and a checkpoint land in the log, and the
+// freeze reports where it froze — the log's length and the digest of the
 // controller's module image. Promotion gates on three proofs: the replica
 // replayed exactly that many records (the last one the checkpoint, which
 // verified the Merkle root), its own image digests equal to the source's
@@ -50,7 +50,7 @@ type Migration struct {
 // FreezeShard quiesces shard idx for migration: the shard is held (ErrHeld
 // if it already is), dirty cache lines flush, the OTT seals, and a checkpoint
 // lands in the admission log — so the frozen state is exactly the state a
-// replayer reproduces — and, in the same step on the worker, the frozen log
+// replayer reproduces — and, in the same bracket, the frozen log
 // length and image digest are taken. Requests arriving during the freeze
 // queue behind the hold.
 func (svc *Service) FreezeShard(ctx context.Context, idx int) (*Migration, error) {
@@ -81,12 +81,12 @@ func (svc *Service) FreezeShard(ctx context.Context, idx int) (*Migration, error
 	return m, nil
 }
 
-// Resume aborts the migration: the hold releases and the worker resumes
-// serving queued and future requests as if nothing happened.
+// Resume aborts the migration: the hold releases and the shard serves
+// waiting and future requests as if nothing happened.
 func (m *Migration) Resume() { m.h.Resume() }
 
 // Commit finishes the migration at the new routing epoch: the source
-// shard retires (queued and future tasks answer with the routing error,
+// shard retires (waiting and future tasks answer with the routing error,
 // so clients re-route and retry — none of them ever executed here, so the
 // retry cannot duplicate work), and the shard leaves the owned set, so the
 // tokens homed on it answer with the routing error.
@@ -96,7 +96,7 @@ func (m *Migration) Commit(epoch uint64) {
 }
 
 // DropShard discards an adopted shard (migration rollback on the target: the
-// source resumes serving). The shard's worker drains and exits. No-op if idx
+// source resumes serving). The shard drains and closes. No-op if idx
 // is not owned.
 func (svc *Service) DropShard(idx int) {
 	svc.mu.Lock()
@@ -110,15 +110,15 @@ func (svc *Service) DropShard(idx int) {
 // NewReplicaShard boots a detached, log-enabled shard for replaying another
 // node's admission log of global shard idx, with idx's chip sequence — what
 // replay needs to reproduce the source's ciphertext. It is not adopted (it serves nothing)
-// and has no running worker: exactly one goroutine — the replica pull loop —
+// and its machine is taken until Start: exactly one goroutine — the replica pull loop —
 // may touch it, through ReplayLog, until PromoteShard.
 func (svc *Service) NewReplicaShard(idx int) *Shard {
 	return NewShardWith(idx, svc.opts.config(), svc.opts.MCMode, svc.opts.Access, svc.opts.PerTenantQueue, svc.reg,
 		ShardOptions{ChipSeq: chipSeqFor(svc.opts, idx), Log: true, CheckpointEvery: svc.opts.CheckpointEvery, Detached: true})
 }
 
-// PromoteShard adopts a replica shard as the serving owner and starts its
-// worker. at is nil in a failover: the owner died, and the replica serves
+// PromoteShard adopts a replica shard as the serving owner and starts it.
+// at is nil in a failover: the owner died, and the replica serves
 // what it replicated. A migration passes where its source froze, and the
 // replica must prove it rebuilt exactly that state — at.Len records
 // replayed, an image digesting to at.Digest, the Osiris recovery gate

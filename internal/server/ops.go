@@ -32,7 +32,7 @@ const maxReadBytes = maxBodyBytes
 // pagePool recycles page-sized payload buffers. The read and KV-get
 // response buffers were the service's last per-request heap allocations;
 // pooling them makes the steady-state read path allocation-free on the
-// worker side.
+// shard side.
 var pagePool = sync.Pool{New: func() any { return new([maxKVValue]byte) }}
 
 // Payload is a response byte range, backed by a pooled page buffer when
@@ -61,7 +61,7 @@ func (p Payload) Release() {
 
 // sessState is a token's state on one shard — simulated process, file
 // mappings, open KV handles — and sess, the session that created it. It is the
-// shard's (Shard.sess), touched only by the worker: an op that runs creates it
+// shard's (Shard.sess), touched only in brackets: an op that runs creates it
 // (a failed login none, and on the token's home shard only its login), a
 // logout drops it, and replay does both at the same records, so every Session
 // object of the token finds the same state. The home shard's table is the
@@ -175,7 +175,7 @@ func deniedKind(err error) bool {
 }
 
 // noteDenial records a cross-tenant denial in the target shard's journal
-// (worker goroutine, so the event lands in admission order)
+// (inside the op's bracket, so the event lands in admission order)
 // and on the host-side counter.
 func (svc *Service) noteDenial(sess *Session, tgt target, err error) {
 	if !tgt.cross || !deniedKind(err) {
@@ -227,7 +227,7 @@ type op struct {
 	route  string       // /v1 route
 	newReq func() any   // a zero *Request of the op's fsproto request type
 	plan   func(req any) (plan, error)
-	// work is the worker-side body; dst is the reply buffer plan sized.
+	// work is the body run in the bracket; dst is the reply buffer plan sized.
 	work func(svc *Service, tgt target, sess *Session, req any, dst []byte) (any, error)
 }
 
@@ -289,7 +289,7 @@ func (svc *Service) stage(o *op, via *Shard, sess *Session, req any) (tgt target
 }
 
 // task builds the unit of work the shard serves for a staged op; exec
-// submits it to the worker, replay hands it to serve directly. body/framed
+// submits it to the shard, replay hands it to serve directly. body/framed
 // are the request as a logged shard records it. On the token's home shard
 // only its login creates state: any other op of a token without state there
 // (logged out, or admitted before a logout and served after it) is refused.
@@ -317,7 +317,7 @@ func (o *op) task(svc *Service, tgt target, sess *Session, req any, tc fsproto.T
 // exec is the live path of every logged op: stage it, try the snapshot
 // fast path (reads only), and submit the task under the service's request
 // timeout, with the trace context the HTTP layer put into ctx and — on
-// logging shards only — the request body the worker logs after execution:
+// logging shards only — the request body the shard logs after execution:
 // wire's, or nil for an in-process call. The Payload is the filled reply
 // buffer of ops that have one, the any the body's value.
 func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wire *fsproto.Request) (Payload, any, error) {
@@ -361,10 +361,10 @@ func (svc *Service) exec(ctx context.Context, o *op, sess *Session, req any, wir
 	t := o.task(svc, tgt, sess, req, tc, pl.Data, body, framed)
 	v, err := tgt.sh.submit(ctx, time.Now().Add(svc.opts.RequestTimeout), t)
 	if err != nil {
-		// On a caller timeout the task may still be queued, holding pl and
+		// On a caller timeout the task may still be waiting, holding pl and
 		// the request body, which its payload may alias: pl is not released
 		// and the body is marked kept, so that neither is written while a
-		// worker could yet read or fill it. The GC reclaims both instead.
+		// bracket could yet read or fill it. The GC reclaims both instead.
 		if wire != nil && (errors.Is(err, context.DeadlineExceeded) || errors.Is(err, context.Canceled)) {
 			wire.Kept = true
 		}
@@ -619,7 +619,7 @@ func (svc *Service) KVDelete(ctx context.Context, sess *Session, req fsproto.KVD
 	return v.(fsproto.KVDeleteResponse).Existed, nil
 }
 
-// readInto is the worker-side read datapath: open (permission + per-file
+// readInto is the bracket's read datapath: open (permission + per-file
 // key check), bounds-check, and copy [off, off+len(dst)) of the named
 // file into dst. The caller provides the destination, so a steady-state
 // read allocates nothing — and a page-aligned, page-sized read rides the
@@ -645,7 +645,7 @@ func (sh *Shard) readInto(sess *Session, name, passphrase string, off uint64, ds
 // makes, then the inode's wire form. It deliberately touches no simulated
 // state — no clock, no journal, no keyring — so stat stays replay-neutral
 // on logged shards, and it answers the same, errors included, under the read
-// lock off the worker as on it.
+// lock as in a bracket.
 func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, error) {
 	f, err := sh.Sys.Access(sess.uid, sess.gid, name, fs.ReadAccess)
 	if err != nil {
@@ -661,8 +661,8 @@ func workStat(sh *Shard, sess *Session, name string) (fsproto.StatResponse, erro
 }
 
 // Stat returns file metadata. Read-only end to end, and deliberately not in
-// the op table: the fast path runs workStat under the read lock off the
-// worker; the fallback runs it as side work on the worker (DoSide), so stat
+// the op table: the fast path runs workStat under the read lock; the
+// fallback runs it as side work (DoSide), so stat
 // takes no fairness slot, advances no simulated clock, and is never logged.
 func (svc *Service) Stat(ctx context.Context, sess *Session, req fsproto.StatRequest) (fsproto.StatResponse, error) {
 	if req.Name == "" {

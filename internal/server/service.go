@@ -42,7 +42,7 @@ type Options struct {
 	// Cfg overrides the Table III machine configuration when non-nil.
 	Cfg *config.Config
 	// SerialReads disables the concurrent read fast-path (file reads, stats
-	// and KV gets), forcing every read-only op through worker admission — the
+	// and KV gets), forcing every read-only op through admission — the
 	// serialized baseline the read-scaling experiments A/B against. A logged
 	// shard reads fast too: a read changes no state a replayer must rebuild
 	// but its side effects, which the drain logs (applyReads).
@@ -321,7 +321,7 @@ func (svc *Service) unregister(idx int) *Shard {
 }
 
 // RemoveShard unregisters a shard after migration cutover and parks it on the
-// retired list so Close still drains its worker. Returns nil if the shard is
+// retired list so Close still drains it. Returns nil if the shard is
 // not owned here.
 func (svc *Service) RemoveShard(idx int) *Shard {
 	svc.mu.Lock()
@@ -458,14 +458,14 @@ func (svc *Service) MetricsSnapshot() *telemetry.Snapshot {
 }
 
 // AuditRecords reads back every shard's retained audit window, in shard
-// order, annotating each record with its shard index. Each read runs on
-// the owning worker (DoSide), so exports serialize with tenant traffic.
+// order, annotating each record with its shard index. Each read is side
+// work (DoSide), so exports serialize with tenant traffic.
 func (svc *Service) AuditRecords() []audit.Record {
 	ctx, cancel := context.WithTimeout(context.Background(), svc.opts.RequestTimeout)
 	defer cancel()
 	var out []audit.Record
 	for _, sh := range svc.Shards() {
-		// A stopped shard has no worker to read its window: skipped.
+		// A closed shard's window is not read: skipped.
 		_ = sh.DoSide(ctx, func() {
 			recs := sh.Aud.Records()
 			for i := range recs {

@@ -8,14 +8,14 @@
 // deterministic as it is in-process while independent tenants run in
 // parallel on different shards (tenant -> shard by GroupID hash).
 //
-// An admitted op that finds its shard idle runs in a bracket of its own on
-// the caller's goroutine. What has to queue, one worker loop (Shard.run)
-// serves from one admission queue: per-tenant FIFO queues drained
+// Every op runs on its caller's goroutine, in a bracket of its own. A caller
+// that finds the machine free takes it; one that finds it taken waits for a
+// hand-off. The caller closing a bracket passes the machine, still locked,
+// straight to the next waiter: side work (DoSide) first, in the order it was
+// sent, then the admitted ops in fair order — per-tenant FIFO queues served
 // round-robin, so one tenant flooding the shard cannot starve its
 // neighbours, with bounded per-tenant depth for backpressure (ErrBusy once
-// the queue is full and the caller's context expires). Everything reaches
-// the worker through one ingress channel, side work (DoSide) as a task the
-// worker runs as soon as it absorbs it.
+// the tenant's slots stay full for the caller's whole context window).
 //
 // A logged shard's simulated state — clocks, caches, telemetry, the
 // security journal — is a pure function of its admission log, which records
@@ -28,7 +28,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -47,7 +46,7 @@ var (
 	// ErrBusy reports per-tenant backpressure: the tenant's queue stayed
 	// full for the caller's whole context window.
 	ErrBusy = errors.New("server: tenant queue full")
-	// ErrDraining reports a shard that has stopped admitting (graceful
+	// ErrDraining reports a shard that no longer admits (graceful
 	// shutdown in progress).
 	ErrDraining = errors.New("server: shard draining")
 	// ErrHeld reports a Hold refused because the shard is already held.
@@ -75,13 +74,8 @@ func (e *BusyError) Unwrap() error { return ErrBusy }
 // admitted-but-unserved on a shard before backpressure kicks in.
 const DefaultPerTenantQueue = 64
 
-type taskResult struct {
-	v   any
-	err error
-}
-
 // task is one unit of admitted work: a closure executed in a mutation
-// bracket, on the caller's goroutine or on the shard's worker.
+// bracket on its caller's goroutine.
 type task struct {
 	tenant uint32
 	// kind is the op, which names the request's root span ("write",
@@ -92,41 +86,39 @@ type task struct {
 	framed bool
 	ts     *tenantState // resolved by submit (by serve for a replayed task)
 	fn     func() (any, error)
-	resp   chan taskResult // buffered(1): the worker never blocks on it; nil inline
+	// turn, on a task that waits for the machine, receives its enq when the
+	// machine is handed to it.
+	turn chan uint64
 	// trace is the request's wire trace context (zero: untraced).
 	trace fsproto.TraceContext
-	// enq is the shard clock when the worker absorbed the task: the start of
-	// its queue wait (inline, the clock at its start; replay sets it from
-	// the logged wait).
+	// enq is the shard clock the task arrived at, the start of its queue
+	// wait, set by stamp (a task that finds the machine free, the clock at its
+	// start; replay sets it from the logged wait).
 	enq  uint64
 	sess *Session
 	body []byte
-	// side, when set, makes the task side work (DoSide): run at absorption,
-	// answered with an empty result once the worker's bracket closes, and
-	// outside admission (no tenant slot, no depth, no log record).
-	side func()
 }
 
 // tenantState is everything a shard keeps per tenant, one record created on
 // first sight (Shard.tenant) and kept for the shard's life. slots bounds the
 // tenant's admitted-but-unserved tasks: submit sends before admission,
-// taskDone receives. The rest is touched inside mutation brackets only.
+// taskDone receives. The rest is touched inside mutation brackets only (the
+// FIFO and the ring under sh.mu as well).
 type tenantState struct {
 	slots chan struct{}
-	q     []task // q[head:]: absorbed tasks in arrival order
+	q     []task // q[head:]: waiting tasks in arrival order
 	head  int
 	next  *tenantState // fairQueue's ring of tenants with pending work
 	// Resolved at first service: an unserved tenant leaves no metric behind.
 	hQWait, hSvc *telemetry.Histogram
 }
 
-// Shard is one simulated machine plus its machine lock and worker.
+// Shard is one simulated machine plus its machine lock.
 type Shard struct {
 	id int
 
 	// Sys is the shard's booted system. Only a mutation bracket may call
-	// into it, one bracket at a time (the worker's, or an inline op's);
-	// everyone else goes through Do.
+	// into it, one bracket at a time; everyone else goes through Do.
 	Sys *kernel.System
 	// Reg is the shard's deterministic telemetry registry: every value in
 	// it derives from simulated cycles or the admission log, so a replay of
@@ -138,41 +130,44 @@ type Shard struct {
 	Jrn *journal.Journal
 	// Aud is the shard's tamper-evident access-audit log, appended to by
 	// the shard's memory controller as tenant page traffic flows. Its
-	// device window may only be read on the worker; use DoSide.
+	// device window may only be read in a bracket; use DoSide.
 	Aud *audit.Log
-
-	// ingress carries admitted tasks and side work (observability reads,
-	// which never take a fairness turn, and the steps of a Hold) to the worker.
-	ingress chan task
 
 	mu        sync.Mutex
 	draining  atomic.Bool // set under mu; read without it once a call holds its slot
 	tenants   map[uint32]*tenantState
 	perTenant int
+	// The machine lock's hand-off, under mu. owned: a bracket is open, or
+	// the machine is on its way to the next one. arrivals: tasks that found
+	// it owned since a bracket last closed, their wait not yet stamped; q:
+	// the stamped ones, in fair order; side: side work waiting, served first.
+	// held: the Hold keeping the shard (hold.go), written in brackets. down:
+	// Close has taken the machine for good.
+	owned    bool
+	arrivals []task
+	q        fairQueue
+	side     []chan uint64
+	held     *Hold
+	down     bool
 
 	inflight sync.WaitGroup
 	depth    atomic.Int64
-	// queued counts admitted tasks sent to the ingress and not yet served
-	// (lowered inside the bracket that served one).
-	queued  atomic.Int64
-	gDepth  *telemetry.Gauge
-	cServed *telemetry.Counter
+	gDepth   *telemetry.Gauge
+	cServed  *telemetry.Counter
 
 	// Concurrent read fast-path plane (fastread.go). rmu is the machine
-	// lock: every mutation bracket holds it for writing, the worker's and an
-	// inline op's alike, and a snapshot reader TryRLocks it; deltas is the
-	// lock-free stack of deferred read side effects the next bracket folds
-	// into the controller — pendingDeltas counts them and
-	// drainAsked is up while a reader's request for a drain is outstanding
-	// (askDrain) — and the pools recycle per-goroutine reader contexts and
-	// delta buffers. drained and drainedTraces are the worker's merge of one
-	// drain. closed, set under the machine lock once the shard has retired or
-	// stopped, turns readers away: their deltas would reach no worker, nor
-	// the log of the shard's new owner.
+	// lock: every mutation bracket holds it for writing, handed from one
+	// bracket to the next without an unlock, and a snapshot reader TryRLocks
+	// it; deltas is the lock-free stack of deferred read side effects the
+	// next bracket folds into the controller — pendingDeltas counts them —
+	// and the pools recycle per-goroutine reader contexts and delta buffers.
+	// drained and drainedTraces are a bracket's merge of one drain. closed,
+	// set under the machine lock once the shard has retired or closed, turns
+	// readers away: their deltas would reach no bracket, nor the log of the
+	// shard's new owner.
 	rmu           sync.RWMutex
 	deltas        atomic.Pointer[deltaNode]
 	pendingDeltas atomic.Int64
-	drainAsked    atomic.Bool
 	closed        atomic.Bool
 	readPool      sync.Pool
 	deltaPool     sync.Pool
@@ -184,10 +179,7 @@ type Shard struct {
 	scope   *telemetry.TraceScope
 	sampler *telemetry.TailSampler
 
-	stop    chan struct{}
-	stopped chan struct{}
 	started atomic.Bool
-	held    *Hold // the owner while the shard is held (hold.go); worker-only
 
 	// Cluster plane. chipSeq is the controller key-derivation sequence the
 	// shard booted with (0: per-process auto). logOn enables the admission
@@ -222,14 +214,13 @@ type ShardOptions struct {
 	// CheckpointEvery folds a Merkle-root checkpoint into the log every N
 	// operation records (0: checkpoints only at migration freeze).
 	CheckpointEvery int
-	// Detached boots the shard without starting its worker: the caller
-	// replays an admission log into it first, then calls Start (no op runs
-	// inline before).
+	// Detached boots the shard with its machine taken: the caller replays an
+	// admission log into it first, then calls Start (no op runs before).
 	Detached bool
 }
 
-// NewShardWith boots a system for shard id and starts its worker (unless
-// so.Detached). perTenant bounds the per-tenant queues (<= 0 uses
+// NewShardWith boots a system for shard id, started unless so.Detached.
+// perTenant bounds the per-tenant queues (<= 0 uses
 // DefaultPerTenantQueue). serverReg is the host-side (non-deterministic)
 // registry receiving the shard's queue-depth gauge; nil is allowed.
 func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.AccessMode, perTenant int, serverReg *telemetry.Registry, so ShardOptions) *Shard {
@@ -252,16 +243,14 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 		Reg:       reg,
 		Jrn:       jrn,
 		Aud:       aud,
-		ingress:   make(chan task, 4*perTenant),
 		tenants:   make(map[uint32]*tenantState),
 		perTenant: perTenant,
+		owned:     so.Detached,
 		gDepth:    serverReg.Gauge(fmt.Sprintf("server.shard%d.queue_depth", id)),
 		cServed:   serverReg.Counter(fmt.Sprintf("server.shard%d.served_total", id)),
 		scope:     scope,
 		sampler: telemetry.NewTailSampler(traceKeepEvery,
 			reg.Counter("trace.kept_total"), reg.Counter("trace.dropped_total")),
-		stop:      make(chan struct{}),
-		stopped:   make(chan struct{}),
 		chipSeq:   so.ChipSeq,
 		logOn:     so.Log,
 		ckptEvery: so.CheckpointEvery,
@@ -269,16 +258,16 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 	}
 	sh.readPool.New = func() any { return sh.Sys.NewSnapshotReader() }
 	sh.deltaPool.New = func() any { return new(memctrl.ReadDelta) }
-	if !so.Detached {
-		sh.Start()
-	}
+	sh.started.Store(!so.Detached)
 	return sh
 }
 
-// Start launches the worker of a detached shard. Idempotent.
+// Start hands a detached shard's machine, taken since boot, to what waits
+// for it. Idempotent.
 func (sh *Shard) Start() {
 	if sh.started.CompareAndSwap(false, true) {
-		go sh.run()
+		sh.enterMut()
+		sh.handOff()
 	}
 }
 
@@ -300,9 +289,8 @@ func (sh *Shard) tenant(id uint32) *tenantState {
 	return ts
 }
 
-// Do submits fn for execution on the shard's machine and waits for its
-// result: on the caller's goroutine if the shard is idle, else on the
-// worker. tenant selects the fairness queue. If ctx expires while queued
+// Do runs fn on the shard's machine, on the caller's goroutine, and returns
+// its result. tenant selects the fairness queue. If ctx expires while waiting
 // behind backpressure, Do returns ErrBusy; after admission the task always
 // runs to completion (a simulated syscall cannot be cancelled midway), but
 // Do stops waiting when ctx expires.
@@ -319,13 +307,13 @@ func (sh *Shard) Do(ctx context.Context, tenant uint32, fn func() (any, error)) 
 // a derived context per request: one pooled timer, armed only once a step
 // actually has to wait. ctx stays the caller's own (a disconnected client).
 // Only an admitted task's wait ends in a context error (ctx.Err() or
-// DeadlineExceeded): the task still runs, and holds what it was given.
+// DeadlineExceeded): the task still runs at its turn (await), and holds
+// what it was given.
 //
-// An admitted task runs inline, in a bracket of its own on this goroutine
-// with no queue wait, if the worker is started (a detached shard runs
-// nothing before Start), the machine lock is free (a held shard keeps the
-// worker's bracket open) and nothing sent to the worker is unserved — read
-// again under the lock, so a caller never runs ahead of a queued task.
+// An admitted task takes the machine at once, with no queue wait, if it is
+// free: not owned (a detached shard's is, until Start) and not held. Else it
+// joins the arrivals and runs when the machine is handed to it, so a caller
+// never runs ahead of a waiting task.
 func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, error) {
 	dl := deadlineTimer{at: deadline}
 	defer dl.stop()
@@ -351,33 +339,104 @@ func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, e
 	}
 	sh.gDepth.Set(uint64(sh.depth.Add(1)))
 
-	if sh.started.Load() && sh.queued.Load() == 0 && sh.rmu.TryLock() {
-		if sh.queued.Load() == 0 {
-			sh.drainDeltas() // as enterMut does
-			t.enq = uint64(sh.Sys.M.MaxCoreTime())
-			v, err := sh.exec(t)
-			sh.exitMut()
-			return v, err
-		}
-		sh.rmu.Unlock()
+	sh.mu.Lock()
+	if !sh.owned && sh.held == nil {
+		sh.owned = true
+		sh.mu.Unlock()
+		sh.enterMut()
+		t.enq = uint64(sh.Sys.M.MaxCoreTime())
+		v, err := sh.exec(t)
+		sh.handOff()
+		return v, err
 	}
-	sh.queued.Add(1)
-	t.resp = make(chan taskResult, 1)
-	if !sendBy(ctx, &dl, sh.ingress, t) {
-		sh.queued.Add(-1)
-		sh.taskDone(t)
-		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
+	return sh.queue(ctx, &dl, t)
+}
+
+// queue adds t to the arrivals, under sh.mu, which it releases, and runs t
+// at its turn.
+func (sh *Shard) queue(ctx context.Context, dl *deadlineTimer, t task) (any, error) {
+	t.turn = make(chan uint64, 1)
+	sh.arrivals = append(sh.arrivals, t)
+	sh.mu.Unlock()
+	var v any
+	var err error // written by a late turn's goroutine once queue returned: not results
+	if werr := await(ctx, dl, t.turn, func(enq uint64) {
+		t.enq = enq
+		v, err = sh.exec(t)
+		sh.handOff()
+	}); werr != nil {
+		return nil, werr
 	}
-	// Admitted: the task runs at its turn whatever happens here, and the
-	// worker releases its resources. A caller that gives up just stops
-	// waiting.
+	return v, err
+}
+
+// await waits for the machine to be handed over on turn, then calls run,
+// which closes the bracket. When ctx is done or dl expires first, await
+// returns that error at once and leaves a goroutine to take the turn, so
+// what waited always runs, and in its order. A turn closed unsent (the
+// shard closed) runs nothing: ErrDraining.
+func await(ctx context.Context, dl *deadlineTimer, turn chan uint64, run func(enq uint64)) error {
+	var err error
 	select {
-	case r := <-t.resp:
-		return r.v, r.err
+	case enq, ok := <-turn:
+		if !ok {
+			return ErrDraining
+		}
+		run(enq)
+		return nil
 	case <-ctx.Done():
-		return nil, ctx.Err()
+		err = ctx.Err()
 	case <-dl.expired():
-		return nil, context.DeadlineExceeded
+		err = context.DeadlineExceeded
+	}
+	go func() {
+		if enq, ok := <-turn; ok {
+			run(enq)
+		}
+	}()
+	return err
+}
+
+// stamp moves the arrivals to the fair queue, stamped with the clock as the
+// start of their queue wait: the clock they arrived at, since only a bracket
+// moves it. Called in a bracket, under sh.mu.
+func (sh *Shard) stamp() {
+	if len(sh.arrivals) == 0 {
+		return
+	}
+	now := uint64(sh.Sys.M.MaxCoreTime())
+	for i, t := range sh.arrivals {
+		sh.q.push(t, now)
+		sh.arrivals[i] = task{} // its closure holds the request body
+	}
+	sh.arrivals = sh.arrivals[:0]
+}
+
+// handOff closes the caller's bracket: it stamps the arrivals, then hands
+// the machine, still write-locked, to the next waiter: side work first, an
+// op only while no Hold keeps the shard. With no one to take it the machine
+// is free again, unlocked unless a hold keeps it.
+func (sh *Shard) handOff() {
+	sh.mu.Lock()
+	sh.stamp()
+	var turn chan uint64
+	var enq uint64
+	if len(sh.side) > 0 {
+		turn, sh.side = sh.side[0], sh.side[1:]
+	} else if sh.held == nil {
+		if t, ok := sh.q.pop(); ok {
+			turn, enq = t.turn, t.enq
+		}
+	}
+	if turn == nil {
+		sh.owned = false
+		if sh.held == nil {
+			sh.rmu.Unlock()
+		}
+	}
+	sh.mu.Unlock()
+	if turn != nil {
+		turn <- enq
 	}
 }
 
@@ -400,14 +459,14 @@ func sendBy[T any](ctx context.Context, dl *deadlineTimer, ch chan<- T, v T) boo
 
 // deadlineTimer is submit's deadline as a channel: the timer behind it
 // comes from a pool and is armed by the first select that has to wait, so a
-// request whose admission never blocks touches no runtime timer before its
-// wait for the worker.
+// request whose admission never blocks touches no runtime timer before it
+// waits for the machine.
 type deadlineTimer struct {
 	at time.Time // zero: no deadline, expired() never fires
 	tm *time.Timer
 }
 
-// timerPool holds stopped timers with drained channels (go.mod is go 1.22:
+// timerPool holds idle timers with drained channels (go.mod is go 1.22:
 // Reset on anything else may leave a stale tick behind).
 var timerPool sync.Pool
 
@@ -439,31 +498,46 @@ func (d *deadlineTimer) stop() {
 	timerPool.Put(d.tm)
 }
 
-// DoSide runs fn on the shard's worker goroutine between admitted tasks
-// and waits for it. It serializes observability reads (the audit log's
-// device window, recovery checks) with simulated work without taking a
-// fairness turn: the worker runs it inside its bracket as soon as it absorbs
-// it from the ingress, ahead of every admitted task still queued, held shard
-// or not, and answers it once that bracket has closed (under a hold, which
-// keeps it open, at once). Side work runs in the order it was sent. ctx
-// bounds the wait.
+// DoSide runs fn in a bracket of its own, on the caller's goroutine, and
+// waits for it. It serializes observability reads (the audit log's device
+// window, recovery checks) with simulated work without taking a fairness
+// turn: it runs at once if the machine is free or a Hold keeps it idle, and
+// else as soon as the bracket open now closes, ahead of every admitted task
+// still waiting. Side work runs in the order it was sent. ctx bounds the
+// wait; side work that stops waiting still runs at its turn.
 func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
-	t := task{side: fn, resp: make(chan taskResult, 1)}
-	select {
-	case sh.ingress <- t:
-	case <-sh.stopped:
+	return sh.sideTurn(ctx, func() {
+		fn()
+		sh.handOff()
+	})
+}
+
+// sideTurn takes the machine for run, as side work: at once if no bracket
+// owns it (under a hold, whose write lock it keeps), else at its turn among
+// the side work waiting. run closes the bracket, or keeps the machine.
+func (sh *Shard) sideTurn(ctx context.Context, run func()) error {
+	sh.mu.Lock()
+	if sh.down {
+		sh.mu.Unlock()
 		return ErrDraining
-	case <-ctx.Done():
-		return ctx.Err()
 	}
-	select {
-	case <-t.resp:
+	if !sh.owned {
+		sh.owned = true
+		held := sh.held != nil
+		if held {
+			sh.stamp() // what arrived while the hold kept the machine idle
+		}
+		sh.mu.Unlock()
+		if !held {
+			sh.enterMut()
+		}
+		run()
 		return nil
-	case <-sh.stopped:
-		return ErrDraining
-	case <-ctx.Done():
-		return ctx.Err()
 	}
+	turn := make(chan uint64, 1)
+	sh.side = append(sh.side, turn)
+	sh.mu.Unlock()
+	return await(ctx, &deadlineTimer{}, turn, func(uint64) { run() })
 }
 
 // taskDone returns the resources of an admitted task.
@@ -477,8 +551,8 @@ func (sh *Shard) taskDone(t task) {
 	sh.inflight.Done()
 }
 
-// exec runs an admitted task inside the current mutation bracket, the
-// worker's or its caller's, and returns its resources.
+// exec runs an admitted task inside its caller's mutation bracket and
+// returns its resources.
 func (sh *Shard) exec(t task) (v any, err error) {
 	// A retired shard migrated away after this task was admitted: it answers
 	// with the routing error so the client retries at the new owner. The task
@@ -592,98 +666,24 @@ func (q *fairQueue) pop() (task, bool) {
 	return t, true
 }
 
-// run is the shard's worker, the loop that serves what has to queue. With
-// nothing to serve (or the shard held) it waits for an arrival or stop. It
-// takes the machine (enterMut, fastread.go) before it absorbs that arrival
-// and everything pending — so side work that came in while an inline op held
-// the machine runs before every queued task, and the queue clock is read
-// inside a bracket — then pops and serves one task and closes the bracket.
-// A Hold stretches the bracket: the side work that takes the shard leaves it
-// open, the worker runs side work inside it but pops nothing, and the side
-// work that releases the shard closes it.
-//
-// Answering a task readies its caller behind the worker on this P, so while
-// admitted work waits the worker yields after the bracket (never inside it,
-// where readers would meet the held writer lock) and the answered caller
-// runs before the next task.
-func (sh *Shard) run() {
-	defer close(sh.stopped)
-	var q fairQueue
-	var answer []chan taskResult // side work run in the open bracket
-	for {
-		var t task
-		got := false
-		if sh.held != nil || q.tail == nil {
-			select {
-			case t = <-sh.ingress:
-				got = true
-			case <-sh.stop:
-				if sh.held == nil {
-					sh.enterMut()
-					defer sh.exitMut()
-				}
-				sh.closed.Store(true)
-				return
-			}
-		}
-		if sh.held == nil {
-			sh.enterMut()
-		}
-		if got {
-			answer = sh.absorb(&q, t, answer)
-		}
-		for more := true; more; {
-			select {
-			case t := <-sh.ingress:
-				answer = sh.absorb(&q, t, answer)
-			default:
-				more = false
-			}
-		}
-		served := false
-		if sh.held == nil {
-			if t, ok := q.pop(); ok {
-				v, err := sh.exec(t)
-				sh.queued.Add(-1)
-				t.resp <- taskResult{v: v, err: err}
-				served = true
-			}
-			sh.exitMut()
-		}
-		for _, c := range answer {
-			c <- taskResult{}
-		}
-		answer = answer[:0]
-		if served && sh.depth.Load() > 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-// absorb takes one arrival off the ingress inside the worker's bracket: side
-// work runs, its answer joins those sent once the bracket closes, and an
-// admitted task joins the queue.
-func (sh *Shard) absorb(q *fairQueue, t task, answer []chan taskResult) []chan taskResult {
-	if t.side != nil {
-		t.side()
-		return append(answer, t.resp)
-	}
-	q.push(t, uint64(sh.Sys.M.MaxCoreTime()))
-	return answer
-}
-
 // Close drains the shard: admission stops (new Do calls get ErrDraining),
-// every already-admitted task runs to completion and is answered, then the
-// worker exits. Safe to call more than once.
+// every already-admitted task runs to completion and is answered, then Close
+// takes the machine, as side work, for good: the side work still waiting
+// behind it, and any sent later, get ErrDraining. Safe to call more than
+// once.
 func (sh *Shard) Close() {
 	sh.mu.Lock()
-	already := sh.draining.Swap(true)
+	sh.draining.Store(true)
 	sh.mu.Unlock()
-	if already {
-		<-sh.stopped
-		return
-	}
 	sh.inflight.Wait()
-	close(sh.stop)
-	<-sh.stopped
+	_ = sh.sideTurn(context.Background(), func() {
+		sh.closed.Store(true)
+		sh.mu.Lock()
+		sh.down = true
+		for _, turn := range sh.side {
+			close(turn)
+		}
+		sh.side = nil
+		sh.mu.Unlock()
+	})
 }

@@ -79,12 +79,12 @@ func TestShardFairRoundRobin(t *testing.T) {
 	}
 }
 
-// TestAnsweredCallerRunsFirst pins the worker's hand-off on one P: task A
-// holds the worker while task B is admitted behind it, and once A is
-// answered, A's caller resumes before B is served. Without the worker's yield
-// the answered caller waits in the P's next slot while the worker serves B.
-// The scheduler checks its global queue first on one tick in 61, which hands
-// that round to the worker, so the test asks for 80 rounds of 100.
+// TestAnsweredCallerRunsFirst pins the hand-off on one P: task A holds the
+// machine while task B is admitted behind it, and once A is done, A's caller
+// resumes before B runs: handing the machine on readies B's caller without
+// switching to it. The scheduler checks its global queue first on one tick
+// in 61, which may hand that round to B, so the test asks for 80 rounds of
+// 100.
 func TestAnsweredCallerRunsFirst(t *testing.T) {
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 	sh := testShard(t, 0)
@@ -176,15 +176,36 @@ func TestShardBackpressure(t *testing.T) {
 	}
 }
 
+// waiting counts the tasks waiting for the machine: the arrivals of the
+// open bracket and the fair queue.
+func waiting(sh *Shard) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	n := len(sh.arrivals)
+	if tail := sh.q.tail; tail != nil {
+		for ts := tail.next; ; ts = ts.next {
+			if n += len(ts.q) - ts.head; ts == tail {
+				break
+			}
+		}
+	}
+	return n
+}
+
+// sideWaiting counts the side work waiting for the machine.
+func sideWaiting(sh *Shard) int {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.side)
+}
+
 // parkMachine parks the shard's machine inside an op of tenant 99, which
-// the idle shard runs on the calling goroutine, and returns its release.
-// Until then no bracket opens: the worker, once it has received a task,
-// waits for the machine with that task in hand, and everything else sent
-// stays on the ingress. after, if not nil, runs on the same goroutine the
-// moment the op returns.
+// takes the idle shard's free machine, and returns its release. Until then
+// every other op waits for a hand-off. after, if not nil, runs on the same
+// goroutine the moment the op returns.
 func parkMachine(t *testing.T, sh *Shard, wg *sync.WaitGroup, after func()) (release func()) {
 	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); !readLockFree(sh) || sh.queued.Load() != 0; runtime.Gosched() {
+	for deadline := time.Now().Add(2 * time.Second); !readLockFree(sh) || waiting(sh) != 0; runtime.Gosched() {
 		if time.Now().After(deadline) {
 			t.Fatal("the shard never went idle")
 		}
@@ -194,8 +215,8 @@ func parkMachine(t *testing.T, sh *Shard, wg *sync.WaitGroup, after func()) (rel
 	go func() {
 		defer wg.Done()
 		sh.Do(context.Background(), 99, func() (any, error) {
-			if sh.queued.Load() != 0 {
-				t.Error("the parking op was queued, not run inline")
+			if waiting(sh) != 0 {
+				t.Error("the parking op waited for a hand-off")
 			}
 			close(parked)
 			<-gate
@@ -209,24 +230,24 @@ func parkMachine(t *testing.T, sh *Shard, wg *sync.WaitGroup, after func()) (rel
 	return func() { close(gate) }
 }
 
-// waitQueued waits until n admitted tasks are sent to the worker and
-// unserved, the ingress holding onIngress of them.
-func waitQueued(t *testing.T, sh *Shard, n int64, onIngress int) {
+// waitQueued waits until n admitted tasks wait for the machine. The last
+// argument is ignored: every waiting task parks on its own caller, so no
+// subset of them is held anywhere else.
+func waitQueued(t *testing.T, sh *Shard, n int64, _ int) {
 	t.Helper()
-	for deadline := time.Now().Add(2 * time.Second); sh.queued.Load() != n || len(sh.ingress) != onIngress; time.Sleep(time.Millisecond) {
+	for deadline := time.Now().Add(2 * time.Second); int64(waiting(sh)) != n; time.Sleep(time.Millisecond) {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d tasks queued, %d on the ingress: want %d and %d", sh.queued.Load(), len(sh.ingress), n, onIngress)
+			t.Fatalf("%d tasks wait for the machine, want %d", waiting(sh), n)
 		}
 	}
 }
 
-// TestSubmitDeadline pins the three ways submit's deadline ends a call, with
+// TestSubmitDeadline pins the two ways submit's deadline ends a call, with
 // the caller's context never expiring: *BusyError carrying the queue depth
-// while waiting for a tenant slot, the same while waiting for room in a full
-// ingress, and context.DeadlineExceeded once admitted — where the task still
-// runs at its turn and returns its own slot.
+// while waiting for a tenant slot, and context.DeadlineExceeded once
+// admitted — where the task still runs at its turn and returns its own slot.
 func TestSubmitDeadline(t *testing.T) {
-	sh := testShard(t, 1) // one slot per tenant, ingress holds 4
+	sh := testShard(t, 1) // one slot per tenant
 	ctx := context.Background()
 	soon := func() time.Time { return time.Now().Add(30 * time.Millisecond) }
 	noop := func() (any, error) { return nil, nil }
@@ -239,30 +260,12 @@ func TestSubmitDeadline(t *testing.T) {
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("admitted task past its deadline: %v, want context.DeadlineExceeded", err)
 	}
+	waitQueued(t, sh, 1, 0)
 
 	// Tenant 1's only slot is still held by that task: backpressure.
 	var busy *BusyError
 	if _, err := sh.submit(ctx, soon(), task{tenant: 1, fn: noop}); !errors.As(err, &busy) || busy.Depth != 2 {
 		t.Fatalf("behind a full tenant queue: %v, want *BusyError with depth 2", err)
-	}
-
-	// The worker holds tenant 1's task while it waits for the machine;
-	// tenants 2-5 fill the ingress buffer, and tenant 6 gets a slot but no
-	// room.
-	waitQueued(t, sh, 1, 0)
-	for tenant := uint32(2); tenant <= 5; tenant++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			if _, err := sh.Do(ctx, tenant, noop); err != nil {
-				t.Errorf("tenant %d: %v", tenant, err)
-			}
-		}()
-	}
-	waitQueued(t, sh, 5, cap(sh.ingress))
-	busy = nil
-	if _, err := sh.submit(ctx, soon(), task{tenant: 6, fn: noop}); !errors.As(err, &busy) || busy.Depth != 6 {
-		t.Fatalf("behind a full ingress: %v, want *BusyError with depth 6", err)
 	}
 
 	release()
@@ -273,12 +276,12 @@ func TestSubmitDeadline(t *testing.T) {
 		t.Fatal("the task whose caller timed out never ran")
 	}
 	// Its slot came back with it: tenant 1 is admitted again, and nothing is
-	// left counted as queued.
+	// left waiting.
 	if _, err := sh.submit(ctx, time.Now().Add(2*time.Second), task{tenant: 1, fn: noop}); err != nil {
 		t.Fatalf("tenant 1 after its timed-out task ran: %v", err)
 	}
-	if d, q := sh.depth.Load(), sh.queued.Load(); d != 0 || q != 0 {
-		t.Fatalf("queue depth %d, %d queued after everything was served", d, q)
+	if d, w := sh.depth.Load(), waiting(sh); d != 0 || w != 0 {
+		t.Fatalf("queue depth %d, %d waiting after everything was served", d, w)
 	}
 }
 
@@ -288,7 +291,7 @@ func goid() string {
 	return string(bytes.Fields(b[:runtime.Stack(b, false)])[1])
 }
 
-// TestIdleShardRunsInline: a lone caller's op never reaches the ingress. It
+// TestIdleShardRunsInline: a lone caller's op never waits for a hand-off. It
 // runs on the caller's own goroutine, inside a bracket of its own, and waits
 // 0 cycles in the queue.
 func TestIdleShardRunsInline(t *testing.T) {
@@ -300,8 +303,8 @@ func TestIdleShardRunsInline(t *testing.T) {
 			if g := goid(); g != me {
 				return nil, fmt.Errorf("ran on goroutine %s, the caller is %s", g, me)
 			}
-			if readLockFree(sh) || sh.queued.Load() != 0 || len(sh.ingress) != 0 {
-				return nil, errors.New("ran outside its bracket, or through the ingress")
+			if readLockFree(sh) || waiting(sh) != 0 {
+				return nil, errors.New("ran outside its bracket, or after a wait")
 			}
 			return nil, nil
 		})
@@ -381,6 +384,57 @@ func TestDetachedShardRunsNothingInline(t *testing.T) {
 	wg.Wait()
 	if want := []uint32{1, 2}; !slices.Equal(order, want) {
 		t.Fatalf("after Start served %v, want %v", order, want)
+	}
+}
+
+// TestHandOffRunsOnCaller: what waits for the machine runs on its own
+// caller's goroutine once the machine is handed to it, side work first, then
+// the ops in fairQueue order: round-robin over their tenants.
+func TestHandOffRunsOnCaller(t *testing.T) {
+	sh := testShard(t, 0)
+	ctx := context.Background()
+	var mu sync.Mutex
+	var order []string
+	var wg sync.WaitGroup
+	release := parkMachine(t, sh, &wg, nil)
+	// wait starts a caller whose turn notes name, side work or an op of tenant.
+	wait := func(name string, tenant uint32, side bool) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			me := goid()
+			note := func() {
+				if g := goid(); g != me {
+					t.Errorf("%s ran on goroutine %s, its caller is %s", name, g, me)
+				}
+				mu.Lock()
+				order = append(order, name)
+				mu.Unlock()
+			}
+			if side {
+				_ = sh.DoSide(ctx, note)
+			} else {
+				_, _ = sh.Do(ctx, tenant, func() (any, error) { note(); return nil, nil })
+			}
+		}()
+	}
+	for i, op := range []struct {
+		name   string
+		tenant uint32
+	}{{"1a", 1}, {"1b", 1}, {"2a", 2}} {
+		wait(op.name, op.tenant, false)
+		waitQueued(t, sh, int64(i+1), 0)
+	}
+	wait("side", 0, true)
+	for deadline := time.Now().Add(2 * time.Second); sideWaiting(sh) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("side work never waited for the machine")
+		}
+	}
+	release()
+	wg.Wait()
+	if want := []string{"side", "1a", "2a", "1b"}; !slices.Equal(order, want) {
+		t.Fatalf("ran %q, want %q", order, want)
 	}
 }
 
