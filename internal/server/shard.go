@@ -328,7 +328,7 @@ func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, e
 	t.ts = sh.tenant(t.tenant)
 	sh.inflight.Add(1)
 	sh.mu.Unlock()
-	if !sendBy(ctx, &dl, t.ts.slots, struct{}{}) {
+	if !takeSlot(ctx, &dl, t.ts.slots) {
 		sh.inflight.Done()
 		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 	}
@@ -440,16 +440,17 @@ func (sh *Shard) handOff() {
 	}
 }
 
-// sendBy sends v on ch, giving up (false) when ctx is done or dl expires. A
-// send that does not have to wait arms no timer.
-func sendBy[T any](ctx context.Context, dl *deadlineTimer, ch chan<- T, v T) bool {
+// takeSlot takes one of a tenant's admission slots, giving up (false) when
+// ctx is done or dl expires. A take that does not have to wait arms no
+// timer.
+func takeSlot(ctx context.Context, dl *deadlineTimer, slots chan<- struct{}) bool {
 	select {
-	case ch <- v:
+	case slots <- struct{}{}:
 		return true
 	default:
 	}
 	select {
-	case ch <- v:
+	case slots <- struct{}{}:
 		return true
 	case <-ctx.Done():
 	case <-dl.expired():
