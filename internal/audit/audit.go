@@ -168,8 +168,8 @@ type Log struct {
 	// software): the chain head and, once the ring has wrapped, the chain
 	// value preceding the oldest retained record. headSeq is atomic so a
 	// metrics exporter on another goroutine can read the head position
-	// (HeadSeq) while the owning worker appends; everything else is
-	// owner-goroutine state.
+	// (HeadSeq) while the owner appends; everything else is the owner's
+	// state.
 	headSeq  atomic.Uint64
 	headHash [32]byte
 	tailHash [32]byte

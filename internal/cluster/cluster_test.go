@@ -780,7 +780,7 @@ func TestReplicaFollowsOwner(t *testing.T) {
 
 // TestReplicaTenKOps drives a 10k+ record admission log through one shard —
 // puts and writes, each a record, and reads between them, which the shard
-// may serve off its worker and log as read deltas instead — and replays it
+// may serve under its read lock and log as read deltas instead — and replays it
 // on two replicas: both must consume the full log with zero divergence and
 // identical Merkle roots.
 func TestReplicaTenKOps(t *testing.T) {

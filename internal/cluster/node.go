@@ -99,8 +99,8 @@ func (n *Node) takeMig(shard int) *server.Migration {
 	return m
 }
 
-// resume rolls a migration back: the hold releases, the worker serves the
-// queued backlog as if nothing happened.
+// resume rolls a migration back: the hold releases, and the shard serves the
+// backlog that waited as if nothing happened.
 func (n *Node) resume(_ *http.Request, req shardReq) (any, error) {
 	if mig := n.takeMig(req.Shard); mig != nil {
 		mig.Resume()

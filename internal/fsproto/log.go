@@ -12,7 +12,7 @@ import (
 	"fsencr/internal/memctrl"
 )
 
-// The admission log: every request a logged shard admits to its worker, in
+// The admission log: every request a logged shard admits and executes, in
 // admission order, as the bytes the shard keeps, a replica pulls and a
 // migration ships. A log is records back to back, each uvarint(len(body)) ‖
 // body. An op record's body is
@@ -31,7 +31,7 @@ import (
 //	  ‖ uvarint(n) ‖ n·(uvarint(page) ‖ uvarint(line))                              Delta.ECC
 //	  ‖ uvarint(n) ‖ n·(TraceID (8 bytes, big-endian) ‖ uvarint(Parent) ‖ kind)      Traces
 //
-// — the side effects of the reads the shard served off its worker since the
+// — the side effects of the reads the shard served under its read lock since the
 // previous one (such a read is no record of its own). Sessions are numbered
 // in order of first use and only the record introducing one carries its
 // credentials, so a log describes itself from position 0, not from the
@@ -45,7 +45,7 @@ const (
 )
 
 // Kind is a record's kind: an op of the server's op table, whose rows follow
-// this order, or a record the shard's worker appends itself.
+// this order, or a record the shard appends itself.
 type Kind uint8
 
 const (
@@ -61,7 +61,7 @@ const (
 	KindKVDelete
 	RecFlush      // a writeback of every dirty line plus an OTT seal: the crash-persist path as a step
 	RecCheckpoint // the Merkle root at its position, which replay verifies
-	RecReadDeltas // the side effects of reads served off the worker, applied at its position
+	RecReadDeltas // the side effects of reads served under the read lock, applied at its position
 	RecLogout     // the end of a session introduced earlier: its state on the shard is dropped
 )
 
@@ -83,7 +83,7 @@ func (k Kind) String() string {
 type LogRecord struct {
 	Kind Kind
 	// Wait is the op's queue wait in simulated cycles: the shard clock at
-	// service less the clock when its worker absorbed it, the one input of
+	// service less the clock when it arrived, the one input of
 	// the shard's registry that does not follow from the records before it.
 	// GID is the admission group (the *target* group of a cross-tenant op).
 	Wait uint64
@@ -113,7 +113,7 @@ type LogRecord struct {
 	Traces []ReadTrace
 }
 
-// ReadTrace is a sampled read served off the worker: its trace and op.
+// ReadTrace is a sampled read served under the read lock: its trace and op.
 type ReadTrace struct {
 	TraceID, Parent uint64
 	Kind            Kind

@@ -219,8 +219,8 @@ type ReadResponse struct {
 }
 
 // StatRequest fetches file metadata. Stat is read-only and side-effect
-// free end to end: the server answers it off the shard worker when the
-// fast-path is available, and as side work on the worker otherwise — it
+// free end to end: the server answers it under the shard's read lock when
+// the fast-path is available, and as side work otherwise — it
 // takes no fairness slot and is never logged.
 type StatRequest struct {
 	Name   string `json:"name"`

@@ -16,7 +16,7 @@ import (
 )
 
 // TestKeyringDenialRace drives two processes in different sharing groups
-// through a server shard's worker, racing open/chmod/delete on the same
+// through a server shard's machine lock, racing open/chmod/delete on the same
 // encrypted file, plus concurrent keyring verifications. Run under -race
 // this checks the shard serialization really is the only thing between
 // network concurrency and the single-goroutine kernel — every denial path

@@ -82,10 +82,10 @@ func (sr *SnapshotReader) Open(uid, gid uint32, name, passphrase string, d *memc
 }
 
 // ReadAt loads [off, off+len(b)) of the open file into b — an io.ReaderAt
-// over the file's offsets — within its EOF bound (the worker's
+// over the file's offsets — within its EOF bound (the live path's
 // fs.File.Covers): whole pages straight into b, a partial page as the run
 // of lines covering it, through the page scratch. A partial page is line
-// loads on the worker, which audit nothing, so its run stops short of the
+// loads on the live path, which audit nothing, so its run stops short of the
 // 64 lines that carry a page's audit record. Any error means fall back, b
 // then unspecified.
 func (sr *SnapshotReader) ReadAt(b []byte, off int64) (int, error) {

@@ -65,11 +65,11 @@ func (tw *readTwin) kvGet(tb testing.TB, who *[3]*Session, req fsproto.KVGetRequ
 }
 
 // TestSerialKVGetEquivalence: a KV get answers the same whether the fast
-// path serves it or the worker does. Each get goes to a default service, to
+// path serves it or a bracket does. Each get goes to a default service, to
 // one with an admission log and to a SerialReads one, in order; status,
 // error text and bytes must match, and every get that succeeds must have
-// been served off the worker on both fast services. The passphrase rows also pin that a store handle the
-// worker holds from an earlier op (the owner's from its create, the
+// been served under the read lock on both fast services. The passphrase rows also pin that a store handle
+// the shard holds from an earlier op (the owner's from its create, the
 // member's from a get on the SerialReads service) does not let a wrong
 // passphrase through.
 func TestSerialKVGetEquivalence(t *testing.T) {
@@ -209,7 +209,7 @@ func TestFastKVGetHistory(t *testing.T) {
 			}
 			acked[k].Store(v)
 			// Breathe: back-to-back puts keep the writer lock nearly always
-			// held, and every get would take the worker path.
+			// held, and every get would fall back to a bracket.
 			time.Sleep(20 * time.Microsecond)
 		}
 	}
@@ -244,7 +244,7 @@ func TestFastKVGetHistory(t *testing.T) {
 
 // TestFastKVGetAllocs pins the fast get's heap cost like TestFastReadAllocs
 // does the read's: a warm get allocates only the node that carries its
-// delta to the worker.
+// delta to the next bracket.
 func TestFastKVGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -281,7 +281,7 @@ func TestFastKVGetAllocs(t *testing.T) {
 	}
 }
 
-// TestFastKVGetTrace: a sampled get served off the worker still exports its
+// TestFastKVGetTrace: a sampled get served under the read lock still exports its
 // trace under its own op — one zero-length root span named kv_get — and
 // gets exactly one tail-sampler verdict.
 func TestFastKVGetTrace(t *testing.T) {

@@ -107,7 +107,7 @@ func TestFastReadMultiPage(t *testing.T) {
 	ctx := context.Background()
 	sh := svc.shards[0]
 	mcReads := func() uint64 {
-		// The controller's stats set belongs to the worker; read it there.
+		// The controller's stats set belongs to the brackets; read it in one.
 		var v uint64
 		if err := sh.DoSide(ctx, func() { v = sh.Sys.M.MC.Stats().Get("mc.reads") }); err != nil {
 			t.Fatal(err)
@@ -134,8 +134,7 @@ func TestFastReadMultiPage(t *testing.T) {
 		t.Fatalf("audit head advanced by %d records over a 4-page read, want one per DF page", head-head0)
 	}
 
-	// The read's side effects are deferred until the worker's next
-	// mutation: force one and check the controller accounted the lines.
+	// The read's side effects are deferred until the next bracket: force one and check the controller accounted the lines.
 	if err := svc.Write(ctx, sess, fsproto.WriteRequest{Name: "hot.dat", Offset: 0, Data: bytes.Repeat([]byte{0x5A}, 64)}); err != nil {
 		t.Fatal(err)
 	}
@@ -149,9 +148,9 @@ func TestFastReadMultiPage(t *testing.T) {
 }
 
 // TestFastReadAuditsPagesOnly: a fast read leaves a page's audit record
-// only for a page it loads whole, as the worker's page datapath does. A
-// partial page — even one that touches all 64 lines — is line loads on the
-// worker, which audit nothing, so it audits nothing here either.
+// only for a page it loads whole, as the live page datapath does. A partial
+// page — even one that touches all 64 lines — is line loads on the live
+// path, which audit nothing, so it audits nothing here either.
 func TestFastReadAuditsPagesOnly(t *testing.T) {
 	svc, sess := testReadService(t)
 	ctx := context.Background()
@@ -239,8 +238,8 @@ func TestReadDeltasBounded(t *testing.T) {
 }
 
 // TestFastReadGating: a -serial-reads service must never enter the fast
-// path — not even its fallback branch — and its stat, served on the worker
-// as side work, answers the inode's values.
+// path — not even its fallback branch — and its stat, served as side work,
+// answers the inode's values.
 func TestFastReadGating(t *testing.T) {
 	t.Run("serial-reads", func(t *testing.T) {
 		svc := New(Options{
@@ -279,7 +278,7 @@ func TestFastReadGating(t *testing.T) {
 
 // readTwin is one history played on three services: a default one and one
 // with an admission log, whose reads take the fast path, and a SerialReads
-// one, whose reads all run on the worker. Tenant acme's user 1 owns the
+// one, whose reads all run in brackets. Tenant acme's user 1 owns the
 // files, its user 2 (same passphrase) is a group member; tenant rival has a
 // session too.
 type readTwin struct {
@@ -355,16 +354,16 @@ func (tw *readTwin) read(tb testing.TB, asRival bool, req fsproto.ReadRequest) (
 }
 
 // ask sends one request, call, as who to the three services and returns the
-// fast and the serial outcome, and whether both fast services served it off
-// the worker. The two fast services must answer alike.
+// fast and the serial outcome, and whether both fast services served it
+// under the read lock. The two fast services must answer alike.
 func (tw *readTwin) ask(tb testing.TB, who *[3]*Session, call func(*Service, *Session) (Payload, error)) (fast, serial readOutcome, offWorker bool) {
 	tb.Helper()
 	ctx := context.Background()
 	var out [3]readOutcome
 	offWorker = true
 	for i, svc := range tw.svc {
-		// A worker answer precedes the worker's release of the writer lock;
-		// a side task returns after its own, so the read finds the lock free.
+		// A side task opens and closes a bracket of its own, so the read
+		// finds the lock free.
 		if err := svc.shards[0].DoSide(ctx, func() {}); err != nil {
 			tb.Fatal(err)
 		}
@@ -389,9 +388,9 @@ func (tw *readTwin) ask(tb testing.TB, who *[3]*Session, call func(*Service, *Se
 }
 
 // TestSerialReadsEquivalence: the fast path never answers differently from
-// the worker. Each read goes to a default service, to one with an admission
+// a bracket. Each read goes to a default service, to one with an admission
 // log and to a SerialReads one; status, error text and bytes must match, and
-// every read that succeeds must have been served off the worker on both
+// every read that succeeds must have been served under the read lock on both
 // fast services (else the comparison proves nothing). The EOF rows pin that the fast path bounds a
 // read by the file's size, not by its last page.
 func TestSerialReadsEquivalence(t *testing.T) {
@@ -495,8 +494,8 @@ func FuzzReadEquivalence(f *testing.F) {
 var raceEnabled bool
 
 // TestFastReadAllocs pins the fast read's heap cost: a warm one-page read
-// allocates only the node that carries its delta to the worker. Each read
-// is measured alone, with the worker's drain of the one before it outside
+// allocates only the node that carries its delta to the next bracket. Each
+// read is measured alone, with the drain of the one before it outside
 // the window, on one P so nothing else runs inside it.
 func TestFastReadAllocs(t *testing.T) {
 	if raceEnabled {
@@ -533,7 +532,7 @@ func TestFastReadAllocs(t *testing.T) {
 
 // TestStatOps covers the stat operation end to end: fast-path values and
 // the live error shape for a missing file (TestFastReadGating's serial-reads
-// row checks the values of the worker's stat).
+// row checks the values of the side work's stat).
 func TestStatOps(t *testing.T) {
 	t.Run("fast", func(t *testing.T) {
 		svc, sess := testReadService(t)

@@ -332,10 +332,10 @@ func TestSideWorkFirst(t *testing.T) {
 	ctx, cancel = context.WithTimeout(bg, 20*time.Millisecond)
 	defer cancel()
 	if _, err := sh.Hold(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Hold behind %d queued tasks: %v, want deadline exceeded", k, err)
+		t.Fatalf("Hold behind %d waiting tasks: %v, want deadline exceeded", k, err)
 	}
 	release()
-	within(t, "the queued tasks after an abandoned hold", wg.Wait)
+	within(t, "the waiting tasks after an abandoned hold", wg.Wait)
 	h, err := sh.Hold(bg)
 	if err != nil {
 		t.Fatalf("Hold after an abandoned one and its release: %v", err)

@@ -113,8 +113,8 @@ func TestLogStore(t *testing.T) {
 			return cl.Write(fsproto.WriteRequest{Name: "obj0", Offset: off, Data: bytes.Repeat([]byte{7}, 256)})
 		})
 		read := cost(func() error {
-			// The write was answered inside the worker's bracket; a side task
-			// returns after its own, so the read finds the read lock free.
+			// A side task opens and closes a bracket of its own, so the read
+			// finds the read lock free.
 			if err := svc.Shards()[0].DoSide(context.Background(), func() {}); err != nil {
 				return err
 			}
@@ -262,10 +262,10 @@ func TestTokenIntroducedOnce(t *testing.T) {
 	}
 }
 
-// TestEveryExecutedOpLogged: on a logged shard every op the worker executes
+// TestEveryExecutedOpLogged: on a logged shard every op a bracket executes
 // — each of the ten kinds, succeeding and failing — is followed by exactly
 // one record of its kind, an op refused before admission by none. A read or
-// get served off the worker is no record: the drain that follows it logs its
+// get served under the read lock is no record: the drain that follows it logs its
 // side effects, its sampled trace among them, as one read_deltas record. The
 // log's length is the executed ops plus those and the flush and checkpoint
 // records.
@@ -378,7 +378,7 @@ func TestEveryExecutedOpLogged(t *testing.T) {
 			internal++
 		}
 	}
-	// Refused before admission: validation never reaches the worker.
+	// Refused before admission: validation never reaches the machine.
 	if _, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "f", Length: -1}); !errors.Is(err, ErrBadRequest) {
 		t.Fatalf("negative-length read: %v", err)
 	}

@@ -15,7 +15,7 @@ import (
 // user 1 of acme with one key in it, then chmodded to perm — and returns a
 // login for further users of the tenant. They reach the store with the
 // owner's passphrase, so only the permission bits stand between them and it.
-// Gets run on the worker (SerialReads), so a get opens a store handle there
+// Gets run in brackets (SerialReads), so a get opens a store handle there
 // as a get the fast path cannot serve does.
 func kvPermService(t *testing.T, perm uint16) (svc *Service, owner *Session, login func(uid uint32) *Session) {
 	t.Helper()
@@ -97,7 +97,7 @@ func TestKVReadNeedsReadPermission(t *testing.T) {
 
 // TestKVHandleFollowsChmod: a store handle a member's get opened does not
 // outlive the owner taking the member's access away — the handle cache
-// answers what a fresh open would, as a get served off the worker does.
+// answers what a fresh open would, as a get served under the read lock does.
 func TestKVHandleFollowsChmod(t *testing.T) {
 	svc, owner, login := kvPermService(t, 0640)
 	ctx := context.Background()

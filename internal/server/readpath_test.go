@@ -41,12 +41,6 @@ func readServiceWith(tb testing.TB, opts Options) (*Service, *Session) {
 	}); err != nil {
 		tb.Fatal(err)
 	}
-	// A write the worker served returns once the worker has answered, which
-	// is before it releases the machine lock; a side task returns only after
-	// its bracket closed, so the caller's first fast read finds the lock free.
-	if err := svc.shards[0].DoSide(ctx, func() {}); err != nil {
-		tb.Fatal(err)
-	}
 	return svc, sess
 }
 
@@ -83,7 +77,7 @@ func TestServiceReadPooled(t *testing.T) {
 	pl.Release()
 }
 
-// TestServerReadPathZeroAlloc pins the worker-side read datapath at zero
+// TestServerReadPathZeroAlloc pins the bracket's read datapath at zero
 // heap allocations per request once session state is warm: pooled payload
 // buffer, cached mapping and file key, and the controller's batched page
 // path for the page-sized copy.
@@ -110,9 +104,9 @@ func TestServerReadPathZeroAlloc(t *testing.T) {
 	}
 }
 
-// BenchmarkServerReadPath measures the worker-side cost of one page-sized
-// read request, pooled-buffer lifecycle included. The shard worker is
-// idle, so calling in from the benchmark goroutine is race-free.
+// BenchmarkServerReadPath measures the bracket's cost of one page-sized
+// read request, pooled-buffer lifecycle included. No other caller touches
+// the shard, so calling in from the benchmark goroutine is race-free.
 func BenchmarkServerReadPath(b *testing.B) {
 	svc, sess := testReadService(b)
 	sh := svc.shards[0]
@@ -130,8 +124,8 @@ func BenchmarkServerReadPath(b *testing.B) {
 
 // TestServiceAllocsPerOp pins the heap allocations of one op called
 // directly on an idle one-shard service, client and wire left out: a read
-// and a KV get served off the worker, a 256-byte write and a 64-byte KV put
-// run inline on the caller's goroutine. The counts are exact; an op that
+// and a KV get served under the read lock, a 256-byte write and a 64-byte KV
+// put in brackets on the caller's goroutine. The counts are exact; an op that
 // starts making garbage shows here before it shows in a GC count.
 func TestServiceAllocsPerOp(t *testing.T) {
 	if raceEnabled {

@@ -53,7 +53,7 @@ func clusterTestOptions() Options {
 
 // runReplayWorkload drives a workload covering every op kind of the table
 // against svc — each tenant on its own shard: every kind succeeding, every
-// kind failing on the worker (so the failure is itself a log record), a
+// kind failing in its bracket (so the failure is itself a log record), a
 // third of the ops carrying a sampled trace context — and returns the
 // sessions by tenant.
 func runReplayWorkload(t *testing.T, svc *Service, tA, tB string) map[string]*Session {
@@ -415,8 +415,8 @@ func TestPromotionRefusesTamperedFrames(t *testing.T) {
 
 // fastReadSource boots a fair logged one-shard service with
 // testReadService's file and runs three readers of 4 KiB pages and 256-byte
-// ranges on it — every fifth read traced and sampled, served off the worker
-// or, when it falls back, by it — against a writer, until the fast path has
+// ranges on it — every fifth read traced and sampled, served under the read
+// lock or, when it falls back, in a bracket — against a writer, until the fast path has
 // served reads while the writes landed. Then it freezes the shard and returns
 // the service, the migration, the frozen log and its records, which must
 // hold read deltas with audit records and traces among them.

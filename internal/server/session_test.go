@@ -143,7 +143,8 @@ func TestShadowSessionKeepsShardState(t *testing.T) {
 	migrate(t, svc, 1)
 }
 
-// stateful counts the tokens with state on svc's shards, read on each worker.
+// stateful counts the tokens with state on svc's shards, read in a bracket of
+// each.
 func stateful(t *testing.T, svc *Service) int {
 	t.Helper()
 	n := 0
@@ -156,7 +157,7 @@ func stateful(t *testing.T, svc *Service) int {
 }
 
 // processes counts the kernel's processes on each of svc's shards, by index,
-// read on each worker.
+// read in a bracket of each.
 func processes(t *testing.T, svc *Service) map[int]int {
 	t.Helper()
 	n := map[int]int{}
@@ -226,8 +227,8 @@ func TestSessionTableBounded(t *testing.T) {
 	}
 }
 
-// TestSessionTableConcurrent: handlers resolve tokens off the worker while the
-// worker enters them at login and drops them at logout. Run it under -race.
+// TestSessionTableConcurrent: handlers resolve tokens outside any bracket while
+// brackets enter them at login and drop them at logout. Run it under -race.
 func TestSessionTableConcurrent(t *testing.T) {
 	svc := New(clusterTestOptions())
 	defer svc.Close()

@@ -26,7 +26,7 @@ func testShard(t *testing.T, perTenant int) *Shard {
 	return sh
 }
 
-// TestShardFairRoundRobin blocks the worker, queues a burst from tenant A
+// TestShardFairRoundRobin parks the machine, queues a burst from tenant A
 // and a burst from tenant B, and checks service alternates instead of
 // draining A first.
 func TestShardFairRoundRobin(t *testing.T) {
@@ -38,7 +38,7 @@ func TestShardFairRoundRobin(t *testing.T) {
 		<-gate
 		return nil, nil
 	})
-	<-done // worker is now parked inside tenant 99's task
+	<-done // the machine is now parked inside tenant 99's task
 
 	var mu sync.Mutex
 	var order []uint32
@@ -59,7 +59,7 @@ func TestShardFairRoundRobin(t *testing.T) {
 	}
 	enqueue(1, 4)
 	enqueue(2, 4)
-	// Wait until all 8 are admitted (sitting in ingress/queues).
+	// Wait until all 8 are admitted (waiting for the machine).
 	deadline := time.Now().Add(2 * time.Second)
 	for sh.depth.Load() < 9 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -151,7 +151,7 @@ func TestShardBackpressure(t *testing.T) {
 	}
 	<-started
 	// Wait until both requests hold admission slots (one executing, one
-	// queued): tenant 1's two slots are now taken.
+	// waiting): tenant 1's two slots are now taken.
 	deadline := time.Now().Add(2 * time.Second)
 	for sh.depth.Load() < 2 && time.Now().Before(deadline) {
 		time.Sleep(time.Millisecond)
@@ -163,7 +163,7 @@ func TestShardBackpressure(t *testing.T) {
 		t.Fatalf("tenant 1 third request: want ErrBusy, got %v", err)
 	}
 	// Tenant 2 is not affected by tenant 1's backpressure (it queues behind
-	// the parked worker but is admitted immediately).
+	// the parked machine but is admitted immediately).
 	ok := make(chan error, 1)
 	go func() {
 		_, err := sh.Do(context.Background(), 2, func() (any, error) { return nil, nil })

@@ -60,7 +60,7 @@ func TestRequestTraceWaterfall(t *testing.T) {
 	if kept == 0 {
 		t.Fatal("no traces kept")
 	}
-	// Every sampled request reaching the worker got exactly one decision.
+	// Every sampled request reaching a bracket got exactly one decision.
 	if total := kept + dropped; total < 33 { // login + create + 16 writes + 16 reads
 		t.Fatalf("kept %d + dropped %d = %d, want >= 33", kept, dropped, total)
 	}

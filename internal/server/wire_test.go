@@ -149,8 +149,8 @@ func TestWirePayloadRoundTrip(t *testing.T) {
 
 // TestTimedOutWriteKeepsItsBytes: a framed write's Data aliases the request
 // body, and the write outlives its handler when RequestTimeout fires while
-// it is queued. The body must still hold the intended bytes when the worker
-// gets to it — which is why the request loop reads the next body into a
+// it waits. The body must still hold the intended bytes when its turn
+// comes — which is why the request loop reads the next body into a
 // buffer of its own once a handler has marked the body Kept.
 func TestTimedOutWriteKeepsItsBytes(t *testing.T) {
 	svc := server.New(server.Options{
@@ -543,7 +543,7 @@ func BenchmarkClientRead4K(b *testing.B) {
 // BenchmarkClientWrite4K is one 4 KiB persisted write end to end over
 // loopback to a one-shard fair service, by one caller or by two users of one
 // tenant each writing pages of a file of its own: with two, one caller's
-// write waits for the worker while the other's is served. p50-us is the
+// write waits for the machine while the other's is served. p50-us is the
 // median latency of a write, which ns/op (throughput) does not show.
 func BenchmarkClientWrite4K(b *testing.B) {
 	for _, callers := range []int{1, 2} {
