@@ -116,8 +116,8 @@ func rawDo(hc *http.Client, method, base, path, ctype, token string, body []byte
 }
 
 // readRaw reads one response's body and error code, and closes it. The body
-// may come with no declared length (net/http's own answers, chunked), so it
-// is read to its end, bounded by MaxBodyBytes.
+// may declare no length (net/http's own error answers end at the close), so
+// it is read to its end, bounded by MaxBodyBytes.
 func readRaw(resp *http.Response) (rawResult, error) {
 	defer resp.Body.Close()
 	data, err := io.ReadAll(io.LimitReader(resp.Body, fsproto.MaxBodyBytes+1))
