@@ -28,8 +28,8 @@ func (s *System) RotateFilePassphrase(p *Process, name, oldPass, newPass string)
 	if newPass == "" {
 		return ErrNoPassphrase
 	}
-	oldKey := s.Keyring.FileKey(oldPass, f.Salt)
-	newKey := s.Keyring.FileKey(newPass, f.Salt)
+	oldKey := DeriveFileKey(oldPass, f.Salt)
+	newKey := DeriveFileKey(newPass, f.Salt)
 	switch s.mode {
 	case ModeSWEncrypt:
 		if stored, ok := s.swKeys[f.Ino]; ok && stored != oldKey {
@@ -74,7 +74,7 @@ func (s *System) ChangeGroup(p *Process, name string, gid uint32, passphrase str
 	if !f.Encrypted || s.mode == ModeSWEncrypt || !s.M.MC.Mode().FileEncryption {
 		return nil
 	}
-	key := s.Keyring.FileKey(passphrase, f.Salt)
+	key := DeriveFileKey(passphrase, f.Salt)
 	if !s.M.MC.VerifyKey(oldGid, f.Ino, key) {
 		// Roll back the group change rather than strand the file.
 		_ = s.FS.Chgrp(f, p.UID, oldGid)

@@ -14,44 +14,17 @@ import (
 
 // Keyring models the Linux keyring mechanism the paper's key management
 // builds on (§III-E): a user's session holds a master key derived from the
-// login passphrase; per-file keys are derived from the owner's passphrase
-// and the file's salt, eCryptfs-style (FEK wrapped by FEKEK).
+// login passphrase. Per-file keys are not kept here: every open derives its
+// file's key from the passphrase it was given and the file's salt,
+// eCryptfs-style (FEK wrapped by FEKEK), with DeriveFileKey. Nothing a
+// caller tries, a wrong passphrase included, is remembered.
 type Keyring struct {
 	sessions map[uint32][32]byte // uid -> master key material
-	// fek memoizes passphrase+salt -> FEK derivations. A service opening
-	// files on every request re-derives the same handful of keys
-	// thousands of times; the SHA-256 derivation was the open path's last
-	// per-request allocation. Unsynchronized, like the rest of the
-	// keyring: a Keyring belongs to one kernel.System, driven by one
-	// goroutine.
-	fek map[fekCacheKey]aesctr.Key
-}
-
-type fekCacheKey struct {
-	pass string
-	salt [8]byte
 }
 
 // NewKeyring returns an empty keyring.
 func NewKeyring() *Keyring {
-	return &Keyring{
-		sessions: make(map[uint32][32]byte),
-		fek:      make(map[fekCacheKey]aesctr.Key),
-	}
-}
-
-// FileKey returns the File Encryption Key for (passphrase, salt),
-// memoizing the derivation. Derived keys are deterministic, so caching
-// never changes which key a passphrase produces — a wrong passphrase still
-// derives (and caches) a key VerifyKey rejects.
-func (k *Keyring) FileKey(passphrase string, salt [8]byte) aesctr.Key {
-	ck := fekCacheKey{pass: passphrase, salt: salt}
-	if key, ok := k.fek[ck]; ok {
-		return key
-	}
-	key := DeriveFileKey(passphrase, salt)
-	k.fek[ck] = key
-	return key
+	return &Keyring{sessions: make(map[uint32][32]byte)}
 }
 
 // Login derives and installs the user's session master key.
@@ -78,13 +51,7 @@ func (k *Keyring) Verify(uid uint32, passphrase string) (registered, ok bool) {
 // passphrase and the file's salt. A wrong passphrase yields a key that the
 // memory controller's VerifyKey will reject.
 func DeriveFileKey(passphrase string, salt [8]byte) aesctr.Key {
-	h := sha256.New()
-	h.Write([]byte("fek:"))
-	h.Write([]byte(passphrase))
-	h.Write(salt[:])
-	var sum [32]byte
-	h.Sum(sum[:0])
-	var key aesctr.Key
-	copy(key[:], sum[:])
-	return key
+	var buf [128]byte // passphrases that fit hash with no allocation
+	sum := sha256.Sum256(append(append(append(buf[:0], "fek:"...), passphrase...), salt[:]...))
+	return aesctr.Key(sum[:len(aesctr.Key{})])
 }

@@ -13,20 +13,18 @@ import (
 // This file is the kernel layer of the concurrent read fast-path. A reader
 // goroutine holding the shard's read lock can open a file and load from it
 // against a quiescent System without mutating anything: no core clock
-// advances, no page faults, no keyring memoization, no controller metadata
-// fills. Anything the live path would have handled with a mutation (or an
+// advances, no page faults, no controller metadata fills. Anything the live path would have handled with a mutation (or an
 // error whose exact text the client sees) makes the snapshot path refuse,
 // and the caller re-runs the op on the owner goroutine.
 
 // SnapshotReader is one goroutine's private read context: a controller
 // Reader (forked AES engines and OTP scratch), a page of plaintext scratch
-// for partial-page loads, a passphrase-derived file-key memo replacing the
-// owner-only Keyring cache, and the file Open last opened — so opening one
-// allocates nothing. Never share one across goroutines.
+// for partial-page loads, and the file Open last opened — so opening one
+// allocates nothing. Open derives the file's key afresh, as OpenFile does,
+// and keeps none. Never share one across goroutines.
 type SnapshotReader struct {
 	s    *System
 	rd   *memctrl.Reader
-	keys map[fekMemo]aesctr.Key
 	page aesctr.Page
 
 	// The open file, and the delta its loads defer their side effects into.
@@ -35,32 +33,13 @@ type SnapshotReader struct {
 	d  *memctrl.ReadDelta
 }
 
-type fekMemo struct {
-	pass string
-	salt [8]byte
-}
-
 // errRefused is every refused snapshot load: the caller falls back.
 var errRefused = errors.New("kernel: snapshot load refused")
 
 // NewSnapshotReader builds a read context bound to this system's memory
 // controller. Safe to call from any goroutine.
 func (s *System) NewSnapshotReader() *SnapshotReader {
-	return &SnapshotReader{
-		s:    s,
-		rd:   s.M.MC.NewReader(),
-		keys: make(map[fekMemo]aesctr.Key),
-	}
-}
-
-func (sr *SnapshotReader) fileKey(pass string, salt [8]byte) aesctr.Key {
-	m := fekMemo{pass, salt}
-	if k, ok := sr.keys[m]; ok {
-		return k
-	}
-	k := DeriveFileKey(pass, salt)
-	sr.keys[m] = k
-	return k
+	return &SnapshotReader{s: s, rd: s.M.MC.NewReader()}
 }
 
 // Open decides what OpenFile decides for a read by (uid, gid) — Access,
@@ -74,7 +53,7 @@ func (sr *SnapshotReader) Open(uid, gid uint32, name, passphrase string, d *memc
 		return false
 	}
 	f, err := s.Access(uid, gid, name, fs.ReadAccess)
-	if err != nil || f.Encrypted && !s.M.MC.PeekVerifyKey(f.GroupID, f.Ino, sr.fileKey(passphrase, f.Salt)) {
+	if err != nil || f.Encrypted && !s.M.MC.PeekVerifyKey(f.GroupID, f.Ino, DeriveFileKey(passphrase, f.Salt)) {
 		return false
 	}
 	sr.f, sr.df, sr.d = f, f.Encrypted && s.dfEnabled(), d

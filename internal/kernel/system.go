@@ -231,7 +231,7 @@ func (s *System) CreateFile(p *Process, name string, perm fs.Mode, size uint64, 
 		return nil, err
 	}
 	if encrypted {
-		key := s.Keyring.FileKey(passphrase, f.Salt)
+		key := DeriveFileKey(passphrase, f.Salt)
 		switch s.mode {
 		case ModeSWEncrypt:
 			s.swKeys[f.Ino] = key
@@ -273,7 +273,7 @@ func (s *System) OpenFile(p *Process, name string, want fs.Access, passphrase st
 		return nil, err
 	}
 	if f.Encrypted {
-		key := s.Keyring.FileKey(passphrase, f.Salt)
+		key := DeriveFileKey(passphrase, f.Salt)
 		switch s.mode {
 		case ModeSWEncrypt:
 			if stored, ok := s.swKeys[f.Ino]; ok && stored != key {

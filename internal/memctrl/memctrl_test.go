@@ -442,3 +442,25 @@ func TestMerkleWriteBackTelemetry(t *testing.T) {
 		t.Fatal("lazy root differs from rebuilt root")
 	}
 }
+
+// TestReaderEngineCacheBounded: a Reader that has decrypted under more file
+// keys than maxEngines keeps no more engines than that, and an engine
+// rebuilt after the cache started over still makes the same pads.
+func TestReaderEngineCacheBounded(t *testing.T) {
+	r := newMC(Mode{MemEncryption: true, FileEncryption: true}).NewReader()
+	var first aesctr.Page
+	r.engineFor(fileKey(0)).OTPLinesInto(first[:], 7, 0, 1, new([config.LinesPerPage]uint8), aesctr.DomainFile)
+	for i := 0; i < 300; i++ {
+		var k aesctr.Key
+		k[0], k[1] = byte(i), byte(i>>8)
+		r.engineFor(k)
+		if n := len(r.engines); n > maxEngines {
+			t.Fatalf("after %d keys the cache holds %d engines, want <= %d", i+1, n, maxEngines)
+		}
+	}
+	var again aesctr.Page
+	r.engineFor(fileKey(0)).OTPLinesInto(again[:], 7, 0, 1, new([config.LinesPerPage]uint8), aesctr.DomainFile)
+	if again != first {
+		t.Fatal("a rebuilt engine made different pads")
+	}
+}

@@ -27,7 +27,7 @@ import (
 
 // Reader is one goroutine's private crypt context: the controller's memory
 // engine (engines are immutable, so every Reader shares it), a local
-// file-engine cache, and the two page-sized OTP buffers. The controller owns
+// file-engine cache of at most maxEngines keys, and the two page-sized OTP buffers. The controller owns
 // one for the live datapath; snapshot readers get theirs from NewReader and
 // are pooled by the server. A Reader must never be used by two goroutines at
 // once.
@@ -49,9 +49,17 @@ func (c *Controller) NewReader() *Reader {
 	return &Reader{mem: c.rd.mem, engines: make(map[aesctr.Key]*aesctr.Engine)}
 }
 
+// maxEngines bounds a Reader's engine cache. An engine is rebuilt from its
+// key alone, so a full cache simply starts over: a shard that has used more
+// file keys than this, through create/delete churn, keeps no more.
+const maxEngines = 256
+
 func (r *Reader) engineFor(key aesctr.Key) *aesctr.Engine {
 	e, ok := r.engines[key]
 	if !ok {
+		if len(r.engines) >= maxEngines {
+			clear(r.engines)
+		}
 		e = aesctr.New(key, r.mem.Latency())
 		r.engines[key] = e
 	}

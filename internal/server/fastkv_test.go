@@ -259,7 +259,7 @@ func TestFastKVGetAllocs(t *testing.T) {
 	const runs = 100
 	var ms runtime.MemStats
 	var allocs uint64
-	for i := -1; i < runs; i++ { // run -1 warms the pools and the key memo
+	for i := -1; i < runs; i++ { // run -1 warms the pools
 		if err := sh.DoSide(context.Background(), func() {}); err != nil {
 			t.Fatal(err)
 		}
