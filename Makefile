@@ -114,10 +114,12 @@ fuzz-smoke:
 # idle shard's ops (run on the caller, never ahead of a queued task, never on
 # a detached shard) and the machine lock's hand-off (to an answered caller's
 # successor, side work first, each waiter on its own goroutine, a timed-out
-# waiter's turn kept) get five.
+# waiter's turn kept) get five, as do the read accumulator's (one drain keeps
+# completion order; readers stay under the drain threshold; concurrent
+# readers push while a writer's brackets drain).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline|TestHandOffRunsOnCaller|TestSideWorkFirst|TestSubmitDeadline' ./internal/server
+	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline|TestHandOffRunsOnCaller|TestSideWorkFirst|TestSubmitDeadline|TestDrainKeepsReadOrder|TestReadDeltasBounded|TestConcurrentReadEquivalence' ./internal/server
 
 # Full chaos campaign: >= 1000 seeded faults injected across the encrypted
 # datapath (counter blocks, data lines, torn writes, OTT region, audit

@@ -243,8 +243,7 @@ func TestFastKVGetHistory(t *testing.T) {
 }
 
 // TestFastKVGetAllocs pins the fast get's heap cost like TestFastReadAllocs
-// does the read's: a warm get allocates only the node that carries its
-// delta to the next bracket.
+// does the read's: a warm get allocates nothing.
 func TestFastKVGetAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are meaningless under the race detector")
@@ -276,8 +275,8 @@ func TestFastKVGetAllocs(t *testing.T) {
 			allocs += ms.Mallocs - before
 		}
 	}
-	if per := float64(allocs) / runs; per > 1 {
-		t.Fatalf("fast get: %.2f allocs/op, want <= 1 (the delta node)", per)
+	if per := float64(allocs) / runs; per > 0 {
+		t.Fatalf("fast get: %.2f allocs/op, want 0", per)
 	}
 }
 

@@ -19,13 +19,16 @@ package server
 // error.
 //
 // Side effects the live read path would have produced (stats, audit
-// records, Osiris ECC accounting) are deferred into pooled ReadDelta
-// buffers pushed onto a lock-free stack; the next bracket to take a free
-// machine merges what it finds there into one delta and applies it to the
-// controller, under the machine lock, stamped with the shard's clock. On a
-// logged shard that delta — not the reads — is the log's record of them:
-// one RecReadDeltas record at that position, which a replayer applies the
-// same way, at the same clock (applyReads).
+// records, Osiris ECC accounting) are deferred: a read collects them in its
+// pooled context's ReadDelta and, once it has succeeded, appends them to the
+// shard's one accumulator under readMu while it still holds the read lock.
+// So the accumulator lists reads in the order they completed. The next
+// bracket to take a free machine applies it to the controller as one delta,
+// under the machine lock, stamped with the shard's clock; it takes no readMu
+// for that, since holding the machine lock for writing keeps every reader
+// out. On a logged shard that delta — not the reads — is the log's record of
+// them: one RecReadDeltas record at that position, which a replayer applies
+// the same way, at the same clock (applyReads).
 //
 // Gating: -serial-reads servers always take admission.
 
@@ -41,23 +44,16 @@ const (
 	// fastReadRetries bounds read-lock attempts before a read falls back to
 	// admission.
 	fastReadRetries = 2
-	// deltaDrainThreshold is the number of undrained read deltas at which a
-	// reader drains them itself (askDrain).
+	// deltaDrainThreshold is the number of undrained reads at which a reader
+	// drains them itself (askDrain).
 	deltaDrainThreshold = 256
 )
 
-// deltaNode is one deferred-side-effect buffer on the shard's lock-free
-// Treiber stack (pushed by readers, swapped out whole by a bracket).
-// trace and kind carry the read's wire trace context and op, so the drain
-// can give every sampled fast read its one tail-sampling decision, under
-// the op's root-span name, at drain time — the invariant "every sampled
-// request gets exactly one kept/dropped verdict" survives the read leaving
-// the admission plane.
-type deltaNode struct {
-	d     *memctrl.ReadDelta
-	trace fsproto.TraceContext
-	kind  fsproto.Kind
-	next  *deltaNode
+// readCtx is one pooled read context: a snapshot reader and the delta its
+// loads defer their side effects into until the read is pushed.
+type readCtx struct {
+	sr *kernel.SnapshotReader
+	d  memctrl.ReadDelta
 }
 
 // enterMut opens a bracket on a free machine: the machine lock (readers in
@@ -70,30 +66,18 @@ func (sh *Shard) enterMut() {
 	sh.drainDeltas()
 }
 
-// drainDeltas merges every delta pushed since the last drain into one and
-// applies it. Runs under the machine lock, as a bracket opens. A drain that found
+// drainDeltas applies the reads accumulated since the last drain and empties
+// the accumulator. Runs under the machine lock, as a bracket opens, so no
+// reader can push meanwhile and readMu is not needed. A drain that found
 // nothing to apply — reads the simulated caches served whole, none sampled
 // — leaves no trace, in the log neither.
 func (sh *Shard) drainDeltas() {
-	head := sh.deltas.Swap(nil)
-	if head == nil {
-		return
+	if !sh.reads.Empty() || len(sh.readTraces) > 0 {
+		sh.applyReads(&sh.reads, sh.readTraces)
+		sh.reads.Reset()
+		sh.readTraces = sh.readTraces[:0]
 	}
-	d, drained := &sh.drained, int64(0)
-	for n := head; n != nil; n = n.next {
-		drained++
-		d.Add(n.d)
-		if n.trace.Sampled && n.trace.TraceID != 0 {
-			sh.drainedTraces = append(sh.drainedTraces, fsproto.ReadTrace{TraceID: n.trace.TraceID, Parent: n.trace.Parent, Kind: n.kind})
-		}
-		sh.putDelta(n.d)
-	}
-	sh.pendingDeltas.Add(-drained)
-	if !d.Empty() || len(sh.drainedTraces) > 0 {
-		sh.applyReads(d, sh.drainedTraces)
-	}
-	d.Reset()
-	sh.drainedTraces = sh.drainedTraces[:0]
+	sh.pendingReads = 0
 }
 
 // applyReads applies the side effects of reads served under the read lock — a
@@ -117,35 +101,33 @@ func (sh *Shard) applyReads(d *memctrl.ReadDelta, traces []fsproto.ReadTrace) {
 	}
 }
 
-// pushDelta hands a completed read's side effects to the next mutation
-// bracket, which folds them in.
-func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext, kind fsproto.Kind) {
-	n := &deltaNode{d: d, trace: tc, kind: kind}
-	for {
-		old := sh.deltas.Load()
-		n.next = old
-		if sh.deltas.CompareAndSwap(old, n) {
-			break
-		}
+// pushDelta appends a completed read's side effects to the shard's
+// accumulator, for the next bracket to apply, and returns how many reads it
+// now holds. tc and kind give a sampled read its one tail-sampling decision,
+// under the op's root-span name, at drain time: every sampled request gets
+// exactly one kept/dropped verdict, off the admission plane too. Called
+// under the read lock.
+func (sh *Shard) pushDelta(d *memctrl.ReadDelta, tc fsproto.TraceContext, kind fsproto.Kind) int {
+	sh.readMu.Lock()
+	defer sh.readMu.Unlock()
+	sh.reads.Add(d)
+	if tc.Sampled && tc.TraceID != 0 {
+		sh.readTraces = append(sh.readTraces, fsproto.ReadTrace{TraceID: tc.TraceID, Parent: tc.Parent, Kind: kind})
 	}
-	sh.pendingDeltas.Add(1)
+	sh.pendingReads++
+	return sh.pendingReads
 }
 
-// askDrain keeps a tenant that only reads from growing the delta stack
-// until somebody writes: with deltaDrainThreshold deltas pending, the reader
+// askDrain keeps a tenant that only reads from growing the accumulator until
+// somebody writes: once pending reads reach deltaDrainThreshold, the reader
 // opens an empty bracket of its own if the machine lock is free and drains
 // there. Called with the read lock released. If a bracket holds the lock, or
 // another reader, the next bracket or reader drains instead.
-func (sh *Shard) askDrain() {
-	if sh.pendingDeltas.Load() >= deltaDrainThreshold && sh.rmu.TryLock() {
+func (sh *Shard) askDrain(pending int) {
+	if pending >= deltaDrainThreshold && sh.rmu.TryLock() {
 		sh.drainDeltas()
 		sh.rmu.Unlock()
 	}
-}
-
-func (sh *Shard) putDelta(d *memctrl.ReadDelta) {
-	d.Reset()
-	sh.deltaPool.Put(d)
 }
 
 // tryReadLocked runs fn under the read lock, trying for it fastReadRetries
@@ -170,23 +152,22 @@ func (sh *Shard) tryReadLocked(fn func()) bool {
 // load, which fills the reply and returns its length. false, on any failure,
 // means fall back to admission, so a bracket answers every error.
 func (sh *Shard) tryFast(sess *Session, tc fsproto.TraceContext, kind fsproto.Kind, name, passphrase string, load func(*kernel.SnapshotReader) (int, error)) (n int, ok bool) {
+	pending := 0
 	sh.tryReadLocked(func() {
-		sr := sh.readPool.Get().(*kernel.SnapshotReader)
-		d := sh.deltaPool.Get().(*memctrl.ReadDelta)
-		if sr.Open(sess.uid, sess.gid, name, passphrase, d) {
+		rc := sh.readPool.Get().(*readCtx)
+		if rc.sr.Open(sess.uid, sess.gid, name, passphrase, &rc.d) {
 			var err error
-			n, err = load(sr)
+			n, err = load(rc.sr)
 			ok = err == nil
 		}
 		if ok {
-			sh.pushDelta(d, tc, kind)
-		} else {
-			sh.putDelta(d)
+			pending = sh.pushDelta(&rc.d, tc, kind)
 		}
-		sh.readPool.Put(sr)
+		rc.d.Reset()
+		sh.readPool.Put(rc)
 	})
 	if ok {
-		sh.askDrain()
+		sh.askDrain(pending)
 	}
 	return n, ok
 }

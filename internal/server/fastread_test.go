@@ -182,8 +182,8 @@ func TestFastReadAuditsPagesOnly(t *testing.T) {
 }
 
 // TestReadDeltasBounded: a tenant that only reads must not grow the deferred
-// side-effect stack until somebody writes. 10 000 fast reads with no write
-// in between keep the stack under the drain threshold at every sample (the
+// side-effect accumulator until somebody writes. 10 000 fast reads with no
+// write in between keep it under the drain threshold at every sample (the
 // lone reader that reaches the threshold drains before its read returns);
 // one side task afterwards leaves it empty, and every page read — fast or
 // fallen back to admission — left exactly one record on a chain that
@@ -192,13 +192,13 @@ func TestReadDeltasBounded(t *testing.T) {
 	svc, sess := testReadService(t)
 	ctx := context.Background()
 	sh := svc.shards[0]
-	// The stack is walked, not the shard's own count trusted: nodes are
-	// immutable once pushed.
-	stacked := func() (n int) {
-		for d := sh.deltas.Load(); d != nil; d = d.next {
-			n++
-		}
-		return n
+	// The count is read under both locks a push and a drain write it under.
+	pending := func() int {
+		sh.rmu.RLock()
+		defer sh.rmu.RUnlock()
+		sh.readMu.Lock()
+		defer sh.readMu.Unlock()
+		return sh.pendingReads
 	}
 	drain := func() {
 		if err := sh.DoSide(ctx, func() {}); err != nil {
@@ -216,7 +216,7 @@ func TestReadDeltasBounded(t *testing.T) {
 			t.Fatalf("read %d: %v", reads, err)
 		}
 		pl.Release()
-		worst = max(worst, stacked())
+		worst = max(worst, pending())
 		if reads++; reads > 4*wantFast {
 			t.Fatalf("only %d of %d reads took the fast path", svc.cFastReads.Value()-fast0, reads)
 		}
@@ -225,8 +225,8 @@ func TestReadDeltasBounded(t *testing.T) {
 		t.Errorf("%d read deltas pending at the worst sample, want <= %d", worst, deltaDrainThreshold)
 	}
 	drain()
-	if n, counted := stacked(), sh.pendingDeltas.Load(); n != 0 || counted != 0 {
-		t.Errorf("after a side task: %d deltas stacked, %d counted, want 0", n, counted)
+	if n := pending(); n != 0 {
+		t.Errorf("after a side task: %d reads pending, want 0", n)
 	}
 	if head := sh.Aud.HeadSeq(); head != head0+reads {
 		t.Errorf("audit head advanced by %d records over %d page reads", head-head0, reads)
@@ -235,6 +235,83 @@ func TestReadDeltasBounded(t *testing.T) {
 		t.Errorf("audit chain after %d deferred reads: %v", reads, err)
 	}
 	t.Logf("%d reads (%d fast), worst pending %d", reads, svc.cFastReads.Value()-fast0, worst)
+}
+
+// TestDrainKeepsReadOrder: one drain applies its reads in the order they
+// completed. Pages 0–3 of hot.dat, read one request each and drained once,
+// leave their audit records in the same order on a fast service, a logged
+// fast one and a SerialReads one, whose reads audit in brackets as they
+// come; and the logged shard's one RecReadDeltas record lists the four
+// sampled traces in request order.
+func TestDrainKeepsReadOrder(t *testing.T) {
+	opts := Options{Shards: 1, MCMode: memctrl.Mode{MemEncryption: true, FileEncryption: true}, Access: kernel.ModeDAX}
+	var pages [3][]uint64 // fast, logged, serial
+	for i := range pages {
+		o := opts
+		o.AdmissionLog, o.SerialReads = i == 1, i == 2
+		svc, sess := readServiceWith(t, o)
+		ctx, sh := context.Background(), svc.shards[0]
+		drain := func() {
+			if err := sh.DoSide(ctx, func() {}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		drain()
+		head0, fast0 := sh.Aud.HeadSeq(), svc.cFastReads.Value()
+		logLen0, err := svc.LogLen(ctx, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []fsproto.ReadTrace
+		for p := uint64(0); p < 4; p++ {
+			tc := fsproto.TraceContext{TraceID: 0x100 + p, Sampled: true}
+			want = append(want, fsproto.ReadTrace{TraceID: tc.TraceID, Kind: fsproto.KindRead})
+			pl, err := svc.Read(WithTrace(ctx, tc), sess, fsproto.ReadRequest{Name: "hot.dat", Offset: p * 4096, Length: 4096})
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.Release()
+		}
+		if fast, wantFast := svc.cFastReads.Value()-fast0, uint64(4*(1-i/2)); fast != wantFast {
+			t.Fatalf("service %d: %d reads served under the read lock, want %d", i, fast, wantFast)
+		}
+		if err := sh.DoSide(ctx, func() {
+			for _, r := range sh.Aud.Records() {
+				if r.Seq >= head0 {
+					pages[i] = append(pages[i], r.Page)
+				}
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if i != 1 {
+			continue
+		}
+		segs, err := svc.RecordsFrom(ctx, 0, logLen0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var rd fsproto.LogReader
+		var recs []fsproto.LogRecord
+		for b := bytes.Join(segs, nil); len(b) > 0; {
+			var rec fsproto.LogRecord
+			if b, err = rd.Next(b, &rec); err != nil {
+				t.Fatal(err)
+			}
+			recs = append(recs, rec)
+		}
+		if len(recs) != 1 || recs[0].Kind != fsproto.RecReadDeltas || fmt.Sprint(recs[0].Traces) != fmt.Sprint(want) {
+			t.Errorf("the drain logged %+v, want one read_deltas record with traces %v", recs, want)
+		}
+	}
+	if len(pages[2]) != 4 {
+		t.Fatalf("the serial service audited pages %v, want four", pages[2])
+	}
+	for i, name := range []string{"fast", "logged fast"} {
+		if fmt.Sprint(pages[i]) != fmt.Sprint(pages[2]) {
+			t.Errorf("the %s service audited pages %v, the serial one %v", name, pages[i], pages[2])
+		}
+	}
 }
 
 // TestFastReadGating: a -serial-reads service must never enter the fast
@@ -494,7 +571,7 @@ func FuzzReadEquivalence(f *testing.F) {
 var raceEnabled bool
 
 // TestFastReadAllocs pins the fast read's heap cost: a warm one-page read
-// allocates only the node that carries its delta to the next bracket. Each
+// allocates nothing; its side effects go into the shard's accumulator. Each
 // read is measured alone, with the drain of the one before it outside
 // the window, on one P so nothing else runs inside it.
 func TestFastReadAllocs(t *testing.T) {
@@ -525,8 +602,8 @@ func TestFastReadAllocs(t *testing.T) {
 			allocs += ms.Mallocs - before
 		}
 	}
-	if per := float64(allocs) / runs; per > 1 {
-		t.Fatalf("fast read: %.2f allocs/op, want <= 1 (the delta node)", per)
+	if per := float64(allocs) / runs; per > 0 {
+		t.Fatalf("fast read: %.2f allocs/op, want 0", per)
 	}
 }
 

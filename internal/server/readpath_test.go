@@ -144,7 +144,7 @@ func TestServiceAllocsPerOp(t *testing.T) {
 		want float64
 		fn   func() error
 	}{
-		{"read", 4, func() error {
+		{"read", 2, func() error {
 			pl, err := svc.Read(ctx, sess, fsproto.ReadRequest{Name: "hot.dat", Offset: uint64(i%4) * 4096, Length: 4096})
 			pl.Release()
 			return err
@@ -155,7 +155,7 @@ func TestServiceAllocsPerOp(t *testing.T) {
 		{"kv_put", 7, func() error {
 			return svc.KVPut(ctx, sess, fsproto.KVPutRequest{Store: "s", Key: uint64(i % 8), Value: value})
 		}},
-		{"kv_get", 3, func() error {
+		{"kv_get", 2, func() error {
 			pl, err := svc.KVGet(ctx, sess, fsproto.KVGetRequest{Store: "s", Key: uint64(i % 8)})
 			pl.Release()
 			return err

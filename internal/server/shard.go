@@ -158,21 +158,21 @@ type Shard struct {
 	// Concurrent read fast-path plane (fastread.go). rmu is the machine
 	// lock: every mutation bracket holds it for writing, handed from one
 	// bracket to the next without an unlock, and a snapshot reader TryRLocks
-	// it; deltas is the lock-free stack of deferred read side effects the
-	// next bracket folds into the controller — pendingDeltas counts them —
-	// and the pools recycle per-goroutine reader contexts and delta buffers.
-	// drained and drainedTraces are a bracket's merge of one drain. closed,
-	// set under the machine lock once the shard has retired or closed, turns
-	// readers away: their deltas would reach no bracket, nor the log of the
-	// shard's new owner.
-	rmu           sync.RWMutex
-	deltas        atomic.Pointer[deltaNode]
-	pendingDeltas atomic.Int64
-	closed        atomic.Bool
-	readPool      sync.Pool
-	deltaPool     sync.Pool
-	drained       memctrl.ReadDelta
-	drainedTraces []fsproto.ReadTrace
+	// it. closed, set under the machine lock once the shard has retired or
+	// closed, turns readers away: their side effects would reach no bracket,
+	// nor the log of the shard's new owner. readPool recycles reader
+	// contexts. reads, readTraces and pendingReads accumulate the side
+	// effects, sampled traces and count of reads completed since the last
+	// drain, in completion order: readers append under readMu while they
+	// hold the read lock, and a bracket drains them under the machine lock
+	// alone.
+	rmu          sync.RWMutex
+	closed       atomic.Bool
+	readPool     sync.Pool
+	readMu       sync.Mutex
+	reads        memctrl.ReadDelta
+	readTraces   []fsproto.ReadTrace
+	pendingReads int
 
 	// Request-trace plane (bracket-only, deterministic): scope buffers one
 	// request's spans until the tail sampler's keep/drop decision.
@@ -256,8 +256,7 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 		ckptEvery: so.CheckpointEvery,
 		sess:      make(map[string]*sessState),
 	}
-	sh.readPool.New = func() any { return sh.Sys.NewSnapshotReader() }
-	sh.deltaPool.New = func() any { return new(memctrl.ReadDelta) }
+	sh.readPool.New = func() any { return &readCtx{sr: sh.Sys.NewSnapshotReader()} }
 	sh.started.Store(!so.Detached)
 	return sh
 }
