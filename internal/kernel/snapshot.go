@@ -13,9 +13,10 @@ import (
 // This file is the kernel layer of the concurrent read fast-path. A reader
 // goroutine holding the shard's read lock can open a file and load from it
 // against a quiescent System without mutating anything: no core clock
-// advances, no page faults, no controller metadata fills. Anything the live path would have handled with a mutation (or an
-// error whose exact text the client sees) makes the snapshot path refuse,
-// and the caller re-runs the op on the owner goroutine.
+// advances, no page faults, no controller metadata fills. Anything the live
+// path would have handled with a mutation (or an error whose exact text the
+// client sees) makes the snapshot path refuse, and the caller re-runs the op
+// on the owner goroutine.
 
 // SnapshotReader is one goroutine's private read context: a controller
 // Reader (forked AES engines and OTP scratch), a page of plaintext scratch

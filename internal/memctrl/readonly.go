@@ -27,10 +27,10 @@ import (
 
 // Reader is one goroutine's private crypt context: the controller's memory
 // engine (engines are immutable, so every Reader shares it), a local
-// file-engine cache of at most maxEngines keys, and the two page-sized OTP buffers. The controller owns
-// one for the live datapath; snapshot readers get theirs from NewReader and
-// are pooled by the server. A Reader must never be used by two goroutines at
-// once.
+// file-engine cache of at most maxEngines keys, and the two page-sized OTP
+// buffers. The controller owns one for the live datapath; snapshot readers
+// get theirs from NewReader and are pooled by the server. A Reader must
+// never be used by two goroutines at once.
 type Reader struct {
 	mem     *aesctr.Engine // nil without memory encryption
 	engines map[aesctr.Key]*aesctr.Engine
