@@ -113,13 +113,14 @@ fuzz-smoke:
 # verdicts, a concurrent fair run against its replay, the hold protocol, an
 # idle shard's ops (run on the caller, never ahead of a queued task, never on
 # a detached shard) and the machine lock's hand-off (to an answered caller's
-# successor, side work first, each waiter on its own goroutine, a timed-out
-# waiter's turn kept) get five, as do the read accumulator's (one drain keeps
-# completion order; readers stay under the drain threshold; concurrent
-# readers push while a writer's brackets drain).
+# successor, which runs after the caller on one P and before it on two, side
+# work first, each waiter on its own goroutine, a timed-out waiter's turn
+# kept) get five, as do the read accumulator's (one drain keeps completion
+# order; readers stay under the drain threshold; concurrent readers push
+# while a writer's brackets drain).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline|TestHandOffRunsOnCaller|TestSideWorkFirst|TestSubmitDeadline|TestDrainKeepsReadOrder|TestReadDeltasBounded|TestConcurrentReadEquivalence' ./internal/server
+	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestHandOffYieldsOnManyPs|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline|TestHandOffRunsOnCaller|TestSideWorkFirst|TestSubmitDeadline|TestDrainKeepsReadOrder|TestReadDeltasBounded|TestConcurrentReadEquivalence' ./internal/server
 
 # Full chaos campaign: >= 1000 seeded faults injected across the encrypted
 # datapath (counter blocks, data lines, torn writes, OTT region, audit

@@ -28,6 +28,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -415,6 +416,11 @@ func (sh *Shard) stamp() {
 // the machine, still write-locked, to the next waiter: side work first, an
 // op only while no Hold keeps the shard. With no one to take it the machine
 // is free again, unlocked unless a hold keeps it.
+//
+// Handing the machine on readies the waiter into this goroutine's P. On one
+// P the caller keeps running, so its answer goes out first; on more than one
+// it yields, so the waiter's bracket starts at once on the warm P while the
+// caller continues on another.
 func (sh *Shard) handOff() {
 	sh.mu.Lock()
 	sh.stamp()
@@ -436,6 +442,9 @@ func (sh *Shard) handOff() {
 	sh.mu.Unlock()
 	if turn != nil {
 		turn <- enq
+		if runtime.GOMAXPROCS(0) > 1 {
+			runtime.Gosched()
+		}
 	}
 }
 
