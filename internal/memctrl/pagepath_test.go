@@ -12,6 +12,7 @@ import (
 	"fsencr/internal/config"
 	"fsencr/internal/obsplane/journal"
 	"fsencr/internal/stats"
+	"fsencr/internal/telemetry"
 )
 
 // pageEquivPair builds two controllers sharing the same derived chip keys
@@ -263,5 +264,60 @@ func TestPageOpsSimulatedTiming(t *testing.T) {
 	pageRead := pageC.ReadPageInto(1_000_000, base, &got) - 1_000_000
 	if pageRead >= lineRead {
 		t.Errorf("ReadPage took %d cycles, not faster than %d for 64 chained ReadLines", pageRead, lineRead)
+	}
+}
+
+// TestPageBatchCounts pins, exactly, the per-request work one steady-state
+// page op does in FsEncr mode: metadata-cache lookups (mc.meta_hits +
+// mc.meta_misses), OTT lookups (mc.ott_hits + mc.ott_misses) and Merkle leaf
+// updates (merkle.updates). A page op pays each once per counter block or
+// key where 64 line ops pay it 64 times, so a per-line counter fetch, key
+// lookup or Merkle touch put back into the page loop multiplies a count here.
+// TestPageGapGuard measures the same batching as host time.
+func TestPageBatchCounts(t *testing.T) {
+	for _, op := range []struct {
+		name               string
+		write              bool
+		meta, ott, updates uint64
+	}{
+		{"ReadPageInto", false, 2, 1, 0},
+		{"WritePage", true, 2, 1, 2},
+	} {
+		c, las := benchFsEncrController()
+		reg := telemetry.New()
+		c.Instrument(reg)
+		st := c.Stats()
+		count := func() (meta, ott, updates uint64) {
+			return st.Get("mc.meta_hits") + st.Get("mc.meta_misses"), st.Get("mc.ott_hits") + st.Get("mc.ott_misses"),
+				reg.Snapshot().Counters["merkle.updates"]
+		}
+		meta0, ott0, updates0 := count()
+		// 64 ops a page: each page's minors stay below the wrap, which sends a
+		// write line by line.
+		const pages, ops = 8, 8 * 64
+		var buf aesctr.Page
+		now := config.Cycle(0)
+		for i := 0; i < ops; i++ {
+			pa := las[(i%pages)*config.LinesPerPage]
+			if op.write {
+				c.WritePage(now, pa, &buf)
+			} else {
+				c.ReadPageInto(now, pa, &buf)
+			}
+			now += 200
+		}
+		meta, ott, updates := count()
+		for _, n := range []struct {
+			what      string
+			got, want uint64
+		}{
+			{"metadata lookups", meta - meta0, op.meta},
+			{"OTT lookups", ott - ott0, op.ott},
+			{"Merkle leaf updates", updates - updates0, op.updates},
+		} {
+			if n.got != n.want*ops {
+				t.Errorf("%s: %d %s in %d ops, want %d per op", op.name, n.got, n.what, ops, n.want)
+			}
+		}
 	}
 }

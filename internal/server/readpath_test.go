@@ -3,9 +3,11 @@ package server
 import (
 	"bytes"
 	"context"
+	"net/http/httptest"
 	"runtime"
 	"testing"
 
+	"fsencr/internal/fsclient"
 	"fsencr/internal/fsproto"
 	"fsencr/internal/kernel"
 	"fsencr/internal/memctrl"
@@ -169,6 +171,70 @@ func TestServiceAllocsPerOp(t *testing.T) {
 		}
 		if err := svc.shards[0].DoSide(ctx, func() {}); err != nil {
 			t.Fatal(err)
+		}
+		got := testing.AllocsPerRun(100, func() {
+			i++
+			if err := c.fn(); err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
+		})
+		t.Logf("%s: %v allocs/op", c.op, got)
+		if got != c.want {
+			t.Errorf("%s: %v allocs/op, want %v", c.op, got, c.want)
+		}
+	}
+}
+
+// TestClientAllocsPerOp pins the heap allocations of one product-client
+// round trip over loopback to an idle one-shard service: a 4 KiB read, a 4
+// KiB write, a 256-byte write, a 64-byte KV get and a 64-byte KV put. The
+// count is the whole process's, so it holds the server's half
+// (TestServiceAllocsPerOp) plus the client's and the wire's. The puts go
+// first, so the gets find their keys. The counts are exact.
+func TestClientAllocsPerOp(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are meaningless under the race detector")
+	}
+	svc, _ := testReadService(t)
+	hs := httptest.NewServer(svc.Mux())
+	t.Cleanup(hs.Close)
+	cl := fsclient.Dial(hs.URL)
+	t.Cleanup(cl.Close)
+	if err := cl.Login("acme", 1, "pw-acme"); err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.KVCreate(fsproto.KVCreateRequest{Store: "s", Size: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	page, small, value := bytes.Repeat([]byte{0xA5}, 4096), bytes.Repeat([]byte{0xA5}, 256), bytes.Repeat([]byte{0x3C}, 64)
+	i := 0
+	for _, c := range []struct {
+		op   string
+		want float64
+		fn   func() error
+	}{
+		{"read 4 KiB", 18, func() error {
+			_, err := cl.Read(fsproto.ReadRequest{Name: "hot.dat", Offset: uint64(i%4) * 4096, Length: 4096})
+			return err
+		}},
+		{"write 4 KiB", 18, func() error {
+			return cl.Write(fsproto.WriteRequest{Name: "hot.dat", Offset: uint64(i%4) * 4096, Data: page})
+		}},
+		{"write 256 B", 19, func() error {
+			return cl.Write(fsproto.WriteRequest{Name: "hot.dat", Offset: uint64(i%64) * 256, Data: small})
+		}},
+		{"kv_put 64 B", 21, func() error {
+			return cl.KVPut(fsproto.KVPutRequest{Store: "s", Key: uint64(i % 8), Value: value})
+		}},
+		{"kv_get 64 B", 17, func() error {
+			_, err := cl.KVGet(fsproto.KVGetRequest{Store: "s", Key: uint64(i % 8)})
+			return err
+		}},
+	} {
+		for i = 0; i < 16; i++ {
+			if err := c.fn(); err != nil {
+				t.Fatalf("%s: %v", c.op, err)
+			}
 		}
 		got := testing.AllocsPerRun(100, func() {
 			i++
