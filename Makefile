@@ -215,14 +215,17 @@ bench-check:
 # tree through bench/run.sh, alternating which runs first: every run's
 # metrics, failed ops and GC cycles, then per metric the parent's median and
 # quartiles, the change's median and the pairs it won. Not part of `ci`:
-# ten pairs take about seven minutes. Example:
+# ten pairs take about seven minutes. TRACE names per-layer metrics: each
+# pair then also runs --trace 1 in both trees and reports those. Examples:
 #   make bench-pairs PARENT=HEAD~1 WORKLOAD=read_page SEED=7 PAIRS=10
+#   make bench-pairs PARENT=HEAD~1 WORKLOAD=kv_mix PAIRS=4 TRACE=server.contended_write_us
 PARENT ?= HEAD
 WORKLOAD ?= read_page
 SEED ?= 7
 PAIRS ?= 10
+TRACE ?=
 bench-pairs:
-	./scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
+	TRACE='$(TRACE)' ./scripts/bench-pairs.sh $(PARENT) $(WORKLOAD) $(SEED) $(PAIRS)
 
 # Telemetry-overhead gate: with no registry attached (the no-op recorder)
 # a telemetry hook must stay one predictable branch (<= 0.5 ns). That is one

@@ -22,6 +22,13 @@
 # benchmark binary's own: the number of the last gctrace line, which the
 # `go build` run.sh does first cannot reach, since the binary's count
 # starts again at 1.
+#
+# With TRACE set to a list of per-layer metric names, e.g.
+#
+#   TRACE="server.contended_write_us server.write_us" scripts/bench-pairs.sh ...
+#
+# each pair also runs `--trace 1` in both trees, in the pair's order, prints
+# the named values of each such run and then the same table for them.
 set -euo pipefail
 
 if [ $# -ne 4 ]; then
@@ -29,6 +36,7 @@ if [ $# -ne 4 ]; then
 	exit 2
 fi
 rev=$1 workload=$2 seed=$3 pairs=$4
+TRACE=${TRACE:-}
 root=$(git rev-parse --show-toplevel)
 cd "$root"
 change=$(git stash create)
@@ -46,29 +54,43 @@ for side in parent change; do
 	(cd "$tmp/$side" && bash bench/run.sh -manifest > /dev/null)
 done
 
-# run <side> <pair>: one end-to-end run, appended to $tmp/runs as
-# "<pair> <side> <metric> <value>" rows.
+# run <side> <pair> <trace>: one run. A --trace 0 run appends every
+# end-to-end metric, failed ops and GC cycles to $tmp/runs, a --trace 1 run
+# the metrics TRACE names to $tmp/trace, as "<pair> <side> <metric> <value>"
+# rows.
 run() {
-	local side=$1 pair=$2 out="$tmp/$1.$2.out" err="$tmp/$1.$2.err"
+	local side=$1 pair=$2 trace=$3 out="$tmp/$1.$2.$3.out" err="$tmp/$1.$2.$3.err" rows="$tmp/runs" tag=""
 	(cd "$tmp/$side" && GODEBUG=gctrace=1 bash bench/run.sh --workload "$workload" --seed "$seed" \
-		--seconds 12 --trace 0 > "$out" 2> "$err")
-	awk -v pair="$pair" -v side="$side" '
-		/^== / { for (i = 1; i <= NF; i++) if ($i ~ /^failed=/) { sub(/^failed=/, "", $i); failed = $i } }
-		NF == 3 && $2 ~ /^[0-9.eE+-]+$/ && $3 != "(ungated)" { print pair, side, $1, $2 }
-		END { print pair, side, "failed_ops", failed }' "$out" >> "$tmp/runs"
-	awk -v pair="$pair" -v side="$side" '/^gc [0-9]+ / { n = $2 } END { print pair, side, "gc_cycles", n + 0 }' "$err" >> "$tmp/runs"
+		--seconds 12 --trace "$trace" > "$out" 2> "$err")
+	if [ "$trace" = 1 ]; then
+		rows="$tmp/trace" tag=" trace"
+		awk -v pair="$pair" -v side="$side" -v names=" $TRACE " \
+			'NF == 3 && index(names, " " $1 " ") { print pair, side, $1, $2 }' "$out" >> "$rows"
+	else
+		awk -v pair="$pair" -v side="$side" '
+			/^== / { for (i = 1; i <= NF; i++) if ($i ~ /^failed=/) { sub(/^failed=/, "", $i); failed = $i } }
+			NF == 3 && $2 ~ /^[0-9.eE+-]+$/ && $3 != "(ungated)" { print pair, side, $1, $2 }
+			END { print pair, side, "failed_ops", failed }' "$out" >> "$rows"
+		awk -v pair="$pair" -v side="$side" '/^gc [0-9]+ / { n = $2 } END { print pair, side, "gc_cycles", n + 0 }' "$err" >> "$rows"
+	fi
 	grep '^WARN' "$out" || true
-	awk -v pair="$pair" -v side="$side" '$1 == pair && $2 == side { line = line sprintf(" %s=%s", $3, $4) }
-		END { printf("pair %2d %-6s%s\n", pair, side, line) }' "$tmp/runs"
+	awk -v pair="$pair" -v side="$side" -v tag="$tag" \
+		'$1 == pair && $2 == side { line = line sprintf(" %s=%s", $3, $4) }
+		END { printf("pair %2d %-6s%s%s\n", pair, side, tag, line) }' "$rows"
 }
 
 for pair in $(seq 1 "$pairs"); do
-	if [ $((pair % 2)) -eq 1 ]; then
-		run parent "$pair"
-		run change "$pair"
-	else
-		run change "$pair"
-		run parent "$pair"
+	order="parent change"
+	if [ $((pair % 2)) -eq 0 ]; then
+		order="change parent"
+	fi
+	for side in $order; do
+		run "$side" "$pair" 0
+	done
+	if [ -n "$TRACE" ]; then
+		for side in $order; do
+			run "$side" "$pair" 1
+		done
 	fi
 done
 
@@ -77,8 +99,11 @@ done
 awk '/"name":/ { gsub(/[",]/, "", $2); name = $2 } /"better":/ { gsub(/[",]/, "", $2); print name, $2 }' \
 	BENCHMARK.json > "$tmp/better"
 
-echo
-awk '
+# summarize <rows>: per metric of <rows>, the parent's median and quartiles,
+# the change's median, the change in %, the pairs it won and the sign-test p.
+summarize() {
+	echo
+	awk '
 	FNR == NR { better[$1] = $2; next }
 	{
 		if (!($3 in seen)) { seen[$3] = 1; order[++n] = $3 }
@@ -107,7 +132,7 @@ awk '
 		return k
 	}
 	END {
-		printf("%-20s %14s %27s %14s %9s %6s %8s\n", "metric", "parent median", "[q1, q3]", "change median", "delta", "wins", "sign p")
+		printf("%-25s %14s %27s %14s %9s %6s %8s\n", "metric", "parent median", "[q1, q3]", "change median", "delta", "wins", "sign p")
 		for (m = 1; m <= n; m++) {
 			name = order[m]
 			kp = sorted(name, "parent", p); kc = sorted(name, "change", c)
@@ -121,7 +146,13 @@ awk '
 				else if (d != 0) losses++
 			}
 			delta = pm == 0 ? "n/a" : sprintf("%+.1f%%", 100 * (cm - pm) / pm)
-			printf("%-20s %14.4f [%12.4f, %12.4f] %14.4f %9s %3d/%-2d %8.4f\n", name, pm,
+			printf("%-25s %14.4f [%12.4f, %12.4f] %14.4f %9s %3d/%-2d %8.4f\n", name, pm,
 				quantile(p, kp, 0.25), quantile(p, kp, 0.75), cm, delta, wins, both, signp(wins, losses))
 		}
-	}' "$tmp/better" "$tmp/runs"
+	}' "$tmp/better" "$1"
+}
+
+summarize "$tmp/runs"
+if [ -n "$TRACE" ]; then
+	summarize "$tmp/trace"
+fi
