@@ -18,12 +18,13 @@ import (
 // page op — and readLines/writeLines are its only implementation. A page op
 // therefore leaves byte-identical NVM contents and identical security state
 // (counters, Merkle tree, Osiris persistence, ECC tags, journal) to 64 line
-// ops, while paying the per-request costs — counter-block fetch, key lookup,
-// AES key schedule, Merkle-leaf MAC update — once. The line and page timing
-// models differ in four places, each marked "n:" with its reason: the PCM
-// side (accessLines), the pad-pipeline tail of a read (readLines), the
-// page-granular audit record (fileSide) and a burst's stop-loss
-// write-through time (bumpLines).
+// ops, a minor-counter wrap included (bumpLines wraps a line at its turn in
+// the run), while paying the per-request costs — counter-block fetch, key
+// lookup, AES key schedule, Merkle-leaf MAC update — once. The line and
+// page timing models differ in four places, each marked "n:" with its
+// reason: the PCM side (accessLines), the pad-pipeline tail of a read
+// (readLines), the page-granular audit record (fileSide) and a burst's
+// stop-loss write-through time (bumpLines).
 
 // ReadLine services a last-level-cache miss for the line containing pa,
 // arriving at the controller at time now. It returns the plaintext line and
@@ -58,47 +59,14 @@ func (c *Controller) ReadPageInto(now config.Cycle, pa addr.Phys, dst *aesctr.Pa
 // WritePage services a full-page store (page-cache write-back, DAX page
 // copy) arriving at time now, carrying plaintext plain. It is functionally
 // and security-state equivalent to 64 chained WriteLine calls over the
-// page's lines. Returns the time the last line is accepted into the
-// persistence domain.
+// page's lines, a minor-counter wrap included. Returns the time the last
+// line is accepted into the persistence domain.
 func (c *Controller) WritePage(now config.Cycle, pa addr.Phys, plain *aesctr.Page) (done config.Cycle) {
 	if ts := c.trace; ts.Active() {
 		ts.Enter()
 		defer func() { ts.Exit("memctrl", "write_page", uint64(now), uint64(done), 0) }()
 	}
-	base := pa.PageAlign()
-	page := base.PageNum()
-	isFile := base.IsDF() && c.fileActive()
-	if !c.mode.MemEncryption || !c.wrapPending(page, isFile) {
-		return c.writeLines(now, base, config.LinesPerPage, plain[:])
-	}
-	// Rare: a minor counter wraps mid-page. The whole-page re-encryption
-	// must happen at exactly the wrapping line's turn for the page write to
-	// stay state-identical to 64 line writes, so the page goes as 64 chained
-	// one-line runs; the page's audit record is appended here because only
-	// a whole-page run appends its own.
-	if isFile {
-		f := c.getCtr(fileSlot(page))
-		c.aud.Append(uint64(now), audit.OpWritePage, page, f.GroupID, f.FileID)
-	}
-	done = now
-	for off := 0; off < config.PageSize; off += config.LineSize {
-		done = c.writeLines(done, base+addr.Phys(off), 1, plain[off:off+config.LineSize])
-	}
-	return done
-}
-
-// wrapPending reports whether any line's minor counter sits at the overflow
-// boundary in a counter domain a write to the page will bump.
-func (c *Controller) wrapPending(page uint64, isFile bool) bool {
-	atMax := func(minors *[config.LinesPerPage]uint8) bool {
-		for _, v := range minors {
-			if v == config.MinorCounterMax {
-				return true
-			}
-		}
-		return false
-	}
-	return atMax(&c.getCtr(memSlot(page)).Minor) || isFile && atMax(&c.getCtr(fileSlot(page)).Minor)
+	return c.writeLines(now, pa.PageAlign(), config.LinesPerPage, plain[:])
 }
 
 // fileActive reports whether the file-encryption datapath should engage.
@@ -252,17 +220,15 @@ func (c *Controller) issueWrites(now, firstAccept config.Cycle, raw addr.Phys, n
 // pushes the block through the metadata cache and Merkle tree once. Returns
 // the counter-ready time.
 func (c *Controller) bumpLines(now config.Cycle, slot uint64, li0, n int, b *counters.CB) config.Cycle {
-	// Minor-counter overflow forces a whole-page re-encryption under the
-	// incremented major counter before this write can proceed. Only a lone
-	// line wraps here: WritePage sends a page with a wrap pending line by
-	// line.
-	wrap := n == 1 && b.Minor[li0] == config.MinorCounterMax
-	if wrap {
-		now = c.reencryptPage(now, slot, li0, b) // its wrapping Bump is this run's bump
-	}
-	u, persists := c.unpersisted[slot], 0
+	u, persists, wrapped := c.unpersisted[slot], 0, false
 	for li, last := li0, li0+n-1; li <= last; li++ {
-		if !wrap {
+		// Minor-counter overflow forces a whole-page re-encryption under the
+		// incremented major at this line's turn, before the run's pads are
+		// built; the wrapping Bump is this line's bump.
+		wrap := b.Minor[li] == config.MinorCounterMax
+		if wrap {
+			now = c.reencryptPage(now, slot, li, b, li0, n)
+		} else {
 			b.Minor[li]++
 		}
 		if u++; u >= c.cfg.Security.StopLoss {
@@ -270,11 +236,19 @@ func (c *Controller) bumpLines(now config.Cycle, slot uint64, li0, n int, b *cou
 			// NVM. Each write-through supersedes the one before it and
 			// nothing runs between them, so only the run's last point —
 			// the one no further point can follow — takes the durable
-			// snapshot, mid-loop, with the later lines not yet bumped.
+			// snapshot, mid-loop, with the later lines not yet bumped. A
+			// later wrap supersedes it with a snapshot of its own.
 			if last-li < c.cfg.Security.StopLoss {
 				c.persistCounter(slot)
 			}
 			u, persists = 0, persists+1
+		}
+		if wrap {
+			// Major bumps are persisted eagerly so the Osiris recovery window
+			// never has to search across a counter wrap (§III-H); the
+			// stop-loss window restarts there.
+			c.persistCounter(slot)
+			u, wrapped = 0, true
 		}
 	}
 	if u > 0 {
@@ -288,20 +262,19 @@ func (c *Controller) bumpLines(now config.Cycle, slot uint64, li0, n int, b *cou
 		writeThroughAt += c.cfg.Security.MACLatency
 	}
 	ready := c.counterDirtied(now, writeThroughAt, slot, b, persists, u == 0)
-	if wrap {
-		// Major bumps are persisted eagerly so the Osiris recovery window
-		// never has to search across a counter wrap (§III-H).
-		c.persistCounterNow(ready, slot)
+	if wrapped {
+		c.PCM.Access(ready, addr.Phys(slotAddr(slot)), true) // the eager persist's write-through
 	}
 	return ready
 }
 
 // reencryptPage handles a minor-counter overflow at line li of slot's block
-// b: the bump wraps (major++, minors reset, minor[li] = 1) and every line of
-// the page is read, stripped of that kind's old OTP, and rewritten under the
-// new major counter. A file-side overflow whose key is gone swaps nothing:
-// the data is unreadable either way.
-func (c *Controller) reencryptPage(now config.Cycle, slot uint64, li int, b *counters.CB) config.Cycle {
+// b, inside a store to lines li0..li0+n-1: the bump wraps (major++, minors
+// reset, minor[li] = 1) and every line of the page the store does not
+// overwrite is read, stripped of that kind's old OTP, and rewritten under
+// the new major counter. A file-side overflow whose key is gone swaps
+// nothing: the data is unreadable either way.
+func (c *Controller) reencryptPage(now config.Cycle, slot uint64, li int, b *counters.CB, li0, n int) config.Cycle {
 	page, kind := slot/2, slotKind(slot)
 	spanName, ev, domain := "reencrypt_mem", journal.PageReencryptMem, uint8(aesctr.DomainMemory)
 	if kind == counters.File {
@@ -318,23 +291,28 @@ func (c *Controller) reencryptPage(now config.Cycle, slot uint64, li int, b *cou
 		}
 		eng = c.rd.engineFor(key)
 	}
-	done := c.swapPads(now, page, domain, eng, &old, eng, b)
+	done := c.swapPads(now, page, domain, eng, &old, eng, b, li0, n)
 	c.span("memctrl", spanName, uint64(now), uint64(done))
 	// A memory block's identity is zero, as the event's is for one.
 	c.jrn.Emit(journal.Event{Cycle: uint64(now), Type: ev, Page: page, Group: b.GroupID, File: b.FileID})
 	return done
 }
 
-// swapPads rewrites every line of page, stripping the pad of (oldEng, old)
-// and applying that of (newEng, cur) in one counter domain. Costs 64 reads + 64 writes of the page plus AES
-// work. It borrows the crypt context's two pad buffers, which is safe
-// because no request builds its own pad until its counter work is done.
+// swapPads rewrites the lines of page a store to lines li0..li0+n-1 does not
+// overwrite, stripping the pad of (oldEng, old) and applying that of
+// (newEng, cur) in one counter domain. The overwritten lines keep their old
+// ciphertext: re-encrypting one would put its old plaintext under the pad
+// the store then uses for the new. Timed as 64 reads + 64 writes of the
+// page plus AES work whichever lines it skips. It borrows the crypt
+// context's two pad buffers, which is safe because no request builds its
+// own pad until its counter work is done.
 func (c *Controller) swapPads(now config.Cycle, page uint64, domain uint8,
-	oldEng *aesctr.Engine, old *counters.CB, newEng *aesctr.Engine, cur *counters.CB) config.Cycle {
+	oldEng *aesctr.Engine, old *counters.CB, newEng *aesctr.Engine, cur *counters.CB, li0, n int) config.Cycle {
 	swap, data := c.rd.pad[:], c.rd.filePad[:]
 	oldEng.OTPLinesInto(swap, page, 0, old.Major, &old.Minor, domain)
 	newEng.OTPLinesInto(data, page, 0, cur.Major, &cur.Minor, domain)
 	aesctr.XORBytes(swap, data)
+	clear(swap[li0*config.LineSize : (li0+n)*config.LineSize])
 	base := addr.Phys(page * config.PageSize)
 	c.PCM.ReadLinesInto(base, data)
 	aesctr.XORBytes(data, swap)

@@ -12,9 +12,9 @@ import (
 
 // TestWrappedPageWriteIsAudited writes one DF page often enough to wrap its
 // minor counters once. The page write that finds a counter at the boundary
-// goes line by line (the re-encryption must land at the wrapping line's
-// turn), and it must still leave exactly one write_page audit record like
-// every other page write: an audit trail that drops a store is not one.
+// re-encrypts the page at the wrapping line's turn inside its run, and it
+// must still leave exactly one write_page audit record like every other
+// page write: an audit trail that drops a store is not one.
 func TestWrappedPageWriteIsAudited(t *testing.T) {
 	const writes = config.MinorCounterMax + 3
 	c := newMC(Mode{MemEncryption: true, FileEncryption: true})
@@ -177,4 +177,38 @@ func TestNoPadReuse(t *testing.T) {
 		t.Errorf("file majors peaked at %v, the run did not wrap each twice under one key", fileWraps)
 	}
 	t.Logf("%d distinct pads over %d steps, %d file keys", len(seen), steps, nextKey)
+}
+
+// TestWrapSkipsTheStoredLine writes one plain-page line until its minor
+// counter sits at the boundary, then runs the wrap step a store to that line
+// runs before it builds its pad (bumpLines). The page re-encryption must
+// leave that line alone: rewritten under the new pad, its old plaintext
+// would cross the bus under the pad the store then uses for the new one.
+// The page's other lines must still read back.
+func TestWrapSkipsTheStoredLine(t *testing.T) {
+	c := newMC(Mode{MemEncryption: true})
+	base := addr.Phys(0x300000)
+	pa, other := base+3*config.LineSize, base+5*config.LineSize
+	old := lineOf(9)
+	now := c.WriteLine(0, other, lineOf(4))
+	for i := 0; i < config.MinorCounterMax; i++ {
+		now = c.WriteLine(now, pa, old) + 100
+	}
+	page, li := pa.PageNum(), pa.LineInPage()
+	m, ready := c.fetchCtr(now, memSlot(page))
+	if m.Minor[li] != config.MinorCounterMax {
+		t.Fatalf("minor %d after %d writes, want %d", m.Minor[li], config.MinorCounterMax, config.MinorCounterMax)
+	}
+	now = c.bumpLines(ready, memSlot(page), li, 1, m)
+	if m.Major != 1 || m.Minor[li] != 1 {
+		t.Fatalf("the wrap step left major %d, minor %d; want 1, 1", m.Major, m.Minor[li])
+	}
+	stored := c.RawLine(pa)
+	aesctr.XORBytes(stored[:], c.rd.pads(page, li, 1, m, nil, aesctr.Key{}))
+	if stored == old {
+		t.Fatal("stored ciphertext ^ the new pad is the old plaintext: the wrap put it under the pad the store uses next")
+	}
+	if got, _ := c.ReadLine(now, other); got != lineOf(4) {
+		t.Fatal("a line the store does not overwrite reads back wrong after the wrap")
+	}
 }

@@ -29,7 +29,7 @@ func (c *Controller) RotateFileKey(now config.Cycle, pa addr.Phys, group uint32,
 	fecb, ready := c.fetchCtr(now, slot)
 	old := *fecb
 	*fecb = counters.CB{GroupID: group, FileID: file}
-	ready = c.swapPads(ready, page, aesctr.DomainFile, c.rd.engineFor(oldKey), &old, c.rd.engineFor(newKey), fecb)
+	ready = c.swapPads(ready, page, aesctr.DomainFile, c.rd.engineFor(oldKey), &old, c.rd.engineFor(newKey), fecb, 0, 0)
 	ready = c.touchDirtyCounter(ready, slot, fecb)
 	c.persistCounterNow(ready, slot)
 	// Data ECC tags are unchanged: rotation preserves plaintext.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
 	"testing"
 
@@ -85,6 +86,15 @@ func comparePageState(t *testing.T, lineC, pageC *Controller, addrs []addr.Phys)
 		}
 		if f1, f2 := lineC.ctr[fileSlot(page)], pageC.ctr[fileSlot(page)]; (f1 == nil) != (f2 == nil) || (f1 != nil && *f1 != *f2) {
 			t.Fatalf("page %#x: FECB differs: %+v vs %+v", page, f1, f2)
+		}
+		// A wrong dirty bit shows only at a later eviction, as a persist.
+		for _, a := range []uint64{slotAddr(memSlot(page)), slotAddr(fileSlot(page))} {
+			if lineC.metaCache == nil { // plain mode: no metadata
+				break
+			}
+			if d1, d2 := lineC.mcacheFor(a).IsDirty(a), pageC.mcacheFor(a).IsDirty(a); d1 != d2 {
+				t.Fatalf("page %#x: counter line %#x dirty %v in the metadata cache vs %v", page, a, d1, d2)
+			}
 		}
 	}
 	if !reflect.DeepEqual(lineC.persisted, pageC.persisted) {
@@ -191,30 +201,134 @@ func TestWritePageEquivalence(t *testing.T) {
 	}
 }
 
-// TestWritePageOverflowFallback drives a page through a minor-counter
-// overflow (128 full-page writes wrap the 7-bit minors) and checks the
-// batched path's sequential fallback keeps it equivalent through the
-// whole-page re-encryption.
-func TestWritePageOverflowFallback(t *testing.T) {
-	lineC, pageC, lineJ, pageJ := pageEquivPair(Mode{MemEncryption: true})
-	base := addr.Phys(0x800000)
-	var buf aesctr.Page
-	now := config.Cycle(0)
-	for i := 0; i < int(config.MinorCounterMax)+4; i++ {
-		for j := range buf {
-			buf[j] = byte(i + j)
-		}
-		writePageAsLines(lineC, now, base, &buf)
-		pageC.WritePage(now, base, &buf)
-		now += 1000
+// TestWritePageOverflowEquivalence drives page writes through minor-counter
+// overflows in every encrypting mode and checks that a page write wrapping a
+// counter mid-run leaves the state 64 chained line writes leave. One page
+// wraps all its minors together (128 full-page writes on a fresh page);
+// on a staggered page, line writes first put one line at the boundary on
+// the memory side and another on the file side. Then other pages are
+// written until the metadata cache evicts the wrapped pages' counter lines
+// — an eviction persists a line if and only if it is dirty — and the state
+// is compared again.
+func TestWritePageOverflowEquivalence(t *testing.T) {
+	const (
+		group    = uint32(7)
+		memLine  = 40 // the staggered page's memory-side boundary
+		fileLine = 20 // and its file-side one
+		others   = 16 // per wrapped page, sharing its metadata-cache sets
+	)
+	cases := []pageEquivConfig{
+		{name: "mem_only", mode: Mode{MemEncryption: true}},
+		{name: "mem_file", mode: Mode{MemEncryption: true, FileEncryption: true}, df: true},
+		{name: "locked", mode: Mode{MemEncryption: true, FileEncryption: true}, df: true, lock: true},
+		{name: "deleted_key", mode: Mode{MemEncryption: true, FileEncryption: true}, df: true, delKey: true},
 	}
-	m := pageC.ctr[memSlot(base.PageNum())]
-	if m == nil || m.Major == 0 {
-		t.Fatal("sweep did not cross a minor-counter overflow")
-	}
-	comparePageState(t, lineC, pageC, []addr.Phys{base})
-	if !reflect.DeepEqual(journalKeys(lineJ), journalKeys(pageJ)) {
-		t.Fatal("journal event multisets differ across overflow")
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			lineC, pageC, lineJ, pageJ := pageEquivPair(tc.mode)
+			both := func(f func(c *Controller)) { f(lineC); f(pageC) }
+			wrapped := []addr.Phys{0x800000, 0x801000}
+			// Pages a set count of counter lines apart share the wrapped
+			// pages' metadata-cache sets: a page has two counter lines.
+			stride := addr.Phys(pageC.MetadataCache().Sets() / 2 * config.PageSize)
+			var rest []addr.Phys
+			for k := 1; k <= others; k++ {
+				for _, pa := range wrapped {
+					rest = append(rest, pa+addr.Phys(k)*stride)
+				}
+			}
+			if tc.df {
+				for i := range wrapped {
+					wrapped[i] = wrapped[i].WithDF()
+				}
+				for i := range rest {
+					rest[i] = rest[i].WithDF()
+				}
+				both(func(c *Controller) {
+					c.InstallKey(0, group, 1, fileKey(1))
+					for _, pa := range slices.Concat(wrapped, rest) {
+						c.TagPage(0, pa, group, 1)
+					}
+				})
+			}
+			if tc.lock {
+				both((*Controller).Lock)
+			}
+			if tc.delKey {
+				both(func(c *Controller) { c.RemoveKey(0, group, 1) })
+			}
+
+			now := config.Cycle(0)
+			var line aesctr.Line
+			writeLine := func(pa addr.Phys, times int) {
+				for i := 0; i < times; i++ {
+					line[0] = byte(i)
+					both(func(c *Controller) { c.WriteLine(now, pa, line) })
+					now += 300
+				}
+			}
+			var buf aesctr.Page
+			writePage := func(pa addr.Phys, seed int) {
+				for j := range buf {
+					buf[j] = byte(seed + j)
+				}
+				writePageAsLines(lineC, now, pa, &buf)
+				pageC.WritePage(now, pa, &buf)
+				now += 1000
+			}
+			// The staggered page: its file-side line reaches the boundary on
+			// both sides, a write without the DF bit wraps the memory side
+			// alone, and the memory-side line then reaches it.
+			stag := wrapped[1]
+			writeLine(stag+fileLine*config.LineSize, config.MinorCounterMax)
+			writeLine(stag.Raw()+fileLine*config.LineSize, 1)
+			writeLine(stag.Raw()+memLine*config.LineSize, config.MinorCounterMax)
+			// The fresh page's minors reach the boundary together; then each
+			// page's next write wraps, and is its last before the evictions.
+			for i := 0; i < config.MinorCounterMax; i++ {
+				writePage(wrapped[0], i)
+			}
+			for _, pa := range wrapped {
+				writePage(pa, 0)
+			}
+			// Memory side: the line writes' wrap, then one per page.
+			wantFile := uint64(0)
+			if tc.df && !tc.lock {
+				wantFile = 2
+			}
+			if m, f := pageC.Stats().Get("mc.mem_reencryptions"), pageC.Stats().Get("mc.file_reencryptions"); m != 3 || f != wantFile {
+				t.Fatalf("re-encryptions mem/file = %d/%d, want 3/%d", m, f, wantFile)
+			}
+			comparePageState(t, lineC, pageC, wrapped)
+
+			// The counter lines the writes dirtied: the file side's only where
+			// the file datapath is active.
+			var lines []uint64
+			for _, pa := range wrapped {
+				lines = append(lines, slotAddr(memSlot(pa.PageNum())))
+				if tc.df && !tc.lock {
+					lines = append(lines, slotAddr(fileSlot(pa.PageNum())))
+				}
+			}
+			cached := func() bool {
+				for _, a := range lines {
+					if lineC.mcacheFor(a).Contains(a) || pageC.mcacheFor(a).Contains(a) {
+						return true
+					}
+				}
+				return false
+			}
+			for i := 0; cached(); i++ {
+				if i == len(rest) {
+					t.Fatal("writing the other pages did not evict the wrapped pages' counter lines")
+				}
+				writePage(rest[i], i)
+			}
+			comparePageState(t, lineC, pageC, slices.Concat(wrapped, rest))
+			if !reflect.DeepEqual(journalKeys(lineJ), journalKeys(pageJ)) {
+				t.Fatal("journal event multisets differ across overflow")
+			}
+		})
 	}
 }
 
@@ -292,8 +406,8 @@ func TestPageBatchCounts(t *testing.T) {
 				reg.Snapshot().Counters["merkle.updates"]
 		}
 		meta0, ott0, updates0 := count()
-		// 64 ops a page: each page's minors stay below the wrap, which sends a
-		// write line by line.
+		// 64 ops a page: each page's minors stay below the wrap, whose
+		// file-side re-encryption looks the key up once more.
 		const pages, ops = 8, 8 * 64
 		var buf aesctr.Page
 		now := config.Cycle(0)
