@@ -1,6 +1,7 @@
 package kernel
 
 import (
+	"encoding/binary"
 	"fmt"
 
 	"fsencr/internal/addr"
@@ -315,26 +316,12 @@ func (p *Process) ReadU64(va addr.Virt) (uint64, error) {
 	if err := p.Read(va, b[:]); err != nil {
 		return 0, err
 	}
-	return leU64(b[:]), nil
+	return binary.LittleEndian.Uint64(b[:]), nil
 }
 
 // WriteU64 stores a 64-bit little-endian value.
 func (p *Process) WriteU64(va addr.Virt, v uint64) error {
 	var b [8]byte
-	putLeU64(b[:], v)
+	binary.LittleEndian.PutUint64(b[:], v)
 	return p.Write(va, b[:])
-}
-
-func leU64(b []byte) uint64 {
-	var v uint64
-	for i := 7; i >= 0; i-- {
-		v = v<<8 | uint64(b[i])
-	}
-	return v
-}
-
-func putLeU64(b []byte, v uint64) {
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
 }
