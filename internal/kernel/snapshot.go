@@ -16,7 +16,7 @@ import (
 // advances, no page faults, no controller metadata fills. Anything the live
 // path would have handled with a mutation (or an error whose exact text the
 // client sees) makes the snapshot path refuse, and the caller re-runs the op
-// on the owner goroutine.
+// in a mutation bracket.
 
 // SnapshotReader is one goroutine's private read context: a controller
 // Reader (forked AES engines and OTP scratch), a page of plaintext scratch

@@ -246,7 +246,7 @@ func (s *System) CreateFile(p *Process, name string, perm fs.Mode, size uint64, 
 
 // Access looks name up and checks its Unix permission bits for (uid, gid):
 // the part of opening a file that reads nothing but the filesystem, so a
-// reader off the owner goroutine (SnapshotRead, the server's stat) decides
+// reader outside a mutation bracket (SnapshotRead, the server's stat) decides
 // who may touch which file exactly as OpenFile does.
 func (s *System) Access(uid, gid uint32, name string, want fs.Access) (*fs.File, error) {
 	f, err := s.FS.Lookup(name)

@@ -83,7 +83,7 @@ type Controller struct {
 
 	PCM *pcm.Memory
 
-	// rd is the owner goroutine's crypt context — the engines and pad
+	// rd is the machine lock holder's crypt context — the engines and pad
 	// buffers behind every pad the live datapath, re-encryption, recovery
 	// and the attack hooks build. Snapshot readers get their own
 	// (NewReader).

@@ -14,16 +14,16 @@ import (
 // read-only snapshot entry point of the concurrent read fast-path:
 // SnapshotReadLines decrypts a run of lines — a page or less — without
 // mutating any controller state, so reader goroutines can run it in
-// parallel while the shard's owner goroutine is parked behind the shard's
-// reader lock. All side effects the live datapath would have produced —
-// stats, audit records, ECC-violation accounting — are captured in a
-// ReadDelta the owner later applies under its own lock (ApplyReadDelta).
+// parallel under the machine lock's read side while no mutation bracket
+// runs. All side effects the live datapath would have produced — stats,
+// audit records, ECC-violation accounting — are captured in a ReadDelta a
+// later mutation bracket applies (ApplyReadDelta).
 //
 // The snapshot path is success-only: anything the live path would handle
 // with a mutation (metadata-cache fill, OTT refill, first-touch counter
 // creation side effects, journal emission, locked or crashed datapath)
-// makes SnapshotReadLines return false, and the caller re-runs the read on
-// the owner goroutine with full live semantics.
+// makes SnapshotReadLines return false, and the caller re-runs the read in
+// a mutation bracket with full live semantics.
 
 // Reader is one goroutine's private crypt context: the controller's memory
 // engine (engines are immutable, so every Reader shares it), a local
@@ -202,10 +202,10 @@ func (c *Controller) SnapshotReadLines(rd *Reader, la addr.Phys, n int, dst []by
 }
 
 // ApplyReadDelta folds the deferred side effects of snapshot reads into
-// the controller. Must run on the owner goroutine (it mutates stats, the
+// the controller. Must run in a mutation bracket (it mutates stats, the
 // audit chain, and the journal). now stamps the deferred audit and
 // journal records: snapshot reads advance no simulated clock, so the
-// owner's current time is the only meaningful timestamp.
+// bracket's current time is the only meaningful timestamp.
 func (c *Controller) ApplyReadDelta(now config.Cycle, d *ReadDelta) {
 	if d.Reads > 0 {
 		c.n.reads.Add(d.Reads)

@@ -117,8 +117,8 @@ func (t *Table) Lookup(group uint32, file uint16) (aesctr.Key, bool) {
 
 // Peek is Lookup without side effects: no clock tick, no LRU refresh, no
 // hit/miss counters, no telemetry. The concurrent read fast-path uses it
-// to resolve keys from a reader goroutine while the owner goroutine is
-// parked; the owner's own Lookup remains the only mutating search.
+// to resolve keys from a reader goroutine while no mutation bracket runs;
+// Lookup, under the machine lock, remains the only mutating search.
 func (t *Table) Peek(group uint32, file uint16) (aesctr.Key, bool) {
 	for i := range t.slots {
 		s := &t.slots[i]

@@ -31,8 +31,8 @@ import (
 const logChunkBytes = 64 << 10
 
 // logStore is a shard's admission log: encoded records in append-only chunks,
-// each knowing the log position of its first record. Worker-only but for the
-// footprint counts, which the metrics export reads.
+// each knowing the log position of its first record. Touched in a mutation
+// bracket only, but for the footprint counts, which the metrics export reads.
 type logStore struct {
 	w           fsproto.LogWriter
 	chunks      []logChunk

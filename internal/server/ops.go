@@ -86,7 +86,7 @@ type kvHandle struct {
 }
 
 // state returns (creating lazily) the state of the session's token on this
-// shard. Worker-goroutine only.
+// shard. In a mutation bracket only.
 func (sh *Shard) state(sess *Session) *sessState {
 	st := sh.sess[sess.token]
 	if st == nil {
@@ -624,7 +624,7 @@ func (svc *Service) KVDelete(ctx context.Context, sess *Session, req fsproto.KVD
 // file into dst. The caller provides the destination, so a steady-state
 // read allocates nothing — and a page-aligned, page-sized read rides the
 // controller's batched page datapath end to end. name must already carry
-// its tenant prefix. Worker-goroutine only.
+// its tenant prefix. In a mutation bracket only.
 func (sh *Shard) readInto(sess *Session, name, passphrase string, off uint64, dst []byte) error {
 	p := sh.proc(sess)
 	f, err := sh.Sys.OpenFile(p, name, fs.ReadAccess, passphrase)
@@ -701,7 +701,7 @@ func kvName(tenant, store string) string { return tenant + "/kv/" + store }
 // the op brings another passphrase, the bits no longer allow the access or
 // the name is another file now, so it answers what a fresh open — and a
 // snapshot get — would (System.Access touches no simulated state).
-// Worker-goroutine only, so replay opens exactly when the live run did.
+// In a mutation bracket only, so replay opens exactly when the live run did.
 func (sh *Shard) kvHandleFor(sess *Session, tenant, store, passphrase string, want fs.Access) (*kvHandle, error) {
 	st := sh.state(sess)
 	full := kvName(tenant, store)

@@ -167,7 +167,7 @@ func mix64(x uint64) uint64 {
 // Every decision increments exactly one of the kept/dropped counters, so
 // kept+dropped always equals the number of completed sampled traces and
 // dropped work is never silently invisible. The sampler is single-writer
-// (the shard owner goroutine); the counters are the usual atomics.
+// (under the shard's machine lock); the counters are the usual atomics.
 type TailSampler struct {
 	keepEvery uint64
 	durs      [NumBuckets]uint64
