@@ -169,6 +169,9 @@ vet:
 # iteration batch each — enough for before/after comparisons of the
 # fast-path. ClientWrite4K and ClientKVPut are not in bench-json or
 # bench-check; run ClientKVPut with -cpu 1,2 to see a thread hand-off's cost.
+# At -cpu 1 ClientWrite4K/callers=2's p50 is bimodal on identical code (≈ 92
+# µs under strict alternation, 58–81 µs otherwise): no evidence for a change
+# smaller than that gap.
 bench:
 	$(GO) test -run '^$$' -bench 'ReadLine|WriteLine|ReadPage|WritePage' ./internal/memctrl
 	$(GO) test -run '^$$' -bench 'AccessPage|AccessRepeat' ./internal/pcm
