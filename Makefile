@@ -120,7 +120,7 @@ fuzz-smoke:
 # while a writer's brackets drain).
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestHandOffYieldsOnManyPs|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline|TestHandOffRunsOnCaller|TestSideWorkFirst|TestSubmitDeadline|TestDrainKeepsReadOrder|TestReadDeltasBounded|TestConcurrentReadEquivalence' ./internal/server
+	$(GO) test -race -count=5 -run 'TestReplayFastReads|TestReplayConcurrentFair|TestHoldProtocol|TestAnsweredCallerRunsFirst|TestHandOffYieldsOnManyPs|TestIdleShardRunsInline|TestInlineNeverJumpsTheQueue|TestDetachedShardRunsNothingInline|TestHandOffRunsOnCaller|TestSideWorkFirst|TestSubmitDeadline|TestDrainKeepsReadOrder|TestReadDeltasBounded|TestConcurrentReadEquivalence|TestHoldRefusedAfterRetire|TestDetachedShardBootsLocked' ./internal/server
 
 # Full chaos campaign: >= 1000 seeded faults injected across the encrypted
 # datapath (counter blocks, data lines, torn writes, OTT region, audit

@@ -97,8 +97,8 @@ type ECCEvent struct {
 	Line int
 }
 
-// ReadDelta accumulates the side effects of snapshot reads for the owner
-// goroutine to apply. The zero value is ready to use; Reset recycles it.
+// ReadDelta accumulates the side effects of snapshot reads for a mutation
+// bracket to apply. The zero value is ready to use; Reset recycles it.
 type ReadDelta struct {
 	Reads  uint64 // line reads to fold into "mc.reads"
 	Audits []AuditEvent

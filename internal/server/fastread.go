@@ -56,16 +56,6 @@ type readCtx struct {
 	d  memctrl.ReadDelta
 }
 
-// enterMut opens a bracket on a free machine: the machine lock (readers in
-// flight finish first, new ones are refused), then the deferred side
-// effects of reads that completed since the last bracket are folded in, so
-// audit records never reorder across the mutations that follow them. A
-// bracket handed the machine skips both: no reader got in since the last.
-func (sh *Shard) enterMut() {
-	sh.rmu.Lock()
-	sh.drainDeltas()
-}
-
 // drainDeltas applies the reads accumulated since the last drain and empties
 // the accumulator. Runs under the machine lock, as a bracket opens, so no
 // reader can push meanwhile and readMu is not needed. A drain that found
@@ -131,12 +121,12 @@ func (sh *Shard) askDrain(pending int) {
 }
 
 // tryReadLocked runs fn under the read lock, trying for it fastReadRetries
-// times. false: a bracket kept the lock, or the shard is closed, and fn did
+// times. false: a bracket kept the lock, or the shard retired, and fn did
 // not run; fall back.
 func (sh *Shard) tryReadLocked(fn func()) bool {
 	for attempt := 0; attempt < fastReadRetries; attempt++ {
 		if sh.rmu.TryRLock() {
-			ok := !sh.closed.Load()
+			ok := sh.gate.retired == nil
 			if ok {
 				fn()
 			}

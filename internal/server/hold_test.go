@@ -26,10 +26,10 @@ func within(t *testing.T, what string, fn func()) {
 	}
 }
 
-// owner reads Shard.held in a bracket.
+// owner reads the gate's holder in a bracket.
 func owner(t *testing.T, sh *Shard) (h *Hold) {
 	t.Helper()
-	if err := sh.DoSide(context.Background(), func() { h = sh.held }); err != nil {
+	if err := sh.DoSide(context.Background(), func() { h = sh.gate.holder }); err != nil {
 		t.Fatalf("DoSide: %v", err)
 	}
 	return h
@@ -52,30 +52,37 @@ func readLockFree(sh *Shard) bool {
 func TestHoldProtocol(t *testing.T) {
 	bg := context.Background()
 
-	t.Run("abandoned behind a busy worker", func(t *testing.T) {
+	t.Run("behind a busy bracket", func(t *testing.T) {
 		sh := testShard(t, 0)
 		gate, parked := make(chan struct{}), make(chan struct{})
 		go sh.Do(bg, 9, func() (any, error) { close(parked); <-gate; return nil, nil })
 		<-parked
-		// The take reaches the lane, the worker does not reach the take.
-		ctx, cancel := context.WithTimeout(bg, 20*time.Millisecond)
-		defer cancel()
-		if _, err := sh.Hold(ctx); !errors.Is(err, context.DeadlineExceeded) {
-			t.Fatalf("Hold behind a busy worker: %v, want deadline exceeded", err)
-		}
-		close(gate)
-		// The take now runs and wins the shard for nobody; the release posted
-		// behind it must free it, or this task is never served.
-		within(t, "a task after an abandoned hold", func() {
-			if _, err := sh.Do(bg, 1, noop); err != nil {
-				t.Errorf("Do after an abandoned hold: %v", err)
-			}
-		})
+		// The take does not wait: the open bracket is the last op before the
+		// hold, and an op sent now waits for the release.
 		h, err := sh.Hold(bg)
 		if err != nil {
-			t.Fatalf("Hold after an abandoned one: %v", err)
+			t.Fatalf("Hold behind a busy bracket: %v", err)
+		}
+		var ran atomic.Bool
+		done := make(chan error, 1)
+		go func() {
+			_, err := sh.Do(bg, 1, func() (any, error) { ran.Store(true); return nil, nil })
+			done <- err
+		}()
+		waitQueued(t, sh, 1, 0)
+		close(gate)
+		within(t, "side work once the busy bracket ended", func() {
+			if err := sh.DoSide(bg, func() {}); err != nil {
+				t.Errorf("DoSide under a hold: %v", err)
+			}
+		})
+		if ran.Load() || readLockFree(sh) {
+			t.Fatalf("under a hold taken behind a busy bracket: op ran %v, read lock free %v", ran.Load(), readLockFree(sh))
 		}
 		h.Resume()
+		if err := <-done; err != nil || !ran.Load() {
+			t.Fatalf("op after Resume: %v, ran %v", err, ran.Load())
+		}
 	})
 
 	t.Run("one owner", func(t *testing.T) {
@@ -87,14 +94,9 @@ func TestHoldProtocol(t *testing.T) {
 		if _, err := sh.Hold(bg); !errors.Is(err, ErrHeld) {
 			t.Fatalf("second Hold: %v, want ErrHeld", err)
 		}
-		// Neither the late release of a hold that never won the shard nor an
-		// abandoned one's may free the live holder.
+		// The release of a hold that never won the shard may not free the
+		// live holder.
 		(&Hold{sh: sh}).release(nil)
-		gone, cancel := context.WithCancel(bg)
-		cancel()
-		if _, err := sh.Hold(gone); err == nil {
-			t.Fatal("Hold with a cancelled context succeeded")
-		}
 		if got := owner(t, sh); got != h {
 			t.Fatalf("shard owned by %p, want the first hold %p", got, h)
 		}
@@ -151,7 +153,7 @@ func TestHoldProtocol(t *testing.T) {
 				t.Errorf("DoSide after Retire: %v", err)
 			}
 		})
-		if !readLockFree(sh) || !sh.closed.Load() {
+		if !readLockFree(sh) || sh.gate.retired == nil {
 			t.Fatal("after Retire: the read lock is still held, or the shard not closed to readers")
 		}
 	})
@@ -197,6 +199,31 @@ func TestHoldProtocol(t *testing.T) {
 			t.Fatal("Run executed on a stopped shard")
 		}
 	})
+}
+
+// TestHoldRefusedAfterRetire: once a hold retired the shard, a later Hold
+// (a FreezeShard that resolved the shard before the migration's commit took
+// it out of the owned set) is refused with the retire error, and nothing
+// runs under it.
+func TestHoldRefusedAfterRetire(t *testing.T) {
+	bg := context.Background()
+	sh := testShard(t, 0)
+	h, err := sh.Hold(bg)
+	if err != nil {
+		t.Fatalf("Hold: %v", err)
+	}
+	moved := errors.New("moved")
+	h.Retire(moved)
+	h2, err := sh.Hold(bg)
+	if h2 != nil {
+		ran := false
+		h2.Run(func() { ran = true })
+		h2.Resume()
+		t.Fatalf("Hold after Retire won the shard (Run ran %v), want the retire error", ran)
+	}
+	if !errors.Is(err, moved) {
+		t.Fatalf("Hold after Retire: %v, want the retire error", err)
+	}
 }
 
 // TestRetiredShardServesNoReads: readers that resolved a logged shard before
@@ -264,9 +291,8 @@ func TestRetiredShardServesNoReads(t *testing.T) {
 // TestSideWorkFirst pins side work as the first claim on the machine. With
 // the machine parked inside an op, one tenant at its slot limit and k of its
 // tasks admitted behind that op, a DoSide is not refused as busy, counts in
-// no queue depth and runs before any of the k. A Hold taken and abandoned
-// there, then released, leaves the shard free: side work runs in the order
-// it was sent.
+// no queue depth and runs before any of the k. A Hold taken there does not
+// wait: the k tasks wait for its Resume.
 func TestSideWorkFirst(t *testing.T) {
 	const k = 3
 	bg := context.Background()
@@ -329,18 +355,21 @@ func TestSideWorkFirst(t *testing.T) {
 	}
 
 	release = park()
-	ctx, cancel = context.WithTimeout(bg, 20*time.Millisecond)
-	defer cancel()
-	if _, err := sh.Hold(ctx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Hold behind %d waiting tasks: %v, want deadline exceeded", k, err)
-	}
-	release()
-	within(t, "the waiting tasks after an abandoned hold", wg.Wait)
 	h, err := sh.Hold(bg)
 	if err != nil {
-		t.Fatalf("Hold after an abandoned one and its release: %v", err)
+		t.Fatalf("Hold behind %d waiting tasks: %v", k, err)
+	}
+	release()
+	within(t, "side work under the hold", func() {
+		if err := sh.DoSide(bg, func() {}); err != nil {
+			t.Errorf("DoSide under a hold: %v", err)
+		}
+	})
+	if n := waiting(sh); n != k {
+		t.Fatalf("under the hold %d tasks wait, want %d", n, k)
 	}
 	h.Resume()
+	within(t, "the waiting tasks after Resume", wg.Wait)
 }
 
 // TestHoldKeepsArrivalClock: an op that arrives while a hold keeps the

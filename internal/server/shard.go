@@ -8,14 +8,12 @@
 // deterministic as it is in-process while independent tenants run in
 // parallel on different shards (tenant -> shard by GroupID hash).
 //
-// Every op runs on its caller's goroutine, in a bracket of its own. A caller
-// that finds the machine free takes it; one that finds it taken waits for a
-// hand-off. The caller closing a bracket passes the machine, still locked,
-// straight to the next waiter: side work (DoSide) first, in the order it was
-// sent, then the admitted ops in fair order — per-tenant FIFO queues served
-// round-robin, so one tenant flooding the shard cannot starve its
-// neighbours, with bounded per-tenant depth for backpressure (ErrBusy once
-// the tenant's slots stay full for the caller's whole context window).
+// Every op runs on its caller's goroutine, in a bracket of its own, and the
+// caller closing a bracket passes the machine, still locked, straight to the
+// next waiter: side work (DoSide) first, then the admitted ops in fair order,
+// per-tenant FIFOs served round-robin, each tenant bounded for backpressure
+// (ErrBusy). The gate (gate.go) takes every such decision; the Shard carries
+// them out.
 //
 // A logged shard's simulated state — clocks, caches, telemetry, the
 // security journal — is a pure function of its admission log, which records
@@ -87,29 +85,22 @@ type task struct {
 	framed bool
 	ts     *tenantState // resolved by submit (by serve for a replayed task)
 	fn     func() (any, error)
-	// turn, on a task that waits for the machine, receives its enq when the
-	// machine is handed to it.
-	turn chan uint64
 	// trace is the request's wire trace context (zero: untraced).
 	trace fsproto.TraceContext
-	// enq is the shard clock the task arrived at, the start of its queue
-	// wait, set by stamp (a task that finds the machine free, the clock at its
-	// start; replay sets it from the logged wait).
+	// enq is the start of the task's queue wait: its gate stamp, the clock
+	// at its start if it found the machine free, or on replay the logged wait.
 	enq  uint64
 	sess *Session
 	body []byte
 }
 
-// tenantState is everything a shard keeps per tenant, one record created on
-// first sight (Shard.tenant) and kept for the shard's life. slots bounds the
-// tenant's admitted-but-unserved tasks: submit sends before admission,
-// taskDone receives. The rest is touched inside mutation brackets only (the
-// FIFO and the ring under sh.mu as well).
+// tenantState is everything a shard keeps per tenant, created on first sight
+// (Shard.tenant). slots bounds the tenant's admitted-but-unserved tasks
+// (submit sends, taskDone receives); lane, under sh.mu, is its FIFO in the
+// gate's fair queue.
 type tenantState struct {
 	slots chan struct{}
-	q     []task // q[head:]: waiting tasks in arrival order
-	head  int
-	next  *tenantState // fairQueue's ring of tenants with pending work
+	lane  lane[turn]
 	// Resolved at first service: an unserved tenant leaves no metric behind.
 	hQWait, hSvc *telemetry.Histogram
 }
@@ -134,41 +125,20 @@ type Shard struct {
 	// device window may only be read in a bracket; use DoSide.
 	Aud *audit.Log
 
+	// mu guards the gate, the machine lock's admission state, and tenants.
 	mu        sync.Mutex
-	draining  atomic.Bool // set under mu; read without it once a call holds its slot
+	gate      gate[turn]
 	tenants   map[uint32]*tenantState
 	perTenant int
-	// The machine lock's hand-off, under mu. owned: a bracket is open, or
-	// the machine is on its way to the next one. arrivals: tasks that found
-	// it owned since a bracket last closed, their wait not yet stamped; q:
-	// the stamped ones, in fair order; side: side work waiting, served first.
-	// held: the Hold keeping the shard (hold.go), written in brackets. down:
-	// Close has taken the machine for good.
-	owned    bool
-	arrivals []task
-	q        fairQueue
-	side     []chan uint64
-	held     *Hold
-	down     bool
-
-	inflight sync.WaitGroup
-	depth    atomic.Int64
-	gDepth   *telemetry.Gauge
-	cServed  *telemetry.Counter
+	depth     atomic.Int64
+	gDepth    *telemetry.Gauge
+	cServed   *telemetry.Counter
 
 	// Concurrent read fast-path plane (fastread.go). rmu is the machine
-	// lock: every mutation bracket holds it for writing, handed from one
-	// bracket to the next without an unlock, and a snapshot reader TryRLocks
-	// it. closed, set under the machine lock once the shard has retired or
-	// closed, turns readers away: their side effects would reach no bracket,
-	// nor the log of the shard's new owner. readPool recycles reader
-	// contexts. reads, readTraces and pendingReads accumulate the side
-	// effects, sampled traces and count of reads completed since the last
-	// drain, in completion order: readers append under readMu while they
-	// hold the read lock, and a bracket drains them under the machine lock
-	// alone.
+	// lock: a bracket holds it for writing, a snapshot reader TryRLocks it.
+	// reads, readTraces and pendingReads accumulate what the reads completed
+	// since the last drain left behind, appended under readMu.
 	rmu          sync.RWMutex
-	closed       atomic.Bool
 	readPool     sync.Pool
 	readMu       sync.Mutex
 	reads        memctrl.ReadDelta
@@ -180,19 +150,15 @@ type Shard struct {
 	scope   *telemetry.TraceScope
 	sampler *telemetry.TailSampler
 
-	started atomic.Bool
-
 	// Cluster plane. chipSeq is the controller key-derivation sequence the
 	// shard booted with (0: per-process auto). logOn enables the admission
 	// log; log and the checkpoint cursor below are bracket-only (readers go
-	// through DoSide or a Hold). retired, once set, is answered to every task
-	// instead of executing it: the shard has migrated away.
+	// through DoSide or a Hold).
 	chipSeq   uint64
 	logOn     bool
 	log       logStore
 	ckptEvery int
 	sinceCkpt int
-	retired   error
 	// sess maps a token to its state here. Only a mutation bracket writes
 	// it, under sessMu, and reads it without; Service.session reads it under
 	// sessMu.
@@ -215,8 +181,9 @@ type ShardOptions struct {
 	// CheckpointEvery folds a Merkle-root checkpoint into the log every N
 	// operation records (0: checkpoints only at migration freeze).
 	CheckpointEvery int
-	// Detached boots the shard with its machine taken: the caller replays an
-	// admission log into it first, then calls Start (no op runs before).
+	// Detached boots the shard with its machine taken and write-locked: the
+	// caller replays an admission log into it first, then calls Start (no op
+	// and no fast read runs before).
 	Detached bool
 }
 
@@ -246,7 +213,6 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 		Aud:       aud,
 		tenants:   make(map[uint32]*tenantState),
 		perTenant: perTenant,
-		owned:     so.Detached,
 		gDepth:    serverReg.Gauge(fmt.Sprintf("server.shard%d.queue_depth", id)),
 		cServed:   serverReg.Counter(fmt.Sprintf("server.shard%d.served_total", id)),
 		scope:     scope,
@@ -258,18 +224,17 @@ func NewShardWith(id int, cfg config.Config, mode memctrl.Mode, access kernel.Ac
 		sess:      make(map[string]*sessState),
 	}
 	sh.readPool.New = func() any { return &readCtx{sr: sh.Sys.NewSnapshotReader()} }
-	sh.started.Store(!so.Detached)
+	sh.gate.now = uint64(sys.M.MaxCoreTime())
+	if so.Detached {
+		sh.gate.mach = machBoot
+		sh.rmu.Lock()
+	}
 	return sh
 }
 
 // Start hands a detached shard's machine, taken since boot, to what waits
-// for it. Idempotent.
-func (sh *Shard) Start() {
-	if sh.started.CompareAndSwap(false, true) {
-		sh.enterMut()
-		sh.handOff()
-	}
-}
+// for it. Called by what owns the booting machine; idempotent.
+func (sh *Shard) Start() { sh.closeWith((*gate[turn]).start) }
 
 // ID returns the shard index.
 func (sh *Shard) ID() int { return sh.id }
@@ -305,143 +270,105 @@ func (sh *Shard) Do(ctx context.Context, tenant uint32, fn func() (any, error)) 
 //
 // deadline (zero: none) bounds the call like an expiring ctx does, without
 // a derived context per request: one pooled timer, armed only once a step
-// actually has to wait. ctx stays the caller's own (a disconnected client).
-// Only an admitted task's wait ends in a context error (ctx.Err() or
-// DeadlineExceeded): the task still runs at its turn (await), and holds
-// what it was given.
-//
-// An admitted task takes the machine at once, with no queue wait, if it is
-// free: not owned (a detached shard's is, until Start) and not held. Else it
-// joins the arrivals and runs when the machine is handed to it, so a caller
-// never runs ahead of a waiting task.
+// actually has to wait. Only an admitted task's wait ends in a context error
+// (ctx.Err() or DeadlineExceeded): the task still runs at its turn (await).
+// It runs at once, with no queue wait, if the gate finds the machine free.
 func (sh *Shard) submit(ctx context.Context, deadline time.Time, t task) (any, error) {
 	dl := deadlineTimer{at: deadline}
 	defer dl.stop()
-
-	// The call counts in inflight from here, so Close waits for it; one that
-	// gets its tenant slot after the drain began is refused then.
 	sh.mu.Lock()
-	if sh.draining.Load() {
-		sh.mu.Unlock()
-		return nil, ErrDraining
-	}
 	t.ts = sh.tenant(t.tenant)
-	sh.inflight.Add(1)
 	sh.mu.Unlock()
 	if !takeSlot(ctx, &dl, t.ts.slots) {
-		sh.inflight.Done()
 		return nil, &BusyError{Tenant: t.tenant, Depth: sh.depth.Load()}
 	}
-	if sh.draining.Load() {
-		<-t.ts.slots
-		sh.inflight.Done()
-		return nil, ErrDraining
-	}
 	sh.gDepth.Set(uint64(sh.depth.Add(1)))
-
-	sh.mu.Lock()
-	if !sh.owned && sh.held == nil {
-		sh.owned = true
-		sh.mu.Unlock()
-		sh.enterMut()
+	d := sh.step(func(g *gate[turn]) verdict[turn] { return g.arrive(&t.ts.lane, newTurn) })
+	switch {
+	case d.err != nil:
+		sh.taskDone(t)
+		return nil, d.err
+	case d.wait != nil:
+		w := t // only a waiting task escapes, to a late turn's goroutine
+		var err error
+		if t.enq, err = await(ctx, &dl, d.wait, func(enq uint64) {
+			w.enq = enq
+			sh.exec(w)
+			sh.handOff()
+		}); err != nil {
+			return nil, err
+		}
+	default:
 		t.enq = uint64(sh.Sys.M.MaxCoreTime())
-		v, err := sh.exec(t)
-		sh.handOff()
-		return v, err
 	}
-	return sh.queue(ctx, &dl, t)
-}
-
-// queue adds t to the arrivals, under sh.mu, which it releases, and runs t
-// at its turn.
-func (sh *Shard) queue(ctx context.Context, dl *deadlineTimer, t task) (any, error) {
-	t.turn = make(chan uint64, 1)
-	sh.arrivals = append(sh.arrivals, t)
-	sh.mu.Unlock()
-	var v any
-	var err error // written by a late turn's goroutine once queue returned: not results
-	if werr := await(ctx, dl, t.turn, func(enq uint64) {
-		t.enq = enq
-		v, err = sh.exec(t)
-		sh.handOff()
-	}); werr != nil {
-		return nil, werr
-	}
+	v, err := sh.exec(t)
+	sh.handOff()
 	return v, err
 }
 
-// await waits for the machine to be handed over on turn, then calls run,
-// which closes the bracket. When ctx is done or dl expires first, await
-// returns that error at once and leaves a goroutine to take the turn, so
-// what waited always runs, and in its order. A turn closed unsent (the
-// shard closed) runs nothing: ErrDraining.
-func await(ctx context.Context, dl *deadlineTimer, turn chan uint64, run func(enq uint64)) error {
+// await waits for the machine to be handed over on tn and returns the
+// waiter's enq. When ctx is done or dl expires first, await returns that
+// error at once and leaves a goroutine to take the turn and call late, which
+// closes the bracket, so what waited always runs, and in its order.
+func await(ctx context.Context, dl *deadlineTimer, tn turn, late func(enq uint64)) (uint64, error) {
 	var err error
 	select {
-	case enq, ok := <-turn:
-		if !ok {
-			return ErrDraining
-		}
-		run(enq)
-		return nil
+	case enq := <-tn:
+		return enq, nil
 	case <-ctx.Done():
 		err = ctx.Err()
 	case <-dl.expired():
 		err = context.DeadlineExceeded
 	}
-	go func() {
-		if enq, ok := <-turn; ok {
-			run(enq)
-		}
-	}()
-	return err
+	go func() { late(<-tn) }()
+	return 0, err
 }
 
-// stamp moves the arrivals to the fair queue, stamped with the clock as the
-// start of their queue wait: the clock they arrived at, since only a bracket
-// moves it. Called in a bracket, under sh.mu.
-func (sh *Shard) stamp() {
-	if len(sh.arrivals) == 0 {
-		return
-	}
-	now := uint64(sh.Sys.M.MaxCoreTime())
-	for i, t := range sh.arrivals {
-		sh.q.push(t, now)
-		sh.arrivals[i] = task{} // its closure holds the request body
-	}
-	sh.arrivals = sh.arrivals[:0]
-}
+// turn is a Shard's waiter: the machine, and the waiter's queue-wait start,
+// arrive on it.
+type turn = chan uint64
 
-// handOff closes the caller's bracket: it stamps the arrivals, then hands
-// the machine, still write-locked, to the next waiter: side work first, an
-// op only while no Hold keeps the shard. With no one to take it the machine
-// is free again, unlocked unless a hold keeps it.
-//
-// Handing the machine on readies the waiter into this goroutine's P. On one
-// P the caller keeps running, so its answer goes out first; on more than one
-// it yields, so the waiter's bracket starts at once on the warm P while the
-// caller continues on another.
-func (sh *Shard) handOff() {
+func newTurn() turn { return make(turn, 1) }
+
+// step makes one gate event under sh.mu and carries out its verdict.
+func (sh *Shard) step(ev func(*gate[turn]) verdict[turn]) verdict[turn] {
 	sh.mu.Lock()
-	sh.stamp()
-	var turn chan uint64
-	var enq uint64
-	if len(sh.side) > 0 {
-		turn, sh.side = sh.side[0], sh.side[1:]
-	} else if sh.held == nil {
-		if t, ok := sh.q.pop(); ok {
-			turn, enq = t.turn, t.enq
-		}
-	}
-	if turn == nil {
-		sh.owned = false
-		if sh.held == nil {
-			sh.rmu.Unlock()
-		}
-	}
+	d := ev(&sh.gate)
 	sh.mu.Unlock()
-	if turn != nil {
-		turn <- enq
+	sh.carry(d)
+	return d
+}
+
+// handOff closes the caller's bracket.
+func (sh *Shard) handOff() { sh.closeWith((*gate[turn]).end) }
+
+// closeWith closes the caller's bracket with event ev at the shard's clock.
+func (sh *Shard) closeWith(ev func(*gate[turn], uint64) verdict[turn]) {
+	now := uint64(sh.Sys.M.MaxCoreTime())
+	sh.step(func(g *gate[turn]) verdict[turn] { return ev(g, now) })
+}
+
+// carry does what a verdict asks of the shell, after sh.mu is released. A
+// bracket that takes a free machine locks it (readers in flight finish
+// first) and folds in the reads completed since the last, so audit records
+// never reorder across the mutations that follow them; one handed the
+// machine skips both. Handing the machine on readies the waiter into this
+// goroutine's P. On one P the caller keeps running, so its answer goes out
+// first; on more than one it yields, so the waiter's bracket starts at once
+// on the warm P while the caller continues on another.
+func (sh *Shard) carry(d verdict[turn]) {
+	if d.lock {
+		sh.rmu.Lock()
+		sh.drainDeltas()
+	}
+	if d.unlock {
+		sh.rmu.Unlock()
+	}
+	for _, tn := range d.closers {
+		close(tn)
+	}
+	if d.to != nil {
+		d.to <- d.enq
 		if runtime.GOMAXPROCS(0) > 1 {
 			runtime.Gosched()
 		}
@@ -508,65 +435,35 @@ func (d *deadlineTimer) stop() {
 }
 
 // DoSide runs fn in a bracket of its own, on the caller's goroutine, and
-// waits for it. It serializes observability reads (the audit log's device
-// window, recovery checks) with simulated work without taking a fairness
-// turn: it runs at once if the machine is free or a Hold keeps it idle, and
-// else as soon as the bracket open now closes, ahead of every admitted task
-// still waiting. Side work runs in the order it was sent. ctx bounds the
-// wait; side work that stops waiting still runs at its turn.
+// waits for it: observability reads (the audit log's device window, recovery
+// checks) serialized with simulated work, without a fairness turn. Side work
+// goes ahead of every waiting op, in the order it was sent, and runs under a
+// Hold too. ctx bounds the wait; side work that stops waiting still runs.
 func (sh *Shard) DoSide(ctx context.Context, fn func()) error {
-	return sh.sideTurn(ctx, func() {
+	d := sh.step(func(g *gate[turn]) verdict[turn] { return g.arrive(nil, newTurn) })
+	if d.wait != nil {
+		_, d.err = await(ctx, &deadlineTimer{}, d.wait, func(uint64) { fn(); sh.handOff() })
+	}
+	if d.err == nil {
 		fn()
 		sh.handOff()
-	})
-}
-
-// sideTurn takes the machine for run, as side work: at once if no bracket
-// owns it (under a hold, whose write lock it keeps), else at its turn among
-// the side work waiting. run closes the bracket, or keeps the machine.
-func (sh *Shard) sideTurn(ctx context.Context, run func()) error {
-	sh.mu.Lock()
-	if sh.down {
-		sh.mu.Unlock()
-		return ErrDraining
 	}
-	if !sh.owned {
-		sh.owned = true
-		held := sh.held != nil
-		if held {
-			sh.stamp() // what arrived while the hold kept the machine idle
-		}
-		sh.mu.Unlock()
-		if !held {
-			sh.enterMut()
-		}
-		run()
-		return nil
-	}
-	turn := make(chan uint64, 1)
-	sh.side = append(sh.side, turn)
-	sh.mu.Unlock()
-	return await(ctx, &deadlineTimer{}, turn, func(uint64) { run() })
+	return d.err
 }
 
 // taskDone returns the resources of an admitted task.
 func (sh *Shard) taskDone(t task) {
 	<-t.ts.slots
-	d := sh.depth.Add(-1)
-	if d < 0 {
-		d = 0
-	}
-	sh.gDepth.Set(uint64(d))
-	sh.inflight.Done()
+	sh.gDepth.Set(uint64(sh.depth.Add(-1)))
 }
 
 // exec runs an admitted task inside its caller's mutation bracket and
 // returns its resources.
 func (sh *Shard) exec(t task) (v any, err error) {
-	// A retired shard migrated away after this task was admitted: it answers
-	// with the routing error so the client retries at the new owner. The task
-	// never executed, so the retry cannot duplicate work.
-	if err = sh.retired; err == nil {
+	// A retired shard (migrated away, or closed before Start) answers the
+	// retire error: the client retries at the new owner, and since the task
+	// never executed, the retry cannot duplicate work.
+	if err = sh.gate.retired; err == nil {
 		v, err = sh.serve(t)
 		sh.maybeCheckpoint()
 		sh.cServed.Inc()
@@ -595,11 +492,8 @@ func (sh *Shard) serve(t task) (any, error) {
 		ts.hSvc = sh.Reg.Histogram(fmt.Sprintf("server.tenant.g%d.service_cycles", t.tenant))
 	}
 	start := uint64(sh.Sys.M.MaxCoreTime())
-	var wait uint64
-	if t.enq < start {
-		wait = start - t.enq
-	}
-	rootStart := start - wait
+	rootStart := min(t.enq, start)
+	wait := start - rootStart
 	ts.hQWait.Observe(wait)
 	traced := t.trace.Sampled && t.trace.TraceID != 0
 	if traced {
@@ -628,71 +522,56 @@ func (sh *Shard) serve(t task) (any, error) {
 	return v, err
 }
 
-// fairQueue is the admission queue (now is the shard clock at absorption). It
-// serves the tenants with pending work round-robin, each tenant's
-// own tasks in arrival order, so a burst from one tenant queues behind its
-// own earlier requests, not everyone else's. The ring links exactly the
-// tenants whose FIFO is non-empty: a pop costs the same however many tenants
-// the shard has seen.
-type fairQueue struct {
-	tail *tenantState // tail.next is the tenant served next
+// Hold keeps a shard's machine between brackets, the quiesce primitive of
+// live migration: the machine lock is handed to no admitted op and stays
+// write-locked, so snapshot readers stay out and requests queue, while side
+// work (audit export, log pulls, the stat fallback) still runs, serialized
+// with Run.
+type Hold struct{ sh *Shard }
+
+// Hold takes the shard at once: the bracket open now, if any, is the last
+// op before the hold. It fails with ErrHeld, the retire error once a hold
+// retired the shard, or ErrDraining once it closed. ctx is not used.
+func (sh *Shard) Hold(context.Context) (*Hold, error) {
+	h := &Hold{sh: sh}
+	d := sh.step(func(g *gate[turn]) verdict[turn] { return g.hold(h) })
+	if d.lock {
+		sh.handOff()
+	}
+	if d.err != nil {
+		return nil, d.err
+	}
+	return h, nil
 }
 
-func (q *fairQueue) push(t task, now uint64) {
-	t.enq = now
-	ts := t.ts
-	ts.q = append(ts.q, t)
-	if len(ts.q)-ts.head > 1 {
-		return // already on the ring
-	}
-	if ts.next = ts; q.tail != nil { // a ring of one, unless there is one to join
-		ts.next, q.tail.next = q.tail.next, ts
-	}
-	q.tail = ts
-}
+// Run executes fn as side work and waits for it. If the shard closed under
+// the hold, fn does not run.
+func (h *Hold) Run(fn func()) { _ = h.sh.DoSide(context.Background(), fn) }
 
-func (q *fairQueue) pop() (task, bool) {
-	if q.tail == nil {
-		return task{}, false
-	}
-	ts := q.tail.next
-	t := ts.q[ts.head]
-	ts.q[ts.head] = task{} // the served task's closure holds its request body
-	if ts.head++; 2*ts.head >= len(ts.q) {
-		// Reclaim the served prefix (amortised, at most one move per pop), so
-		// a tenant that is never idle does not grow its FIFO.
-		n := copy(ts.q, ts.q[ts.head:])
-		clear(ts.q[n:])
-		ts.q, ts.head = ts.q[:n], 0
-	}
-	if len(ts.q) > 0 {
-		q.tail = ts // more pending: the tenant goes to the back
-	} else if ts == q.tail {
-		q.tail = nil
-	} else {
-		q.tail.next = ts.next
-	}
-	return t, true
+// Resume releases the hold, as side work: the ops waiting behind it run
+// (migration rollback). A second or stale release changes nothing.
+func (h *Hold) Resume() { h.release(nil) }
+
+// Retire releases the hold and retires the shard (migration cutover): every
+// waiting and future task and every later Hold is answered with err, the
+// routing error pointing at the new owner, and fast reads are refused.
+func (h *Hold) Retire(err error) { h.release(err) }
+
+func (h *Hold) release(err error) {
+	h.Run(func() {
+		h.sh.mu.Lock()
+		h.sh.gate.release(h, err)
+		h.sh.mu.Unlock()
+	})
 }
 
 // Close drains the shard: admission stops (new Do calls get ErrDraining),
 // every already-admitted task runs to completion and is answered, then Close
-// takes the machine, as side work, for good: the side work still waiting
-// behind it, and any sent later, get ErrDraining. Safe to call more than
-// once.
+// takes the machine for good: side work sent later gets ErrDraining. On a
+// detached shard never started, what waited for Start is answered
+// ErrDraining without executing. Safe to call more than once.
 func (sh *Shard) Close() {
-	sh.mu.Lock()
-	sh.draining.Store(true)
-	sh.mu.Unlock()
-	sh.inflight.Wait()
-	_ = sh.sideTurn(context.Background(), func() {
-		sh.closed.Store(true)
-		sh.mu.Lock()
-		sh.down = true
-		for _, turn := range sh.side {
-			close(turn)
-		}
-		sh.side = nil
-		sh.mu.Unlock()
-	})
+	if d := sh.step(func(g *gate[turn]) verdict[turn] { return g.close(newTurn) }); d.wait != nil {
+		<-d.wait
+	}
 }

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"fsencr/internal/config"
-	"fsencr/internal/fsproto"
 	"fsencr/internal/kernel"
 	"fsencr/internal/memctrl"
 )
@@ -201,13 +200,9 @@ func TestShardBackpressure(t *testing.T) {
 func waiting(sh *Shard) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	n := len(sh.arrivals)
-	if tail := sh.q.tail; tail != nil {
-		for ts := tail.next; ; ts = ts.next {
-			if n += len(ts.q) - ts.head; ts == tail {
-				break
-			}
-		}
+	n := len(sh.gate.arrivals)
+	for _, ln := range sh.gate.q.ready.s[sh.gate.q.ready.head:] {
+		n += ln.len()
 	}
 	return n
 }
@@ -216,7 +211,7 @@ func waiting(sh *Shard) int {
 func sideWaiting(sh *Shard) int {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	return len(sh.side)
+	return sh.gate.sides.len()
 }
 
 // parkMachine parks the shard's machine inside an op of tenant 99, which
@@ -397,7 +392,7 @@ func TestDetachedShardRunsNothingInline(t *testing.T) {
 	mu.Lock()
 	early := len(order)
 	mu.Unlock()
-	if early != 0 || !readLockFree(sh) {
+	if early != 0 || readLockFree(sh) {
 		t.Fatalf("before Start: %d ops ran, machine lock free %v", early, readLockFree(sh))
 	}
 	sh.Start()
@@ -405,6 +400,42 @@ func TestDetachedShardRunsNothingInline(t *testing.T) {
 	if want := []uint32{1, 2}; !slices.Equal(order, want) {
 		t.Fatalf("after Start served %v, want %v", order, want)
 	}
+}
+
+// TestDetachedShardBootsLocked: a detached shard boots with its machine
+// lock write-held, so no fast read gets in before Start, and Close of one
+// that was never started returns: the op that waited for Start is answered
+// ErrDraining without executing, the side work runs.
+func TestDetachedShardBootsLocked(t *testing.T) {
+	bg := context.Background()
+	sh := NewShardWith(0, config.Default(), memctrl.Mode{MemEncryption: true, FileEncryption: true},
+		kernel.ModeDAX, 0, nil, ShardOptions{Detached: true})
+	if readLockFree(sh) {
+		t.Fatal("before Start: the read lock was granted, want fast reads refused")
+	}
+	var ran atomic.Bool
+	op, side := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, err := sh.Do(bg, 1, func() (any, error) { ran.Store(true); return nil, nil })
+		op <- err
+	}()
+	go func() { side <- sh.DoSide(bg, func() {}) }()
+	for deadline := time.Now().Add(2 * time.Second); waiting(sh) != 1 || sideWaiting(sh) != 1; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the op and the side work never waited for Start")
+		}
+	}
+	within(t, "Close of a detached shard never started", sh.Close)
+	if err := <-op; !errors.Is(err, ErrDraining) || ran.Load() {
+		t.Fatalf("op waiting for Start: %v, ran %v; want ErrDraining, not executed", err, ran.Load())
+	}
+	if err := <-side; err != nil {
+		t.Fatalf("side work waiting for Start: %v", err)
+	}
+	if _, err := sh.Do(bg, 1, noop); !errors.Is(err, ErrDraining) || readLockFree(sh) {
+		t.Fatalf("after Close: Do %v, read lock free %v; want ErrDraining, refused", err, readLockFree(sh))
+	}
+	sh.Start() // the machine is Close's now: no hand-off
 }
 
 // TestHandOffRunsOnCaller: what waits for the machine runs on its own
@@ -489,102 +520,92 @@ func TestShardDrain(t *testing.T) {
 }
 
 // TestFairQueue drives the fair admission order directly: round-robin over
-// the tenants with pending work, a ring that holds exactly those tenants
-// however many the shard has seen, and no reference to a task once served.
+// the tenants with pending work, a ready list that holds exactly those
+// tenants however many the shard has seen, and no reference to a waiter once
+// served.
 func TestFairQueue(t *testing.T) {
-	var q fairQueue
-	noop := func() (any, error) { return nil, nil }
-	// A task's trace ID tags it.
-	push := func(ts *tenantState, tenant uint32, id uint64) {
-		q.push(task{tenant: tenant, trace: fsproto.TraceContext{TraceID: id}, ts: ts, fn: noop}, 7)
-	}
-	pop := func() task {
+	var q fairQueue[uint64]
+	// A waiter is its tag, plus one.
+	push := func(ln *lane[uint64], id uint64) { q.push(waiter[uint64]{w: id + 1, ln: ln}, 7) }
+	pop := func() waiter[uint64] {
 		t.Helper()
-		tk, ok := q.pop()
-		if !ok {
+		if q.ready.len() == 0 {
 			t.Fatal("pop: queue empty")
 		}
-		if tk.enq != 7 {
-			t.Fatalf("popped task has enq %d, want the push clock 7", tk.enq)
+		a := q.pop()
+		if a.enq != 7 {
+			t.Fatalf("popped waiter has enq %d, want the push clock 7", a.enq)
 		}
-		return tk
-	}
-	ring := func() (n int) {
-		if q.tail != nil {
-			for ts := q.tail.next; ; ts = ts.next {
-				if n++; ts == q.tail {
-					break
-				}
-			}
-		}
-		return n
+		return a
 	}
 
-	ab := map[uint32]*tenantState{1: {}, 2: {}}
+	ab := map[uint32]*lane[uint64]{1: {}, 2: {}}
+	tenantOf := map[*lane[uint64]]uint32{ab[1]: 1, ab[2]: 2}
 	for i, tenant := range []uint32{1, 1, 1, 2, 2} {
-		push(ab[tenant], tenant, uint64(i))
+		push(ab[tenant], uint64(i))
 	}
-	if ring() != 2 {
-		t.Fatalf("ring holds %d tenants, want 2", ring())
+	if n := q.ready.len(); n != 2 {
+		t.Fatalf("ready holds %d tenants, want 2", n)
 	}
 	var got []uint32
 	for range 5 {
-		got = append(got, pop().tenant)
+		got = append(got, tenantOf[pop().ln])
 	}
 	if want := []uint32{1, 2, 1, 2, 1}; !slices.Equal(got, want) {
 		t.Fatalf("served %v, want %v", got, want)
 	}
-	if _, ok := q.pop(); ok || ring() != 0 {
-		t.Fatalf("drained queue: pop ok=%v, ring %d", ok, ring())
+	if n := q.ready.len(); n != 0 {
+		t.Fatalf("drained queue: ready holds %d", n)
 	}
 
-	// 10 000 tenants seen once each, then idle: the ring tracks tenants with
+	// 10 000 tenants seen once each, then idle: ready tracks tenants with
 	// pending work, not tenants seen.
 	const seen = 10_000
-	tenants := make([]*tenantState, seen)
+	tenants := make([]*lane[uint64], seen)
 	for i := range tenants {
-		tenants[i] = &tenantState{}
-		push(tenants[i], uint32(i), 0)
+		tenants[i] = &lane[uint64]{}
+		push(tenants[i], uint64(i))
 	}
 	for i := range tenants {
-		if n := ring(); n != seen-i {
-			t.Fatalf("with %d tenants waiting the ring holds %d", seen-i, n)
+		if n := q.ready.len(); n != seen-i {
+			t.Fatalf("with %d tenants waiting ready holds %d", seen-i, n)
 		}
-		if tk := pop(); tk.tenant != uint32(i) {
-			t.Fatalf("pop %d served tenant %d", i, tk.tenant)
+		if a := pop(); a.ln != tenants[i] {
+			t.Fatalf("pop %d served waiter %d", i, a.w-1)
 		}
 	}
 	hot := tenants[42]
 	for s := range uint64(3) {
-		push(hot, 42, s)
-		if ring() != 1 {
-			t.Fatalf("one busy tenant among %d idle: ring %d", seen, ring())
+		push(hot, s)
+		if n := q.ready.len(); n != 1 {
+			t.Fatalf("one busy tenant among %d idle: ready %d", seen, n)
 		}
 	}
 	for s := range uint64(3) {
-		if tk := pop(); tk.tenant != 42 || tk.trace.TraceID != s {
-			t.Fatalf("burst pop %d: tenant %d task %d", s, tk.tenant, tk.trace.TraceID)
+		if a := pop(); a.ln != hot || a.w != s+1 {
+			t.Fatalf("burst pop %d: waiter %d", s, a.w-1)
 		}
-		for i, slot := range hot.q[:cap(hot.q)] {
-			if live := i >= hot.head && i < len(hot.q); !live && (slot.fn != nil || slot.ts != nil) {
-				t.Fatalf("after pop %d, slot %d still references a served task", s, i)
+		for i, slot := range hot.s[:cap(hot.s)] {
+			if live := i >= hot.head && i < len(hot.s); !live && (slot.w != 0 || slot.ln != nil) {
+				t.Fatalf("after pop %d, slot %d still references a served waiter", s, i)
 			}
 		}
 	}
-	if ring() != 0 {
-		t.Fatalf("everything served, ring still holds %d", ring())
+	if n := q.ready.len(); n != 0 {
+		t.Fatalf("everything served, ready still holds %d", n)
 	}
 
 	// A tenant that never goes idle reuses its served slots instead of
-	// growing its FIFO, and stays in order.
-	push(hot, 42, 0)
+	// growing its FIFO, and stays in order; so does the ready list.
+	push(hot, 0)
+	readyCap := cap(q.ready.s)
 	for s := range uint64(1000) {
-		push(hot, 42, s+1)
-		if tk := pop(); tk.trace.TraceID != s {
-			t.Fatalf("sustained load: popped task %d, want %d", tk.trace.TraceID, s)
+		push(hot, s+1)
+		if a := pop(); a.w != s+1 {
+			t.Fatalf("sustained load: popped waiter %d, want %d", a.w-1, s)
 		}
 	}
-	if cap(hot.q) > 8 {
-		t.Fatalf("FIFO of a tenant with <= 2 pending grew to cap %d", cap(hot.q))
+	if cap(hot.s) > 8 || cap(q.ready.s) != readyCap {
+		t.Fatalf("FIFO of a tenant with <= 2 pending grew to cap %d, ready from %d to %d", cap(hot.s), readyCap, cap(q.ready.s))
 	}
 }
